@@ -32,7 +32,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import InputError, NonexistenceError, RegimeError
-from .lp import LinearProgram, LPSolution, bp_equilibrium, build_bp_lp, solve_lp
+from .lp import LinearProgram, LPSolution, bp_equilibrium, build_bp_lp, solve_bp, solve_lp
 from .bounds import (
     BoundReport,
     bound_report,
@@ -58,7 +58,7 @@ __all__ = [
     "deviation_search", "excess_payments", "excess_payments_bound",
     "fine_for_tolerance", "ftbp_preset", "grid_best_strategy",
     "misreport_prob_bound", "nonexistence_probe", "signaling_equilibrium",
-    "solve_lp", "surface_preset", "sweep_costs", "sweep_misreport_surface",
+    "solve_bp", "solve_lp", "surface_preset", "sweep_costs", "sweep_misreport_surface",
     "two_type_closed_form", "two_type_strategy", "user_payoff",
     "user_utility_avg", "user_utility_type", "verify_equilibrium",
 ]

@@ -24,7 +24,23 @@ from .numeric import MODES, RATIONAL, as_fraction, sig15
 def _load_config(path) -> GameConfig:
     if not os.path.exists(path):
         raise InputError(f"config file {path!r} does not exist")
-    return GameConfig.from_file(path)
+    try:
+        return GameConfig.from_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("config file", path, exc) from None
+
+
+def _read_text(path, what) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(what, path, exc) from None
+
+
+def _unreadable(what, path, exc) -> InputError:
+    reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+    return InputError(f"cannot read {what} {path!r}: {reason}")
 
 
 def _write_out(text: str, out_path) -> None:
@@ -135,11 +151,21 @@ def _write_key_file(path, sk: bytes, pk: bytes) -> None:
 
 
 def _read_key_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, "key file").splitlines()
     if len(lines) < 2:
         raise InputError(f"key file {path!r} must hold secret and public hex lines")
-    return bytes.fromhex(lines[0]), bytes.fromhex(lines[1])
+    try:
+        return bytes.fromhex(lines[0]), bytes.fromhex(lines[1])
+    except ValueError:
+        raise InputError(f"key file {path!r} holds a line that is not hex") from None
+
+
+def _read_coin_file(path) -> ledger_mod.Coin:
+    text = _read_text(path, "coin file")
+    try:
+        return ledger_mod.Coin.from_dict(json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"coin file {path!r} does not hold a coin: {exc!r}") from None
 
 
 def _open_ledger(args) -> ledger_mod.LedgerState:
@@ -268,9 +294,11 @@ def _cmd_ledger(args) -> int:
         _write_key_file(args.out, sk, pk)
         sys.stdout.write(f"public_key: {pk.hex()}\n")
         return 0
-    state = _open_ledger(args)
+    # Each branch reads its input files before the ledger is opened, because
+    # opening creates the ledger on first use and a bad input must leave none.
     if args.ledger_command == "mint":
         _, recipient_pk = _read_key_file(args.recipient_key)
+        state = _open_ledger(args)
         coin = state.mint(recipient_pk,
                           ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -279,13 +307,11 @@ def _cmd_ledger(args) -> int:
         sys.stdout.write(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
         return 0
     if args.ledger_command == "spend":
-        coins = []
-        for path in args.coin:
-            with open(path, "r", encoding="utf-8") as fh:
-                coins.append(ledger_mod.Coin.from_dict(json.load(fh)))
+        coins = [_read_coin_file(path) for path in args.coin]
+        sk, _ = _read_key_file(args.signer_key)
+        state = _open_ledger(args)
         raw = ledger_mod.RawReceipt(goods=args.goods, price=args.price, coins=tuple(coins))
         challenge = state.begin_spend(raw)
-        sk, _ = _read_key_file(args.signer_key)
         receipt = ledger_mod.sign_receipt(state.scheme, sk, raw, challenge)
         outcome = state.finalize_spend(receipt)
         if outcome.approved:
@@ -294,6 +320,7 @@ def _cmd_ledger(args) -> int:
         sys.stdout.write(f"rejected: {outcome.reason}\n")
         return 1
     if args.ledger_command == "audit-log":
+        state = _open_ledger(args)
         for i, receipt in enumerate(state.approved):
             ok = state._receipt_integrity_problem(receipt) is None
             sys.stdout.write(

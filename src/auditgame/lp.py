@@ -5,9 +5,16 @@ strategies subject to one per-signal constraint stating that auditing that
 signal is not profitable for the administrator.  Its optimal value, minus
 the truthful payout, is the worst-case excess payment over all equilibria.
 
-The solver is a self-contained dense two-phase primal simplex on
-`fractions.Fraction` with Bland's anti-cycling pivot rule.  Instances here
-have |S|^2 variables, so exactness matters far more than speed.
+Two exact solvers on `fractions.Fraction`, both with Bland's anti-cycling
+pivot rule:
+
+* `solve_lp` is a generic two-phase primal simplex for any
+  `LinearProgram`; it reports infeasible and unbounded programs.
+* `solve_bp` is specialised to the no-audit program.  The truthful
+  strategy is always feasible, so it skips phase 1 and starts phase 2 at
+  the truthful basis, and it drops the under-report columns, which are
+  zero in every optimum.  It hands degenerate or tied optima to
+  `solve_lp`, so both solvers return the same solution on every game.
 """
 
 from __future__ import annotations
@@ -126,13 +133,33 @@ def build_bp_lp(cfg: GameConfig) -> LinearProgram:
 
 
 def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
+    """Pivot on (row, col) in place, touching only the pivot row's nonzeros."""
+    prow = tableau[row]
+    piv = prow[col]
+    nonzero = [(j, v / piv) for j, v in enumerate(prow) if v != 0]
+    for j, v in nonzero:
+        prow[j] = v
+    for r, trow in enumerate(tableau):
+        if r != row:
+            factor = trow[col]
+            if factor != 0:
+                for j, v in nonzero:
+                    trow[j] -= factor * v
     basis[row] = col
+
+
+def _leaving_row(tableau, basis, rows, enter):
+    """Ratio test over `rows`, ties to the smallest basic column; -1 if unbounded."""
+    leave = -1
+    best = None
+    for r in rows:
+        a = tableau[r][enter]
+        if a > 0:
+            ratio = tableau[r][-1] / a
+            if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                best = ratio
+                leave = r
+    return leave
 
 
 def _run_simplex(tableau, basis, cost, n_cols):
@@ -159,15 +186,7 @@ def _run_simplex(tableau, basis, cost, n_cols):
                 break
         if enter < 0:
             return OPTIMAL, reduced
-        leave = -1
-        best = None
-        for r in range(m):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+        leave = _leaving_row(tableau, basis, range(m), enter)
         if leave < 0:
             return UNBOUNDED, reduced
         _pivot(tableau, basis, leave, enter)
@@ -234,13 +253,103 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     for r in range(m):
         if basis[r] < n:
             assignment[basis[r]] = tableau[r][-1]
-    values = {key: assignment[colidx] for key, colidx in lp.variable_index.items()}
-    objective_value = sum(c * x for c, x in zip(lp.objective, assignment))
     multiplicity = any(
         j not in basis and reduced[j] == 0
         for j in range(n_struct)
     )
+    return _optimal_solution(lp, assignment, multiplicity)
+
+
+def _optimal_solution(lp: LinearProgram, assignment, multiplicity: bool) -> LPSolution:
+    values = {key: assignment[colidx] for key, colidx in lp.variable_index.items()}
+    objective_value = sum(c * x for c, x in zip(lp.objective, assignment))
     return LPSolution(values, objective_value, OPTIMAL, multiplicity)
+
+
+# -- the no-audit program from the truthful basis ------------------------
+
+
+def solve_bp(cfg: GameConfig) -> LPSolution:
+    """Solve `build_bp_lp(cfg)` exactly; the same result as `solve_lp` on it.
+
+    Phase 2 only, over the columns pi(s|m) with f_s >= f_m, starting at the
+    truthful basis {pi(m|m)} + {slack_s}.  That basis is feasible because
+    the audit row of signal s minus a_ss times the stochasticity row of
+    type s has right-hand side c*q_s >= 0.  The reduced-cost row is the
+    last tableau row and is pivoted with the others.
+
+    At the optimum the pruned under-report columns are priced with the
+    final duals.  When every basic value is positive and every nonbasic
+    column, kept, pruned or slack, has a strictly negative reduced cost, the
+    optimum of the full program is unique and nondegenerate, so its basis
+    is unique too: `solve_lp` ends there with the same values and no
+    multiplicity flag.  In every other case the result is
+    `solve_lp(build_bp_lp(cfg))` itself.
+    """
+    lp = build_bp_lp(cfg)
+    n = cfg.n_types
+    obj = lp.objective
+    coeffs = [row[0] for row in lp.rows]  # n stochasticity rows, then n audit rows
+
+    def col(s, m):
+        return m * n + s
+
+    kept = [col(s, m) for m in range(n) for s in range(n) if cfg.alloc[s] >= cfg.alloc[m]]
+    width = len(kept) + n  # kept columns, then one slack per audit row
+    diag = [kept.index(col(m, m)) for m in range(n)]
+
+    tableau = []
+    for m in range(n):
+        tableau.append([coeffs[m][o] for o in kept] + [Fraction(0)] * n + [Fraction(1)])
+    for s in range(n):
+        a_ss = coeffs[n + s][col(s, s)]
+        row = [coeffs[n + s][o] - a_ss * coeffs[s][o] for o in kept] + [Fraction(0)] * n
+        row[len(kept) + s] = Fraction(1)
+        tableau.append(row + [-a_ss])
+    basis = diag + [len(kept) + s for s in range(n)]
+    # Reduced costs c_j - c_B B^-1 A_j; the last entry is minus the objective.
+    reduced = [obj[o] for o in kept] + [Fraction(0)] * (n + 1)
+    for m in range(n):
+        cb = obj[col(m, m)]
+        for j, v in enumerate(tableau[m]):
+            if v != 0:
+                reduced[j] -= cb * v
+    tableau.append(reduced)
+
+    rows = range(2 * n)
+    while True:
+        enter = next((j for j in range(width) if reduced[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = _leaving_row(tableau, basis, rows, enter)
+        if leave < 0:
+            return solve_lp(lp)  # cannot happen: the program is bounded
+        _pivot(tableau, basis, leave, enter)
+
+    # Unique optimum or not: any tie hands the game to the generic solver.
+    basic = set(basis)
+    if any(tableau[r][-1] == 0 for r in rows):
+        return solve_lp(lp)
+    if any(reduced[j] == 0 for j in range(width) if j not in basic):
+        return solve_lp(lp)
+    # Duals y = c_B B^-1, read off the slack and diagonal columns (never pruned).
+    y_audit = [-reduced[len(kept) + s] for s in range(n)]
+    y_stoch = [
+        obj[col(m, m)] - coeffs[n + m][col(m, m)] * y_audit[m] - reduced[diag[m]]
+        for m in range(n)
+    ]
+    for m in range(n):
+        for s in range(n):
+            if cfg.alloc[s] < cfg.alloc[m]:
+                o = col(s, m)
+                if obj[o] - y_stoch[m] - coeffs[n + s][o] * y_audit[s] >= 0:
+                    return solve_lp(lp)
+
+    assignment = [Fraction(0)] * lp.n_vars
+    for r in rows:
+        if basis[r] < len(kept):
+            assignment[kept[basis[r]]] = tableau[r][-1]
+    return _optimal_solution(lp, assignment, False)
 
 
 # -- equilibrium through the program -------------------------------------
@@ -259,6 +368,13 @@ def bp_equilibrium(cfg: GameConfig):
     Requires either no budget or a budget at least the general existence
     threshold; smaller budgets need the regime-aware constructions in the
     `equilibrium` module.
+
+    The program is solved by `solve_bp`: one simplex phase from the
+    truthful basis, over the columns that do not under-report.  When the
+    optimum is degenerate (a basic value is 0) or tied (a nonbasic column,
+    pruned or slack, prices at exactly 0), it falls back to the generic
+    two-phase `solve_lp` on the full program, so the strategy and the
+    "alternate optima detected" note match that solver's on every game.
     """
     from . import bounds as _bounds
     from .equilibrium import EquilibriumResult, budget_thresholds
@@ -273,8 +389,7 @@ def bp_equilibrium(cfg: GameConfig):
                 "constructions in the equilibrium module"
             )
 
-    lp = build_bp_lp(work)
-    sol = solve_lp(lp)
+    sol = solve_bp(work)
     if sol.status != OPTIMAL:
         raise RuntimeError(
             f"solver returned {sol.status} on a no-audit program; "

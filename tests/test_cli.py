@@ -150,3 +150,29 @@ def test_ledger_cli_roundtrip(tmp_path, capsys):
                         "--seed", "1"], capsys)
     assert code == 0
     assert "verified=true" in out and "total: 1" in out
+
+
+def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
+    def assert_input_error(args):
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    assert_input_error(["solve", "--config", str(tmp_path)])   # a directory
+
+    led = str(tmp_path / "led")
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    assert_input_error(["ledger", "spend", "--dir", led, "--scheme", "toy",
+                        "--coin", str(tmp_path / "missing.json"), "--signer-key", alice])
+    assert not (tmp_path / "led").exists()   # a rejected input creates no ledger
+    not_a_coin = tmp_path / "coin.json"
+    not_a_coin.write_text('{"owner_pk": "zz"}\n')
+    assert_input_error(["ledger", "spend", "--dir", led, "--scheme", "toy",
+                        "--coin", str(not_a_coin), "--signer-key", alice])
+
+    bad_hex = tmp_path / "bad.key"
+    bad_hex.write_text("not hex\nalso not hex\n")
+    assert_input_error(["ledger", "mint", "--dir", led, "--scheme", "toy",
+                        "--recipient-key", str(bad_hex), "--coin-id", "1",
+                        "--out", str(tmp_path / "c.json")])

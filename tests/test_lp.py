@@ -7,7 +7,7 @@ import pytest
 
 import auditgame as ag
 from auditgame import InputError, RegimeError
-from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_lp
+from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_bp, solve_lp
 
 from conftest import with_budget
 
@@ -264,3 +264,99 @@ def test_oracle_never_beats_lp_three_type(cfg_three):
     slack = (cfg_three.delta_f_max + cfg_three.fine) * 3 / res.resolution_used
     assert res.objective <= eq.user_utility_avg(cfg_three)
     assert res.objective >= eq.user_utility_avg(cfg_three) - slack
+
+
+# -- the specialised no-audit solver against the generic one --------------
+
+
+def _spread_game(rng, n):
+    """Near-uniform prior, distinct evenly spaced credits, fine 4-6x cost."""
+    weights = [rng.randint(4, 6) for _ in range(n)]
+    prior = tuple(F(w, sum(weights)) for w in weights)
+    alloc = tuple(F(10 + 40 * i + rng.randint(0, 8)) for i in range(n))
+    c = F(rng.randint(8, 12))
+    return ag.GameConfig(types=tuple(f"t{i}" for i in range(n)), prior=prior,
+                         alloc=alloc, audit_cost=c, fine=c * rng.randint(4, 6))
+
+
+def _tie_heavy_game(rng, n):
+    """Repeated credits, free audits and fine == audit cost, mixed at random."""
+    weights = [rng.randrange(1, 5) for _ in range(n)]
+    prior = tuple(F(w, sum(weights)) for w in weights)
+    pool = [F(rng.randrange(0, 60)) for _ in range(max(1, n // 2))]
+    alloc = tuple(rng.choice(pool) for _ in range(n))
+    c = F(rng.choice([0, rng.randrange(1, 30)]))
+    k = c if rng.random() < 0.5 else c + rng.randrange(0, 60)
+    return ag.GameConfig(types=tuple(f"t{i}" for i in range(n)), prior=prior,
+                         alloc=alloc, audit_cost=c, fine=k)
+
+
+def _count_fallbacks(monkeypatch):
+    from auditgame import lp as lp_mod
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", counting)
+    return calls
+
+
+def _assert_same_solution(cfg):
+    mine = solve_bp(cfg)
+    ref = solve_lp(build_bp_lp(cfg))
+    assert mine.status == ref.status == OPTIMAL
+    assert mine.values == ref.values
+    assert mine.objective_value == ref.objective_value
+    assert mine.multiplicity_flag == ref.multiplicity_flag
+
+
+def test_solve_bp_matches_generic_solver(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(8)
+    games = 0
+    for n in range(2, 10):
+        for _ in range(3 if n < 8 else 1):
+            _assert_same_solution(_random_general(rng, n))
+            _assert_same_solution(_spread_game(rng, n))
+            games += 2
+    assert len(fallbacks) < games
+
+
+def test_solve_bp_matches_generic_solver_on_ties(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(13)
+    for n in range(2, 7):
+        for _ in range(6):
+            _assert_same_solution(_tie_heavy_game(rng, n))
+    assert fallbacks   # ties hand the game to the generic solver
+
+
+def test_equal_credit_game_reports_alternate_optima():
+    cfg = ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)),
+                        alloc=(50, 50), audit_cost=5, fine=10)
+    eq = ag.bp_equilibrium(cfg)
+    assert eq.multiplicity
+    assert "alternate optima detected" in eq.notes
+
+
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_bp_equilibrium_matches_highs_on_large_games(n):
+    import numpy as np
+    import scipy.optimize as so
+
+    cfg = _spread_game(random.Random(n), n)
+    eq = ag.bp_equilibrium(cfg)
+    lp = build_bp_lp(cfg)
+    eq_rows = [r for r in lp.rows if r[1] == EQUAL]
+    ub_rows = [r for r in lp.rows if r[1] == LESS_EQUAL]
+    ref = so.linprog(
+        np.array([-float(v) for v in lp.objective]),
+        A_ub=[[float(v) for v in r[0]] for r in ub_rows], b_ub=[float(r[2]) for r in ub_rows],
+        A_eq=[[float(v) for v in r[0]] for r in eq_rows], b_eq=[float(r[2]) for r in eq_rows],
+        bounds=(0, None), method="highs",
+    )
+    assert ref.status == 0
+    mine = float(eq.user_utility_avg(cfg))
+    assert abs(-ref.fun - mine) < 1e-7 * max(1.0, abs(mine))
