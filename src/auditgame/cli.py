@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, config_required=False)
     _add_grid_overrides(p)
 
-    p = sub.add_parser("verify", help="verify a config's equilibrium by brute force")
+    p = sub.add_parser("verify", help="verify a config's equilibrium: the audit best response "
+                                      "and each type's best deviation on the grid")
     _add_common(p)
     p.add_argument("--resolution", type=int, default=200)
 

@@ -291,10 +291,17 @@ class AuditPolicy:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """One strategy per user plus the audit policy per user."""
+    """Per-user strategies and audit policies.
+
+    `strategies` and `audits` list the users' entries; each listed user
+    stands for `copies` identical users.  A symmetric profile of N users
+    (`replicated`) therefore stores one strategy, one audit policy and
+    copies = N, and nothing in this class grows with N.
+    """
 
     strategies: tuple
     audits: tuple
+    copies: int = 1
 
     def __post_init__(self):
         strategies = tuple(self.strategies)
@@ -303,6 +310,8 @@ class StrategyProfile:
             raise InputError("profile needs at least one user strategy")
         if len(audits) != len(strategies):
             raise InputError("profile needs one audit policy per user")
+        if not isinstance(self.copies, int) or self.copies < 1:
+            raise InputError("profile copies must be a positive integer")
         width = strategies[0].n_types
         for s in strategies:
             if s.n_types != width:
@@ -319,11 +328,17 @@ class StrategyProfile:
 
     @classmethod
     def replicated(cls, strategy: Strategy, audit: AuditPolicy, n_users: int) -> "StrategyProfile":
-        return cls((strategy,) * n_users, (audit,) * n_users)
+        """Symmetric profile: every one of `n_users` users plays (strategy, audit)."""
+        return cls((strategy,), (audit,), copies=n_users)
 
     @property
     def n_users(self) -> int:
-        return len(self.strategies)
+        return len(self.strategies) * self.copies
+
+    @property
+    def is_symmetric(self) -> bool:
+        return all(s == self.strategies[0] for s in self.strategies) and \
+            all(a == self.audits[0] for a in self.audits)
 
     def validate_budget(self, cfg: GameConfig) -> None:
         """Check the aggregate audit-spend cap when a budget applies.
@@ -334,7 +349,7 @@ class StrategyProfile:
         """
         if cfg.budget is None or cfg.audit_cost == 0:
             return
-        spend = cfg.audit_cost * sum(max(a.probs) for a in self.audits)
+        spend = cfg.audit_cost * self.copies * sum(max(a.probs) for a in self.audits)
         if spend > cfg.budget:
             raise InputError(
                 f"audit policy spends up to {spend} but the budget is {cfg.budget}"
@@ -396,10 +411,7 @@ def admin_utility(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fraction
             p = pi.rows[m][s]
             if p == 0:
                 continue
-            gain = -cfg.audit_cost
-            if s != m:
-                gain += _positive_part(cfg.alloc[s] - cfg.alloc[m]) + cfg.fine
-            total += q_m * p * (-cfg.alloc[s] + sigma.probs[s] * gain)
+            total += p * (-q_m * cfg.alloc[s] + sigma.probs[s] * audit_margin_coef(cfg, s, m))
     return total
 
 
@@ -454,6 +466,21 @@ def excess_payments(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fracti
 # -- administrator best response ----------------------------------------
 
 
+def audit_margin_coef(cfg: GameConfig, signal_idx: int, type_idx: int) -> Fraction:
+    """Audit margin of `signal` per unit of pi(signal | type).
+
+    q_m * ((f_s - f_m)+ + k - c) off the diagonal: auditing a misreporter
+    recovers the over-payment and the fine at cost c.  On the diagonal it
+    is -q_m * c, since a truthful user is never fined.  The administrator
+    audits signal s exactly when sum_m pi(s|m) * coef(s, m) > 0.
+    """
+    q_m = cfg.prior[type_idx]
+    if signal_idx == type_idx:
+        return -q_m * cfg.audit_cost
+    over = _positive_part(cfg.alloc[signal_idx] - cfg.alloc[type_idx])
+    return q_m * (over + cfg.fine - cfg.audit_cost)
+
+
 def audit_gain_terms(pi: Strategy, cfg: GameConfig, signal_idx: int) -> tuple:
     """LHS and RHS of the per-signal audit-profitability comparison.
 
@@ -462,14 +489,21 @@ def audit_gain_terms(pi: Strategy, cfg: GameConfig, signal_idx: int) -> tuple:
     audit cost: LHS > RHS.
     """
     s = signal_idx
-    lhs = Fraction(0)
     rhs = Fraction(0)
+    margin = Fraction(0)
     for m in range(cfg.n_types):
-        mass = pi.rows[m][s] * cfg.prior[m]
-        rhs += cfg.audit_cost * mass
-        if m != s:
-            lhs += mass * (_positive_part(cfg.alloc[s] - cfg.alloc[m]) + cfg.fine)
-    return lhs, rhs
+        p = pi.rows[m][s]
+        rhs += cfg.audit_cost * p * cfg.prior[m]
+        margin += p * audit_margin_coef(cfg, s, m)
+    return rhs + margin, rhs
+
+
+def audited_probability(cfg: GameConfig, budget_cap) -> Fraction:
+    """Probability the administrator gives each audited signal: min(1, cap/c),
+    or 1 without a cap or when auditing is free."""
+    if budget_cap is None or cfg.audit_cost == 0:
+        return Fraction(1)
+    return min(Fraction(1), budget_cap / cfg.audit_cost)
 
 
 def best_response(pi: Strategy, cfg: GameConfig, budget_cap=None) -> AuditPolicy:
@@ -488,12 +522,7 @@ def best_response(pi: Strategy, cfg: GameConfig, budget_cap=None) -> AuditPolicy
         budget_cap = as_fraction(budget_cap)
         if budget_cap < 0:
             raise InputError("budget cap must be non-negative")
-    if budget_cap is None:
-        audited_prob = Fraction(1)
-    elif cfg.audit_cost == 0:
-        audited_prob = Fraction(1)
-    else:
-        audited_prob = min(Fraction(1), budget_cap / cfg.audit_cost)
+    audited_prob = audited_probability(cfg, budget_cap)
     probs = []
     for s in range(cfg.n_types):
         lhs, rhs = audit_gain_terms(pi, cfg, s)

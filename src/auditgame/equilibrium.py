@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import core, lp
-from .core import AuditPolicy, GameConfig, Strategy, StrategyProfile, two_type_strategy
+from .core import (AuditPolicy, GameConfig, Strategy, StrategyProfile, _positive_part,
+                   two_type_strategy)
 from .errors import InputError, NonexistenceError
 from .numeric import sig15
 
@@ -191,12 +192,8 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
 
     lo, hi, q_lo, q_hi, df = _two_type_params(cfg)
     pi = two_type_strategy(cfg, 1)
-    if cfg.audit_cost == 0:
-        sigma_hi = Fraction(1)
-    else:
-        sigma_hi = min(Fraction(1), cfg.budget / cfg.audit_cost)
     probs = [Fraction(0), Fraction(0)]
-    probs[hi] = sigma_hi
+    probs[hi] = core.audited_probability(cfg, cfg.budget)
     sigma = AuditPolicy(tuple(probs))
     user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
     return EquilibriumResult(
@@ -287,24 +284,106 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def grid_slack(cfg: GameConfig, resolution: int) -> Fraction:
+    """Utility Lipschitz bound over one grid cell: (df_max + k) / resolution."""
+    return (cfg.delta_f_max + cfg.fine) / resolution
+
+
+def _fill(items, steps: int) -> Fraction:
+    """Best total of `steps` unit steps over (value per step, cap) items."""
+    total = Fraction(0)
+    for value, cap in sorted(items, key=lambda item: item[0], reverse=True):
+        take = min(cap, steps)
+        total += value * take
+        steps -= take
+    return total
+
+
+def best_grid_deviation(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
+                        resolution: int) -> dict:
+    """Per-type best gain over rows on the 1/resolution grid.
+
+    Type m's candidate rows replace row m of `pi`; each is scored against
+    the administrator's (budget-capped) best response to the modified
+    strategy, and the baseline is type m's utility under `sigma`.  Returns
+    {type label: best gain}, the same values `oracle.deviation_search`
+    finds by enumeration; see `verify_equilibrium` for why the greedy
+    below is exact.
+    """
+    n = cfg.n_types
+    audited_prob = core.audited_probability(cfg, cfg.budget)
+    coef = [[core.audit_margin_coef(cfg, s, m) for m in range(n)] for s in range(n)]
+    margin = [sum((pi.rows[m][s] * coef[s][m] for m in range(n)), Fraction(0)) for s in range(n)]
+    gains = {}
+    for m in range(n):
+        f_m = cfg.alloc[m]
+        # caps[s]: the most steps k signal s takes unaudited, i.e. while the
+        # other rows' margin + (k/res)·coef(s, m) <= 0 (a tie is not audited);
+        # the diagonal is never fined.
+        caps = []
+        for s in range(n):
+            other = margin[s] - pi.rows[m][s] * coef[s][m]
+            if s == m:
+                cap = resolution
+            elif coef[s][m] > 0:
+                cap = min(resolution, max(0, (-other * resolution) // coef[s][m]))
+            else:
+                cap = 0 if other > 0 else resolution
+            caps.append(cap)
+        safe = [(cfg.alloc[s], caps[s]) for s in range(n)]
+        best = _fill(safe, resolution)
+        for j in range(n):
+            if caps[j] == resolution:
+                continue
+            over = _positive_part(cfg.alloc[j] - f_m)
+            audited = cfg.alloc[j] - audited_prob * (over + cfg.fine)
+            forced = caps[j] + 1
+            items = safe[:j] + [(audited, resolution)] + safe[j + 1:]
+            best = max(best, forced * audited + _fill(items, resolution - forced))
+        baseline = core.user_utility_type(pi, sigma, cfg.types[m], cfg)
+        gains[cfg.types[m]] = best / resolution - baseline
+    return gains
+
+
 def verify_equilibrium(result: EquilibriumResult, cfg: GameConfig,
                        resolution: int = 200) -> VerificationReport:
-    """Check the audit best response and search for per-type deviations.
+    """Check the audit best response and find each type's best deviation.
 
-    Deviations are scanned on a probability grid, so improvements below
-    the reported grid slack are indistinguishable from discretization.
+    A deviation replaces one type's row by a row on the 1/resolution grid,
+    scored against the administrator's recomputed best response; the
+    report holds each type's best gain on that grid, computed exactly
+    without enumerating the C(res+n-1, n-1) rows.  Gains below the
+    reported grid slack are indistinguishable from discretization.
     Failures come back in the report rather than as exceptions.
-    """
-    from . import oracle
 
+    Why the greedy in `best_grid_deviation` finds the grid maximum.  Fix
+    the other rows and let type m put k_s of the `res` steps on signal s.
+    Signal s is audited exactly when its margin from the other rows plus
+    (k_s/res)·coef(s, m) is positive, so its audit decision depends on
+    k_s alone and the row's utility is a separable sum of g_s(k_s).  For
+    s != m, coef(s, m) = q_m·((f_s−f_m)⁺ + k − c) ≥ 0 because k ≥ c, so
+    the unaudited steps form an interval [0, K_s]: there g_s(k) =
+    k·f_s/res, and above K_s g_s(k) = k·(f_s − a·((f_s−f_m)⁺ + k))/res,
+    a the audited probability; the diagonal is never penalised (K_m =
+    res).  If signals i and j are both audited and j's audited value is
+    at least i's, moving all of i's steps onto j keeps j audited (the
+    audited set has no upper cap), leaves i at the unpenalised zero and
+    loses nothing.  So some maximum has at most one audited signal, and
+    the grid maximum is the best of n cases: none audited (each k_s in
+    [0, K_s]), or only j audited (k_j > K_j, every other k_s in [0, K_s]).
+    Each case is a linear objective over boxes with sum k_s = res, solved
+    exactly by filling the best value per step first.  The cost is
+    O(n² log n) per type and does not depend on `res`.
+    """
     if resolution < 10:
         raise InputError("verification resolution must be at least 10")
+    if not result.profile.is_symmetric:
+        raise InputError("verification needs a symmetric profile; "
+                         "use the non-existence probe for asymmetric two-user games")
     pi = result.strategy()
     sigma = result.audit()
     expected = core.best_response(pi, cfg, budget_cap=cfg.budget)
     br_matches = expected.probs == sigma.probs
-    grid = oracle.GridSpec(resolution=resolution)
-    gains = oracle.deviation_search(result.profile, cfg, grid)
     notes = []
     if not br_matches:
         notes.append("profile audit policy is not the best response to its strategy")
@@ -312,7 +391,7 @@ def verify_equilibrium(result: EquilibriumResult, cfg: GameConfig,
         br_matches=br_matches,
         expected_audit=expected.probs,
         actual_audit=sigma.probs,
-        per_type_gain=gains,
-        grid_slack=oracle.grid_slack(cfg, resolution),
+        per_type_gain=best_grid_deviation(pi, sigma, cfg, resolution),
+        grid_slack=grid_slack(cfg, resolution),
         notes=tuple(notes),
     )

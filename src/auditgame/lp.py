@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import core
-from .core import GameConfig, Strategy, _positive_part
+from .core import GameConfig, Strategy
 from .errors import InputError, RegimeError
 
 LESS_EQUAL = "<="
@@ -115,10 +115,7 @@ def build_bp_lp(cfg: GameConfig) -> LinearProgram:
     for s in range(n):
         coeffs = [Fraction(0)] * (n * n)
         for m in range(n):
-            c = -cfg.audit_cost * cfg.prior[m]
-            if m != s:
-                c += cfg.prior[m] * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
-            coeffs[col(s, m)] = c
+            coeffs[col(s, m)] = core.audit_margin_coef(cfg, s, m)
         rows.append((tuple(coeffs), LESS_EQUAL, Fraction(0)))
 
     return LinearProgram(

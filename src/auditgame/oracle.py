@@ -1,9 +1,11 @@
-"""Brute-force verification: grid search, deviation scans, and the
+"""Brute-force cross-checks: grid search, deviation scans, and the
 non-existence probe for budgeted two-user games.
 
 Everything here recomputes from first principles (quantized strategies,
 explicit best responses, case-by-case deviation certificates) so the
-closed forms and the solver can be checked against an independent path.
+closed forms, the solver and the exact verification can be checked
+against an independent path: `deviation_search` enumerates every grid row
+that `equilibrium.best_grid_deviation` reaches in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from . import core
 from .core import GameConfig, Strategy, StrategyProfile, _positive_part
-from .equilibrium import budget_thresholds, two_type_misreport_prob
+from .equilibrium import budget_thresholds, grid_slack, two_type_misreport_prob
 from .errors import InputError
 from .numeric import sig15
 
@@ -36,11 +38,6 @@ class GridSpec:
             raise InputError("grid resolution must be at least 10")
         if self.max_enumeration < 1000:
             raise InputError("enumeration cap is too small to be useful")
-
-
-def grid_slack(cfg: GameConfig, resolution: int) -> Fraction:
-    """Utility Lipschitz bound over one grid cell: (df_max + k) / resolution."""
-    return (cfg.delta_f_max + cfg.fine) / resolution
 
 
 def _compositions(total: int, parts: int):

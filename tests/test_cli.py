@@ -108,6 +108,16 @@ def test_verify_command(cfg_file, capsys):
     assert "passed: true" in out
 
 
+def test_verify_huge_resolution_is_immediate(cfg_file, capsys):
+    """The best grid deviation is found without walking the grid, so a
+    resolution of 10^12 answers as fast as the default."""
+    code, out, _ = run(["verify", "--config", cfg_file, "--resolution", str(10**12)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "passed: true" in lines
+    assert "grid_slack: 1.55e-10" in lines  # (df_max + k) / res = 155 / 10^12
+
+
 def test_probe_command(tmp_path, capsys):
     path = tmp_path / "probe.cfg"
     path.write_text(CFG_A + "budget = 3\nnum_users = 2\n")

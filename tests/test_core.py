@@ -340,6 +340,55 @@ def test_profile_budget_validation(cfg_a):
     over.validate_budget(with_budget(cfg_a, 50, num_users=2))
 
 
+def test_replicated_profile_stores_one_copy():
+    pi, sigma = ag.Strategy.truthful(2), ag.AuditPolicy((0, F(1, 3)))
+    profile = ag.StrategyProfile.replicated(pi, sigma, 10**6)
+    assert profile.n_users == 10**6
+    assert profile.strategies == (pi,) and profile.audits == (sigma,)
+    assert profile.is_symmetric
+    assert ag.StrategyProfile.replicated(pi, sigma, 1) == ag.StrategyProfile.single(pi, sigma)
+    with pytest.raises(InputError):
+        ag.StrategyProfile.replicated(pi, sigma, 0)
+
+
+def _per_user_spend(cfg, audits):
+    """The budget rule written out per user: c * sum of each user's max audit."""
+    return cfg.audit_cost * sum(max(a.probs) for a in audits)
+
+
+@pytest.mark.parametrize("n_users", [3, 10**6])
+def test_replicated_budget_verdict_matches_per_user_rule(cfg_a, n_users):
+    sigma = ag.AuditPolicy((F(1, 7), F(2, 3)))
+    spend = _per_user_spend(cfg_a, [sigma]) * n_users
+    profiles = [ag.StrategyProfile.replicated(ag.Strategy.truthful(2), sigma, n_users)]
+    if n_users < 10:
+        explicit = ag.StrategyProfile((ag.Strategy.truthful(2),) * n_users, (sigma,) * n_users)
+        assert spend == _per_user_spend(cfg_a, explicit.audits)
+        profiles.append(explicit)
+    for budget, ok in ((spend - F(1, 10**9), False), (spend, True), (spend + 1, True)):
+        cfg = with_budget(cfg_a, budget, num_users=n_users)
+        for profile in profiles:
+            if ok:
+                profile.validate_budget(cfg)
+            else:
+                with pytest.raises(InputError):
+                    profile.validate_budget(cfg)
+
+
+def test_audit_gain_terms_match_margin_coefficients(cfg_three):
+    """lhs - rhs of the audit test is the coefficient-weighted signal mass."""
+    from auditgame.core import audit_margin_coef
+    rows = ((F(2, 3), F(1, 3), F(0)), (F(0), F(2, 3), F(1, 3)), (F(0), F(0), F(1)))
+    pi = ag.Strategy(rows)
+    for s in range(3):
+        lhs, rhs = audit_gain_terms(pi, cfg_three, s)
+        assert lhs - rhs == sum(rows[m][s] * audit_margin_coef(cfg_three, s, m) for m in range(3))
+    # off the diagonal q_m((f_s - f_m)+ + k - c); on it -q_m c
+    assert audit_margin_coef(cfg_three, 2, 0) == F(1, 3) * (4 + 2 - 1)
+    assert audit_margin_coef(cfg_three, 0, 2) == F(1, 3) * (2 - 1)
+    assert audit_margin_coef(cfg_three, 1, 1) == -F(1, 3)
+
+
 def test_zero_prior_types_are_dropped_with_warning():
     cfg = ag.GameConfig(types=("a", "b", "z"), prior=(F(1, 2), F(1, 2), 0),
                         alloc=(1, 2, 3), audit_cost=1, fine=2)

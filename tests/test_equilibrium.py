@@ -1,5 +1,6 @@
 """Closed forms, budget regimes, budgeted branches, and verification."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -268,3 +269,131 @@ def test_result_serialization_roundtrip_fields(cfg_a):
     assert "strategy_exact[low]: 21/26,5/26" in text
     assert "excess_exact: 275/52" in text
     assert text == ag.signaling_equilibrium(cfg_a).to_text(cfg_a)
+
+
+def test_verify_rejects_asymmetric_profiles(cfg_a):
+    cfg = with_budget(cfg_a, 3, num_users=2)
+    profile = ag.StrategyProfile(
+        (ag.Strategy.truthful(2), ag.two_type_strategy(cfg, 1)),
+        (ag.AuditPolicy.zero(2), ag.AuditPolicy.zero(2)),
+    )
+    res = ag.EquilibriumResult(profile=profile, user_utilities=(F(50), F(105)),
+                               admin_utility=F(0), excess=F(0), provenance="lp")
+    with pytest.raises(InputError):
+        ag.verify_equilibrium(res, cfg, resolution=10)
+
+
+def test_verify_replicated_profile_matches_single_user(cfg_a):
+    """A 10^6-user symmetric profile verifies exactly like its one-user form."""
+    cfg = with_budget(cfg_a, F(72, 10), num_users=10**6)
+    res = ag.signaling_equilibrium(cfg)
+    assert res.profile.n_users == 10**6 and len(res.profile.strategies) == 1
+    single = ag.EquilibriumResult(
+        profile=ag.StrategyProfile.single(res.strategy(), res.audit()),
+        user_utilities=res.user_utilities, admin_utility=res.admin_utility,
+        excess=res.excess, provenance=res.provenance)
+    report = ag.verify_equilibrium(res, cfg, resolution=200)
+    assert report.passed
+    assert report == ag.verify_equilibrium(single, cfg, resolution=200)
+
+
+# -- exact grid maximum against the enumerating oracle -----------------------
+#
+# `best_grid_deviation` must return the very maximum `deviation_search`
+# finds by enumerating every row on the grid (Fraction equality, no slack).
+# The games mix the cases the greedy's case split turns on: repeated
+# credits, free audits, fine == audit cost, zero-probability types, and
+# budgets that cap the audit probability below 1.
+
+# (types, resolution) -> cases.  The oracle's cost grows as
+# C(res + n - 1, n - 1) per type, so the finer grids go to the smaller games.
+RANDOM_PLAN = {(2, 13): 50, (2, 37): 50, (2, 60): 50,
+               (3, 13): 40, (3, 37): 16, (3, 60): 5, (4, 13): 20}
+EQUILIBRIUM_PLAN = {(2, 37): 10, (3, 13): 8, (3, 60): 3, (4, 13): 6}
+
+
+def _agreement_game(rng, n):
+    weights = [rng.randrange(0 if rng.random() < 0.1 else 1, 6) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    prior = tuple(F(w, sum(weights)) for w in weights)
+    pool = [F(rng.randrange(0, 80)) for _ in range(n)]
+    alloc = tuple(rng.choice(pool) for _ in range(n))
+    c = F(rng.choice([0, 1, rng.randrange(1, 40)]))
+    k = c if rng.random() < 0.3 else c + rng.randrange(0, 120)
+    budget = None
+    if rng.random() < 0.5:
+        budget = c * F(rng.randrange(0, 13), 10) if c else F(rng.randrange(0, 3))
+    return ag.GameConfig(types=tuple(f"t{i}" for i in range(n)), prior=prior,
+                         alloc=alloc, audit_cost=c, fine=k, budget=budget)
+
+
+def _random_row(rng, n):
+    weights = [rng.randrange(0, 5) if rng.random() < 0.7 else 0 for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def _non_best_responses(rng, pi, cfg):
+    """The best response's complement (never the best response when a
+    signal is sent) and a random policy."""
+    br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+    flipped = ag.AuditPolicy(tuple(F(0) if p else F(1) for p in br.probs))
+    rand = ag.AuditPolicy(tuple(F(rng.randrange(0, 5), 4) for _ in range(cfg.n_types)))
+    return flipped, rand
+
+
+def _assert_grid_maximum_agrees(pi, sigma, cfg, resolution):
+    from auditgame.equilibrium import best_grid_deviation
+    from auditgame.oracle import GridSpec, deviation_search
+    profile = ag.StrategyProfile.single(pi, sigma)
+    want = deviation_search(profile, cfg, GridSpec(resolution=resolution))
+    got = best_grid_deviation(pi, sigma, cfg, resolution)
+    assert got == want, (cfg, pi.rows, sigma.probs, resolution)
+
+
+def test_best_grid_deviation_matches_oracle_on_random_strategies():
+    from auditgame.core import audited_probability
+    rng = random.Random(41)
+    seen = {"audit_prob_below_1": 0, "free_audits": 0, "fine_equals_cost": 0,
+            "equal_credits": 0, "best_response": 0, "not_best_response": 0}
+    for (n, resolution), cases in RANDOM_PLAN.items():
+        for _ in range(cases):
+            cfg = _agreement_game(rng, n)
+            pi = ag.Strategy(tuple(_random_row(rng, n) for _ in range(n)))
+            br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+            sigma = rng.choice((br, br) + _non_best_responses(rng, pi, cfg))
+            seen["audit_prob_below_1"] += audited_probability(cfg, cfg.budget) < 1
+            seen["free_audits"] += cfg.audit_cost == 0
+            seen["fine_equals_cost"] += cfg.fine == cfg.audit_cost
+            seen["equal_credits"] += len(set(cfg.alloc)) < n
+            seen["best_response" if sigma == br else "not_best_response"] += 1
+            _assert_grid_maximum_agrees(pi, sigma, cfg, resolution)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-probability types")
+def test_best_grid_deviation_matches_oracle_on_equilibria():
+    rng = random.Random(43)
+    cases = 0
+    for (n, resolution), games in EQUILIBRIUM_PLAN.items():
+        for _ in range(games):
+            cfg = _agreement_game(rng, n)
+            while sum(q > 0 for q in cfg.prior) < 2:
+                cfg = _agreement_game(rng, n)
+            pi = ag.bp_equilibrium(dataclasses.replace(cfg, budget=None)).strategy()
+            br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+            for sigma in (br, rng.choice(_non_best_responses(rng, pi, cfg))):
+                _assert_grid_maximum_agrees(pi, sigma, cfg, resolution)
+                cases += 1
+    for _ in range(15):
+        cfg = _agreement_game(rng, 2)
+        results = [ag.two_type_closed_form(cfg)]
+        if cfg.budget is not None:
+            results.append(ag.budgeted_two_type_equilibrium(cfg))
+        for res in results:
+            pi = res.strategy()
+            br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+            for sigma in (res.audit(), br) + _non_best_responses(rng, pi, cfg):
+                _assert_grid_maximum_agrees(pi, sigma, cfg, rng.choice((13, 37, 60)))
+                cases += 1
+    assert cases >= 100
