@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GameConfig
+from .core import GameConfig, raw_misreport_cap
 from .errors import InputError
 from .numeric import as_fraction
 
@@ -22,11 +22,7 @@ def misreport_cap(q_s, q_m, c, k, credit_gap) -> Fraction:
     only for under-report pairs with a small fine margin) makes the cap
     vacuous and returns 1.
     """
-    q_s, q_m, c, k, credit_gap = map(as_fraction, (q_s, q_m, c, k, credit_gap))
-    denom = q_m * (k - c + credit_gap)
-    if denom <= 0:
-        return Fraction(1)
-    return min(Fraction(1), q_s * c / denom)
+    return raw_misreport_cap(*map(as_fraction, (q_s, q_m, c, k, credit_gap)))
 
 
 def is_vacuous_pair(cfg: GameConfig, signal, truth) -> bool:

@@ -10,14 +10,13 @@ Sweeps emit deterministic CSV for downstream plotting.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cost as cost_mod
-from .core import GameConfig
-from .equilibrium import two_type_misreport_prob
+from .core import GameConfig, raw_misreport_cap
 from .errors import InputError
-from .numeric import FLOAT, RATIONAL, as_fraction, check_mode, in_mode, sig15
+from .numeric import RATIONAL, as_fraction, check_mode, in_mode, sig15
 
 COSTS_HEADER = ("q_min", "c", "k", "l", "cost_no_audit", "cost_audit",
                 "budget", "excess", "dominates", "reference_line")
@@ -45,6 +44,10 @@ class SweepSpec:
         object.__setattr__(self, "reference_line", as_fraction(self.reference_line))
         if any(q <= 0 or q >= 1 for q in self.q_min_grid):
             raise InputError("q_min grid values must lie strictly between 0 and 1")
+        if any(c < 0 for c in self.c_grid):
+            raise InputError("audit cost must be non-negative")
+        if any(l < 1 for l in self.coalition_grid):
+            raise InputError("coalition sizes must be positive integers")
 
 
 def _percent_grid():
@@ -85,43 +88,59 @@ def surface_preset() -> SweepSpec:
     )
 
 
-def _config_at(spec: SweepSpec, q_min, c, k, l) -> GameConfig:
-    lo, hi = spec.base.low_high_indices()
-    prior = [None, None]
-    prior[lo] = q_min
-    prior[hi] = 1 - q_min
-    n = max(spec.base.num_users, l)
-    return replace(spec.base, prior=tuple(prior), audit_cost=c, fine=k,
-                   num_users=n, coalition_size=l)
-
-
-def sweep_costs(spec: SweepSpec, mode: str = RATIONAL, workers: int = 1) -> list:
+def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     """One row per (q_min, c, k, l), ordered q_min-major.
 
-    Grid crossings are evaluated through the raw closed forms, which stay
-    well defined even where an instance validator would balk (a fine
-    below the audit cost); rows where the formulas truly degenerate
-    (k - c + df <= 0) are annotated rather than aborting the sweep.
+    Grid crossings are evaluated through the raw closed forms
+    (`core.raw_misreport_cap`, then `cost.two_type_costs`), which stay
+    well defined where an instance validator would balk (a fine below the
+    audit cost); rows where the formulas truly degenerate (k - c + df <= 0)
+    are annotated rather than aborting the sweep.  Each piece is computed
+    once for the axes it depends on: every axis value is converted to the
+    mode's number type once, the cap once per (q_min, c, k), n * q_min
+    once per (q_min, l) and k + df once per (c, k).  Rows with equal axis
+    values share one object, so `write_csv` formats each value once.
     """
     check_mode(mode)
     _require_two_type_base(spec)
-    keys = [
-        (q, c, k, l)
-        for q in spec.q_min_grid
-        for c in spec.c_grid
-        for k in spec.k_grid
-        for l in spec.coalition_grid
-    ]
-    if workers > 1:
-        import concurrent.futures
-
-        chunks = [keys[i::workers] for i in range(workers)]
-        rows = {}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_cost_rows_chunk, [(spec, chunk, mode) for chunk in chunks]):
-                rows.update(part)
-        return [rows[key] for key in keys]
-    return [_cost_row(spec, key, mode) for key in keys]
+    df_exact = spec.base.delta_f_max
+    df = in_mode(df_exact, mode)
+    reference_line = in_mode(spec.reference_line, mode)
+    ks = [(k_exact, in_mode(k_exact, mode)) for k_exact in spec.k_grid]
+    pairs = []   # (c, k, k + df or None when degenerate, annotation)
+    for c_exact in spec.c_grid:
+        c = in_mode(c_exact, mode)
+        for k_exact, k in ks:
+            if k_exact - c_exact + df_exact <= 0:
+                # Only here do the closed forms degenerate; annotate, never abort.
+                note = f"error: fine {k_exact} too small against audit cost {c_exact}"
+                pairs.append((c, k, None, note))
+            else:
+                pairs.append((c, k, k + df, None))
+    users = spec.base.num_users
+    coalitions = [(l, max(users, l)) for l in spec.coalition_grid]
+    blank = dict.fromkeys(("cost_no_audit", "cost_audit", "budget", "excess"), "")
+    rows = []
+    for q in spec.q_min_grid:
+        q = in_mode(q, mode)
+        q_high = 1 - q
+        n_qs = [(l, n * q) for l, n in coalitions]
+        for c, k, k_plus_df, note in pairs:
+            if k_plus_df is None:
+                rows.extend({"q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
+                             **blank, "dominates": note} for l, _ in n_qs)
+                continue
+            p = raw_misreport_cap(q_high, q, c, k, df)
+            for l, n_q in n_qs:
+                no_audit, budget, excess = cost_mod.two_type_costs(p, c, df, k_plus_df, n_q, l)
+                total = budget + excess
+                rows.append({
+                    "q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
+                    "cost_no_audit": no_audit, "cost_audit": total,
+                    "budget": budget, "excess": excess,
+                    "dominates": "true" if total <= no_audit else "false",
+                })
+    return rows
 
 
 def _require_two_type_base(spec: SweepSpec) -> None:
@@ -131,93 +150,58 @@ def _require_two_type_base(spec: SweepSpec) -> None:
         raise InputError("sweeps parametrize the two-type game; give a two-type base config")
 
 
-def _cost_rows_chunk(args):
-    spec, keys, mode = args
-    return {key: _cost_row(spec, key, mode) for key in keys}
-
-
-def _cost_row(spec: SweepSpec, key, mode: str) -> dict:
-    q, c, k, l = key
-    df = spec.base.delta_f_max
-    n = max(spec.base.num_users, l)
-    row = {
-        "q_min": in_mode(q, mode),
-        "c": in_mode(c, mode),
-        "k": in_mode(k, mode),
-        "l": l,
-        "reference_line": in_mode(spec.reference_line, mode),
-    }
-    if k - c + df <= 0:
-        # Only here do the closed forms degenerate; annotate, never abort.
-        row.update(cost_no_audit="", cost_audit="", budget="", excess="",
-                   dominates=f"error: fine {k} too small against audit cost {c}")
-        return row
-    if mode == FLOAT:
-        q, c, k, df = float(q), float(c), float(k), float(df)
-    no_audit, budget, excess, _ = cost_mod.two_type_cost_components(q, c, k, df, n, l)
-    total = budget + excess
-    row.update(
-        cost_no_audit=in_mode(no_audit, mode),
-        cost_audit=in_mode(total, mode),
-        budget=in_mode(budget, mode),
-        excess=in_mode(excess, mode),
-        dominates=str(total <= no_audit).lower(),
-    )
-    return row
-
-
 def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
-    """One row per (q_min, c, k): the largest equilibrium misreporting probability."""
+    """One row per (q_min, c, k): the largest equilibrium misreporting probability.
+
+    The surface grids include points with c > k, which a validated game
+    instance rejects; the cap's closed form covers them all the same.
+    """
     check_mode(mode)
     _require_two_type_base(spec)
-    df = spec.base.delta_f_max
+    df = in_mode(spec.base.delta_f_max, mode)
+    cs = [in_mode(c, mode) for c in spec.c_grid]
+    ks = [in_mode(k, mode) for k in spec.k_grid]
     rows = []
     for q in spec.q_min_grid:
-        for c in spec.c_grid:
-            for k in spec.k_grid:
-                if mode == FLOAT:
-                    denom = float(q) * (float(k) - float(c) + float(df))
-                    value = 1.0 if denom <= 0 else min(1.0, (1.0 - float(q)) * float(c) / denom)
-                else:
-                    cfg = _surface_config(spec, q, c, k)
-                    value = two_type_misreport_prob(cfg) if cfg is not None else _raw_cap(q, c, k, df)
+        q = in_mode(q, mode)
+        q_high = 1 - q
+        for c in cs:
+            for k in ks:
                 rows.append({
-                    "q_min": in_mode(q, mode),
-                    "c": in_mode(c, mode),
-                    "k": in_mode(k, mode),
-                    "max_misreport_prob": value,
+                    "q_min": q, "c": c, "k": k,
+                    "max_misreport_prob": raw_misreport_cap(q_high, q, c, k, df),
                 })
     return rows
 
 
-def _surface_config(spec: SweepSpec, q, c, k):
-    # The surface grids intentionally include points with c > k, which a
-    # validated game instance rejects; those evaluate the raw cap instead.
-    if k < c:
-        return None
-    return _config_at(spec, q, c, k, 1)
+_UNSET = object()
 
 
-def _raw_cap(q, c, k, df) -> Fraction:
-    denom = q * (k - c + df)
-    if denom <= 0:
-        return Fraction(1)
-    return min(Fraction(1), (1 - q) * c / denom)
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return sig15(value)
 
 
 def write_csv(rows: list, header: tuple, out) -> None:
-    """Write rows as UTF-8 CSV with 15-significant-digit numbers."""
+    """Write rows as UTF-8 CSV with 15-significant-digit numbers.
 
-    def fmt(value):
-        if isinstance(value, str):
-            return value
-        if isinstance(value, int):
-            return str(value)
-        return sig15(value)
-
+    A cell whose value is the very object of the cell above reuses that
+    cell's text, so an axis value shared by consecutive rows is formatted
+    once per run of rows.
+    """
     out.write(",".join(header) + "\n")
+    above = [_UNSET] * len(header)
+    cells = [""] * len(header)
     for row in rows:
-        out.write(",".join(fmt(row[col]) for col in header) + "\n")
+        for i, col in enumerate(header):
+            value = row[col]
+            if value is not above[i]:
+                above[i] = value
+                cells[i] = _cell(value)
+        out.write(",".join(cells) + "\n")
 
 
 def costs_csv(rows: list) -> str:

@@ -68,7 +68,6 @@ def _add_grid_overrides(p):
     p.add_argument("--k-grid", type=_grid, default=None)
     p.add_argument("--coalition", type=lambda s: tuple(int(v) for v in s.split(",")),
                    default=None)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +260,7 @@ def _spec_with_overrides(args, preset) -> casestudy.SweepSpec:
 
 def _cmd_sweep(args) -> int:
     spec = _spec_with_overrides(args, casestudy.ftbp_preset())
-    rows = casestudy.sweep_costs(spec, mode=args.mode, workers=args.workers)
+    rows = casestudy.sweep_costs(spec, mode=args.mode)
     _write_out(casestudy.costs_csv(rows), args.out)
     return 0
 
@@ -321,13 +320,14 @@ def _cmd_ledger(args) -> int:
         sys.stdout.write(f"rejected: {outcome.reason}\n")
         return 1
     if args.ledger_command == "audit-log":
+        # Loading re-verifies every record's signatures and raises on the
+        # first that fails, so each record listed here has passed.
         state = _open_ledger(args)
         for i, receipt in enumerate(state.approved):
-            ok = state._receipt_integrity_problem(receipt) is None
             sys.stdout.write(
                 f"{i}: goods={receipt.raw.goods!r} price={receipt.raw.price} "
                 f"coins={[c.metadata.coin_id for c in receipt.raw.coins]} "
-                f"verified={str(ok).lower()}\n"
+                "verified=true\n"
             )
         sys.stdout.write(f"total: {len(state.approved)}\n")
         return 0

@@ -463,6 +463,20 @@ def excess_payments(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fracti
     return total
 
 
+def raw_misreport_cap(q_s, q_m, c, k, credit_gap):
+    """Cap min(1, q_s*c / (q_m*(k - c + credit_gap))) on pi(s|m).
+
+    `credit_gap` is f(s) - f(m).  Number-generic: Fraction inputs give a
+    Fraction, float inputs a float evaluated in the order written.  A
+    non-positive denominator makes the cap vacuous: 1.
+    """
+    one = 1.0 if isinstance(q_m, float) else Fraction(1)
+    denom = q_m * (k - c + credit_gap)
+    if denom <= 0:
+        return one
+    return min(one, q_s * c / denom)
+
+
 # -- administrator best response ----------------------------------------
 
 

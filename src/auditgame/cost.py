@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .core import GameConfig
+from .core import GameConfig, raw_misreport_cap
 from .equilibrium import two_type_misreport_prob
 from .errors import InputError
 
@@ -42,23 +42,29 @@ def two_type_cost_components(q_min, c, k, df, n_users, coalition):
     """Raw two-type cost formulas over plain numbers.
 
     Returns (no_audit, budget, excess, misreport_prob).  Works uniformly
-    for Fraction and float inputs; sweeps use it directly so that grid
+    for Fraction and float inputs, and stays well defined for grid
     crossings an instance validator would reject (a fine below the audit
-    cost) still evaluate, as the formulas stay well defined while
-    k - c + df is positive.
+    cost) while k - c + df is positive.  It is the misreport cap followed
+    by `two_type_costs`; sweeps call the two parts separately so that the
+    cap is computed once for all coalition sizes.
     """
     if df <= 0:
         zero = df * 0
         return zero, zero, zero, zero
-    denom = q_min * (k - c + df)
-    if denom <= 0:
-        p = 1
-    else:
-        p = min(1, (1 - q_min) * c / denom)
-    budget = coalition * c * df * (1 - p) / (k + df)
-    excess = n_users * q_min * p * df
-    no_audit = n_users * q_min * df
-    return no_audit, budget, excess, p
+    p = raw_misreport_cap(1 - q_min, q_min, c, k, df)
+    return (*two_type_costs(p, c, df, k + df, n_users * q_min, coalition), p)
+
+
+def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
+    """(no_audit, budget, excess) when the low type misreports with probability p.
+
+    `k_plus_df` is k + df and `n_q` is n_users * q_min, taken precomputed
+    so that a sweep forms each once per axis value.  Float inputs are
+    evaluated left to right as written.
+    """
+    budget = coalition * c * df * (1 - p) / k_plus_df
+    excess = n_q * p * df
+    return n_q * df, budget, excess
 
 
 def cost_audit_two_type(cfg: GameConfig) -> CostReport:

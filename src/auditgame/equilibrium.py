@@ -106,10 +106,7 @@ def _two_type_params(cfg: GameConfig):
 def two_type_misreport_prob(cfg: GameConfig) -> Fraction:
     """Equilibrium probability that the low type claims the high credit."""
     _, _, q_lo, q_hi, df = _two_type_params(cfg)
-    denom = q_lo * (cfg.fine - cfg.audit_cost + df)
-    if denom <= 0:
-        return Fraction(1)
-    return min(Fraction(1), q_hi * cfg.audit_cost / denom)
+    return core.raw_misreport_cap(q_hi, q_lo, cfg.audit_cost, cfg.fine, df)
 
 
 def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:

@@ -10,6 +10,9 @@ from auditgame import InputError
 from auditgame.casestudy import (
     COSTS_HEADER, SURFACE_HEADER, costs_csv, surface_csv,
 )
+from reference_sweep import (
+    reference_cost_rows, reference_csv, reference_surface_rows,
+)
 
 
 def test_ftbp_preset_values():
@@ -37,6 +40,12 @@ def test_spec_validation():
         ag.SweepSpec(base=base, q_min_grid=(), c_grid=(1,), k_grid=(1,))
     with pytest.raises(InputError):
         ag.SweepSpec(base=base, q_min_grid=(0, F(1, 2)), c_grid=(1,), k_grid=(2,))
+    with pytest.raises(InputError, match="audit cost must be non-negative"):
+        ag.SweepSpec(base=base, q_min_grid=(F(1, 2),), c_grid=(1, -5), k_grid=(100,))
+    for sizes in ((0,), (1, -3)):
+        with pytest.raises(InputError, match="coalition sizes"):
+            ag.SweepSpec(base=base, q_min_grid=(F(1, 2),), c_grid=(1,), k_grid=(100,),
+                         coalition_grid=sizes)
 
 
 def test_cost_sweep_shape_and_order():
@@ -61,13 +70,6 @@ def test_cost_sweep_rows_annotated_never_aborted():
     assert len(rows) == 1
     assert rows[0]["dominates"].startswith("error:")
     assert rows[0]["cost_audit"] == ""
-
-
-def test_cost_sweep_workers_merge_deterministically():
-    spec = dataclasses.replace(ag.ftbp_preset(), q_min_grid=tuple(F(i, 10) for i in range(1, 10)))
-    serial = ag.sweep_costs(spec)
-    fanned = ag.sweep_costs(spec, workers=3)
-    assert serial == fanned
 
 
 def test_surface_values_and_modes():
@@ -147,3 +149,93 @@ def test_csv_determinism():
     sa = surface_csv(ag.sweep_misreport_surface(ag.surface_preset()))
     sb = surface_csv(ag.sweep_misreport_surface(ag.surface_preset()))
     assert sa == sb
+
+
+def _odd_spec(base_changes=(), **grids):
+    preset = ag.ftbp_preset()
+    base = dataclasses.replace(preset.base, **dict(base_changes))
+    return dataclasses.replace(preset, base=base, **grids)
+
+
+# Grids that exercise every branch of the closed forms; the names say what
+# each one adds.  The base game has credits 50 and 105 (df = 55) and 4000
+# users unless a case changes them.
+ODD_SPECS = {
+    "fractional_c_k_and_k_below_c": _odd_spec(
+        q_min_grid=(F(1, 7), F(1, 2), F(999, 1000)),
+        c_grid=(F(1, 3), F(7, 10), 60, 200), k_grid=(1, F(7, 3), 50, 100, 250),
+        coalition_grid=(1, 3, 5000)),
+    "degenerate_pairs": _odd_spec(
+        base_changes={"alloc": (50, 52)},
+        q_min_grid=(F(1, 3), F(2, 3)), c_grid=(0, 1, F(5, 2), 60), k_grid=(F(1, 2), 1, F(7, 3)),
+        coalition_grid=(1, 2)),
+    "equal_credits": _odd_spec(
+        base_changes={"alloc": (50, 50), "num_users": 3},
+        q_min_grid=(F(1, 7), F(1, 2), F(9, 10)), c_grid=(0, F(1, 3), 25, 100),
+        k_grid=(0, F(1, 3), 25, 100), coalition_grid=(1, 2, 7)),
+    "coalition_above_users": _odd_spec(
+        base_changes={"num_users": 2},
+        q_min_grid=(F(1, 4), F(3, 4)), c_grid=(25, 75), k_grid=(100, 300),
+        coalition_grid=(1, 2, 3, 150)),
+    "single_value_axes": _odd_spec(
+        q_min_grid=(F(3, 10),), c_grid=(75,), k_grid=(300,), coalition_grid=(150,)),
+    "high_type_listed_first": _odd_spec(
+        base_changes={"types": ("high", "low"), "alloc": (108, 47)},
+        q_min_grid=(F(1, 4), F(1, 2)), c_grid=(25, 125), k_grid=(100, 500)),
+    # k - c + df is 1, but in floats k rounds down and c up, so the float
+    # denominator is negative and the float cap is 1.
+    "float_rounding_flips_the_denominator": _odd_spec(
+        base_changes={"alloc": (47, 108)},
+        q_min_grid=(F(1, 3),), c_grid=(100000000000000008220,),
+        k_grid=(100000000000000008160,), coalition_grid=(1, 2)),
+}
+
+
+def _assert_same_rows(rows, reference):
+    assert rows == reference
+    for row, ref in zip(rows, reference):
+        assert list(row) == list(ref)
+        assert [type(v) for v in row.values()] == [type(v) for v in ref.values()]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("name", sorted(ODD_SPECS))
+def test_cost_sweep_matches_row_by_row_reference(name, mode):
+    spec = ODD_SPECS[name]
+    rows = ag.sweep_costs(spec, mode=mode)
+    reference = reference_cost_rows(spec, mode)
+    _assert_same_rows(rows, reference)
+    assert costs_csv(rows) == reference_csv(reference, COSTS_HEADER)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("name", sorted(ODD_SPECS))
+def test_surface_matches_row_by_row_reference(name, mode):
+    spec = ODD_SPECS[name]
+    rows = ag.sweep_misreport_surface(spec, mode=mode)
+    reference = reference_surface_rows(spec, mode)
+    _assert_same_rows(rows, reference)
+    assert surface_csv(rows) == reference_csv(reference, SURFACE_HEADER)
+
+
+def test_odd_specs_cover_every_branch():
+    degenerate = {name for name, spec in ODD_SPECS.items()
+                  if any(r["dominates"].startswith("error") for r in ag.sweep_costs(spec))}
+    assert degenerate == {"fractional_c_k_and_k_below_c", "degenerate_pairs", "equal_credits"}
+    flip = ODD_SPECS["float_rounding_flips_the_denominator"]
+    q, c, k, df = (float(v) for v in (flip.q_min_grid[0], flip.c_grid[0], flip.k_grid[0],
+                                      flip.base.delta_f_max))
+    assert flip.k_grid[0] - flip.c_grid[0] + flip.base.delta_f_max > 0
+    assert q * (k - c + df) < 0
+    rows = ag.sweep_costs(ODD_SPECS["fractional_c_k_and_k_below_c"])
+    assert any(r["k"] < r["c"] and r["cost_audit"] != "" for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_preset_csvs_match_row_by_row_reference(mode):
+    spec = ag.ftbp_preset()
+    assert costs_csv(ag.sweep_costs(spec, mode=mode)) == reference_csv(
+        reference_cost_rows(spec, mode), COSTS_HEADER)
+    spec = ag.surface_preset()
+    assert surface_csv(ag.sweep_misreport_surface(spec, mode=mode)) == reference_csv(
+        reference_surface_rows(spec, mode), SURFACE_HEADER)

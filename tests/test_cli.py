@@ -186,3 +186,47 @@ def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
     assert_input_error(["ledger", "mint", "--dir", led, "--scheme", "toy",
                         "--recipient-key", str(bad_hex), "--coin-id", "1",
                         "--out", str(tmp_path / "c.json")])
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--qmin-grid", "1/2", "--c-grid", "-5", "--k-grid", "-55"],
+    ["sweep", "--coalition", "-3"],
+    ["sweep", "--coalition", "0"],
+    ["surface", "--c-grid", "-5", "--k-grid", "-55"],
+    ["surface", "--c-grid", "-5"],
+])
+def test_invalid_sweep_grids_are_input_errors(args, capsys):
+    for mode in ("rational", "float"):
+        code, out, err = run(args + ["--mode", mode], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert ("audit cost must be non-negative" in err) == ("--c-grid" in args)
+
+
+def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
+    led = str(tmp_path / "led")
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    for coin_id in (1, 2):
+        coin = str(tmp_path / f"coin{coin_id}.json")
+        code, _, _ = run(["ledger", "mint", "--dir", led, "--scheme", "toy", "--seed", "1",
+                          "--recipient-key", alice, "--coin-id", str(coin_id), "--out", coin],
+                         capsys)
+        assert code == 0
+        code, out, _ = run(["ledger", "spend", "--dir", led, "--scheme", "toy",
+                            "--seed", str(coin_id), "--coin", coin, "--signer-key", alice],
+                           capsys)
+        assert code == 0 and out == "approved\n"
+    code, out, _ = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy"], capsys)
+    assert code == 0 and out.count("verified=true") == 2 and out.endswith("total: 2\n")
+
+    log = tmp_path / "led" / "log.jsonl"
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["price"] += 1
+    lines[1] = json.dumps(record)
+    log.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: log line 2 fails re-verification")
+    assert err.count("\n") == 1
