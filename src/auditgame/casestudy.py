@@ -46,6 +46,9 @@ class SweepSpec:
             raise InputError("q_min grid values must lie strictly between 0 and 1")
         if any(c < 0 for c in self.c_grid):
             raise InputError("audit cost must be non-negative")
+        # A fine below the audit cost stays allowed: the closed forms cover it.
+        if any(k < 0 for k in self.k_grid):
+            raise InputError("fine must be non-negative")
         if any(l < 1 for l in self.coalition_grid):
             raise InputError("coalition sizes must be positive integers")
 

@@ -2,8 +2,9 @@
 
 Subcommands: solve, bounds, cost, sweep, surface, verify, probe, ledger.
 Exit status 0 on success, 2 when the budget regime rules the request out
-(equilibrium non-existence), 1 on input errors.  Outputs are deterministic
-given the config, numeric mode, and seed.
+(equilibrium non-existence), 1 on input errors.  Game outputs are
+deterministic given the config and, for sweep and surface, the numeric
+mode; the toy ledger scheme is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -55,19 +56,25 @@ def _grid(arg):
     return tuple(as_fraction(v) for v in arg.split(","))
 
 
+def _coalition_grid(arg):
+    try:
+        return tuple(int(v) for v in arg.split(","))
+    except ValueError:
+        raise InputError(f"cannot parse coalition sizes {arg!r}") from None
+
+
 def _add_common(p, config_required=True):
     p.add_argument("--config", required=config_required, help="game config file")
     p.add_argument("--out", default=None, help="output file (default stdout)")
+
+
+def _add_sweep_options(p):
     p.add_argument("--mode", choices=MODES, default=RATIONAL)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _add_grid_overrides(p):
-    p.add_argument("--qmin-grid", type=_grid, default=None)
-    p.add_argument("--c-grid", type=_grid, default=None)
-    p.add_argument("--k-grid", type=_grid, default=None)
-    p.add_argument("--coalition", type=lambda s: tuple(int(v) for v in s.split(",")),
-                   default=None)
+    # Parsed in `_spec_with_overrides`, so a bad value is an input error.
+    p.add_argument("--qmin-grid", default=None)
+    p.add_argument("--c-grid", default=None)
+    p.add_argument("--k-grid", default=None)
+    p.add_argument("--coalition", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="case-study cost sweep CSV")
     _add_common(p, config_required=False)
-    _add_grid_overrides(p)
+    _add_sweep_options(p)
 
     p = sub.add_parser("surface", help="misreporting-probability surface CSV")
     _add_common(p, config_required=False)
-    _add_grid_overrides(p)
+    _add_sweep_options(p)
 
     p = sub.add_parser("verify", help="verify a config's equilibrium: the audit best response "
                                       "and each type's best deviation on the grid")
@@ -242,14 +249,12 @@ def _cmd_cost(args) -> int:
 def _spec_with_overrides(args, preset) -> casestudy.SweepSpec:
     spec = preset
     updates = {}
-    if args.qmin_grid:
-        updates["q_min_grid"] = args.qmin_grid
-    if args.c_grid:
-        updates["c_grid"] = args.c_grid
-    if args.k_grid:
-        updates["k_grid"] = args.k_grid
-    if args.coalition:
-        updates["coalition_grid"] = args.coalition
+    for name, text, parse in (("q_min_grid", args.qmin_grid, _grid),
+                              ("c_grid", args.c_grid, _grid),
+                              ("k_grid", args.k_grid, _grid),
+                              ("coalition_grid", args.coalition, _coalition_grid)):
+        if text is not None:
+            updates[name] = parse(text)
     if args.config:
         updates["base"] = _load_config(args.config)
     if updates:

@@ -108,9 +108,6 @@ class GameConfig:
     def credit(self, label) -> Fraction:
         return self.alloc[self.index(label)]
 
-    def credit_at(self, i: int) -> Fraction:
-        return self.alloc[i]
-
     @property
     def alloc_map(self) -> dict:
         return dict(zip(self.types, self.alloc))

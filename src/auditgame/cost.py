@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .core import GameConfig, raw_misreport_cap
+from .bounds import excess_payments_bound
+from .core import GameConfig
 from .equilibrium import two_type_misreport_prob
 from .errors import InputError
 
@@ -36,23 +37,6 @@ def cost_no_audit(cfg: GameConfig) -> Fraction:
     """Status-quo cost: everyone claims the top credit."""
     truthful_avg = sum((q * f for q, f in zip(cfg.prior, cfg.alloc)), Fraction(0))
     return cfg.num_users * (max(cfg.alloc) - truthful_avg)
-
-
-def two_type_cost_components(q_min, c, k, df, n_users, coalition):
-    """Raw two-type cost formulas over plain numbers.
-
-    Returns (no_audit, budget, excess, misreport_prob).  Works uniformly
-    for Fraction and float inputs, and stays well defined for grid
-    crossings an instance validator would reject (a fine below the audit
-    cost) while k - c + df is positive.  It is the misreport cap followed
-    by `two_type_costs`; sweeps call the two parts separately so that the
-    cap is computed once for all coalition sizes.
-    """
-    if df <= 0:
-        zero = df * 0
-        return zero, zero, zero, zero
-    p = raw_misreport_cap(1 - q_min, q_min, c, k, df)
-    return (*two_type_costs(p, c, df, k + df, n_users * q_min, coalition), p)
 
 
 def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
@@ -79,11 +63,14 @@ def cost_audit_two_type(cfg: GameConfig) -> CostReport:
     lo, hi = cfg.low_high_indices()
     q_lo = cfg.prior[lo]
     df = cfg.alloc[hi] - cfg.alloc[lo]
-    no_audit, budget, excess, p = two_type_cost_components(
-        q_lo, cfg.audit_cost, cfg.fine, df, cfg.num_users, cfg.coalition_size
-    )
-    if df > 0 and p != two_type_misreport_prob(cfg):
-        raise RuntimeError("cost formulas disagree with the equilibrium misreport probability")
+    if df <= 0:
+        # Equal credits: nothing to gain by misreporting, and nothing to divide by.
+        no_audit = budget = excess = p = Fraction(0)
+    else:
+        p = two_type_misreport_prob(cfg)
+        no_audit, budget, excess = two_type_costs(
+            p, cfg.audit_cost, df, cfg.fine + df, cfg.num_users * q_lo, cfg.coalition_size
+        )
     note = ""
     if p == 1:
         note = (f"prior {q_lo} at or below {cfg.audit_cost}/({cfg.fine}+{df}): "
@@ -110,7 +97,7 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
     if cfg.n_types <= 2:
         raise InputError("multitype cost analysis needs more than two types")
     df = cfg.delta_f_max
-    per_user_budget = cfg.audit_cost * df / (cfg.fine + df) if df > 0 else Fraction(0)
+    per_user_budget = excess_payments_bound(cfg)
     eq = lp.bp_equilibrium(cfg)
     per_user_excess = eq.excess
     budget = cfg.num_users * per_user_budget

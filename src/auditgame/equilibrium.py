@@ -18,11 +18,11 @@ library models the no-audit tie-break only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from . import core, lp
+from . import bounds, core, lp
 from .core import (AuditPolicy, GameConfig, Strategy, StrategyProfile, _positive_part,
                    two_type_strategy)
 from .errors import InputError, NonexistenceError
@@ -129,8 +129,7 @@ def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
 
 def budget_thresholds(cfg: GameConfig) -> BudgetAnalysis:
     """Existence thresholds and the regime the configured budget falls in."""
-    df = cfg.delta_f_max
-    general = cfg.audit_cost * df / (cfg.fine + df) if df > 0 else Fraction(0)
+    general = bounds.excess_payments_bound(cfg)
     two_type = None
     if cfg.is_two_type:
         p = two_type_misreport_prob(cfg)
@@ -230,16 +229,7 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
         )
     note = "excess is the tight upper bound over all signaling equilibria"
     if note not in result.notes:
-        result = EquilibriumResult(
-            profile=result.profile,
-            user_utilities=result.user_utilities,
-            admin_utility=result.admin_utility,
-            excess=result.excess,
-            provenance=result.provenance,
-            multiplicity=result.multiplicity,
-            unique=result.unique,
-            notes=result.notes + (note, f"regime {regime.value}"),
-        )
+        result = replace(result, notes=result.notes + (note, f"regime {regime.value}"))
     return result
 
 

@@ -5,11 +5,15 @@ strategies subject to one per-signal constraint stating that auditing that
 signal is not profitable for the administrator.  Its optimal value, minus
 the truthful payout, is the worst-case excess payment over all equilibria.
 
-Two exact solvers on `fractions.Fraction`, both with Bland's anti-cycling
-pivot rule:
+Two exact solvers on `fractions.Fraction` share one simplex loop,
+`_maximize`: Bland's anti-cycling rule on a tableau whose last row holds
+the reduced costs, built once by `_reduced_row` and then pivoted with the
+constraint rows.
 
 * `solve_lp` is a generic two-phase primal simplex for any
-  `LinearProgram`; it reports infeasible and unbounded programs.
+  `LinearProgram`; it reports infeasible and unbounded programs.  Phase 1
+  maximizes minus the sum of the artificials; phase 2 maximizes the
+  objective with the artificials priced at minus a big M.
 * `solve_bp` is specialised to the no-audit program.  The truthful
   strategy is always feasible, so it skips phase 1 and starts phase 2 at
   the truthful basis, and it drops the under-report columns, which are
@@ -51,11 +55,6 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return len(self.objective)
-
-    @property
-    def lower_bounds(self) -> tuple:
-        """Every variable is bounded below by zero."""
-        return (Fraction(0),) * self.n_vars
 
     def to_debug_text(self) -> str:
         """Plain-text rendering: objective row, then constraint rows."""
@@ -126,7 +125,7 @@ def build_bp_lp(cfg: GameConfig) -> LinearProgram:
     )
 
 
-# -- two-phase primal simplex with Bland's rule --------------------------
+# -- one simplex loop with Bland's rule, and the two-phase solver -------
 
 
 def _pivot(tableau, basis, row, col):
@@ -159,33 +158,39 @@ def _leaving_row(tableau, basis, rows, enter):
     return leave
 
 
-def _run_simplex(tableau, basis, cost, n_cols):
-    """Minimize cost over the tableau in place; Bland's rule throughout.
+def _reduced_row(tableau, basis, cost):
+    """Reduced costs c - c_B B^-1 A of a canonical tableau, as a new row.
 
-    Returns "optimal" or "unbounded".  `cost` has one entry per column;
-    the tableau rows are (coefficients..., rhs).
+    `cost` has one entry per column.  The last entry of the row is minus
+    the objective value c_B B^-1 b, so pivoting the row with the others
+    keeps it exact for every later basis.
     """
-    m = len(tableau)
+    row = list(cost) + [Fraction(0)]
+    for r, b in enumerate(basis):
+        cb = cost[b]
+        if cb != 0:
+            for j, v in enumerate(tableau[r]):
+                if v != 0:
+                    row[j] -= cb * v
+    return row
+
+
+def _maximize(tableau, basis, rows, width):
+    """Maximize in place with Bland's rule; returns OPTIMAL or UNBOUNDED.
+
+    The last tableau row is the reduced-cost row from `_reduced_row`;
+    `rows` are the constraint rows and the first `width` columns may
+    enter.  Basic columns price at exactly zero, so the first positive
+    reduced cost is the smallest-index improving column.
+    """
+    reduced = tableau[-1]
     while True:
-        # Reduced costs relative to the current basis.
-        reduced = list(cost)
-        for r in range(m):
-            cb = cost[basis[r]]
-            if cb != 0:
-                row = tableau[r]
-                for j in range(n_cols):
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-        enter = -1
-        for j in range(n_cols):
-            if j not in basis and reduced[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if reduced[j] > 0), -1)
         if enter < 0:
-            return OPTIMAL, reduced
-        leave = _leaving_row(tableau, basis, range(m), enter)
+            return OPTIMAL
+        leave = _leaving_row(tableau, basis, rows, enter)
         if leave < 0:
-            return UNBOUNDED, reduced
+            return UNBOUNDED
         _pivot(tableau, basis, leave, enter)
 
 
@@ -199,9 +204,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     n = lp.n_vars
     ub_rows = [i for i, r in enumerate(lp.rows) if r[1] == LESS_EQUAL]
     n_slack = len(ub_rows)
-    slack_of_row = {}
-    for j, i in enumerate(ub_rows):
-        slack_of_row[i] = n + j
+    slack_of_row = {i: n + j for j, i in enumerate(ub_rows)}
     n_struct = n + n_slack
     m = len(lp.rows)
     n_total = n_struct + m  # one artificial per row keeps phase 1 uniform
@@ -219,41 +222,39 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         row[n_struct + i] = Fraction(1)
         tableau.append(row)
         basis.append(n_struct + i)
+    rows = range(m)
 
-    # Phase 1: drive the artificials to zero.
-    phase1_cost = [Fraction(0)] * n_struct + [Fraction(1)] * m
-    status, _ = _run_simplex(tableau, basis, phase1_cost, n_total)
-    infeas = sum(tableau[r][-1] for r in range(m) if basis[r] >= n_struct)
-    if status != OPTIMAL or infeas != 0:
+    # Phase 1: drive the artificials to zero by maximizing minus their sum,
+    # which is bounded above by 0.
+    tableau.append(_reduced_row(tableau, basis, [Fraction(0)] * n_struct + [Fraction(-1)] * m))
+    _maximize(tableau, basis, rows, n_total)
+    tableau.pop()
+    if any(tableau[r][-1] != 0 for r in rows if basis[r] >= n_struct):
         return LPSolution({}, None, INFEASIBLE)
 
     # Pivot any leftover basic artificials out on a nonzero structural
     # entry; a fully zero row is redundant and its artificial stays at 0.
-    for r in range(m):
+    for r in rows:
         if basis[r] >= n_struct:
             for j in range(n_struct):
                 if tableau[r][j] != 0:
                     _pivot(tableau, basis, r, j)
                     break
 
-    # Phase 2: maximize the objective == minimize its negation.
-    phase2_cost = [-c for c in lp.objective] + [Fraction(0)] * (n_slack + m)
-    # Forbid artificials from re-entering by pricing them prohibitively.
-    big = 1 + sum(abs(c) for c in lp.objective)
-    for j in range(n_struct, n_total):
-        phase2_cost[j] = Fraction(big)
-    status, reduced = _run_simplex(tableau, basis, phase2_cost, n_total)
-    if status == UNBOUNDED:
+    # Phase 2: maximize the objective; artificials are priced prohibitively
+    # so that none re-enters.
+    big = Fraction(1 + sum(abs(c) for c in lp.objective))
+    phase2_cost = list(lp.objective) + [Fraction(0)] * n_slack + [-big] * m
+    tableau.append(_reduced_row(tableau, basis, phase2_cost))
+    if _maximize(tableau, basis, rows, n_total) == UNBOUNDED:
         return LPSolution({}, None, UNBOUNDED)
 
+    reduced = tableau[-1]
     assignment = [Fraction(0)] * n
-    for r in range(m):
+    for r in rows:
         if basis[r] < n:
             assignment[basis[r]] = tableau[r][-1]
-    multiplicity = any(
-        j not in basis and reduced[j] == 0
-        for j in range(n_struct)
-    )
+    multiplicity = any(j not in basis and reduced[j] == 0 for j in range(n_struct))
     return _optimal_solution(lp, assignment, multiplicity)
 
 
@@ -304,24 +305,12 @@ def solve_bp(cfg: GameConfig) -> LPSolution:
         row[len(kept) + s] = Fraction(1)
         tableau.append(row + [-a_ss])
     basis = diag + [len(kept) + s for s in range(n)]
-    # Reduced costs c_j - c_B B^-1 A_j; the last entry is minus the objective.
-    reduced = [obj[o] for o in kept] + [Fraction(0)] * (n + 1)
-    for m in range(n):
-        cb = obj[col(m, m)]
-        for j, v in enumerate(tableau[m]):
-            if v != 0:
-                reduced[j] -= cb * v
-    tableau.append(reduced)
+    tableau.append(_reduced_row(tableau, basis, [obj[o] for o in kept] + [Fraction(0)] * n))
+    reduced = tableau[-1]
 
     rows = range(2 * n)
-    while True:
-        enter = next((j for j in range(width) if reduced[j] > 0), -1)
-        if enter < 0:
-            break
-        leave = _leaving_row(tableau, basis, rows, enter)
-        if leave < 0:
-            return solve_lp(lp)  # cannot happen: the program is bounded
-        _pivot(tableau, basis, leave, enter)
+    if _maximize(tableau, basis, rows, width) == UNBOUNDED:
+        return solve_lp(lp)  # cannot happen: the program is bounded
 
     # Unique optimum or not: any tie hands the game to the generic solver.
     basic = set(basis)
@@ -366,11 +355,12 @@ def bp_equilibrium(cfg: GameConfig):
     threshold; smaller budgets need the regime-aware constructions in the
     `equilibrium` module.
 
-    The program is solved by `solve_bp`: one simplex phase from the
-    truthful basis, over the columns that do not under-report.  When the
-    optimum is degenerate (a basic value is 0) or tied (a nonbasic column,
-    pruned or slack, prices at exactly 0), it falls back to the generic
-    two-phase `solve_lp` on the full program, so the strategy and the
+    The program is solved by `solve_bp`: one run of the shared simplex
+    loop from the truthful basis, over the columns that do not
+    under-report.  When the optimum is degenerate (a basic value is 0) or
+    tied (a nonbasic column, pruned or slack, prices at exactly 0), it
+    falls back to the generic two-phase `solve_lp` on the full program,
+    whose two phases run on the same loop, so the strategy and the
     "alternate optima detected" note match that solver's on every game.
     """
     from . import bounds as _bounds

@@ -74,6 +74,16 @@ def test_cost_output(cfg_file, capsys):
     assert "dominates: true" in out
 
 
+def test_cost_on_a_prior_summing_to_one_within_tolerance(tmp_path, capsys):
+    path = tmp_path / "tolerance.cfg"
+    path.write_text(CFG_A.replace("prior = 1/2, 1/2", "prior = 0.25, 0.7500000000001"))
+    code, out, err = run(["cost", "--config", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "cost_no_audit", "cost_audit", "budget_component", "excess_component", "dominates"]
+    assert "dominates: true" in out
+
+
 def test_sweep_and_surface_files(tmp_path, capsys):
     out_csv = str(tmp_path / "costs.csv")
     code, _, _ = run(["sweep", "--out", out_csv, "--qmin-grid", "0.25,0.5",
@@ -194,6 +204,11 @@ def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
     ["sweep", "--coalition", "0"],
     ["surface", "--c-grid", "-5", "--k-grid", "-55"],
     ["surface", "--c-grid", "-5"],
+    ["sweep", "--qmin-grid", "abc"],
+    ["sweep", "--coalition", "x"],
+    ["sweep", "--k-grid", "1/0"],
+    ["sweep", "--k-grid", "-5"],
+    ["surface", "--k-grid", "-5"],
 ])
 def test_invalid_sweep_grids_are_input_errors(args, capsys):
     for mode in ("rational", "float"):
@@ -201,6 +216,7 @@ def test_invalid_sweep_grids_are_input_errors(args, capsys):
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert ("audit cost must be non-negative" in err) == ("--c-grid" in args)
+        assert ("fine must be non-negative" in err) == (args[-2:] == ["--k-grid", "-5"])
 
 
 def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 import auditgame as ag
 from auditgame import InputError
-from auditgame.cost import two_type_cost_components
+from auditgame.core import raw_misreport_cap
+from auditgame.cost import two_type_costs
 
 
 def make(q_lo, c, k, df=55, n=1, l=1):
@@ -138,17 +139,22 @@ def test_dominance_any_population_and_coalition():
         assert r.cost_audit <= r.cost_no_audit
 
 
+def _raw_components(q_min, c, k, df, n_users, coalition):
+    p = raw_misreport_cap(1 - q_min, q_min, c, k, df)
+    return (*two_type_costs(p, c, df, k + df, n_users * q_min, coalition), p)
+
+
 def test_raw_components_match_config_route():
     for q, c, k in ((F(3, 10), 25, 100), (F(8, 10), 75, 300)):
         cfg = make(q, c, k, n=17, l=3)
         report = ag.cost_audit_two_type(cfg)
-        no_audit, budget, excess, _ = two_type_cost_components(q, F(c), F(k), F(55), 17, 3)
+        no_audit, budget, excess, _ = _raw_components(q, F(c), F(k), F(55), 17, 3)
         assert (no_audit, budget, excess) == (
             report.cost_no_audit, report.budget_component, report.excess_component)
 
 
 def test_raw_components_beyond_validator_range():
     # fine below audit cost: instance validation refuses, formulas still fine
-    no_audit, budget, excess, p = two_type_cost_components(F(9, 10), F(125), F(100), F(55), 1, 1)
+    no_audit, budget, excess, p = _raw_components(F(9, 10), F(125), F(100), F(55), 1, 1)
     assert no_audit >= budget + excess
     assert 0 < p < 1

@@ -9,6 +9,7 @@ import auditgame as ag
 from auditgame import InputError, RegimeError
 from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_bp, solve_lp
 
+import reference_lp
 from conftest import with_budget
 
 
@@ -106,23 +107,29 @@ def test_solution_satisfies_every_constraint_exactly(cfg_a, cfg_three):
                 assert lhs <= rhs
 
 
-def test_generic_solver_statuses():
-    # infeasible: x = 1 and x <= 0 with x >= 0
-    lp = ag.LinearProgram(
+def _infeasible_lp():
+    # x = 1 and x <= 0 with x >= 0
+    return ag.LinearProgram(
         objective=(F(1),),
         rows=(((F(1),), EQUAL, F(1)), ((F(1),), LESS_EQUAL, F(0))),
         variable_index={("x", "x"): 0},
         column_labels=(("x", "x"),),
     )
-    assert solve_lp(lp).status == "infeasible"
-    # unbounded: maximize x with no constraints binding it
-    lp = ag.LinearProgram(
+
+
+def _unbounded_lp():
+    # maximize x with no constraints binding it
+    return ag.LinearProgram(
         objective=(F(1),),
         rows=(((F(-1),), LESS_EQUAL, F(0)),),
         variable_index={("x", "x"): 0},
         column_labels=(("x", "x"),),
     )
-    assert solve_lp(lp).status == "unbounded"
+
+
+def test_generic_solver_statuses():
+    assert solve_lp(_infeasible_lp()).status == "infeasible"
+    assert solve_lp(_unbounded_lp()).status == "unbounded"
 
 
 def test_multiplicity_flag_on_degenerate_objective():
@@ -331,6 +338,57 @@ def test_solve_bp_matches_generic_solver_on_ties(monkeypatch):
         for _ in range(6):
             _assert_same_solution(_tie_heavy_game(rng, n))
     assert fallbacks   # ties hand the game to the generic solver
+
+
+# -- both solvers against the loop that recomputed every reduced cost -----
+
+
+def _record_pivots(monkeypatch, module):
+    pivots = []
+    pivot = module._pivot
+
+    def recording(tableau, basis, row, col):
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(module, "_pivot", recording)
+    return pivots
+
+
+def _assert_same_result(mine, ref):
+    assert mine.status == ref.status
+    assert mine.values == ref.values
+    assert mine.objective_value == ref.objective_value
+    assert mine.multiplicity_flag == ref.multiplicity_flag
+
+
+def test_solvers_match_the_recomputing_reference(monkeypatch):
+    """`solve_lp` takes the reference's pivots and both solvers its results.
+
+    Bland's rule reads only the signs of exact reduced costs, so carrying
+    them as a tableau row must pivot exactly where recomputing them did.
+    """
+    from auditgame import lp as lp_mod
+    mine_pivots = _record_pivots(monkeypatch, lp_mod)
+    ref_pivots = _record_pivots(monkeypatch, reference_lp)
+    for program, status in ((_infeasible_lp(), "infeasible"), (_unbounded_lp(), "unbounded")):
+        ref = reference_lp.solve_lp(program)
+        assert ref.status == status
+        _assert_same_result(solve_lp(program), ref)
+        assert mine_pivots == ref_pivots
+    rng = random.Random(17)
+    for n in range(2, 10):
+        for make in (_random_general, _spread_game, _tie_heavy_game):
+            for _ in range(3 if n < 7 else 1):
+                cfg = make(rng, n)
+                program = build_bp_lp(cfg)
+                mine_pivots.clear()
+                ref_pivots.clear()
+                ref = reference_lp.solve_lp(program)
+                assert ref.status == OPTIMAL
+                _assert_same_result(solve_lp(program), ref)
+                assert mine_pivots == ref_pivots and ref_pivots
+                _assert_same_result(solve_bp(cfg), ref)
 
 
 def test_equal_credit_game_reports_alternate_optima():
