@@ -42,22 +42,21 @@ from .bounds import (
 )
 from .cost import CostReport, compare, cost_audit_multitype, cost_audit_two_type, cost_no_audit
 from .casestudy import SweepSpec, ftbp_preset, surface_preset, sweep_costs, sweep_misreport_surface
-from .oracle import GridSpec, deviation_search, grid_best_strategy, nonexistence_probe
+from .oracle import nonexistence_probe
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuditPolicy", "BoundReport", "BudgetAnalysis", "CostReport",
-    "EquilibriumResult", "GameConfig", "GridSpec", "InputError",
+    "EquilibriumResult", "GameConfig", "InputError",
     "LinearProgram", "LPSolution", "NonexistenceError", "Regime",
     "RegimeError", "Strategy", "StrategyProfile", "SweepSpec",
     "VerificationReport", "admin_payoff", "admin_utility", "best_response",
     "bound_report", "bp_equilibrium", "budget_thresholds",
     "budgeted_two_type_equilibrium", "build_bp_lp", "compare",
     "cost_audit_multitype", "cost_audit_two_type", "cost_no_audit",
-    "deviation_search", "excess_payments", "excess_payments_bound",
-    "fine_for_tolerance", "ftbp_preset", "grid_best_strategy",
-    "misreport_prob_bound", "nonexistence_probe", "signaling_equilibrium",
+    "excess_payments", "excess_payments_bound", "fine_for_tolerance",
+    "ftbp_preset", "misreport_prob_bound", "nonexistence_probe", "signaling_equilibrium",
     "solve_bp", "solve_lp", "surface_preset", "sweep_costs", "sweep_misreport_surface",
     "two_type_closed_form", "two_type_strategy", "user_payoff",
     "user_utility_avg", "user_utility_type", "verify_equilibrium",

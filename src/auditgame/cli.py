@@ -28,7 +28,7 @@ def _load_config(path) -> GameConfig:
     try:
         return GameConfig.from_file(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable("config file", path, exc) from None
+        raise _io_error("read", "config file", path, exc) from None
 
 
 def _read_text(path, what) -> str:
@@ -36,18 +36,25 @@ def _read_text(path, what) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(what, path, exc) from None
+        raise _io_error("read", what, path, exc) from None
 
 
-def _unreadable(what, path, exc) -> InputError:
+def _write_text(path, text, what) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _io_error("write", what, path, exc) from None
+
+
+def _io_error(verb, what, path, exc) -> InputError:
     reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-    return InputError(f"cannot read {what} {path!r}: {reason}")
+    return InputError(f"cannot {verb} {what} {path!r}: {reason}")
 
 
 def _write_out(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_path, text, "output file")
     else:
         sys.stdout.write(text)
 
@@ -152,8 +159,7 @@ def _scheme_for(args):
 
 
 def _write_key_file(path, sk: bytes, pk: bytes) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{sk.hex()}\n{pk.hex()}\n")
+    _write_text(path, f"{sk.hex()}\n{pk.hex()}\n", "key file")
     os.chmod(path, stat.S_IRUSR | stat.S_IWUSR)
 
 
@@ -186,7 +192,10 @@ def _open_ledger(args) -> ledger_mod.LedgerState:
         import random
         rng = random.Random(args.seed + 1)
     if not os.path.exists(admin_path):
-        os.makedirs(args.dir, exist_ok=True)
+        try:
+            os.makedirs(args.dir, exist_ok=True)
+        except OSError as exc:
+            raise _io_error("create", "ledger directory", args.dir, exc) from None
         state = ledger_mod.LedgerState.create(scheme, log_path=log_path, rng=rng)
         _write_key_file(admin_path, state._admin_sk, state.admin_pk)
         return state
@@ -287,7 +296,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _load_config(args.config)
-    report = oracle.nonexistence_probe(cfg, oracle.GridSpec(resolution=args.resolution))
+    report = oracle.nonexistence_probe(cfg, args.resolution)
     _write_out(report.to_text(), args.out)
     return 0
 
@@ -306,9 +315,7 @@ def _cmd_ledger(args) -> int:
         state = _open_ledger(args)
         coin = state.mint(recipient_pk,
                           ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(coin.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
         sys.stdout.write(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
         return 0
     if args.ledger_command == "spend":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import InputError
 from .numeric import Num, as_fraction
@@ -107,10 +107,6 @@ class GameConfig:
 
     def credit(self, label) -> Fraction:
         return self.alloc[self.index(label)]
-
-    @property
-    def alloc_map(self) -> dict:
-        return dict(zip(self.types, self.alloc))
 
     @property
     def delta_f_max(self) -> Fraction:
@@ -241,15 +237,6 @@ class Strategy:
     def n_types(self) -> int:
         return len(self.rows)
 
-    def prob(self, signal_idx: int, type_idx: int) -> Fraction:
-        """pi(signal | type) by index."""
-        return self.rows[type_idx][signal_idx]
-
-    def with_row(self, type_idx: int, row: Sequence[Num]) -> "Strategy":
-        rows = list(self.rows)
-        rows[type_idx] = tuple(as_fraction(p) for p in row)
-        return Strategy(tuple(rows))
-
 
 def two_type_strategy(cfg: GameConfig, misreport_prob: Num) -> Strategy:
     """Two-type strategy: high type truthful, low type over-reports with the given probability."""
@@ -288,69 +275,21 @@ class AuditPolicy:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Per-user strategies and audit policies.
+    """A symmetric profile: each of `n_users` users plays `strategy`, and
+    the administrator audits every user's signals with `audit`.
 
-    `strategies` and `audits` list the users' entries; each listed user
-    stands for `copies` identical users.  A symmetric profile of N users
-    (`replicated`) therefore stores one strategy, one audit policy and
-    copies = N, and nothing in this class grows with N.
+    Nothing here grows with the number of users.
     """
 
-    strategies: tuple
-    audits: tuple
-    copies: int = 1
+    strategy: Strategy
+    audit: AuditPolicy
+    n_users: int = 1
 
     def __post_init__(self):
-        strategies = tuple(self.strategies)
-        audits = tuple(self.audits)
-        if not strategies:
-            raise InputError("profile needs at least one user strategy")
-        if len(audits) != len(strategies):
-            raise InputError("profile needs one audit policy per user")
-        if not isinstance(self.copies, int) or self.copies < 1:
-            raise InputError("profile copies must be a positive integer")
-        width = strategies[0].n_types
-        for s in strategies:
-            if s.n_types != width:
-                raise InputError("all user strategies must share one type space")
-        for a in audits:
-            if a.n_signals != width:
-                raise InputError("audit policies must cover every signal")
-        object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "audits", audits)
-
-    @classmethod
-    def single(cls, strategy: Strategy, audit: AuditPolicy) -> "StrategyProfile":
-        return cls((strategy,), (audit,))
-
-    @classmethod
-    def replicated(cls, strategy: Strategy, audit: AuditPolicy, n_users: int) -> "StrategyProfile":
-        """Symmetric profile: every one of `n_users` users plays (strategy, audit)."""
-        return cls((strategy,), (audit,), copies=n_users)
-
-    @property
-    def n_users(self) -> int:
-        return len(self.strategies) * self.copies
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all(s == self.strategies[0] for s in self.strategies) and \
-            all(a == self.audits[0] for a in self.audits)
-
-    def validate_budget(self, cfg: GameConfig) -> None:
-        """Check the aggregate audit-spend cap when a budget applies.
-
-        The administrator must be able to pay for audits if every user
-        sends its most-audited signal, so the cap is c times the sum over
-        users of their maximum audit probability.
-        """
-        if cfg.budget is None or cfg.audit_cost == 0:
-            return
-        spend = cfg.audit_cost * self.copies * sum(max(a.probs) for a in self.audits)
-        if spend > cfg.budget:
-            raise InputError(
-                f"audit policy spends up to {spend} but the budget is {cfg.budget}"
-            )
+        if not isinstance(self.n_users, int) or self.n_users < 1:
+            raise InputError("profile n_users must be a positive integer")
+        if self.audit.n_signals != self.strategy.n_types:
+            raise InputError("the audit policy must cover every signal")
 
 
 # -- stage payoffs -----------------------------------------------------

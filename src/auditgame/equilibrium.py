@@ -56,10 +56,10 @@ class EquilibriumResult:
     notes: tuple = ()
 
     def strategy(self) -> Strategy:
-        return self.profile.strategies[0]
+        return self.profile.strategy
 
     def audit(self) -> AuditPolicy:
-        return self.profile.audits[0]
+        return self.profile.audit
 
     def user_utility_avg(self, cfg: GameConfig) -> Fraction:
         return sum((q * u for q, u in zip(cfg.prior, self.user_utilities)), Fraction(0))
@@ -118,7 +118,7 @@ def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
     sigma = AuditPolicy.zero(2)
     user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
     return EquilibriumResult(
-        profile=StrategyProfile.replicated(pi, sigma, cfg.num_users),
+        profile=StrategyProfile(pi, sigma, cfg.num_users),
         user_utilities=user_utils,
         admin_utility=core.admin_utility(pi, sigma, cfg),
         excess=core.excess_payments(pi, sigma, cfg),
@@ -193,7 +193,7 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     sigma = AuditPolicy(tuple(probs))
     user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
     return EquilibriumResult(
-        profile=StrategyProfile.replicated(pi, sigma, cfg.num_users),
+        profile=StrategyProfile(pi, sigma, cfg.num_users),
         user_utilities=user_utils,
         admin_utility=core.admin_utility(pi, sigma, cfg),
         excess=core.excess_payments(pi, sigma, cfg),
@@ -293,9 +293,9 @@ def best_grid_deviation(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
     Type m's candidate rows replace row m of `pi`; each is scored against
     the administrator's (budget-capped) best response to the modified
     strategy, and the baseline is type m's utility under `sigma`.  Returns
-    {type label: best gain}, the same values `oracle.deviation_search`
-    finds by enumeration; see `verify_equilibrium` for why the greedy
-    below is exact.
+    {type label: best gain}, the maximum that enumerating every grid row
+    finds (`tests/reference_oracle.py` does that enumeration); see
+    `verify_equilibrium` for why the greedy below is exact.
     """
     n = cfg.n_types
     audited_prob = core.audited_probability(cfg, cfg.budget)
@@ -364,9 +364,6 @@ def verify_equilibrium(result: EquilibriumResult, cfg: GameConfig,
     """
     if resolution < 10:
         raise InputError("verification resolution must be at least 10")
-    if not result.profile.is_symmetric:
-        raise InputError("verification needs a symmetric profile; "
-                         "use the non-existence probe for asymmetric two-user games")
     pi = result.strategy()
     sigma = result.audit()
     expected = core.best_response(pi, cfg, budget_cap=cfg.budget)

@@ -315,12 +315,18 @@ class LedgerState:
         """Rebuild from the approved-receipt log, re-verifying every record."""
         state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
         if log_path and os.path.exists(log_path):
-            with open(log_path, "r", encoding="utf-8") as fh:
+            # Bytes, so that json.loads decodes each line and a line that is
+            # not UTF-8 is reported like any other malformed record.
+            with open(log_path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if not line:
                         continue
-                    receipt = Receipt.from_dict(json.loads(line))
+                    try:
+                        receipt = Receipt.from_dict(json.loads(line))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise InputError(
+                            f"log line {lineno} is not a receipt record: {exc!r}") from None
                     problem = state._receipt_integrity_problem(receipt)
                     if problem:
                         raise InputError(f"log line {lineno} fails re-verification: {problem}")

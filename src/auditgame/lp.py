@@ -56,20 +56,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def to_debug_text(self) -> str:
-        """Plain-text rendering: objective row, then constraint rows."""
-        names = [f"pi({s}|{m})" for (s, m) in self.column_labels]
-
-        def terms(coeffs):
-            parts = [f"{c}*{n}" for c, n in zip(coeffs, names) if c != 0]
-            return " + ".join(parts) if parts else "0"
-
-        lines = [f"max {terms(self.objective)}"]
-        for coeffs, rel, rhs in self.rows:
-            lines.append(f"{terms(coeffs)} {rel} {rhs}")
-        lines.append("all pi >= 0")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -431,7 +417,7 @@ def bp_equilibrium(cfg: GameConfig):
     if sol.multiplicity_flag:
         flags.append("alternate optima detected")
     return EquilibriumResult(
-        profile=core.StrategyProfile.replicated(pi, sigma_full, cfg.num_users),
+        profile=core.StrategyProfile(pi, sigma_full, cfg.num_users),
         user_utilities=user_utils,
         admin_utility=core.admin_utility(pi, sigma_full, cfg),
         excess=core.excess_payments(pi, sigma_full, cfg),

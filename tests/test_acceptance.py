@@ -14,13 +14,14 @@ from fractions import Fraction as F
 import pytest
 
 import auditgame as ag
-from auditgame import GridSpec, ledger as lg
+from auditgame import ledger as lg
 from auditgame.casestudy import surface_csv
 from auditgame.core import audit_gain_terms
 from auditgame.numeric import sig15
-from auditgame.oracle import grid_slack
+from auditgame.equilibrium import grid_slack
 
 from conftest import with_budget
+from reference_oracle import GridSpec, deviation_search
 from reference_surface import REFERENCE_SURFACE
 
 
@@ -172,12 +173,12 @@ def test_criterion_5_three_type_fixture(cfg_three):
         (F(0), F(2, 3), F(1, 3)),
         (F(0), F(0), F(1)),
     )
-    profile = ag.StrategyProfile.single(ag.Strategy(rows), ag.AuditPolicy.zero(3))
-    ex = ag.excess_payments(profile.strategies[0], profile.audits[0], cfg_three)
+    profile = ag.StrategyProfile(ag.Strategy(rows), ag.AuditPolicy.zero(3))
+    ex = ag.excess_payments(profile.strategy, profile.audit, cfg_three)
     assert ex == F(4, 9)
     assert ex < eq.excess    # strictly below the program optimum
 
-    gains = ag.deviation_search(profile, cfg_three, GridSpec(resolution=200))
+    gains = deviation_search(profile, cfg_three, GridSpec(resolution=200))
     slack = grid_slack(cfg_three, 200)
     assert all(g <= slack for g in gains.values()), gains
     elapsed = time.perf_counter() - t0
@@ -190,7 +191,7 @@ def test_criterion_6_nonexistence_probe(cfg_a):
     t0 = time.perf_counter()
     for budget in (1, 3, 5):
         cfg = with_budget(cfg_a, budget, num_users=2)
-        report = ag.nonexistence_probe(cfg, GridSpec(resolution=100))
+        report = ag.nonexistence_probe(cfg, 100)
         assert report.total_profiles == 101 * 101
         assert report.complete, f"budget {budget}: {report.fraction_certified}"
     elapsed = time.perf_counter() - t0

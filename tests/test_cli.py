@@ -238,6 +238,12 @@ def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
 
     log = tmp_path / "led" / "log.jsonl"
     lines = log.read_text().splitlines()
+    log.write_text(lines[0] + "\n" + lines[1][:len(lines[1]) // 2])   # a torn last line
+    code, out, err = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: log line 2 is not a receipt record: JSONDecodeError")
+    assert err.count("\n") == 1
+
     record = json.loads(lines[1])
     record["price"] += 1
     lines[1] = json.dumps(record)
@@ -246,3 +252,27 @@ def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("input error: log line 2 fails re-verification")
     assert err.count("\n") == 1
+
+
+def test_unwritable_outputs_are_input_errors(cfg_file, tmp_path, capsys):
+    missing_dir = tmp_path / "missing"
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    for what, args in (
+        ("output file", ["solve", "--config", cfg_file]),
+        ("key file", ["ledger", "keygen", "--scheme", "toy"]),
+        ("coin file", ["ledger", "mint", "--dir", str(tmp_path / "led"), "--scheme", "toy",
+                       "--recipient-key", alice, "--coin-id", "1"]),
+    ):
+        target = str(missing_dir / "x.txt")
+        code, out, err = run(args + ["--out", target], capsys)
+        assert code == 1
+        assert err == f"input error: cannot write {what} {target!r}: No such file or directory\n"
+        assert "public_key" not in out and "minted" not in out
+    assert not missing_dir.exists()
+    led = str(tmp_path / "alice.key" / "led")   # under a regular file
+    code, _, err = run(["ledger", "mint", "--dir", led, "--scheme", "toy", "--recipient-key",
+                        alice, "--coin-id", "1", "--out", str(tmp_path / "c.json")], capsys)
+    assert code == 1
+    assert err == f"input error: cannot create ledger directory {led!r}: Not a directory\n"
+

@@ -20,7 +20,7 @@ def test_parse_minimal():
     cfg = GameConfig.from_text(CFG_A_TEXT)
     assert cfg.types == ("low", "high")
     assert cfg.prior == (F(1, 2), F(1, 2))
-    assert cfg.alloc_map == {"low": F(50), "high": F(105)}
+    assert cfg.alloc == (F(50), F(105))
     assert cfg.budget is None
     assert cfg.num_users == 1 and cfg.coalition_size == 1
 
@@ -40,7 +40,7 @@ coalition_size = 3
     path.write_text(text)
     cfg = GameConfig.from_file(path)
     assert cfg.prior == (F(1, 4), F(3, 4))
-    assert cfg.alloc_map == {"a": F(7, 2), "b": F(25, 2)}
+    assert cfg.alloc == (F(7, 2), F(25, 2))
     assert cfg.audit_cost == F(1, 3)
     assert cfg.budget == F(1, 2)
     assert cfg.num_users == 40 and cfg.coalition_size == 3

@@ -12,7 +12,6 @@ import auditgame as ag
 from auditgame import InputError
 from auditgame.core import audit_gain_terms
 
-from conftest import with_budget
 
 
 # -- stage payoffs -------------------------------------------------------
@@ -232,7 +231,7 @@ def test_underreport_transform_improves_utility():
         row = list(pi.rows[m0])
         row[m0] += row[s0]
         row[s0] = F(0)
-        pi2 = pi.with_row(m0, row)
+        pi2 = ag.Strategy(pi.rows[:m0] + (tuple(row),) + pi.rows[m0 + 1:])
         u1 = ag.user_utility_avg(pi, ag.best_response(pi, cfg), cfg)
         u2 = ag.user_utility_avg(pi2, ag.best_response(pi2, cfg), cfg)
         assert u2 > u1
@@ -327,52 +326,20 @@ def test_strategy_and_policy_invariants():
         ag.Strategy(((F(1, 2), F(1, 3)), (0, 1)))
     with pytest.raises(InputError):
         ag.AuditPolicy((F(3, 2),))
-    sp = ag.StrategyProfile.single(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
+    sp = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
     assert sp.n_users == 1
-
-
-def test_profile_budget_validation(cfg_a):
-    over = ag.StrategyProfile.replicated(
-        ag.Strategy.truthful(2), ag.AuditPolicy((0, 1)), 2
-    )
-    with pytest.raises(InputError):
-        over.validate_budget(with_budget(cfg_a, 30, num_users=2))
-    over.validate_budget(with_budget(cfg_a, 50, num_users=2))
 
 
 def test_replicated_profile_stores_one_copy():
     pi, sigma = ag.Strategy.truthful(2), ag.AuditPolicy((0, F(1, 3)))
-    profile = ag.StrategyProfile.replicated(pi, sigma, 10**6)
+    profile = ag.StrategyProfile(pi, sigma, 10**6)
     assert profile.n_users == 10**6
-    assert profile.strategies == (pi,) and profile.audits == (sigma,)
-    assert profile.is_symmetric
-    assert ag.StrategyProfile.replicated(pi, sigma, 1) == ag.StrategyProfile.single(pi, sigma)
+    assert profile.strategy == pi and profile.audit == sigma
+    assert ag.StrategyProfile(pi, sigma) == ag.StrategyProfile(pi, sigma, 1)
     with pytest.raises(InputError):
-        ag.StrategyProfile.replicated(pi, sigma, 0)
-
-
-def _per_user_spend(cfg, audits):
-    """The budget rule written out per user: c * sum of each user's max audit."""
-    return cfg.audit_cost * sum(max(a.probs) for a in audits)
-
-
-@pytest.mark.parametrize("n_users", [3, 10**6])
-def test_replicated_budget_verdict_matches_per_user_rule(cfg_a, n_users):
-    sigma = ag.AuditPolicy((F(1, 7), F(2, 3)))
-    spend = _per_user_spend(cfg_a, [sigma]) * n_users
-    profiles = [ag.StrategyProfile.replicated(ag.Strategy.truthful(2), sigma, n_users)]
-    if n_users < 10:
-        explicit = ag.StrategyProfile((ag.Strategy.truthful(2),) * n_users, (sigma,) * n_users)
-        assert spend == _per_user_spend(cfg_a, explicit.audits)
-        profiles.append(explicit)
-    for budget, ok in ((spend - F(1, 10**9), False), (spend, True), (spend + 1, True)):
-        cfg = with_budget(cfg_a, budget, num_users=n_users)
-        for profile in profiles:
-            if ok:
-                profile.validate_budget(cfg)
-            else:
-                with pytest.raises(InputError):
-                    profile.validate_budget(cfg)
+        ag.StrategyProfile(pi, sigma, 0)
+    with pytest.raises(InputError):
+        ag.StrategyProfile(pi, ag.AuditPolicy.zero(3))
 
 
 def test_audit_gain_terms_match_margin_coefficients(cfg_three):

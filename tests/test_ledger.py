@@ -1,6 +1,7 @@
 """Currency ledger: minting, two-phase spending, persistence, concurrency."""
 
 import inspect
+import json
 import threading
 
 import pytest
@@ -191,6 +192,31 @@ def test_log_replay_rejects_corruption(scheme, tmp_path, user):
     open(log, "w").write(text)
     with pytest.raises(InputError, match="re-verification"):
         lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
+
+
+@pytest.mark.parametrize("damage, detail", [
+    (lambda line: line[:len(line) // 2], "JSONDecodeError"),
+    (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "price"}),
+     "KeyError('price')"),
+    (lambda line: line.replace('"challenge": "', '"challenge": "zz'), "ValueError"),
+    (lambda line: "[1, 2]", "TypeError"),
+    (lambda line: line[:20] + "\udcff" + line[21:], "UnicodeDecodeError"),
+], ids=["torn-line", "no-price", "bad-hex", "not-an-object", "not-utf8"])
+def test_log_replay_rejects_malformed_records(scheme, tmp_path, user, damage, detail):
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    sk, pk = user
+    for i in range(2):
+        coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=i))
+        raw = lg.RawReceipt(goods="g", price=1, coins=(coin,))
+        z = lg.begin_spend(state, raw)
+        assert lg.finalize_spend(state, lg.sign_receipt(scheme, sk, raw, z)).approved
+    lines = open(log).read().splitlines()
+    with open(log, "w", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write(lines[0] + "\n" + damage(lines[1]))
+    with pytest.raises(InputError, match="log line 2 is not a receipt record: ") as info:
+        lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
+    assert detail in str(info.value)
 
 
 def test_concurrent_spends_single_approval(state, user):

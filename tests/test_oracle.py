@@ -1,4 +1,4 @@
-"""Brute-force machinery: grid search, deviation scans, and the probe."""
+"""The enumerating grid oracles in `reference_oracle.py`, and the probe."""
 
 import random
 from fractions import Fraction as F
@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 import auditgame as ag
-from auditgame import GridSpec, InputError
-from auditgame.oracle import (
-    coalition_deviation_search, grid_slack, _feasible, nonexistence_probe,
-)
+from auditgame import InputError, nonexistence_probe
+from auditgame.equilibrium import grid_slack
 
 from conftest import with_budget
+from reference_oracle import (
+    GridSpec, coalition_deviation_search, deviation_search, grid_best_strategy, _feasible,
+)
 
 
 def test_gridspec_validation():
@@ -28,7 +29,7 @@ def test_grid_slack(cfg_a):
 # -- grid search -----------------------------------------------------------
 
 def test_grid_best_contains_closed_form_on_grid(cfg_a):
-    res = ag.grid_best_strategy(cfg_a, GridSpec(resolution=260))
+    res = grid_best_strategy(cfg_a, GridSpec(resolution=260))
     assert res.strategy.rows[0][1] == F(50, 260) == F(5, 26)
     assert not res.coarse
     assert _feasible(cfg_a, res.strategy.rows)
@@ -37,12 +38,12 @@ def test_grid_best_contains_closed_form_on_grid(cfg_a):
 def test_grid_best_truthful_when_audits_free():
     cfg = ag.GameConfig(types=("low", "high"), prior=(F(1, 2), F(1, 2)),
                         alloc=(50, 105), audit_cost=0, fine=100)
-    res = ag.grid_best_strategy(cfg, GridSpec(resolution=50))
+    res = grid_best_strategy(cfg, GridSpec(resolution=50))
     assert res.strategy == ag.Strategy.truthful(2)
 
 
 def test_grid_best_three_type_near_lp(cfg_three):
-    res = ag.grid_best_strategy(cfg_three, GridSpec(resolution=120))
+    res = grid_best_strategy(cfg_three, GridSpec(resolution=120))
     eq = ag.bp_equilibrium(cfg_three)
     slack = 3 * grid_slack(cfg_three, res.resolution_used)
     assert res.objective <= eq.user_utility_avg(cfg_three)
@@ -54,7 +55,7 @@ def test_grid_best_coarse_mode_flags():
     # a wide-open instance: tiny fine margin pushes every cap to 1
     cfg = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3), F(1, 3), F(1, 3)),
                         alloc=(0, 50, 100), audit_cost=40, fine=40)
-    res = ag.grid_best_strategy(cfg, GridSpec(resolution=200, max_enumeration=50_000))
+    res = grid_best_strategy(cfg, GridSpec(resolution=200, max_enumeration=50_000))
     assert res.coarse
     assert res.resolution_used < 200
     assert res.points_evaluated <= 50_000
@@ -74,7 +75,7 @@ def test_grid_search_never_beats_program_random():
         cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(n)), prior=prior,
                             alloc=alloc, audit_cost=c, fine=k)
         eq = ag.bp_equilibrium(cfg)
-        res = ag.grid_best_strategy(cfg, GridSpec(resolution=60))
+        res = grid_best_strategy(cfg, GridSpec(resolution=60))
         assert res.objective <= eq.user_utility_avg(cfg)
         assert res.objective >= eq.user_utility_avg(cfg) - n * grid_slack(cfg, res.resolution_used)
 
@@ -83,13 +84,13 @@ def test_grid_search_never_beats_program_random():
 
 def test_deviation_search_lp_equilibrium(cfg_a):
     eq = ag.bp_equilibrium(cfg_a)
-    gains = ag.deviation_search(eq.profile, cfg_a, GridSpec(resolution=200))
+    gains = deviation_search(eq.profile, cfg_a, GridSpec(resolution=200))
     assert all(g <= grid_slack(cfg_a, 200) for g in gains.values())
 
 
 def test_deviation_search_truthful_gain(cfg_a):
-    profile = ag.StrategyProfile.single(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
-    gains = ag.deviation_search(profile, cfg_a, GridSpec(resolution=200))
+    profile = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
+    gains = deviation_search(profile, cfg_a, GridSpec(resolution=200))
     assert abs(gains["low"] - F(5, 26) * 55) <= grid_slack(cfg_a, 200)
     assert gains["high"] == 0
 
@@ -102,21 +103,12 @@ def test_deviation_search_three_type_fixture(cfg_three):
         (F(0), F(2, 3), F(1, 3)),
         (F(0), F(0), F(1)),
     )
-    profile = ag.StrategyProfile.single(ag.Strategy(rows), ag.AuditPolicy.zero(3))
-    gains = ag.deviation_search(profile, cfg_three, GridSpec(resolution=200))
+    profile = ag.StrategyProfile(ag.Strategy(rows), ag.AuditPolicy.zero(3))
+    gains = deviation_search(profile, cfg_three, GridSpec(resolution=200))
     assert all(g <= grid_slack(cfg_three, 200) for g in gains.values())
     # its excess stays strictly below the program optimum's 22/45
     ex = ag.excess_payments(ag.Strategy(rows), ag.AuditPolicy.zero(3), cfg_three)
     assert ex == F(4, 9) < F(22, 45)
-
-
-def test_deviation_search_rejects_asymmetric_profiles(cfg_a):
-    profile = ag.StrategyProfile(
-        (ag.Strategy.truthful(2), ag.two_type_strategy(cfg_a, 1)),
-        (ag.AuditPolicy.zero(2), ag.AuditPolicy.zero(2)),
-    )
-    with pytest.raises(InputError):
-        ag.deviation_search(profile, cfg_a, GridSpec(resolution=10))
 
 
 # -- audit-gain sign oracle ----------------------------------------------------
@@ -163,19 +155,21 @@ def test_best_response_matches_posterior_gain_sign():
 # -- non-existence probe ---------------------------------------------------------
 
 def test_probe_guards(cfg_a):
+    with pytest.raises(InputError, match="grid resolution must be at least 10"):
+        nonexistence_probe(with_budget(cfg_a, 3, num_users=2), 9)
     with pytest.raises(InputError):
-        nonexistence_probe(with_budget(cfg_a, 3), GridSpec(resolution=20))  # one user
+        nonexistence_probe(with_budget(cfg_a, 3), 20)  # one user
     two = with_budget(cfg_a, 0, num_users=2)
     with pytest.raises(InputError):
-        nonexistence_probe(two, GridSpec(resolution=20))                    # zero budget
+        nonexistence_probe(two, 20)  # zero budget
     rich = with_budget(cfg_a, 8, num_users=2)
     with pytest.raises(InputError):
-        nonexistence_probe(rich, GridSpec(resolution=20))                   # above threshold
+        nonexistence_probe(rich, 20)  # above threshold
 
 
 def test_probe_certifies_all_profiles(cfg_a):
     cfg = with_budget(cfg_a, 3, num_users=2)
-    report = nonexistence_probe(cfg, GridSpec(resolution=40))
+    report = nonexistence_probe(cfg, 40)
     assert report.total_profiles == 41 * 41
     assert report.complete
     assert report.fraction_certified == 1
@@ -192,7 +186,7 @@ def test_probe_tie_at_threshold_case():
                         num_users=2, budget=F(1, 2))
     from auditgame.equilibrium import two_type_misreport_prob
     assert two_type_misreport_prob(cfg) == F(1, 4)
-    report = nonexistence_probe(cfg, GridSpec(resolution=40))
+    report = nonexistence_probe(cfg, 40)
     assert report.complete
     assert report.case_counts["tie-at-threshold-jump"] == 1
 
