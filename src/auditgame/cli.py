@@ -181,7 +181,7 @@ def _read_coin_file(path) -> ledger_mod.Coin:
         raise InputError(f"coin file {path!r} does not hold a coin: {exc!r}") from None
 
 
-def _open_ledger(args) -> ledger_mod.LedgerState:
+def _open_ledger(args, save_key=True) -> ledger_mod.LedgerState:
     scheme = _scheme_for(args)
     admin_path = os.path.join(args.dir, "admin.key")
     log_path = os.path.join(args.dir, "log.jsonl")
@@ -197,7 +197,8 @@ def _open_ledger(args) -> ledger_mod.LedgerState:
         except OSError as exc:
             raise _io_error("create", "ledger directory", args.dir, exc) from None
         state = ledger_mod.LedgerState.create(scheme, log_path=log_path, rng=rng)
-        _write_key_file(admin_path, state._admin_sk, state.admin_pk)
+        if save_key:
+            _write_key_file(admin_path, state._admin_sk, state.admin_pk)
         return state
     sk, pk = _read_key_file(admin_path)
     return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, rng=rng)
@@ -312,10 +313,21 @@ def _cmd_ledger(args) -> int:
     # opening creates the ledger on first use and a bad input must leave none.
     if args.ledger_command == "mint":
         _, recipient_pk = _read_key_file(args.recipient_key)
-        state = _open_ledger(args)
+        # A new ledger's admin key is written only after the coin file, and
+        # a directory made for it goes again if that write fails.
+        new_dir = not os.path.exists(args.dir)
+        state = _open_ledger(args, save_key=False)
         coin = state.mint(recipient_pk,
                           ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
-        _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
+        try:
+            _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
+        except InputError:
+            if new_dir:
+                os.rmdir(args.dir)
+            raise
+        admin_path = os.path.join(args.dir, "admin.key")
+        if not os.path.exists(admin_path):
+            _write_key_file(admin_path, state._admin_sk, state.admin_pk)
         sys.stdout.write(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
         return 0
     if args.ledger_command == "spend":

@@ -18,7 +18,7 @@ from typing import Optional
 from . import lp
 from .bounds import excess_payments_bound
 from .core import GameConfig
-from .equilibrium import two_type_misreport_prob
+from .equilibrium import _two_type_params, two_type_misreport_prob
 from .errors import InputError
 
 
@@ -60,9 +60,7 @@ def cost_audit_two_type(cfg: GameConfig) -> CostReport:
     """
     if not cfg.is_two_type:
         raise InputError("two-type cost analysis needs exactly two types")
-    lo, hi = cfg.low_high_indices()
-    q_lo = cfg.prior[lo]
-    df = cfg.alloc[hi] - cfg.alloc[lo]
+    _, _, q_lo, _, df = _two_type_params(cfg)
     if df <= 0:
         # Equal credits: nothing to gain by misreporting, and nothing to divide by.
         no_audit = budget = excess = p = Fraction(0)

@@ -186,7 +186,7 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
             threshold_general=analysis.threshold_general,
         )
 
-    lo, hi, q_lo, q_hi, df = _two_type_params(cfg)
+    _, hi = cfg.low_high_indices()
     pi = two_type_strategy(cfg, 1)
     probs = [Fraction(0), Fraction(0)]
     probs[hi] = core.audited_probability(cfg, cfg.budget)

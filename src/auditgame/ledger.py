@@ -36,8 +36,6 @@ class SignatureScheme(ABC):
     `verify` is deterministic on identical inputs.
     """
 
-    security_parameter: int = 0
-
     @abstractmethod
     def gen(self) -> tuple:
         """Return a fresh (secret_key, public_key) pair of byte strings."""
@@ -53,8 +51,6 @@ class SignatureScheme(ABC):
 
 class Ed25519Scheme(SignatureScheme):
     """Production scheme backed by Ed25519 (128-bit security level)."""
-
-    security_parameter = 128
 
     def __init__(self):
         from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -93,8 +89,6 @@ class DeterministicScheme(SignatureScheme):
     it exists for reproducible unit tests only.  Distinct parties should
     use distinct seeds, otherwise they share a key sequence.
     """
-
-    security_parameter = 32
 
     def __init__(self, seed: int = 0):
         import random
@@ -242,19 +236,12 @@ class Receipt:
         return _canonical({"challenge": challenge.hex(), "receipt": raw.to_dict()})
 
     def to_dict(self) -> dict:
-        return {
-            "goods": self.raw.goods,
-            "price": self.raw.price,
-            "coins": [c.to_dict() for c in self.raw.coins],
-            "challenge": self.challenge.hex(),
-            "user_sig": self.user_sig.hex(),
-        }
+        return {**self.raw.to_dict(), "challenge": self.challenge.hex(),
+                "user_sig": self.user_sig.hex()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Receipt":
-        raw = RawReceipt(goods=d["goods"], price=int(d["price"]),
-                         coins=tuple(Coin.from_dict(c) for c in d["coins"]))
-        return cls(raw=raw, challenge=bytes.fromhex(d["challenge"]),
+        return cls(raw=RawReceipt.from_dict(d), challenge=bytes.fromhex(d["challenge"]),
                    user_sig=bytes.fromhex(d["user_sig"]))
 
 
@@ -439,15 +426,3 @@ def verify_coin(scheme: SignatureScheme, admin_pk: bytes, coin: Coin) -> bool:
     """True exactly when the administrator's signature on the coin verifies."""
     payload = Coin.signed_payload(coin.owner_pk, coin.metadata)
     return scheme.verify(admin_pk, payload, coin.issuer_sig)
-
-
-def mint(ledger: LedgerState, recipient_pk: bytes, metadata: CoinMetadata) -> Coin:
-    return ledger.mint(recipient_pk, metadata)
-
-
-def begin_spend(ledger: LedgerState, raw: RawReceipt) -> bytes:
-    return ledger.begin_spend(raw)
-
-
-def finalize_spend(ledger: LedgerState, receipt: Receipt) -> SpendOutcome:
-    return ledger.finalize_spend(receipt)

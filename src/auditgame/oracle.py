@@ -1,16 +1,19 @@
 """The non-existence probe for budgeted two-user, two-type games.
 
 Below the two-type existence threshold no equilibrium exists.  The probe
-backs that claim on a grid: it walks every profile of misreporting
-probabilities (p1, p2) and certifies each with an explicit profitable
-deviation and its exact utility gain.
+backs that claim on the 1/resolution grid of misreporting probabilities
+(p1, p2): it splits the grid into four regions, on each of which one
+deviation gains strictly, and certifies each region by the exact gain at
+one of its profiles, at a cost that does not depend on the resolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import core
 from .core import GameConfig
 from .equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
 from .errors import InputError
@@ -51,14 +54,54 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
+def _certificate(cfg: GameConfig, p_star: Fraction, p1: Fraction, p2: Fraction):
+    """(case, gain) of the probe's deviation at profile (p1, p2): the gain is
+    q_lo * df times a factor whose sign `nonexistence_probe` argues."""
+    _, _, q_lo, _, df = _two_type_params(cfg)
+    low, high = min(p1, p2), max(p1, p2)
+    if low < p_star:
+        # The under-shooting user rises to the audit-indifference point,
+        # where it is still never audited.
+        case, factor = "below-threshold-raise", p_star - low
+    elif low != high:
+        # The lower violator rises halfway to the higher one; the budget
+        # chases the maximal violator, so it stays unaudited.
+        case, factor = "undercut-raise", (high - low) / 2
+    elif p1 == p_star:
+        # Tied exactly at indifference: jumping to certain misreporting
+        # beats it whenever the budget is below the threshold.
+        audited = core.audited_probability(cfg, cfg.budget)
+        case, factor = "tie-at-threshold-jump", 1 - audited * (cfg.fine + df) / df - p_star
+    else:
+        # Tied strictly above indifference, each audited with half the
+        # budget: undercutting halfway to the tie's own floor p1 * alpha
+        # sheds the audit entirely.
+        alpha = 1 - cfg.budget * (cfg.fine + df) / (2 * cfg.audit_cost * df)
+        case, factor = "tie-undercut", p1 * ((1 + max(alpha, 0)) / 2 - alpha)
+    return case, q_lo * df * factor
+
+
 def nonexistence_probe(cfg: GameConfig, resolution: int) -> ProbeReport:
     """Certify a profitable unilateral deviation at every quantized profile.
 
-    Two users with a shared prior, two types, and a positive budget below
-    the two-type threshold: every profile of misreporting probabilities
-    (p1, p2) admits a strict improvement for someone, so no equilibrium
-    exists.  The probe walks the full grid and certifies each profile with
-    an explicit deviation and its exact utility gain.
+    Two users, two types, and 0 < budget < c*df*(1 - p*)/(k + df), which
+    forces c > 0, df > 0, p* < 1 and q_lo > 0: every profile (p1, p2)
+    admits a strict improvement for someone, so no equilibrium exists.
+
+    With B = ceil(p* * resolution) grid values below p* and A the other
+    resolution + 1 - B, the deviation splits the (resolution + 1)^2
+    profiles into four regions: below-threshold-raise (min(p1, p2) < p*:
+    (resolution + 1)^2 - A^2 profiles), undercut-raise (both at or above
+    p*, unequal: A(A - 1)), tie-at-threshold-jump (p1 = p2 = p*: 1 if
+    p* * resolution is an integer, else 0) and tie-undercut (the other A
+    ties, p1 = p2 > p*).  On each region the gain is q_lo * df times a
+    factor of one sign: p* - min(p1, p2); (p_high - p_low)/2; and
+    p1 * ((1 + alpha+)/2 - alpha) with alpha = 1 - budget(k + df)/(2c df)
+    < 1, so p1(1 - alpha)/2 or p1(1/2 - alpha), both positive.  The tie at
+    the threshold is one profile.  So the exact gain at a region's first
+    profile in walk order (rows p1, then columns p2) certifies the region,
+    and the cost does not depend on `resolution`.  The first three
+    profiles of the walk are the traces.
     """
     if resolution < 10:
         raise InputError("grid resolution must be at least 10")
@@ -76,69 +119,38 @@ def nonexistence_probe(cfg: GameConfig, resolution: int) -> ProbeReport:
             f"threshold {threshold}; equilibria exist there"
         )
 
-    _, _, q_lo, q_hi, df = _two_type_params(cfg)
     p_star = two_type_misreport_prob(cfg)
-    c, k = cfg.audit_cost, cfg.fine
-
-    def solo_utility(p):
-        # Unaudited utility of a user misreporting with probability p.
-        return q_lo * p * df
-
-    certified = 0
+    below = math.ceil(p_star * resolution)
+    above = resolution + 1 - below
+    on_grid = int(below == p_star * resolution)
     cases = {"below-threshold-raise": 0, "undercut-raise": 0,
              "tie-at-threshold-jump": 0, "tie-undercut": 0}
-    traces = []
-    total = (resolution + 1) ** 2
-    half_share = Fraction(1, 2) * cfg.budget / c  # equal split at a two-way tie
-
-    for i in range(resolution + 1):
-        p1 = Fraction(i, resolution)
-        for j in range(resolution + 1):
-            p2 = Fraction(j, resolution)
-            if p1 < p_star or p2 < p_star:
-                # The under-shooting user rises to the audit-indifference
-                # point, where it is still never audited.
-                p_old = min(p1, p2)
-                gain = solo_utility(p_star) - solo_utility(p_old)
-                name = "below-threshold-raise"
-            elif p1 != p2:
-                # The lower violator rises toward the higher one; the
-                # budget chases the maximal violator, so it stays unaudited.
-                p_low, p_high = min(p1, p2), max(p1, p2)
-                target = (p_low + p_high) / 2
-                gain = solo_utility(target) - solo_utility(p_low)
-                name = "undercut-raise"
-            elif p1 == p_star:
-                # Tied exactly at indifference: jumping to certain
-                # misreporting beats it whenever the budget is below the
-                # threshold.
-                audited = min(Fraction(1), cfg.budget / c) if c > 0 else Fraction(1)
-                util_jump = q_lo * (df - audited * (k + df))
-                gain = util_jump - solo_utility(p_star)
-                name = "tie-at-threshold-jump"
-            else:
-                # Tied strictly above indifference: each gets half the
-                # budget; undercutting sheds the audit entirely.
-                tied_util = q_lo * p1 * (df - half_share * (k + df))
-                floor = p1 * (df - half_share * (k + df)) / df if df > 0 else Fraction(0)
-                target = (max(floor, Fraction(0)) + p1) / 2
-                gain = solo_utility(target) - tied_util
-                name = "tie-undercut"
+    # Each region's size and its first profile in walk order, as grid indices.
+    for size, i, j in (((resolution + 1) ** 2 - above ** 2, 0, 0),
+                       (above * (above - 1), below, below + 1),
+                       (on_grid, below, below),
+                       (above - on_grid, below + on_grid, below + on_grid)):
+        if size:
+            name, gain = _certificate(cfg, p_star, Fraction(i, resolution), Fraction(j, resolution))
             if gain > 0:
-                certified += 1
-                cases[name] += 1
-            if len(traces) < 3:
-                rho1 = q_lo * p1 * (k + df) - (q_hi + q_lo * p1) * c
-                traces.append(
-                    f"p=({sig15(p1)},{sig15(p2)}) case={name} gain={sig15(gain)} rho1={sig15(rho1)}"
-                )
+                cases[name] = size
+
+    lo, hi = cfg.low_high_indices()
+    traces = []
+    for j in range(3):
+        p1, p2 = Fraction(0), Fraction(j, resolution)
+        name, gain = _certificate(cfg, p_star, p1, p2)
+        rho1 = p1 * core.audit_margin_coef(cfg, hi, lo) + core.audit_margin_coef(cfg, hi, hi)
+        traces.append(
+            f"p=({sig15(p1)},{sig15(p2)}) case={name} gain={sig15(gain)} rho1={sig15(rho1)}"
+        )
 
     return ProbeReport(
         resolution=resolution,
         budget=cfg.budget,
         threshold=threshold,
-        total_profiles=total,
-        certified=certified,
+        total_profiles=(resolution + 1) ** 2,
+        certified=sum(cases.values()),
         case_counts=cases,
         traces=tuple(traces),
     )

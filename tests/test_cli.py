@@ -136,6 +136,18 @@ def test_probe_command(tmp_path, capsys):
     assert "fraction_certified: 1" in out
 
 
+def test_probe_huge_resolution_is_immediate(tmp_path, capsys):
+    """The probe certifies whole regions of profiles, so it never walks the
+    10^24 profiles of a resolution of 10^12."""
+    path = tmp_path / "probe.cfg"
+    path.write_text(CFG_A + "budget = 3\nnum_users = 2\n")
+    code, out, _ = run(["probe", "--config", str(path), "--resolution", str(10**12)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "profiles: 1000000000002000000000001" in lines
+    assert "fraction_certified: 1" in lines
+
+
 def test_probe_outside_region_is_input_error(tmp_path, capsys):
     path = tmp_path / "probe.cfg"
     path.write_text(CFG_A + "budget = 8\nnum_users = 2\n")
@@ -276,3 +288,23 @@ def test_unwritable_outputs_are_input_errors(cfg_file, tmp_path, capsys):
     assert code == 1
     assert err == f"input error: cannot create ledger directory {led!r}: Not a directory\n"
 
+
+def test_failed_mint_leaves_no_ledger(tmp_path, capsys):
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    led = tmp_path / "led"
+    mint = ["ledger", "mint", "--dir", str(led), "--scheme", "toy", "--recipient-key", alice,
+            "--coin-id", "1", "--out"]
+    code, out, err = run(mint + [str(tmp_path / "missing" / "c.json")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: cannot write coin file ")
+    assert not led.exists()
+    # a coin file inside the new ledger directory still works
+    code, out, _ = run(mint + [str(led / "c.json")], capsys)
+    assert code == 0 and out.startswith("minted coin 1 for ")
+    assert sorted(p.name for p in led.iterdir()) == ["admin.key", "c.json"]
+    # a ledger directory that cannot be made takes no coin file with it
+    bad_dir = ["--dir", str(tmp_path / "alice.key" / "led")]
+    code, _, err = run(mint[:2] + bad_dir + mint[4:] + [str(tmp_path / "d.json")], capsys)
+    assert code == 1 and "cannot create ledger directory" in err
+    assert not (tmp_path / "d.json").exists()

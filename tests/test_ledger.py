@@ -46,24 +46,24 @@ def test_toy_scheme_is_deterministic():
 
 def test_mint_and_verify(state, user):
     _, pk = user
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1, issuer_note="groceries"))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1, issuer_note="groceries"))
     assert lg.verify_coin(state.scheme, state.admin_pk, coin)
     assert state.verify_coin(coin)
 
 
 def test_mint_rejects_duplicate_id(state, user):
     _, pk = user
-    lg.mint(state, pk, lg.CoinMetadata(coin_id=7))
+    state.mint(pk, lg.CoinMetadata(coin_id=7))
     with pytest.raises(InputError):
-        lg.mint(state, pk, lg.CoinMetadata(coin_id=7))
+        state.mint(pk, lg.CoinMetadata(coin_id=7))
     # a different recipient may reuse the number
     _, pk2 = lg.keygen(state.scheme)
-    lg.mint(state, pk2, lg.CoinMetadata(coin_id=7))
+    state.mint(pk2, lg.CoinMetadata(coin_id=7))
 
 
 def test_tampered_coin_fails(state, user):
     _, pk = user
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1, issuer_note="a"))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1, issuer_note="a"))
     forged_meta = lg.CoinMetadata(coin_id=1, issuer_note="b")
     assert not state.verify_coin(lg.Coin(coin.owner_pk, forged_meta, coin.issuer_sig))
     flipped = bytes([coin.issuer_sig[0] ^ 1]) + coin.issuer_sig[1:]
@@ -79,10 +79,10 @@ def test_counterfeit_coin_fails(state):
 
 def test_begin_spend_fresh_challenges(state, user):
     _, pk = user
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
     raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
-    z1 = lg.begin_spend(state, raw)
-    z2 = lg.begin_spend(state, raw)
+    z1 = state.begin_spend(raw)
+    z2 = state.begin_spend(raw)
     assert z1 != z2
     assert len(z1) == 16
     assert set(state.pending_challenges(raw)) == {z1, z2}
@@ -91,8 +91,8 @@ def test_begin_spend_fresh_challenges(state, user):
 def test_raw_receipt_validation(state, user):
     _, pk = user
     _, pk2 = lg.keygen(state.scheme)
-    c1 = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
-    c2 = lg.mint(state, pk2, lg.CoinMetadata(coin_id=2))
+    c1 = state.mint(pk, lg.CoinMetadata(coin_id=1))
+    c2 = state.mint(pk2, lg.CoinMetadata(coin_id=2))
     with pytest.raises(InputError):
         lg.RawReceipt(goods="x", price=1, coins=(c1, c2))   # two owners
     with pytest.raises(InputError):
@@ -103,28 +103,28 @@ def test_raw_receipt_validation(state, user):
 
 def test_spend_happy_path_and_double_spend(state, user):
     sk, pk = user
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
     raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
-    z = lg.begin_spend(state, raw)
+    z = state.begin_spend(raw)
     receipt = lg.sign_receipt(state.scheme, sk, raw, z)
-    assert lg.finalize_spend(state, receipt).approved
+    assert state.finalize_spend(receipt).approved
     assert state.is_spent(coin)
 
     raw2 = lg.RawReceipt(goods="again", price=1, coins=(coin,))
-    z2 = lg.begin_spend(state, raw2)
+    z2 = state.begin_spend(raw2)
     second = lg.sign_receipt(state.scheme, sk, raw2, z2)
-    out = lg.finalize_spend(state, second)
+    out = state.finalize_spend(second)
     assert not out.approved and out.reason == "double-spend"
 
 
 def test_wrong_key_receipt_rejected(state, user):
     _, pk = user
     intruder_sk, _ = lg.keygen(state.scheme)
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
     raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
-    z = lg.begin_spend(state, raw)
+    z = state.begin_spend(raw)
     stolen = lg.sign_receipt(state.scheme, intruder_sk, raw, z)
-    out = lg.finalize_spend(state, stolen)
+    out = state.finalize_spend(stolen)
     assert not out.approved and out.reason == "bad-signature"
 
 
@@ -133,30 +133,30 @@ def test_unknown_and_expired_challenges(scheme, tmp_path):
     state = lg.LedgerState.create(scheme, log_path=str(tmp_path / "log.jsonl"),
                                   challenge_ttl=10.0, clock=lambda: now[0])
     sk, pk = lg.keygen(scheme)
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
     raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
     bogus = lg.sign_receipt(scheme, sk, raw, b"\x00" * 16)
-    assert lg.finalize_spend(state, bogus).reason == "unknown-challenge"
-    z = lg.begin_spend(state, raw)
+    assert state.finalize_spend(bogus).reason == "unknown-challenge"
+    z = state.begin_spend(raw)
     now[0] = 11.0
     stale = lg.sign_receipt(scheme, sk, raw, z)
-    assert lg.finalize_spend(state, stale).reason == "expired-challenge"
+    assert state.finalize_spend(stale).reason == "expired-challenge"
     # fresh challenge still works afterwards, and expired ones are gone
-    z2 = lg.begin_spend(state, raw)
+    z2 = state.begin_spend(raw)
     assert state.pending_challenges(raw) == (z2,)
-    assert lg.finalize_spend(state, lg.sign_receipt(scheme, sk, raw, z2)).approved
+    assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z2)).approved
 
 
 def test_multi_coin_receipt(state, user):
     sk, pk = user
-    coins = tuple(lg.mint(state, pk, lg.CoinMetadata(coin_id=i)) for i in range(3))
+    coins = tuple(state.mint(pk, lg.CoinMetadata(coin_id=i)) for i in range(3))
     raw = lg.RawReceipt(goods="bundle", price=3, coins=coins)
-    z = lg.begin_spend(state, raw)
-    assert lg.finalize_spend(state, lg.sign_receipt(state.scheme, sk, raw, z)).approved
+    z = state.begin_spend(raw)
+    assert state.finalize_spend(lg.sign_receipt(state.scheme, sk, raw, z)).approved
     # any one of them is now locked
     raw2 = lg.RawReceipt(goods="retry", price=1, coins=(coins[1],))
-    z2 = lg.begin_spend(state, raw2)
-    assert lg.finalize_spend(state, lg.sign_receipt(state.scheme, sk, raw2, z2)).reason == "double-spend"
+    z2 = state.begin_spend(raw2)
+    assert state.finalize_spend(lg.sign_receipt(state.scheme, sk, raw2, z2)).reason == "double-spend"
 
 
 def test_log_replay_reverifies(scheme, tmp_path, user):
@@ -164,10 +164,10 @@ def test_log_replay_reverifies(scheme, tmp_path, user):
     state = lg.LedgerState.create(scheme, log_path=log)
     sk, pk = user
     for i in range(5):
-        coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=i))
+        coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
         raw = lg.RawReceipt(goods=f"g{i}", price=1, coins=(coin,))
-        z = lg.begin_spend(state, raw)
-        assert lg.finalize_spend(state, lg.sign_receipt(scheme, sk, raw, z)).approved
+        z = state.begin_spend(raw)
+        assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).approved
 
     reloaded = lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
     assert len(reloaded.approved) == 5
@@ -176,18 +176,18 @@ def test_log_replay_reverifies(scheme, tmp_path, user):
     # spent coins stay spent across the reload
     coin0 = state.approved[0].raw.coins[0]
     raw = lg.RawReceipt(goods="replayed", price=1, coins=(coin0,))
-    z = lg.begin_spend(reloaded, raw)
-    assert lg.finalize_spend(reloaded, lg.sign_receipt(scheme, sk, raw, z)).reason == "double-spend"
+    z = reloaded.begin_spend(raw)
+    assert reloaded.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).reason == "double-spend"
 
 
 def test_log_replay_rejects_corruption(scheme, tmp_path, user):
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
     sk, pk = user
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
     raw = lg.RawReceipt(goods="g", price=1, coins=(coin,))
-    z = lg.begin_spend(state, raw)
-    assert lg.finalize_spend(state, lg.sign_receipt(scheme, sk, raw, z)).approved
+    z = state.begin_spend(raw)
+    assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).approved
     text = open(log).read().replace('"goods": "g"', '"goods": "forged"')
     open(log, "w").write(text)
     with pytest.raises(InputError, match="re-verification"):
@@ -207,10 +207,10 @@ def test_log_replay_rejects_malformed_records(scheme, tmp_path, user, damage, de
     state = lg.LedgerState.create(scheme, log_path=log)
     sk, pk = user
     for i in range(2):
-        coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=i))
+        coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
         raw = lg.RawReceipt(goods="g", price=1, coins=(coin,))
-        z = lg.begin_spend(state, raw)
-        assert lg.finalize_spend(state, lg.sign_receipt(scheme, sk, raw, z)).approved
+        z = state.begin_spend(raw)
+        assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).approved
     lines = open(log).read().splitlines()
     with open(log, "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(lines[0] + "\n" + damage(lines[1]))
@@ -221,18 +221,18 @@ def test_log_replay_rejects_malformed_records(scheme, tmp_path, user, damage, de
 
 def test_concurrent_spends_single_approval(state, user):
     sk, pk = user
-    coin = lg.mint(state, pk, lg.CoinMetadata(coin_id=1))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
     receipts = []
     for i in range(100):
         raw = lg.RawReceipt(goods=f"race{i}", price=1, coins=(coin,))
-        z = lg.begin_spend(state, raw)
+        z = state.begin_spend(raw)
         receipts.append(lg.sign_receipt(state.scheme, sk, raw, z))
     results = [None] * 100
     barrier = threading.Barrier(100)
 
     def attempt(i):
         barrier.wait()
-        results[i] = lg.finalize_spend(state, receipts[i])
+        results[i] = state.finalize_spend(receipts[i])
 
     threads = [threading.Thread(target=attempt, args=(i,)) for i in range(100)]
     for t in threads:
@@ -249,9 +249,8 @@ def test_concurrent_spends_single_approval(state, user):
 def test_ledger_api_never_accepts_foreign_secret_keys():
     """Ledger operations take no secret-key parameters at all; signing is
     strictly owner-side."""
-    for fn in (lg.mint, lg.begin_spend, lg.finalize_spend, lg.verify_coin):
-        params = inspect.signature(fn).parameters
-        assert not any("sk" in name or "secret" in name for name in params)
+    params = inspect.signature(lg.verify_coin).parameters
+    assert not any("sk" in name or "secret" in name for name in params)
     for name, method in inspect.getmembers(lg.LedgerState, inspect.isfunction):
         if name.startswith("_") or name in ("create", "load"):
             continue

@@ -1,5 +1,6 @@
 """The enumerating grid oracles in `reference_oracle.py`, and the probe."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from auditgame.equilibrium import grid_slack
 from conftest import with_budget
 from reference_oracle import (
     GridSpec, coalition_deviation_search, deviation_search, grid_best_strategy, _feasible,
+    walk_nonexistence_probe,
 )
 
 
@@ -189,6 +191,51 @@ def test_probe_tie_at_threshold_case():
     report = nonexistence_probe(cfg, 40)
     assert report.complete
     assert report.case_counts["tie-at-threshold-jump"] == 1
+
+
+def _random_probe_game(rng):
+    """A two-user game with a budget strictly inside (0, two-type threshold);
+    the low type is listed first or second at random."""
+    while True:
+        w_lo, w_hi = rng.randrange(1, 6), rng.randrange(1, 6)
+        f_lo = rng.randrange(0, 40)
+        f_hi = f_lo + rng.randrange(1, 40)
+        c = rng.randrange(1, 30)
+        types, alloc = ("low", "high"), (f_lo, f_hi)
+        prior = (F(w_lo, w_lo + w_hi), F(w_hi, w_lo + w_hi))
+        if rng.random() < 0.5:
+            types, prior, alloc = types[::-1], prior[::-1], alloc[::-1]
+        cfg = ag.GameConfig(types=types, prior=prior, alloc=alloc, audit_cost=c,
+                            fine=c + rng.randrange(0, 60), num_users=2)
+        threshold = ag.budget_thresholds(cfg).threshold_two_type
+        if threshold > 0:   # else the low type always misreports: no region
+            return with_budget(cfg, threshold * F(rng.randrange(1, 100), 100))
+
+
+def test_probe_matches_the_walk_on_random_games():
+    """Certifying each region once reports what walking every profile does."""
+    from auditgame.equilibrium import two_type_misreport_prob
+    rng = random.Random(7)
+    seen = dict.fromkeys(("below-threshold-raise", "undercut-raise",
+                          "tie-at-threshold-jump", "tie-undercut"), 0)
+    orders = set()
+    for _ in range(40):
+        cfg = _random_probe_game(rng)
+        den = two_type_misreport_prob(cfg).denominator
+        if den <= 100 and rng.random() < 0.5:   # a grid through p*
+            res = den * rng.randrange(-(-10 // den), 100 // den + 1)
+        else:
+            res = rng.randrange(10, 101)
+        report = nonexistence_probe(cfg, res)
+        walked = walk_nonexistence_probe(cfg, res)
+        assert report.to_text() == walked.to_text()
+        for field in dataclasses.fields(report):
+            assert getattr(report, field.name) == getattr(walked, field.name), field.name
+        for name, count in report.case_counts.items():
+            seen[name] += count > 0
+        orders.add(cfg.low_high_indices())
+    assert all(n >= 3 for n in seen.values()), seen
+    assert orders == {(0, 1), (1, 0)}
 
 
 # -- coalition deviations -----------------------------------------------------
