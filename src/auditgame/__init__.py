@@ -4,60 +4,53 @@ Computes no-audit signaling equilibria through an exact linear program,
 evaluates misreporting and excess-payment caps, classifies budget regimes,
 compares audit against no-audit total cost, reproduces the transit-benefits
 case study as CSV, and implements a signature-backed currency ledger.
+
+Importing the package loads no submodule: each public name, and each
+submodule as `auditgame.<module>`, is imported on first access (PEP 562),
+so a CLI call loads only the modules its subcommand runs.
 """
 
-from .core import (
-    AuditPolicy,
-    GameConfig,
-    Strategy,
-    StrategyProfile,
-    admin_payoff,
-    admin_utility,
-    best_response,
-    excess_payments,
-    two_type_strategy,
-    user_payoff,
-    user_utility_avg,
-    user_utility_type,
-)
-from .equilibrium import (
-    BudgetAnalysis,
-    EquilibriumResult,
-    Regime,
-    VerificationReport,
-    budget_thresholds,
-    budgeted_two_type_equilibrium,
-    signaling_equilibrium,
-    two_type_closed_form,
-    verify_equilibrium,
-)
-from .errors import InputError, NonexistenceError, RegimeError
-from .lp import LinearProgram, LPSolution, bp_equilibrium, build_bp_lp, solve_bp, solve_lp
-from .bounds import (
-    BoundReport,
-    bound_report,
-    excess_payments_bound,
-    fine_for_tolerance,
-    misreport_prob_bound,
-)
-from .cost import CostReport, compare, cost_audit_multitype, cost_audit_two_type, cost_no_audit
-from .casestudy import SweepSpec, ftbp_preset, surface_preset, sweep_costs, sweep_misreport_surface
-from .oracle import nonexistence_probe
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditPolicy", "BoundReport", "BudgetAnalysis", "CostReport",
-    "EquilibriumResult", "GameConfig", "InputError",
-    "LinearProgram", "LPSolution", "NonexistenceError", "Regime",
-    "RegimeError", "Strategy", "StrategyProfile", "SweepSpec",
-    "VerificationReport", "admin_payoff", "admin_utility", "best_response",
-    "bound_report", "bp_equilibrium", "budget_thresholds",
-    "budgeted_two_type_equilibrium", "build_bp_lp", "compare",
-    "cost_audit_multitype", "cost_audit_two_type", "cost_no_audit",
-    "excess_payments", "excess_payments_bound", "fine_for_tolerance",
-    "ftbp_preset", "misreport_prob_bound", "nonexistence_probe", "signaling_equilibrium",
-    "solve_bp", "solve_lp", "surface_preset", "sweep_costs", "sweep_misreport_surface",
-    "two_type_closed_form", "two_type_strategy", "user_payoff",
-    "user_utility_avg", "user_utility_type", "verify_equilibrium",
-]
+# The home submodule of each public name.
+_HOME = {
+    "AuditPolicy": "core", "BoundReport": "bounds", "BudgetAnalysis": "equilibrium",
+    "CostReport": "cost", "EquilibriumResult": "equilibrium", "GameConfig": "core",
+    "InputError": "errors", "LinearProgram": "lp", "LPSolution": "lp",
+    "NonexistenceError": "errors", "Regime": "equilibrium", "RegimeError": "errors",
+    "Strategy": "core", "StrategyProfile": "core", "SweepSpec": "casestudy",
+    "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
+    "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "lp",
+    "budget_thresholds": "equilibrium", "budgeted_two_type_equilibrium": "equilibrium",
+    "build_bp_lp": "lp", "compare": "cost", "cost_audit_multitype": "cost",
+    "cost_audit_two_type": "cost", "cost_no_audit": "cost", "excess_payments": "core",
+    "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
+    "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",
+    "nonexistence_probe": "oracle", "signaling_equilibrium": "equilibrium",
+    "solve_bp": "lp", "solve_lp": "lp", "surface_preset": "casestudy",
+    "sweep_costs": "casestudy", "sweep_misreport_surface": "casestudy",
+    "two_type_closed_form": "equilibrium", "two_type_strategy": "core",
+    "user_payoff": "core", "user_utility_avg": "core", "user_utility_type": "core",
+    "verify_equilibrium": "equilibrium",
+}
+_SUBMODULES = frozenset(("bounds", "casestudy", "cli", "core", "cost", "equilibrium", "errors",
+                         "ledger", "lp", "numeric", "oracle"))
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -13,8 +13,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cost as cost_mod
-from .core import GameConfig, raw_misreport_cap
+from .core import GameConfig, raw_misreport_cap, two_type_costs
 from .errors import InputError
 from .numeric import RATIONAL, as_fraction, check_mode, in_mode, sig15
 
@@ -95,7 +94,7 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     """One row per (q_min, c, k, l), ordered q_min-major.
 
     Grid crossings are evaluated through the raw closed forms
-    (`core.raw_misreport_cap`, then `cost.two_type_costs`), which stay
+    (`core.raw_misreport_cap`, then `core.two_type_costs`), which stay
     well defined where an instance validator would balk (a fine below the
     audit cost); rows where the formulas truly degenerate (k - c + df <= 0)
     are annotated rather than aborting the sweep.  Each piece is computed
@@ -135,7 +134,7 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
                 continue
             p = raw_misreport_cap(q_high, q, c, k, df)
             for l, n_q in n_qs:
-                no_audit, budget, excess = cost_mod.two_type_costs(p, c, df, k_plus_df, n_q, l)
+                no_audit, budget, excess = two_type_costs(p, c, df, k_plus_df, n_q, l)
                 total = budget + excess
                 rows.append({
                     "q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,

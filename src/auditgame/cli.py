@@ -10,19 +10,18 @@ mode; the toy ledger scheme is deterministic given its seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 
-from . import bounds as bounds_mod
-from . import casestudy, cost as cost_mod, equilibrium, ledger as ledger_mod, oracle
-from .core import GameConfig
 from .errors import InputError, RegimeError
 from .numeric import MODES, RATIONAL, as_fraction, sig15
 
+# Each handler imports the modules it runs, so that a call loads only those.
 
-def _load_config(path) -> GameConfig:
+
+def _load_config(path):
+    from .core import GameConfig
     if not os.path.exists(path):
         raise InputError(f"config file {path!r} does not exist")
     try:
@@ -153,6 +152,7 @@ def _ledger_dir_args(p):
 
 
 def _scheme_for(args):
+    from . import ledger as ledger_mod
     if args.scheme == "toy":
         return ledger_mod.DeterministicScheme(seed=args.seed)
     return ledger_mod.Ed25519Scheme()
@@ -173,7 +173,9 @@ def _read_key_file(path):
         raise InputError(f"key file {path!r} holds a line that is not hex") from None
 
 
-def _read_coin_file(path) -> ledger_mod.Coin:
+def _read_coin_file(path):
+    import json
+    from . import ledger as ledger_mod
     text = _read_text(path, "coin file")
     try:
         return ledger_mod.Coin.from_dict(json.loads(text))
@@ -181,7 +183,12 @@ def _read_coin_file(path) -> ledger_mod.Coin:
         raise InputError(f"coin file {path!r} does not hold a coin: {exc!r}") from None
 
 
-def _open_ledger(args, save_key=True) -> ledger_mod.LedgerState:
+def _open_ledger(args, create=False):
+    """Load the ledger in `args.dir`; with `create`, make one if there is none.
+
+    A new ledger's admin key is left for the caller to write.
+    """
+    from . import ledger as ledger_mod
     scheme = _scheme_for(args)
     admin_path = os.path.join(args.dir, "admin.key")
     log_path = os.path.join(args.dir, "log.jsonl")
@@ -192,19 +199,19 @@ def _open_ledger(args, save_key=True) -> ledger_mod.LedgerState:
         import random
         rng = random.Random(args.seed + 1)
     if not os.path.exists(admin_path):
+        if not create:
+            raise InputError(f"no ledger in {args.dir!r}")
         try:
             os.makedirs(args.dir, exist_ok=True)
         except OSError as exc:
             raise _io_error("create", "ledger directory", args.dir, exc) from None
-        state = ledger_mod.LedgerState.create(scheme, log_path=log_path, rng=rng)
-        if save_key:
-            _write_key_file(admin_path, state._admin_sk, state.admin_pk)
-        return state
+        return ledger_mod.LedgerState.create(scheme, log_path=log_path, rng=rng)
     sk, pk = _read_key_file(admin_path)
     return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, rng=rng)
 
 
 def _cmd_solve(args) -> int:
+    from . import equilibrium
     cfg = _load_config(args.config)
     result = equilibrium.signaling_equilibrium(cfg)
     _write_out(result.to_text(cfg), args.out)
@@ -212,6 +219,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
     cfg = _load_config(args.config)
     if args.format == "csv":
         report = bounds_mod.bound_report(cfg)
@@ -221,6 +229,7 @@ def _cmd_bounds(args) -> int:
         _write_out("\n".join(lines) + "\n", args.out)
     else:
         # Mark which caps the equilibrium attains, when one exists.
+        from . import equilibrium
         strategy = None
         try:
             strategy = equilibrium.signaling_equilibrium(cfg).strategy()
@@ -239,6 +248,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from . import cost as cost_mod
     cfg = _load_config(args.config)
     report = cost_mod.compare(cfg)
     lines = [
@@ -256,7 +266,7 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _spec_with_overrides(args, preset) -> casestudy.SweepSpec:
+def _spec_with_overrides(args, preset):
     spec = preset
     updates = {}
     for name, text, parse in (("q_min_grid", args.qmin_grid, _grid),
@@ -274,6 +284,7 @@ def _spec_with_overrides(args, preset) -> casestudy.SweepSpec:
 
 
 def _cmd_sweep(args) -> int:
+    from . import casestudy
     spec = _spec_with_overrides(args, casestudy.ftbp_preset())
     rows = casestudy.sweep_costs(spec, mode=args.mode)
     _write_out(casestudy.costs_csv(rows), args.out)
@@ -281,6 +292,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from . import casestudy
     spec = _spec_with_overrides(args, casestudy.surface_preset())
     rows = casestudy.sweep_misreport_surface(spec, mode=args.mode)
     _write_out(casestudy.surface_csv(rows), args.out)
@@ -288,6 +300,7 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import equilibrium
     cfg = _load_config(args.config)
     result = equilibrium.signaling_equilibrium(cfg)
     report = equilibrium.verify_equilibrium(result, cfg, resolution=args.resolution)
@@ -296,6 +309,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import oracle
     cfg = _load_config(args.config)
     report = oracle.nonexistence_probe(cfg, args.resolution)
     _write_out(report.to_text(), args.out)
@@ -303,20 +317,22 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    import json
+    from . import ledger as ledger_mod
     if args.ledger_command == "keygen":
         scheme = _scheme_for(args)
         sk, pk = ledger_mod.keygen(scheme)
         _write_key_file(args.out, sk, pk)
         sys.stdout.write(f"public_key: {pk.hex()}\n")
         return 0
-    # Each branch reads its input files before the ledger is opened, because
-    # opening creates the ledger on first use and a bad input must leave none.
+    # Only mint creates a ledger, and it reads its input files first, so a bad
+    # input leaves none.
     if args.ledger_command == "mint":
         _, recipient_pk = _read_key_file(args.recipient_key)
         # A new ledger's admin key is written only after the coin file, and
         # a directory made for it goes again if that write fails.
         new_dir = not os.path.exists(args.dir)
-        state = _open_ledger(args, save_key=False)
+        state = _open_ledger(args, create=True)
         coin = state.mint(recipient_pk,
                           ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
         try:

@@ -413,6 +413,18 @@ def raw_misreport_cap(q_s, q_m, c, k, credit_gap):
     return min(one, q_s * c / denom)
 
 
+def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
+    """(no_audit, budget, excess) when the low type misreports with probability p.
+
+    `k_plus_df` is k + df and `n_q` is n_users * q_min, taken precomputed
+    so that a sweep forms each once per axis value.  Float inputs are
+    evaluated left to right as written.
+    """
+    budget = coalition * c * df * (1 - p) / k_plus_df
+    excess = n_q * p * df
+    return n_q * df, budget, excess
+
+
 # -- administrator best response ----------------------------------------
 
 

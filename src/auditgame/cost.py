@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import lp
 from .bounds import excess_payments_bound
-from .core import GameConfig
+from .core import GameConfig, two_type_costs
 from .equilibrium import _two_type_params, two_type_misreport_prob
 from .errors import InputError
 
@@ -37,18 +37,6 @@ def cost_no_audit(cfg: GameConfig) -> Fraction:
     """Status-quo cost: everyone claims the top credit."""
     truthful_avg = sum((q * f for q, f in zip(cfg.prior, cfg.alloc)), Fraction(0))
     return cfg.num_users * (max(cfg.alloc) - truthful_avg)
-
-
-def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
-    """(no_audit, budget, excess) when the low type misreports with probability p.
-
-    `k_plus_df` is k + df and `n_q` is n_users * q_min, taken precomputed
-    so that a sweep forms each once per axis value.  Float inputs are
-    evaluated left to right as written.
-    """
-    budget = coalition * c * df * (1 - p) / k_plus_df
-    excess = n_q * p * df
-    return n_q * df, budget, excess
 
 
 def cost_audit_two_type(cfg: GameConfig) -> CostReport:

@@ -52,11 +52,19 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+def _float(value) -> float:
+    """`float(value)`, with a value beyond the float range as an input error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError("a number of magnitude 1.8e308 or more is beyond the float range") from None
+
+
 def in_mode(value, mode: str):
     """Return `value` as a float in float mode, unchanged otherwise."""
-    return float(value) if mode == FLOAT else value
+    return _float(value) if mode == FLOAT else value
 
 
 def sig15(value) -> str:
     """Format a number with 15 significant digits (CSV convention)."""
-    return "%.15g" % float(value)
+    return "%.15g" % _float(value)

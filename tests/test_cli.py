@@ -308,3 +308,41 @@ def test_failed_mint_leaves_no_ledger(tmp_path, capsys):
     code, _, err = run(mint[:2] + bad_dir + mint[4:] + [str(tmp_path / "d.json")], capsys)
     assert code == 1 and "cannot create ledger directory" in err
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--c-grid", "1e400", "--mode", "rational"],
+    ["sweep", "--c-grid", "1e400", "--mode", "float"],
+    ["surface", "--k-grid", "1e400", "--mode", "rational"],
+    ["surface", "--k-grid", "1e400", "--mode", "float"],
+    ["solve"],
+    ["cost"],
+    ["verify"],
+])
+def test_values_beyond_the_float_range_are_input_errors(args, tmp_path, capsys):
+    if len(args) == 1:
+        path = tmp_path / "huge.cfg"
+        path.write_text(CFG_A.replace("low: 50, high: 105", "low: 49, high: 1e400"))
+        args = args + ["--config", str(path)]
+    code, out, err = run(args, capsys)
+    assert code == 1 and out == ""
+    assert err == "input error: a number of magnitude 1.8e308 or more is beyond the float range\n"
+
+
+@pytest.mark.parametrize("command", ["audit-log", "spend"])
+def test_read_only_ledger_commands_create_no_ledger(command, tmp_path, capsys):
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    args = ["ledger", command, "--scheme", "toy"]
+    if command == "spend":
+        coin = str(tmp_path / "coin.json")
+        code, _, _ = run(["ledger", "mint", "--dir", str(tmp_path / "elsewhere"), "--scheme",
+                          "toy", "--recipient-key", alice, "--coin-id", "1", "--out", coin],
+                         capsys)
+        assert code == 0
+        args += ["--coin", coin, "--signer-key", alice]
+    fresh = tmp_path / "fresh"
+    code, out, err = run(args + ["--dir", str(fresh)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"input error: no ledger in {str(fresh)!r}\n"
+    assert not fresh.exists()

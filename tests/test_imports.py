@@ -1,0 +1,127 @@
+"""Each CLI call imports only the modules its subcommand runs.
+
+Every check runs in a fresh interpreter, since the test process has
+already imported the whole package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import auditgame
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(auditgame.__file__)))
+
+BASE = {"auditgame", "auditgame.cli", "auditgame.errors", "auditgame.numeric"}
+SOLVE = BASE | {"auditgame.core", "auditgame.lp", "auditgame.bounds", "auditgame.equilibrium"}
+SWEEP = BASE | {"auditgame.core", "auditgame.casestudy"}
+LEDGER = BASE | {"auditgame.ledger"}
+
+# Runs `cli.main` on its arguments, then prints the exit status and the
+# loaded modules of this package and of `cryptography` as the last line.
+CALL = """
+import json, sys
+from auditgame import cli
+code = cli.main(sys.argv[1:])
+names = sorted(m for m in sys.modules if m.split(".")[0] in ("auditgame", "cryptography"))
+print(json.dumps([code, names]))
+"""
+
+CFG = """\
+types = low, high
+prior = 1/2, 1/2
+alloc = low: 50, high: 105
+audit_cost = 25
+fine = 100
+"""
+
+
+def _python(code, *args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _call(args, cwd):
+    """(exit status, auditgame modules, cryptography modules) of one CLI call."""
+    proc = _python(CALL, *args, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    code, names = json.loads(proc.stdout.splitlines()[-1])
+    ours = {n for n in names if n.split(".")[0] == "auditgame"}
+    return code, ours, set(names) - ours
+
+
+def test_importing_the_cli_loads_no_game_or_ledger_module():
+    proc = _python("import sys, auditgame.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'auditgame'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(sorted(BASE)) + "\n"
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    (tmp_path / "two.cfg").write_text(CFG)
+    (tmp_path / "probe.cfg").write_text(CFG + "budget = 3\nnum_users = 2\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["solve", "--config", "two.cfg"], SOLVE),
+    (["verify", "--config", "two.cfg"], SOLVE),
+    (["cost", "--config", "two.cfg"], SOLVE | {"auditgame.cost"}),
+    (["probe", "--config", "probe.cfg"], SOLVE | {"auditgame.oracle"}),
+    (["sweep", "--qmin-grid", "1/4,1/2"], SWEEP),
+    (["surface", "--mode", "float"], SWEEP),
+    (["bounds", "--config", "two.cfg"], BASE | {"auditgame.core", "auditgame.bounds"}),
+    (["bounds", "--config", "two.cfg", "--format", "text"], SOLVE),
+], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv", "bounds-text"])
+def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):
+    code, ours, crypto = _call(args, workdir)
+    assert code == 0
+    assert ours == expected
+    assert crypto == set()
+
+
+def test_ledger_subcommands_load_no_game_module(workdir):
+    session = [
+        ["keygen", "--out", "alice.key"],
+        ["mint", "--dir", "led", "--recipient-key", "alice.key", "--coin-id", "1",
+         "--out", "coin.json"],
+        ["spend", "--dir", "led", "--coin", "coin.json", "--signer-key", "alice.key"],
+        ["audit-log", "--dir", "led"],
+    ]
+    for args in session:
+        code, ours, crypto = _call(["ledger", *args], workdir)
+        assert code == 0, args
+        assert ours == LEDGER, args
+        assert crypto, args   # Ed25519 is the default scheme
+
+
+def test_package_names_resolve_on_first_access():
+    code = """
+import importlib, pkgutil, sys
+import auditgame
+assert [m for m in sys.modules if m.startswith("auditgame.")] == [], sorted(sys.modules)
+for name in auditgame.__all__:
+    obj = getattr(auditgame, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+submodules = [m.name for m in pkgutil.iter_modules(auditgame.__path__)]
+assert len(submodules) >= 11, submodules
+for name in submodules:
+    assert getattr(auditgame, name) is importlib.import_module("auditgame." + name), name
+assert set(auditgame.__all__) | set(submodules) <= set(dir(auditgame))
+namespace = {}
+exec("from auditgame import *", namespace)
+assert set(namespace) - {"__builtins__"} == set(auditgame.__all__)
+try:
+    auditgame.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("auditgame.no_such_name resolved")
+"""
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
