@@ -418,9 +418,12 @@ def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
 
     `k_plus_df` is k + df and `n_q` is n_users * q_min, taken precomputed
     so that a sweep forms each once per axis value.  Float inputs are
-    evaluated left to right as written.
+    evaluated left to right as written.  At p = 1 the budget is a zero of
+    the inputs' type: there the float product `coalition * c * df` may
+    overflow to inf, and inf times 0 is nan.
     """
-    budget = coalition * c * df * (1 - p) / k_plus_df
+    one_minus_p = 1 - p
+    budget = one_minus_p if one_minus_p == 0 else coalition * c * df * one_minus_p / k_plus_df
     excess = n_q * p * df
     return n_q * df, budget, excess
 

@@ -6,7 +6,27 @@ signature, so counterfeits fail verification.  Spending is two-phase: the
 ledger issues a random challenge for a raw receipt, the owner signs the
 (receipt, challenge) pair, and approval requires the owner match, fresh
 coins, and a valid signature.  Approved receipts are persisted one record
-per line and replayed (with full re-verification) on load.
+per line and replayed on load.
+
+Replay re-verifies each record's coin and owner signatures, except inside
+a prefix that the administrator has already verified and signed.  That
+checkpoint is a JSON file next to the log (`log.jsonl.checkpoint`):
+`{"bytes": N, "sha256": H, "sig": S}`, where S is the administrator's
+signature on `CHECKPOINT_TAG` followed by the canonical JSON of N and H.
+The tag keeps checkpoint and coin signatures apart: neither can pass as
+the other.  `load` honours a checkpoint only when 0 < N <= the log's
+length, the SHA-256 of the log's first N bytes is H and S verifies under
+the administrator's public key; otherwise it verifies every record.
+Either way it parses every record and checks every one for double-spends.
+After a load in which every record passed, it signs a new checkpoint for
+the newline-terminated part of the log, if that part grew.  The file is
+only a cache: deleting it costs one full verification.
+
+Trust: anyone without the administrator's secret key can neither make
+`load` skip a record nor make it accept a log that it would refuse
+without a checkpoint.  Records inside a checkpoint are trusted on the
+administrator's signature, not re-checked against the users' keys; the
+holder of that key can already mint any coin.
 
 Secret keys never pass through ledger operations; signing happens on the
 owner's side via `sign_receipt`.
@@ -16,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
+import io
 import json
 import os
 import secrets
@@ -148,6 +169,15 @@ class CoinMetadata:
 
 def _canonical(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# Prefixes every signed checkpoint message.  Coin payloads are canonical
+# JSON objects and start with "{", so no message is signed as both.
+CHECKPOINT_TAG = b"auditgame log checkpoint v1\n"
+
+
+def _checkpoint_message(n_bytes: int, sha256: str) -> bytes:
+    return CHECKPOINT_TAG + _canonical({"bytes": n_bytes, "sha256": sha256})
 
 
 @dataclass(frozen=True)
@@ -299,31 +329,86 @@ class LedgerState:
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
              log_path, **kwargs) -> "LedgerState":
-        """Rebuild from the approved-receipt log, re-verifying every record."""
+        """Rebuild from the approved-receipt log, re-verifying every record
+        after the checkpointed prefix (see the module docstring)."""
         state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
         if log_path and os.path.exists(log_path):
             # Bytes, so that json.loads decodes each line and a line that is
-            # not UTF-8 is reported like any other malformed record.
+            # not UTF-8 is reported like any other malformed record.  One read
+            # serves the checkpoint digest and the replay alike.
             with open(log_path, "rb") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        receipt = Receipt.from_dict(json.loads(line))
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise InputError(
-                            f"log line {lineno} is not a receipt record: {exc!r}") from None
-                    problem = state._receipt_integrity_problem(receipt)
-                    if problem:
-                        raise InputError(f"log line {lineno} fails re-verification: {problem}")
-                    for coin in receipt.raw.coins:
-                        if coin.key in state._spent:
-                            raise InputError(f"log line {lineno} double-spends coin {coin.key}")
-                        state._spent.add(coin.key)
-                        state._issued.add(coin.key)
-                    state.approved.append(receipt)
+                data = fh.read()
+            trusted = state._checkpointed_bytes(data)
+            end = 0
+            for lineno, line in enumerate(io.BytesIO(data), start=1):
+                end += len(line)
+                covered = end <= trusted and line.endswith(b"\n")
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    receipt = Receipt.from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise InputError(
+                        f"log line {lineno} is not a receipt record: {exc!r}") from None
+                problem = None if covered else state._receipt_integrity_problem(receipt)
+                if problem:
+                    raise InputError(f"log line {lineno} fails re-verification: {problem}")
+                for coin in receipt.raw.coins:
+                    if coin.key in state._spent:
+                        raise InputError(f"log line {lineno} double-spends coin {coin.key}")
+                    state._spent.add(coin.key)
+                    state._issued.add(coin.key)
+                state.approved.append(receipt)
+            state._save_checkpoint(data, trusted)
         return state
+
+    def _checkpoint_path(self) -> str:
+        return os.fspath(self.log_path) + ".checkpoint"
+
+    def _checkpointed_bytes(self, data: bytes) -> int:
+        """Length of the log prefix a valid checkpoint vouches for, else 0."""
+        try:
+            with open(self._checkpoint_path(), "rb") as fh:
+                checkpoint = json.loads(fh.read())
+            n_bytes, digest = checkpoint["bytes"], checkpoint["sha256"]
+            sig = bytes.fromhex(checkpoint["sig"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return 0
+        if (type(n_bytes) is not int or not 0 < n_bytes <= len(data)
+                or hashlib.sha256(memoryview(data)[:n_bytes]).hexdigest() != digest
+                or not self.scheme.verify(self.admin_pk, _checkpoint_message(n_bytes, digest),
+                                          sig)):
+            return 0
+        return n_bytes
+
+    def _save_checkpoint(self, data: bytes, trusted: int) -> None:
+        """Sign the verified newline-terminated prefix of `data` if it grew.
+
+        The file is replaced atomically.  It is only a cache, so a failed
+        write is ignored, as is a secret key the scheme cannot sign with
+        (reading the log needs only the public key).
+        """
+        n_bytes = data.rfind(b"\n") + 1
+        if n_bytes <= trusted:
+            return
+        digest = hashlib.sha256(memoryview(data)[:n_bytes]).hexdigest()
+        try:
+            sig = self.scheme.sign(self._admin_sk, _checkpoint_message(n_bytes, digest))
+        except ValueError:
+            return
+        path = self._checkpoint_path()
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"bytes": n_bytes, "sha256": digest, "sig": sig.hex()},
+                                    sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
     # -- coins ---------------------------------------------------------
 
@@ -384,8 +469,12 @@ class LedgerState:
         return None
 
     def finalize_spend(self, receipt: Receipt) -> SpendOutcome:
-        """Approve or reject; on approval the receipt is appended and its
-        coins are marked spent atomically."""
+        """Approve or reject; on approval the receipt is appended to the log
+        and then its coins are marked spent, under one lock.
+
+        A log that cannot be appended to raises `InputError` and commits
+        nothing: the coins stay unspent and the challenge stays pending.
+        """
         if not isinstance(receipt, Receipt):
             raise InputError("finalize_spend expects a Receipt")
         problem = self._receipt_integrity_problem(receipt)
@@ -405,16 +494,20 @@ class LedgerState:
             for coin in receipt.raw.coins:
                 if coin.key in self._spent:
                     return SpendOutcome(False, "double-spend")
-            # All checks passed: commit.
+            # All checks passed: append, then commit in memory.
+            if self.log_path:
+                try:
+                    with open(self.log_path, "a", encoding="utf-8") as fh:
+                        fh.write(json.dumps(receipt.to_dict(), sort_keys=True) + "\n")
+                except OSError as exc:
+                    raise InputError(f"cannot append to ledger log {self.log_path!r}: "
+                                     f"{exc.strerror or exc}") from None
             for coin in receipt.raw.coins:
                 self._spent.add(coin.key)
             del challenges[receipt.challenge]
             if not challenges:
                 self._pending.pop(digest, None)
             self.approved.append(receipt)
-            if self.log_path:
-                with open(self.log_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(receipt.to_dict(), sort_keys=True) + "\n")
         return SpendOutcome(True)
 
     def is_spent(self, coin: Coin) -> bool:

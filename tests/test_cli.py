@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -346,3 +347,85 @@ def test_read_only_ledger_commands_create_no_ledger(command, tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == f"input error: no ledger in {str(fresh)!r}\n"
     assert not fresh.exists()
+
+
+def test_sweep_at_a_misreport_probability_of_one_has_a_zero_budget(capsys):
+    # c * df overflows a float here; the budget is 0 since 1 - p is
+    args = ["sweep", "--qmin-grid", "1/2", "--c-grid", "1e307", "--k-grid", "1e307",
+            "--coalition", "150"]
+    for mode in ("rational", "float"):
+        code, out, err = run(args + ["--mode", mode], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "0.5,1e+307,1e+307,150,110000,110000,0,110000,true,83333"
+
+
+def _flip_user_sig(line):
+    record = json.loads(line)
+    record["user_sig"] = ("1" if record["user_sig"][0] != "1" else "2") + record["user_sig"][1:]
+    return json.dumps(record, sort_keys=True)
+
+
+def _bump_price(line):
+    record = json.loads(line)
+    record["price"] += 1
+    return json.dumps(record, sort_keys=True)
+
+
+LOG_DAMAGE = {
+    "intact": lambda lines: "\n".join(lines) + "\n",
+    "tampered-prefix": lambda lines: "\n".join([_flip_user_sig(lines[0])] + lines[1:]) + "\n",
+    "tampered-tail": lambda lines: "\n".join(lines + [_bump_price(lines[1])]) + "\n",
+    "torn-tail": lambda lines: "\n".join(lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]),
+    "truncated": lambda lines: lines[0] + "\n",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(LOG_DAMAGE))
+def test_ledger_calls_print_the_same_with_or_without_a_checkpoint(damage, tmp_path, capsys):
+    alice = str(tmp_path / "alice.key")
+    led = tmp_path / "led"
+    toy = ["--scheme", "toy", "--seed"]
+    run(["ledger", "keygen", "--out", alice] + toy + ["42"], capsys)
+    for coin_id in (1, 2, 3):
+        coin = str(tmp_path / f"{coin_id}.json")
+        code, _, _ = run(["ledger", "mint", "--dir", str(led)] + toy + ["1", "--recipient-key",
+                          alice, "--coin-id", str(coin_id), "--out", coin], capsys)
+        assert code == 0
+    for coin_id in (1, 2):
+        code, out, _ = run(["ledger", "spend", "--dir", str(led)] + toy + [str(coin_id), "--coin",
+                            str(tmp_path / f"{coin_id}.json"), "--signer-key", alice], capsys)
+        assert out == "approved\n"
+    assert run(["ledger", "audit-log", "--dir", str(led)] + toy + ["1"], capsys)[0] == 0
+    assert (led / "log.jsonl.checkpoint").exists()
+    log = led / "log.jsonl"
+    log.write_text(LOG_DAMAGE[damage](log.read_text().splitlines()))
+
+    calls = [
+        ["audit-log"] + toy + ["1"],
+        ["spend"] + toy + ["3", "--coin", str(tmp_path / "3.json"), "--signer-key", alice],
+        ["spend"] + toy + ["4", "--coin", str(tmp_path / "1.json"), "--signer-key", alice],
+        ["mint"] + toy + ["1", "--recipient-key", alice, "--coin-id", "4", "--out", "coin.json"],
+    ]
+    failure = {
+        "tampered-prefix": "input error: log line 1 fails re-verification: bad-signature\n",
+        "tampered-tail": "input error: log line 3 fails re-verification: bad-signature\n",
+        "torn-tail": "input error: log line 2 is not a receipt record: JSONDecodeError",
+    }.get(damage)
+    for call, status in zip(calls, (1, 1, 1, 1) if failure else (0, 0, 1, 0)):
+        results = []
+        for name, keep in (("with", True), ("without", False)):
+            copy = tmp_path / name
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(led, copy)
+            if not keep:
+                (copy / "log.jsonl.checkpoint").unlink()
+            args = [str(copy / a) if a == "coin.json" else a for a in call]
+            coin = copy / "coin.json"
+            results.append((run(["ledger", args[0], "--dir", str(copy)] + args[1:], capsys),
+                            (copy / "log.jsonl").read_bytes(),
+                            coin.read_bytes() if coin.exists() else None))
+        assert results[0] == results[1], call
+        code, out, err = results[0][0]
+        assert code == status, call
+        if failure:
+            assert out == "" and err.startswith(failure) and err.count("\n") == 1

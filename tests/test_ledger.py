@@ -1,7 +1,9 @@
 """Currency ledger: minting, two-phase spending, persistence, concurrency."""
 
+import hashlib
 import inspect
 import json
+import os
 import threading
 
 import pytest
@@ -256,3 +258,301 @@ def test_ledger_api_never_accepts_foreign_secret_keys():
             continue
         params = inspect.signature(method).parameters
         assert not any("sk" in p or "secret" in p for p in params), name
+
+
+# -- the admin-signed checkpoint -------------------------------------------
+
+
+def _spend_new_coins(state, user, coin_ids):
+    sk, pk = user
+    for i in coin_ids:
+        coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
+        raw = lg.RawReceipt(goods=f"g{i}", price=1, coins=(coin,))
+        receipt = lg.sign_receipt(state.scheme, sk, raw, state.begin_spend(raw))
+        assert state.finalize_spend(receipt).approved
+
+
+@pytest.fixture
+def ledger(scheme, tmp_path, user):
+    """A ledger of three approved receipts and the path of its log."""
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, user, range(3))
+    return state, log
+
+
+@pytest.fixture
+def verified(scheme, monkeypatch):
+    """Every message `scheme.verify` is asked about, in order."""
+    messages = []
+    verify = scheme.verify
+
+    def counting(pk, message, signature):
+        messages.append(message)
+        return verify(pk, message, signature)
+
+    monkeypatch.setattr(scheme, "verify", counting)
+    return messages
+
+
+def _load(state, log):
+    return lg.LedgerState.load(state.scheme, state._admin_sk, state.admin_pk, log)
+
+
+def _load_error(state, log):
+    with pytest.raises(InputError) as info:
+        _load(state, log)
+    return str(info.value)
+
+
+def _checkpoint(log):
+    with open(log + ".checkpoint") as fh:
+        return json.load(fh)
+
+
+def _write_checkpoint(log, checkpoint):
+    with open(log + ".checkpoint", "w") as fh:
+        json.dump(checkpoint, fh)
+
+
+def _record_checks(messages):
+    return [m for m in messages if not m.startswith(lg.CHECKPOINT_TAG)]
+
+
+def test_checkpoint_limits_reverification_to_appended_records(ledger, user, verified):
+    state, log = ledger
+    first = _load(state, log)   # no checkpoint yet: every record is verified
+    assert len(verified) == 2 * 3
+    size = len(open(log, "rb").read())
+    assert _checkpoint(log)["bytes"] == size
+    inode = os.stat(log + ".checkpoint").st_ino
+    verified.clear()
+    again = _load(state, log)
+    assert verified == [lg._checkpoint_message(size, _checkpoint(log)["sha256"])]
+    assert os.stat(log + ".checkpoint").st_ino == inode   # nothing new to sign
+    assert again.approved == first.approved and again._spent == first._spent
+
+    for k in (1, 4):
+        _spend_new_coins(again, user, range(10 * k, 10 * k + k))
+        verified.clear()
+        again = _load(state, log)
+        assert len(verified) == 1 + 2 * k
+        assert verified[0].startswith(lg.CHECKPOINT_TAG)
+    os.remove(log + ".checkpoint")
+    full = _load(state, log)
+    assert len(full.approved) == 3 + 1 + 4
+    assert full.approved == again.approved and full._spent == again._spent
+
+
+def _flip_hex(text):
+    return ("1" if text[0] != "1" else "2") + text[1:]
+
+
+@pytest.mark.parametrize("field, reason", [
+    ("goods", "bad-signature"), ("user_sig", "bad-signature"), ("issuer_sig", "invalid-coin"),
+])
+def test_a_tampered_checkpointed_record_fails_as_without_a_checkpoint(ledger, field, reason):
+    state, log = ledger
+    _load(state, log)
+    lines = open(log).read().splitlines()
+    record = json.loads(lines[1])
+    if field == "goods":
+        record["goods"] = "G1"   # same length, so the record stays inside the prefix
+    elif field == "user_sig":
+        record["user_sig"] = _flip_hex(record["user_sig"])
+    else:
+        record["coins"][0]["issuer_sig"] = _flip_hex(record["coins"][0]["issuer_sig"])
+    lines[1] = json.dumps(record, sort_keys=True)
+    with open(log, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert _checkpoint(log)["bytes"] == len(open(log, "rb").read())
+    with_checkpoint = _load_error(state, log)
+    os.remove(log + ".checkpoint")
+    assert with_checkpoint == _load_error(state, log)
+    assert with_checkpoint == f"log line 2 fails re-verification: {reason}"
+
+
+def test_every_changed_byte_of_the_prefix_loads_as_without_a_checkpoint(tmp_path):
+    scheme = lg.DeterministicScheme(seed=7)
+    user = lg.keygen(scheme)
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, user, range(2))
+    _load(state, log)
+    original, checkpoint = open(log, "rb").read(), _checkpoint(log)
+
+    def outcome():
+        try:
+            return len(_load(state, log).approved)
+        except InputError as exc:
+            return str(exc)
+
+    for i in range(len(original)):
+        damaged = original[:i] + (b"1" if original[i:i + 1] == b"0" else b"0") + original[i + 1:]
+        with open(log, "wb") as fh:
+            fh.write(damaged)
+        _write_checkpoint(log, checkpoint)
+        with_checkpoint = outcome()
+        os.remove(log + ".checkpoint")
+        assert with_checkpoint == outcome(), i
+
+
+def _foreign_admin_sig(state, log, checkpoint):
+    sk, _ = lg.keygen(state.scheme)
+    message = lg._checkpoint_message(checkpoint["bytes"], checkpoint["sha256"])
+    return dict(checkpoint, sig=state.scheme.sign(sk, message).hex())
+
+
+def _shorter_prefix(state, log, checkpoint):
+    # a genuine digest of a shorter prefix under the old signature
+    first = open(log, "rb").read().split(b"\n")[0] + b"\n"
+    return dict(checkpoint, bytes=len(first), sha256=hashlib.sha256(first).hexdigest())
+
+
+def _coin_sig(state, log, checkpoint):
+    return dict(checkpoint, sig=state.approved[0].raw.coins[0].issuer_sig.hex())
+
+
+@pytest.mark.parametrize("edit", [
+    _foreign_admin_sig,
+    _shorter_prefix,
+    lambda state, log, cp: dict(cp, bytes=cp["bytes"] - 1),
+    lambda state, log, cp: dict(cp, bytes=cp["bytes"] + 1),
+    lambda state, log, cp: dict(cp, bytes=0, sha256=hashlib.sha256(b"").hexdigest()),
+    lambda state, log, cp: dict(cp, bytes=str(cp["bytes"])),
+    lambda state, log, cp: dict(cp, bytes=True),
+    lambda state, log, cp: dict(cp, sha256=_flip_hex(cp["sha256"])),
+    lambda state, log, cp: dict(cp, sha256=None),
+    lambda state, log, cp: dict(cp, sig="zz"),
+    lambda state, log, cp: {k: v for k, v in cp.items() if k != "sig"},
+    lambda state, log, cp: [cp],
+    lambda state, log, cp: "not a checkpoint",
+    _coin_sig,
+], ids=["another-admin-key", "edited-bytes-and-sha256", "bytes-minus-1", "bytes-beyond-log",
+        "bytes-0", "bytes-string", "bytes-bool", "edited-sha256", "sha256-null", "sig-not-hex",
+        "no-sig", "a-list", "a-string", "coin-signature-as-sig"])
+def test_an_invalid_checkpoint_falls_back_to_a_full_verify(ledger, verified, edit):
+    state, log = ledger
+    _load(state, log)
+    _write_checkpoint(log, edit(state, log, _checkpoint(log)))
+    verified.clear()
+    assert len(_load(state, log).approved) == 3
+    assert len(_record_checks(verified)) == 2 * 3
+    verified.clear()   # and the load signed a valid checkpoint again
+    _load(state, log)
+    assert _record_checks(verified) == []
+
+
+@pytest.mark.parametrize("damage", ["malformed-json", "truncated-log", "missing"])
+def test_a_damaged_checkpoint_or_log_falls_back_to_a_full_verify(ledger, verified, damage):
+    state, log = ledger
+    _load(state, log)
+    records = 3
+    if damage == "malformed-json":
+        with open(log + ".checkpoint", "w") as fh:
+            fh.write('{"bytes": 12, "sha256"')
+    elif damage == "truncated-log":
+        lines = open(log, "rb").read().splitlines(keepends=True)
+        with open(log, "wb") as fh:
+            fh.write(b"".join(lines[:2]))
+        records = 2
+    else:
+        os.remove(log + ".checkpoint")
+    verified.clear()
+    assert len(_load(state, log).approved) == records
+    assert len(_record_checks(verified)) == 2 * records
+
+
+def test_a_double_spend_after_the_checkpoint_is_refused(ledger, user, verified):
+    state, log = ledger
+    _load(state, log)
+    sk, _ = user
+    coin = state.approved[0].raw.coins[0]
+    raw = lg.RawReceipt(goods="again", price=1, coins=(coin,))
+    with open(log, "a") as fh:
+        fh.write(json.dumps(lg.sign_receipt(state.scheme, sk, raw, b"\x01" * 16).to_dict(),
+                            sort_keys=True) + "\n")
+    verified.clear()
+    with_checkpoint = _load_error(state, log)
+    assert len(verified) == 1 + 2   # the checkpoint, then the appended record
+    os.remove(log + ".checkpoint")
+    assert with_checkpoint == _load_error(state, log)
+    assert with_checkpoint == f"log line 4 double-spends coin {coin.key}"
+
+
+def test_a_torn_last_line_is_never_covered(ledger, verified):
+    state, log = ledger
+    data = open(log, "rb").read()
+    with open(log, "wb") as fh:
+        fh.write(data[:-1])   # the last record loses its newline
+    assert len(_load(state, log).approved) == 3
+    assert _checkpoint(log)["bytes"] == data.rfind(b"\n", 0, -1) + 1
+    verified.clear()
+    _load(state, log)
+    assert len(_record_checks(verified)) == 2
+    # even a checkpoint the administrator signed over the torn line skips it
+    digest = hashlib.sha256(data[:-1]).hexdigest()
+    sig = state.scheme.sign(state._admin_sk, lg._checkpoint_message(len(data) - 1, digest))
+    _write_checkpoint(log, {"bytes": len(data) - 1, "sha256": digest, "sig": sig.hex()})
+    verified.clear()
+    _load(state, log)
+    assert len(_record_checks(verified)) == 2
+
+
+def test_a_failing_load_writes_no_checkpoint(ledger):
+    state, log = ledger
+    text = open(log).read()
+    with open(log, "w") as fh:
+        fh.write(text.replace('"goods": "g2"', '"goods": "forged"'))
+    _load_error(state, log)
+    assert not os.path.exists(log + ".checkpoint")
+    with open(log, "w") as fh:
+        fh.write(text)
+    _load(state, log)
+    checkpoint = open(log + ".checkpoint", "rb").read()
+    with open(log, "a") as fh:
+        fh.write(text.splitlines()[0] + "\n")   # a double-spend after the checkpoint
+    _load_error(state, log)
+    assert open(log + ".checkpoint", "rb").read() == checkpoint
+
+
+def test_a_failed_checkpoint_write_leaves_load_working(ledger, tmp_path, monkeypatch):
+    state, log = ledger
+
+    def failing(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(lg.os, "replace", failing)
+    assert len(_load(state, log).approved) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+
+def test_a_secret_key_that_cannot_sign_leaves_load_working(tmp_path):
+    # reading the log needs only the public key, so a damaged secret half of
+    # the administrator's key file still lets `ledger audit-log` run
+    scheme = lg.Ed25519Scheme()
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, lg.keygen(scheme), range(2))
+    assert len(lg.LedgerState.load(scheme, b"short", state.admin_pk, log).approved) == 2
+    assert not os.path.exists(log + ".checkpoint")
+
+
+def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
+    sk, pk = user
+    state = lg.LedgerState.create(scheme, log_path=str(tmp_path / "missing" / "log.jsonl"))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
+    raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
+    challenge = state.begin_spend(raw)
+    receipt = lg.sign_receipt(scheme, sk, raw, challenge)
+    with pytest.raises(InputError, match="^cannot append to ledger log .*missing.*: "
+                                         "No such file or directory$"):
+        state.finalize_spend(receipt)
+    assert not state.is_spent(coin)
+    assert state.approved == []
+    assert state.pending_challenges(raw) == (challenge,)
+    # once the log can be written, the same receipt is approved
+    state.log_path = str(tmp_path / "log.jsonl")
+    assert state.finalize_spend(receipt).approved
+    assert state.is_spent(coin)
+    assert len(_load(state, state.log_path).approved) == 1

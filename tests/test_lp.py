@@ -428,6 +428,33 @@ def test_solvers_match_the_recomputing_reference(monkeypatch):
                 _assert_same_result(solve_bp(cfg), ref)
 
 
+def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
+    """On this game `solve_bp`'s phase pivots an audit-row slack back into
+    the basis after kept columns.  Its Bland phase picks a slack only when no
+    kept column prices positive, so a phase without slack columns would stop
+    at a basis that still prices a slack positive (9/19 here)."""
+    from auditgame import lp as lp_mod
+    cfg = ag.GameConfig(types=("t0", "t1", "t2"), prior=(F(2, 15), F(8, 15), F(1, 3)),
+                        alloc=(131, 140, 128), audit_cost=24, fine=40)
+    pivots = _record_pivots(monkeypatch, lp_mod)
+    phases = []   # (columns entered, final reduced-cost row) per `_maximize` call
+    maximize = lp_mod._maximize
+
+    def recording(tableau, basis, rows, width):
+        start = len(pivots)
+        status = maximize(tableau, basis, rows, width)
+        phases.append(([col for _, col in pivots[start:]], list(tableau[-1])))
+        return status
+
+    monkeypatch.setattr(lp_mod, "_maximize", recording)
+    _assert_same_solution(cfg)
+    entered, reduced = phases[0]   # the first call is `solve_bp`'s own phase
+    slacks = range(len(reduced) - 1 - cfg.n_types, len(reduced) - 1)
+    assert any(col in slacks for col in entered)
+    assert all(v <= 0 for v in reduced[:-1])
+    assert -reduced[-1] == solve_lp(build_bp_lp(cfg)).objective_value
+
+
 def test_equal_credit_game_reports_alternate_optima():
     cfg = ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)),
                         alloc=(50, 50), audit_cost=5, fine=10)
