@@ -7,12 +7,12 @@ cap; both shrink as the fine grows or the audit cost falls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GameConfig, raw_misreport_cap
 from .errors import InputError
 from .numeric import as_fraction
+from .record import Record
 
 
 def misreport_cap(q_s, q_m, c, k, credit_gap) -> Fraction:
@@ -64,19 +64,20 @@ def fine_for_tolerance(cfg: GameConfig, max_excess) -> Fraction:
     return max(c, df * (c / max_excess - 1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Per-pair caps plus the aggregate cap for one game instance.
 
+    `caps` maps (signal_label, truth_label) to a Fraction.
     `binding_pairs` lists the (signal, truth) pairs where a supplied
     equilibrium strategy attains its cap; `vacuous_pairs` lists pairs whose
     cap degenerated to 1.
     """
 
-    caps: dict            # (signal_label, truth_label) -> Fraction
-    excess_cap: Fraction
-    binding_pairs: tuple
-    vacuous_pairs: tuple
+    _fields = ("caps", "excess_cap", "binding_pairs", "vacuous_pairs")
+
+    def __init__(self, caps: dict, excess_cap: Fraction, binding_pairs: tuple,
+                 vacuous_pairs: tuple):
+        self._set(caps, excess_cap, binding_pairs, vacuous_pairs)
 
     def rows(self):
         """CSV-ready (signal, truth, cap) rows in type order."""

@@ -10,46 +10,42 @@ Sweeps emit deterministic CSV for downstream plotting.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GameConfig, raw_misreport_cap, two_type_costs
 from .errors import InputError
 from .numeric import RATIONAL, as_fraction, check_mode, in_mode, sig15
+from .record import Record
 
 COSTS_HEADER = ("q_min", "c", "k", "l", "cost_no_audit", "cost_audit",
                 "budget", "excess", "dominates", "reference_line")
 SURFACE_HEADER = ("q_min", "c", "k", "max_misreport_prob")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    base: GameConfig
-    q_min_grid: tuple
-    c_grid: tuple
-    k_grid: tuple
-    coalition_grid: tuple = (1,)
-    reference_line: Fraction = Fraction(0)
+class SweepSpec(Record):
+    _fields = ("base", "q_min_grid", "c_grid", "k_grid", "coalition_grid", "reference_line")
 
-    def __post_init__(self):
-        for name in ("q_min_grid", "c_grid", "k_grid", "coalition_grid"):
-            values = getattr(self, name)
+    def __init__(self, base: GameConfig, q_min_grid: tuple, c_grid: tuple, k_grid: tuple,
+                 coalition_grid: tuple = (1,), reference_line: Fraction = Fraction(0)):
+        for name, values in (("q_min_grid", q_min_grid), ("c_grid", c_grid),
+                             ("k_grid", k_grid), ("coalition_grid", coalition_grid)):
             if not values:
                 raise InputError(f"{name} must be non-empty")
-        object.__setattr__(self, "q_min_grid", tuple(as_fraction(q) for q in self.q_min_grid))
-        object.__setattr__(self, "c_grid", tuple(as_fraction(c) for c in self.c_grid))
-        object.__setattr__(self, "k_grid", tuple(as_fraction(k) for k in self.k_grid))
-        object.__setattr__(self, "coalition_grid", tuple(int(l) for l in self.coalition_grid))
-        object.__setattr__(self, "reference_line", as_fraction(self.reference_line))
-        if any(q <= 0 or q >= 1 for q in self.q_min_grid):
+        q_min_grid = tuple(as_fraction(q) for q in q_min_grid)
+        c_grid = tuple(as_fraction(c) for c in c_grid)
+        k_grid = tuple(as_fraction(k) for k in k_grid)
+        coalition_grid = tuple(int(l) for l in coalition_grid)
+        reference_line = as_fraction(reference_line)
+        if any(q <= 0 or q >= 1 for q in q_min_grid):
             raise InputError("q_min grid values must lie strictly between 0 and 1")
-        if any(c < 0 for c in self.c_grid):
+        if any(c < 0 for c in c_grid):
             raise InputError("audit cost must be non-negative")
         # A fine below the audit cost stays allowed: the closed forms cover it.
-        if any(k < 0 for k in self.k_grid):
+        if any(k < 0 for k in k_grid):
             raise InputError("fine must be non-negative")
-        if any(l < 1 for l in self.coalition_grid):
+        if any(l < 1 for l in coalition_grid):
             raise InputError("coalition sizes must be positive integers")
+        self._set(base, q_min_grid, c_grid, k_grid, coalition_grid, reference_line)
 
 
 def _percent_grid():

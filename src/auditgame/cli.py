@@ -278,8 +278,7 @@ def _spec_with_overrides(args, preset):
     if args.config:
         updates["base"] = _load_config(args.config)
     if updates:
-        import dataclasses
-        spec = dataclasses.replace(spec, **updates)
+        spec = spec.replace(**updates)
     return spec
 
 

@@ -14,12 +14,12 @@ immutable values and are safe to share across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import InputError
 from .numeric import Num, as_fraction
+from .record import Record
 
 PRIOR_TOLERANCE = Fraction(1, 10**12)
 
@@ -28,31 +28,25 @@ def _positive_part(x: Fraction) -> Fraction:
     return x if x > 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(Record):
     """One audit-game instance.
 
     `alloc` is stored as a tuple aligned with `types`; `budget` of None
     means the administrator is not budget-constrained.
     """
 
-    types: tuple
-    prior: tuple
-    alloc: tuple
-    audit_cost: Fraction
-    fine: Fraction
-    budget: Optional[Fraction] = None
-    num_users: int = 1
-    coalition_size: int = 1
+    _fields = ("types", "prior", "alloc", "audit_cost", "fine", "budget", "num_users",
+               "coalition_size")
 
-    def __post_init__(self):
-        types = tuple(str(t) for t in self.types)
+    def __init__(self, types: tuple, prior: tuple, alloc: tuple, audit_cost: Fraction,
+                 fine: Fraction, budget: Optional[Fraction] = None, num_users: int = 1,
+                 coalition_size: int = 1):
+        types = tuple(str(t) for t in types)
         if len(types) < 2:
             raise InputError("need at least two types; a single type leaves no scope to misreport")
         if len(set(types)) != len(types):
             raise InputError("type labels must be distinct")
-        prior = tuple(as_fraction(q) for q in self.prior)
-        alloc = self.alloc
+        prior = tuple(as_fraction(q) for q in prior)
         if isinstance(alloc, Mapping):
             missing = [t for t in types if t not in alloc]
             if missing:
@@ -71,27 +65,22 @@ class GameConfig:
             raise InputError(f"prior must sum to 1 (got {sum(prior)})")
         if any(v < 0 for v in alloc):
             raise InputError("credit amounts must be non-negative")
-        cost = as_fraction(self.audit_cost)
-        fine = as_fraction(self.fine)
+        cost = as_fraction(audit_cost)
+        fine = as_fraction(fine)
         if cost < 0:
             raise InputError("audit cost must be non-negative")
         if fine < cost:
             raise InputError(f"fine {fine} must be at least the audit cost {cost}")
-        budget = None if self.budget is None else as_fraction(self.budget)
+        budget = None if budget is None else as_fraction(budget)
         if budget is not None and budget < 0:
             raise InputError("budget must be non-negative")
-        if not isinstance(self.num_users, int) or self.num_users < 1:
+        if not isinstance(num_users, int) or num_users < 1:
             raise InputError("num_users must be a positive integer")
-        if not isinstance(self.coalition_size, int) or self.coalition_size < 1:
+        if not isinstance(coalition_size, int) or coalition_size < 1:
             raise InputError("coalition_size must be a positive integer")
-        if self.coalition_size > self.num_users:
+        if coalition_size > num_users:
             raise InputError("coalition_size cannot exceed num_users")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "alloc", alloc)
-        object.__setattr__(self, "audit_cost", cost)
-        object.__setattr__(self, "fine", fine)
-        object.__setattr__(self, "budget", budget)
+        self._set(types, prior, alloc, cost, fine, budget, num_users, coalition_size)
 
     # -- lookup helpers -------------------------------------------------
 
@@ -133,8 +122,7 @@ class GameConfig:
         warnings.warn(f"dropping zero-probability types {dropped} before equilibrium construction")
         if len(keep) < 2:
             raise InputError("fewer than two types have positive probability")
-        return replace(
-            self,
+        return self.replace(
             types=tuple(self.types[i] for i in keep),
             prior=tuple(self.prior[i] for i in keep),
             alloc=tuple(self.alloc[i] for i in keep),
@@ -204,14 +192,13 @@ class GameConfig:
             return cls.from_text(fh.read())
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """A user signaling policy: row-stochastic matrix with rows[type][signal]."""
 
-    rows: tuple
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_fraction(p) for p in row) for row in self.rows)
+    def __init__(self, rows: tuple):
+        rows = tuple(tuple(as_fraction(p) for p in row) for row in rows)
         if not rows:
             raise InputError("strategy needs at least one row")
         width = len(rows[0])
@@ -224,7 +211,7 @@ class Strategy:
                 raise InputError(f"strategy row {i} sums to {sum(row)}, expected 1")
         if len(rows) != width:
             raise InputError("strategy matrix must be square (one row per type, one column per signal)")
-        object.__setattr__(self, "rows", rows)
+        self._set(rows)
 
     @classmethod
     def truthful(cls, n_types: int) -> "Strategy":
@@ -249,17 +236,16 @@ def two_type_strategy(cfg: GameConfig, misreport_prob: Num) -> Strategy:
     return Strategy(tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class AuditPolicy:
+class AuditPolicy(Record):
     """Administrator audit probabilities, one per signal."""
 
-    probs: tuple
+    _fields = ("probs",)
 
-    def __post_init__(self):
-        probs = tuple(as_fraction(p) for p in self.probs)
+    def __init__(self, probs: tuple):
+        probs = tuple(as_fraction(p) for p in probs)
         if any(p < 0 or p > 1 for p in probs):
             raise InputError("audit probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probs", probs)
+        self._set(probs)
 
     @classmethod
     def zero(cls, n_types: int) -> "AuditPolicy":
@@ -273,23 +259,21 @@ class AuditPolicy:
         return all(p == 0 for p in self.probs)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(Record):
     """A symmetric profile: each of `n_users` users plays `strategy`, and
     the administrator audits every user's signals with `audit`.
 
     Nothing here grows with the number of users.
     """
 
-    strategy: Strategy
-    audit: AuditPolicy
-    n_users: int = 1
+    _fields = ("strategy", "audit", "n_users")
 
-    def __post_init__(self):
-        if not isinstance(self.n_users, int) or self.n_users < 1:
+    def __init__(self, strategy: Strategy, audit: AuditPolicy, n_users: int = 1):
+        if not isinstance(n_users, int) or n_users < 1:
             raise InputError("profile n_users must be a positive integer")
-        if self.audit.n_signals != self.strategy.n_types:
+        if audit.n_signals != strategy.n_types:
             raise InputError("the audit policy must cover every signal")
+        self._set(strategy, audit, n_users)
 
 
 # -- stage payoffs -----------------------------------------------------

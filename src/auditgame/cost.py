@@ -11,7 +11,6 @@ and with more types the same holds once the fine clears a threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -20,17 +19,21 @@ from .bounds import excess_payments_bound
 from .core import GameConfig, two_type_costs
 from .equilibrium import _two_type_params, two_type_misreport_prob
 from .errors import InputError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CostReport:
-    cost_no_audit: Fraction
-    cost_audit: Fraction
-    budget_component: Fraction
-    excess_component: Fraction
-    regime_note: str = ""
-    fine_threshold: Optional[Fraction] = None
-    dominates: Optional[bool] = None  # None when not guaranteed
+class CostReport(Record):
+    """`dominates` is None when domination is not guaranteed."""
+
+    _fields = ("cost_no_audit", "cost_audit", "budget_component", "excess_component",
+               "regime_note", "fine_threshold", "dominates")
+
+    def __init__(self, cost_no_audit: Fraction, cost_audit: Fraction,
+                 budget_component: Fraction, excess_component: Fraction,
+                 regime_note: str = "", fine_threshold: Optional[Fraction] = None,
+                 dominates: Optional[bool] = None):
+        self._set(cost_no_audit, cost_audit, budget_component, excess_component, regime_note,
+                  fine_threshold, dominates)
 
 
 def cost_no_audit(cfg: GameConfig) -> Fraction:

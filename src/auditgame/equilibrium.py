@@ -18,7 +18,6 @@ library models the no-audit tie-break only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .core import (AuditPolicy, GameConfig, Strategy, StrategyProfile, _positive
                    two_type_strategy)
 from .errors import InputError, NonexistenceError
 from .numeric import sig15
+from .record import Record
 
 
 class Regime(enum.Enum):
@@ -37,23 +37,24 @@ class Regime(enum.Enum):
     NONEXISTENCE_POSSIBLE = "NONEXISTENCE_POSSIBLE"
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(Record):
     """A per-user equilibrium together with its headline quantities.
 
     All users play the same strategy (multi-user games with a sufficient
     budget decompose into identical single-user games), so the utilities
     and excess are per user; aggregate totals live in the cost module.
+    `user_utilities` is aligned with cfg.types; `provenance` is one of
+    lp, closed_form_two_type and budgeted_two_type.
     """
 
-    profile: StrategyProfile
-    user_utilities: tuple        # aligned with cfg.types
-    admin_utility: Fraction
-    excess: Fraction
-    provenance: str              # lp | closed_form_two_type | budgeted_two_type
-    multiplicity: bool = False
-    unique: bool = False
-    notes: tuple = ()
+    _fields = ("profile", "user_utilities", "admin_utility", "excess", "provenance",
+               "multiplicity", "unique", "notes")
+
+    def __init__(self, profile: StrategyProfile, user_utilities: tuple,
+                 admin_utility: Fraction, excess: Fraction, provenance: str,
+                 multiplicity: bool = False, unique: bool = False, notes: tuple = ()):
+        self._set(profile, user_utilities, admin_utility, excess, provenance, multiplicity,
+                  unique, notes)
 
     def strategy(self) -> Strategy:
         return self.profile.strategy
@@ -88,12 +89,12 @@ class EquilibriumResult:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BudgetAnalysis:
-    threshold_general: Fraction
-    threshold_two_type: Optional[Fraction]
-    threshold_coalition: Fraction
-    regime: Regime
+class BudgetAnalysis(Record):
+    _fields = ("threshold_general", "threshold_two_type", "threshold_coalition", "regime")
+
+    def __init__(self, threshold_general: Fraction, threshold_two_type: Optional[Fraction],
+                 threshold_coalition: Fraction, regime: Regime):
+        self._set(threshold_general, threshold_two_type, threshold_coalition, regime)
 
 
 def _two_type_params(cfg: GameConfig):
@@ -229,20 +230,23 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
         )
     note = "excess is the tight upper bound over all signaling equilibria"
     if note not in result.notes:
-        result = replace(result, notes=result.notes + (note, f"regime {regime.value}"))
+        result = result.replace(notes=result.notes + (note, f"regime {regime.value}"))
     return result
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking a profile against the equilibrium conditions."""
+class VerificationReport(Record):
+    """Outcome of checking a profile against the equilibrium conditions.
 
-    br_matches: bool
-    expected_audit: tuple
-    actual_audit: tuple
-    per_type_gain: dict       # type label -> best utility improvement found
-    grid_slack: Fraction
-    notes: tuple = ()
+    `per_type_gain` maps each type label to the best utility improvement
+    found.
+    """
+
+    _fields = ("br_matches", "expected_audit", "actual_audit", "per_type_gain", "grid_slack",
+               "notes")
+
+    def __init__(self, br_matches: bool, expected_audit: tuple, actual_audit: tuple,
+                 per_type_gain: dict, grid_slack: Fraction, notes: tuple = ()):
+        self._set(br_matches, expected_audit, actual_audit, per_type_gain, grid_slack, notes)
 
     @property
     def max_gain(self):

@@ -43,10 +43,10 @@ import secrets
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
+from .record import Record
 
 
 class SignatureScheme(ABC):
@@ -79,16 +79,7 @@ class Ed25519Scheme(SignatureScheme):
 
     def gen(self) -> tuple:
         private = self._ed25519.Ed25519PrivateKey.generate()
-        from cryptography.hazmat.primitives import serialization
-        sk = private.private_bytes(
-            serialization.Encoding.Raw,
-            serialization.PrivateFormat.Raw,
-            serialization.NoEncryption(),
-        )
-        pk = private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        return sk, pk
+        return private.private_bytes_raw(), private.public_key().public_bytes_raw()
 
     def sign(self, sk: bytes, message: bytes) -> bytes:
         return self._ed25519.Ed25519PrivateKey.from_private_bytes(sk).sign(message)
@@ -146,12 +137,12 @@ def keygen(scheme: SignatureScheme) -> tuple:
 # -- value objects -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoinMetadata:
-    coin_id: int
-    valid_from: str = ""
-    valid_to: str = ""
-    issuer_note: str = ""
+class CoinMetadata(Record):
+    _fields = ("coin_id", "valid_from", "valid_to", "issuer_note")
+
+    def __init__(self, coin_id: int, valid_from: str = "", valid_to: str = "",
+                 issuer_note: str = ""):
+        self._set(coin_id, valid_from, valid_to, issuer_note)
 
     def to_dict(self) -> dict:
         return {
@@ -180,11 +171,11 @@ def _checkpoint_message(n_bytes: int, sha256: str) -> bytes:
     return CHECKPOINT_TAG + _canonical({"bytes": n_bytes, "sha256": sha256})
 
 
-@dataclass(frozen=True)
-class Coin:
-    owner_pk: bytes
-    metadata: CoinMetadata
-    issuer_sig: bytes
+class Coin(Record):
+    _fields = ("owner_pk", "metadata", "issuer_sig")
+
+    def __init__(self, owner_pk: bytes, metadata: CoinMetadata, issuer_sig: bytes):
+        self._set(owner_pk, metadata, issuer_sig)
 
     @staticmethod
     def signed_payload(owner_pk: bytes, metadata: CoinMetadata) -> bytes:
@@ -211,16 +202,13 @@ class Coin:
         )
 
 
-@dataclass(frozen=True)
-class RawReceipt:
+class RawReceipt(Record):
     """Pre-challenge purchase description: goods, price, and the coins offered."""
 
-    goods: str
-    price: int
-    coins: tuple
+    _fields = ("goods", "price", "coins")
 
-    def __post_init__(self):
-        coins = tuple(self.coins)
+    def __init__(self, goods: str, price: int, coins: tuple):
+        coins = tuple(coins)
         if not coins:
             raise InputError("a receipt must list at least one coin")
         owners = {c.owner_pk for c in coins}
@@ -228,9 +216,9 @@ class RawReceipt:
             raise InputError("all coins in one receipt must share a single owner key")
         if len({c.key for c in coins}) != len(coins):
             raise InputError("a receipt lists each coin at most once")
-        if self.price < 0:
+        if price < 0:
             raise InputError("price cannot be negative")
-        object.__setattr__(self, "coins", coins)
+        self._set(goods, price, coins)
 
     @property
     def owner_pk(self) -> bytes:
@@ -255,11 +243,13 @@ class RawReceipt:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class Receipt:
-    raw: RawReceipt
-    challenge: bytes        # 128-bit value issued by the ledger
-    user_sig: bytes
+class Receipt(Record):
+    """`challenge` is the 128-bit value the ledger issued."""
+
+    _fields = ("raw", "challenge", "user_sig")
+
+    def __init__(self, raw: RawReceipt, challenge: bytes, user_sig: bytes):
+        self._set(raw, challenge, user_sig)
 
     @staticmethod
     def signed_payload(raw: RawReceipt, challenge: bytes) -> bytes:
@@ -282,11 +272,14 @@ def sign_receipt(scheme: SignatureScheme, sk: bytes, raw: RawReceipt,
     return Receipt(raw=raw, challenge=challenge, user_sig=sig)
 
 
-@dataclass(frozen=True)
-class SpendOutcome:
-    approved: bool
-    reason: Optional[str] = None   # double-spend | bad-signature | invalid-coin |
-                                   # owner-mismatch | unknown-challenge | expired-challenge
+class SpendOutcome(Record):
+    """`reason` is None on approval, else one of double-spend, bad-signature,
+    invalid-coin, owner-mismatch, unknown-challenge and expired-challenge."""
+
+    _fields = ("approved", "reason")
+
+    def __init__(self, approved: bool, reason: Optional[str] = None):
+        self._set(approved, reason)
 
     def __bool__(self):
         return self.approved
@@ -320,6 +313,9 @@ class LedgerState:
         self._spent: set = set()
         self._issued: set = set()
         self._pending: dict = {}   # r0 digest -> {challenge bytes: deadline}
+        # True when the loaded log's last line has no newline; the next
+        # append writes one first, so that its record gets a line of its own.
+        self._unterminated = False
 
     @classmethod
     def create(cls, scheme: SignatureScheme, log_path=None, **kwargs) -> "LedgerState":
@@ -336,8 +332,13 @@ class LedgerState:
             # Bytes, so that json.loads decodes each line and a line that is
             # not UTF-8 is reported like any other malformed record.  One read
             # serves the checkpoint digest and the replay alike.
-            with open(log_path, "rb") as fh:
-                data = fh.read()
+            try:
+                with open(log_path, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise InputError(f"cannot read ledger log {log_path!r}: "
+                                 f"{exc.strerror or exc}") from None
+            state._unterminated = bool(data) and not data.endswith(b"\n")
             trusted = state._checkpointed_bytes(data)
             end = 0
             for lineno, line in enumerate(io.BytesIO(data), start=1):
@@ -498,10 +499,12 @@ class LedgerState:
             if self.log_path:
                 try:
                     with open(self.log_path, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(receipt.to_dict(), sort_keys=True) + "\n")
+                        fh.write(("\n" if self._unterminated else "")
+                                 + json.dumps(receipt.to_dict(), sort_keys=True) + "\n")
                 except OSError as exc:
                     raise InputError(f"cannot append to ledger log {self.log_path!r}: "
                                      f"{exc.strerror or exc}") from None
+                self._unterminated = False
             for coin in receipt.raw.coins:
                 self._spent.add(coin.key)
             del challenges[receipt.challenge]

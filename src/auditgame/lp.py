@@ -23,13 +23,13 @@ constraint rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import core
 from .core import GameConfig, Strategy
 from .errors import InputError, RegimeError
+from .record import Record
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -39,30 +39,34 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """Maximize objective . x subject to the given rows, x >= 0.
 
-    Columns are the strategy entries pi(signal | type); `variable_index`
-    maps a (signal_label, type_label) pair to its column.
+    `rows` holds (coeffs tuple, relation, rhs) triples.  Columns are the
+    strategy entries pi(signal | type); `variable_index` maps a
+    (signal_label, type_label) pair to its column, and `column_labels`
+    holds that pair per column.
     """
 
-    objective: tuple
-    rows: tuple          # (coeffs tuple, relation, rhs) triples
-    variable_index: dict
-    column_labels: tuple  # (signal_label, type_label) per column
+    _fields = ("objective", "rows", "variable_index", "column_labels")
+
+    def __init__(self, objective: tuple, rows: tuple, variable_index: dict,
+                 column_labels: tuple):
+        self._set(objective, rows, variable_index, column_labels)
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    values: dict                 # (signal_label, type_label) -> Fraction
-    objective_value: Optional[Fraction]
-    status: str
-    multiplicity_flag: bool = False
+class LPSolution(Record):
+    """`values` maps (signal_label, type_label) to a Fraction."""
+
+    _fields = ("values", "objective_value", "status", "multiplicity_flag")
+
+    def __init__(self, values: dict, objective_value: Optional[Fraction], status: str,
+                 multiplicity_flag: bool = False):
+        self._set(values, objective_value, status, multiplicity_flag)
 
 
 def build_bp_lp(cfg: GameConfig) -> LinearProgram:

@@ -8,6 +8,8 @@ float mode additionally evaluate their formulas in 64-bit arithmetic.
 
 from __future__ import annotations
 
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -65,6 +67,26 @@ def in_mode(value, mode: str):
     return _float(value) if mode == FLOAT else value
 
 
+_FLOAT_MIN = sys.float_info.min
+
+
 def sig15(value) -> str:
-    """Format a number with 15 significant digits (CSV convention)."""
-    return "%.15g" % _float(value)
+    """Format a number with 15 significant digits (CSV convention).
+
+    The digits are those of the nearest float, except for a non-zero
+    Fraction of magnitude below the smallest normal float, whose float
+    keeps fewer digits or none: that is rounded exactly.
+    """
+    f = _float(value)
+    if -_FLOAT_MIN < f < _FLOAT_MIN and value and isinstance(value, Fraction):
+        return _sig15_exact(value)
+    return "%.15g" % f
+
+
+def _sig15_exact(value: Fraction) -> str:
+    """`value` rounded half-even to 15 significant digits, in the `%.15g`
+    layout of a magnitude below 1e-5: trailing zeros dropped, then e-XXX."""
+    with localcontext() as ctx:
+        ctx.prec = 15
+        rounded = (Decimal(value.numerator) / value.denominator).normalize()
+    return format(rounded, "e")

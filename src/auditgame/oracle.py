@@ -10,7 +10,6 @@ one of its profiles, at a cost that does not depend on the resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
@@ -18,17 +17,16 @@ from .core import GameConfig
 from .equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
 from .errors import InputError
 from .numeric import sig15
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    resolution: int
-    budget: Fraction
-    threshold: Fraction
-    total_profiles: int
-    certified: int
-    case_counts: dict
-    traces: tuple
+class ProbeReport(Record):
+    _fields = ("resolution", "budget", "threshold", "total_profiles", "certified",
+               "case_counts", "traces")
+
+    def __init__(self, resolution: int, budget: Fraction, threshold: Fraction,
+                 total_profiles: int, certified: int, case_counts: dict, traces: tuple):
+        self._set(resolution, budget, threshold, total_profiles, certified, case_counts, traces)
 
     @property
     def fraction_certified(self) -> Fraction:

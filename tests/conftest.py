@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -31,4 +30,4 @@ def cfg_three() -> GameConfig:
 
 
 def with_budget(cfg, budget, **kwargs):
-    return dataclasses.replace(cfg, budget=budget, **kwargs)
+    return cfg.replace(budget=budget, **kwargs)

@@ -1,6 +1,5 @@
 """Presets, sweeps, and CSV emission for the case study."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -49,7 +48,7 @@ def test_spec_validation():
 
 
 def test_cost_sweep_shape_and_order():
-    spec = dataclasses.replace(ag.ftbp_preset(), q_min_grid=(F(1, 4), F(1, 2)))
+    spec = ag.ftbp_preset().replace(q_min_grid=(F(1, 4), F(1, 2)))
     rows = ag.sweep_costs(spec)
     assert len(rows) == 2 * 3 * 3 * 2
     keys = [(r["q_min"], r["c"], r["k"], r["l"]) for r in rows]
@@ -61,11 +60,10 @@ def test_cost_sweep_shape_and_order():
 
 
 def test_cost_sweep_rows_annotated_never_aborted():
-    spec = dataclasses.replace(
-        ag.ftbp_preset(), q_min_grid=(F(1, 2),), c_grid=(60,), k_grid=(1,),
-        coalition_grid=(1,))
-    base_small = dataclasses.replace(spec.base, alloc=(50, 52))  # k - c + df <= 0
-    spec = dataclasses.replace(spec, base=base_small)
+    spec = ag.ftbp_preset().replace(
+        q_min_grid=(F(1, 2),), c_grid=(60,), k_grid=(1,), coalition_grid=(1,))
+    base_small = spec.base.replace(alloc=(50, 52))  # k - c + df <= 0
+    spec = spec.replace(base=base_small)
     rows = ag.sweep_costs(spec)
     assert len(rows) == 1
     assert rows[0]["dominates"].startswith("error:")
@@ -123,7 +121,7 @@ def test_cost_curves_monotone_in_audit_parameters():
 
 
 def test_sweeps_require_two_type_base(cfg_three):
-    spec = dataclasses.replace(ag.ftbp_preset(), base=cfg_three)
+    spec = ag.ftbp_preset().replace(base=cfg_three)
     with pytest.raises(InputError, match="two-type"):
         ag.sweep_costs(spec)
     with pytest.raises(InputError, match="two-type"):
@@ -131,7 +129,7 @@ def test_sweeps_require_two_type_base(cfg_three):
 
 
 def test_cost_sweep_float_mode_tracks_rational():
-    spec = dataclasses.replace(ag.ftbp_preset(), q_min_grid=tuple(F(i, 20) for i in range(1, 20)))
+    spec = ag.ftbp_preset().replace(q_min_grid=tuple(F(i, 20) for i in range(1, 20)))
     rational = ag.sweep_costs(spec, mode="rational")
     floats = ag.sweep_costs(spec, mode="float")
     for r, f in zip(rational, floats):
@@ -142,7 +140,7 @@ def test_cost_sweep_float_mode_tracks_rational():
 
 
 def test_csv_determinism():
-    spec = dataclasses.replace(ag.ftbp_preset(), q_min_grid=(F(3, 10), F(6, 10)))
+    spec = ag.ftbp_preset().replace(q_min_grid=(F(3, 10), F(6, 10)))
     a = costs_csv(ag.sweep_costs(spec))
     b = costs_csv(ag.sweep_costs(spec))
     assert a == b
@@ -153,8 +151,8 @@ def test_csv_determinism():
 
 def _odd_spec(base_changes=(), **grids):
     preset = ag.ftbp_preset()
-    base = dataclasses.replace(preset.base, **dict(base_changes))
-    return dataclasses.replace(preset, base=base, **grids)
+    base = preset.base.replace(**dict(base_changes))
+    return preset.replace(base=base, **grids)
 
 
 # Grids that exercise every branch of the closed forms; the names say what

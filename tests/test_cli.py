@@ -359,6 +359,60 @@ def test_sweep_at_a_misreport_probability_of_one_has_a_zero_budget(capsys):
         assert out.splitlines()[1] == "0.5,1e+307,1e+307,150,110000,110000,0,110000,true,83333"
 
 
+def test_surface_prints_a_value_below_the_float_range_exactly(capsys):
+    args = ["surface", "--qmin-grid", "1/2", "--c-grid", "1e-320", "--k-grid", "1e307"]
+    code, out, err = run(args, capsys)
+    assert code == 0 and err == ""
+    q_min, c, k, cap = out.splitlines()[1].split(",")
+    assert (q_min, c, k) == ("0.5", "1e-320", "1e+307")
+
+
+def _toy_ledger(tmp_path, capsys, coins):
+    """A toy-scheme ledger in tmp_path/led, with `coins` minted to alice and
+    the first one spent; returns the key file."""
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    for coin_id in range(1, coins + 1):
+        code, _, _ = run(["ledger", "mint", "--dir", str(tmp_path / "led"), "--scheme", "toy",
+                          "--seed", "1", "--recipient-key", alice, "--coin-id", str(coin_id),
+                          "--out", str(tmp_path / f"coin{coin_id}.json")], capsys)
+        assert code == 0
+    code, out, _ = run(["ledger", "spend", "--dir", str(tmp_path / "led"), "--scheme", "toy",
+                        "--seed", "1", "--coin", str(tmp_path / "coin1.json"),
+                        "--signer-key", alice], capsys)
+    assert out == "approved\n"
+    return alice
+
+
+def test_a_spend_after_an_unterminated_last_record_keeps_the_log_readable(tmp_path, capsys):
+    alice = _toy_ledger(tmp_path, capsys, coins=2)
+    log = tmp_path / "led" / "log.jsonl"
+    log.write_bytes(log.read_bytes().rstrip(b"\n"))
+    code, out, _ = run(["ledger", "spend", "--dir", str(tmp_path / "led"), "--scheme", "toy",
+                        "--seed", "2", "--coin", str(tmp_path / "coin2.json"),
+                        "--signer-key", alice], capsys)
+    assert code == 0 and out == "approved\n"
+    assert log.read_bytes().count(b"\n") == 2 and log.read_bytes().endswith(b"\n")
+    code, out, err = run(["ledger", "audit-log", "--dir", str(tmp_path / "led"), "--scheme",
+                          "toy"], capsys)
+    assert code == 0 and err == ""
+    assert out.count("verified=true") == 2 and out.endswith("total: 2\n")
+
+
+def test_an_unreadable_log_is_an_input_error(tmp_path, capsys):
+    _toy_ledger(tmp_path, capsys, coins=1)
+    log = tmp_path / "led" / "log.jsonl"
+    log.unlink()
+    log.mkdir()
+    for args in (["audit-log"], ["spend", "--coin", str(tmp_path / "coin1.json"),
+                                 "--signer-key", str(tmp_path / "alice.key")]):
+        code, out, err = run(["ledger", args[0], "--dir", str(tmp_path / "led"), "--scheme",
+                              "toy"] + args[1:], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"input error: cannot read ledger log {str(log)!r}: ")
+        assert err.count("\n") == 1
+
+
 def _flip_user_sig(line):
     record = json.loads(line)
     record["user_sig"] = ("1" if record["user_sig"][0] != "1" else "2") + record["user_sig"][1:]

@@ -1,6 +1,5 @@
 """Audit vs no-audit total-cost comparison."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +19,7 @@ def make(q_lo, c, k, df=55, n=1, l=1):
 def test_cost_no_audit_values():
     assert ag.cost_no_audit(make(F(2, 5), 25, 100, n=4000)) == 88_000
     tiny = make(F(1, 100), 25, 100)
-    nearly_zero = dataclasses.replace(tiny, prior=(F(0), F(1)))
+    nearly_zero = tiny.replace(prior=(F(0), F(1)))
     assert ag.cost_no_audit(nearly_zero) == 0
 
 
@@ -80,7 +79,7 @@ def test_multitype_cost_fixture(cfg_three):
 
 
 def test_multitype_cost_large_fine(cfg_three):
-    cfg = dataclasses.replace(cfg_three, fine=10**6)
+    cfg = cfg_three.replace(fine=10**6)
     report = ag.cost_audit_multitype(cfg)
     assert report.excess_component < F(1, 10**4)
     assert report.cost_audit < F(1, 100)

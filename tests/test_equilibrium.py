@@ -1,6 +1,5 @@
 """Closed forms, budget regimes, budgeted branches, and verification."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -368,7 +367,7 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
             cfg = _agreement_game(rng, n)
             while sum(q > 0 for q in cfg.prior) < 2:
                 cfg = _agreement_game(rng, n)
-            pi = ag.bp_equilibrium(dataclasses.replace(cfg, budget=None)).strategy()
+            pi = ag.bp_equilibrium(cfg.replace(budget=None)).strategy()
             br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
             for sigma in (br, rng.choice(_non_best_responses(rng, pi, cfg))):
                 _assert_grid_maximum_agrees(pi, sigma, cfg, resolution)

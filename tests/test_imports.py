@@ -1,7 +1,9 @@
 """Each CLI call imports only the modules its subcommand runs.
 
-Every check runs in a fresh interpreter, since the test process has
-already imported the whole package.
+No call imports `dataclasses` or `inspect`: together they cost more
+start-up time than a small game call spends computing.  Every check runs
+in a fresh interpreter, since the test process has already imported the
+whole package.
 """
 
 import json
@@ -16,17 +18,23 @@ import auditgame
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(auditgame.__file__)))
 
 BASE = {"auditgame", "auditgame.cli", "auditgame.errors", "auditgame.numeric"}
-SOLVE = BASE | {"auditgame.core", "auditgame.lp", "auditgame.bounds", "auditgame.equilibrium"}
-SWEEP = BASE | {"auditgame.core", "auditgame.casestudy"}
-LEDGER = BASE | {"auditgame.ledger"}
+VALUES = BASE | {"auditgame.record"}
+SOLVE = VALUES | {"auditgame.core", "auditgame.lp", "auditgame.bounds", "auditgame.equilibrium"}
+SWEEP = VALUES | {"auditgame.core", "auditgame.casestudy"}
+LEDGER = VALUES | {"auditgame.ledger"}
+
+# Standard-library modules that no CLI call may load.
+SLOW = ("dataclasses", "inspect")
 
 # Runs `cli.main` on its arguments, then prints the exit status and the
-# loaded modules of this package and of `cryptography` as the last line.
-CALL = """
+# loaded modules of this package, of `cryptography` and of SLOW as the
+# last line.
+CALL = f"""
 import json, sys
 from auditgame import cli
 code = cli.main(sys.argv[1:])
-names = sorted(m for m in sys.modules if m.split(".")[0] in ("auditgame", "cryptography"))
+names = sorted(m for m in sys.modules
+               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW!r})
 print(json.dumps([code, names]))
 """
 
@@ -46,10 +54,12 @@ def _python(code, *args, cwd=None):
 
 
 def _call(args, cwd):
-    """(exit status, auditgame modules, cryptography modules) of one CLI call."""
+    """(exit status, auditgame modules, cryptography modules) of one CLI call,
+    after checking that it loaded none of SLOW."""
     proc = _python(CALL, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     code, names = json.loads(proc.stdout.splitlines()[-1])
+    assert not set(SLOW) & set(names), args
     ours = {n for n in names if n.split(".")[0] == "auditgame"}
     return code, ours, set(names) - ours
 
@@ -75,7 +85,7 @@ def workdir(tmp_path):
     (["probe", "--config", "probe.cfg"], SOLVE | {"auditgame.oracle"}),
     (["sweep", "--qmin-grid", "1/4,1/2"], SWEEP),
     (["surface", "--mode", "float"], SWEEP),
-    (["bounds", "--config", "two.cfg"], BASE | {"auditgame.core", "auditgame.bounds"}),
+    (["bounds", "--config", "two.cfg"], VALUES | {"auditgame.core", "auditgame.bounds"}),
     (["bounds", "--config", "two.cfg", "--format", "text"], SOLVE),
 ], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv", "bounds-text"])
 def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):

@@ -49,8 +49,7 @@ def test_objective_coefficients(cfg_a):
 
 
 def test_build_rejects_zero_prior(cfg_a):
-    import dataclasses
-    bad = dataclasses.replace(cfg_a, prior=(F(0), F(1)))
+    bad = cfg_a.replace(prior=(F(0), F(1)))
     with pytest.raises(InputError):
         build_bp_lp(bad)
 
@@ -200,8 +199,7 @@ def test_bp_equilibrium_invariants_random():
 
 
 def test_bp_equilibrium_large_fine_limits(cfg_a):
-    import dataclasses
-    cfg = dataclasses.replace(cfg_a, fine=10**9)
+    cfg = cfg_a.replace(fine=10**9)
     eq = ag.bp_equilibrium(cfg)
     assert eq.excess < F(1, 100)
     assert eq.strategy().rows[0][1] == F(1, 2) * 25 / (F(1, 2) * (10**9 - 25 + 55))

@@ -39,6 +39,23 @@ def test_sig15_formatting():
     assert sig15(0.25) == "0.25"
 
 
+def test_sig15_is_exact_below_the_float_range():
+    # 1e-320 is a subnormal float and 1e-400 rounds to 0.0: both lose digits
+    assert sig15(F(1, 10**320)) == "1e-320"
+    assert sig15(F(-2, 3 * 10**320)) == "-6.66666666666667e-321"
+    assert sig15(F(1, 10**400)) == "1e-400"
+    # half-even at the 15th digit; trailing zeros dropped, as %.15g does
+    assert sig15(F(1234567890123425, 10**335)) == "1.23456789012342e-320"
+    assert sig15(F(1234567890123435, 10**335)) == "1.23456789012344e-320"
+    assert sig15(F(10**15 + 4, 10**335)) == "1e-320"
+    # floats, zeros and normal values keep the %.15g path
+    assert sig15(5e-324) == "4.94065645841247e-324"
+    assert sig15(F(0)) == sig15(0) == sig15(0.0) == "0"
+    smallest_normal = F(2.2250738585072014e-308)
+    assert sig15(smallest_normal) == "%.15g" % 2.2250738585072014e-308
+    assert sig15(F(3, 10**308)) == "3e-308"
+
+
 def test_modes():
     assert check_mode("rational") == "rational"
     with pytest.raises(InputError):

@@ -1,6 +1,5 @@
 """The enumerating grid oracles in `reference_oracle.py`, and the probe."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -229,8 +228,8 @@ def test_probe_matches_the_walk_on_random_games():
         report = nonexistence_probe(cfg, res)
         walked = walk_nonexistence_probe(cfg, res)
         assert report.to_text() == walked.to_text()
-        for field in dataclasses.fields(report):
-            assert getattr(report, field.name) == getattr(walked, field.name), field.name
+        for name in report._fields:
+            assert getattr(report, name) == getattr(walked, name), name
         for name, count in report.case_counts.items():
             seen[name] += count > 0
         orders.add(cfg.low_high_indices())
