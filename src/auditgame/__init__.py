@@ -1,4 +1,4 @@
-"""Audit-game equilibria for artificial-currency benefits programs.
+"""Audit-game equilibria for benefits programs paid in program credits.
 
 Computes no-audit signaling equilibria through an exact linear program,
 evaluates misreporting and excess-payment caps, classifies budget regimes,
@@ -29,7 +29,7 @@ _HOME = {
     "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
     "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",
     "nonexistence_probe": "oracle", "signaling_equilibrium": "equilibrium",
-    "solve_bp": "lp", "solve_lp": "lp", "surface_preset": "casestudy",
+    "solve_bp": "lp", "surface_preset": "casestudy",
     "sweep_costs": "casestudy", "sweep_misreport_surface": "casestudy",
     "two_type_closed_form": "equilibrium", "two_type_strategy": "core",
     "user_payoff": "core", "user_utility_avg": "core", "user_utility_type": "core",

@@ -1,4 +1,4 @@
-"""Signature-backed artificial currency: coins, spend receipts, and an
+"""Signature-backed program credits: coins, spend receipts, and an
 append-only approved-receipt store.
 
 A coin binds an owner's public key and metadata under the administrator's

@@ -1,24 +1,18 @@
-"""Linear program for the no-audit signaling optimum, plus an exact solver.
+"""Linear program for the no-audit signaling optimum, and its exact solver.
 
 The program maximizes the average credit payout over row-stochastic user
 strategies subject to one per-signal constraint stating that auditing that
 signal is not profitable for the administrator.  Its optimal value, minus
 the truthful payout, is the worst-case excess payment over all equilibria.
 
-Two exact solvers on `fractions.Fraction` share one simplex loop,
+`solve_bp` solves it on `fractions.Fraction` with one simplex loop,
 `_maximize`: Bland's anti-cycling rule on a tableau whose last row holds
-the reduced costs, built once by `_reduced_row` and then pivoted with the
-constraint rows.
-
-* `solve_lp` is a generic two-phase primal simplex for any
-  `LinearProgram`; it reports infeasible and unbounded programs.  Phase 1
-  maximizes minus the sum of the artificials; phase 2 maximizes the
-  objective with the artificials priced at minus a big M.
-* `solve_bp` is specialised to the no-audit program.  The truthful
-  strategy is always feasible, so it skips phase 1 and starts phase 2 at
-  the truthful basis, and it drops the under-report columns, which are
-  zero in every optimum.  It hands degenerate or tied optima to
-  `solve_lp`, so both solvers return the same solution on every game.
+the reduced costs, built by `_reduced_row` and then pivoted with the
+constraint rows.  The truthful strategy is always feasible, so the loop
+starts at the truthful basis, over the columns that do not under-report.
+The same loop, restricted to the optimal face, then decides whether the
+optimum is unique and, when it is not, returns the lexicographically
+greatest optimum, so the answer depends only on the game.
 """
 
 from __future__ import annotations
@@ -35,8 +29,6 @@ LESS_EQUAL = "<="
 EQUAL = "="
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 class LinearProgram(Record):
@@ -60,7 +52,10 @@ class LinearProgram(Record):
 
 
 class LPSolution(Record):
-    """`values` maps (signal_label, type_label) to a Fraction."""
+    """`values` maps (signal_label, type_label) to a Fraction.
+
+    `multiplicity_flag` is set exactly when the optimum is not unique.
+    """
 
     _fields = ("values", "objective_value", "status", "multiplicity_flag")
 
@@ -115,7 +110,7 @@ def build_bp_lp(cfg: GameConfig) -> LinearProgram:
     )
 
 
-# -- one simplex loop with Bland's rule, and the two-phase solver -------
+# -- one simplex loop with Bland's rule ----------------------------------
 
 
 def _pivot(tableau, basis, row, col):
@@ -165,167 +160,104 @@ def _reduced_row(tableau, basis, cost):
     return row
 
 
-def _maximize(tableau, basis, rows, width):
-    """Maximize in place with Bland's rule; returns OPTIMAL or UNBOUNDED.
+def _maximize(tableau, basis, rows, columns):
+    """Maximize in place with Bland's rule; False if the phase is unbounded.
 
     The last tableau row is the reduced-cost row from `_reduced_row`;
-    `rows` are the constraint rows and the first `width` columns may
-    enter.  Basic columns price at exactly zero, so the first positive
-    reduced cost is the smallest-index improving column.
+    `rows` are the constraint rows and only `columns`, in increasing
+    order, may enter.  Basic columns price at exactly zero, so the first
+    positive reduced cost is the smallest-index improving column.
     """
     reduced = tableau[-1]
     while True:
-        enter = next((j for j in range(width) if reduced[j] > 0), -1)
+        enter = next((j for j in columns if reduced[j] > 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return True
         leave = _leaving_row(tableau, basis, rows, enter)
         if leave < 0:
-            return UNBOUNDED
+            return False
         _pivot(tableau, basis, leave, enter)
-
-
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve exactly; report alternate optima via `multiplicity_flag`.
-
-    The flag is set when some non-basic structural or slack column has a
-    zero reduced cost at the optimum, which signals that the optimal face
-    contains more than one point (possibly only through degeneracy).
-    """
-    n = lp.n_vars
-    ub_rows = [i for i, r in enumerate(lp.rows) if r[1] == LESS_EQUAL]
-    n_slack = len(ub_rows)
-    slack_of_row = {i: n + j for j, i in enumerate(ub_rows)}
-    n_struct = n + n_slack
-    m = len(lp.rows)
-    n_total = n_struct + m  # one artificial per row keeps phase 1 uniform
-
-    tableau = []
-    basis = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        row = list(coeffs) + [Fraction(0)] * (n_slack + m) + [rhs]
-        if rel == LESS_EQUAL:
-            row[slack_of_row[i]] = Fraction(1)
-        elif rel != EQUAL:
-            raise InputError(f"unsupported relation {rel!r}")
-        if rhs < 0:
-            row = [-v for v in row]
-        row[n_struct + i] = Fraction(1)
-        tableau.append(row)
-        basis.append(n_struct + i)
-    rows = range(m)
-
-    # Phase 1: drive the artificials to zero by maximizing minus their sum,
-    # which is bounded above by 0.
-    tableau.append(_reduced_row(tableau, basis, [Fraction(0)] * n_struct + [Fraction(-1)] * m))
-    _maximize(tableau, basis, rows, n_total)
-    tableau.pop()
-    if any(tableau[r][-1] != 0 for r in rows if basis[r] >= n_struct):
-        return LPSolution({}, None, INFEASIBLE)
-
-    # Pivot any leftover basic artificials out on a nonzero structural
-    # entry; a fully zero row is redundant and its artificial stays at 0.
-    for r in rows:
-        if basis[r] >= n_struct:
-            for j in range(n_struct):
-                if tableau[r][j] != 0:
-                    _pivot(tableau, basis, r, j)
-                    break
-
-    # Phase 2: maximize the objective; artificials are priced prohibitively
-    # so that none re-enters.
-    big = Fraction(1 + sum(abs(c) for c in lp.objective))
-    phase2_cost = list(lp.objective) + [Fraction(0)] * n_slack + [-big] * m
-    tableau.append(_reduced_row(tableau, basis, phase2_cost))
-    if _maximize(tableau, basis, rows, n_total) == UNBOUNDED:
-        return LPSolution({}, None, UNBOUNDED)
-
-    reduced = tableau[-1]
-    assignment = [Fraction(0)] * n
-    for r in rows:
-        if basis[r] < n:
-            assignment[basis[r]] = tableau[r][-1]
-    multiplicity = any(j not in basis and reduced[j] == 0 for j in range(n_struct))
-    return _optimal_solution(lp, assignment, multiplicity)
-
-
-def _optimal_solution(lp: LinearProgram, assignment, multiplicity: bool) -> LPSolution:
-    values = {key: assignment[colidx] for key, colidx in lp.variable_index.items()}
-    objective_value = sum(c * x for c, x in zip(lp.objective, assignment))
-    return LPSolution(values, objective_value, OPTIMAL, multiplicity)
 
 
 # -- the no-audit program from the truthful basis ------------------------
 
 
 def solve_bp(cfg: GameConfig) -> LPSolution:
-    """Solve `build_bp_lp(cfg)` exactly; the same result as `solve_lp` on it.
+    """Solve `build_bp_lp(cfg)` exactly; the optimum is unique or lex-greatest.
 
-    Phase 2 only, over the columns pi(s|m) with f_s >= f_m, starting at the
-    truthful basis {pi(m|m)} + {slack_s}.  That basis is feasible because
-    the audit row of signal s minus a_ss times the stochasticity row of
-    type s has right-hand side c*q_s >= 0.  The reduced-cost row is the
-    last tableau row and is pivoted with the others.
+    One Bland phase over the columns pi(s|m) with f_s >= f_m, starting at
+    the truthful basis {pi(m|m)} + {slack_s}.  That basis is feasible
+    because the audit row of signal s minus a_ss times the stochasticity
+    row of type s has right-hand side c*q_s >= 0.  The under-report
+    columns are zero in every optimum: since k >= c, moving mass from
+    pi(s|m) to pi(m|m) keeps every row feasible and strictly raises the
+    objective.
 
-    At the optimum the pruned under-report columns are priced with the
-    final duals.  When every basic value is positive and every nonbasic
-    column, kept, pruned or slack, has a strictly negative reduced cost, the
-    optimum of the full program is unique and nondegenerate, so its basis
-    is unique too: `solve_lp` ends there with the same values and no
-    multiplicity flag.  In every other case the result is
-    `solve_lp(build_bp_lp(cfg))` itself.
+    The answer is then settled on the optimal face F: the current tableau
+    with entering columns restricted to those whose reduced cost is
+    exactly 0.
+
+    * Uniqueness (Mangasarian, Linear Algebra Appl. 25, 1979): the optimum
+      x* is unique when every nonbasic column prices strictly negative,
+      and otherwise exactly when the sum of the columns that are 0 at x*
+      has maximum 0 over F.  `multiplicity_flag` is set exactly when the
+      optimum is not unique.
+    * Tie rule: when it is not unique, the result is the lexicographically
+      greatest optimum in column order (`build_bp_lp`'s columns, then the
+      slacks).  Each column of F in turn is maximized over F, and F then
+      keeps only the columns that still price at 0.
     """
     lp = build_bp_lp(cfg)
     n = cfg.n_types
-    obj = lp.objective
     coeffs = [row[0] for row in lp.rows]  # n stochasticity rows, then n audit rows
 
-    def col(s, m):
-        return m * n + s
-
-    kept = [col(s, m) for m in range(n) for s in range(n) if cfg.alloc[s] >= cfg.alloc[m]]
+    kept = [m * n + s for m in range(n) for s in range(n) if cfg.alloc[s] >= cfg.alloc[m]]
     width = len(kept) + n  # kept columns, then one slack per audit row
-    diag = [kept.index(col(m, m)) for m in range(n)]
 
     tableau = []
     for m in range(n):
         tableau.append([coeffs[m][o] for o in kept] + [Fraction(0)] * n + [Fraction(1)])
     for s in range(n):
-        a_ss = coeffs[n + s][col(s, s)]
+        a_ss = coeffs[n + s][s * n + s]
         row = [coeffs[n + s][o] - a_ss * coeffs[s][o] for o in kept] + [Fraction(0)] * n
         row[len(kept) + s] = Fraction(1)
         tableau.append(row + [-a_ss])
-    basis = diag + [len(kept) + s for s in range(n)]
-    tableau.append(_reduced_row(tableau, basis, [obj[o] for o in kept] + [Fraction(0)] * n))
-    reduced = tableau[-1]
-
+    basis = [kept.index(m * n + m) for m in range(n)] + [len(kept) + s for s in range(n)]
     rows = range(2 * n)
-    if _maximize(tableau, basis, rows, width) == UNBOUNDED:
-        return solve_lp(lp)  # cannot happen: the program is bounded
 
-    # Unique optimum or not: any tie hands the game to the generic solver.
-    basic = set(basis)
-    if any(tableau[r][-1] == 0 for r in rows):
-        return solve_lp(lp)
-    if any(reduced[j] == 0 for j in range(width) if j not in basic):
-        return solve_lp(lp)
-    # Duals y = c_B B^-1, read off the slack and diagonal columns (never pruned).
-    y_audit = [-reduced[len(kept) + s] for s in range(n)]
-    y_stoch = [
-        obj[col(m, m)] - coeffs[n + m][col(m, m)] * y_audit[m] - reduced[diag[m]]
-        for m in range(n)
-    ]
-    for m in range(n):
-        for s in range(n):
-            if cfg.alloc[s] < cfg.alloc[m]:
-                o = col(s, m)
-                if obj[o] - y_stoch[m] - coeffs[n + s][o] * y_audit[s] >= 0:
-                    return solve_lp(lp)
+    def maximize(face, cost):
+        """Maximize `cost` over the columns `face`; its optimal face and maximum."""
+        tableau.append(_reduced_row(tableau, basis, cost))
+        if not _maximize(tableau, basis, rows, face):
+            raise RuntimeError("unbounded simplex phase on a bounded no-audit program")
+        reduced = tableau.pop()
+        return [j for j in face if reduced[j] == 0], -reduced[-1]
 
-    assignment = [Fraction(0)] * lp.n_vars
-    for r in rows:
-        if basis[r] < len(kept):
-            assignment[kept[basis[r]]] = tableau[r][-1]
-    return _optimal_solution(lp, assignment, False)
+    def point():
+        x = [Fraction(0)] * width
+        for r in rows:
+            x[basis[r]] = tableau[r][-1]
+        return x
+
+    zero, one = Fraction(0), Fraction(1)
+    face, _ = maximize(range(width), [lp.objective[o] for o in kept] + [zero] * n)
+    multiple = False
+    if len(face) > len(basis):   # a nonbasic column prices at 0
+        _, gain = maximize(face, [one if v == 0 else zero for v in point()])
+        multiple = gain > 0
+    if multiple:
+        for j in range(width):
+            if len(face) == len(basis):   # F is one vertex
+                break
+            if j in face:
+                face, _ = maximize(face, [one if i == j else zero for i in range(width)])
+
+    assignment = [zero] * lp.n_vars
+    for o, v in zip(kept, point()):
+        assignment[o] = v
+    values = {key: assignment[o] for key, o in lp.variable_index.items()}
+    objective_value = sum(c * v for c, v in zip(lp.objective, assignment))
+    return LPSolution(values, objective_value, OPTIMAL, multiple)
 
 
 # -- equilibrium through the program -------------------------------------
@@ -345,13 +277,11 @@ def bp_equilibrium(cfg: GameConfig):
     threshold; smaller budgets need the regime-aware constructions in the
     `equilibrium` module.
 
-    The program is solved by `solve_bp`: one run of the shared simplex
-    loop from the truthful basis, over the columns that do not
-    under-report.  When the optimum is degenerate (a basic value is 0) or
-    tied (a nonbasic column, pruned or slack, prices at exactly 0), it
-    falls back to the generic two-phase `solve_lp` on the full program,
-    whose two phases run on the same loop, so the strategy and the
-    "alternate optima detected" note match that solver's on every game.
+    The program is solved by `solve_bp`: one run of the simplex loop from
+    the truthful basis, over the columns that do not under-report, then
+    the uniqueness test on the optimal face.  When the optimum is not
+    unique the strategy is the lexicographically greatest optimum and the
+    result carries the "alternate optima detected" note.
     """
     from . import bounds as _bounds
     from .equilibrium import EquilibriumResult, budget_thresholds
@@ -367,11 +297,6 @@ def bp_equilibrium(cfg: GameConfig):
             )
 
     sol = solve_bp(work)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(
-            f"solver returned {sol.status} on a no-audit program; "
-            "these programs are always feasible and bounded"
-        )
     pi_work = _strategy_from_solution(work, sol)
 
     # Internal consistency of every solve: no under-reporting mass, the

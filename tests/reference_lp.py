@@ -1,17 +1,21 @@
-"""The two-phase simplex as it stood before both solvers shared one loop.
+"""A generic two-phase simplex, the test oracle for `auditgame.lp.solve_bp`.
 
-`_run_simplex` recomputes every reduced cost from the original costs at
-each basis; the library's loop instead carries them as a tableau row.
-`solve_lp` here and its helpers are kept unchanged, so that the tests can
-hold the library's solvers to this one: the same pivots, values,
-objective, status and multiplicity flag on every program.
+`solve_lp` solves any `LinearProgram` exactly and reports infeasible and
+unbounded programs.  `_run_simplex` recomputes every reduced cost from
+the original costs at each basis; the library's loop instead carries
+them as a tableau row.  Phase 2 lets only the structural and slack
+columns enter, so no artificial can re-enter whatever the duals are.
+The tests hold `solve_bp` to this solver's objective, to its values when
+the optimum is unique, and to a uniqueness test run on this solver.
 """
 
 from fractions import Fraction
 
 from auditgame.errors import InputError
-from auditgame.lp import (EQUAL, INFEASIBLE, LESS_EQUAL, OPTIMAL, UNBOUNDED, LinearProgram,
-                          LPSolution)
+from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, LinearProgram, LPSolution
+
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
 
 
 def _pivot(tableau, basis, row, col):
@@ -121,13 +125,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                     _pivot(tableau, basis, r, j)
                     break
 
-    # Phase 2: maximize the objective == minimize its negation.
+    # Phase 2: maximize the objective == minimize its negation.  Only the
+    # structural and slack columns may enter, so the artificials stay out.
     phase2_cost = [-c for c in lp.objective] + [Fraction(0)] * (n_slack + m)
-    # Forbid artificials from re-entering by pricing them prohibitively.
-    big = 1 + sum(abs(c) for c in lp.objective)
-    for j in range(n_struct, n_total):
-        phase2_cost[j] = Fraction(big)
-    status, reduced = _run_simplex(tableau, basis, phase2_cost, n_total)
+    status, reduced = _run_simplex(tableau, basis, phase2_cost, n_struct)
     if status == UNBOUNDED:
         return LPSolution({}, None, UNBOUNDED)
 

@@ -1,5 +1,6 @@
 """The no-audit program: construction, exact solving, and its invariants."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 
 import auditgame as ag
 from auditgame import InputError, RegimeError
-from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_bp, solve_lp
+from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_bp
 
 import reference_lp
 from conftest import with_budget
@@ -75,7 +76,7 @@ def test_debug_text_golden(cfg_a):
 
 
 def test_solve_cfg_a_exact(cfg_a):
-    sol = solve_lp(build_bp_lp(cfg_a))
+    sol = solve_bp(cfg_a)
     assert sol.status == OPTIMAL
     assert sol.values[("high", "low")] == F(5, 26)
     assert sol.values[("high", "high")] == F(1)
@@ -85,14 +86,14 @@ def test_solve_cfg_a_exact(cfg_a):
 def test_solve_truthful_forced_at_free_audits():
     cfg = ag.GameConfig(types=("low", "high"), prior=(F(1, 2), F(1, 2)),
                         alloc=(50, 105), audit_cost=0, fine=100)
-    sol = solve_lp(build_bp_lp(cfg))
+    sol = solve_bp(cfg)
     assert sol.status == OPTIMAL
     assert sol.values[("high", "low")] == 0
     assert sol.objective_value == F(155, 2)
 
 
 def test_solve_three_type_fixture(cfg_three):
-    sol = solve_lp(build_bp_lp(cfg_three))
+    sol = solve_bp(cfg_three)
     assert sol.status == OPTIMAL
     assert sol.values[("b", "a")] == F(1, 3)
     assert sol.values[("c", "a")] == F(1, 5)
@@ -104,7 +105,7 @@ def test_solve_three_type_fixture(cfg_three):
 def test_solution_satisfies_every_constraint_exactly(cfg_a, cfg_three):
     for cfg in (cfg_a, cfg_three):
         lp = build_bp_lp(cfg)
-        sol = solve_lp(lp)
+        sol = solve_bp(cfg)
         x = [sol.values[key] for key in lp.column_labels]
         assert all(v >= 0 for v in x)
         for coeffs, rel, rhs in lp.rows:
@@ -136,8 +137,8 @@ def _unbounded_lp():
 
 
 def test_generic_solver_statuses():
-    assert solve_lp(_infeasible_lp()).status == "infeasible"
-    assert solve_lp(_unbounded_lp()).status == "unbounded"
+    assert reference_lp.solve_lp(_infeasible_lp()).status == reference_lp.INFEASIBLE
+    assert reference_lp.solve_lp(_unbounded_lp()).status == reference_lp.UNBOUNDED
 
 
 def test_phase_2_keeps_artificials_out():
@@ -149,7 +150,7 @@ def test_phase_2_keeps_artificials_out():
         variable_index={("x", "x"): 0},
         column_labels=(("x", "x"),),
     )
-    sol = solve_lp(program)
+    sol = reference_lp.solve_lp(program)
     assert sol.status == OPTIMAL
     assert sol.values == {("x", "x"): F(1)}
     assert sol.objective_value == -1
@@ -159,9 +160,36 @@ def test_multiplicity_flag_on_degenerate_objective():
     # two signals with identical credits: swapping them preserves the optimum
     cfg = ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)),
                         alloc=(50, 50), audit_cost=5, fine=10)
-    sol = solve_lp(build_bp_lp(cfg))
+    sol = reference_lp.solve_lp(build_bp_lp(cfg))
     assert sol.status == OPTIMAL
     assert sol.multiplicity_flag
+
+
+def test_reference_phase_2_keeps_the_optimal_face_feasible():
+    """Over the optimal face, maximize the sum of the columns that are 0 at
+    the optimum.  A phase 2 that priced the artificials at minus
+    1 + sum|objective| let the objective row's artificial re-enter here
+    and returned an infeasible point with status optimal
+    (objective . x about 39.5429 instead of 39.5610)."""
+    cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(5)),
+                        prior=(F(1, 15), F(2, 15), F(4, 15), F(1, 15), F(7, 15)),
+                        alloc=(12, 56, 11, 142, 34), audit_cost=19, fine=126)
+    lp = build_bp_lp(cfg)
+    opt = reference_lp.solve_lp(lp)
+    assert opt.objective_value == F(247863377, 6265350)
+    face = ag.LinearProgram(
+        objective=tuple(F(opt.values[key] == 0) for key in lp.column_labels),
+        rows=lp.rows + ((lp.objective, EQUAL, opt.objective_value),),
+        variable_index=lp.variable_index,
+        column_labels=lp.column_labels,
+    )
+    sol = reference_lp.solve_lp(face)
+    assert sol.status == OPTIMAL
+    x = [sol.values[key] for key in lp.column_labels]
+    assert all(v >= 0 for v in x)
+    for coeffs, rel, rhs in face.rows:
+        lhs = sum(c * v for c, v in zip(coeffs, x))
+        assert lhs == rhs if rel == EQUAL else lhs <= rhs
 
 
 def _random_two_type(rng):
@@ -242,7 +270,7 @@ def test_solver_matches_independent_solver():
     for _ in range(40):
         cfg = _random_general(rng, rng.choice([2, 3, 4, 5]))
         lp = build_bp_lp(cfg)
-        mine = solve_lp(lp)
+        mine = solve_bp(cfg)
         assert mine.status == OPTIMAL
         c = np.array([-float(v) for v in lp.objective])
         A_eq, b_eq, A_ub, b_ub = [], [], [], []
@@ -318,64 +346,138 @@ def _tie_heavy_game(rng, n):
                          alloc=alloc, audit_cost=c, fine=k)
 
 
-def _count_fallbacks(monkeypatch):
-    from auditgame import lp as lp_mod
-    calls = []
+def _standard_form(program):
+    """`program`'s rows as equalities, one explicit slack column per <= row:
+    a list of (coefficients, rhs) pairs over the columns, then the slacks."""
+    ub_rows = [i for i, row in enumerate(program.rows) if row[1] == LESS_EQUAL]
+    return [(tuple(coeffs) + tuple(F(i == r) for r in ub_rows), rhs)
+            for i, (coeffs, _, rhs) in enumerate(program.rows)]
 
-    def counting(lp):
-        calls.append(lp)
-        return solve_lp(lp)
 
-    monkeypatch.setattr(lp_mod, "solve_lp", counting)
-    return calls
+def _optimum_is_unique(program, opt):
+    """Whether `opt`, an optimal vertex of `program`, is its only optimum.
+
+    Mangasarian's test (Linear Algebra Appl. 25, 1979), run on the
+    reference solver: in standard form, the optimum is unique exactly when
+    the sum of the columns that are 0 at `opt` has maximum 0 over the
+    optimal face, the program plus the row objective . x = optimum.
+    """
+    rows = _standard_form(program)
+    x = [opt.values[key] for key in program.column_labels]
+    x += [rhs - sum(c * v for c, v in zip(coeffs, x))
+          for coeffs, rel, rhs in program.rows if rel == LESS_EQUAL]
+    face = ag.LinearProgram(
+        objective=tuple(F(v == 0) for v in x),
+        rows=tuple((coeffs, EQUAL, rhs) for coeffs, rhs in rows)
+        + ((program.objective + (F(0),) * (len(x) - program.n_vars), EQUAL, opt.objective_value),),
+        variable_index={("column", j): j for j in range(len(x))},
+        column_labels=tuple(("column", j) for j in range(len(x))),
+    )
+    sol = reference_lp.solve_lp(face)
+    assert sol.status == OPTIMAL
+    return sol.objective_value == 0
 
 
 def _assert_same_solution(cfg):
+    """`solve_bp` against the reference: the same objective, the same values
+    when the optimum is unique, and the flag set exactly when it is not."""
     mine = solve_bp(cfg)
-    ref = solve_lp(build_bp_lp(cfg))
+    program = build_bp_lp(cfg)
+    ref = reference_lp.solve_lp(program)
     assert mine.status == ref.status == OPTIMAL
-    assert mine.values == ref.values
     assert mine.objective_value == ref.objective_value
-    assert mine.multiplicity_flag == ref.multiplicity_flag
+    unique = _optimum_is_unique(program, ref)
+    assert mine.multiplicity_flag == (not unique)
+    if unique:
+        assert mine.values == ref.values
+    return mine
 
 
-def test_solve_bp_matches_generic_solver(monkeypatch):
-    fallbacks = _count_fallbacks(monkeypatch)
+def test_solve_bp_matches_generic_solver():
     rng = random.Random(8)
-    games = 0
     for n in range(2, 10):
         for _ in range(3 if n < 8 else 1):
             _assert_same_solution(_random_general(rng, n))
             _assert_same_solution(_spread_game(rng, n))
-            games += 2
-    assert len(fallbacks) < games
 
 
-def test_solve_bp_matches_generic_solver_on_ties(monkeypatch):
-    fallbacks = _count_fallbacks(monkeypatch)
+def test_solve_bp_matches_generic_solver_on_ties():
     rng = random.Random(13)
-    for n in range(2, 7):
-        for _ in range(6):
-            _assert_same_solution(_tie_heavy_game(rng, n))
-    assert fallbacks   # ties hand the game to the generic solver
+    flags = [_assert_same_solution(_tie_heavy_game(rng, n)).multiplicity_flag
+             for n in range(2, 7) for _ in range(6)]
+    assert any(flags) and not all(flags)   # both kinds of optimum occur
 
 
 @pytest.mark.parametrize("prior, alloc, c, k", [
     ((F(1, 4), F(1, 2), F(1, 4)), (3, 2, 2), 3, 3),
     ((F(1, 7), F(2, 7), F(2, 7), F(2, 7)), (19, 24, 19, 19), 25, 30),
 ])
-def test_solve_bp_hands_degenerate_optima_to_the_generic_solver(prior, alloc, c, k):
-    """Games whose specialised optimum has a zero basic value but every
-    nonbasic column priced strictly negative: `solve_lp` ends at a basis
-    with a zero reduced cost and flags it, so the shortcut must not decide
-    the flag on its own."""
+def test_solve_bp_degenerate_optima_are_unique(prior, alloc, c, k):
+    """Games whose optimum has a zero basic value and a nonbasic column
+    priced at 0 at some optimal basis, yet only one optimal point: the
+    flag stays clear."""
     cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(len(prior))), prior=prior,
                         alloc=alloc, audit_cost=c, fine=k)
     _assert_same_solution(cfg)
-    assert solve_bp(cfg).multiplicity_flag
+    assert not solve_bp(cfg).multiplicity_flag
 
 
-# -- both solvers against the loop that recomputed every reduced cost -----
+def _solve_square(matrix, rhs):
+    """Exact Gauss-Jordan solve of a square system; None if it is singular."""
+    size = len(matrix)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if aug[r][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        prow = [v / aug[c][c] for v in aug[c]]
+        aug[c] = prow
+        for r in range(size):
+            if r != c and aug[r][c] != 0:
+                factor = aug[r][c]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], prow)]
+    return [row[-1] for row in aug]
+
+
+def _optimal_vertices(program):
+    """Every optimal vertex of `program` as (columns..., slacks...) tuples,
+    by solving each basis of its standard form."""
+    rows = _standard_form(program)
+    width = len(rows[0][0])
+    vertices = set()
+    for cols in itertools.combinations(range(width), len(rows)):
+        basic = _solve_square([[coeffs[j] for j in cols] for coeffs, _ in rows],
+                              [rhs for _, rhs in rows])
+        if basic is not None and all(v >= 0 for v in basic):
+            x = [F(0)] * width
+            for j, v in zip(cols, basic):
+                x[j] = v
+            vertices.add(tuple(x))
+    best = max(sum(c * v for c, v in zip(program.objective, x)) for x in vertices)
+    return [x for x in vertices if sum(c * v for c, v in zip(program.objective, x)) == best]
+
+
+def test_tie_rule_matches_vertex_enumeration():
+    """The flag is set exactly when the optimal face has more than one
+    vertex, and the values are the lexicographically greatest optimal
+    vertex in column order."""
+    rng = random.Random(29)
+    flags = []
+    for _ in range(20):
+        for n in (2, 3):
+            cfg = _tie_heavy_game(rng, n)
+            program = build_bp_lp(cfg)
+            optima = _optimal_vertices(program)
+            sol = solve_bp(cfg)
+            assert sol.multiplicity_flag == (len(optima) > 1)
+            assert tuple(sol.values[key] for key in program.column_labels) == \
+                max(optima)[:program.n_vars]
+            flags.append(sol.multiplicity_flag)
+    assert any(flags) and not all(flags)
+
+
+# -- the specialised solver against the loop that recomputed every reduced cost
 
 
 def _record_pivots(monkeypatch, module):
@@ -390,40 +492,14 @@ def _record_pivots(monkeypatch, module):
     return pivots
 
 
-def _assert_same_result(mine, ref):
-    assert mine.status == ref.status
-    assert mine.values == ref.values
-    assert mine.objective_value == ref.objective_value
-    assert mine.multiplicity_flag == ref.multiplicity_flag
-
-
-def test_solvers_match_the_recomputing_reference(monkeypatch):
-    """`solve_lp` takes the reference's pivots and both solvers its results.
-
-    Bland's rule reads only the signs of exact reduced costs, so carrying
-    them as a tableau row must pivot exactly where recomputing them did.
-    """
-    from auditgame import lp as lp_mod
-    mine_pivots = _record_pivots(monkeypatch, lp_mod)
-    ref_pivots = _record_pivots(monkeypatch, reference_lp)
-    for program, status in ((_infeasible_lp(), "infeasible"), (_unbounded_lp(), "unbounded")):
-        ref = reference_lp.solve_lp(program)
-        assert ref.status == status
-        _assert_same_result(solve_lp(program), ref)
-        assert mine_pivots == ref_pivots
+def test_solvers_match_the_recomputing_reference():
+    """`solve_bp` agrees with the reference, which recomputes every reduced
+    cost at each basis, on all three game generators."""
     rng = random.Random(17)
     for n in range(2, 10):
         for make in (_random_general, _spread_game, _tie_heavy_game):
             for _ in range(3 if n < 7 else 1):
-                cfg = make(rng, n)
-                program = build_bp_lp(cfg)
-                mine_pivots.clear()
-                ref_pivots.clear()
-                ref = reference_lp.solve_lp(program)
-                assert ref.status == OPTIMAL
-                _assert_same_result(solve_lp(program), ref)
-                assert mine_pivots == ref_pivots and ref_pivots
-                _assert_same_result(solve_bp(cfg), ref)
+                _assert_same_solution(make(rng, n))
 
 
 def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
@@ -438,11 +514,11 @@ def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
     phases = []   # (columns entered, final reduced-cost row) per `_maximize` call
     maximize = lp_mod._maximize
 
-    def recording(tableau, basis, rows, width):
+    def recording(tableau, basis, rows, columns):
         start = len(pivots)
-        status = maximize(tableau, basis, rows, width)
+        bounded = maximize(tableau, basis, rows, columns)
         phases.append(([col for _, col in pivots[start:]], list(tableau[-1])))
-        return status
+        return bounded
 
     monkeypatch.setattr(lp_mod, "_maximize", recording)
     _assert_same_solution(cfg)
@@ -450,7 +526,7 @@ def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
     slacks = range(len(reduced) - 1 - cfg.n_types, len(reduced) - 1)
     assert any(col in slacks for col in entered)
     assert all(v <= 0 for v in reduced[:-1])
-    assert -reduced[-1] == solve_lp(build_bp_lp(cfg)).objective_value
+    assert -reduced[-1] == reference_lp.solve_lp(build_bp_lp(cfg)).objective_value
 
 
 def test_equal_credit_game_reports_alternate_optima():
