@@ -15,9 +15,9 @@ import stat
 import sys
 
 from .errors import InputError, RegimeError
-from .numeric import MODES, RATIONAL, as_fraction, sig15
 
-# Each handler imports the modules it runs, so that a call loads only those.
+# Each handler imports the modules it runs, so that a call loads only those:
+# a ledger call loads neither `numeric` nor the `fractions` it imports.
 
 
 def _load_config(path):
@@ -59,6 +59,7 @@ def _write_out(text: str, out_path) -> None:
 
 
 def _grid(arg):
+    from .numeric import as_fraction
     return tuple(as_fraction(v) for v in arg.split(","))
 
 
@@ -75,8 +76,9 @@ def _add_common(p, config_required=True):
 
 
 def _add_sweep_options(p):
-    p.add_argument("--mode", choices=MODES, default=RATIONAL)
-    # Parsed in `_spec_with_overrides`, so a bad value is an input error.
+    # Checked by the library and parsed in `_spec_with_overrides`, so a bad
+    # value is an input error.
+    p.add_argument("--mode", default=None, help="numeric mode (see the README); exact by default")
     p.add_argument("--qmin-grid", default=None)
     p.add_argument("--c-grid", default=None)
     p.add_argument("--k-grid", default=None)
@@ -220,6 +222,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
+    from .numeric import sig15
     cfg = _load_config(args.config)
     if args.format == "csv":
         report = bounds_mod.bound_report(cfg)
@@ -249,6 +252,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cost(args) -> int:
     from . import cost as cost_mod
+    from .numeric import sig15
     cfg = _load_config(args.config)
     report = cost_mod.compare(cfg)
     lines = [
@@ -282,10 +286,15 @@ def _spec_with_overrides(args, preset):
     return spec
 
 
+def _mode(args) -> str:
+    from .numeric import RATIONAL
+    return RATIONAL if args.mode is None else args.mode
+
+
 def _cmd_sweep(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.ftbp_preset())
-    rows = casestudy.sweep_costs(spec, mode=args.mode)
+    rows = casestudy.sweep_costs(spec, mode=_mode(args))
     _write_out(casestudy.costs_csv(rows), args.out)
     return 0
 
@@ -293,7 +302,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_surface(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.surface_preset())
-    rows = casestudy.sweep_misreport_surface(spec, mode=args.mode)
+    rows = casestudy.sweep_misreport_surface(spec, mode=_mode(args))
     _write_out(casestudy.surface_csv(rows), args.out)
     return 0
 
@@ -359,8 +368,9 @@ def _cmd_ledger(args) -> int:
         sys.stdout.write(f"rejected: {outcome.reason}\n")
         return 1
     if args.ledger_command == "audit-log":
-        # Loading re-verifies every record's signatures and raises on the
-        # first that fails, so each record listed here has passed.
+        # Loading re-verifies every record after the administrator's signed
+        # checkpoint and raises on the first that fails; the records inside
+        # it passed when it was signed.  So each record listed here has passed.
         state = _open_ledger(args)
         for i, receipt in enumerate(state.approved):
             sys.stdout.write(

@@ -8,25 +8,33 @@ ledger issues a random challenge for a raw receipt, the owner signs the
 coins, and a valid signature.  Approved receipts are persisted one record
 per line and replayed on load.
 
-Replay re-verifies each record's coin and owner signatures, except inside
-a prefix that the administrator has already verified and signed.  That
-checkpoint is a JSON file next to the log (`log.jsonl.checkpoint`):
-`{"bytes": N, "sha256": H, "sig": S}`, where S is the administrator's
-signature on `CHECKPOINT_TAG` followed by the canonical JSON of N and H.
-The tag keeps checkpoint and coin signatures apart: neither can pass as
-the other.  `load` honours a checkpoint only when 0 < N <= the log's
-length, the SHA-256 of the log's first N bytes is H and S verifies under
-the administrator's public key; otherwise it verifies every record.
-Either way it parses every record and checks every one for double-spends.
-After a load in which every record passed, it signs a new checkpoint for
-the newline-terminated part of the log, if that part grew.  The file is
-only a cache: deleting it costs one full verification.
+Replay parses and re-verifies each record, except inside a prefix that
+the administrator has already verified and signed together with the coins
+it spends.  That checkpoint is a JSON file next to the log
+(`log.jsonl.checkpoint`): `{"bytes": N, "sha256": H, "spent": M, "sig": S}`,
+where M maps each owner's public key (hex) to the ascending ids of that
+owner's coins spent by the records inside the first N bytes, and S is the
+administrator's signature on `CHECKPOINT_TAG` followed by the canonical
+JSON of N, H and M.  The tag keeps checkpoint and coin signatures apart:
+neither can pass as the other.  `load` honours a checkpoint only when
+0 < N <= the log's length, the SHA-256 of the log's first N bytes is H and
+S verifies under the administrator's public key; otherwise it verifies
+every record.  A record counts as inside the prefix only when its line,
+newline included, is.  With a checkpoint, the spent set starts as M and
+only the records after the prefix are parsed, verified and checked for
+double-spends against it; the prefix is parsed only when `approved` is
+first read, without signature checks.  After a load in which every record
+passed, it signs a new checkpoint for the newline-terminated part of the
+log, if that part grew.  The file is only a cache: deleting it costs one
+full verification.
 
 Trust: anyone without the administrator's secret key can neither make
-`load` skip a record nor make it accept a log that it would refuse
-without a checkpoint.  Records inside a checkpoint are trusted on the
-administrator's signature, not re-checked against the users' keys; the
-holder of that key can already mint any coin.
+`load` skip a record, nor change the spent set it starts from, nor make it
+accept a log that it would refuse without a checkpoint: editing a byte of
+the prefix changes H, and editing N, H or M voids S.  Records and spent
+coins inside a checkpoint are trusted on the administrator's signature,
+not re-checked against the users' keys or against each other; the holder
+of that key can already mint any coin.
 
 Secret keys never pass through ledger operations; signing happens on the
 owner's side via `sign_receipt`.
@@ -163,12 +171,21 @@ def _canonical(obj) -> bytes:
 
 
 # Prefixes every signed checkpoint message.  Coin payloads are canonical
-# JSON objects and start with "{", so no message is signed as both.
-CHECKPOINT_TAG = b"auditgame log checkpoint v1\n"
+# JSON objects and start with "{", so no message is signed as both.  A v1
+# checkpoint, which signed no spent coins, fails to verify under it.
+CHECKPOINT_TAG = b"auditgame log checkpoint v2\n"
 
 
-def _checkpoint_message(n_bytes: int, sha256: str) -> bytes:
-    return CHECKPOINT_TAG + _canonical({"bytes": n_bytes, "sha256": sha256})
+def _checkpoint_message(n_bytes: int, sha256: str, spent: dict) -> bytes:
+    return CHECKPOINT_TAG + _canonical({"bytes": n_bytes, "sha256": sha256, "spent": spent})
+
+
+def _spent_map(keys) -> dict:
+    """Coin keys (owner hex, coin id) as {owner hex: [ascending coin ids]}."""
+    by_owner: dict = {}
+    for owner, coin_id in keys:
+        by_owner.setdefault(owner, []).append(coin_id)
+    return {owner: sorted(ids) for owner, ids in by_owner.items()}
 
 
 class Coin(Record):
@@ -272,6 +289,17 @@ def sign_receipt(scheme: SignatureScheme, sk: bytes, raw: RawReceipt,
     return Receipt(raw=raw, challenge=challenge, user_sig=sig)
 
 
+def _parse_record(line: bytes, lineno: int):
+    """The receipt on one log line, or None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        return Receipt.from_dict(json.loads(line))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None
+
+
 class SpendOutcome(Record):
     """`reason` is None on approval, else one of double-spend, bad-signature,
     invalid-coin, owner-mismatch, unknown-challenge and expired-challenge."""
@@ -309,7 +337,9 @@ class LedgerState:
         self._rng = rng
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
-        self.approved: list = []
+        self._approved: list = []
+        # The log prefix whose records `approved` has yet to parse.
+        self._covered = b""
         self._spent: set = set()
         self._issued: set = set()
         self._pending: dict = {}   # r0 digest -> {challenge bytes: deadline}
@@ -325,8 +355,13 @@ class LedgerState:
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
              log_path, **kwargs) -> "LedgerState":
-        """Rebuild from the approved-receipt log, re-verifying every record
-        after the checkpointed prefix (see the module docstring)."""
+        """Rebuild from the approved-receipt log.
+
+        With a valid checkpoint the spent set starts as the one it signs, and
+        only the records after its prefix are parsed, re-verified and checked
+        for double-spends; without one, every record is (see the module
+        docstring).  Messages name the same line numbers either way.
+        """
         state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
         if log_path and os.path.exists(log_path):
             # Bytes, so that json.loads decodes each line and a line that is
@@ -339,20 +374,17 @@ class LedgerState:
                 raise InputError(f"cannot read ledger log {log_path!r}: "
                                  f"{exc.strerror or exc}") from None
             state._unterminated = bool(data) and not data.endswith(b"\n")
-            trusted = state._checkpointed_bytes(data)
-            end = 0
-            for lineno, line in enumerate(io.BytesIO(data), start=1):
-                end += len(line)
-                covered = end <= trusted and line.endswith(b"\n")
-                line = line.strip()
-                if not line:
+            covered, state._spent = state._read_checkpoint(data)
+            state._issued = set(state._spent)
+            view = memoryview(data)
+            state._covered = view[:covered]
+            torn = set()   # coins of a record on an unterminated last line
+            first = data.count(b"\n", 0, covered) + 1
+            for lineno, line in enumerate(io.BytesIO(view[covered:]), start=first):
+                receipt = _parse_record(line, lineno)
+                if receipt is None:
                     continue
-                try:
-                    receipt = Receipt.from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise InputError(
-                        f"log line {lineno} is not a receipt record: {exc!r}") from None
-                problem = None if covered else state._receipt_integrity_problem(receipt)
+                problem = state._receipt_integrity_problem(receipt)
                 if problem:
                     raise InputError(f"log line {lineno} fails re-verification: {problem}")
                 for coin in receipt.raw.coins:
@@ -360,50 +392,69 @@ class LedgerState:
                         raise InputError(f"log line {lineno} double-spends coin {coin.key}")
                     state._spent.add(coin.key)
                     state._issued.add(coin.key)
-                state.approved.append(receipt)
-            state._save_checkpoint(data, trusted)
+                state._approved.append(receipt)
+                if not line.endswith(b"\n"):
+                    torn = {coin.key for coin in receipt.raw.coins}
+            state._save_checkpoint(data, covered, torn)
         return state
+
+    @property
+    def approved(self) -> list:
+        """Every approved receipt, in log order.  The first read parses the
+        records inside a loaded checkpoint, without signature checks."""
+        with self._lock:
+            if self._covered:
+                self._approved[:0] = [
+                    receipt for lineno, line in enumerate(io.BytesIO(self._covered), start=1)
+                    if (receipt := _parse_record(line, lineno)) is not None]
+                self._covered = b""
+            return self._approved
 
     def _checkpoint_path(self) -> str:
         return os.fspath(self.log_path) + ".checkpoint"
 
-    def _checkpointed_bytes(self, data: bytes) -> int:
-        """Length of the log prefix a valid checkpoint vouches for, else 0."""
+    def _read_checkpoint(self, data: bytes) -> tuple:
+        """(length, spent coin keys) of the newline-terminated log prefix a
+        valid checkpoint vouches for, else (0, an empty set)."""
         try:
             with open(self._checkpoint_path(), "rb") as fh:
                 checkpoint = json.loads(fh.read())
-            n_bytes, digest = checkpoint["bytes"], checkpoint["sha256"]
+            n_bytes, digest, spent = checkpoint["bytes"], checkpoint["sha256"], checkpoint["spent"]
             sig = bytes.fromhex(checkpoint["sig"])
         except (OSError, ValueError, KeyError, TypeError):
-            return 0
+            return 0, set()
         if (type(n_bytes) is not int or not 0 < n_bytes <= len(data)
                 or hashlib.sha256(memoryview(data)[:n_bytes]).hexdigest() != digest
-                or not self.scheme.verify(self.admin_pk, _checkpoint_message(n_bytes, digest),
-                                          sig)):
-            return 0
-        return n_bytes
+                or not self.scheme.verify(self.admin_pk,
+                                          _checkpoint_message(n_bytes, digest, spent), sig)):
+            return 0, set()
+        # Only the administrator signs M, and always as {owner hex: [coin ids]}.
+        return (data.rfind(b"\n", 0, n_bytes) + 1,
+                {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids})
 
-    def _save_checkpoint(self, data: bytes, trusted: int) -> None:
-        """Sign the verified newline-terminated prefix of `data` if it grew.
+    def _save_checkpoint(self, data: bytes, covered: int, torn: set) -> None:
+        """Sign the verified newline-terminated prefix of `data`, and the
+        coins its records spend (all spent coins but `torn`), if it grew.
 
         The file is replaced atomically.  It is only a cache, so a failed
         write is ignored, as is a secret key the scheme cannot sign with
         (reading the log needs only the public key).
         """
         n_bytes = data.rfind(b"\n") + 1
-        if n_bytes <= trusted:
+        if n_bytes <= covered:
             return
         digest = hashlib.sha256(memoryview(data)[:n_bytes]).hexdigest()
+        spent = _spent_map(self._spent - torn)
         try:
-            sig = self.scheme.sign(self._admin_sk, _checkpoint_message(n_bytes, digest))
+            sig = self.scheme.sign(self._admin_sk, _checkpoint_message(n_bytes, digest, spent))
         except ValueError:
             return
         path = self._checkpoint_path()
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"bytes": n_bytes, "sha256": digest, "sig": sig.hex()},
-                                    sort_keys=True) + "\n")
+                fh.write(json.dumps({"bytes": n_bytes, "sha256": digest, "sig": sig.hex(),
+                                     "spent": spent}, sort_keys=True) + "\n")
             os.replace(tmp, path)
         except OSError:
             try:
@@ -510,7 +561,7 @@ class LedgerState:
             del challenges[receipt.challenge]
             if not challenges:
                 self._pending.pop(digest, None)
-            self.approved.append(receipt)
+            self._approved.append(receipt)
         return SpendOutcome(True)
 
     def is_spent(self, coin: Coin) -> bool:

@@ -232,6 +232,17 @@ def test_invalid_sweep_grids_are_input_errors(args, capsys):
         assert ("fine must be non-negative" in err) == (args[-2:] == ["--k-grid", "-5"])
 
 
+@pytest.mark.parametrize("command", ["sweep", "surface"])
+def test_an_unknown_mode_is_an_input_error(command, tmp_path, capsys):
+    # exit 2 would say that the budget regime rules the request out
+    target = tmp_path / "out.csv"
+    code, out, err = run([command, "--mode", "bogus", "--out", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("input error: unknown numeric mode 'bogus'; "
+                   "expected one of ('rational', 'float')\n")
+    assert not target.exists()
+
+
 def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
     led = str(tmp_path / "led")
     alice = str(tmp_path / "alice.key")

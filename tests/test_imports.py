@@ -1,9 +1,10 @@
 """Each CLI call imports only the modules its subcommand runs.
 
 No call imports `dataclasses` or `inspect`: together they cost more
-start-up time than a small game call spends computing.  Every check runs
-in a fresh interpreter, since the test process has already imported the
-whole package.
+start-up time than a small game call spends computing.  No ledger call
+imports `auditgame.numeric` or the `fractions` and `decimal` it loads.
+Every check runs in a fresh interpreter, since the test process has
+already imported the whole package.
 """
 
 import json
@@ -17,24 +18,27 @@ import auditgame
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(auditgame.__file__)))
 
-BASE = {"auditgame", "auditgame.cli", "auditgame.errors", "auditgame.numeric"}
+BASE = {"auditgame", "auditgame.cli", "auditgame.errors"}
 VALUES = BASE | {"auditgame.record"}
-SOLVE = VALUES | {"auditgame.core", "auditgame.lp", "auditgame.bounds", "auditgame.equilibrium"}
-SWEEP = VALUES | {"auditgame.core", "auditgame.casestudy"}
+GAME = VALUES | {"auditgame.numeric", "auditgame.core"}
+SOLVE = GAME | {"auditgame.lp", "auditgame.bounds", "auditgame.equilibrium"}
+SWEEP = GAME | {"auditgame.casestudy"}
 LEDGER = VALUES | {"auditgame.ledger"}
 
 # Standard-library modules that no CLI call may load.
 SLOW = ("dataclasses", "inspect")
+# Standard-library modules that only the game calls need.
+EXACT = ("fractions", "decimal")
 
 # Runs `cli.main` on its arguments, then prints the exit status and the
-# loaded modules of this package, of `cryptography` and of SLOW as the
-# last line.
+# loaded modules of this package, of `cryptography`, of SLOW and of EXACT
+# as the last line.
 CALL = f"""
 import json, sys
 from auditgame import cli
 code = cli.main(sys.argv[1:])
 names = sorted(m for m in sys.modules
-               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW!r})
+               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW + EXACT!r})
 print(json.dumps([code, names]))
 """
 
@@ -54,14 +58,15 @@ def _python(code, *args, cwd=None):
 
 
 def _call(args, cwd):
-    """(exit status, auditgame modules, cryptography modules) of one CLI call,
-    after checking that it loaded none of SLOW."""
+    """(exit status, auditgame modules, cryptography modules, EXACT modules)
+    of one CLI call, after checking that it loaded none of SLOW."""
     proc = _python(CALL, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     code, names = json.loads(proc.stdout.splitlines()[-1])
     assert not set(SLOW) & set(names), args
     ours = {n for n in names if n.split(".")[0] == "auditgame"}
-    return code, ours, set(names) - ours
+    exact = set(EXACT) & set(names)
+    return code, ours, set(names) - ours - exact, exact
 
 
 def test_importing_the_cli_loads_no_game_or_ledger_module():
@@ -85,11 +90,11 @@ def workdir(tmp_path):
     (["probe", "--config", "probe.cfg"], SOLVE | {"auditgame.oracle"}),
     (["sweep", "--qmin-grid", "1/4,1/2"], SWEEP),
     (["surface", "--mode", "float"], SWEEP),
-    (["bounds", "--config", "two.cfg"], VALUES | {"auditgame.core", "auditgame.bounds"}),
+    (["bounds", "--config", "two.cfg"], GAME | {"auditgame.bounds"}),
     (["bounds", "--config", "two.cfg", "--format", "text"], SOLVE),
 ], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv", "bounds-text"])
 def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):
-    code, ours, crypto = _call(args, workdir)
+    code, ours, crypto, _ = _call(args, workdir)
     assert code == 0
     assert ours == expected
     assert crypto == set()
@@ -104,10 +109,11 @@ def test_ledger_subcommands_load_no_game_module(workdir):
         ["audit-log", "--dir", "led"],
     ]
     for args in session:
-        code, ours, crypto = _call(["ledger", *args], workdir)
+        code, ours, crypto, exact = _call(["ledger", *args], workdir)
         assert code == 0, args
         assert ours == LEDGER, args
         assert crypto, args   # Ed25519 is the default scheme
+        assert exact == set(), args
 
 
 def test_package_names_resolve_on_first_access():

@@ -328,7 +328,8 @@ def test_checkpoint_limits_reverification_to_appended_records(ledger, user, veri
     inode = os.stat(log + ".checkpoint").st_ino
     verified.clear()
     again = _load(state, log)
-    assert verified == [lg._checkpoint_message(size, _checkpoint(log)["sha256"])]
+    assert verified == [lg._checkpoint_message(size, _checkpoint(log)["sha256"],
+                                               _checkpoint(log)["spent"])]
     assert os.stat(log + ".checkpoint").st_ino == inode   # nothing new to sign
     assert again.approved == first.approved and again._spent == first._spent
 
@@ -399,7 +400,8 @@ def test_every_changed_byte_of_the_prefix_loads_as_without_a_checkpoint(tmp_path
 
 def _foreign_admin_sig(state, log, checkpoint):
     sk, _ = lg.keygen(state.scheme)
-    message = lg._checkpoint_message(checkpoint["bytes"], checkpoint["sha256"])
+    message = lg._checkpoint_message(checkpoint["bytes"], checkpoint["sha256"],
+                                     checkpoint["spent"])
     return dict(checkpoint, sig=state.scheme.sign(sk, message).hex())
 
 
@@ -411,6 +413,17 @@ def _shorter_prefix(state, log, checkpoint):
 
 def _coin_sig(state, log, checkpoint):
     return dict(checkpoint, sig=state.approved[0].raw.coins[0].issuer_sig.hex())
+
+
+def _v1_sig(state, log, checkpoint):
+    # what the administrator signed before checkpoints carried the spent coins
+    message = b"auditgame log checkpoint v1\n" + lg._canonical(
+        {"bytes": checkpoint["bytes"], "sha256": checkpoint["sha256"]})
+    return dict(checkpoint, sig=state.scheme.sign(state._admin_sk, message).hex())
+
+
+def _edit_spent(edit):
+    return lambda state, log, cp: dict(cp, spent={o: edit(ids) for o, ids in cp["spent"].items()})
 
 
 @pytest.mark.parametrize("edit", [
@@ -428,17 +441,24 @@ def _coin_sig(state, log, checkpoint):
     lambda state, log, cp: [cp],
     lambda state, log, cp: "not a checkpoint",
     _coin_sig,
+    lambda state, log, cp: {k: v for k, v in _v1_sig(state, log, cp).items() if k != "spent"},
+    _v1_sig,
+    _edit_spent(lambda ids: ids[:-1]),
+    _edit_spent(lambda ids: ids[:-1] + [ids[-1] + 1]),
 ], ids=["another-admin-key", "edited-bytes-and-sha256", "bytes-minus-1", "bytes-beyond-log",
         "bytes-0", "bytes-string", "bytes-bool", "edited-sha256", "sha256-null", "sig-not-hex",
-        "no-sig", "a-list", "a-string", "coin-signature-as-sig"])
+        "no-sig", "a-list", "a-string", "coin-signature-as-sig", "v1", "v1-sig-with-spent",
+        "spent-id-dropped", "spent-id-changed"])
 def test_an_invalid_checkpoint_falls_back_to_a_full_verify(ledger, verified, edit):
     state, log = ledger
     _load(state, log)
-    _write_checkpoint(log, edit(state, log, _checkpoint(log)))
+    valid = _checkpoint(log)
+    _write_checkpoint(log, edit(state, log, valid))
     verified.clear()
     assert len(_load(state, log).approved) == 3
     assert len(_record_checks(verified)) == 2 * 3
-    verified.clear()   # and the load signed a valid checkpoint again
+    assert _checkpoint(log) == valid   # the load signed a valid checkpoint again
+    verified.clear()
     _load(state, log)
     assert _record_checks(verified) == []
 
@@ -480,23 +500,66 @@ def test_a_double_spend_after_the_checkpoint_is_refused(ledger, user, verified):
     assert with_checkpoint == f"log line 4 double-spends coin {coin.key}"
 
 
-def test_a_torn_last_line_is_never_covered(ledger, verified):
+def test_a_torn_last_line_is_never_covered(ledger, user, verified):
     state, log = ledger
     data = open(log, "rb").read()
     with open(log, "wb") as fh:
         fh.write(data[:-1])   # the last record loses its newline
     assert len(_load(state, log).approved) == 3
     assert _checkpoint(log)["bytes"] == data.rfind(b"\n", 0, -1) + 1
+    assert _checkpoint(log)["spent"] == {user[1].hex(): [0, 1]}   # not coin 2
     verified.clear()
     _load(state, log)
     assert len(_record_checks(verified)) == 2
     # even a checkpoint the administrator signed over the torn line skips it
-    digest = hashlib.sha256(data[:-1]).hexdigest()
-    sig = state.scheme.sign(state._admin_sk, lg._checkpoint_message(len(data) - 1, digest))
-    _write_checkpoint(log, {"bytes": len(data) - 1, "sha256": digest, "sig": sig.hex()})
+    digest, spent = hashlib.sha256(data[:-1]).hexdigest(), _checkpoint(log)["spent"]
+    sig = state.scheme.sign(state._admin_sk,
+                            lg._checkpoint_message(len(data) - 1, digest, spent))
+    _write_checkpoint(log, {"bytes": len(data) - 1, "sha256": digest, "sig": sig.hex(),
+                            "spent": spent})
     verified.clear()
     _load(state, log)
     assert len(_record_checks(verified)) == 2
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every record dict `Receipt.from_dict` is given, in order."""
+    records = []
+    from_dict = lg.Receipt.from_dict
+
+    def counting(cls, d):
+        records.append(d)
+        return from_dict(d)
+
+    monkeypatch.setattr(lg.Receipt, "from_dict", classmethod(counting))
+    return records
+
+
+@pytest.mark.parametrize("covered", [3, 300])
+def test_a_checkpointed_ledger_parses_only_the_records_after_it(covered, tmp_path, parsed):
+    scheme = lg.DeterministicScheme(seed=5)
+    sk, pk = user = lg.keygen(scheme)
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, user, range(covered))
+    _load(state, log)                            # signs a checkpoint over them
+    _spend_new_coins(state, user, [covered])     # one record after the checkpoint
+    parsed.clear()
+    again = _load(state, log)
+    _spend_new_coins(again, user, [covered + 1])   # a mint and a spend
+    coin = state.approved[0].raw.coins[0]          # inside the checkpoint
+    with pytest.raises(InputError, match="already issued"):
+        again.mint(pk, coin.metadata)
+    raw = lg.RawReceipt(goods="again", price=1, coins=(coin,))
+    receipt = lg.sign_receipt(scheme, sk, raw, again.begin_spend(raw))
+    assert again.finalize_spend(receipt).reason == "double-spend"
+    assert len(parsed) == 1
+    # the first read of `approved` parses the prefix, in log order
+    os.remove(log + ".checkpoint")
+    full = _load(state, log)
+    assert len(full.approved) == covered + 2
+    assert again.approved == full.approved and again._spent == full._spent
 
 
 def test_a_failing_load_writes_no_checkpoint(ledger):
