@@ -55,8 +55,15 @@ def check_mode(mode: str) -> str:
 
 
 def _float(value) -> float:
-    """`float(value)`, with a value beyond the float range as an input error."""
+    """`float(value)`, with a value beyond the float range as an input error.
+
+    A Fraction converts as `numerator / denominator`, which is what
+    `float()` computes too (integer true division rounds correctly),
+    without the trip through `numbers.Rational.__float__`.
+    """
     try:
+        if type(value) is Fraction:
+            return value.numerator / value.denominator
         return float(value)
     except OverflowError:
         raise InputError("a number of magnitude 1.8e308 or more is beyond the float range") from None
@@ -73,10 +80,14 @@ _FLOAT_MIN = sys.float_info.min
 def sig15(value) -> str:
     """Format a number with 15 significant digits (CSV convention).
 
-    The digits are those of the nearest float, except for a non-zero
-    Fraction of magnitude below the smallest normal float, whose float
-    keeps fewer digits or none: that is rounded exactly.
+    The digits are those of the nearest float (`_float`); a float formats
+    as `"%.15g"` directly.  A non-zero Fraction of magnitude below the
+    smallest normal float, whose float keeps fewer digits or none, is
+    rounded exactly instead.  A value beyond the float range is an input
+    error.
     """
+    if type(value) is float:
+        return "%.15g" % value
     f = _float(value)
     if -_FLOAT_MIN < f < _FLOAT_MIN and value and isinstance(value, Fraction):
         return _sig15_exact(value)

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import auditgame as ag
 from auditgame import InputError
@@ -237,3 +239,80 @@ def test_preset_csvs_match_row_by_row_reference(mode):
     spec = ag.surface_preset()
     assert surface_csv(ag.sweep_misreport_surface(spec, mode=mode)) == reference_csv(
         reference_surface_rows(spec, mode), SURFACE_HEADER)
+
+
+# Grid values for the property test: integers, small fractions and one value
+# below the smallest normal float.  Against credit gaps of 0 to 80 they give
+# degenerate pairs (k - c + df <= 0), caps of exactly 1 and caps below 1.
+_AMOUNTS = st.one_of(
+    st.integers(0, 600),
+    st.fractions(min_value=0, max_value=200, max_denominator=40),
+    st.just(F("1e-320")),
+)
+_PRIORS = st.fractions(min_value=0, max_value=1, max_denominator=2000).filter(lambda q: 0 < q < 1)
+
+
+@st.composite
+def _sweep_specs(draw):
+    low = draw(st.integers(0, 120))
+    # a gap of 0 gives equal credits
+    gap = draw(st.one_of(st.just(0), st.integers(0, 80), st.fractions(0, 80, max_denominator=7)))
+    alloc = (low, low + gap)
+    users = draw(st.one_of(st.integers(1, 6), st.just(4000)))
+    base = ag.ftbp_preset().base.replace(alloc=alloc, num_users=users)
+    return ag.SweepSpec(
+        base=base,
+        q_min_grid=tuple(draw(st.lists(_PRIORS, min_size=1, max_size=4))),
+        c_grid=tuple(draw(st.lists(_AMOUNTS, min_size=1, max_size=3))),
+        k_grid=tuple(draw(st.lists(_AMOUNTS, min_size=1, max_size=3))),
+        # sizes above `users` make n = max(num_users, l) follow l
+        coalition_grid=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))),
+        reference_line=draw(st.fractions(0, 10**5, max_denominator=9)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_sweep_specs())
+def test_rational_sweeps_match_row_by_row_reference_on_random_specs(spec):
+    rows = ag.sweep_costs(spec)
+    reference = reference_cost_rows(spec, "rational")
+    _assert_same_rows(rows, reference)
+    assert costs_csv(rows) == reference_csv(reference, COSTS_HEADER)
+    rows = ag.sweep_misreport_surface(spec)
+    reference = reference_surface_rows(spec, "rational")
+    _assert_same_rows(rows, reference)
+    assert surface_csv(rows) == reference_csv(reference, SURFACE_HEADER)
+
+
+_FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__pos__", "__neg__", "__abs__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__",
+)
+
+
+def _fraction_operator_calls(monkeypatch, run):
+    """How many times `run()` calls a Fraction arithmetic or comparison operator."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in _FRACTION_OPERATORS:
+            method = getattr(F, name)
+
+            def counted(*args, _method=method):
+                calls.append(None)
+                return _method(*args)
+            patch.setattr(F, name, counted)
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("sweep", [ag.sweep_costs, ag.sweep_misreport_surface])
+def test_rational_sweep_fraction_work_does_not_grow_with_the_q_min_grid(sweep, monkeypatch):
+    # The degenerate-pairs game has annotated pairs, caps of 1 and caps below 1.
+    spec = ODD_SPECS["degenerate_pairs"]
+    counts = []
+    for size in (10, 1000):
+        grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
+        counts.append(_fraction_operator_calls(monkeypatch, lambda: sweep(grid)))
+    assert counts[0] == counts[1] > 0

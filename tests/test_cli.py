@@ -370,6 +370,28 @@ def test_sweep_at_a_misreport_probability_of_one_has_a_zero_budget(capsys):
         assert out.splitlines()[1] == "0.5,1e+307,1e+307,150,110000,110000,0,110000,true,83333"
 
 
+def test_float_sweep_row_beyond_the_float_range_is_an_input_error(capsys):
+    # l * c overflows a float while 1 - p > 0, so the float budget is inf
+    args = ["sweep", "--qmin-grid", "1/2", "--c-grid", "1e307", "--k-grid", "1e308",
+            "--coalition", "150"]
+    code, out, err = run(args + ["--mode", "rational"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == ("0.5,1e+307,1e+308,150,110000,12955.5555555556,"
+                                   "733.333333333333,12222.2222222222,true,83333")
+    code, out, err = run(args + ["--mode", "float"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("input error: the float-mode cost row q_min=0.5, c=1e+307, k=1e+308, l=150"
+                   " has a value beyond the float range\n")
+
+
+def test_float_sweep_user_count_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "many.cfg"
+    path.write_text(CFG_A + f"num_users = {10**400}\n")
+    code, out, err = run(["sweep", "--mode", "float", "--config", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "input error: a number of magnitude 1.8e308 or more is beyond the float range\n"
+
+
 def test_surface_prints_a_value_below_the_float_range_exactly(capsys):
     args = ["surface", "--qmin-grid", "1/2", "--c-grid", "1e-320", "--k-grid", "1e307"]
     code, out, err = run(args, capsys)

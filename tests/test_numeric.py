@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auditgame import InputError
 from auditgame.numeric import as_fraction, check_mode, in_mode, sig15
@@ -54,6 +56,26 @@ def test_sig15_is_exact_below_the_float_range():
     smallest_normal = F(2.2250738585072014e-308)
     assert sig15(smallest_normal) == "%.15g" % 2.2250738585072014e-308
     assert sig15(F(3, 10**308)) == "3e-308"
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.fractions(max_denominator=10**30) | st.fractions().map(lambda f: f * F(10) ** 300))
+def test_sig15_of_a_fraction_has_the_digits_of_its_float(value):
+    try:
+        as_float = float(value)
+    except OverflowError:
+        with pytest.raises(InputError, match="beyond the float range"):
+            sig15(value)
+        return
+    assert sig15(value) == "%.15g" % as_float
+
+
+def test_sig15_beyond_the_float_range_is_an_input_error():
+    for value in (F(10**400), F(10**400, 3), 10**400):
+        with pytest.raises(InputError, match="beyond the float range"):
+            sig15(value)
+    assert sig15(float("inf")) == "inf"
+    assert sig15(F(-(10**308), 1)) == "-1e+308"
 
 
 def test_modes():
