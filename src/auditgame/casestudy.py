@@ -9,12 +9,11 @@ Sweeps emit deterministic CSV for downstream plotting.
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 
 from .core import GameConfig, raw_misreport_cap, two_type_costs
 from .errors import InputError
-from .numeric import FLOAT, RATIONAL, as_fraction, check_mode, in_mode, sig15
+from .numeric import FLOAT, RATIONAL, as_fraction, check_mode, in_mode, sig15, sig15_ratio
 from .record import Record
 
 COSTS_HEADER = ("q_min", "c", "k", "l", "cost_no_audit", "cost_audit",
@@ -22,8 +21,6 @@ COSTS_HEADER = ("q_min", "c", "k", "l", "cost_no_audit", "cost_audit",
 SURFACE_HEADER = ("q_min", "c", "k", "max_misreport_prob")
 
 _INF = float("inf")
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SweepSpec(Record):
@@ -98,54 +95,70 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     well defined where an instance validator would balk (a fine below the
     audit cost); rows where the formulas truly degenerate (k - c + df <= 0)
     are annotated rather than aborting the sweep.  Rational mode evaluates
-    those forms on integer numerators and denominators (`_exact_cost_rows`),
+    those forms on integer numerators and denominators (`_rational_costs`),
     with no `Fraction` arithmetic per q_min value; float mode evaluates
-    them as written, computing the cap once per (q_min, c, k) and n * q_min
-    once per (q_min, l), and a row with a value beyond the float range is
-    an input error.  Every axis value is converted once, and rows with
-    equal axis values share one object, so `write_csv` formats each value
-    once.
+    them as written (`_float_costs`), and a row with a value beyond the
+    float range is an input error.  Every axis value is converted once,
+    and rows share one object per axis value and one `cost_no_audit` per
+    (q_min, max(num_users, l)).
     """
+    return [{"q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
+             "cost_no_audit": no_audit, "cost_audit": total, "budget": budget,
+             "excess": excess, "dominates": dominates}
+            for q, c, k, l, no_audit, total, budget, excess, dominates, reference_line
+            in _cells(_COSTS, spec, mode, _VALUES)]
+
+
+def costs_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
+    """`sweep_costs(spec, mode)` as UTF-8 CSV text under `COSTS_HEADER`."""
+    return _csv(COSTS_HEADER, _cells(_COSTS, spec, mode, _TEXT))
+
+
+def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
+    """One row per (q_min, c, k): the largest equilibrium misreporting probability.
+
+    The surface grids include points with c > k, which a validated game
+    instance rejects; the cap's closed form covers them all the same.
+    Float mode evaluates `core.raw_misreport_cap` as written; rational
+    mode evaluates it on integers (`_rational_surface`).
+    """
+    return [{"q_min": q, "c": c, "k": k, "max_misreport_prob": cap}
+            for q, c, k, cap in _cells(_SURFACE, spec, mode, _VALUES)]
+
+
+def surface_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
+    """`sweep_misreport_surface(spec, mode)` as UTF-8 CSV text under `SURFACE_HEADER`."""
+    return _csv(SURFACE_HEADER, _cells(_SURFACE, spec, mode, _TEXT))
+
+
+def _csv(header: tuple, rows) -> str:
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
+
+
+def _same(value):
+    return value
+
+
+def _fraction_text(value: Fraction) -> str:
+    return sig15_ratio(value.numerator, value.denominator)
+
+
+# What a kernel hands its sink for each cell, by mode: in rational mode a
+# converter of axis values and one of exact ratios (numerator, denominator),
+# in float mode one converter of floats.  Library rows keep the numbers;
+# CSV text has strings as they are, integers in full and every other
+# number with 15 significant digits, by the rules of `numeric.sig15`: its
+# ratio entry point `sig15_ratio`, and `"%.15g"` for a float.
+_VALUES = {RATIONAL: (_same, Fraction), FLOAT: (_same,)}
+_TEXT = {RATIONAL: (_fraction_text, sig15_ratio), FLOAT: ("%.15g".__mod__,)}
+
+
+def _cells(kernels: dict, spec: SweepSpec, mode: str, sink: dict):
+    """The rows of the table whose kernel per mode is `kernels`, as `sink` takes them."""
     check_mode(mode)
     _require_two_type_base(spec)
-    if mode == RATIONAL:
-        return _exact_cost_rows(spec)
-    df = in_mode(spec.base.delta_f_max, FLOAT)
-    reference_line = in_mode(spec.reference_line, FLOAT)
-    pairs = []   # (c, k, k + df, annotation)
-    for c, k, note in _axis_pairs(spec):
-        c, k = in_mode(c, FLOAT), in_mode(k, FLOAT)
-        pairs.append((c, k, k + df, note))
-    users = spec.base.num_users
-    # l and n enter the products as floats, exactly as `int * float` would
-    # convert them, so a count beyond the float range is an input error.
-    coalitions = [(l, in_mode(l, FLOAT), in_mode(max(users, l), FLOAT))
-                  for l in spec.coalition_grid]
-    rows = []
-    for q in spec.q_min_grid:
-        q = in_mode(q, FLOAT)
-        q_high = 1 - q
-        n_qs = [(l, l_f, n * q) for l, l_f, n in coalitions]
-        for c, k, k_plus_df, note in pairs:
-            if note is not None:
-                rows.extend(_annotated_row(q, c, k, l, reference_line, note) for l, _, _ in n_qs)
-                continue
-            p = raw_misreport_cap(q_high, q, c, k, df)
-            for l, l_f, n_q in n_qs:
-                no_audit, budget, excess = two_type_costs(p, c, df, k_plus_df, n_q, l_f)
-                total = budget + excess
-                # The costs are non-negative, so this fails on inf and nan alone.
-                if not (total < _INF and no_audit < _INF):
-                    raise InputError(
-                        f"the float-mode cost row q_min={sig15(q)}, c={sig15(c)}, k={sig15(k)},"
-                        f" l={l} has a value beyond the float range")
-                rows.append({
-                    "q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
-                    "cost_no_audit": no_audit, "cost_audit": total,
-                    "budget": budget, "excess": excess,
-                    "dominates": "true" if total <= no_audit else "false",
-                })
-    return rows
+    return kernels[mode](spec, *sink[mode])
 
 
 def _axis_pairs(spec: SweepSpec) -> list:
@@ -160,18 +173,14 @@ def _axis_pairs(spec: SweepSpec) -> list:
             for c in spec.c_grid for k in spec.k_grid]
 
 
-def _annotated_row(q, c, k, l, reference_line, note) -> dict:
-    return {"q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
-            "cost_no_audit": "", "cost_audit": "", "budget": "", "excess": "",
-            "dominates": note}
+def _rational_costs(spec: SweepSpec, axis, ratio):
+    """Rational cost rows in `COSTS_HEADER` order, each cell from integers.
 
-
-def _exact_cost_rows(spec: SweepSpec) -> list:
-    """Rational `sweep_costs`: each cell from integer numerators and denominators.
-
-    Write q = a/b in lowest terms (0 < a < b) and u = b - a, so 1 - q = u/b;
-    df = df_n/df_d; n = max(num_users, l).  On a pair (c, k) with
-    k - c + df > 0 take, in lowest terms and once per pair,
+    `axis` converts each axis value once and `ratio(n, d)` each exact cost
+    n/d (n >= 0, d > 0, not reduced).  Write q = a/b in lowest terms
+    (0 < a < b) and u = b - a, so 1 - q = u/b; df = df_n/df_d;
+    n = max(num_users, l).  On a pair (c, k) with k - c + df > 0 take, in
+    lowest terms and once per pair,
 
         e = c / (k - c + df) = e_n/e_d        g = l*c*df / (k + df) = g_n/g_d.
 
@@ -188,34 +197,36 @@ def _exact_cost_rows(spec: SweepSpec) -> list:
     and, since no_audit - excess = n*q*df*(1 - p) with 1 - p > 0, total <=
     no_audit exactly when g <= n*q*df, that is g_n*df_d*b <= n*df_n*g_d*a.
     The per-pair and per-n factors are formed once; a row costs a few
-    integer products and one normalising `Fraction` per new cell.
+    integer products and three calls of `ratio`.
     """
     df = spec.base.delta_f_max
     df_n, df_d = df.numerator, df.denominator
-    reference_line = spec.reference_line
+    reference_line = axis(spec.reference_line)
+    zero = ratio(0, 1)
     users = spec.base.num_users
-    counts = {max(users, l) for l in spec.coalition_grid}
+    coalitions = spec.coalition_grid
+    counts = {max(users, l) for l in coalitions}
     pairs = []
     for c, k, note in _axis_pairs(spec):
         if note is not None:
-            pairs.append((c, k, note, 0, 0, ()))
+            pairs.append((axis(c), axis(k), note, 0, 0, ()))
             continue
         e = c / (k - c + df)
         per_l = []
-        for l in spec.coalition_grid:
+        for l in coalitions:
             g = l * c * df / (k + df)
             per_l.append((l, max(users, l), g.numerator, g.denominator))
-        pairs.append((c, k, None, e.numerator, e.denominator, per_l))
-    rows = []
+        pairs.append((axis(c), axis(k), None, e.numerator, e.denominator, per_l))
     for q in spec.q_min_grid:
         a, b = q.numerator, q.denominator
         u = b - a
         bd = df_d * b
-        no_audits = {n: Fraction(n * df_n * a, bd) for n in counts}
+        q_cell = axis(q)
+        no_audits = {n: ratio(n * df_n * a, bd) for n in counts}
         for c, k, note, e_n, e_d, per_l in pairs:
             if note is not None:
-                rows.extend(_annotated_row(q, c, k, l, reference_line, note)
-                            for l in spec.coalition_grid)
+                for l in coalitions:
+                    yield q_cell, c, k, l, "", "", "", "", note, reference_line
                 continue
             P = e_n * u
             ea = e_d * a
@@ -223,26 +234,63 @@ def _exact_cost_rows(spec: SweepSpec) -> list:
             if D <= 0:
                 for l, n, _, _ in per_l:
                     no_audit = no_audits[n]
-                    rows.append({
-                        "q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
-                        "cost_no_audit": no_audit, "cost_audit": no_audit,
-                        "budget": _ZERO, "excess": no_audit, "dominates": "true",
-                    })
+                    yield q_cell, c, k, l, no_audit, no_audit, zero, no_audit, "true", reference_line
                 continue
             bde = bd * e_d
             for l, n, g_n, g_d in per_l:
                 gdf = g_n * df_d
                 ndf = n * df_n
                 ndfg = ndf * g_d
-                rows.append({
-                    "q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
-                    "cost_no_audit": no_audits[n],
-                    "cost_audit": Fraction(gdf * D * b + ndfg * P * a, g_d * ea * bd),
-                    "budget": Fraction(g_n * D, g_d * ea),
-                    "excess": Fraction(ndf * P, bde),
-                    "dominates": "true" if gdf * b <= ndfg * a else "false",
-                })
-    return rows
+                yield (q_cell, c, k, l, no_audits[n],
+                       ratio(gdf * D * b + ndfg * P * a, g_d * ea * bd),
+                       ratio(g_n * D, g_d * ea), ratio(ndf * P, bde),
+                       "true" if gdf * b <= ndfg * a else "false", reference_line)
+
+
+def _float_costs(spec: SweepSpec, cell):
+    """Float cost rows in `COSTS_HEADER` order: `core.raw_misreport_cap`
+    once per (q_min, c, k), then `core.two_type_costs`, as written.
+
+    `cell` converts each float once: the axis values, n*q*df once per
+    (q_min, n) with n = max(num_users, l), and the row's costs.
+    """
+    df = in_mode(spec.base.delta_f_max, FLOAT)
+    reference_line = cell(in_mode(spec.reference_line, FLOAT))
+    pairs = []   # (c, k, k + df, annotation, c's cell, k's cell)
+    for c, k, note in _axis_pairs(spec):
+        c, k = in_mode(c, FLOAT), in_mode(k, FLOAT)
+        pairs.append((c, k, k + df, note, cell(c), cell(k)))
+    users = spec.base.num_users
+    # l and n enter the products as floats, exactly as `int * float` would
+    # convert them, so a count beyond the float range is an input error.
+    coalitions = [(l, in_mode(l, FLOAT), max(users, l)) for l in spec.coalition_grid]
+    counts = {n: in_mode(n, FLOAT) for _, _, n in coalitions}
+    for q in spec.q_min_grid:
+        q = in_mode(q, FLOAT)
+        q_high = 1 - q
+        q_cell = cell(q)
+        per_n = {}
+        for n, n_f in counts.items():
+            n_q = n_f * q
+            no_audit = n_q * df
+            per_n[n] = (n_q, no_audit, cell(no_audit))
+        per_l = [(l, l_f, *per_n[n]) for l, l_f, n in coalitions]
+        for c, k, k_plus_df, note, c_cell, k_cell in pairs:
+            if note is not None:
+                for l, _, _ in coalitions:
+                    yield q_cell, c_cell, k_cell, l, "", "", "", "", note, reference_line
+                continue
+            p = raw_misreport_cap(q_high, q, c, k, df)
+            for l, l_f, n_q, no_audit, no_audit_cell in per_l:
+                _, budget, excess = two_type_costs(p, c, df, k_plus_df, n_q, l_f)
+                total = budget + excess
+                # The costs are non-negative, so this fails on inf and nan alone.
+                if not (total < _INF and no_audit < _INF):
+                    raise InputError(
+                        f"the float-mode cost row q_min={sig15(q)}, c={sig15(c)}, k={sig15(k)},"
+                        f" l={l} has a value beyond the float range")
+                yield (q_cell, c_cell, k_cell, l, no_audit_cell, cell(total), cell(budget),
+                       cell(excess), "true" if total <= no_audit else "false", reference_line)
 
 
 def _require_two_type_base(spec: SweepSpec) -> None:
@@ -252,84 +300,48 @@ def _require_two_type_base(spec: SweepSpec) -> None:
         raise InputError("sweeps parametrize the two-type game; give a two-type base config")
 
 
-def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
-    """One row per (q_min, c, k): the largest equilibrium misreporting probability.
+def _rational_surface(spec: SweepSpec, axis, ratio):
+    """Rational surface rows in `SURFACE_HEADER` order.
 
-    The surface grids include points with c > k, which a validated game
-    instance rejects; the cap's closed form covers them all the same.
-    Float mode evaluates `core.raw_misreport_cap` as written.  Rational
-    mode takes e = c/(k - c + df) = e_n/e_d once per (c, k), and with
-    q = a/b the cap min(1, e*(b - a)/a) is 1 or Fraction(e_n*(b - a), e_d*a)
-    by one integer comparison; on a pair with k - c + df <= 0 the cap is
-    vacuous, and e = 1/0 makes it 1.
+    With e = c/(k - c + df) = e_n/e_d once per (c, k) and q = a/b, the cap
+    min(1, e*(b - a)/a) is 1 or e_n*(b - a) / (e_d*a) by one integer
+    comparison; on a pair with k - c + df <= 0 the cap is vacuous, and
+    e = 1/0 makes it 1.
     """
-    check_mode(mode)
-    _require_two_type_base(spec)
-    rows = []
-    if mode == RATIONAL:
-        df = spec.base.delta_f_max
-        pairs = []
-        for c, k, note in _axis_pairs(spec):
-            if note is None:
-                e = c / (k - c + df)
-                pairs.append((c, k, e.numerator, e.denominator))
-            else:
-                pairs.append((c, k, 1, 0))
-        for q in spec.q_min_grid:
-            a, b = q.numerator, q.denominator
-            u = b - a
-            for c, k, e_n, e_d in pairs:
-                P = e_n * u
-                ea = e_d * a
-                rows.append({"q_min": q, "c": c, "k": k,
-                             "max_misreport_prob": _ONE if P >= ea else Fraction(P, ea)})
-        return rows
+    df = spec.base.delta_f_max
+    one = ratio(1, 1)
+    pairs = []
+    for c, k, note in _axis_pairs(spec):
+        e_n, e_d = 1, 0
+        if note is None:
+            e = c / (k - c + df)
+            e_n, e_d = e.numerator, e.denominator
+        pairs.append((axis(c), axis(k), e_n, e_d))
+    for q in spec.q_min_grid:
+        a, b = q.numerator, q.denominator
+        u = b - a
+        q_cell = axis(q)
+        for c, k, e_n, e_d in pairs:
+            P = e_n * u
+            ea = e_d * a
+            yield q_cell, c, k, one if P >= ea else ratio(P, ea)
+
+
+def _float_surface(spec: SweepSpec, cell):
+    """Float surface rows in `SURFACE_HEADER` order: `core.raw_misreport_cap` as written."""
     df = in_mode(spec.base.delta_f_max, FLOAT)
-    pairs = [(in_mode(c, FLOAT), in_mode(k, FLOAT)) for c in spec.c_grid for k in spec.k_grid]
+    pairs = []
+    for c in spec.c_grid:
+        for k in spec.k_grid:
+            c_f, k_f = in_mode(c, FLOAT), in_mode(k, FLOAT)
+            pairs.append((c_f, k_f, cell(c_f), cell(k_f)))
     for q in spec.q_min_grid:
         q = in_mode(q, FLOAT)
         q_high = 1 - q
-        for c, k in pairs:
-            rows.append({"q_min": q, "c": c, "k": k,
-                         "max_misreport_prob": raw_misreport_cap(q_high, q, c, k, df)})
-    return rows
+        q_cell = cell(q)
+        for c, k, c_cell, k_cell in pairs:
+            yield q_cell, c_cell, k_cell, cell(raw_misreport_cap(q_high, q, c, k, df))
 
 
-_UNSET = object()
-
-
-# A cell's formatter by its exact type; any other number goes to `sig15`.
-_CELL_BY_TYPE = {str: str, int: str}
-
-
-def write_csv(rows: list, header: tuple, out) -> None:
-    """Write rows as UTF-8 CSV: strings as they are, integers in full and
-    every other number through `numeric.sig15` (15 significant digits).
-
-    A cell whose value is the very object of the cell above reuses that
-    cell's text, so an axis value shared by consecutive rows, or a cost
-    the sweep forms once per q_min, is formatted once per run of rows.
-    """
-    out.write(",".join(header) + "\n")
-    above = [_UNSET] * len(header)
-    cells = [""] * len(header)
-    formatter = _CELL_BY_TYPE.get
-    for row in rows:
-        for i, col in enumerate(header):
-            value = row[col]
-            if value is not above[i]:
-                above[i] = value
-                cells[i] = formatter(type(value), sig15)(value)
-        out.write(",".join(cells) + "\n")
-
-
-def costs_csv(rows: list) -> str:
-    buf = io.StringIO()
-    write_csv(rows, COSTS_HEADER, buf)
-    return buf.getvalue()
-
-
-def surface_csv(rows: list) -> str:
-    buf = io.StringIO()
-    write_csv(rows, SURFACE_HEADER, buf)
-    return buf.getvalue()
+_COSTS = {RATIONAL: _rational_costs, FLOAT: _float_costs}
+_SURFACE = {RATIONAL: _rational_surface, FLOAT: _float_surface}

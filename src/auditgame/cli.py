@@ -294,16 +294,14 @@ def _mode(args) -> str:
 def _cmd_sweep(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.ftbp_preset())
-    rows = casestudy.sweep_costs(spec, mode=_mode(args))
-    _write_out(casestudy.costs_csv(rows), args.out)
+    _write_out(casestudy.costs_csv(spec, _mode(args)), args.out)
     return 0
 
 
 def _cmd_surface(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.surface_preset())
-    rows = casestudy.sweep_misreport_surface(spec, mode=_mode(args))
-    _write_out(casestudy.surface_csv(rows), args.out)
+    _write_out(casestudy.surface_csv(spec, _mode(args)), args.out)
     return 0
 
 

@@ -54,19 +54,26 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+def _quotient(numerator: int, denominator: int) -> float:
+    """`numerator / denominator` as a float, with a value beyond the float
+    range as an input error.  Integer true division rounds correctly, so an
+    unreduced ratio gives the float of its `Fraction`."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        raise InputError("a number of magnitude 1.8e308 or more is beyond the float range") from None
+
+
 def _float(value) -> float:
     """`float(value)`, with a value beyond the float range as an input error.
 
-    A Fraction converts as `numerator / denominator`, which is what
-    `float()` computes too (integer true division rounds correctly),
-    without the trip through `numbers.Rational.__float__`.
+    An int or a Fraction converts as `numerator / denominator`, which is
+    what `float()` computes too, without the trip through
+    `numbers.Rational.__float__`.
     """
-    try:
-        if type(value) is Fraction:
-            return value.numerator / value.denominator
-        return float(value)
-    except OverflowError:
-        raise InputError("a number of magnitude 1.8e308 or more is beyond the float range") from None
+    if type(value) is float:
+        return value
+    return _quotient(value.numerator, value.denominator)
 
 
 def in_mode(value, mode: str):
@@ -80,24 +87,34 @@ _FLOAT_MIN = sys.float_info.min
 def sig15(value) -> str:
     """Format a number with 15 significant digits (CSV convention).
 
-    The digits are those of the nearest float (`_float`); a float formats
-    as `"%.15g"` directly.  A non-zero Fraction of magnitude below the
-    smallest normal float, whose float keeps fewer digits or none, is
-    rounded exactly instead.  A value beyond the float range is an input
-    error.
+    A float formats as `"%.15g"`; an int or a Fraction as `sig15_ratio` of
+    its numerator and denominator.
     """
     if type(value) is float:
         return "%.15g" % value
-    f = _float(value)
-    if -_FLOAT_MIN < f < _FLOAT_MIN and value and isinstance(value, Fraction):
-        return _sig15_exact(value)
+    return sig15_ratio(value.numerator, value.denominator)
+
+
+def sig15_ratio(numerator: int, denominator: int) -> str:
+    """`sig15` of the number numerator/denominator (denominator > 0), which
+    need not be in lowest terms.
+
+    The digits are those of the nearest float, formatted as `"%.15g"`.  A
+    non-zero ratio of magnitude below the smallest normal float, whose
+    float keeps fewer digits or none, is rounded exactly instead.  A value
+    beyond the float range is an input error.
+    """
+    f = _quotient(numerator, denominator)
+    if -_FLOAT_MIN < f < _FLOAT_MIN and numerator:
+        return _sig15_exact(numerator, denominator)
     return "%.15g" % f
 
 
-def _sig15_exact(value: Fraction) -> str:
-    """`value` rounded half-even to 15 significant digits, in the `%.15g`
-    layout of a magnitude below 1e-5: trailing zeros dropped, then e-XXX."""
+def _sig15_exact(numerator: int, denominator: int) -> str:
+    """numerator/denominator rounded half-even to 15 significant digits, in
+    the `%.15g` layout of a magnitude below 1e-5: trailing zeros dropped,
+    then e-XXX."""
     with localcontext() as ctx:
         ctx.prec = 15
-        rounded = (Decimal(value.numerator) / value.denominator).normalize()
+        rounded = (Decimal(numerator) / denominator).normalize()
     return format(rounded, "e")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import auditgame as ag
-from auditgame import InputError
+from auditgame import InputError, casestudy, numeric
 from auditgame.casestudy import (
     COSTS_HEADER, SURFACE_HEADER, costs_csv, surface_csv,
 )
@@ -57,8 +57,9 @@ def test_cost_sweep_shape_and_order():
     assert keys == sorted(keys, key=lambda t: (t[0], spec.c_grid.index(t[1]),
                                                spec.k_grid.index(t[2]),
                                                spec.coalition_grid.index(t[3])))
-    text = costs_csv(rows)
+    text = costs_csv(spec)
     assert text.splitlines()[0] == ",".join(COSTS_HEADER)
+    assert len(text.splitlines()) == len(rows) + 1
 
 
 def test_cost_sweep_rows_annotated_never_aborted():
@@ -79,9 +80,9 @@ def test_surface_values_and_modes():
     assert len(rational) == len(floats) == 180
     for r, f in zip(rational, floats):
         assert abs(float(r["max_misreport_prob"]) - f["max_misreport_prob"]) < 1e-12
-    text = surface_csv(rational)
+    text = surface_csv(spec, "rational")
     assert text.splitlines()[0] == ",".join(SURFACE_HEADER)
-    assert surface_csv(floats) == text    # both modes render identically here
+    assert surface_csv(spec, "float") == text    # both modes render identically here
 
 
 def test_surface_monotonicity():
@@ -143,11 +144,11 @@ def test_cost_sweep_float_mode_tracks_rational():
 
 def test_csv_determinism():
     spec = ag.ftbp_preset().replace(q_min_grid=(F(3, 10), F(6, 10)))
-    a = costs_csv(ag.sweep_costs(spec))
-    b = costs_csv(ag.sweep_costs(spec))
+    a = costs_csv(spec)
+    b = costs_csv(spec)
     assert a == b
-    sa = surface_csv(ag.sweep_misreport_surface(ag.surface_preset()))
-    sb = surface_csv(ag.sweep_misreport_surface(ag.surface_preset()))
+    sa = surface_csv(ag.surface_preset())
+    sb = surface_csv(ag.surface_preset())
     assert sa == sb
 
 
@@ -205,7 +206,7 @@ def test_cost_sweep_matches_row_by_row_reference(name, mode):
     rows = ag.sweep_costs(spec, mode=mode)
     reference = reference_cost_rows(spec, mode)
     _assert_same_rows(rows, reference)
-    assert costs_csv(rows) == reference_csv(reference, COSTS_HEADER)
+    assert costs_csv(spec, mode) == reference_csv(reference, COSTS_HEADER)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -215,7 +216,7 @@ def test_surface_matches_row_by_row_reference(name, mode):
     rows = ag.sweep_misreport_surface(spec, mode=mode)
     reference = reference_surface_rows(spec, mode)
     _assert_same_rows(rows, reference)
-    assert surface_csv(rows) == reference_csv(reference, SURFACE_HEADER)
+    assert surface_csv(spec, mode) == reference_csv(reference, SURFACE_HEADER)
 
 
 def test_odd_specs_cover_every_branch():
@@ -234,10 +235,9 @@ def test_odd_specs_cover_every_branch():
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_preset_csvs_match_row_by_row_reference(mode):
     spec = ag.ftbp_preset()
-    assert costs_csv(ag.sweep_costs(spec, mode=mode)) == reference_csv(
-        reference_cost_rows(spec, mode), COSTS_HEADER)
+    assert costs_csv(spec, mode) == reference_csv(reference_cost_rows(spec, mode), COSTS_HEADER)
     spec = ag.surface_preset()
-    assert surface_csv(ag.sweep_misreport_surface(spec, mode=mode)) == reference_csv(
+    assert surface_csv(spec, mode) == reference_csv(
         reference_surface_rows(spec, mode), SURFACE_HEADER)
 
 
@@ -274,14 +274,16 @@ def _sweep_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(spec=_sweep_specs())
 def test_rational_sweeps_match_row_by_row_reference_on_random_specs(spec):
-    rows = ag.sweep_costs(spec)
-    reference = reference_cost_rows(spec, "rational")
-    _assert_same_rows(rows, reference)
-    assert costs_csv(rows) == reference_csv(reference, COSTS_HEADER)
-    rows = ag.sweep_misreport_surface(spec)
-    reference = reference_surface_rows(spec, "rational")
-    _assert_same_rows(rows, reference)
-    assert surface_csv(rows) == reference_csv(reference, SURFACE_HEADER)
+    # and the float sweeps too: each spec runs in both numeric modes
+    for mode in ("rational", "float"):
+        rows = ag.sweep_costs(spec, mode)
+        reference = reference_cost_rows(spec, mode)
+        _assert_same_rows(rows, reference)
+        assert costs_csv(spec, mode) == reference_csv(reference, COSTS_HEADER)
+        rows = ag.sweep_misreport_surface(spec, mode)
+        reference = reference_surface_rows(spec, mode)
+        _assert_same_rows(rows, reference)
+        assert surface_csv(spec, mode) == reference_csv(reference, SURFACE_HEADER)
 
 
 _FRACTION_OPERATORS = (
@@ -316,3 +318,47 @@ def test_rational_sweep_fraction_work_does_not_grow_with_the_q_min_grid(sweep, m
         grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
         counts.append(_fraction_operator_calls(monkeypatch, lambda: sweep(grid)))
     assert counts[0] == counts[1] > 0
+
+
+def _fractions_built_and_sig15_calls(monkeypatch, run):
+    """How many `Fraction` objects and `numeric.sig15` calls `run()` makes."""
+    built, formatted = [], []
+    with monkeypatch.context() as patch:
+        def counted_new(*args, _new=F.__new__, **kwargs):
+            built.append(None)
+            return _new(*args, **kwargs)
+        patch.setattr(F, "__new__", staticmethod(counted_new))
+
+        def counted_sig15(value, _sig15=numeric.sig15):
+            formatted.append(None)
+            return _sig15(value)
+        for module in (numeric, casestudy):   # each module that binds the name
+            patch.setattr(module, "sig15", counted_sig15)
+        run()
+    return len(built), len(formatted)
+
+
+@pytest.mark.parametrize("text", [costs_csv, surface_csv])
+def test_rational_csv_work_does_not_grow_with_the_q_min_grid(text, monkeypatch):
+    # The text turns each exact cell n/d into digits with no `Fraction` in
+    # between and no `sig15` call per cell.
+    spec = ODD_SPECS["degenerate_pairs"]
+    counts = []
+    for size in (10, 1000):
+        grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
+        counts.append(_fractions_built_and_sig15_calls(monkeypatch, lambda: text(grid, "rational")))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("spec", [ag.ftbp_preset().replace(q_min_grid=(F(1, 3), F(1, 2))),
+                                  ODD_SPECS["coalition_above_users"]])
+def test_float_cost_rows_share_one_no_audit_cost_per_q_min_and_user_count(spec):
+    rows = ag.sweep_costs(spec, "float")
+    reference = reference_cost_rows(spec, "float")
+    shared = {}
+    for row, ref in zip(rows, reference):
+        cost = row["cost_no_audit"]
+        assert cost.hex() == ref["cost_no_audit"].hex()
+        group = (row["q_min"], max(spec.base.num_users, row["l"]))
+        assert shared.setdefault(group, cost) is cost
+    assert len(rows) > len(shared)

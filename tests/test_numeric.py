@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auditgame import InputError
-from auditgame.numeric import as_fraction, check_mode, in_mode, sig15
+from auditgame.numeric import as_fraction, check_mode, in_mode, sig15, sig15_ratio
 
 
 def test_as_fraction_forms():
@@ -56,6 +56,9 @@ def test_sig15_is_exact_below_the_float_range():
     smallest_normal = F(2.2250738585072014e-308)
     assert sig15(smallest_normal) == "%.15g" % 2.2250738585072014e-308
     assert sig15(F(3, 10**308)) == "3e-308"
+    # the ratio entry point takes a ratio in any terms
+    assert sig15_ratio(7, 7 * 10**320) == "1e-320"
+    assert sig15_ratio(0, 10**400) == "0"
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,8 +69,11 @@ def test_sig15_of_a_fraction_has_the_digits_of_its_float(value):
     except OverflowError:
         with pytest.raises(InputError, match="beyond the float range"):
             sig15(value)
+        with pytest.raises(InputError, match="beyond the float range"):
+            sig15_ratio(3 * value.numerator, 3 * value.denominator)
         return
     assert sig15(value) == "%.15g" % as_float
+    assert sig15_ratio(3 * value.numerator, 3 * value.denominator) == sig15(value)
 
 
 def test_sig15_beyond_the_float_range_is_an_input_error():
