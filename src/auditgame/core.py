@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .errors import InputError
@@ -192,6 +193,35 @@ class GameConfig(Record):
             return cls.from_text(fh.read())
 
 
+class IntegerGame(Record):
+    """A game's numbers as integers over two least common denominators.
+
+    The prior is q_m = prior[m] / prior_den; the credits, the audit cost
+    and the fine are f_i = alloc[i] / money_den, c = cost / money_den and
+    k = fine / money_den.  Built by `integer_game`, the one home of this
+    scaling.
+    """
+
+    _fields = ("prior", "prior_den", "alloc", "cost", "fine", "money_den")
+
+    def __init__(self, prior: tuple, prior_den: int, alloc: tuple, cost: int, fine: int,
+                 money_den: int):
+        self._set(prior, prior_den, alloc, cost, fine, money_den)
+
+
+def _over_common_denominator(values) -> tuple:
+    """(numerators, d): Fractions `values` as numerators over their least common d."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def integer_game(cfg: GameConfig) -> IntegerGame:
+    """`cfg`'s prior over one denominator, and its money amounts over another."""
+    prior, prior_den = _over_common_denominator(cfg.prior)
+    money, money_den = _over_common_denominator(cfg.alloc + (cfg.audit_cost, cfg.fine))
+    return IntegerGame(prior, prior_den, money[:-2], money[-2], money[-1], money_den)
+
+
 class Strategy(Record):
     """A user signaling policy: row-stochastic matrix with rows[type][signal]."""
 
@@ -331,7 +361,11 @@ def admin_utility(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fraction
             p = pi.rows[m][s]
             if p == 0:
                 continue
-            total += p * (-q_m * cfg.alloc[s] + sigma.probs[s] * audit_margin_coef(cfg, s, m))
+            term = -q_m * cfg.alloc[s]
+            audited = sigma.probs[s]
+            if audited:
+                term += audited * audit_margin_coef(cfg, s, m)
+            total += p * term
     return total
 
 
@@ -345,10 +379,11 @@ def user_utility_type(pi: Strategy, sigma: AuditPolicy, truth, cfg: GameConfig) 
         p = pi.rows[m][s]
         if p == 0:
             continue
-        penalty = Fraction(0)
-        if s != m:
-            penalty = sigma.probs[s] * (_positive_part(cfg.alloc[s] - f_m) + cfg.fine)
-        total += p * (cfg.alloc[s] - penalty)
+        credit = cfg.alloc[s]
+        audited = sigma.probs[s]
+        if audited and s != m:
+            credit -= audited * (_positive_part(credit - f_m) + cfg.fine)
+        total += p * credit
     return total
 
 
@@ -368,19 +403,40 @@ def excess_payments(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fracti
     fined, and an audited truthful user receives exactly its entitlement.
     """
     _check_dims(pi, sigma, cfg)
-    total = Fraction(0)
-    for m in range(cfg.n_types):
-        q_m = cfg.prior[m]
+    unaudited = [1 - p for p in sigma.probs]
+    return Fraction(excess_sum(cfg.prior, cfg.alloc, pi.rows, unaudited))
+
+
+def excess_sum(prior, alloc, rows, unaudited):
+    """Sum of q_m * pi(s|m) * u_s * (f_s - f_m)+ over the pairs s != m.
+
+    `rows[m][s]` is pi(s|m) and `unaudited[s]` is u_s, the probability
+    that signal s goes unaudited.  Number-generic: on the `integer_game`
+    numbers of a game, with `rows` the numerators of a strategy over d and
+    every u_s = 1, it is the no-audit excess times prior_den*money_den*d.
+    """
+    total = 0
+    for m, q_m in enumerate(prior):
         if q_m == 0:
             continue
-        for s in range(cfg.n_types):
-            if s == m:
+        f_m = alloc[m]
+        for s, p in enumerate(rows[m]):
+            if p == 0 or s == m:
                 continue
-            over = _positive_part(cfg.alloc[s] - cfg.alloc[m])
-            if over == 0:
-                continue
-            total += q_m * pi.rows[m][s] * (1 - sigma.probs[s]) * over
+            over = alloc[s] - f_m
+            if over > 0:
+                total += q_m * p * unaudited[s] * over
     return total
+
+
+def misreport_cap_ratio(q_s, q_m, c, k, credit_gap) -> tuple:
+    """(q_s*c, q_m*(k - c + credit_gap)): the ratio behind the cap on pi(s|m).
+
+    The cap is min(1, numerator/denominator), or 1 when the denominator is
+    not positive.  Number-generic: the `integer_game` numbers of a game
+    give the same ratio in integers.
+    """
+    return q_s * c, q_m * (k - c + credit_gap)
 
 
 def raw_misreport_cap(q_s, q_m, c, k, credit_gap):
@@ -391,10 +447,10 @@ def raw_misreport_cap(q_s, q_m, c, k, credit_gap):
     non-positive denominator makes the cap vacuous: 1.
     """
     one = 1.0 if isinstance(q_m, float) else Fraction(1)
-    denom = q_m * (k - c + credit_gap)
+    numerator, denom = misreport_cap_ratio(q_s, q_m, c, k, credit_gap)
     if denom <= 0:
         return one
-    return min(one, q_s * c / denom)
+    return min(one, numerator / denom)
 
 
 def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
@@ -415,19 +471,27 @@ def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
 # -- administrator best response ----------------------------------------
 
 
-def audit_margin_coef(cfg: GameConfig, signal_idx: int, type_idx: int) -> Fraction:
-    """Audit margin of `signal` per unit of pi(signal | type).
+def audit_margin(q_m, f_s, f_m, c, k, truthful: bool):
+    """Audit margin of a signal s per unit of pi(s|m): the one home of its formula.
 
     q_m * ((f_s - f_m)+ + k - c) off the diagonal: auditing a misreporter
-    recovers the over-payment and the fine at cost c.  On the diagonal it
-    is -q_m * c, since a truthful user is never fined.  The administrator
-    audits signal s exactly when sum_m pi(s|m) * coef(s, m) > 0.
+    recovers the over-payment and the fine at cost c.  On the diagonal
+    (`truthful`, s == m) it is -q_m * c, since a truthful user is never
+    fined.  The administrator audits signal s exactly when
+    sum_m pi(s|m) * margin(s, m) > 0.  Number-generic: on the
+    `integer_game` numbers of a game it is the margin times
+    prior_den * money_den.
     """
-    q_m = cfg.prior[type_idx]
-    if signal_idx == type_idx:
-        return -q_m * cfg.audit_cost
-    over = _positive_part(cfg.alloc[signal_idx] - cfg.alloc[type_idx])
-    return q_m * (over + cfg.fine - cfg.audit_cost)
+    if truthful:
+        return -q_m * c
+    over = f_s - f_m
+    return q_m * ((over if over > 0 else 0) + k - c)
+
+
+def audit_margin_coef(cfg: GameConfig, signal_idx: int, type_idx: int) -> Fraction:
+    """`audit_margin` of signal `signal_idx` per unit of pi(signal | type)."""
+    return audit_margin(cfg.prior[type_idx], cfg.alloc[signal_idx], cfg.alloc[type_idx],
+                        cfg.audit_cost, cfg.fine, signal_idx == type_idx)
 
 
 def audit_gain_terms(pi: Strategy, cfg: GameConfig, signal_idx: int) -> tuple:

@@ -5,14 +5,24 @@ strategies subject to one per-signal constraint stating that auditing that
 signal is not profitable for the administrator.  Its optimal value, minus
 the truthful payout, is the worst-case excess payment over all equilibria.
 
-`solve_bp` solves it on `fractions.Fraction` with one simplex loop,
-`_maximize`: Bland's anti-cycling rule on a tableau whose last row holds
-the reduced costs, built by `_reduced_row` and then pivoted with the
-constraint rows.  The truthful strategy is always feasible, so the loop
-starts at the truthful basis, over the columns that do not under-report.
+`build_bp_lp` writes the program out with `Fraction` coefficients.
+`solve_bp` solves it exactly on integers instead, with one simplex loop,
+`_maximize`: Bland's anti-cycling rule on an integer tableau T with one
+divisor d, so that T/d is the canonical tableau, and a last row that
+holds the reduced costs times d, built by `_reduced_row`.  The tableau
+comes straight from the game's integers (`core.integer_game`): each
+audit row is scaled by the product of the two common denominators and
+its slack stands for that multiple of the slack, which leaves every
+ratio test and every reduced-cost sign, and so Bland's pivot path, as
+they are.  `_pivot` applies Edmonds' integer rule
+a' = (p*a - a_ic*a_rj) / d, whose division is exact (Edmonds, J. Res.
+NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968); the new divisor is the
+pivot p.  The truthful strategy is always feasible, so the loop starts at
+the truthful basis, with d = 1, over the columns that do not under-report.
 The same loop, restricted to the optimal face, then decides whether the
 optimum is unique and, when it is not, returns the lexicographically
-greatest optimum, so the answer depends only on the game.
+greatest optimum, so the answer depends only on the game.  Values become
+`Fraction`s once, at the end.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import core
-from .core import GameConfig, Strategy
+from .core import GameConfig, IntegerGame, Strategy
 from .errors import InputError, RegimeError
 from .record import Record
 
@@ -64,14 +74,18 @@ class LPSolution(Record):
         self._set(values, objective_value, status, multiplicity_flag)
 
 
-def build_bp_lp(cfg: GameConfig) -> LinearProgram:
-    """Assemble the no-audit program for a game with strictly positive prior."""
+def _require_bp_game(cfg: GameConfig) -> None:
     if cfg.n_types < 2:
         raise InputError("need at least two types; a single type leaves no scope to misreport")
     if any(q == 0 for q in cfg.prior):
         raise InputError(
             "prior must be strictly positive here; drop zero-probability types first"
         )
+
+
+def build_bp_lp(cfg: GameConfig) -> LinearProgram:
+    """Assemble the no-audit program for a game with strictly positive prior."""
+    _require_bp_game(cfg)
     n = cfg.n_types
     col_labels = []
     index = {}
@@ -110,58 +124,66 @@ def build_bp_lp(cfg: GameConfig) -> LinearProgram:
     )
 
 
-# -- one simplex loop with Bland's rule ----------------------------------
+# -- one integer simplex loop with Bland's rule --------------------------
 
 
-def _pivot(tableau, basis, row, col):
-    """Pivot on (row, col) in place, touching only the pivot row's nonzeros."""
+def _pivot(tableau, basis, d, row, col):
+    """Edmonds' integer pivot on (row, col) in place; returns the new divisor.
+
+    The pivot row stays as it is, every other row r becomes
+    (p*T_r - T_r[col]*T_row) // d with p = T_row[col] > 0, an exact
+    division, and p is the divisor of the new tableau.
+    """
     prow = tableau[row]
-    piv = prow[col]
-    nonzero = [(j, v / piv) for j, v in enumerate(prow) if v != 0]
-    for j, v in nonzero:
-        prow[j] = v
+    p = prow[col]
     for r, trow in enumerate(tableau):
         if r != row:
-            factor = trow[col]
-            if factor != 0:
-                for j, v in nonzero:
-                    trow[j] -= factor * v
+            a = trow[col]
+            if a:
+                trow[:] = [(p * t - a * v) // d for t, v in zip(trow, prow)]
+            elif p != d:
+                trow[:] = [p * t // d if t else 0 for t in trow]
     basis[row] = col
+    return p
 
 
 def _leaving_row(tableau, basis, rows, enter):
-    """Ratio test over `rows`, ties to the smallest basic column; -1 if unbounded."""
+    """Ratio test over `rows` by cross-multiplication, ties to the smallest
+    basic column; -1 if unbounded."""
     leave = -1
-    best = None
     for r in rows:
         a = tableau[r][enter]
         if a > 0:
-            ratio = tableau[r][-1] / a
-            if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                best = ratio
-                leave = r
+            b = tableau[r][-1]
+            if leave < 0:
+                leave, best_b, best_a = r, b, a
+                continue
+            lhs, rhs = b * best_a, best_b * a
+            if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                leave, best_b, best_a = r, b, a
     return leave
 
 
-def _reduced_row(tableau, basis, cost):
-    """Reduced costs c - c_B B^-1 A of a canonical tableau, as a new row.
+def _reduced_row(tableau, basis, d, cost):
+    """Reduced costs d*c - sum_r c_B[r]*T_r of a canonical tableau, as a new row.
 
-    `cost` has one entry per column.  The last entry of the row is minus
-    the objective value c_B B^-1 b, so pivoting the row with the others
-    keeps it exact for every later basis.
+    `cost` has one integer entry per column.  The row holds the reduced
+    costs c - c_B B^-1 A times the divisor d, and its last entry is minus
+    d times the objective value, so pivoting the row with the others keeps
+    it exact for every later basis.
     """
-    row = list(cost) + [Fraction(0)]
+    row = [d * c for c in cost] + [0]
     for r, b in enumerate(basis):
         cb = cost[b]
-        if cb != 0:
+        if cb:
             for j, v in enumerate(tableau[r]):
-                if v != 0:
+                if v:
                     row[j] -= cb * v
     return row
 
 
-def _maximize(tableau, basis, rows, columns):
-    """Maximize in place with Bland's rule; False if the phase is unbounded.
+def _maximize(tableau, basis, d, rows, columns):
+    """Maximize in place with Bland's rule; returns the final divisor.
 
     The last tableau row is the reduced-cost row from `_reduced_row`;
     `rows` are the constraint rows and only `columns`, in increasing
@@ -172,14 +194,99 @@ def _maximize(tableau, basis, rows, columns):
     while True:
         enter = next((j for j in columns if reduced[j] > 0), -1)
         if enter < 0:
-            return True
+            return d
         leave = _leaving_row(tableau, basis, rows, enter)
         if leave < 0:
-            return False
-        _pivot(tableau, basis, leave, enter)
+            raise RuntimeError("unbounded simplex phase on a bounded no-audit program")
+        d = _pivot(tableau, basis, d, leave, enter)
 
 
 # -- the no-audit program from the truthful basis ------------------------
+
+
+def _truthful_tableau(game: IntegerGame, kept: list):
+    """The integer tableau of the program at the truthful basis, and that basis.
+
+    Rows: n stochasticity rows, then n audit rows; columns: `kept`, one
+    slack per audit row, then the right-hand side.  Audit row s is the
+    no-audit row of signal s minus a_ss times the stochasticity row of
+    type s, times prior_den*money_den, and its slack is that multiple of
+    the row's slack, so the truthful basis is the identity and d = 1.
+    """
+    n = len(game.prior)
+    P, F, C, K = game.prior, game.alloc, game.cost, game.fine
+    margin = core.audit_margin
+    a = [margin(P[m], F[m], F[m], C, K, True) for m in range(n)]   # a_mm, scaled
+    width = len(kept) + n
+    tableau = [[0] * (width + 1) for _ in range(2 * n)]
+    basis = [0] * (2 * n)
+    for j, (m, s) in enumerate(kept):
+        tableau[m][j] = 1
+        if s == m:
+            basis[m] = j
+        else:
+            tableau[n + s][j] = margin(P[m], F[s], F[m], C, K, False)
+            tableau[n + m][j] = -a[m]
+    for m in range(n):
+        tableau[m][-1] = 1
+        tableau[n + m][len(kept) + m] = 1
+        tableau[n + m][-1] = -a[m]
+        basis[n + m] = len(kept) + m
+    return tableau, basis
+
+
+def _solve(game: IntegerGame) -> tuple:
+    """Solve the no-audit program of `game` on integers: (X, d, multiple).
+
+    X[m][s] / d is the optimal pi(s|m), and `multiple` says whether the
+    optimum is not unique; see `solve_bp`.
+    """
+    n = len(game.prior)
+    P, F = game.prior, game.alloc
+    kept = [(m, s) for m in range(n) for s in range(n) if F[s] >= F[m]]
+    tableau, basis = _truthful_tableau(game, kept)
+    n_kept = len(kept)
+    width = n_kept + n   # kept columns, then one slack per audit row
+    rows = range(2 * n)
+    d = 1
+
+    def maximize(face, cost):
+        """Maximize `cost` over the columns `face`; its optimal face and
+        d times its maximum."""
+        nonlocal d
+        tableau.append(_reduced_row(tableau, basis, d, cost))
+        d = _maximize(tableau, basis, d, rows, face)
+        reduced = tableau.pop()
+        return [j for j in face if reduced[j] == 0], -reduced[-1]
+
+    face, _ = maximize(range(width), [P[m] * F[s] for m, s in kept] + [0] * n)
+    multiple = False
+    if len(face) > len(basis):   # a nonbasic column prices at 0
+        # The sum of the columns that are 0 at x*, each slack counted in
+        # the unscaled program's units: a scaled slack weighs 1/scale
+        # there, so every weight is multiplied by scale, which keeps the
+        # phase's pivots those of the unscaled tableau.
+        scale = game.prior_den * game.money_den
+        x = [0] * width
+        for r in rows:
+            x[basis[r]] = tableau[r][-1]
+        cost = [0 if v else scale if j < n_kept else 1 for j, v in enumerate(x)]
+        _, gain = maximize(face, cost)
+        multiple = gain > 0
+    if multiple:
+        for j in range(width):
+            if len(face) == len(basis):   # F is one vertex
+                break
+            if j in face:
+                face, _ = maximize(face, [int(i == j) for i in range(width)])
+
+    X = [[0] * n for _ in range(n)]
+    for r in rows:
+        j = basis[r]
+        if j < n_kept:
+            m, s = kept[j]
+            X[m][s] = tableau[r][-1]
+    return X, d, multiple
 
 
 def solve_bp(cfg: GameConfig) -> LPSolution:
@@ -206,68 +313,61 @@ def solve_bp(cfg: GameConfig) -> LPSolution:
       greatest optimum in column order (`build_bp_lp`'s columns, then the
       slacks).  Each column of F in turn is maximized over F, and F then
       keeps only the columns that still price at 0.
+
+    All of it runs on the integer tableau of `_truthful_tableau`; the
+    values become `Fraction`s at the end.
     """
-    lp = build_bp_lp(cfg)
-    n = cfg.n_types
-    coeffs = [row[0] for row in lp.rows]  # n stochasticity rows, then n audit rows
-
-    kept = [m * n + s for m in range(n) for s in range(n) if cfg.alloc[s] >= cfg.alloc[m]]
-    width = len(kept) + n  # kept columns, then one slack per audit row
-
-    tableau = []
-    for m in range(n):
-        tableau.append([coeffs[m][o] for o in kept] + [Fraction(0)] * n + [Fraction(1)])
-    for s in range(n):
-        a_ss = coeffs[n + s][s * n + s]
-        row = [coeffs[n + s][o] - a_ss * coeffs[s][o] for o in kept] + [Fraction(0)] * n
-        row[len(kept) + s] = Fraction(1)
-        tableau.append(row + [-a_ss])
-    basis = [kept.index(m * n + m) for m in range(n)] + [len(kept) + s for s in range(n)]
-    rows = range(2 * n)
-
-    def maximize(face, cost):
-        """Maximize `cost` over the columns `face`; its optimal face and maximum."""
-        tableau.append(_reduced_row(tableau, basis, cost))
-        if not _maximize(tableau, basis, rows, face):
-            raise RuntimeError("unbounded simplex phase on a bounded no-audit program")
-        reduced = tableau.pop()
-        return [j for j in face if reduced[j] == 0], -reduced[-1]
-
-    def point():
-        x = [Fraction(0)] * width
-        for r in rows:
-            x[basis[r]] = tableau[r][-1]
-        return x
-
-    zero, one = Fraction(0), Fraction(1)
-    face, _ = maximize(range(width), [lp.objective[o] for o in kept] + [zero] * n)
-    multiple = False
-    if len(face) > len(basis):   # a nonbasic column prices at 0
-        _, gain = maximize(face, [one if v == 0 else zero for v in point()])
-        multiple = gain > 0
-    if multiple:
-        for j in range(width):
-            if len(face) == len(basis):   # F is one vertex
-                break
-            if j in face:
-                face, _ = maximize(face, [one if i == j else zero for i in range(width)])
-
-    assignment = [zero] * lp.n_vars
-    for o, v in zip(kept, point()):
-        assignment[o] = v
-    values = {key: assignment[o] for key, o in lp.variable_index.items()}
-    objective_value = sum(c * v for c, v in zip(lp.objective, assignment))
+    _require_bp_game(cfg)
+    game = core.integer_game(cfg)
+    X, d, multiple = _solve(game)
+    zero = Fraction(0)
+    values = {}
+    total = 0
+    for m, m_label in enumerate(cfg.types):
+        for s, s_label in enumerate(cfg.types):
+            x = X[m][s]
+            values[(s_label, m_label)] = Fraction(x, d) if x else zero
+            total += game.prior[m] * game.alloc[s] * x
+    objective_value = Fraction(total, game.prior_den * game.money_den * d)
     return LPSolution(values, objective_value, OPTIMAL, multiple)
 
 
 # -- equilibrium through the program -------------------------------------
 
 
-def _strategy_from_solution(cfg: GameConfig, sol: LPSolution) -> Strategy:
-    rows = []
-    for m in range(cfg.n_types):
-        rows.append(tuple(sol.values[(cfg.types[s], cfg.types[m])] for s in range(cfg.n_types)))
-    return Strategy(tuple(rows))
+def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
+    """Check the optimum X/d of `cfg`'s program; return its excess payments.
+
+    The internal consistency of every solve, decided exactly on the
+    integers of `game`: no under-reporting mass, the audit best response
+    vanishes, and both equilibrium bounds hold.
+    """
+    from . import bounds as _bounds
+
+    n = cfg.n_types
+    P, F, C, K = game.prior, game.alloc, game.cost, game.fine
+    for m in range(n):
+        for s in range(n):
+            if F[s] < F[m] and X[m][s] != 0:
+                raise RuntimeError("optimum places mass on an under-report")
+    # The administrator audits signal s when sum_m pi(s|m)*margin(s, m) > 0.
+    for s in range(n):
+        if sum(X[m][s] * core.audit_margin(P[m], F[s], F[m], C, K, s == m)
+               for m in range(n) if X[m][s]) > 0:
+            raise RuntimeError("audit best response to the optimum is not identically zero")
+    for m in range(n):
+        for s in range(n):
+            x = X[m][s]
+            if s != m and x:
+                # x/d > min(1, num/den), or x/d > 1 when den <= 0
+                num, den = core.misreport_cap_ratio(P[s], P[m], C, K, F[s] - F[m])
+                if x > d or (den > 0 and x * den > d * num):
+                    raise RuntimeError("optimum exceeds a per-pair misreporting cap")
+    excess = Fraction(core.excess_sum(P, F, X, [1] * n),
+                      game.prior_den * game.money_den * d)
+    if excess > _bounds.excess_payments_bound(cfg):
+        raise RuntimeError("optimum exceeds the aggregate excess-payments cap")
+    return excess
 
 
 def bp_equilibrium(cfg: GameConfig):
@@ -277,13 +377,13 @@ def bp_equilibrium(cfg: GameConfig):
     threshold; smaller budgets need the regime-aware constructions in the
     `equilibrium` module.
 
-    The program is solved by `solve_bp`: one run of the simplex loop from
-    the truthful basis, over the columns that do not under-report, then
-    the uniqueness test on the optimal face.  When the optimum is not
-    unique the strategy is the lexicographically greatest optimum and the
-    result carries the "alternate optima detected" note.
+    The program is solved as in `solve_bp`: one run of the simplex loop
+    from the truthful basis, over the columns that do not under-report,
+    then the uniqueness test on the optimal face.  When the optimum is
+    not unique the strategy is the lexicographically greatest optimum and
+    the result carries the "alternate optima detected" note.  The
+    optimum's invariants are checked on the solver's integers.
     """
-    from . import bounds as _bounds
     from .equilibrium import EquilibriumResult, budget_thresholds
 
     work = cfg.drop_zero_prior_types()
@@ -296,61 +396,41 @@ def bp_equilibrium(cfg: GameConfig):
                 "constructions in the equilibrium module"
             )
 
-    sol = solve_bp(work)
-    pi_work = _strategy_from_solution(work, sol)
-
-    # Internal consistency of every solve: no under-reporting mass, the
-    # audit best response vanishes, and both equilibrium bounds hold.
-    for m in range(work.n_types):
-        for s in range(work.n_types):
-            if work.alloc[s] < work.alloc[m] and pi_work.rows[m][s] != 0:
-                raise RuntimeError("optimum places mass on an under-report")
-    sigma = core.best_response(pi_work, work)
-    if not sigma.is_zero():
-        raise RuntimeError("audit best response to the optimum is not identically zero")
-    for m in range(work.n_types):
-        for s in range(work.n_types):
-            if s == m:
-                continue
-            cap = _bounds.misreport_cap(
-                work.prior[s], work.prior[m], work.audit_cost, work.fine,
-                work.alloc[s] - work.alloc[m],
-            )
-            if pi_work.rows[m][s] > cap:
-                raise RuntimeError("optimum exceeds a per-pair misreporting cap")
-    excess = core.excess_payments(pi_work, sigma, work)
-    if excess > _bounds.excess_payments_bound(work):
-        raise RuntimeError("optimum exceeds the aggregate excess-payments cap")
+    game = core.integer_game(work)
+    X, d, multiple = _solve(game)
+    # Dropped zero-probability types add nothing to the excess.
+    excess = _check_optimum(work, game, X, d)
 
     # Re-embed rows for any dropped zero-probability types as truthful.
-    if work.types != cfg.types:
-        rows = []
-        for m, label in enumerate(cfg.types):
-            if label in work.types:
-                wm = work.types.index(label)
-                row = [Fraction(0)] * cfg.n_types
-                for s, slabel in enumerate(cfg.types):
-                    row[s] = pi_work.rows[wm][work.types.index(slabel)] if slabel in work.types else Fraction(0)
-                rows.append(tuple(row))
-            else:
-                rows.append(tuple(Fraction(1) if s == m else Fraction(0) for s in range(cfg.n_types)))
-        pi = Strategy(tuple(rows))
-    else:
-        pi = pi_work
+    zero, one = Fraction(0), Fraction(1)
+    work_index = {label: i for i, label in enumerate(work.types)}
+    rows = []
+    for m, label in enumerate(cfg.types):
+        wm = work_index.get(label)
+        if wm is None:
+            rows.append(tuple(one if s == m else zero for s in range(cfg.n_types)))
+            continue
+        row = []
+        for slabel in cfg.types:
+            ws = work_index.get(slabel)
+            x = 0 if ws is None else X[wm][ws]
+            row.append(Fraction(x, d) if x else zero)
+        rows.append(tuple(row))
+    pi = Strategy(tuple(rows))
     sigma_full = core.AuditPolicy.zero(cfg.n_types)
 
     user_utils = tuple(
         core.user_utility_type(pi, sigma_full, t, cfg) for t in cfg.types
     )
     flags = []
-    if sol.multiplicity_flag:
+    if multiple:
         flags.append("alternate optima detected")
     return EquilibriumResult(
         profile=core.StrategyProfile(pi, sigma_full, cfg.num_users),
         user_utilities=user_utils,
         admin_utility=core.admin_utility(pi, sigma_full, cfg),
-        excess=core.excess_payments(pi, sigma_full, cfg),
+        excess=excess,
         provenance="lp",
-        multiplicity=sol.multiplicity_flag,
+        multiplicity=multiple,
         notes=tuple(flags),
     )

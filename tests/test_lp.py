@@ -2,12 +2,16 @@
 
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import auditgame as ag
 from auditgame import InputError, RegimeError
+from auditgame.core import integer_game
 from auditgame.lp import EQUAL, LESS_EQUAL, OPTIMAL, build_bp_lp, solve_bp
 
 import reference_lp
@@ -53,6 +57,20 @@ def test_build_rejects_zero_prior(cfg_a):
     bad = cfg_a.replace(prior=(F(0), F(1)))
     with pytest.raises(InputError):
         build_bp_lp(bad)
+
+
+def test_solve_bp_rejects_zero_prior_and_one_type_games(cfg_a):
+    with pytest.raises(InputError) as excinfo:
+        solve_bp(cfg_a.replace(prior=(F(0), F(1))))
+    assert str(excinfo.value) == \
+        "prior must be strictly positive here; drop zero-probability types first"
+    # `GameConfig` itself refuses one type, so build the record directly.
+    one_type = object.__new__(ag.GameConfig)
+    one_type._set(("a",), (F(1),), (F(5),), F(1), F(2), None, 1, 1)
+    with pytest.raises(InputError) as excinfo:
+        solve_bp(one_type)
+    assert str(excinfo.value) == \
+        "need at least two types; a single type leaves no scope to misreport"
 
 
 def test_debug_text_golden(cfg_a):
@@ -480,16 +498,27 @@ def test_tie_rule_matches_vertex_enumeration():
 # -- the specialised solver against the loop that recomputed every reduced cost
 
 
-def _record_pivots(monkeypatch, module):
-    pivots = []
-    pivot = module._pivot
+def _record_phases(monkeypatch):
+    """Record each `_maximize` call of `solve_bp` as a phase: its
+    (leaving row, entering column) pivots, its final reduced-cost row and
+    its final divisor."""
+    from auditgame import lp as lp_mod
+    phases = []
+    pivot, maximize = lp_mod._pivot, lp_mod._maximize
 
-    def recording(tableau, basis, row, col):
-        pivots.append((row, col))
-        pivot(tableau, basis, row, col)
+    def recording_pivot(tableau, basis, d, row, col):
+        phases[-1]["pivots"].append((row, col))
+        return pivot(tableau, basis, d, row, col)
 
-    monkeypatch.setattr(module, "_pivot", recording)
-    return pivots
+    def recording_maximize(tableau, basis, d, rows, columns):
+        phases.append({"pivots": []})
+        d = maximize(tableau, basis, d, rows, columns)
+        phases[-1].update(reduced=list(tableau[-1]), divisor=d)
+        return d
+
+    monkeypatch.setattr(lp_mod, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp_mod, "_maximize", recording_maximize)
+    return phases
 
 
 def test_solvers_match_the_recomputing_reference():
@@ -507,26 +536,143 @@ def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
     the basis after kept columns.  Its Bland phase picks a slack only when no
     kept column prices positive, so a phase without slack columns would stop
     at a basis that still prices a slack positive (9/19 here)."""
-    from auditgame import lp as lp_mod
     cfg = ag.GameConfig(types=("t0", "t1", "t2"), prior=(F(2, 15), F(8, 15), F(1, 3)),
                         alloc=(131, 140, 128), audit_cost=24, fine=40)
-    pivots = _record_pivots(monkeypatch, lp_mod)
-    phases = []   # (columns entered, final reduced-cost row) per `_maximize` call
-    maximize = lp_mod._maximize
-
-    def recording(tableau, basis, rows, columns):
-        start = len(pivots)
-        bounded = maximize(tableau, basis, rows, columns)
-        phases.append(([col for _, col in pivots[start:]], list(tableau[-1])))
-        return bounded
-
-    monkeypatch.setattr(lp_mod, "_maximize", recording)
+    phases = _record_phases(monkeypatch)
     _assert_same_solution(cfg)
-    entered, reduced = phases[0]   # the first call is `solve_bp`'s own phase
+    phase = phases[0]   # the first call is `solve_bp`'s own phase
+    reduced, d = phase["reduced"], phase["divisor"]
     slacks = range(len(reduced) - 1 - cfg.n_types, len(reduced) - 1)
-    assert any(col in slacks for col in entered)
+    assert any(col in slacks for _, col in phase["pivots"])
     assert all(v <= 0 for v in reduced[:-1])
-    assert -reduced[-1] == reference_lp.solve_lp(build_bp_lp(cfg)).objective_value
+    # The phase's costs are the objective times prior_den * money_den.
+    game = integer_game(cfg)
+    scale = game.prior_den * game.money_den
+    assert F(-reduced[-1], d * scale) == reference_lp.solve_lp(build_bp_lp(cfg)).objective_value
+
+
+def _game(prior, alloc, c, k):
+    return ag.GameConfig(types=tuple(f"t{i}" for i in range(len(prior))), prior=prior,
+                         alloc=alloc, audit_cost=c, fine=k)
+
+
+# (leaving row, entering column) of every pivot, one tuple per `_maximize`
+# call, recorded from the `Fraction` tableau that `solve_bp` used before it
+# pivoted on integers.  The phases are the Bland phase, then on a tied
+# optimum the uniqueness test and the tie rule's phases.
+PINNED_PATHS = [
+    # an audit slack (column 6) re-enters the basis
+    (_game((F(2, 15), F(8, 15), F(1, 3)), (131, 140, 128), 24, 40),
+     [((0, 1), (3, 3), (2, 4), (3, 6))]),
+    # a `_tie_heavy_game` draw: tied optimum, uniqueness test, tie-rule phases
+    (_game((F(3, 14), F(1, 7), F(2, 7), F(1, 7), F(3, 14)), (0, 0, 16, 0, 0), 19, 57),
+     [((7, 2),),
+      ((6, 1), (0, 3), (5, 5), (8, 7), (6, 0), (7, 4), (9, 1), (9, 8), (5, 11), (0, 13), (9, 9)),
+      ((7, 16),), ((8, 5), (5, 15), (7, 18)), ((9, 12),), (), (), ((7, 25),), ((5, 19),), ()]),
+    # a `_tie_heavy_game` draw: fine == audit cost, tied optimum
+    (_game((F(1, 5), F(1, 10), F(3, 10), F(1, 10), F(3, 10)), (38, 38, 38, 38, 30), 29, 29),
+     [((4, 16),),
+      ((5, 1), (1, 4), (2, 8), (3, 12), (6, 17), (0, 5), (7, 18), (0, 10), (8, 19), (4, 21)),
+      ((5, 0),), (), ((0, 15),), ((0, 16),), ((6, 22), (7, 23), (8, 24))]),
+    # half credits, fine == audit cost: the uniqueness test's pivots depend
+    # on weighing each scaled audit slack by 1/(prior_den * money_den)
+    (_game((F(2, 13), F(2, 13), F(3, 13), F(4, 13), F(2, 13)),
+           (57, F(115, 2), 57, F(115, 2), 41), 10, 10),
+     [((0, 1), (2, 7), (5, 12), (0, 0), (4, 13), (6, 1), (6, 3), (2, 9), (7, 14), (0, 15),
+       (5, 17), (7, 19)),
+      ((6, 1), (4, 5), (2, 7), (8, 10), (4, 18)), (), (), (), ((4, 13),)]),
+    # decimal credits, fractional audit cost and fine
+    (ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3), F(1, 6), F(1, 2)),
+                   alloc=(F("12.5"), 20, F("33.25")), audit_cost=F(7, 3), fine=F("9.5")),
+     [((4, 1), (5, 2))]),
+    # six types, `_random_general(random.Random(4), 6)`
+    (_game((F(4, 29), F(5, 29), F(2, 29), F(7, 29), F(8, 29), F(3, 29)),
+           (23, 17, 5, 102, 140, 74), 52, 247),
+     [((9, 1), (10, 2), (11, 3), (6, 4), (9, 6), (10, 7), (11, 8), (6, 9), (7, 10), (2, 12),
+       (2, 14))]),
+    # nine types, `_random_general(random.Random(2), 9)` with quarter credits
+    # and c and k in thirds and halves
+    (_game((F(1, 29), F(2, 29), F(2, 29), F(6, 29), F(3, 29), F(5, 29), F(5, 29), F(4, 29),
+            F(1, 29)),
+           (148, F(697, 4), F(81, 2), 110, F(653, 4), F(201, 2), 185, F(521, 4), F(191, 2)),
+           F(106, 3), F(297, 2)),
+     [((10, 1), (0, 2), (0, 3), (15, 5), (9, 6), (10, 7), (12, 9), (13, 10), (2, 11), (15, 12),
+       (2, 0), (2, 13), (9, 15), (2, 0), (10, 16), (0, 18), (9, 6), (13, 11), (13, 13), (16, 3),
+       (9, 15), (16, 19), (9, 6), (10, 7), (15, 10), (15, 11), (9, 15), (10, 16), (9, 24),
+       (10, 25), (14, 26), (0, 27), (16, 29), (14, 30), (17, 14), (9, 37), (10, 38), (17, 39),
+       (17, 40), (0, 25), (10, 43), (9, 24), (14, 27), (9, 37))]),
+]
+
+
+@pytest.mark.parametrize("cfg, path", PINNED_PATHS)
+def test_solve_bp_keeps_blands_pivot_path(monkeypatch, cfg, path):
+    phases = _record_phases(monkeypatch)
+    solve_bp(cfg)
+    assert [tuple(phase["pivots"]) for phase in phases] == path
+
+
+@st.composite
+def _scaling_games(draw):
+    """Games whose numbers stress the integer scaling: priors over large
+    coprime denominators with zero-prior types, decimal or fractional
+    credits with repeats, fractional c and k, k == c and c == 0."""
+    n = draw(st.integers(2, 4))
+    primes = (9973, 10007, 65521, 65537, 999983)
+    weights = [F(draw(st.integers(0, 40)), draw(st.sampled_from(primes))) for _ in range(n)]
+    if sum(1 for w in weights if w > 0) < 2:
+        weights[:2] = [F(1, 9973), F(1, 10007)]
+    total = sum(weights)
+    prior = tuple(w / total for w in weights)
+    amount = st.one_of(
+        st.integers(0, 20000).map(lambda v: F(v, 100)),          # decimals
+        st.builds(F, st.integers(0, 400), st.integers(1, 12)),    # fractions
+    )
+    pool = [draw(amount) for _ in range(draw(st.integers(1, n)))]
+    alloc = tuple(draw(st.sampled_from(pool)) for _ in range(n))   # equal credits
+    c = draw(st.one_of(st.just(F(0)), amount))
+    k = draw(st.one_of(st.just(c), amount.map(lambda extra: c + extra)))
+    return ag.GameConfig(types=tuple(f"t{i}" for i in range(n)), prior=prior, alloc=alloc,
+                         audit_cost=c, fine=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_scaling_games())
+def test_solve_bp_matches_the_reference_on_awkward_numbers(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # dropped zero-prior types
+        try:
+            work = cfg.drop_zero_prior_types()
+        except InputError:   # fewer than two types left
+            return
+        ag.bp_equilibrium(cfg)   # its invariant checks hold
+    _assert_same_solution(work)
+
+
+@pytest.mark.parametrize("prior, alloc, c, k, rows, message", [
+    # type high claims the low credit
+    ((F(1, 2), F(1, 2)), (50, 105), 25, 100, ((1, 0), (1, 0)),
+     "optimum places mass on an under-report"),
+    # type low always claims high: auditing signal high pays
+    ((F(1, 2), F(1, 2)), (50, 105), 25, 100, ((0, 1), (0, 1)),
+     "audit best response to the optimum is not identically zero"),
+    # k == c on equal credits: the cap is vacuous, 1, and pi(b|a) = 2
+    ((F(1, 2), F(1, 2)), (50, 50), 5, 5, ((0, 2), (0, 1)),
+     "optimum exceeds a per-pair misreporting cap"),
+    # both low types claim the high credit within their caps, and signal
+    # high's own mass 2 keeps auditing it unprofitable: excess 20/3 > 5
+    ((F(1, 3), F(1, 3), F(1, 3)), (0, 0, 10), 10, 10, ((0, 0, 1), (0, 0, 1), (0, 0, 2)),
+     "optimum exceeds the aggregate excess-payments cap"),
+])
+def test_bp_equilibrium_checks_catch_a_corrupted_optimum(monkeypatch, prior, alloc, c, k, rows,
+                                                          message):
+    from auditgame import lp as lp_mod
+    cfg = _game(prior, alloc, c, k)
+    ag.bp_equilibrium(cfg)   # the true optimum passes
+    # the solve returns `rows` over the divisor d = 1
+    monkeypatch.setattr(lp_mod, "_solve", lambda game: ([list(r) for r in rows], 1, False))
+    with pytest.raises(RuntimeError) as excinfo:
+        ag.bp_equilibrium(cfg)
+    assert str(excinfo.value) == message
 
 
 def test_equal_credit_game_reports_alternate_optima():
