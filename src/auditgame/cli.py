@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Subcommands: solve, bounds, cost, sweep, surface, verify, probe, ledger.
-Exit status 0 on success, 2 when the budget regime rules the request out
-(equilibrium non-existence), 1 on input errors.  Game outputs are
-deterministic given the config and, for sweep and surface, the numeric
-mode; the toy ledger scheme is deterministic given its seed.
+Subcommands: solve, bounds, cost, sweep, surface, verify, probe, ledger;
+`_COMMANDS` lists each with its flags, and `--help` prints them.  A flag
+takes `--flag value` or `--flag=value` under its exact name (no
+abbreviations), and its value may start with `-`.  Exit status 0 on
+success, 2 when the budget regime rules the request out (equilibrium
+non-existence), 1 on input errors, usage errors among them; each error
+prints one line on stderr.  Game outputs are deterministic given the
+config and, for sweep and surface, the numeric mode; the toy ledger
+scheme is deterministic given its seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import stat
 import sys
@@ -70,87 +73,119 @@ def _coalition_grid(arg):
         raise InputError(f"cannot parse coalition sizes {arg!r}") from None
 
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required, help="game config file")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+def _flag(metavar, default=None, kind=str, required=False, choices=None):
+    """One flag: its kind (`str`, `int`, or `list` for a repeatable string),
+    default, whether it is required, its choices, and the placeholder that
+    `--help` shows for its value."""
+    return kind, default, required, choices, metavar
 
 
-def _add_sweep_options(p):
-    # Checked by the library and parsed in `_spec_with_overrides`, so a bad
-    # value is an input error.
-    p.add_argument("--mode", default=None, help="numeric mode (see the README); exact by default")
-    p.add_argument("--qmin-grid", default=None)
-    p.add_argument("--c-grid", default=None)
-    p.add_argument("--k-grid", default=None)
-    p.add_argument("--coalition", default=None)
+_GAME = {"--config": _flag("FILE", required=True), "--out": _flag("FILE")}
+# Grid values and the mode are checked by the library and parsed in
+# `_spec_with_overrides`, so a bad value is an input error.
+_GRIDS = {"--config": _flag("FILE"), "--out": _flag("FILE"), "--mode": _flag("rational|float"),
+          "--qmin-grid": _flag("LIST"), "--c-grid": _flag("LIST"), "--k-grid": _flag("LIST"),
+          "--coalition": _flag("LIST")}
+_SCHEME = {"--scheme": _flag("ed25519|toy", "ed25519", choices=("ed25519", "toy")),
+           "--seed": _flag("N", 0, int)}
+_LEDGER = {"--dir": _flag("DIR", required=True), **_SCHEME}
+
+# Each subcommand, and each ledger subcommand, with its flags in the order
+# that `--help` lists them.
+_COMMANDS = {
+    "solve": _GAME,
+    "bounds": {**_GAME, "--format": _flag("csv|text", "csv", choices=("csv", "text"))},
+    "cost": _GAME,
+    "sweep": _GRIDS,
+    "surface": _GRIDS,
+    "verify": {**_GAME, "--resolution": _flag("N", 200, int)},
+    "probe": {**_GAME, "--resolution": _flag("N", 100, int)},
+    "ledger": {
+        "keygen": {"--out": _flag("FILE", required=True), **_SCHEME},
+        "mint": {**_LEDGER, "--recipient-key": _flag("FILE", required=True),
+                 "--coin-id": _flag("N", kind=int, required=True), "--note": _flag("TEXT", ""),
+                 "--out": _flag("FILE", required=True)},
+        "spend": {**_LEDGER, "--coin": _flag("FILE", kind=list, required=True),
+                  "--goods": _flag("TEXT", "goods"), "--price": _flag("N", 1, int),
+                  "--signer-key": _flag("FILE", required=True)},
+        "audit-log": _LEDGER,
+    },
+}
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="auditgame",
-        description="Audit-game equilibria, bounds, cost comparisons, and the currency ledger",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="equilibrium for a config")
-    _add_common(p)
-
-    p = sub.add_parser("bounds", help="misreporting caps as CSV")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "text"), default="csv")
-
-    p = sub.add_parser("cost", help="audit vs no-audit total cost")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="case-study cost sweep CSV")
-    _add_common(p, config_required=False)
-    _add_sweep_options(p)
-
-    p = sub.add_parser("surface", help="misreporting-probability surface CSV")
-    _add_common(p, config_required=False)
-    _add_sweep_options(p)
-
-    p = sub.add_parser("verify", help="verify a config's equilibrium: the audit best response "
-                                      "and each type's best deviation on the grid")
-    _add_common(p)
-    p.add_argument("--resolution", type=int, default=200)
-
-    p = sub.add_parser("probe", help="non-existence probe for two users under a small budget")
-    _add_common(p)
-    p.add_argument("--resolution", type=int, default=100)
-
-    p = sub.add_parser("ledger", help="currency ledger operations")
-    lsub = p.add_subparsers(dest="ledger_command", required=True)
-
-    lp_ = lsub.add_parser("keygen", help="generate a key pair")
-    lp_.add_argument("--out", required=True, help="key file to write (hex, mode 600)")
-    lp_.add_argument("--scheme", choices=("ed25519", "toy"), default="ed25519")
-    lp_.add_argument("--seed", type=int, default=0)
-
-    lp_ = lsub.add_parser("mint", help="mint a coin for a recipient")
-    _ledger_dir_args(lp_)
-    lp_.add_argument("--recipient-key", required=True, help="recipient key file (uses its public half)")
-    lp_.add_argument("--coin-id", type=int, required=True)
-    lp_.add_argument("--note", default="")
-    lp_.add_argument("--out", required=True, help="coin file to write")
-
-    lp_ = lsub.add_parser("spend", help="two-phase spend")
-    _ledger_dir_args(lp_)
-    lp_.add_argument("--coin", action="append", required=True, help="coin file (repeatable)")
-    lp_.add_argument("--goods", default="goods")
-    lp_.add_argument("--price", type=int, default=1)
-    lp_.add_argument("--signer-key", required=True, help="owner key file used to sign the receipt")
-
-    lp_ = lsub.add_parser("audit-log", help="print the approved-receipt log with verification status")
-    _ledger_dir_args(lp_)
-
-    return parser
+def _is_group(table) -> bool:
+    return isinstance(next(iter(table.values())), dict)
 
 
-def _ledger_dir_args(p):
-    p.add_argument("--dir", required=True, help="ledger directory (admin keys and log)")
-    p.add_argument("--scheme", choices=("ed25519", "toy"), default="ed25519")
-    p.add_argument("--seed", type=int, default=0)
+class _Args:
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+def parse_args(argv):
+    """The subcommands and flag values of `argv` as attributes (`command`,
+    `ledger_command`, and each flag with its dashes as underscores), or
+    None when it asks for help.  A usage error raises `InputError`."""
+    words, table, i = [], _COMMANDS, 0
+    while _is_group(table):
+        token = argv[i] if i < len(argv) else None
+        if token in _HELP:
+            return None
+        if token not in table:
+            got = "none given" if token is None else f"got {token!r}"
+            what = " ".join(words + ["command"])
+            raise InputError(f"expected a {what}, one of {', '.join(table)}; {got}")
+        words.append(token)
+        table, i = table[token], i + 1
+    where = " ".join(words)
+    values = {name: spec[1] for name, spec in table.items()}
+    given = set()
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token in _HELP:
+            return None
+        name, eq, value = token.partition("=")
+        if name not in table:
+            raise InputError(f"{where}: unknown flag {name!r}")
+        kind, _, _, choices, _ = table[name]
+        if not eq:
+            if i == len(argv):
+                raise InputError(f"{where}: {name} needs a value")
+            value, i = argv[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"{where}: {name} needs an integer, not {value!r}") from None
+        if choices and value not in choices:
+            raise InputError(f"{where}: {name} must be one of {', '.join(choices)}, not {value!r}")
+        if kind is list:
+            value = values[name] + [value] if name in given else [value]
+        values[name] = value
+        given.add(name)
+    for name, (_, _, required, _, _) in table.items():
+        if required and name not in given:
+            raise InputError(f"{where}: {name} is required")
+    attributes = dict(zip(("command", "ledger_command"), words))
+    attributes.update((name[2:].replace("-", "_"), value) for name, value in values.items())
+    return _Args(attributes)
+
+
+def _usage(head="auditgame", table=_COMMANDS) -> str:
+    """The `--help` text: one usage line per subcommand, rendered from
+    `_COMMANDS` and wrapped at 79 columns."""
+    if _is_group(table):
+        width = max(map(len, table))
+        return "".join(_usage(f"{head} {word:{width}}", sub) for word, sub in table.items())
+    lines = [head]
+    for name, (kind, _, required, _, metavar) in table.items():
+        part = f"{name} {metavar}" + (" ..." if kind is list else "")
+        part = part if required else f"[{part}]"
+        if len(lines[-1]) + 1 + len(part) > 79:
+            lines.append(" " * len(head))
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
 
 
 def _scheme_for(args):
@@ -394,9 +429,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return 0
         return _HANDLERS[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

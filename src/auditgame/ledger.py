@@ -43,11 +43,9 @@ owner's side via `sign_receipt`.
 from __future__ import annotations
 
 import hashlib
-import hmac as hmac_mod
 import io
 import json
 import os
-import secrets
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -111,7 +109,9 @@ class DeterministicScheme(SignatureScheme):
     """
 
     def __init__(self, seed: int = 0):
+        import hmac
         import random
+        self._hmac = hmac
         self._rng = random.Random(seed)
 
     @staticmethod
@@ -127,11 +127,11 @@ class DeterministicScheme(SignatureScheme):
         return sk, self._pk_for(sk)
 
     def sign(self, sk: bytes, message: bytes) -> bytes:
-        return hmac_mod.new(self._mac_key(self._pk_for(sk)), message, hashlib.sha256).digest()
+        return self._hmac.new(self._mac_key(self._pk_for(sk)), message, hashlib.sha256).digest()
 
     def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
-        expected = hmac_mod.new(self._mac_key(pk), message, hashlib.sha256).digest()
-        return hmac_mod.compare_digest(expected, signature)
+        expected = self._hmac.new(self._mac_key(pk), message, hashlib.sha256).digest()
+        return self._hmac.compare_digest(expected, signature)
 
 
 def keygen(scheme: SignatureScheme) -> tuple:
@@ -488,7 +488,7 @@ class LedgerState:
             challenge = self._rng.getrandbits(8 * self.CHALLENGE_BYTES).to_bytes(
                 self.CHALLENGE_BYTES, "big")
         else:
-            challenge = secrets.token_bytes(self.CHALLENGE_BYTES)
+            challenge = os.urandom(self.CHALLENGE_BYTES)
         deadline = self._clock() + self.challenge_ttl
         with self._lock:
             self._pending.setdefault(raw.digest(), {})[challenge] = deadline

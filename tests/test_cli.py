@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
 import json
+import os
 import shutil
 
 import pytest
@@ -30,10 +31,37 @@ def run(args, capsys):
 
 
 def test_solve(cfg_file, capsys):
-    code, out, _ = run(["solve", "--config", cfg_file], capsys)
-    assert code == 0
-    assert "strategy_exact[low]: 21/26,5/26" in out
-    assert "audit: 0,0" in out
+    for config in (["--config", cfg_file], ["--config=" + cfg_file]):
+        code, out, _ = run(["solve"] + config, capsys)
+        assert code == 0
+        assert "strategy_exact[low]: 21/26,5/26" in out
+        assert "audit: 0,0" in out
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["frobnicate"],
+    ["ledger"],
+    ["solve", "--config", "x", "--bogus", "1"],
+    ["solve", "--config"],
+    ["solve"],
+    ["verify", "--config", "x", "--resolution", "abc"],
+    ["ledger", "keygen", "--out", "k", "--scheme", "rsa"],
+    ["bounds", "--config", "x", "--format", "xml"],
+])
+def test_usage_errors_are_input_errors(args, capsys):
+    # exit 2 would say that the budget regime rules the request out
+    code, out, err = run(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--help"], ["-h"], ["ledger", "spend", "--help"]])
+def test_help_prints_the_readme_cli_block(args, capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    readme = open(path, encoding="utf-8").read()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```\n", 1)[0]
+    assert run(args, capsys) == (0, block, "")
 
 
 def test_solve_nonexistence_exit_2(tmp_path, capsys):
@@ -163,7 +191,6 @@ def test_ledger_cli_roundtrip(tmp_path, capsys):
     code, out, _ = run(["ledger", "keygen", "--out", alice, "--scheme", "toy",
                         "--seed", "42"], capsys)
     assert code == 0 and "public_key:" in out
-    import os
     assert (os.stat(alice).st_mode & 0o777) == 0o600
 
     code, _, _ = run(["ledger", "mint", "--dir", led, "--scheme", "toy", "--seed", "1",

@@ -1,8 +1,10 @@
 """Each CLI call imports only the modules its subcommand runs.
 
 No call imports `dataclasses` or `inspect`: together they cost more
-start-up time than a small game call spends computing.  No ledger call
-imports `auditgame.numeric` or the `fractions` and `decimal` it loads.
+start-up time than a small game call spends computing.  No call imports
+`argparse`: the CLI parses its arguments from its own flag table.  No
+ledger call imports `auditgame.numeric` or the `fractions` and `decimal`
+it loads, and no Ed25519 ledger call imports `secrets` or `hmac`.
 Every check runs in a fresh interpreter, since the test process has
 already imported the whole package.
 """
@@ -26,19 +28,22 @@ SWEEP = GAME | {"auditgame.casestudy"}
 LEDGER = VALUES | {"auditgame.ledger"}
 
 # Standard-library modules that no CLI call may load.
-SLOW = ("dataclasses", "inspect")
+SLOW = ("dataclasses", "inspect", "argparse")
 # Standard-library modules that only the game calls need.
 EXACT = ("fractions", "decimal")
+# Standard-library modules that no game or Ed25519 ledger call loads: only
+# the toy ledger scheme signs with `hmac`, which `secrets` imports too.
+TOY = ("secrets", "hmac")
 
 # Runs `cli.main` on its arguments, then prints the exit status and the
-# loaded modules of this package, of `cryptography`, of SLOW and of EXACT
-# as the last line.
+# loaded modules of this package, of `cryptography`, of SLOW, of EXACT and
+# of TOY as the last line.
 CALL = f"""
 import json, sys
 from auditgame import cli
 code = cli.main(sys.argv[1:])
 names = sorted(m for m in sys.modules
-               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW + EXACT!r})
+               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW + EXACT + TOY!r})
 print(json.dumps([code, names]))
 """
 
@@ -58,15 +63,16 @@ def _python(code, *args, cwd=None):
 
 
 def _call(args, cwd):
-    """(exit status, auditgame modules, cryptography modules, EXACT modules)
-    of one CLI call, after checking that it loaded none of SLOW."""
+    """(exit status, auditgame modules, cryptography modules, EXACT modules,
+    TOY modules) of one CLI call, after checking that it loaded none of SLOW."""
     proc = _python(CALL, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     code, names = json.loads(proc.stdout.splitlines()[-1])
     assert not set(SLOW) & set(names), args
     ours = {n for n in names if n.split(".")[0] == "auditgame"}
     exact = set(EXACT) & set(names)
-    return code, ours, set(names) - ours - exact, exact
+    toy = set(TOY) & set(names)
+    return code, ours, set(names) - ours - exact - toy, exact, toy
 
 
 def test_importing_the_cli_loads_no_game_or_ledger_module():
@@ -94,10 +100,10 @@ def workdir(tmp_path):
     (["bounds", "--config", "two.cfg", "--format", "text"], SOLVE),
 ], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv", "bounds-text"])
 def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):
-    code, ours, crypto, _ = _call(args, workdir)
+    code, ours, crypto, _, toy = _call(args, workdir)
     assert code == 0
     assert ours == expected
-    assert crypto == set()
+    assert crypto == set() and toy == set()
 
 
 def test_ledger_subcommands_load_no_game_module(workdir):
@@ -109,11 +115,11 @@ def test_ledger_subcommands_load_no_game_module(workdir):
         ["audit-log", "--dir", "led"],
     ]
     for args in session:
-        code, ours, crypto, exact = _call(["ledger", *args], workdir)
+        code, ours, crypto, exact, toy = _call(["ledger", *args], workdir)
         assert code == 0, args
         assert ours == LEDGER, args
         assert crypto, args   # Ed25519 is the default scheme
-        assert exact == set(), args
+        assert exact == set() and toy == set(), args
 
 
 def test_package_names_resolve_on_first_access():
