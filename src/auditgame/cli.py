@@ -210,6 +210,18 @@ def _read_key_file(path):
         raise InputError(f"key file {path!r} holds a line that is not hex") from None
 
 
+def _signing(key_path, sign, *args):
+    """`sign(*args)`, which signs with the secret key of the key file
+    `key_path`; a key the scheme cannot sign with is an input error."""
+    try:
+        return sign(*args)
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"key file {key_path!r} holds a secret key that cannot sign: "
+                         f"{exc}") from None
+
+
 def _read_coin_file(path):
     import json
     from . import ledger as ledger_mod
@@ -374,15 +386,15 @@ def _cmd_ledger(args) -> int:
         # a directory made for it goes again if that write fails.
         new_dir = not os.path.exists(args.dir)
         state = _open_ledger(args, create=True)
-        coin = state.mint(recipient_pk,
-                          ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
+        admin_path = os.path.join(args.dir, "admin.key")
+        coin = _signing(admin_path, state.mint, recipient_pk,
+                        ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
         try:
             _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
         except InputError:
             if new_dir:
                 os.rmdir(args.dir)
             raise
-        admin_path = os.path.join(args.dir, "admin.key")
         if not os.path.exists(admin_path):
             _write_key_file(admin_path, state._admin_sk, state.admin_pk)
         sys.stdout.write(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
@@ -393,7 +405,8 @@ def _cmd_ledger(args) -> int:
         state = _open_ledger(args)
         raw = ledger_mod.RawReceipt(goods=args.goods, price=args.price, coins=tuple(coins))
         challenge = state.begin_spend(raw)
-        receipt = ledger_mod.sign_receipt(state.scheme, sk, raw, challenge)
+        receipt = _signing(args.signer_key, ledger_mod.sign_receipt, state.scheme, sk, raw,
+                           challenge)
         outcome = state.finalize_spend(receipt)
         if outcome.approved:
             sys.stdout.write("approved\n")

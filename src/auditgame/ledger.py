@@ -23,10 +23,21 @@ every record.  A record counts as inside the prefix only when its line,
 newline included, is.  With a checkpoint, the spent set starts as M and
 only the records after the prefix are parsed, verified and checked for
 double-spends against it; the prefix is parsed only when `approved` is
-first read, without signature checks.  After a load in which every record
-passed, it signs a new checkpoint for the newline-terminated part of the
-log, if that part grew.  The file is only a cache: deleting it costs one
-full verification.
+first read, without signature checks.  The file is only a cache: deleting
+it costs one full verification.
+
+Two writers sign checkpoints.  After a load in which every record passed,
+`load` signs one for the newline-terminated part of the log, if that part
+grew.  A state that approves spends keeps a running SHA-256 over the log
+bytes it has itself read (and checked, or honoured under a checkpoint) or
+appended, and after an approval it signs those bytes and its spent set
+once the bytes appended since the last checkpoint it signed or honoured
+are at least as many as that checkpoint covers.  That doubling schedule
+re-signs the spent set at amortised O(1) cost per record.  The digest is
+of the bytes this state knows, never a re-read of the file: if any other
+writer touched the log in between, the file's prefix no longer hashes to
+H, and the next load verifies every record.  A checkpoint can cost a cache
+miss, never a skipped record.
 
 Trust: anyone without the administrator's secret key can neither make
 `load` skip a record, nor change the spent set it starts from, nor make it
@@ -36,13 +47,17 @@ coins inside a checkpoint are trusted on the administrator's signature,
 not re-checked against the users' keys or against each other; the holder
 of that key can already mint any coin.
 
+Every SHA-256 the ledger takes (H, and the digest of a raw receipt) comes
+from `cryptography`, whose Ed25519 code links its own OpenSSL; `hashlib`
+would load the system's `libcrypto` a second time.  Only the toy scheme
+imports `hashlib`.
+
 Secret keys never pass through ledger operations; signing happens on the
 owner's side via `sign_receipt`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -109,28 +124,28 @@ class DeterministicScheme(SignatureScheme):
     """
 
     def __init__(self, seed: int = 0):
+        import hashlib
         import hmac
         import random
+        self._sha256 = hashlib.sha256
         self._hmac = hmac
         self._rng = random.Random(seed)
 
-    @staticmethod
-    def _pk_for(sk: bytes) -> bytes:
-        return b"td:" + hashlib.sha256(b"pk" + sk).digest()[:16]
+    def _pk_for(self, sk: bytes) -> bytes:
+        return b"td:" + self._sha256(b"pk" + sk).digest()[:16]
 
-    @staticmethod
-    def _mac_key(pk: bytes) -> bytes:
-        return hashlib.sha256(b"mac" + pk).digest()
+    def _mac_key(self, pk: bytes) -> bytes:
+        return self._sha256(b"mac" + pk).digest()
 
     def gen(self) -> tuple:
         sk = self._rng.getrandbits(256).to_bytes(32, "big")
         return sk, self._pk_for(sk)
 
     def sign(self, sk: bytes, message: bytes) -> bytes:
-        return self._hmac.new(self._mac_key(self._pk_for(sk)), message, hashlib.sha256).digest()
+        return self._hmac.new(self._mac_key(self._pk_for(sk)), message, self._sha256).digest()
 
     def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
-        expected = self._hmac.new(self._mac_key(pk), message, hashlib.sha256).digest()
+        expected = self._hmac.new(self._mac_key(pk), message, self._sha256).digest()
         return self._hmac.compare_digest(expected, signature)
 
 
@@ -168,6 +183,13 @@ class CoinMetadata(Record):
 
 def _canonical(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _sha256():
+    """A fresh SHA-256 hash object from `cryptography` (see the module
+    docstring)."""
+    from cryptography.hazmat.primitives import hashes
+    return hashes.Hash(hashes.SHA256())
 
 
 # Prefixes every signed checkpoint message.  Coin payloads are canonical
@@ -257,7 +279,9 @@ class RawReceipt(Record):
         return _canonical(self.to_dict())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        sha = _sha256()
+        sha.update(self.canonical_bytes())
+        return sha.finalize().hex()
 
 
 class Receipt(Record):
@@ -320,9 +344,9 @@ class LedgerState:
     """Administrator-side state: keys, approved receipts, spent coins,
     pending challenges.
 
-    `finalize_spend` serializes its spent-set check, log append, and
-    spend marking through one lock; signature checks run outside it on
-    immutable data.
+    `finalize_spend` serializes its spent-set check, log append, spend
+    marking and any checkpoint it signs through one lock; signature checks
+    run outside it on immutable data.
     """
 
     CHALLENGE_BYTES = 16
@@ -342,10 +366,16 @@ class LedgerState:
         self._covered = b""
         self._spent: set = set()
         self._issued: set = set()
-        self._pending: dict = {}   # r0 digest -> {challenge bytes: deadline}
+        self._pending: dict = {}   # r0 canonical bytes -> {challenge bytes: deadline}
         # True when the loaded log's last line has no newline; the next
         # append writes one first, so that its record gets a line of its own.
         self._unterminated = False
+        # The running SHA-256 of the log bytes this state has read or
+        # appended, their count, and the count that the last checkpoint it
+        # signed or honoured covers (see the module docstring).
+        self._log_sha = _sha256()
+        self._log_bytes = 0
+        self._checkpointed = 0
 
     @classmethod
     def create(cls, scheme: SignatureScheme, log_path=None, **kwargs) -> "LedgerState":
@@ -374,7 +404,8 @@ class LedgerState:
                 raise InputError(f"cannot read ledger log {log_path!r}: "
                                  f"{exc.strerror or exc}") from None
             state._unterminated = bool(data) and not data.endswith(b"\n")
-            covered, state._spent = state._read_checkpoint(data)
+            ends = data.rfind(b"\n") + 1   # the newline-terminated prefix
+            covered, state._spent, digest = state._read_checkpoint(data, ends)
             state._issued = set(state._spent)
             view = memoryview(data)
             state._covered = view[:covered]
@@ -395,7 +426,9 @@ class LedgerState:
                 state._approved.append(receipt)
                 if not line.endswith(b"\n"):
                     torn = {coin.key for coin in receipt.raw.coins}
-            state._save_checkpoint(data, covered, torn)
+            if ends > covered:
+                state._save_checkpoint(ends, digest, state._spent - torn)
+            state._checkpointed = ends
         return state
 
     @property
@@ -413,38 +446,51 @@ class LedgerState:
     def _checkpoint_path(self) -> str:
         return os.fspath(self.log_path) + ".checkpoint"
 
-    def _read_checkpoint(self, data: bytes) -> tuple:
+    def _read_checkpoint(self, data: bytes, ends: int) -> tuple:
         """(length, spent coin keys) of the newline-terminated log prefix a
-        valid checkpoint vouches for, else (0, an empty set)."""
+        valid checkpoint vouches for, else (0, an empty set); then the hex
+        SHA-256 of the first `ends` bytes of `data`.
+
+        Hashes `data` once, into the running hash of the log."""
         try:
             with open(self._checkpoint_path(), "rb") as fh:
                 checkpoint = json.loads(fh.read())
             n_bytes, digest, spent = checkpoint["bytes"], checkpoint["sha256"], checkpoint["spent"]
             sig = bytes.fromhex(checkpoint["sig"])
         except (OSError, ValueError, KeyError, TypeError):
-            return 0, set()
-        if (type(n_bytes) is not int or not 0 < n_bytes <= len(data)
-                or hashlib.sha256(memoryview(data)[:n_bytes]).hexdigest() != digest
+            n_bytes = None
+        claimed = type(n_bytes) is int and 0 < n_bytes <= len(data)
+        digests = self._hash_log(data, (n_bytes, ends) if claimed else (ends,))
+        if (not claimed or digests[n_bytes] != digest
                 or not self.scheme.verify(self.admin_pk,
                                           _checkpoint_message(n_bytes, digest, spent), sig)):
-            return 0, set()
+            return 0, set(), digests[ends]
         # Only the administrator signs M, and always as {owner hex: [coin ids]}.
         return (data.rfind(b"\n", 0, n_bytes) + 1,
-                {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids})
+                {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids},
+                digests[ends])
 
-    def _save_checkpoint(self, data: bytes, covered: int, torn: set) -> None:
-        """Sign the verified newline-terminated prefix of `data`, and the
-        coins its records spend (all spent coins but `torn`), if it grew.
+    def _hash_log(self, data: bytes, ends) -> dict:
+        """Extend the running hash, empty so far, over all of `data`; returns
+        {n: hex SHA-256 of the first n bytes} for each n in `ends`."""
+        view, digests = memoryview(data), {}
+        for n in sorted(ends):
+            self._log_sha.update(view[self._log_bytes:n])
+            self._log_bytes = n
+            digests[n] = self._log_sha.copy().finalize().hex()
+        self._log_sha.update(view[self._log_bytes:])
+        self._log_bytes = len(data)
+        return digests
+
+    def _save_checkpoint(self, n_bytes: int, digest: str, spent: set) -> None:
+        """Sign the first `n_bytes` of the log, whose SHA-256 is `digest`,
+        and `spent`, the coins their records spend.
 
         The file is replaced atomically.  It is only a cache, so a failed
         write is ignored, as is a secret key the scheme cannot sign with
         (reading the log needs only the public key).
         """
-        n_bytes = data.rfind(b"\n") + 1
-        if n_bytes <= covered:
-            return
-        digest = hashlib.sha256(memoryview(data)[:n_bytes]).hexdigest()
-        spent = _spent_map(self._spent - torn)
+        spent = _spent_map(spent)
         try:
             sig = self.scheme.sign(self._admin_sk, _checkpoint_message(n_bytes, digest, spent))
         except ValueError:
@@ -491,20 +537,20 @@ class LedgerState:
             challenge = os.urandom(self.CHALLENGE_BYTES)
         deadline = self._clock() + self.challenge_ttl
         with self._lock:
-            self._pending.setdefault(raw.digest(), {})[challenge] = deadline
+            self._pending.setdefault(raw.canonical_bytes(), {})[challenge] = deadline
         return challenge
 
     def pending_challenges(self, raw: RawReceipt) -> tuple:
         """Challenges still usable for this raw receipt (expired ones drop out)."""
-        now = self._clock()
+        now, key = self._clock(), raw.canonical_bytes()
         with self._lock:
-            challenges = self._pending.get(raw.digest(), {})
+            challenges = self._pending.get(key, {})
             live = {z: d for z, d in challenges.items() if d >= now}
             if len(live) != len(challenges):
                 if live:
-                    self._pending[raw.digest()] = live
+                    self._pending[key] = live
                 else:
-                    self._pending.pop(raw.digest(), None)
+                    self._pending.pop(key, None)
             return tuple(live)
 
     def _receipt_integrity_problem(self, receipt: Receipt) -> Optional[str]:
@@ -533,10 +579,10 @@ class LedgerState:
         if problem:
             return SpendOutcome(False, problem)
 
-        digest = receipt.raw.digest()
+        key = receipt.raw.canonical_bytes()
         now = self._clock()
         with self._lock:
-            challenges = self._pending.get(digest, {})
+            challenges = self._pending.get(key, {})
             deadline = challenges.get(receipt.challenge)
             if deadline is None:
                 return SpendOutcome(False, "unknown-challenge")
@@ -548,20 +594,29 @@ class LedgerState:
                     return SpendOutcome(False, "double-spend")
             # All checks passed: append, then commit in memory.
             if self.log_path:
+                line = ((b"\n" if self._unterminated else b"")
+                        + json.dumps(receipt.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
                 try:
-                    with open(self.log_path, "a", encoding="utf-8") as fh:
-                        fh.write(("\n" if self._unterminated else "")
-                                 + json.dumps(receipt.to_dict(), sort_keys=True) + "\n")
+                    with open(self.log_path, "ab") as fh:
+                        fh.write(line)
                 except OSError as exc:
                     raise InputError(f"cannot append to ledger log {self.log_path!r}: "
                                      f"{exc.strerror or exc}") from None
                 self._unterminated = False
+                self._log_sha.update(line)
+                self._log_bytes += len(line)
             for coin in receipt.raw.coins:
                 self._spent.add(coin.key)
             del challenges[receipt.challenge]
             if not challenges:
-                self._pending.pop(digest, None)
+                self._pending.pop(key, None)
             self._approved.append(receipt)
+            # The doubling schedule; a checkpoint that could not be signed
+            # or written resets it too, so a failing disk costs no more.
+            if self.log_path and self._log_bytes - self._checkpointed >= self._checkpointed:
+                self._checkpointed = self._log_bytes
+                self._save_checkpoint(self._log_bytes, self._log_sha.copy().finalize().hex(),
+                                      self._spent)
         return SpendOutcome(True)
 
     def is_spent(self, coin: Coin) -> bool:

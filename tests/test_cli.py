@@ -238,6 +238,38 @@ def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
                         "--out", str(tmp_path / "c.json")])
 
 
+def test_a_secret_key_that_cannot_sign_is_an_input_error(tmp_path, capsys):
+    alice, led, coin = (str(tmp_path / name) for name in ("alice.key", "led", "c1.json"))
+    run(["ledger", "keygen", "--out", alice], capsys)
+    mint = ["ledger", "mint", "--dir", led, "--recipient-key", alice, "--coin-id"]
+    assert run(mint + ["1", "--out", coin], capsys)[0] == 0
+
+    def assert_key_error(args, key):
+        code, out, err = run(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"input error: key file {key!r} holds a secret key that "
+                              "cannot sign: ") and err.count("\n") == 1
+
+    short = str(tmp_path / "short.key")
+    with open(short, "w") as fh:
+        fh.write("00\n00\n")
+    spend = ["ledger", "spend", "--dir", led, "--coin", coin, "--signer-key"]
+    assert_key_error(spend + [short], short)
+    assert not os.path.exists(os.path.join(led, "log.jsonl"))   # nothing was approved
+    # an administrator key whose secret line is short cannot mint ...
+    admin = os.path.join(led, "admin.key")
+    public = open(admin).read().splitlines()[1]
+    with open(admin, "w") as fh:
+        fh.write(f"00\n{public}\n")
+    assert_key_error(mint + ["2", "--out", str(tmp_path / "c2.json")], admin)
+    assert not (tmp_path / "c2.json").exists()
+    # ... but a spend and a listing need only its public key, and sign no checkpoint
+    assert run(spend + [alice], capsys)[:2] == (0, "approved\n")
+    code, out, err = run(["ledger", "audit-log", "--dir", led], capsys)
+    assert code == 0 and err == "" and out.endswith("total: 1\n")
+    assert not os.path.exists(os.path.join(led, "log.jsonl.checkpoint"))
+
+
 @pytest.mark.parametrize("args", [
     ["sweep", "--qmin-grid", "1/2", "--c-grid", "-5", "--k-grid", "-55"],
     ["sweep", "--coalition", "-3"],

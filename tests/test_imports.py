@@ -4,7 +4,8 @@ No call imports `dataclasses` or `inspect`: together they cost more
 start-up time than a small game call spends computing.  No call imports
 `argparse`: the CLI parses its arguments from its own flag table.  No
 ledger call imports `auditgame.numeric` or the `fractions` and `decimal`
-it loads, and no Ed25519 ledger call imports `secrets` or `hmac`.
+it loads, and no Ed25519 ledger call imports `secrets`, `hmac` or
+`hashlib`.
 Every check runs in a fresh interpreter, since the test process has
 already imported the whole package.
 """
@@ -32,8 +33,10 @@ SLOW = ("dataclasses", "inspect", "argparse")
 # Standard-library modules that only the game calls need.
 EXACT = ("fractions", "decimal")
 # Standard-library modules that no game or Ed25519 ledger call loads: only
-# the toy ledger scheme signs with `hmac`, which `secrets` imports too.
-TOY = ("secrets", "hmac")
+# the toy ledger scheme signs with `hmac`, which `secrets` imports too, and
+# hashes with `hashlib`, whose `_hashlib` loads the system's OpenSSL next to
+# the one `cryptography` links.
+TOY = ("secrets", "hmac", "hashlib", "_hashlib")
 
 # Runs `cli.main` on its arguments, then prints the exit status and the
 # loaded modules of this package, of `cryptography`, of SLOW, of EXACT and
@@ -106,20 +109,36 @@ def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):
     assert crypto == set() and toy == set()
 
 
-def test_ledger_subcommands_load_no_game_module(workdir):
+def _ledger_session(workdir, *scheme):
+    """Yields (arguments, cryptography modules, TOY modules) of each call of
+    a ledger session, after checking that it succeeded and loaded no game
+    module and none of EXACT."""
     session = [
         ["keygen", "--out", "alice.key"],
         ["mint", "--dir", "led", "--recipient-key", "alice.key", "--coin-id", "1",
          "--out", "coin.json"],
         ["spend", "--dir", "led", "--coin", "coin.json", "--signer-key", "alice.key"],
+        # the spend signed a checkpoint, so this listing checks its digest
         ["audit-log", "--dir", "led"],
     ]
     for args in session:
-        code, ours, crypto, exact, toy = _call(["ledger", *args], workdir)
+        code, ours, crypto, exact, toy = _call(["ledger", *args, *scheme], workdir)
         assert code == 0, args
         assert ours == LEDGER, args
+        assert exact == set(), args
+        yield args, crypto, toy
+    assert (workdir / "led" / "log.jsonl.checkpoint").exists()
+
+
+def test_ledger_subcommands_load_no_game_module(workdir):
+    for args, crypto, toy in _ledger_session(workdir):
         assert crypto, args   # Ed25519 is the default scheme
-        assert exact == set() and toy == set(), args
+        assert toy == set(), args
+
+
+def test_only_the_toy_ledger_scheme_loads_hmac_and_hashlib(workdir):
+    for args, _, toy in _ledger_session(workdir, "--scheme", "toy"):
+        assert {"hmac", "hashlib"} <= toy and "secrets" not in toy, args
 
 
 def test_package_names_resolve_on_first_access():

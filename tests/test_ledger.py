@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -274,10 +275,12 @@ def _spend_new_coins(state, user, coin_ids):
 
 @pytest.fixture
 def ledger(scheme, tmp_path, user):
-    """A ledger of three approved receipts and the path of its log."""
+    """A ledger of three approved receipts and the path of its log, with no
+    checkpoint: the one the approving session signed is deleted."""
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
     _spend_new_coins(state, user, range(3))
+    os.remove(log + ".checkpoint")
     return state, log
 
 
@@ -334,7 +337,9 @@ def test_checkpoint_limits_reverification_to_appended_records(ledger, user, veri
     assert again.approved == first.approved and again._spent == first._spent
 
     for k in (1, 4):
+        signed_by_load = _checkpoint(log)
         _spend_new_coins(again, user, range(10 * k, 10 * k + k))
+        _write_checkpoint(log, signed_by_load)   # not the session's own, if it signed one
         verified.clear()
         again = _load(state, log)
         assert len(verified) == 1 + 2 * k
@@ -544,7 +549,9 @@ def test_a_checkpointed_ledger_parses_only_the_records_after_it(covered, tmp_pat
     state = lg.LedgerState.create(scheme, log_path=log)
     _spend_new_coins(state, user, range(covered))
     _load(state, log)                            # signs a checkpoint over them
+    signed_by_load = _checkpoint(log)
     _spend_new_coins(state, user, [covered])     # one record after the checkpoint
+    _write_checkpoint(log, signed_by_load)       # not the session's own, if it signed one
     parsed.clear()
     again = _load(state, log)
     _spend_new_coins(again, user, [covered + 1])   # a mint and a spend
@@ -597,8 +604,136 @@ def test_a_secret_key_that_cannot_sign_leaves_load_working(tmp_path):
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
     _spend_new_coins(state, lg.keygen(scheme), range(2))
+    os.remove(log + ".checkpoint")   # the approving session signed one
     assert len(lg.LedgerState.load(scheme, b"short", state.admin_pk, log).approved) == 2
     assert not os.path.exists(log + ".checkpoint")
+
+
+# -- checkpoints an approving session signs ---------------------------------
+
+
+def _records_after_checkpoint(log):
+    return open(log, "rb").read()[_checkpoint(log)["bytes"]:].count(b"\n")
+
+
+def test_an_approving_session_signs_on_a_doubling_schedule(scheme, tmp_path, user, verified):
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    signed, covered = [], 0
+    for i in range(40):
+        _spend_new_coins(state, user, [i])
+        size = os.path.getsize(log)
+        if size - covered >= covered:   # as many new bytes as the checkpoint covers
+            covered = size
+            signed.append(i)
+        assert _checkpoint(log)["bytes"] == covered and 2 * covered > size, i
+    assert signed == [0, 1, 3, 7, 15, 31]   # records differ in length by a byte or two
+    # a fresh load trusts the session's checkpoint and verifies the rest
+    after = _records_after_checkpoint(log)
+    verified.clear()
+    loaded = _load(state, log)
+    assert verified[0].startswith(lg.CHECKPOINT_TAG)
+    assert len(_record_checks(verified)) == 2 * after == 2 * 8
+    assert loaded.approved == state.approved and loaded._spent == state._spent
+
+
+def test_concurrent_approvals_sign_checkpoints_a_load_honours(state, user, verified):
+    sk, pk = user
+    receipts = []
+    for i in range(48):
+        coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
+        raw = lg.RawReceipt(goods=f"g{i}", price=1, coins=(coin,))
+        receipts.append(lg.sign_receipt(state.scheme, sk, raw, state.begin_spend(raw)))
+    barrier, outcomes = threading.Barrier(8), []
+
+    def approve(chunk):
+        barrier.wait()
+        outcomes.extend(state.finalize_spend(receipt).approved for receipt in chunk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=approve, args=(receipts[k::8],)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outcomes == [True] * 48
+    log = state.log_path
+    assert 2 * _checkpoint(log)["bytes"] > os.path.getsize(log)
+    after = _records_after_checkpoint(log)
+    verified.clear()
+    loaded = _load(state, log)
+    # the running hash lost no append: the session's checkpoint is honoured
+    assert verified[0].startswith(lg.CHECKPOINT_TAG)
+    assert len(_record_checks(verified)) == 2 * after
+    assert len(loaded.approved) == 48 and loaded._spent == state._spent
+
+
+def test_a_session_checkpoint_is_what_a_load_would_sign(ledger, user):
+    state, log = ledger
+    session = _load(state, log)   # signs over the three records
+    _spend_new_coins(session, user, range(3, 6))   # three more: signs over all six
+    by_session = open(log + ".checkpoint", "rb").read()
+    assert json.loads(by_session)["bytes"] == os.path.getsize(log)
+    os.remove(log + ".checkpoint")
+    _load(state, log)
+    assert open(log + ".checkpoint", "rb").read() == by_session
+
+
+def test_a_foreign_append_voids_the_session_checkpoint(scheme, tmp_path, user, verified):
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, user, [0])
+    first = open(log, "rb").read()
+    foreign = _load(state, log)   # another writer of the same log
+    _spend_new_coins(foreign, user, [100])
+    _spend_new_coins(state, user, [1])   # as many bytes as its checkpoint covers
+    data = open(log, "rb").read()
+    own = data[len(first):].split(b"\n", 1)[1]   # the session's second record
+    assert _checkpoint(log)["bytes"] == len(first) + len(own)
+    assert _checkpoint(log)["sha256"] == hashlib.sha256(first + own).hexdigest()
+    verified.clear()
+    loaded = _load(state, log)
+    assert len(_record_checks(verified)) == 2 * 3   # every record
+    assert len(loaded.approved) == 3
+    assert _checkpoint(log)["bytes"] == len(data)   # the load signed the whole log
+
+
+def test_a_session_on_an_unterminated_last_line(ledger, user, verified):
+    state, log = ledger
+    data = open(log, "rb").read()
+    with open(log, "wb") as fh:
+        fh.write(data[:-1])   # the last record loses its newline
+    session = _load(state, log)
+    assert _checkpoint(log)["bytes"] == data.rfind(b"\n", 0, -1) + 1
+    _spend_new_coins(session, user, [3])
+    # the append ended the torn line, and the session signed the whole log
+    assert open(log, "rb").read().count(b"\n") == 4
+    assert _checkpoint(log)["bytes"] == os.path.getsize(log)
+    assert _checkpoint(log)["spent"] == {user[1].hex(): [0, 1, 2, 3]}
+    verified.clear()
+    loaded = _load(state, log)
+    assert len(verified) == 1 and verified[0].startswith(lg.CHECKPOINT_TAG)
+    assert loaded.approved == session.approved and loaded._spent == session._spent
+
+
+def test_a_checkpoint_hashed_with_hashlib_is_honoured(ledger, verified):
+    state, log = ledger
+    data = open(log, "rb").read()
+    digest = hashlib.sha256(data).hexdigest()
+    spent = _load(state, log)._spent
+    spent_map = lg._spent_map(spent)
+    sig = state.scheme.sign(state._admin_sk, lg._checkpoint_message(len(data), digest, spent_map))
+    _write_checkpoint(log, {"bytes": len(data), "sha256": digest, "sig": sig.hex(),
+                            "spent": spent_map})
+    verified.clear()
+    loaded = _load(state, log)
+    assert verified == [lg._checkpoint_message(len(data), digest, spent_map)]
+    assert loaded._spent == spent and len(loaded.approved) == 3
 
 
 def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
