@@ -8,11 +8,23 @@ success, 2 when the budget regime rules the request out (equilibrium
 non-existence), 1 on input errors, usage errors among them; each error
 prints one line on stderr.  Game outputs are deterministic given the
 config and, for sweep and surface, the numeric mode; the toy ledger
-scheme is deterministic given its seed.
+scheme is deterministic given its seed.  A standard output that is closed
+or cannot be written (a full disk, a closed pipe) is an input error.
+
+`run` is the process entry point, for `python -m auditgame.cli` and the
+`auditgame` console script.  After `main` returns it runs the atexit
+hooks, flushes standard output and standard error, and ends the process
+with `os._exit`, skipping the interpreter's teardown of every loaded
+module; every file a call writes is closed before `main` returns.  A run
+under a tracer or profiler (`coverage run`, `python -m cProfile`) flushes
+the same way and then exits through `sys.exit`, so the tool, whose own
+atexit hook may save its data, sees a normal exit.  An exception that
+escapes `main` takes the normal path too.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import sys
@@ -54,11 +66,31 @@ def _io_error(verb, what, path, exc) -> InputError:
     return InputError(f"cannot {verb} {what} {path!r}: {reason}")
 
 
-def _write_out(text: str, out_path) -> None:
+def _write_out(text: str, out_path=None) -> None:
+    """Write `text` to the file `out_path`, or to standard output."""
     if out_path:
         _write_text(out_path, text, "output file")
-    else:
+        return
+    if sys.stdout is None:
+        raise _stdout_error(None)
+    try:
         sys.stdout.write(text)
+    except OSError as exc:
+        raise _stdout_error(exc) from None
+
+
+def _stdout_error(exc) -> InputError:
+    """The input error for a standard output that is closed (`exc` is None)
+    or whose write or flush raised `exc`.  The process's own standard
+    output then points at the null device, so that the bytes left in its
+    buffer are dropped and no later flush fails again."""
+    if exc is None:
+        return InputError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
+    if sys.stdout is sys.__stdout__:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    return InputError(f"cannot write standard output: {exc.strerror or exc}")
 
 
 def _grid(arg):
@@ -376,7 +408,7 @@ def _cmd_ledger(args) -> int:
         scheme = _scheme_for(args)
         sk, pk = ledger_mod.keygen(scheme)
         _write_key_file(args.out, sk, pk)
-        sys.stdout.write(f"public_key: {pk.hex()}\n")
+        _write_out(f"public_key: {pk.hex()}\n")
         return 0
     # Only mint creates a ledger, and it reads its input files first, so a bad
     # input leaves none.
@@ -397,7 +429,7 @@ def _cmd_ledger(args) -> int:
             raise
         if not os.path.exists(admin_path):
             _write_key_file(admin_path, state._admin_sk, state.admin_pk)
-        sys.stdout.write(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
+        _write_out(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
         return 0
     if args.ledger_command == "spend":
         coins = [_read_coin_file(path) for path in args.coin]
@@ -409,9 +441,9 @@ def _cmd_ledger(args) -> int:
                            challenge)
         outcome = state.finalize_spend(receipt)
         if outcome.approved:
-            sys.stdout.write("approved\n")
+            _write_out("approved\n")
             return 0
-        sys.stdout.write(f"rejected: {outcome.reason}\n")
+        _write_out(f"rejected: {outcome.reason}\n")
         return 1
     if args.ledger_command == "audit-log":
         # Loading re-verifies every record after the administrator's signed
@@ -419,12 +451,12 @@ def _cmd_ledger(args) -> int:
         # it passed when it was signed.  So each record listed here has passed.
         state = _open_ledger(args)
         for i, receipt in enumerate(state.approved):
-            sys.stdout.write(
+            _write_out(
                 f"{i}: goods={receipt.raw.goods!r} price={receipt.raw.price} "
                 f"coins={[c.metadata.coin_id for c in receipt.raw.coins]} "
                 "verified=true\n"
             )
-        sys.stdout.write(f"total: {len(state.approved)}\n")
+        _write_out(f"total: {len(state.approved)}\n")
         return 0
     raise InputError(f"unknown ledger command {args.ledger_command!r}")
 
@@ -445,7 +477,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
-            sys.stdout.write(_usage())
+            _write_out(_usage())
             return 0
         return _HANDLERS[args.command](args)
     except InputError as exc:
@@ -456,5 +488,34 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """Run `main` as the whole process and end it with `main`'s status.
+
+    The atexit hooks run first, then standard output and standard error
+    are flushed, and `os._exit` ends the process without the interpreter's
+    teardown.  A flush of standard output that fails prints one input
+    error line and makes the status 1.  Under a tracer or profiler the
+    hooks are left to the interpreter and the call ends in `sys.exit`."""
+    status = main(argv)
+    traced = sys.gettrace() is not None or sys.getprofile() is not None
+    if not traced:
+        import atexit
+        atexit._run_exitfuncs()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            sys.stderr.write(f"input error: {_stdout_error(exc)}\n")
+            status = 1
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    if traced:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
