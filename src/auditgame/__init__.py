@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 _HOME = {
     "AuditPolicy": "core", "BoundReport": "bounds", "BudgetAnalysis": "equilibrium",
     "CostReport": "cost", "EquilibriumResult": "equilibrium", "GameConfig": "core",
-    "InputError": "errors", "LinearProgram": "lp", "LPSolution": "lp",
+    "InputError": "errors", "LPSolution": "lp",
     "NonexistenceError": "errors", "Regime": "equilibrium", "RegimeError": "errors",
     "Strategy": "core", "StrategyProfile": "core", "SweepSpec": "casestudy",
     "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
     "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "lp",
     "budget_thresholds": "equilibrium", "budgeted_two_type_equilibrium": "equilibrium",
-    "build_bp_lp": "lp", "compare": "cost", "cost_audit_multitype": "cost",
+    "compare": "cost", "cost_audit_multitype": "cost",
     "cost_audit_two_type": "cost", "cost_no_audit": "cost", "excess_payments": "core",
     "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
     "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import GameConfig, raw_misreport_cap
+from .core import GameConfig, misreport_cap_ratio, raw_misreport_cap
 from .errors import InputError
 from .numeric import as_fraction
 from .record import Record
@@ -28,7 +28,9 @@ def misreport_cap(q_s, q_m, c, k, credit_gap) -> Fraction:
 def is_vacuous_pair(cfg: GameConfig, signal, truth) -> bool:
     """True when the per-pair cap degenerates to 1 for lack of a positive denominator."""
     s, m = cfg.index(signal), cfg.index(truth)
-    return cfg.prior[m] * (cfg.fine - cfg.audit_cost + cfg.alloc[s] - cfg.alloc[m]) <= 0
+    _, denominator = misreport_cap_ratio(cfg.prior[s], cfg.prior[m], cfg.audit_cost, cfg.fine,
+                                         cfg.alloc[s] - cfg.alloc[m])
+    return denominator <= 0
 
 
 def misreport_prob_bound(cfg: GameConfig, signal, truth) -> Fraction:

@@ -97,6 +97,15 @@ class BudgetAnalysis(Record):
         self._set(threshold_general, threshold_two_type, threshold_coalition, regime)
 
 
+def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess: Fraction,
+                       provenance: str, **flags) -> EquilibriumResult:
+    """The result of profile (pi, sigma), with each type's and the
+    administrator's utility; `flags` are the remaining result fields."""
+    user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
+    return EquilibriumResult(StrategyProfile(pi, sigma, cfg.num_users), user_utils,
+                             core.admin_utility(pi, sigma, cfg), excess, provenance, **flags)
+
+
 def _two_type_params(cfg: GameConfig):
     lo, hi = cfg.low_high_indices()
     q_lo, q_hi = cfg.prior[lo], cfg.prior[hi]
@@ -117,15 +126,8 @@ def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
     p = two_type_misreport_prob(cfg)
     pi = two_type_strategy(cfg, p)
     sigma = AuditPolicy.zero(2)
-    user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
-    return EquilibriumResult(
-        profile=StrategyProfile(pi, sigma, cfg.num_users),
-        user_utilities=user_utils,
-        admin_utility=core.admin_utility(pi, sigma, cfg),
-        excess=core.excess_payments(pi, sigma, cfg),
-        provenance="closed_form_two_type",
-        unique=True,
-    )
+    return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
+                              "closed_form_two_type", unique=True)
 
 
 def budget_thresholds(cfg: GameConfig) -> BudgetAnalysis:
@@ -192,16 +194,9 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     probs = [Fraction(0), Fraction(0)]
     probs[hi] = core.audited_probability(cfg, cfg.budget)
     sigma = AuditPolicy(tuple(probs))
-    user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
-    return EquilibriumResult(
-        profile=StrategyProfile(pi, sigma, cfg.num_users),
-        user_utilities=user_utils,
-        admin_utility=core.admin_utility(pi, sigma, cfg),
-        excess=core.excess_payments(pi, sigma, cfg),
-        provenance="budgeted_two_type",
-        unique=False,
-        notes=(f"budget-exhausting branch; threshold {threshold}",),
-    )
+    return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
+                              "budgeted_two_type",
+                              notes=(f"budget-exhausting branch; threshold {threshold}",))
 
 
 def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
@@ -228,10 +223,9 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
             threshold_two_type=analysis.threshold_two_type,
             threshold_general=analysis.threshold_general,
         )
-    note = "excess is the tight upper bound over all signaling equilibria"
-    if note not in result.notes:
-        result = result.replace(notes=result.notes + (note, f"regime {regime.value}"))
-    return result
+    return result.replace(notes=result.notes + (
+        "excess is the tight upper bound over all signaling equilibria",
+        f"regime {regime.value}"))
 
 
 class VerificationReport(Record):

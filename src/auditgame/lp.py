@@ -1,12 +1,24 @@
-"""Linear program for the no-audit signaling optimum, and its exact solver.
+"""The no-audit signaling program, its exact integer solver, and its equilibrium.
 
 The program maximizes the average credit payout over row-stochastic user
 strategies subject to one per-signal constraint stating that auditing that
 signal is not profitable for the administrator.  Its optimal value, minus
 the truthful payout, is the worst-case excess payment over all equilibria.
 
-`build_bp_lp` writes the program out with `Fraction` coefficients.
-`solve_bp` solves it exactly on integers instead, with one simplex loop,
+For a game of n types with prior q and credits f, its variables are the
+n*n entries pi(s|m), ordered by type m and then by signal s, followed by
+the n audit slacks, one per signal; this is the column order of the tie
+rule.  The program is
+
+    maximize    sum_m sum_s q_m * f_s * pi(s|m)
+    subject to  sum_s pi(s|m) = 1                          for each type m,
+                sum_m pi(s|m) * margin(s, m) <= 0          for each signal s,
+                pi >= 0,
+
+where margin(s, m) is `core.audit_margin` of signal s per unit of
+pi(s|m), and audit slack s is the gap left in the row of signal s.
+
+`solve_bp` solves it exactly on integers, with one simplex loop,
 `_maximize`: Bland's anti-cycling rule on an integer tableau T with one
 divisor d, so that T/d is the canonical tableau, and a last row that
 holds the reduced costs times d, built by `_reduced_row`.  The tableau
@@ -28,37 +40,11 @@ greatest optimum, so the answer depends only on the game.  Values become
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from . import core
 from .core import GameConfig, IntegerGame, Strategy
 from .errors import InputError, RegimeError
 from .record import Record
-
-LESS_EQUAL = "<="
-EQUAL = "="
-
-OPTIMAL = "optimal"
-
-
-class LinearProgram(Record):
-    """Maximize objective . x subject to the given rows, x >= 0.
-
-    `rows` holds (coeffs tuple, relation, rhs) triples.  Columns are the
-    strategy entries pi(signal | type); `variable_index` maps a
-    (signal_label, type_label) pair to its column, and `column_labels`
-    holds that pair per column.
-    """
-
-    _fields = ("objective", "rows", "variable_index", "column_labels")
-
-    def __init__(self, objective: tuple, rows: tuple, variable_index: dict,
-                 column_labels: tuple):
-        self._set(objective, rows, variable_index, column_labels)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.objective)
 
 
 class LPSolution(Record):
@@ -67,11 +53,10 @@ class LPSolution(Record):
     `multiplicity_flag` is set exactly when the optimum is not unique.
     """
 
-    _fields = ("values", "objective_value", "status", "multiplicity_flag")
+    _fields = ("values", "objective_value", "multiplicity_flag")
 
-    def __init__(self, values: dict, objective_value: Optional[Fraction], status: str,
-                 multiplicity_flag: bool = False):
-        self._set(values, objective_value, status, multiplicity_flag)
+    def __init__(self, values: dict, objective_value: Fraction, multiplicity_flag: bool):
+        self._set(values, objective_value, multiplicity_flag)
 
 
 def _require_bp_game(cfg: GameConfig) -> None:
@@ -81,47 +66,6 @@ def _require_bp_game(cfg: GameConfig) -> None:
         raise InputError(
             "prior must be strictly positive here; drop zero-probability types first"
         )
-
-
-def build_bp_lp(cfg: GameConfig) -> LinearProgram:
-    """Assemble the no-audit program for a game with strictly positive prior."""
-    _require_bp_game(cfg)
-    n = cfg.n_types
-    col_labels = []
-    index = {}
-    for m in range(n):
-        for s in range(n):
-            index[(cfg.types[s], cfg.types[m])] = len(col_labels)
-            col_labels.append((cfg.types[s], cfg.types[m]))
-
-    def col(s, m):
-        return m * n + s
-
-    objective = [Fraction(0)] * (n * n)
-    for m in range(n):
-        for s in range(n):
-            objective[col(s, m)] = cfg.prior[m] * cfg.alloc[s]
-
-    rows = []
-    # Row-stochasticity: each type's signal distribution sums to one.
-    for m in range(n):
-        coeffs = [Fraction(0)] * (n * n)
-        for s in range(n):
-            coeffs[col(s, m)] = Fraction(1)
-        rows.append((tuple(coeffs), EQUAL, Fraction(1)))
-    # Per-signal no-audit condition, with the cost side moved left.
-    for s in range(n):
-        coeffs = [Fraction(0)] * (n * n)
-        for m in range(n):
-            coeffs[col(s, m)] = core.audit_margin_coef(cfg, s, m)
-        rows.append((tuple(coeffs), LESS_EQUAL, Fraction(0)))
-
-    return LinearProgram(
-        objective=tuple(objective),
-        rows=tuple(rows),
-        variable_index=index,
-        column_labels=tuple(col_labels),
-    )
 
 
 # -- one integer simplex loop with Bland's rule --------------------------
@@ -290,7 +234,13 @@ def _solve(game: IntegerGame) -> tuple:
 
 
 def solve_bp(cfg: GameConfig) -> LPSolution:
-    """Solve `build_bp_lp(cfg)` exactly; the optimum is unique or lex-greatest.
+    """Solve `cfg`'s no-audit program exactly; the optimum is unique or lex-greatest.
+
+    The program is the one written out in the module docstring: maximize
+    sum q_m*f_s*pi(s|m) subject to sum_s pi(s|m) = 1 for each type m and
+    sum_m pi(s|m)*margin(s, m) <= 0 for each signal s, over the columns
+    pi(s|m), by type m and then by signal s, then one audit slack per
+    signal.
 
     One Bland phase over the columns pi(s|m) with f_s >= f_m, starting at
     the truthful basis {pi(m|m)} + {slack_s}.  That basis is feasible
@@ -310,9 +260,9 @@ def solve_bp(cfg: GameConfig) -> LPSolution:
       has maximum 0 over F.  `multiplicity_flag` is set exactly when the
       optimum is not unique.
     * Tie rule: when it is not unique, the result is the lexicographically
-      greatest optimum in column order (`build_bp_lp`'s columns, then the
-      slacks).  Each column of F in turn is maximized over F, and F then
-      keeps only the columns that still price at 0.
+      greatest optimum in that column order.  Each column of F in turn is
+      maximized over F, and F then keeps only the columns that still price
+      at 0.
 
     All of it runs on the integer tableau of `_truthful_tableau`; the
     values become `Fraction`s at the end.
@@ -329,7 +279,7 @@ def solve_bp(cfg: GameConfig) -> LPSolution:
             values[(s_label, m_label)] = Fraction(x, d) if x else zero
             total += game.prior[m] * game.alloc[s] * x
     objective_value = Fraction(total, game.prior_den * game.money_den * d)
-    return LPSolution(values, objective_value, OPTIMAL, multiple)
+    return LPSolution(values, objective_value, multiple)
 
 
 # -- equilibrium through the program -------------------------------------
@@ -384,7 +334,7 @@ def bp_equilibrium(cfg: GameConfig):
     the result carries the "alternate optima detected" note.  The
     optimum's invariants are checked on the solver's integers.
     """
-    from .equilibrium import EquilibriumResult, budget_thresholds
+    from .equilibrium import budget_thresholds, equilibrium_result
 
     work = cfg.drop_zero_prior_types()
     if cfg.budget is not None:
@@ -417,20 +367,6 @@ def bp_equilibrium(cfg: GameConfig):
             row.append(Fraction(x, d) if x else zero)
         rows.append(tuple(row))
     pi = Strategy(tuple(rows))
-    sigma_full = core.AuditPolicy.zero(cfg.n_types)
-
-    user_utils = tuple(
-        core.user_utility_type(pi, sigma_full, t, cfg) for t in cfg.types
-    )
-    flags = []
-    if multiple:
-        flags.append("alternate optima detected")
-    return EquilibriumResult(
-        profile=core.StrategyProfile(pi, sigma_full, cfg.num_users),
-        user_utilities=user_utils,
-        admin_utility=core.admin_utility(pi, sigma_full, cfg),
-        excess=excess,
-        provenance="lp",
-        multiplicity=multiple,
-        notes=tuple(flags),
-    )
+    notes = ("alternate optima detected",) if multiple else ()
+    return equilibrium_result(cfg, pi, core.AuditPolicy.zero(cfg.n_types), excess, "lp",
+                              multiplicity=multiple, notes=notes)
