@@ -47,6 +47,19 @@ coins inside a checkpoint are trusted on the administrator's signature,
 not re-checked against the users' keys or against each other; the holder
 of that key can already mint any coin.
 
+Session caches: a state does each signature operation once.  `Ed25519Scheme`
+keeps the private keys it has loaded, a raw receipt encodes its canonical
+JSON once, and a state remembers the payload and signature of each coin its
+`mint` signed.  Such a coin verifies exactly when the state's secret key
+matches `admin_pk`: a signature made with the matching key always verifies,
+and one made with another key verifies only if it is a forgery.  So once
+one of them has verified, `verify_coin` passes a coin whose payload and
+signature are byte-for-byte those of a coin the state minted without asking
+the scheme again, and skips no check: any other coin, including an edited
+copy of a minted one, and every coin of a state whose secret key does not
+match `admin_pk`, is verified in full.  `load` mints nothing, so replay
+verifies every record it reads.
+
 Every SHA-256 the ledger takes (H, and the digest of a raw receipt) comes
 from `cryptography`, whose Ed25519 code links its own OpenSSL; `hashlib`
 would load the system's `libcrypto` a second time.  Only the toy scheme
@@ -92,18 +105,33 @@ class SignatureScheme(ABC):
 
 
 class Ed25519Scheme(SignatureScheme):
-    """Production scheme backed by Ed25519 (128-bit security level)."""
+    """Production scheme backed by Ed25519 (128-bit security level).
+
+    Loading a private key costs about as much as a signature, so each
+    instance keeps the keys it has loaded, by their secret bytes, and
+    forgets them all once it holds `KEY_CACHE` of them.
+    """
+
+    KEY_CACHE = 64
 
     def __init__(self):
         from cryptography.hazmat.primitives.asymmetric import ed25519
         self._ed25519 = ed25519
+        self._keys: dict = {}
 
     def gen(self) -> tuple:
         private = self._ed25519.Ed25519PrivateKey.generate()
         return private.private_bytes_raw(), private.public_key().public_bytes_raw()
 
     def sign(self, sk: bytes, message: bytes) -> bytes:
-        return self._ed25519.Ed25519PrivateKey.from_private_bytes(sk).sign(message)
+        key = self._keys.get(sk)
+        if key is None:
+            # Raises ValueError for a key it cannot load, which is not kept.
+            key = self._ed25519.Ed25519PrivateKey.from_private_bytes(sk)
+            if len(self._keys) >= self.KEY_CACHE:
+                self._keys.clear()
+            self._keys[sk] = key
+        return key.sign(message)
 
     def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
         try:
@@ -276,7 +304,12 @@ class RawReceipt(Record):
                    coins=tuple(Coin.from_dict(c) for c in d["coins"]))
 
     def canonical_bytes(self) -> bytes:
-        return _canonical(self.to_dict())
+        """The canonical JSON of `to_dict()`, encoded once per receipt and
+        kept outside `_fields`, so equality, hashing and `replace` ignore it."""
+        data = self.__dict__.get("_canonical_bytes")
+        if data is None:
+            data = self.__dict__["_canonical_bytes"] = _canonical(self.to_dict())
+        return data
 
     def digest(self) -> str:
         sha = _sha256()
@@ -294,7 +327,10 @@ class Receipt(Record):
 
     @staticmethod
     def signed_payload(raw: RawReceipt, challenge: bytes) -> bytes:
-        return _canonical({"challenge": challenge.hex(), "receipt": raw.to_dict()})
+        """`_canonical({"challenge": challenge.hex(), "receipt": raw.to_dict()})`,
+        built around the raw receipt's own canonical bytes."""
+        return (b'{"challenge":"' + challenge.hex().encode("ascii") + b'","receipt":'
+                + raw.canonical_bytes() + b"}")
 
     def to_dict(self) -> dict:
         return {**self.raw.to_dict(), "challenge": self.challenge.hex(),
@@ -366,6 +402,10 @@ class LedgerState:
         self._covered = b""
         self._spent: set = set()
         self._issued: set = set()
+        # Coin key -> (signed payload, signature) of each coin `mint` signed,
+        # and the (scheme, admin_pk) under which one of them has verified.
+        self._minted: dict = {}
+        self._minted_verified_under = None
         self._pending: dict = {}   # r0 canonical bytes -> {challenge bytes: deadline}
         # True when the loaded log's last line has no newline; the next
         # append writes one first, so that its record gets a line of its own.
@@ -511,18 +551,39 @@ class LedgerState:
     # -- coins ---------------------------------------------------------
 
     def mint(self, recipient_pk: bytes, metadata: CoinMetadata) -> Coin:
+        """Sign a new coin; an id that fails to sign stays free to mint."""
+        key = (recipient_pk.hex(), metadata.coin_id)
         with self._lock:
-            key = (recipient_pk.hex(), metadata.coin_id)
             if key in self._issued:
                 raise InputError(
                     f"coin id {metadata.coin_id} was already issued to this recipient"
                 )
             self._issued.add(key)
-        sig = self.scheme.sign(self._admin_sk, Coin.signed_payload(recipient_pk, metadata))
+        payload = Coin.signed_payload(recipient_pk, metadata)
+        try:
+            sig = self.scheme.sign(self._admin_sk, payload)
+        except BaseException:
+            with self._lock:
+                self._issued.discard(key)
+            raise
+        self._minted[key] = (payload, sig)
         return Coin(owner_pk=recipient_pk, metadata=metadata, issuer_sig=sig)
 
     def verify_coin(self, coin: Coin) -> bool:
-        return verify_coin(self.scheme, self.admin_pk, coin)
+        """True exactly when the administrator's signature on the coin
+        verifies.  A coin whose signed payload and signature are those of a
+        coin this state minted passes unchecked once one such coin has
+        verified under the same scheme and `admin_pk` (see the module
+        docstring)."""
+        payload = Coin.signed_payload(coin.owner_pk, coin.metadata)
+        own = self._minted.get(coin.key) == (payload, coin.issuer_sig)
+        under = (self.scheme, self.admin_pk)
+        if own and self._minted_verified_under == under:
+            return True
+        valid = self.scheme.verify(self.admin_pk, payload, coin.issuer_sig)
+        if own and valid:
+            self._minted_verified_under = under
+        return valid
 
     # -- two-phase spending ---------------------------------------------
 

@@ -64,6 +64,35 @@ def test_mint_rejects_duplicate_id(state, user):
     state.mint(pk2, lg.CoinMetadata(coin_id=7))
 
 
+def test_a_failed_mint_leaves_its_id_free(state, user, monkeypatch):
+    _, pk = user
+    sign = state.scheme.sign
+
+    def failing(sk, message):
+        raise ValueError("signing failed")
+
+    monkeypatch.setattr(state.scheme, "sign", failing)
+    for _ in range(2):   # the retry fails as the first did, not as a reissue
+        with pytest.raises(ValueError, match="signing failed"):
+            state.mint(pk, lg.CoinMetadata(coin_id=5))
+    monkeypatch.setattr(state.scheme, "sign", sign)
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=5))
+    assert state.verify_coin(coin)
+    with pytest.raises(InputError, match="coin id 5 was already issued"):
+        state.mint(pk, lg.CoinMetadata(coin_id=5))
+
+
+def test_a_secret_key_that_cannot_sign_mints_nothing():
+    scheme = lg.Ed25519Scheme()
+    _, admin_pk = lg.keygen(scheme)
+    state = lg.LedgerState(scheme, b"\x00\x01", admin_pk)
+    _, pk = lg.keygen(scheme)
+    for _ in range(2):   # never "already issued": no coin was
+        with pytest.raises(ValueError) as info:
+            state.mint(pk, lg.CoinMetadata(coin_id=5))
+        assert not isinstance(info.value, InputError)
+
+
 def test_tampered_coin_fails(state, user):
     _, pk = user
     coin = state.mint(pk, lg.CoinMetadata(coin_id=1, issuer_note="a"))
@@ -754,3 +783,88 @@ def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
     assert state.finalize_spend(receipt).approved
     assert state.is_spent(coin)
     assert len(_load(state, state.log_path).approved) == 1
+
+
+# -- session caches -----------------------------------------------------------
+
+
+def test_a_cached_key_signs_as_a_freshly_loaded_one():
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+    scheme = lg.Ed25519Scheme()
+    sk, pk = lg.keygen(scheme)
+    for message in (b"", b"one", b"two" * 100):
+        expected = ed25519.Ed25519PrivateKey.from_private_bytes(sk).sign(message)
+        assert scheme.sign(sk, message) == expected
+        assert scheme.sign(sk, message) == expected   # from the cache
+    # a key that cannot sign raises every time and is never kept
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            scheme.sign(b"short", b"m")
+    assert list(scheme._keys) == [sk]
+    # the cache is bounded: it starts again once it holds KEY_CACHE keys
+    others = [lg.keygen(scheme)[0] for _ in range(scheme.KEY_CACHE)]
+    for other in others:
+        scheme.sign(other, b"m")
+    assert len(scheme._keys) <= scheme.KEY_CACHE
+    assert scheme.verify(pk, b"m", scheme.sign(sk, b"m"))
+
+
+@pytest.mark.parametrize("goods, coins", [("bundle", 3), ("café \"\\\n\x01 ☃", 1)],
+                         ids=["multi-coin", "non-ascii"])
+def test_a_receipt_payload_is_the_canonical_json_of_its_parts(state, user, goods, coins):
+    _, pk = user
+    minted = tuple(state.mint(pk, lg.CoinMetadata(coin_id=i, issuer_note=goods))
+                   for i in range(coins))
+    raw = lg.RawReceipt(goods=goods, price=7, coins=minted)
+    challenge = bytes(range(16))
+    expected = lg._canonical({"challenge": challenge.hex(), "receipt": raw.to_dict()})
+    assert lg.Receipt.signed_payload(raw, challenge) == expected
+    assert raw.canonical_bytes() == lg._canonical(raw.to_dict())
+    # the kept encoding is no field: equality, hashing and replace ignore it
+    fresh = lg.RawReceipt(goods=goods, price=7, coins=minted)
+    assert fresh == raw and hash(fresh) == hash(raw)
+    cheaper = raw.replace(price=6)
+    assert cheaper.canonical_bytes() == lg._canonical(cheaper.to_dict())
+
+
+def _spend(state, signer_sk, coin):
+    raw = lg.RawReceipt(goods="g", price=1, coins=(coin,))
+    receipt = lg.sign_receipt(state.scheme, signer_sk, raw, state.begin_spend(raw))
+    return state.finalize_spend(receipt)
+
+
+def test_a_session_verifies_one_coin_it_minted(state, user, verified):
+    _spend_new_coins(state, user, range(8))
+    coin_checks = [m for m in verified if m.startswith(b'{"metadata"')]
+    receipt_checks = [m for m in verified if m.startswith(b'{"challenge"')]
+    assert len(coin_checks) == 1 and len(receipt_checks) == 8
+    assert len(verified) == 8 + 1
+
+
+def test_a_session_whose_secret_key_does_not_match_rejects_its_coins(scheme, tmp_path, user):
+    sk, pk = user
+    admin_sk, _ = lg.keygen(scheme)
+    _, other_pk = lg.keygen(scheme)
+    state = lg.LedgerState(scheme, admin_sk, other_pk, log_path=str(tmp_path / "log.jsonl"))
+    for i in range(3):
+        coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
+        assert not state.verify_coin(coin)
+        assert _spend(state, sk, coin).reason == "invalid-coin"
+    assert state.approved == []
+
+
+@pytest.mark.parametrize("edit", ["metadata", "signature", "owner"])
+def test_an_edited_minted_coin_is_refused(state, user, edit):
+    sk, pk = user
+    other_sk, other_pk = lg.keygen(state.scheme)
+    assert _spend(state, sk, state.mint(pk, lg.CoinMetadata(coin_id=0))).approved
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1, issuer_note="a"))
+    state.mint(other_pk, lg.CoinMetadata(coin_id=1, issuer_note="a"))   # same key when swapped
+    signer_sk = sk
+    if edit == "metadata":
+        coin = coin.replace(metadata=coin.metadata.replace(issuer_note="b"))
+    elif edit == "signature":
+        coin = coin.replace(issuer_sig=bytes([coin.issuer_sig[0] ^ 1]) + coin.issuer_sig[1:])
+    else:
+        coin, signer_sk = coin.replace(owner_pk=other_pk), other_sk
+    assert _spend(state, signer_sk, coin).reason == "invalid-coin"
