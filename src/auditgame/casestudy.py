@@ -5,22 +5,27 @@ units for the low and high commuting-cost types, audit costs between one
 and five hours of local wages, fines in the range of common civil
 penalties, and a reference line of 83,333 per month of claimed fraud.
 Sweeps emit deterministic CSV for downstream plotting.
+
+Each table has one kernel, which evaluates the closed forms on integers
+and gives every cell as an exact ratio n/d.  The numeric mode chooses only
+what the library rows hold, the `Fraction` n/d or the float `n / d`; the
+CSV text is the same in both modes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
-from .core import GameConfig, raw_misreport_cap, two_type_costs
+from .core import GameConfig
 from .errors import InputError
-from .numeric import FLOAT, RATIONAL, as_fraction, check_mode, in_mode, sig15, sig15_ratio
+from .numeric import (BEYOND_FLOAT_RANGE, FLOAT, RATIONAL, SMALLEST_NORMAL, as_fraction, check_mode,
+                      sig15_ratio)
 from .record import Record
 
 COSTS_HEADER = ("q_min", "c", "k", "l", "cost_no_audit", "cost_audit",
                 "budget", "excess", "dominates", "reference_line")
 SURFACE_HEADER = ("q_min", "c", "k", "max_misreport_prob")
-
-_INF = float("inf")
 
 
 class SweepSpec(Record):
@@ -37,7 +42,7 @@ class SweepSpec(Record):
         k_grid = tuple(as_fraction(k) for k in k_grid)
         coalition_grid = tuple(int(l) for l in coalition_grid)
         reference_line = as_fraction(reference_line)
-        if any(q <= 0 or q >= 1 for q in q_min_grid):
+        if any(not 0 < q.numerator < q.denominator for q in q_min_grid):
             raise InputError("q_min grid values must lie strictly between 0 and 1")
         if any(c < 0 for c in c_grid):
             raise InputError("audit cost must be non-negative")
@@ -90,50 +95,74 @@ def surface_preset() -> SweepSpec:
 def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     """One row per (q_min, c, k, l), ordered q_min-major.
 
-    Grid crossings are evaluated through the raw closed forms
-    (`core.raw_misreport_cap`, then `core.two_type_costs`), which stay
-    well defined where an instance validator would balk (a fine below the
+    Grid crossings are evaluated through the closed forms of
+    `core.raw_misreport_cap` and `core.two_type_costs`, which stay well
+    defined where an instance validator would balk (a fine below the
     audit cost); rows where the formulas truly degenerate (k - c + df <= 0)
-    are annotated rather than aborting the sweep.  Rational mode evaluates
-    those forms on integer numerators and denominators (`_rational_costs`),
-    with no `Fraction` arithmetic per q_min value; float mode evaluates
-    them as written (`_float_costs`), and a row with a value beyond the
-    float range is an input error.  Every axis value is converted once,
-    and rows share one object per axis value and one `cost_no_audit` per
-    (q_min, max(num_users, l)).
+    are annotated rather than aborting the sweep.  The kernel `_costs`
+    evaluates those forms on integer numerators and denominators.  A
+    rational row holds each number as a `Fraction`; a float row holds the
+    correctly rounded float of it, and a value beyond the float range is an
+    input error.  Rows share one object per axis value and one
+    `cost_no_audit` per (q_min, max(num_users, l)).
     """
-    return [{"q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
-             "cost_no_audit": no_audit, "cost_audit": total, "budget": budget,
-             "excess": excess, "dominates": dominates}
-            for q, c, k, l, no_audit, total, budget, excess, dominates, reference_line
-            in _cells(_COSTS, spec, mode, _VALUES)]
+    return _table(_costs, spec, _COST_ROWS[check_mode(mode)])
 
 
 def costs_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
-    """`sweep_costs(spec, mode)` as UTF-8 CSV text under `COSTS_HEADER`."""
-    return _csv(COSTS_HEADER, _cells(_COSTS, spec, mode, _TEXT))
+    """`sweep_costs(spec, mode)` as UTF-8 CSV text under `COSTS_HEADER`.
+
+    The text is printed from the exact values, so it is the same in both
+    modes.
+    """
+    check_mode(mode)
+    return _csv(COSTS_HEADER, _table(_costs, spec, _COST_TEXT))
 
 
 def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
     """One row per (q_min, c, k): the largest equilibrium misreporting probability.
 
     The surface grids include points with c > k, which a validated game
-    instance rejects; the cap's closed form covers them all the same.
-    Float mode evaluates `core.raw_misreport_cap` as written; rational
-    mode evaluates it on integers (`_rational_surface`).
+    instance rejects; the cap's closed form covers them all the same.  The
+    kernel `_surface` evaluates `core.raw_misreport_cap` on integers, and
+    `mode` chooses the row type as in `sweep_costs`.
     """
-    return [{"q_min": q, "c": c, "k": k, "max_misreport_prob": cap}
-            for q, c, k, cap in _cells(_SURFACE, spec, mode, _VALUES)]
+    return _table(_surface, spec, _SURFACE_ROWS[check_mode(mode)])
 
 
 def surface_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
-    """`sweep_misreport_surface(spec, mode)` as UTF-8 CSV text under `SURFACE_HEADER`."""
-    return _csv(SURFACE_HEADER, _cells(_SURFACE, spec, mode, _TEXT))
+    """`sweep_misreport_surface(spec, mode)` as UTF-8 CSV text under
+    `SURFACE_HEADER`, the same in both modes."""
+    check_mode(mode)
+    return _csv(SURFACE_HEADER, _table(_surface, spec, _SURFACE_TEXT))
 
 
-def _csv(header: tuple, rows) -> str:
-    line = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join([line % row for row in rows])
+def _csv(header: tuple, lines: list) -> str:
+    # One join: the lines and the text are all that is alive at the peak.
+    lines.insert(0, ",".join(header) + "\n")
+    return "".join(lines)
+
+
+def _table(kernel, spec: SweepSpec, sink: tuple) -> list:
+    """The rows of `kernel`'s table on `spec`, as `sink` emits them; a float
+    beyond the float range (an `OverflowError`) is an input error."""
+    # The q_min axis parametrizes the low type's prior, which only makes
+    # sense against a two-type base game.
+    if not spec.base.is_two_type:
+        raise InputError("sweeps parametrize the two-type game; give a two-type base config")
+    try:
+        return kernel(spec, *sink)
+    except OverflowError:
+        raise InputError(BEYOND_FLOAT_RANGE) from None
+
+
+# A kernel hands its sink `axis(value)` once per axis value and
+# `ratio(n, d)` once per exact value n/d that many rows share (n >= 0,
+# d > 0, not reduced).  It hands a row whose cells it has all converted so
+# to `cells`, and any other row to `row`, with that row's own cells as
+# integer ratios n, d.  Library rows keep the numbers, as `Fraction`s or
+# floats; CSV text has strings as they are, integers in full and every
+# other number by `numeric.sig15`.
 
 
 def _same(value):
@@ -144,43 +173,90 @@ def _fraction_text(value: Fraction) -> str:
     return sig15_ratio(value.numerator, value.denominator)
 
 
-# What a kernel hands its sink for each cell, by mode: in rational mode a
-# converter of axis values and one of exact ratios (numerator, denominator),
-# in float mode one converter of floats.  Library rows keep the numbers;
-# CSV text has strings as they are, integers in full and every other
-# number with 15 significant digits, by the rules of `numeric.sig15`: its
-# ratio entry point `sig15_ratio`, and `"%.15g"` for a float.
-_VALUES = {RATIONAL: (_same, Fraction), FLOAT: (_same,)}
-_TEXT = {RATIONAL: (_fraction_text, sig15_ratio), FLOAT: ("%.15g".__mod__,)}
+_COST_LINE = "%s,%s,%s,%s,%s,%.15g,%.15g,%.15g,%s,%s\n"
+_COST_CELLS = _COST_LINE.replace("%.15g", "%s")
 
 
-def _cells(kernels: dict, spec: SweepSpec, mode: str, sink: dict):
-    """The rows of the table whose kernel per mode is `kernels`, as `sink` takes them."""
-    check_mode(mode)
-    _require_two_type_base(spec)
-    return kernels[mode](spec, *sink[mode])
+def _cost_line(q, c, k, l, no_audit, t_n, t_d, b_n, b_d, x_n, x_d, dominates, reference_line):
+    """A cost row's CSV line.
+
+    Each cost is divided once, and `_COST_LINE` formats the row.  A row
+    with a non-zero cost below the smallest normal float, whose float keeps
+    fewer digits or none, takes the costs from `sig15_ratio` instead.
+    """
+    total, budget, excess = t_n / t_d, b_n / b_d, x_n / x_d
+    if ((total < SMALLEST_NORMAL and t_n) or (budget < SMALLEST_NORMAL and b_n)
+            or (excess < SMALLEST_NORMAL and x_n)):
+        return _cost_text(q, c, k, l, no_audit, sig15_ratio(t_n, t_d), sig15_ratio(b_n, b_d),
+                          sig15_ratio(x_n, x_d), dominates, reference_line)
+    return _COST_LINE % (q, c, k, l, no_audit, total, budget, excess, dominates, reference_line)
+
+
+def _cost_text(*cells):
+    return _COST_CELLS % cells
+
+
+def _cost_row(ratio):
+    """The emitter of library cost rows whose costs are `ratio(n, d)`."""
+    def row(q, c, k, l, no_audit, t_n, t_d, b_n, b_d, x_n, x_d, dominates, reference_line):
+        return _cost_dict(q, c, k, l, no_audit, ratio(t_n, t_d), ratio(b_n, b_d),
+                          ratio(x_n, x_d), dominates, reference_line)
+    return row
+
+
+def _cost_dict(q, c, k, l, no_audit, total, budget, excess, dominates, reference_line):
+    return {"q_min": q, "c": c, "k": k, "l": l, "reference_line": reference_line,
+            "cost_no_audit": no_audit, "cost_audit": total, "budget": budget,
+            "excess": excess, "dominates": dominates}
+
+
+def _surface_line(q, c, k, n, d):
+    # formatted as `_cost_line` formats costs
+    cap = n / d
+    if cap < SMALLEST_NORMAL and n:
+        return _surface_text(q, c, k, sig15_ratio(n, d))
+    return "%s,%s,%s,%.15g\n" % (q, c, k, cap)
+
+
+def _surface_text(*cells):
+    return "%s,%s,%s,%s\n" % cells
+
+
+def _surface_row(ratio):
+    def row(q, c, k, n, d):
+        return _surface_dict(q, c, k, ratio(n, d))
+    return row
+
+
+def _surface_dict(q, c, k, cap):
+    return {"q_min": q, "c": c, "k": k, "max_misreport_prob": cap}
+
+
+_COST_TEXT = (_fraction_text, sig15_ratio, _cost_line, _cost_text)
+_COST_ROWS = {RATIONAL: (_same, Fraction, _cost_row(Fraction), _cost_dict),
+              FLOAT: (float, truediv, _cost_row(truediv), _cost_dict)}
+_SURFACE_TEXT = (_fraction_text, sig15_ratio, _surface_line, _surface_text)
+_SURFACE_ROWS = {RATIONAL: (_same, Fraction, _surface_row(Fraction), _surface_dict),
+                 FLOAT: (float, truediv, _surface_row(truediv), _surface_dict)}
 
 
 def _axis_pairs(spec: SweepSpec) -> list:
     """(c, k, note) per (c, k), c-major.
 
     `note` annotates a pair where k - c + df <= 0, on which the closed
-    forms degenerate (the test is exact in both modes), and is None
-    elsewhere.
+    forms degenerate, and is None elsewhere.
     """
     df = spec.base.delta_f_max
     return [(c, k, f"error: fine {k} too small against audit cost {c}" if k - c + df <= 0 else None)
             for c in spec.c_grid for k in spec.k_grid]
 
 
-def _rational_costs(spec: SweepSpec, axis, ratio):
-    """Rational cost rows in `COSTS_HEADER` order, each cell from integers.
+def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
+    """Cost rows in `COSTS_HEADER` order, each cell from integers.
 
-    `axis` converts each axis value once and `ratio(n, d)` each exact cost
-    n/d (n >= 0, d > 0, not reduced).  Write q = a/b in lowest terms
-    (0 < a < b) and u = b - a, so 1 - q = u/b; df = df_n/df_d;
-    n = max(num_users, l).  On a pair (c, k) with k - c + df > 0 take, in
-    lowest terms and once per pair,
+    Write q = a/b in lowest terms (0 < a < b) and u = b - a, so 1 - q =
+    u/b; df = df_n/df_d; n = max(num_users, l).  On a pair (c, k) with
+    k - c + df > 0 take, in lowest terms and once per pair,
 
         e = c / (k - c + df) = e_n/e_d        g = l*c*df / (k + df) = g_n/g_d.
 
@@ -197,7 +273,8 @@ def _rational_costs(spec: SweepSpec, axis, ratio):
     and, since no_audit - excess = n*q*df*(1 - p) with 1 - p > 0, total <=
     no_audit exactly when g <= n*q*df, that is g_n*df_d*b <= n*df_n*g_d*a.
     The per-pair and per-n factors are formed once; a row costs a few
-    integer products and three calls of `ratio`.
+    integer products and one call of `row`; a row with p = 1 or an
+    annotation has only shared cells.
     """
     df = spec.base.delta_f_max
     df_n, df_d = df.numerator, df.denominator
@@ -205,103 +282,54 @@ def _rational_costs(spec: SweepSpec, axis, ratio):
     zero = ratio(0, 1)
     users = spec.base.num_users
     coalitions = spec.coalition_grid
-    counts = {max(users, l) for l in coalitions}
+    counts = {max(users, l) * df_n for l in coalitions}
     pairs = []
-    for c, k, note in _axis_pairs(spec):
-        if note is not None:
-            pairs.append((axis(c), axis(k), note, 0, 0, ()))
+    for c, k, annotation in _axis_pairs(spec):
+        if annotation is not None:
+            pairs.append((axis(c), axis(k), annotation, 0, 0, ()))
             continue
         e = c / (k - c + df)
         per_l = []
         for l in coalitions:
             g = l * c * df / (k + df)
-            per_l.append((l, max(users, l), g.numerator, g.denominator))
+            ndf = max(users, l) * df_n
+            g_n, g_d = g.numerator, g.denominator
+            per_l.append((l, ndf, g_n, g_n * df_d, g_d, ndf * g_d))
         pairs.append((axis(c), axis(k), None, e.numerator, e.denominator, per_l))
+    rows = []
+    emit = rows.append
     for q in spec.q_min_grid:
         a, b = q.numerator, q.denominator
         u = b - a
         bd = df_d * b
         q_cell = axis(q)
-        no_audits = {n: ratio(n * df_n * a, bd) for n in counts}
-        for c, k, note, e_n, e_d, per_l in pairs:
-            if note is not None:
+        no_audits = {ndf: ratio(ndf * a, bd) for ndf in counts}
+        for c, k, annotation, e_n, e_d, per_l in pairs:
+            if annotation is not None:
                 for l in coalitions:
-                    yield q_cell, c, k, l, "", "", "", "", note, reference_line
+                    emit(cells(q_cell, c, k, l, "", "", "", "", annotation, reference_line))
                 continue
             P = e_n * u
             ea = e_d * a
             D = ea - P
             if D <= 0:
-                for l, n, _, _ in per_l:
-                    no_audit = no_audits[n]
-                    yield q_cell, c, k, l, no_audit, no_audit, zero, no_audit, "true", reference_line
+                for l, ndf, *_ in per_l:
+                    no_audit = no_audits[ndf]
+                    emit(cells(q_cell, c, k, l, no_audit, no_audit, zero, no_audit, "true",
+                               reference_line))
                 continue
             bde = bd * e_d
-            for l, n, g_n, g_d in per_l:
-                gdf = g_n * df_d
-                ndf = n * df_n
-                ndfg = ndf * g_d
-                yield (q_cell, c, k, l, no_audits[n],
-                       ratio(gdf * D * b + ndfg * P * a, g_d * ea * bd),
-                       ratio(g_n * D, g_d * ea), ratio(ndf * P, bde),
-                       "true" if gdf * b <= ndfg * a else "false", reference_line)
+            Pa = P * a
+            for l, ndf, g_n, gdf, g_d, ndfg in per_l:
+                gea = g_d * ea
+                emit(row(q_cell, c, k, l, no_audits[ndf],
+                         gdf * D * b + ndfg * Pa, gea * bd, g_n * D, gea, ndf * P, bde,
+                         "true" if gdf * b <= ndfg * a else "false", reference_line))
+    return rows
 
 
-def _float_costs(spec: SweepSpec, cell):
-    """Float cost rows in `COSTS_HEADER` order: `core.raw_misreport_cap`
-    once per (q_min, c, k), then `core.two_type_costs`, as written.
-
-    `cell` converts each float once: the axis values, n*q*df once per
-    (q_min, n) with n = max(num_users, l), and the row's costs.
-    """
-    df = in_mode(spec.base.delta_f_max, FLOAT)
-    reference_line = cell(in_mode(spec.reference_line, FLOAT))
-    pairs = []   # (c, k, k + df, annotation, c's cell, k's cell)
-    for c, k, note in _axis_pairs(spec):
-        c, k = in_mode(c, FLOAT), in_mode(k, FLOAT)
-        pairs.append((c, k, k + df, note, cell(c), cell(k)))
-    users = spec.base.num_users
-    # l and n enter the products as floats, exactly as `int * float` would
-    # convert them, so a count beyond the float range is an input error.
-    coalitions = [(l, in_mode(l, FLOAT), max(users, l)) for l in spec.coalition_grid]
-    counts = {n: in_mode(n, FLOAT) for _, _, n in coalitions}
-    for q in spec.q_min_grid:
-        q = in_mode(q, FLOAT)
-        q_high = 1 - q
-        q_cell = cell(q)
-        per_n = {}
-        for n, n_f in counts.items():
-            n_q = n_f * q
-            no_audit = n_q * df
-            per_n[n] = (n_q, no_audit, cell(no_audit))
-        per_l = [(l, l_f, *per_n[n]) for l, l_f, n in coalitions]
-        for c, k, k_plus_df, note, c_cell, k_cell in pairs:
-            if note is not None:
-                for l, _, _ in coalitions:
-                    yield q_cell, c_cell, k_cell, l, "", "", "", "", note, reference_line
-                continue
-            p = raw_misreport_cap(q_high, q, c, k, df)
-            for l, l_f, n_q, no_audit, no_audit_cell in per_l:
-                _, budget, excess = two_type_costs(p, c, df, k_plus_df, n_q, l_f)
-                total = budget + excess
-                # The costs are non-negative, so this fails on inf and nan alone.
-                if not (total < _INF and no_audit < _INF):
-                    raise InputError(
-                        f"the float-mode cost row q_min={sig15(q)}, c={sig15(c)}, k={sig15(k)},"
-                        f" l={l} has a value beyond the float range")
-                yield (q_cell, c_cell, k_cell, l, no_audit_cell, cell(total), cell(budget),
-                       cell(excess), "true" if total <= no_audit else "false", reference_line)
-
-
-def _require_two_type_base(spec: SweepSpec) -> None:
-    # The q_min axis parametrizes the low type's prior, which only makes
-    # sense against a two-type base game.
-    if not spec.base.is_two_type:
-        raise InputError("sweeps parametrize the two-type game; give a two-type base config")
-
-
-def _rational_surface(spec: SweepSpec, axis, ratio):
-    """Rational surface rows in `SURFACE_HEADER` order.
+def _surface(spec: SweepSpec, axis, ratio, row, cells) -> list:
+    """Surface rows in `SURFACE_HEADER` order.
 
     With e = c/(k - c + df) = e_n/e_d once per (c, k) and q = a/b, the cap
     min(1, e*(b - a)/a) is 1 or e_n*(b - a) / (e_d*a) by one integer
@@ -311,12 +339,14 @@ def _rational_surface(spec: SweepSpec, axis, ratio):
     df = spec.base.delta_f_max
     one = ratio(1, 1)
     pairs = []
-    for c, k, note in _axis_pairs(spec):
+    for c, k, annotation in _axis_pairs(spec):
         e_n, e_d = 1, 0
-        if note is None:
+        if annotation is None:
             e = c / (k - c + df)
             e_n, e_d = e.numerator, e.denominator
         pairs.append((axis(c), axis(k), e_n, e_d))
+    rows = []
+    emit = rows.append
     for q in spec.q_min_grid:
         a, b = q.numerator, q.denominator
         u = b - a
@@ -324,24 +354,5 @@ def _rational_surface(spec: SweepSpec, axis, ratio):
         for c, k, e_n, e_d in pairs:
             P = e_n * u
             ea = e_d * a
-            yield q_cell, c, k, one if P >= ea else ratio(P, ea)
-
-
-def _float_surface(spec: SweepSpec, cell):
-    """Float surface rows in `SURFACE_HEADER` order: `core.raw_misreport_cap` as written."""
-    df = in_mode(spec.base.delta_f_max, FLOAT)
-    pairs = []
-    for c in spec.c_grid:
-        for k in spec.k_grid:
-            c_f, k_f = in_mode(c, FLOAT), in_mode(k, FLOAT)
-            pairs.append((c_f, k_f, cell(c_f), cell(k_f)))
-    for q in spec.q_min_grid:
-        q = in_mode(q, FLOAT)
-        q_high = 1 - q
-        q_cell = cell(q)
-        for c, k, c_cell, k_cell in pairs:
-            yield q_cell, c_cell, k_cell, cell(raw_misreport_cap(q_high, q, c, k, df))
-
-
-_COSTS = {RATIONAL: _rational_costs, FLOAT: _float_costs}
-_SURFACE = {RATIONAL: _rational_surface, FLOAT: _float_surface}
+            emit(cells(q_cell, c, k, one) if P >= ea else row(q_cell, c, k, P, ea))
+    return rows

@@ -7,9 +7,10 @@ abbreviations), and its value may start with `-`.  Exit status 0 on
 success, 2 when the budget regime rules the request out (equilibrium
 non-existence), 1 on input errors, usage errors among them; each error
 prints one line on stderr.  Game outputs are deterministic given the
-config and, for sweep and surface, the numeric mode; the toy ledger
-scheme is deterministic given its seed.  A standard output that is closed
-or cannot be written (a full disk, a closed pipe) is an input error.
+config (sweep and surface print the same bytes in either numeric mode);
+the toy ledger scheme is deterministic given its seed.  A standard
+output that is closed or cannot be written (a full disk, a closed pipe)
+is an input error.
 
 `run` is the process entry point, for `python -m auditgame.cli` and the
 `auditgame` console script.  After `main` returns it runs the atexit

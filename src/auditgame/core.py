@@ -244,11 +244,27 @@ class Strategy(Record):
         self._set(rows)
 
     @classmethod
+    def from_integers(cls, rows: tuple, total: int) -> "Strategy":
+        """The strategy rows[m][s] / total from square rows of non-negative
+        integers that each sum to `total` > 0, as the exact solver gives
+        them: `__init__`'s checks, on the integers."""
+        if not rows:
+            raise InputError("strategy needs at least one row")
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise InputError("strategy matrix must be square (one row per type, one column per signal)")
+            if min(row) < 0 or sum(row) != total:
+                raise InputError(f"strategy row {i} is not a distribution over {total}")
+        zero = Fraction(0)
+        strategy = cls.__new__(cls)
+        strategy._set(tuple(tuple(Fraction(x, total) if x else zero for x in row)
+                            for row in rows))
+        return strategy
+
+    @classmethod
     def truthful(cls, n_types: int) -> "Strategy":
-        return cls(tuple(
-            tuple(Fraction(1) if s == m else Fraction(0) for s in range(n_types))
-            for m in range(n_types)
-        ))
+        return cls.from_integers([[int(s == m) for s in range(n_types)]
+                                  for m in range(n_types)], 1)
 
     @property
     def n_types(self) -> int:
@@ -442,30 +458,21 @@ def misreport_cap_ratio(q_s, q_m, c, k, credit_gap) -> tuple:
 def raw_misreport_cap(q_s, q_m, c, k, credit_gap):
     """Cap min(1, q_s*c / (q_m*(k - c + credit_gap))) on pi(s|m).
 
-    `credit_gap` is f(s) - f(m).  Number-generic: Fraction inputs give a
-    Fraction, float inputs a float evaluated in the order written.  A
-    non-positive denominator makes the cap vacuous: 1.
+    `credit_gap` is f(s) - f(m).  A non-positive denominator makes the cap
+    vacuous: 1.
     """
-    one = 1.0 if isinstance(q_m, float) else Fraction(1)
     numerator, denom = misreport_cap_ratio(q_s, q_m, c, k, credit_gap)
     if denom <= 0:
-        return one
-    return min(one, numerator / denom)
+        return Fraction(1)
+    return min(Fraction(1), numerator / denom)
 
 
 def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
     """(no_audit, budget, excess) when the low type misreports with probability p.
 
-    `k_plus_df` is k + df and `n_q` is n_users * q_min, taken precomputed
-    so that a sweep forms each once per axis value.  Float inputs are
-    evaluated left to right as written.  At p = 1 the budget is a zero of
-    the inputs' type: there the float product `coalition * c * df` may
-    overflow to inf, and inf times 0 is nan.
+    `k_plus_df` is k + df and `n_q` is n_users * q_min.
     """
-    one_minus_p = 1 - p
-    budget = one_minus_p if one_minus_p == 0 else coalition * c * df * one_minus_p / k_plus_df
-    excess = n_q * p * df
-    return n_q * df, budget, excess
+    return n_q * df, coalition * c * df * (1 - p) / k_plus_df, n_q * p * df
 
 
 # -- administrator best response ----------------------------------------

@@ -352,21 +352,15 @@ def bp_equilibrium(cfg: GameConfig):
     excess = _check_optimum(work, game, X, d)
 
     # Re-embed rows for any dropped zero-probability types as truthful.
-    zero, one = Fraction(0), Fraction(1)
-    work_index = {label: i for i, label in enumerate(work.types)}
+    position = {label: i for i, label in enumerate(work.types)}
+    work_index = [position.get(label) for label in cfg.types]
     rows = []
-    for m, label in enumerate(cfg.types):
-        wm = work_index.get(label)
+    for m, wm in enumerate(work_index):
         if wm is None:
-            rows.append(tuple(one if s == m else zero for s in range(cfg.n_types)))
-            continue
-        row = []
-        for slabel in cfg.types:
-            ws = work_index.get(slabel)
-            x = 0 if ws is None else X[wm][ws]
-            row.append(Fraction(x, d) if x else zero)
-        rows.append(tuple(row))
-    pi = Strategy(tuple(rows))
+            rows.append([d if s == m else 0 for s in range(cfg.n_types)])
+        else:
+            rows.append([0 if ws is None else X[wm][ws] for ws in work_index])
+    pi = Strategy.from_integers(rows, d)
     notes = ("alternate optima detected",) if multiple else ()
     return equilibrium_result(cfg, pi, core.AuditPolicy.zero(cfg.n_types), excess, "lp",
                               multiplicity=multiple, notes=notes)

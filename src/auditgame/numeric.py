@@ -2,8 +2,9 @@
 
 Currency amounts and probabilities are carried as `fractions.Fraction`
 internally so closed forms, the simplex solver, and threshold comparisons
-are exact.  The "float" mode converts at the reporting boundary; sweeps in
-float mode additionally evaluate their formulas in 64-bit arithmetic.
+are exact.  The "float" mode converts at the reporting boundary: a float
+is the correctly rounded value of an exact one, and text prints the exact
+value's digits in both modes.
 """
 
 from __future__ import annotations
@@ -54,34 +55,8 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def _quotient(numerator: int, denominator: int) -> float:
-    """`numerator / denominator` as a float, with a value beyond the float
-    range as an input error.  Integer true division rounds correctly, so an
-    unreduced ratio gives the float of its `Fraction`."""
-    try:
-        return numerator / denominator
-    except OverflowError:
-        raise InputError("a number of magnitude 1.8e308 or more is beyond the float range") from None
-
-
-def _float(value) -> float:
-    """`float(value)`, with a value beyond the float range as an input error.
-
-    An int or a Fraction converts as `numerator / denominator`, which is
-    what `float()` computes too, without the trip through
-    `numbers.Rational.__float__`.
-    """
-    if type(value) is float:
-        return value
-    return _quotient(value.numerator, value.denominator)
-
-
-def in_mode(value, mode: str):
-    """Return `value` as a float in float mode, unchanged otherwise."""
-    return _float(value) if mode == FLOAT else value
-
-
-_FLOAT_MIN = sys.float_info.min
+BEYOND_FLOAT_RANGE = "a number of magnitude 1.8e308 or more is beyond the float range"
+SMALLEST_NORMAL = sys.float_info.min
 
 
 def sig15(value) -> str:
@@ -104,8 +79,11 @@ def sig15_ratio(numerator: int, denominator: int) -> str:
     float keeps fewer digits or none, is rounded exactly instead.  A value
     beyond the float range is an input error.
     """
-    f = _quotient(numerator, denominator)
-    if -_FLOAT_MIN < f < _FLOAT_MIN and numerator:
+    try:
+        f = numerator / denominator   # rounds correctly in any terms
+    except OverflowError:
+        raise InputError(BEYOND_FLOAT_RANGE) from None
+    if -SMALLEST_NORMAL < f < SMALLEST_NORMAL and numerator:
         return _sig15_exact(numerator, denominator)
     return "%.15g" % f
 

@@ -41,6 +41,12 @@ def test_spec_validation():
         ag.SweepSpec(base=base, q_min_grid=(), c_grid=(1,), k_grid=(1,))
     with pytest.raises(InputError):
         ag.SweepSpec(base=base, q_min_grid=(0, F(1, 2)), c_grid=(1,), k_grid=(2,))
+    for q in (0, 1, F(3, 2), F(-1, 2), "-1/2", 1.0):
+        with pytest.raises(InputError, match="q_min grid values must lie strictly between 0 and 1"):
+            ag.SweepSpec(base=base, q_min_grid=(F(1, 2), q), c_grid=(1,), k_grid=(2,))
+    spec = ag.SweepSpec(base=base, q_min_grid=(F(1, 1000), "999/1000", 0.5), c_grid=(1,),
+                        k_grid=(2,))
+    assert spec.q_min_grid == (F(1, 1000), F(999, 1000), F(1, 2))
     with pytest.raises(InputError, match="audit cost must be non-negative"):
         ag.SweepSpec(base=base, q_min_grid=(F(1, 2),), c_grid=(1, -5), k_grid=(100,))
     for sizes in ((0,), (1, -3)):
@@ -183,8 +189,9 @@ ODD_SPECS = {
     "high_type_listed_first": _odd_spec(
         base_changes={"types": ("high", "low"), "alloc": (108, 47)},
         q_min_grid=(F(1, 4), F(1, 2)), c_grid=(25, 125), k_grid=(100, 500)),
-    # k - c + df is 1, but in floats k rounds down and c up, so the float
-    # denominator is negative and the float cap is 1.
+    # k - c + df is 1, but in floats k rounds down and c up, so a cap
+    # evaluated in floats would have a negative denominator and be 1; float
+    # mode takes the exact cap instead, and agrees with rational mode here.
     "float_rounding_flips_the_denominator": _odd_spec(
         base_changes={"alloc": (47, 108)},
         q_min_grid=(F(1, 3),), c_grid=(100000000000000008220,),
@@ -199,14 +206,16 @@ def _assert_same_rows(rows, reference):
         assert [type(v) for v in row.values()] == [type(v) for v in ref.values()]
 
 
+# Float-mode rows are the floats of the exact rows, and the CSV text of
+# both modes is that of the exact rows.
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @pytest.mark.parametrize("name", sorted(ODD_SPECS))
 def test_cost_sweep_matches_row_by_row_reference(name, mode):
     spec = ODD_SPECS[name]
     rows = ag.sweep_costs(spec, mode=mode)
-    reference = reference_cost_rows(spec, mode)
-    _assert_same_rows(rows, reference)
-    assert costs_csv(spec, mode) == reference_csv(reference, COSTS_HEADER)
+    _assert_same_rows(rows, reference_cost_rows(spec, mode))
+    assert costs_csv(spec, mode) == reference_csv(reference_cost_rows(spec, "rational"),
+                                                  COSTS_HEADER)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -214,9 +223,58 @@ def test_cost_sweep_matches_row_by_row_reference(name, mode):
 def test_surface_matches_row_by_row_reference(name, mode):
     spec = ODD_SPECS[name]
     rows = ag.sweep_misreport_surface(spec, mode=mode)
-    reference = reference_surface_rows(spec, mode)
-    _assert_same_rows(rows, reference)
-    assert surface_csv(spec, mode) == reference_csv(reference, SURFACE_HEADER)
+    _assert_same_rows(rows, reference_surface_rows(spec, mode))
+    assert surface_csv(spec, mode) == reference_csv(reference_surface_rows(spec, "rational"),
+                                                    SURFACE_HEADER)
+
+
+def _assert_float_rows_are_the_floats_of_the_exact_rows(floats, exact):
+    assert len(floats) == len(exact)
+    for row, ref in zip(floats, exact):
+        assert list(row) == list(ref)
+        for value, exact_value in zip(row.values(), ref.values()):
+            if isinstance(exact_value, F):
+                assert type(value) is float and value == float(exact_value)
+            else:
+                assert type(value) is type(exact_value) and value == exact_value
+
+
+@pytest.mark.parametrize("name", ["ftbp_preset", "surface_preset", *sorted(ODD_SPECS)])
+def test_both_modes_print_the_same_csv_and_float_rows_round_the_exact_ones(name):
+    spec = getattr(ag, name)() if name.endswith("_preset") else ODD_SPECS[name]
+    assert costs_csv(spec, "float") == costs_csv(spec, "rational")
+    assert surface_csv(spec, "float") == surface_csv(spec, "rational")
+    _assert_float_rows_are_the_floats_of_the_exact_rows(
+        ag.sweep_costs(spec, "float"), ag.sweep_costs(spec, "rational"))
+    _assert_float_rows_are_the_floats_of_the_exact_rows(
+        ag.sweep_misreport_surface(spec, "float"), ag.sweep_misreport_surface(spec, "rational"))
+
+
+def test_float_rows_beyond_the_float_range_are_an_input_error():
+    spec = ag.ftbp_preset().replace(q_min_grid=(F(1, 2),), c_grid=(10**400,), k_grid=(10**401,))
+    for sweep in (ag.sweep_costs, ag.sweep_misreport_surface):
+        assert sweep(spec, "rational")[0]["c"] == 10**400
+        with pytest.raises(InputError, match="beyond the float range"):
+            sweep(spec, "float")
+
+
+def test_cells_below_the_smallest_normal_float_print_exactly_in_both_modes():
+    # c = 1e-320 makes every cost but no_audit subnormal; each is rounded
+    # from its exact value, where its float would keep fewer digits
+    spec = ag.ftbp_preset().replace(q_min_grid=(F(1, 2),), c_grid=(F("1e-320"),),
+                                    k_grid=(100,), coalition_grid=(1,))
+    (row,) = ag.sweep_costs(spec)
+    line = costs_csv(spec, "rational").splitlines()[1]
+    assert line == costs_csv(spec, "float").splitlines()[1]
+    cells = line.split(",")
+    for col in ("cost_audit", "budget", "excess"):
+        exact = row[col]
+        assert 0 < exact < F(2.2250738585072014e-308)
+        text = cells[COSTS_HEADER.index(col)]
+        assert text == numeric.sig15(exact) != "%.15g" % float(exact)
+        digits = F(text)
+        assert abs(digits - exact) <= exact / 10**14
+    assert cells[COSTS_HEADER.index("c")] == "1e-320"
 
 
 def test_odd_specs_cover_every_branch():
@@ -235,10 +293,11 @@ def test_odd_specs_cover_every_branch():
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_preset_csvs_match_row_by_row_reference(mode):
     spec = ag.ftbp_preset()
-    assert costs_csv(spec, mode) == reference_csv(reference_cost_rows(spec, mode), COSTS_HEADER)
+    assert costs_csv(spec, mode) == reference_csv(reference_cost_rows(spec, "rational"),
+                                                  COSTS_HEADER)
     spec = ag.surface_preset()
     assert surface_csv(spec, mode) == reference_csv(
-        reference_surface_rows(spec, mode), SURFACE_HEADER)
+        reference_surface_rows(spec, "rational"), SURFACE_HEADER)
 
 
 # Grid values for the property test: integers, small fractions and one value
@@ -274,16 +333,18 @@ def _sweep_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(spec=_sweep_specs())
 def test_rational_sweeps_match_row_by_row_reference_on_random_specs(spec):
-    # and the float sweeps too: each spec runs in both numeric modes
+    # and the float sweeps too: each spec runs in both numeric modes, and
+    # both print the exact rows' text
+    cost_text = reference_csv(reference_cost_rows(spec, "rational"), COSTS_HEADER)
+    surface_text = reference_csv(reference_surface_rows(spec, "rational"), SURFACE_HEADER)
     for mode in ("rational", "float"):
-        rows = ag.sweep_costs(spec, mode)
-        reference = reference_cost_rows(spec, mode)
-        _assert_same_rows(rows, reference)
-        assert costs_csv(spec, mode) == reference_csv(reference, COSTS_HEADER)
-        rows = ag.sweep_misreport_surface(spec, mode)
-        reference = reference_surface_rows(spec, mode)
-        _assert_same_rows(rows, reference)
-        assert surface_csv(spec, mode) == reference_csv(reference, SURFACE_HEADER)
+        _assert_same_rows(ag.sweep_costs(spec, mode), reference_cost_rows(spec, mode))
+        assert costs_csv(spec, mode) == cost_text
+        _assert_same_rows(ag.sweep_misreport_surface(spec, mode),
+                          reference_surface_rows(spec, mode))
+        assert surface_csv(spec, mode) == surface_text
+    _assert_float_rows_are_the_floats_of_the_exact_rows(
+        ag.sweep_costs(spec, "float"), ag.sweep_costs(spec, "rational"))
 
 
 _FRACTION_OPERATORS = (
@@ -332,8 +393,9 @@ def _fractions_built_and_sig15_calls(monkeypatch, run):
         def counted_sig15(value, _sig15=numeric.sig15):
             formatted.append(None)
             return _sig15(value)
-        for module in (numeric, casestudy):   # each module that binds the name
-            patch.setattr(module, "sig15", counted_sig15)
+        for module in (numeric, casestudy):
+            if hasattr(module, "sig15"):   # each module that binds the name
+                patch.setattr(module, "sig15", counted_sig15)
         run()
     return len(built), len(formatted)
 
@@ -341,13 +403,15 @@ def _fractions_built_and_sig15_calls(monkeypatch, run):
 @pytest.mark.parametrize("text", [costs_csv, surface_csv])
 def test_rational_csv_work_does_not_grow_with_the_q_min_grid(text, monkeypatch):
     # The text turns each exact cell n/d into digits with no `Fraction` in
-    # between and no `sig15` call per cell.
+    # between and no `sig15` call per cell, in float mode as in rational.
     spec = ODD_SPECS["degenerate_pairs"]
-    counts = []
-    for size in (10, 1000):
-        grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
-        counts.append(_fractions_built_and_sig15_calls(monkeypatch, lambda: text(grid, "rational")))
-    assert counts[0] == counts[1]
+    for mode in ("rational", "float"):
+        counts = []
+        for size in (10, 1000):
+            grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
+            counts.append(_fractions_built_and_sig15_calls(monkeypatch,
+                                                           lambda: text(grid, mode)))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("spec", [ag.ftbp_preset().replace(q_min_grid=(F(1, 3), F(1, 2))),

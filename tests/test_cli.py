@@ -429,26 +429,27 @@ def test_sweep_at_a_misreport_probability_of_one_has_a_zero_budget(capsys):
         assert out.splitlines()[1] == "0.5,1e+307,1e+307,150,110000,110000,0,110000,true,83333"
 
 
-def test_float_sweep_row_beyond_the_float_range_is_an_input_error(capsys):
-    # l * c overflows a float while 1 - p > 0, so the float budget is inf
+def test_a_sweep_row_that_overflows_in_floats_prints_its_exact_costs_in_both_modes(capsys):
+    # l * c overflows a float while 1 - p > 0, so a budget evaluated in
+    # floats is inf; every exact cost is within the float range
     args = ["sweep", "--qmin-grid", "1/2", "--c-grid", "1e307", "--k-grid", "1e308",
             "--coalition", "150"]
-    code, out, err = run(args + ["--mode", "rational"], capsys)
-    assert code == 0 and err == ""
-    assert out.splitlines()[1] == ("0.5,1e+307,1e+308,150,110000,12955.5555555556,"
-                                   "733.333333333333,12222.2222222222,true,83333")
-    code, out, err = run(args + ["--mode", "float"], capsys)
-    assert code == 1 and out == ""
-    assert err == ("input error: the float-mode cost row q_min=0.5, c=1e+307, k=1e+308, l=150"
-                   " has a value beyond the float range\n")
+    for mode in ("rational", "float"):
+        code, out, err = run(args + ["--mode", mode], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == ("0.5,1e+307,1e+308,150,110000,12955.5555555556,"
+                                       "733.333333333333,12222.2222222222,true,83333")
 
 
 def test_float_sweep_user_count_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    # and in rational mode too: the no-audit cost is beyond the float range
     path = tmp_path / "many.cfg"
     path.write_text(CFG_A + f"num_users = {10**400}\n")
-    code, out, err = run(["sweep", "--mode", "float", "--config", str(path)], capsys)
-    assert code == 1 and out == ""
-    assert err == "input error: a number of magnitude 1.8e308 or more is beyond the float range\n"
+    for mode in ("float", "rational"):
+        code, out, err = run(["sweep", "--mode", mode, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err == ("input error: a number of magnitude 1.8e308 or more is beyond the"
+                       " float range\n")
 
 
 def test_surface_prints_a_value_below_the_float_range_exactly(capsys):
@@ -457,6 +458,17 @@ def test_surface_prints_a_value_below_the_float_range_exactly(capsys):
     assert code == 0 and err == ""
     q_min, c, k, cap = out.splitlines()[1].split(",")
     assert (q_min, c, k) == ("0.5", "1e-320", "1e+307")
+
+
+def test_sweep_prints_costs_below_the_float_range_exactly_in_both_modes(capsys):
+    # the float of each cost but no_audit is subnormal and keeps fewer digits
+    args = ["sweep", "--qmin-grid", "1/2", "--c-grid", "1e-320", "--k-grid", "100",
+            "--coalition", "1"]
+    for mode in ("rational", "float"):
+        code, out, err = run(args + ["--mode", mode], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == ("0.5,1e-320,100,1,110000,7.10032258064516e-318,"
+                                       "3.54838709677419e-321,7.09677419354839e-318,true,83333")
 
 
 def _toy_ledger(tmp_path, capsys, coins):

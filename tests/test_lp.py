@@ -622,6 +622,27 @@ def test_solve_bp_keeps_blands_pivot_path(monkeypatch, cfg, path):
     assert [tuple(phase["pivots"]) for phase in phases] == path
 
 
+@pytest.mark.parametrize("cfg", [cfg for cfg, _ in PINNED_PATHS])
+def test_strategy_from_the_solver_integers_matches_the_validating_constructor(cfg):
+    from auditgame import lp as lp_mod
+    X, d, _ = lp_mod._solve(integer_game(cfg))
+    exact = ag.Strategy.from_integers(X, d)
+    validated = ag.Strategy(tuple(tuple(F(x, d) for x in row) for row in X))
+    assert exact == validated
+    assert all(type(p) is F for row in exact.rows for p in row)
+    assert ag.bp_equilibrium(cfg).strategy() == validated
+
+
+def test_strategy_from_integers_checks_its_rows():
+    assert ag.Strategy.from_integers([[3, 0], [1, 2]], 3).rows == ((1, 0), (F(1, 3), F(2, 3)))
+    for rows, total, message in (([], 1, "at least one row"),
+                                 ([[1, 0]], 1, "square"),
+                                 ([[2, -1], [0, 1]], 1, "row 0 is not a distribution"),
+                                 ([[1, 0], [1, 1]], 1, "row 1 is not a distribution")):
+        with pytest.raises(InputError, match=message):
+            ag.Strategy.from_integers(rows, total)
+
+
 @st.composite
 def _scaling_games(draw):
     """Games whose numbers stress the integer scaling: priors over large
