@@ -15,16 +15,6 @@ from .numeric import as_fraction
 from .record import Record
 
 
-def misreport_cap(q_s, q_m, c, k, credit_gap) -> Fraction:
-    """Cap on pi(s|m) from the no-audit condition on signal s.
-
-    `credit_gap` is f(s) - f(m).  A non-positive denominator (possible
-    only for under-report pairs with a small fine margin) makes the cap
-    vacuous and returns 1.
-    """
-    return raw_misreport_cap(*map(as_fraction, (q_s, q_m, c, k, credit_gap)))
-
-
 def is_vacuous_pair(cfg: GameConfig, signal, truth) -> bool:
     """True when the per-pair cap degenerates to 1 for lack of a positive denominator."""
     s, m = cfg.index(signal), cfg.index(truth)
@@ -38,8 +28,8 @@ def misreport_prob_bound(cfg: GameConfig, signal, truth) -> Fraction:
     s, m = cfg.index(signal), cfg.index(truth)
     if s == m:
         raise InputError("the misreporting cap is defined for signal != truth")
-    return misreport_cap(cfg.prior[s], cfg.prior[m], cfg.audit_cost, cfg.fine,
-                         cfg.alloc[s] - cfg.alloc[m])
+    return raw_misreport_cap(cfg.prior[s], cfg.prior[m], cfg.audit_cost, cfg.fine,
+                             cfg.alloc[s] - cfg.alloc[m])
 
 
 def excess_payments_bound(cfg: GameConfig) -> Fraction:

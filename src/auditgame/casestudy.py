@@ -95,16 +95,17 @@ def surface_preset() -> SweepSpec:
 def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     """One row per (q_min, c, k, l), ordered q_min-major.
 
-    Grid crossings are evaluated through the closed forms of
-    `core.raw_misreport_cap` and `core.two_type_costs`, which stay well
-    defined where an instance validator would balk (a fine below the
-    audit cost); rows where the formulas truly degenerate (k - c + df <= 0)
-    are annotated rather than aborting the sweep.  The kernel `_costs`
-    evaluates those forms on integer numerators and denominators.  A
-    rational row holds each number as a `Fraction`; a float row holds the
-    correctly rounded float of it, and a value beyond the float range is an
-    input error.  Rows share one object per axis value and one
-    `cost_no_audit` per (q_min, max(num_users, l)).
+    Grid crossings are evaluated through the closed forms behind
+    `core.raw_misreport_cap`, `budget_thresholds`' two-type threshold and
+    `cost.cost_audit_two_type`, which stay well defined where an instance
+    validator would balk (a fine below the audit cost); rows where the
+    formulas truly degenerate (k - c + df <= 0) are annotated rather than
+    aborting the sweep.  The kernel `_costs` evaluates those forms on
+    integer numerators and denominators.  A rational row holds each number
+    as a `Fraction`; a float row holds the correctly rounded float of it,
+    and a value beyond the float range is an input error.  Rows share one
+    object per axis value and one `cost_no_audit` per (q_min,
+    max(num_users, l)).
     """
     return _table(_costs, spec, _COST_ROWS[check_mode(mode)])
 
@@ -262,7 +263,9 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
 
     `core.raw_misreport_cap` is then p = min(1, (1 - q)*c / (q*(k - c + df)))
     = min(1, P/(e_d*a)) with P = e_n*u.  Let D = e_d*a - P, so that
-    1 - p = D/(e_d*a) when D > 0.  `core.two_type_costs` gives
+    1 - p = D/(e_d*a) when D > 0.  `cost.cost_audit_two_type`, whose
+    budget is l times `budget_thresholds`' two-type threshold
+    c*df*(1 - p)/(k + df), gives
 
         no_audit = n*q*df = n*df_n*a / (df_d*b),   once per (q, n);
         D <= 0 (p = 1): budget = 0, excess = total = no_audit, dominates;

@@ -467,14 +467,6 @@ def raw_misreport_cap(q_s, q_m, c, k, credit_gap):
     return min(Fraction(1), numerator / denom)
 
 
-def two_type_costs(p, c, df, k_plus_df, n_q, coalition):
-    """(no_audit, budget, excess) when the low type misreports with probability p.
-
-    `k_plus_df` is k + df and `n_q` is n_users * q_min.
-    """
-    return n_q * df, coalition * c * df * (1 - p) / k_plus_df, n_q * p * df
-
-
 # -- administrator best response ----------------------------------------
 
 

@@ -16,8 +16,8 @@ from typing import Optional
 
 from . import lp
 from .bounds import excess_payments_bound
-from .core import GameConfig, two_type_costs
-from .equilibrium import _two_type_params, two_type_misreport_prob
+from .core import GameConfig
+from .equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
 from .errors import InputError
 from .record import Record
 
@@ -45,23 +45,21 @@ def cost_no_audit(cfg: GameConfig) -> Fraction:
 def cost_audit_two_type(cfg: GameConfig) -> CostReport:
     """Audit-mechanism cost at the pinned two-type budget.
 
-    The budget scales with the coalition size; the excess scales with the
-    population.  Below the prior threshold c/(k + df) the mechanism sets
-    no budget aside and collapses to the status quo exactly.
+    The budget is the two-type existence threshold times the coalition
+    size; the no-audit cost n*q_lo*df and the excess n*q_lo*p*df scale
+    with the population.  Below the prior threshold c/(k + df) the
+    mechanism sets no budget aside and collapses to the status quo exactly.
     """
     if not cfg.is_two_type:
         raise InputError("two-type cost analysis needs exactly two types")
     _, _, q_lo, _, df = _two_type_params(cfg)
-    if df <= 0:
-        # Equal credits: nothing to gain by misreporting, and nothing to divide by.
-        no_audit = budget = excess = p = Fraction(0)
-    else:
-        p = two_type_misreport_prob(cfg)
-        no_audit, budget, excess = two_type_costs(
-            p, cfg.audit_cost, df, cfg.fine + df, cfg.num_users * q_lo, cfg.coalition_size
-        )
+    p = two_type_misreport_prob(cfg)
+    no_audit = cfg.num_users * q_lo * df
+    budget = cfg.coalition_size * budget_thresholds(cfg).threshold_two_type
+    excess = no_audit * p
     note = ""
-    if p == 1:
+    # Equal credits leave nothing to misreport for, whatever p is.
+    if p == 1 and df > 0:
         note = (f"prior {q_lo} at or below {cfg.audit_cost}/({cfg.fine}+{df}): "
                 "no audit budget is set aside and the mechanism reduces to no-audit")
     total = budget + excess
@@ -92,9 +90,9 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
     budget = cfg.num_users * per_user_budget
     excess = cfg.num_users * per_user_excess
 
-    truthful_avg = sum((q * f for q, f in zip(cfg.prior, cfg.alloc)), Fraction(0))
-    expected_signal_credit = truthful_avg + per_user_excess
-    headroom = max(cfg.alloc) - expected_signal_credit
+    # The top credit less the expected credit of an equilibrium signal.
+    no_audit = cost_no_audit(cfg)
+    headroom = no_audit / cfg.num_users - per_user_excess
     note = ""
     if headroom <= 0:
         fine_threshold = None
@@ -109,7 +107,7 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
             note = (f"fine {cfg.fine} is below the dominance threshold "
                     f"{fine_threshold}; cost comparison not guaranteed")
     return CostReport(
-        cost_no_audit=cost_no_audit(cfg),
+        cost_no_audit=no_audit,
         cost_audit=budget + excess,
         budget_component=budget,
         excess_component=excess,

@@ -3,9 +3,10 @@
 The two-type game has a closed-form unique equilibrium; a budgeted
 two-type single-user game has an equilibrium for every budget, switching
 between a budget-exhausting branch and the closed form at a threshold.
-General games dispatch through a budget-regime classification; below the
-applicable threshold no equilibrium exists and callers get a structured
-error rather than a bogus profile.
+Games dispatch through a budget-regime classification: every budgeted
+two-type game below the coalition threshold goes to that construction,
+and a larger game below it gets a structured error rather than a bogus
+profile.
 
 Equilibria here lean on the audit rule resolving exact indifference to
 no-audit.  If an administrator instead audited with positive probability
@@ -30,6 +31,8 @@ from .record import Record
 
 
 class Regime(enum.Enum):
+    """NONEXISTENCE_POSSIBLE: below every threshold that guarantees existence."""
+
     UNCONSTRAINED = "UNCONSTRAINED"
     SUFFICIENT = "SUFFICIENT"
     TWO_TYPE_SUFFICIENT = "TWO_TYPE_SUFFICIENT"
@@ -202,6 +205,8 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
 def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     """Administrator-least-favorable signaling equilibrium for the regime.
 
+    Unbudgeted games and budgets at or above the coalition threshold take
+    the LP; any other two-type game takes `budgeted_two_type_equilibrium`.
     The returned excess is the tight upper bound on excess payments over
     all signaling equilibria of the instance.
     """
@@ -209,18 +214,13 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     regime = analysis.regime
     if regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
         result = lp.bp_equilibrium(cfg)
-    elif regime is Regime.TWO_TYPE_ANY_BUDGET_SINGLE_USER:
+    elif cfg.is_two_type:
         result = budgeted_two_type_equilibrium(cfg)
-    elif regime is Regime.TWO_TYPE_SUFFICIENT:
-        result = two_type_closed_form(cfg)
     else:
         raise NonexistenceError(
             f"no signaling equilibrium: budget {cfg.budget} lies below the "
-            f"applicable existence thresholds (two-type "
-            f"{analysis.threshold_two_type}, coalition-scaled "
-            f"{analysis.threshold_coalition})",
+            f"coalition-scaled existence threshold {analysis.threshold_coalition}",
             budget=cfg.budget,
-            threshold_two_type=analysis.threshold_two_type,
             threshold_general=analysis.threshold_general,
         )
     return result.replace(notes=result.notes + (

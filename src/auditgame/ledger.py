@@ -60,10 +60,9 @@ copy of a minted one, and every coin of a state whose secret key does not
 match `admin_pk`, is verified in full.  `load` mints nothing, so replay
 verifies every record it reads.
 
-Every SHA-256 the ledger takes (H, and the digest of a raw receipt) comes
-from `cryptography`, whose Ed25519 code links its own OpenSSL; `hashlib`
-would load the system's `libcrypto` a second time.  Only the toy scheme
-imports `hashlib`.
+Every SHA-256 the ledger takes (H) comes from `cryptography`, whose
+Ed25519 code links its own OpenSSL; `hashlib` would load the system's
+`libcrypto` a second time.  Only the toy scheme imports `hashlib`.
 
 Secret keys never pass through ledger operations; signing happens on the
 owner's side via `sign_receipt`.
@@ -310,11 +309,6 @@ class RawReceipt(Record):
         if data is None:
             data = self.__dict__["_canonical_bytes"] = _canonical(self.to_dict())
         return data
-
-    def digest(self) -> str:
-        sha = _sha256()
-        sha.update(self.canonical_bytes())
-        return sha.finalize().hex()
 
 
 class Receipt(Record):

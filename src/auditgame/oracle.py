@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from . import core
+from .bounds import excess_payments_bound
 from .core import GameConfig
 from .equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
 from .errors import InputError
@@ -74,7 +75,7 @@ def _certificate(cfg: GameConfig, p_star: Fraction, p1: Fraction, p2: Fraction):
         # Tied strictly above indifference, each audited with half the
         # budget: undercutting halfway to the tie's own floor p1 * alpha
         # sheds the audit entirely.
-        alpha = 1 - cfg.budget * (cfg.fine + df) / (2 * cfg.audit_cost * df)
+        alpha = 1 - cfg.budget / (2 * excess_payments_bound(cfg))
         case, factor = "tie-undercut", p1 * ((1 + max(alpha, 0)) / 2 - alpha)
     return case, q_lo * df * factor
 
@@ -94,7 +95,7 @@ def nonexistence_probe(cfg: GameConfig, resolution: int) -> ProbeReport:
     p* * resolution is an integer, else 0) and tie-undercut (the other A
     ties, p1 = p2 > p*).  On each region the gain is q_lo * df times a
     factor of one sign: p* - min(p1, p2); (p_high - p_low)/2; and
-    p1 * ((1 + alpha+)/2 - alpha) with alpha = 1 - budget(k + df)/(2c df)
+    p1 * ((1 + alpha+)/2 - alpha) with alpha = 1 - budget/(2 c df/(k + df))
     < 1, so p1(1 - alpha)/2 or p1(1/2 - alpha), both positive.  The tie at
     the threshold is one profile.  So the exact gain at a region's first
     profile in walk order (rows p1, then columns p2) certifies the region,

@@ -72,6 +72,29 @@ def test_solve_nonexistence_exit_2(tmp_path, capsys):
     assert "5775/806" in err          # names the two-type threshold
 
 
+def test_solve_and_verify_zero_budget_two_users(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(CFG_A + "budget = 0\nnum_users = 2\n")
+    code, out, err = run(["solve", "--config", str(path)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "audit: 0,0" in lines and "strategy_exact[low]: 0,1" in lines
+    code, out, err = run(["verify", "--config", str(path)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "passed: true" in lines and "max_gain[low]: 0" in lines
+
+
+def test_solve_n_type_nonexistence_names_only_the_coalition_threshold(tmp_path, capsys):
+    path = tmp_path / "three.cfg"
+    path.write_text("types = a, b, c\nprior = 1/3, 1/3, 1/3\nalloc = a: 10, b: 20, c: 40\n"
+                    "audit_cost = 5\nfine = 30\nbudget = 1\n")
+    code, out, err = run(["solve", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("regime error: no signaling equilibrium: budget 1 lies below the "
+                   "coalition-scaled existence threshold 5/2\n")
+
+
 def test_input_error_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "none.cfg")
     code, _, err = run(["solve", "--config", missing], capsys)

@@ -7,7 +7,6 @@ import pytest
 import auditgame as ag
 from auditgame import InputError
 from auditgame.core import raw_misreport_cap
-from auditgame.cost import two_type_costs
 
 
 def make(q_lo, c, k, df=55, n=1, l=1):
@@ -139,8 +138,11 @@ def test_dominance_any_population_and_coalition():
 
 
 def _raw_components(q_min, c, k, df, n_users, coalition):
+    """(no_audit, budget, excess, p) from the closed forms: the budget is the
+    coalition times the two-type threshold c*df*(1 - p)/(k + df)."""
     p = raw_misreport_cap(1 - q_min, q_min, c, k, df)
-    return (*two_type_costs(p, c, df, k + df, n_users * q_min, coalition), p)
+    no_audit = n_users * q_min * df
+    return no_audit, coalition * c * df * (1 - p) / (k + df), no_audit * p, p
 
 
 def test_raw_components_match_config_route():

@@ -185,6 +185,79 @@ def test_signaling_equilibrium_dispatch(cfg_a):
     assert res.audit().is_zero()
 
 
+def _with_regime_notes(result, regime):
+    return result.replace(notes=result.notes + (
+        "excess is the tight upper bound over all signaling equilibria",
+        f"regime {regime.value}"))
+
+
+@pytest.mark.parametrize("num_users", [2, 3, 4000])
+def test_zero_budget_multiuser_is_the_budgeted_zero_audit_profile(cfg_a, num_users):
+    # No budget, no audit: every low type claims the high credit, and no
+    # deviation gains.
+    cfg = with_budget(cfg_a, 0, num_users=num_users)
+    assert ag.budget_thresholds(cfg).regime is Regime.NONEXISTENCE_POSSIBLE
+    res = ag.signaling_equilibrium(cfg)
+    assert res == _with_regime_notes(ag.budgeted_two_type_equilibrium(cfg),
+                                     Regime.NONEXISTENCE_POSSIBLE)
+    assert res.provenance == "budgeted_two_type"
+    assert res.strategy().rows[0][1] == 1 and res.audit().is_zero()
+    report = ag.verify_equilibrium(res, cfg, resolution=200)
+    assert report.passed and report.max_gain == 0, report.to_text()
+
+
+@pytest.mark.parametrize("num_users", [2, 3, 4000])
+def test_positive_budget_below_two_type_threshold_has_no_equilibrium(cfg_a, num_users):
+    cfg = with_budget(cfg_a, 3, num_users=num_users)
+    analysis = ag.budget_thresholds(cfg)
+    with pytest.raises(NonexistenceError) as err:
+        ag.signaling_equilibrium(cfg)
+    assert err.value.budget == 3
+    assert err.value.threshold_two_type == analysis.threshold_two_type == F(5775, 806)
+    assert err.value.threshold_general == analysis.threshold_general
+
+
+def test_signaling_equilibrium_is_the_budgeted_construction_below_coalition():
+    """Below the coalition threshold every two-type game, any population,
+    gets what `budgeted_two_type_equilibrium` gives: the same profile with
+    the regime notes, or the same `NonexistenceError`."""
+    rng = random.Random(31)
+    checked = nonexistent = 0
+    while checked < 300:
+        n = rng.randrange(1, 6)
+        cfg = make_two_type(F(rng.randrange(1, 20), 20), F(rng.randrange(1, 50)),
+                            F(rng.randrange(50, 150)), F(rng.randrange(1, 90)),
+                            num_users=n, coalition_size=rng.randrange(1, n + 1))
+        analysis = ag.budget_thresholds(cfg)
+        budget = rng.choice((0, analysis.threshold_two_type,
+                             analysis.threshold_coalition * F(rng.randrange(100), 100)))
+        cfg = with_budget(cfg, budget)
+        analysis = ag.budget_thresholds(cfg)
+        if analysis.regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
+            continue
+        checked += 1
+        try:
+            expected = ag.budgeted_two_type_equilibrium(cfg)
+        except NonexistenceError as exc:
+            with pytest.raises(NonexistenceError) as err:
+                ag.signaling_equilibrium(cfg)
+            assert str(err.value) == str(exc)
+            nonexistent += 1
+            continue
+        assert ag.signaling_equilibrium(cfg) == _with_regime_notes(expected, analysis.regime)
+    assert 0 < nonexistent < checked
+
+
+def test_n_type_nonexistence_carries_the_general_threshold():
+    cfg = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3),) * 3, alloc=(10, 20, 40),
+                        audit_cost=5, fine=30, budget=1)
+    with pytest.raises(NonexistenceError) as err:
+        ag.signaling_equilibrium(cfg)
+    assert "5/2" in str(err.value) and "None" not in str(err.value)
+    assert err.value.budget == 1 and err.value.threshold_two_type is None
+    assert err.value.threshold_general == F(5, 2)
+
+
 def test_lp_agrees_with_closed_form_random():
     rng = random.Random(9)
     for _ in range(40):
