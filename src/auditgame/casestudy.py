@@ -10,10 +10,18 @@ Each table has one kernel, which evaluates the closed forms on integers
 and gives every cell as an exact ratio n/d.  The numeric mode chooses only
 what the library rows hold, the `Fraction` n/d or the float `n / d`; the
 CSV text is the same in both modes.
+
+A kernel yields its rows in batches of about 64 KB of CSV text, cut where
+one q_min value ends, so the CSV can be written while it is computed
+(`costs_csv_chunks`, `surface_csv_chunks`): memory then grows with the c, k
+and coalition axes, not with the q_min grid.  Every input error comes before
+the first batch, so a caller that writes nothing until it has the first
+chunk writes nothing on an error.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import truediv
 
@@ -107,7 +115,15 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     object per axis value and one `cost_no_audit` per (q_min,
     max(num_users, l)).
     """
-    return _table(_costs, spec, _COST_ROWS[check_mode(mode)])
+    return _rows(_costs, spec, _COST_ROWS[check_mode(mode)])
+
+
+def costs_csv_chunks(spec: SweepSpec, mode: str = RATIONAL):
+    """`costs_csv(spec, mode)` as an iterator of text chunks of about 64 KB,
+    each made when it is asked for; every input error is raised by the
+    first."""
+    check_mode(mode)
+    return _csv_chunks(COSTS_HEADER, _costs, spec, _COST_TEXT)
 
 
 def costs_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
@@ -116,8 +132,7 @@ def costs_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
     The text is printed from the exact values, so it is the same in both
     modes.
     """
-    check_mode(mode)
-    return _csv(COSTS_HEADER, _table(_costs, spec, _COST_TEXT))
+    return "".join(costs_csv_chunks(spec, mode))
 
 
 def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
@@ -128,33 +143,50 @@ def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
     kernel `_surface` evaluates `core.raw_misreport_cap` on integers, and
     `mode` chooses the row type as in `sweep_costs`.
     """
-    return _table(_surface, spec, _SURFACE_ROWS[check_mode(mode)])
+    return _rows(_surface, spec, _SURFACE_ROWS[check_mode(mode)])
+
+
+def surface_csv_chunks(spec: SweepSpec, mode: str = RATIONAL):
+    """`surface_csv(spec, mode)` in chunks, as `costs_csv_chunks`."""
+    check_mode(mode)
+    return _csv_chunks(SURFACE_HEADER, _surface, spec, _SURFACE_TEXT)
 
 
 def surface_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
     """`sweep_misreport_surface(spec, mode)` as UTF-8 CSV text under
     `SURFACE_HEADER`, the same in both modes."""
-    check_mode(mode)
-    return _csv(SURFACE_HEADER, _table(_surface, spec, _SURFACE_TEXT))
+    return "".join(surface_csv_chunks(spec, mode))
 
 
-def _csv(header: tuple, lines: list) -> str:
-    # One join: the lines and the text are all that is alive at the peak.
-    lines.insert(0, ",".join(header) + "\n")
-    return "".join(lines)
+def _rows(kernel, spec: SweepSpec, sink: tuple) -> list:
+    return [row for batch in _batches(kernel, spec, sink) for row in batch]
 
 
-def _table(kernel, spec: SweepSpec, sink: tuple) -> list:
-    """The rows of `kernel`'s table on `spec`, as `sink` emits them; a float
-    beyond the float range (an `OverflowError`) is an input error."""
+def _csv_chunks(header: tuple, kernel, spec: SweepSpec, sink: tuple):
+    head = ",".join(header) + "\n"
+    for batch in _batches(kernel, spec, sink):
+        yield head + "".join(batch)
+        head = ""
+
+
+def _batches(kernel, spec: SweepSpec, sink: tuple):
+    """The row batches of `kernel`'s table on `spec`, as `sink` emits them;
+    a float beyond the float range (an `OverflowError`) is an input error."""
     # The q_min axis parametrizes the low type's prior, which only makes
     # sense against a two-type base game.
     if not spec.base.is_two_type:
         raise InputError("sweeps parametrize the two-type game; give a two-type base config")
     try:
-        return kernel(spec, *sink)
+        yield from kernel(spec, *sink)
     except OverflowError:
         raise InputError(BEYOND_FLOAT_RANGE) from None
+
+
+# A kernel yields its batch before the next q_min value once the batch holds
+# this many rows, about 64 KB of CSV text: a cost line takes about 72 bytes,
+# a surface line 28.
+_COST_BATCH_ROWS = 900
+_SURFACE_BATCH_ROWS = 2300
 
 
 # A kernel hands its sink `axis(value)` once per axis value and
@@ -252,8 +284,8 @@ def _axis_pairs(spec: SweepSpec) -> list:
             for c in spec.c_grid for k in spec.k_grid]
 
 
-def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
-    """Cost rows in `COSTS_HEADER` order, each cell from integers.
+def _costs(spec: SweepSpec, axis, ratio, row, cells):
+    """Batches of cost rows in `COSTS_HEADER` order, each cell from integers.
 
     Write q = a/b in lowest terms (0 < a < b) and u = b - a, so 1 - q =
     u/b; df = df_n/df_d; n = max(num_users, l).  On a pair (c, k) with
@@ -278,6 +310,13 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
     The per-pair and per-n factors are formed once; a row costs a few
     integer products and one call of `row`; a row with p = 1 or an
     annotation has only shared cells.
+
+    Every cost is below 2*n*df: no_audit and excess are at most n*q*df,
+    and budget is at most l*df, since c*(q*(k + df) - c) <= q*(k + df)*
+    (k + df - c).  So while 2*n*df, for the largest n, is below the
+    largest float, no row can fail once the axis values and the reference
+    line are converted, which is done before the first yield.  Otherwise
+    the table is one batch, and an error comes before any of it.
     """
     df = spec.base.delta_f_max
     df_n, df_d = df.numerator, df.denominator
@@ -286,6 +325,8 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
     users = spec.base.num_users
     coalitions = spec.coalition_grid
     counts = {max(users, l) * df_n for l in coalitions}
+    in_range = 2 * max(users, *coalitions) * df < sys.float_info.max
+    batch_rows = _COST_BATCH_ROWS if in_range else float("inf")
     pairs = []
     for c, k, annotation in _axis_pairs(spec):
         if annotation is not None:
@@ -302,6 +343,10 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
     rows = []
     emit = rows.append
     for q in spec.q_min_grid:
+        if len(rows) >= batch_rows:
+            yield rows
+            rows = []
+            emit = rows.append
         a, b = q.numerator, q.denominator
         u = b - a
         bd = df_d * b
@@ -328,16 +373,17 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells) -> list:
                 emit(row(q_cell, c, k, l, no_audits[ndf],
                          gdf * D * b + ndfg * Pa, gea * bd, g_n * D, gea, ndf * P, bde,
                          "true" if gdf * b <= ndfg * a else "false", reference_line))
-    return rows
+    yield rows
 
 
-def _surface(spec: SweepSpec, axis, ratio, row, cells) -> list:
-    """Surface rows in `SURFACE_HEADER` order.
+def _surface(spec: SweepSpec, axis, ratio, row, cells):
+    """Batches of surface rows in `SURFACE_HEADER` order.
 
     With e = c/(k - c + df) = e_n/e_d once per (c, k) and q = a/b, the cap
     min(1, e*(b - a)/a) is 1 or e_n*(b - a) / (e_d*a) by one integer
     comparison; on a pair with k - c + df <= 0 the cap is vacuous, and
-    e = 1/0 makes it 1.
+    e = 1/0 makes it 1.  A cap is at most 1 and the axis values are
+    converted before the first yield, so no row after it can fail.
     """
     df = spec.base.delta_f_max
     one = ratio(1, 1)
@@ -351,6 +397,10 @@ def _surface(spec: SweepSpec, axis, ratio, row, cells) -> list:
     rows = []
     emit = rows.append
     for q in spec.q_min_grid:
+        if len(rows) >= _SURFACE_BATCH_ROWS:
+            yield rows
+            rows = []
+            emit = rows.append
         a, b = q.numerator, q.denominator
         u = b - a
         q_cell = axis(q)
@@ -358,4 +408,4 @@ def _surface(spec: SweepSpec, axis, ratio, row, cells) -> list:
             P = e_n * u
             ea = e_d * a
             emit(cells(q_cell, c, k, one) if P >= ea else row(q_cell, c, k, P, ea))
-    return rows
+    yield rows

@@ -54,10 +54,12 @@ def _read_text(path, what) -> str:
         raise _io_error("read", what, path, exc) from None
 
 
-def _write_text(path, text, what) -> None:
+def _write_text(path, text, what, more=()) -> None:
+    """Write `text` and then each text of `more` to the file `path`."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.writelines(more)
     except OSError as exc:
         raise _io_error("write", what, path, exc) from None
 
@@ -67,15 +69,24 @@ def _io_error(verb, what, path, exc) -> InputError:
     return InputError(f"cannot {verb} {what} {path!r}: {reason}")
 
 
-def _write_out(text: str, out_path=None) -> None:
-    """Write `text` to the file `out_path`, or to standard output."""
+def _write_out(chunks, out_path=None) -> None:
+    """Write `chunks`, a text or an iterable of texts, to the file
+    `out_path`, or to standard output.
+
+    The first chunk is taken before the file is opened or anything is
+    written, so an error raised with it leaves no output: a sweep raises
+    every input error there.
+    """
+    more = iter((chunks,) if isinstance(chunks, str) else chunks)
+    text = next(more, "")
     if out_path:
-        _write_text(out_path, text, "output file")
+        _write_text(out_path, text, "output file", more)
         return
     if sys.stdout is None:
         raise _stdout_error(None)
     try:
         sys.stdout.write(text)
+        sys.stdout.writelines(more)
     except OSError as exc:
         raise _stdout_error(exc) from None
 
@@ -374,14 +385,14 @@ def _mode(args) -> str:
 def _cmd_sweep(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.ftbp_preset())
-    _write_out(casestudy.costs_csv(spec, _mode(args)), args.out)
+    _write_out(casestudy.costs_csv_chunks(spec, _mode(args)), args.out)
     return 0
 
 
 def _cmd_surface(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.surface_preset())
-    _write_out(casestudy.surface_csv(spec, _mode(args)), args.out)
+    _write_out(casestudy.surface_csv_chunks(spec, _mode(args)), args.out)
     return 0
 
 

@@ -79,13 +79,14 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
     Each user gets the general-threshold budget c*df/(k+df) and the
     equilibrium excess from the no-audit program; totals scale with the
     population.  Cost dominance is only guaranteed when the fine reaches
-    the reported threshold.
+    the reported threshold.  The budget is pinned, so a configured budget
+    plays no part, as in the two-type cost.
     """
     if cfg.n_types <= 2:
         raise InputError("multitype cost analysis needs more than two types")
     df = cfg.delta_f_max
     per_user_budget = excess_payments_bound(cfg)
-    eq = lp.bp_equilibrium(cfg)
+    eq = lp.bp_equilibrium(cfg.replace(budget=None))
     per_user_excess = eq.excess
     budget = cfg.num_users * per_user_budget
     excess = cfg.num_users * per_user_excess

@@ -1,5 +1,6 @@
 """Presets, sweeps, and CSV emission for the case study."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import auditgame as ag
 from auditgame import InputError, casestudy, numeric
 from auditgame.casestudy import (
-    COSTS_HEADER, SURFACE_HEADER, costs_csv, surface_csv,
+    COSTS_HEADER, SURFACE_HEADER, costs_csv, costs_csv_chunks, surface_csv, surface_csv_chunks,
 )
 from reference_sweep import (
     reference_cost_rows, reference_csv, reference_surface_rows,
@@ -426,3 +427,68 @@ def test_float_cost_rows_share_one_no_audit_cost_per_q_min_and_user_count(spec):
         group = (row["q_min"], max(spec.base.num_users, row["l"]))
         assert shared.setdefault(group, cost) is cost
     assert len(rows) > len(shared)
+
+
+_FINE = ag.ftbp_preset().replace(q_min_grid=tuple(F(i, 1000) for i in range(1, 1000)))
+_PERCENT_SURFACE = ag.surface_preset().replace(q_min_grid=tuple(F(i, 100) for i in range(1, 100)))
+
+
+@pytest.mark.parametrize("chunks, text, header, spec", [
+    (costs_csv_chunks, costs_csv, COSTS_HEADER, _FINE),
+    (surface_csv_chunks, surface_csv, SURFACE_HEADER, _PERCENT_SURFACE),
+], ids=["costs", "surface"])
+def test_csv_chunks_are_batches_of_whole_q_min_values(chunks, text, header, spec):
+    parts = list(chunks(spec, "float"))
+    assert "".join(parts) == text(spec, "rational")
+    assert len(parts) > 2 and parts[0].startswith(",".join(header) + "\n")
+    seen = set()
+    for part in parts:
+        lines = part.splitlines()[1 if part is parts[0] else 0:]
+        values = {line.split(",", 1)[0] for line in lines}
+        assert not values & seen     # a q_min value's rows are in one chunk
+        seen |= values
+        assert len(part) < 2**16 + 2**13
+    assert all(len(part) > 2**15 for part in parts[:-1])
+    assert len(seen) == len(spec.q_min_grid)
+
+
+def test_every_error_comes_with_the_first_chunk():
+    # 2*n*df reaches the float range: the whole table is one chunk, and the
+    # no-audit cost, which overflows only from q_min = 1/2 on, fails it
+    base = ag.ftbp_preset().base.replace(num_users=66 * 10**305)
+    spec = ag.ftbp_preset().replace(base=base)
+    for mode in ("rational", "float"):
+        with pytest.raises(InputError, match="beyond the float range"):
+            next(costs_csv_chunks(spec, mode))
+    with pytest.raises(InputError, match="beyond the float range"):
+        ag.sweep_costs(spec, "float")
+    below = spec.replace(q_min_grid=spec.q_min_grid[:49])
+    assert len(list(costs_csv_chunks(below))) == 1
+    assert len(ag.sweep_costs(below, "float")) == 49 * 18
+    # within the float range the table comes in several chunks
+    assert len(list(costs_csv_chunks(ag.ftbp_preset()))) > 1
+    # axis values and the reference line are converted before the first chunk
+    for changes in ({"c_grid": (10**400,)}, {"reference_line": 10**400}):
+        with pytest.raises(InputError, match="beyond the float range"):
+            next(costs_csv_chunks(ag.ftbp_preset().replace(**changes)))
+    with pytest.raises(InputError, match="beyond the float range"):
+        next(surface_csv_chunks(ag.surface_preset().replace(k_grid=(10**400,))))
+    with pytest.raises(InputError, match="unknown numeric mode"):
+        costs_csv_chunks(ag.ftbp_preset(), "bogus")
+
+
+@pytest.mark.parametrize("chunks", [costs_csv_chunks, surface_csv_chunks])
+def test_streaming_a_long_q_min_grid_keeps_a_fixed_peak(chunks):
+    # 9,999 q_min values and as many rows: the whole text and its lines
+    # would take more than 1 MB, the stream stays well below it
+    spec = ag.ftbp_preset().replace(q_min_grid=tuple(F(i, 10000) for i in range(1, 10000)),
+                                    c_grid=(25,), k_grid=(100,), coalition_grid=(1,))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in chunks(spec):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -2,11 +2,16 @@
 
 import json
 import os
+import random
 import shutil
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from auditgame.cli import main
+from auditgame import casestudy
+from auditgame.cli import _grid, _spec_with_overrides, main, parse_args
 
 CFG_A = """\
 types = low, high
@@ -126,6 +131,21 @@ def test_cost_output(cfg_file, capsys):
     assert "dominates: true" in out
 
 
+def test_three_type_cost_ignores_the_configured_budget(tmp_path, capsys):
+    # budgets 0 and 1 lie below the general existence threshold 5/2
+    game = ("types = a, b, c\nprior = 1/3, 1/3, 1/3\nalloc = a: 10, b: 20, c: 40\n"
+            "audit_cost = 5\nfine = 30\n")
+    outputs = []
+    for budget in ("", "budget = 0\n", "budget = 1\n"):
+        path = tmp_path / "three.cfg"
+        path.write_text(game + budget)
+        code, out, err = run(["cost", "--config", str(path)], capsys)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert "cost_audit: 3.88528138528139\n" in outputs[0]
+    assert outputs[1] == outputs[2] == outputs[0]
+
+
 def test_cost_on_a_prior_summing_to_one_within_tolerance(tmp_path, capsys):
     path = tmp_path / "tolerance.cfg"
     path.write_text(CFG_A.replace("prior = 1/2, 1/2", "prior = 0.25, 0.7500000000001"))
@@ -151,6 +171,111 @@ def test_sweep_and_surface_files(tmp_path, capsys):
     lines = open(surf_csv).read().splitlines()
     assert len(lines) == 181
     assert "0.25,25,100,0.576923076923077" in lines
+
+
+def _random_grid_args(rng):
+    """A seeded random two-type game and sweep flags, some of whose grids
+    span several batches of rows."""
+    def values(count, draw):
+        return ",".join(str(draw()) for _ in range(count))
+    low = rng.randint(0, 120)
+    game = CFG_A.replace("low: 50, high: 105", f"low: {low}, high: {low + rng.randint(0, 80)}")
+    game += f"num_users = {rng.choice((1, 3, 4000))}\n"
+    prior = lambda: Fraction(rng.randint(1, 999), 1000)
+    amount = lambda: Fraction(rng.randint(0, 600), rng.choice((1, 3)))
+    return game, [
+        "--qmin-grid", values(rng.choice((1, 5, 60, 400)), prior),
+        "--c-grid", values(rng.randint(1, 3), amount),
+        "--k-grid", values(rng.randint(1, 3), amount),
+        "--coalition", values(rng.randint(1, 2), lambda: rng.randint(1, 9)),
+    ]
+
+
+def _stream_cases():
+    fine = ",".join(f"{i}/1000" for i in range(1, 1000))
+    percent = ",".join(f"{i}/100" for i in range(1, 100))
+    yield "sweep", None, []
+    yield "surface", None, []
+    yield "sweep", None, ["--qmin-grid", fine]
+    yield "surface", None, ["--qmin-grid", percent]
+    rng = random.Random(24)
+    for i in range(50):
+        yield ("sweep", "surface")[i % 2], *_random_grid_args(rng)
+
+
+def test_streamed_output_and_out_file_are_the_library_csv(tmp_path, capsys):
+    # the CLI writes a table batch by batch; stdout and --out hold what
+    # `costs_csv` and `surface_csv` return, in both modes
+    tables = {"sweep": (casestudy.ftbp_preset, casestudy.costs_csv),
+              "surface": (casestudy.surface_preset, casestudy.surface_csv)}
+    config = tmp_path / "game.cfg"
+    target = tmp_path / "table.csv"
+    for command, game, args in _stream_cases():
+        if game is not None:
+            config.write_text(game)
+            args = args + ["--config", str(config)]
+        preset, text = tables[command]
+        spec = _spec_with_overrides(parse_args([command] + args), preset())
+        for mode in ("rational", "float"):
+            expected = text(spec, mode)
+            code, out, err = run([command, "--mode", mode] + args, capsys)
+            assert (code, err) == (0, "") and out == expected
+            code, out, err = run([command, "--mode", mode, "--out", str(target)] + args, capsys)
+            assert (code, out, err) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == expected
+            target.unlink()
+
+
+def test_a_sweep_that_overflows_late_prints_nothing(tmp_path, capsys):
+    # 2*n*df reaches the float range, so the whole table is computed before
+    # any of it is written; the no-audit cost n*q*df overflows only from
+    # q_min = 1/2 on, after 49 q_min values and 882 rows
+    path = tmp_path / "many.cfg"
+    path.write_text(CFG_A + f"num_users = {66 * 10**305}\n")
+    below = ",".join(f"{i}/100" for i in range(1, 50))
+    code, out, _ = run(["sweep", "--config", str(path), "--qmin-grid", below], capsys)
+    assert code == 0 and out.count("\n") == 1 + 49 * 18
+    target = tmp_path / "costs.csv"
+    for mode in ("rational", "float"):
+        for out_flag in ([], ["--out", str(target)]):
+            code, out, err = run(["sweep", "--config", str(path), "--mode", mode] + out_flag,
+                                 capsys)
+            assert code == 1 and out == ""
+            assert err == ("input error: a number of magnitude 1.8e308 or more is beyond the"
+                           " float range\n")
+            assert not target.exists()
+    code, out, err = run(["sweep", "--c-grid", "1e400", "--out", str(target)], capsys)
+    assert code == 1 and out == "" and err.startswith("input error: ")
+    assert not target.exists()
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, texts):
+        for _ in texts:
+            pass
+
+
+def test_a_long_sweep_writes_in_memory_that_does_not_grow_with_the_q_min_grid(monkeypatch):
+    # 9,999 q_min values and 19,998 rows, about 1.4 MB of text: the call's
+    # traced peak stays within 1 MB of what the spec alone takes
+    grid = ",".join(f"{i}/10000" for i in range(1, 10000))
+    args = ["sweep", "--qmin-grid", grid, "--c-grid", "25", "--k-grid", "100"]
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        spec = casestudy.ftbp_preset().replace(q_min_grid=_grid(grid))
+        spec_bytes = tracemalloc.get_traced_memory()[0]
+        del spec
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < spec_bytes + 2**20
 
 
 def test_outputs_are_byte_identical(cfg_file, tmp_path, capsys):

@@ -106,6 +106,17 @@ def test_multitype_degenerate_headroom():
     assert "top credit" in report.regime_note
 
 
+def test_multitype_cost_ignores_the_configured_budget():
+    # the cost pins its own budget, so a configured budget below the general
+    # existence threshold 5/2 changes nothing and raises no regime error
+    cfg = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3),) * 3, alloc=(10, 20, 40),
+                        audit_cost=5, fine=30)
+    report = ag.cost_audit_multitype(cfg)
+    assert report.budget_component == F(5, 2)
+    for budget in (0, 1, F(5, 2), 100):
+        assert ag.cost_audit_multitype(cfg.replace(budget=budget)) == report
+
+
 def test_compare_dispatch(cfg_a, cfg_three):
     assert ag.compare(cfg_a).cost_no_audit == F(55, 2)
     assert ag.compare(cfg_three).excess_component == F(22, 45)
