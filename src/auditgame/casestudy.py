@@ -11,12 +11,11 @@ and gives every cell as an exact ratio n/d.  The numeric mode chooses only
 what the library rows hold, the `Fraction` n/d or the float `n / d`; the
 CSV text is the same in both modes.
 
-A kernel yields its rows in batches of about 64 KB of CSV text, cut where
-one q_min value ends, so the CSV can be written while it is computed
-(`costs_csv_chunks`, `surface_csv_chunks`): memory then grows with the c, k
-and coalition axes, not with the q_min grid.  Every input error comes before
-the first batch, so a caller that writes nothing until it has the first
-chunk writes nothing on an error.
+A kernel yields its rows one q_min value at a time, so the CSV can be
+written while it is computed (`costs_csv_chunks`, `surface_csv_chunks`):
+memory then grows with the c, k and coalition axes, not with the q_min
+grid.  Every input error comes before the first batch, so a caller that
+writes nothing until it has the first chunk writes nothing on an error.
 """
 
 from __future__ import annotations
@@ -119,9 +118,9 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
 
 
 def costs_csv_chunks(spec: SweepSpec, mode: str = RATIONAL):
-    """`costs_csv(spec, mode)` as an iterator of text chunks of about 64 KB,
-    each made when it is asked for; every input error is raised by the
-    first."""
+    """`costs_csv(spec, mode)` as an iterator of text chunks, one per q_min
+    value, each made when it is asked for; every input error is raised by
+    the first."""
     check_mode(mode)
     return _csv_chunks(COSTS_HEADER, _costs, spec, _COST_TEXT)
 
@@ -180,13 +179,6 @@ def _batches(kernel, spec: SweepSpec, sink: tuple):
         yield from kernel(spec, *sink)
     except OverflowError:
         raise InputError(BEYOND_FLOAT_RANGE) from None
-
-
-# A kernel yields its batch before the next q_min value once the batch holds
-# this many rows, about 64 KB of CSV text: a cost line takes about 72 bytes,
-# a surface line 28.
-_COST_BATCH_ROWS = 900
-_SURFACE_BATCH_ROWS = 2300
 
 
 # A kernel hands its sink `axis(value)` once per axis value and
@@ -285,7 +277,8 @@ def _axis_pairs(spec: SweepSpec) -> list:
 
 
 def _costs(spec: SweepSpec, axis, ratio, row, cells):
-    """Batches of cost rows in `COSTS_HEADER` order, each cell from integers.
+    """Cost rows in `COSTS_HEADER` order, each cell from integers, one batch
+    per q_min value.
 
     Write q = a/b in lowest terms (0 < a < b) and u = b - a, so 1 - q =
     u/b; df = df_n/df_d; n = max(num_users, l).  On a pair (c, k) with
@@ -326,7 +319,6 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells):
     coalitions = spec.coalition_grid
     counts = {max(users, l) * df_n for l in coalitions}
     in_range = 2 * max(users, *coalitions) * df < sys.float_info.max
-    batch_rows = _COST_BATCH_ROWS if in_range else float("inf")
     pairs = []
     for c, k, annotation in _axis_pairs(spec):
         if annotation is not None:
@@ -343,10 +335,6 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells):
     rows = []
     emit = rows.append
     for q in spec.q_min_grid:
-        if len(rows) >= batch_rows:
-            yield rows
-            rows = []
-            emit = rows.append
         a, b = q.numerator, q.denominator
         u = b - a
         bd = df_d * b
@@ -373,11 +361,16 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells):
                 emit(row(q_cell, c, k, l, no_audits[ndf],
                          gdf * D * b + ndfg * Pa, gea * bd, g_n * D, gea, ndf * P, bde,
                          "true" if gdf * b <= ndfg * a else "false", reference_line))
-    yield rows
+        if in_range:
+            yield rows
+            rows = []
+            emit = rows.append
+    if not in_range:
+        yield rows
 
 
 def _surface(spec: SweepSpec, axis, ratio, row, cells):
-    """Batches of surface rows in `SURFACE_HEADER` order.
+    """Surface rows in `SURFACE_HEADER` order, one batch per q_min value.
 
     With e = c/(k - c + df) = e_n/e_d once per (c, k) and q = a/b, the cap
     min(1, e*(b - a)/a) is 1 or e_n*(b - a) / (e_d*a) by one integer
@@ -394,13 +387,9 @@ def _surface(spec: SweepSpec, axis, ratio, row, cells):
             e = c / (k - c + df)
             e_n, e_d = e.numerator, e.denominator
         pairs.append((axis(c), axis(k), e_n, e_d))
-    rows = []
-    emit = rows.append
     for q in spec.q_min_grid:
-        if len(rows) >= _SURFACE_BATCH_ROWS:
-            yield rows
-            rows = []
-            emit = rows.append
+        rows = []
+        emit = rows.append
         a, b = q.numerator, q.denominator
         u = b - a
         q_cell = axis(q)
@@ -408,4 +397,4 @@ def _surface(spec: SweepSpec, axis, ratio, row, cells):
             P = e_n * u
             ea = e_d * a
             emit(cells(q_cell, c, k, one) if P >= ea else row(q_cell, c, k, P, ea))
-    yield rows
+        yield rows

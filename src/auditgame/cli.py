@@ -75,7 +75,8 @@ def _write_out(chunks, out_path=None) -> None:
 
     The first chunk is taken before the file is opened or anything is
     written, so an error raised with it leaves no output: a sweep raises
-    every input error there.
+    every input error there.  An interruption after that (Ctrl-C, a kill)
+    leaves the chunks written so far.
     """
     more = iter((chunks,) if isinstance(chunks, str) else chunks)
     text = next(more, "")

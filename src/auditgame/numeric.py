@@ -42,14 +42,8 @@ def as_fraction(value: Num) -> Fraction:
         except (ValueError, OverflowError):
             raise InputError(f"non-finite value {value!r}") from None
     if isinstance(value, str):
-        text = value.strip()
-        p, slash, q = text.partition("/")
         try:
-            # "p" or "p/q" in decimal digits takes two `int` parses, not
-            # `Fraction`'s regular expression; both read the same value.
-            if p.isdecimal() and (q.isdecimal() or not slash):
-                return Fraction(int(p), int(q) if slash else 1)
-            return Fraction(text)
+            return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise InputError(f"cannot parse number {value!r}") from None
     raise InputError(f"unsupported numeric type {type(value).__name__}")
