@@ -277,8 +277,9 @@ def _read_coin_file(path):
         raise InputError(f"coin file {path!r} does not hold a coin: {exc!r}") from None
 
 
-def _open_ledger(args, create=False):
+def _open_ledger(args, create=False, listing=None):
     """Load the ledger in `args.dir`; with `create`, make one if there is none.
+    `listing` is passed on to `LedgerState.load`.
 
     A new ledger's admin key is left for the caller to write.
     """
@@ -301,7 +302,7 @@ def _open_ledger(args, create=False):
             raise _io_error("create", "ledger directory", args.dir, exc) from None
         return ledger_mod.LedgerState.create(scheme, log_path=log_path, rng=rng)
     sk, pk = _read_key_file(admin_path)
-    return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, rng=rng)
+    return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, listing=listing, rng=rng)
 
 
 def _cmd_solve(args) -> int:
@@ -461,15 +462,13 @@ def _cmd_ledger(args) -> int:
     if args.ledger_command == "audit-log":
         # Loading re-verifies every record after the administrator's signed
         # checkpoint and raises on the first that fails; the records inside
-        # it passed when it was signed.  So each record listed here has passed.
-        state = _open_ledger(args)
-        for i, receipt in enumerate(state.approved):
-            _write_out(
-                f"{i}: goods={receipt.raw.goods!r} price={receipt.raw.price} "
-                f"coins={[c.metadata.coin_id for c in receipt.raw.coins]} "
-                "verified=true\n"
-            )
-        _write_out(f"total: {len(state.approved)}\n")
+        # it passed when it was signed, and are listed from their JSON in the
+        # same read of the log.  So each record listed here has passed, and
+        # nothing is written unless the whole log has.
+        listing = []
+        _open_ledger(args, listing=listing)
+        listing.append(f"total: {len(listing)}\n")
+        _write_out(listing)
         return 0
     raise InputError(f"unknown ledger command {args.ledger_command!r}")
 

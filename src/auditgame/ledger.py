@@ -22,9 +22,14 @@ S verifies under the administrator's public key; otherwise it verifies
 every record.  A record counts as inside the prefix only when its line,
 newline included, is.  With a checkpoint, the spent set starts as M and
 only the records after the prefix are parsed, verified and checked for
-double-spends against it; the prefix is parsed only when `approved` is
-first read, without signature checks.  The file is only a cache: deleting
-it costs one full verification.
+double-spends against it.  `load` reads the log once, in blocks of
+`LOG_BLOCK` bytes that feed the running SHA-256 and the line count, so it
+never holds the whole file: the prefix is hashed and its lines counted,
+not kept, and `approved` parses it on its first read, without signature
+checks, from a fresh read whose SHA-256 must still be H.  A listing load
+(`ledger audit-log`) turns each prefix record into its `audit_line`
+straight from its JSON in that same pass.  The file is only a cache:
+deleting it costs one full verification.
 
 Two writers sign checkpoints.  After a load in which every record passed,
 `load` signs one for the newline-terminated part of the log, if that part
@@ -48,11 +53,12 @@ not re-checked against the users' keys or against each other; the holder
 of that key can already mint any coin.
 
 Session caches: a state does each signature operation once.  `Ed25519Scheme`
-keeps the private keys it has loaded, a raw receipt encodes its canonical
-JSON once, and a state remembers the payload and signature of each coin its
-`mint` signed.  Such a coin verifies exactly when the state's secret key
-matches `admin_pk`: a signature made with the matching key always verifies,
-and one made with another key verifies only if it is a forgery.  So once
+keeps the private and public keys it has loaded, a raw receipt encodes its
+canonical JSON once, and a state remembers the payload and signature of
+each coin its `mint` signed.  Such a coin verifies exactly when the state's
+secret key matches `admin_pk`: a signature made with the matching key
+always verifies, and one made with another key verifies only if it is a
+forgery.  So once
 one of them has verified, `verify_coin` passes a coin whose payload and
 signature are byte-for-byte those of a coin the state minted without asking
 the scheme again, and skips no check: any other coin, including an edited
@@ -70,7 +76,6 @@ owner's side via `sign_receipt`.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
@@ -106,9 +111,10 @@ class SignatureScheme(ABC):
 class Ed25519Scheme(SignatureScheme):
     """Production scheme backed by Ed25519 (128-bit security level).
 
-    Loading a private key costs about as much as a signature, so each
-    instance keeps the keys it has loaded, by their secret bytes, and
-    forgets them all once it holds `KEY_CACHE` of them.
+    Loading a key costs about as much as a signature, so each instance
+    keeps the private keys it has loaded, by their secret bytes, and the
+    public keys, by their public bytes; each map forgets all its keys once
+    it holds `KEY_CACHE` of them.  A key that fails to load is not kept.
     """
 
     KEY_CACHE = 64
@@ -117,6 +123,7 @@ class Ed25519Scheme(SignatureScheme):
         from cryptography.hazmat.primitives.asymmetric import ed25519
         self._ed25519 = ed25519
         self._keys: dict = {}
+        self._public: dict = {}
 
     def gen(self) -> tuple:
         private = self._ed25519.Ed25519PrivateKey.generate()
@@ -134,7 +141,13 @@ class Ed25519Scheme(SignatureScheme):
 
     def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
         try:
-            self._ed25519.Ed25519PublicKey.from_public_bytes(pk).verify(signature, message)
+            key = self._public.get(pk)
+            if key is None:
+                key = self._ed25519.Ed25519PublicKey.from_public_bytes(pk)
+                if len(self._public) >= self.KEY_CACHE:
+                    self._public.clear()
+                self._public[pk] = key
+            key.verify(signature, message)
             return True
         except Exception:
             return False
@@ -343,6 +356,53 @@ def sign_receipt(scheme: SignatureScheme, sk: bytes, raw: RawReceipt,
     return Receipt(raw=raw, challenge=challenge, user_sig=sig)
 
 
+# Bytes per read of the log: a load holds one block, and the line being
+# read, at a time.
+LOG_BLOCK = 1 << 16
+
+
+def _blocks(fh, size=None):
+    """The bytes of the file `fh` from its position on, in reads of
+    `LOG_BLOCK` bytes; only the first `size` of them when it is given."""
+    while size is None or size > 0:
+        block = fh.read(LOG_BLOCK if size is None else min(LOG_BLOCK, size))
+        if not block:
+            return
+        if size is not None:
+            size -= len(block)
+        yield block
+
+
+def _lines(blocks, skip=0):
+    """(line number, end offset, line) for each line of the bytes in
+    `blocks`, newline included; the last line may have none.  A line that
+    ends at or before offset `skip` is counted, not yielded."""
+    pos, lineno, head = 0, 1, []
+    for block in blocks:
+        start = 0
+        if pos < skip:
+            start = block.rfind(b"\n", 0, skip - pos) + 1
+            if start:
+                lineno += block.count(b"\n", 0, start)
+                head.clear()
+        while stop := block.find(b"\n", start) + 1:
+            head.append(block[start:stop])
+            yield lineno, pos + stop, b"".join(head)
+            head.clear()
+            lineno += 1
+            start = stop
+        if start < len(block):
+            head.append(block[start:])
+        pos += len(block)
+    if head:
+        yield lineno, pos, b"".join(head)
+
+
+def audit_line(index: int, goods, price: int, coin_ids: list) -> str:
+    """The `ledger audit-log` line of the approved record at `index`."""
+    return f"{index}: goods={goods!r} price={price} coins={coin_ids} verified=true\n"
+
+
 def _parse_record(line: bytes, lineno: int):
     """The receipt on one log line, or None for a blank line."""
     line = line.strip()
@@ -392,8 +452,9 @@ class LedgerState:
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
         self._approved: list = []
-        # The log prefix whose records `approved` has yet to parse.
-        self._covered = b""
+        # (N, H) of the loaded checkpoint whose records `approved` has yet
+        # to parse, or None.
+        self._prefix = None
         self._spent: set = set()
         self._issued: set = set()
         # Coin key -> (signed payload, signature) of each coin `mint` signed,
@@ -418,102 +479,181 @@ class LedgerState:
 
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
-             log_path, **kwargs) -> "LedgerState":
-        """Rebuild from the approved-receipt log.
+             log_path, listing: Optional[list] = None, **kwargs) -> "LedgerState":
+        """Rebuild from the approved-receipt log, read once, block by block.
 
         With a valid checkpoint the spent set starts as the one it signs, and
         only the records after its prefix are parsed, re-verified and checked
         for double-spends; without one, every record is (see the module
         docstring).  Messages name the same line numbers either way.
+
+        `listing`, a list, receives the `audit_line` of every approved
+        record in log order, the prefix's included; it is complete once
+        `load` returns.
         """
         state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
-        if log_path and os.path.exists(log_path):
-            # Bytes, so that json.loads decodes each line and a line that is
-            # not UTF-8 is reported like any other malformed record.  One read
-            # serves the checkpoint digest and the replay alike.
-            try:
-                with open(log_path, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read ledger log {log_path!r}: "
-                                 f"{exc.strerror or exc}") from None
-            state._unterminated = bool(data) and not data.endswith(b"\n")
-            ends = data.rfind(b"\n") + 1   # the newline-terminated prefix
-            covered, state._spent, digest = state._read_checkpoint(data, ends)
-            state._issued = set(state._spent)
-            view = memoryview(data)
-            state._covered = view[:covered]
-            torn = set()   # coins of a record on an unterminated last line
-            first = data.count(b"\n", 0, covered) + 1
-            for lineno, line in enumerate(io.BytesIO(view[covered:]), start=first):
-                receipt = _parse_record(line, lineno)
-                if receipt is None:
-                    continue
-                problem = state._receipt_integrity_problem(receipt)
-                if problem:
-                    raise InputError(f"log line {lineno} fails re-verification: {problem}")
-                for coin in receipt.raw.coins:
-                    if coin.key in state._spent:
-                        raise InputError(f"log line {lineno} double-spends coin {coin.key}")
-                    state._spent.add(coin.key)
-                    state._issued.add(coin.key)
-                state._approved.append(receipt)
-                if not line.endswith(b"\n"):
-                    torn = {coin.key for coin in receipt.raw.coins}
-            if ends > covered:
-                state._save_checkpoint(ends, digest, state._spent - torn)
-            state._checkpointed = ends
+        if not (log_path and os.path.exists(log_path)):
+            return state
+        checkpoint = state._read_checkpoint()
+        # Bytes, so that json.loads decodes each line and a line that is not
+        # UTF-8 is reported like any other malformed record.
+        try:
+            with open(log_path, "rb") as fh:
+                if not state._replay(fh, checkpoint, listing):
+                    # The administrator did not vouch for this prefix: verify
+                    # every record, reading the log again from its first byte.
+                    state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
+                    if listing is not None:
+                        listing.clear()
+                    fh.seek(0)
+                    state._replay(fh, None, listing)
+        except OSError as exc:
+            raise InputError(f"cannot read ledger log {log_path!r}: "
+                             f"{exc.strerror or exc}") from None
         return state
+
+    def _replay(self, fh, checkpoint, listing) -> bool:
+        """Read the log `fh` into this new state; see `load`.
+
+        With `checkpoint`, (N, H, M, S) from `_read_checkpoint`, the lines
+        that end within the first N bytes are only hashed and counted, or
+        listed, and the checkpoint is checked before any later line is
+        parsed.  False, with this state half-read, when it does not hold."""
+        n_bytes = checkpoint[0] if checkpoint else 0
+        honoured = checkpoint is None
+        # The SHA-256 of the first N bytes, and the length and SHA-256 of
+        # the newline-terminated part of the log read so far.
+        n_digest, ends, ends_digest = None, 0, None
+
+        def hashed(blocks):
+            nonlocal n_digest, ends, ends_digest
+            for block in blocks:
+                pos = self._log_bytes
+                last = pos + block.rfind(b"\n") + 1
+                digests = self._hash_log(
+                    block, {n for n in (n_bytes, last) if pos < n <= pos + len(block)})
+                n_digest = digests.get(n_bytes, n_digest)
+                if last > pos:
+                    ends, ends_digest = last, digests[last]
+                yield block
+
+        torn, grown = set(), False   # torn: the coins of an unterminated last line
+        skip = n_bytes if listing is None else 0
+        for lineno, end, line in _lines(hashed(_blocks(fh)), skip):
+            complete = line.endswith(b"\n")
+            if complete and end <= n_bytes:
+                # A listed prefix record.  A checkpoint vouches only for
+                # receipt records, so one that is not voids it.
+                text = line.strip()
+                if text:
+                    try:
+                        record = json.loads(text)
+                        listing.append(audit_line(
+                            len(listing), record["goods"], int(record["price"]),
+                            [int(coin["metadata"]["coin_id"]) for coin in record["coins"]]))
+                    except (ValueError, KeyError, TypeError):
+                        return False
+                continue
+            if not honoured:
+                if not self._honour(checkpoint, n_digest):
+                    return False
+                honoured = True
+            grown = grown or complete
+            receipt = _parse_record(line, lineno)
+            if receipt is None:
+                continue
+            problem = self._receipt_integrity_problem(receipt)
+            if problem:
+                raise InputError(f"log line {lineno} fails re-verification: {problem}")
+            for coin in receipt.raw.coins:
+                if coin.key in self._spent:
+                    raise InputError(f"log line {lineno} double-spends coin {coin.key}")
+                self._spent.add(coin.key)
+                self._issued.add(coin.key)
+            self._approved.append(receipt)
+            if listing is not None:
+                listing.append(audit_line(len(listing), receipt.raw.goods, receipt.raw.price,
+                                          [coin.metadata.coin_id for coin in receipt.raw.coins]))
+            if not complete:
+                torn = {coin.key for coin in receipt.raw.coins}
+        if not honoured and not self._honour(checkpoint, n_digest):
+            return False
+        if grown:
+            self._save_checkpoint(ends, ends_digest, self._spent - torn)
+        self._checkpointed = ends
+        self._unterminated = self._log_bytes > ends
+        return True
 
     @property
     def approved(self) -> list:
         """Every approved receipt, in log order.  The first read parses the
-        records inside a loaded checkpoint, without signature checks."""
+        records inside a loaded checkpoint, without signature checks, from a
+        new read of the log's first N bytes; if they no longer hash to H,
+        it raises `InputError` and returns nothing."""
         with self._lock:
-            if self._covered:
-                self._approved[:0] = [
-                    receipt for lineno, line in enumerate(io.BytesIO(self._covered), start=1)
-                    if (receipt := _parse_record(line, lineno)) is not None]
-                self._covered = b""
+            if self._prefix:
+                n_bytes, digest = self._prefix
+                sha, receipts = _sha256(), []
+                try:
+                    with open(self.log_path, "rb") as fh:
+                        for lineno, _, line in _lines(_blocks(fh, n_bytes)):
+                            sha.update(line)
+                            if line.endswith(b"\n"):
+                                receipt = _parse_record(line, lineno)
+                                if receipt is not None:
+                                    receipts.append(receipt)
+                        complete = fh.tell() == n_bytes
+                except OSError as exc:
+                    raise InputError(f"cannot read ledger log {self.log_path!r}: "
+                                     f"{exc.strerror or exc}") from None
+                if not complete or sha.finalize().hex() != digest:
+                    raise InputError(f"ledger log {self.log_path!r} changed since it was loaded")
+                self._approved[:0] = receipts
+                self._prefix = None
             return self._approved
 
     def _checkpoint_path(self) -> str:
         return os.fspath(self.log_path) + ".checkpoint"
 
-    def _read_checkpoint(self, data: bytes, ends: int) -> tuple:
-        """(length, spent coin keys) of the newline-terminated log prefix a
-        valid checkpoint vouches for, else (0, an empty set); then the hex
-        SHA-256 of the first `ends` bytes of `data`.
-
-        Hashes `data` once, into the running hash of the log."""
+    def _read_checkpoint(self):
+        """(N, H, M, S) of the checkpoint next to the log, S as bytes; None
+        when there is none, it does not parse or N is not a positive
+        integer."""
         try:
             with open(self._checkpoint_path(), "rb") as fh:
                 checkpoint = json.loads(fh.read())
-            n_bytes, digest, spent = checkpoint["bytes"], checkpoint["sha256"], checkpoint["spent"]
-            sig = bytes.fromhex(checkpoint["sig"])
+            claim = (checkpoint["bytes"], checkpoint["sha256"], checkpoint["spent"],
+                     bytes.fromhex(checkpoint["sig"]))
         except (OSError, ValueError, KeyError, TypeError):
-            n_bytes = None
-        claimed = type(n_bytes) is int and 0 < n_bytes <= len(data)
-        digests = self._hash_log(data, (n_bytes, ends) if claimed else (ends,))
-        if (not claimed or digests[n_bytes] != digest
-                or not self.scheme.verify(self.admin_pk,
-                                          _checkpoint_message(n_bytes, digest, spent), sig)):
-            return 0, set(), digests[ends]
-        # Only the administrator signs M, and always as {owner hex: [coin ids]}.
-        return (data.rfind(b"\n", 0, n_bytes) + 1,
-                {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids},
-                digests[ends])
+            return None
+        return claim if type(claim[0]) is int and claim[0] > 0 else None
 
-    def _hash_log(self, data: bytes, ends) -> dict:
-        """Extend the running hash, empty so far, over all of `data`; returns
-        {n: hex SHA-256 of the first n bytes} for each n in `ends`."""
-        view, digests = memoryview(data), {}
+    def _honour(self, checkpoint, digest) -> bool:
+        """Whether the checkpoint (N, H, M, S) holds, given `digest`, the hex
+        SHA-256 of the log's first N bytes (None for a log shorter than N);
+        if it does, the spent set starts as M."""
+        n_bytes, sha256, spent, sig = checkpoint
+        if (digest is None or digest != sha256
+                or not self.scheme.verify(self.admin_pk,
+                                          _checkpoint_message(n_bytes, sha256, spent), sig)):
+            return False
+        # Only the administrator signs M, and always as {owner hex: [coin ids]}.
+        self._spent = {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids}
+        self._issued = set(self._spent)
+        self._prefix = (n_bytes, sha256)
+        return True
+
+    def _hash_log(self, block: bytes, ends) -> dict:
+        """Extend the running hash over `block`, the log bytes after the
+        `_log_bytes` hashed so far; returns {n: hex SHA-256 of the first n
+        log bytes} for each offset n in `ends`, all within the block."""
+        view, start, digests = memoryview(block), self._log_bytes, {}
         for n in sorted(ends):
-            self._log_sha.update(view[self._log_bytes:n])
+            self._log_sha.update(view[self._log_bytes - start:n - start])
             self._log_bytes = n
             digests[n] = self._log_sha.copy().finalize().hex()
-        self._log_sha.update(view[self._log_bytes:])
-        self._log_bytes = len(data)
+        self._log_sha.update(view[self._log_bytes - start:])
+        self._log_bytes = start + len(block)
         return digests
 
     def _save_checkpoint(self, n_bytes: int, digest: str, spent: set) -> None:

@@ -485,6 +485,32 @@ def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_audit_log_lists_a_checkpointed_prefix_as_a_full_verify_does(tmp_path, capsys):
+    from auditgame import ledger as lg
+    scheme = lg.DeterministicScheme(seed=4)
+    led = tmp_path / "led"
+    led.mkdir()
+    log = str(led / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    (led / "admin.key").write_text(f"{state._admin_sk.hex()}\n{state.admin_pk.hex()}\n")
+    sk, pk = lg.keygen(scheme)
+    for i, goods in enumerate(["g0", "café ☕", 'say "hi"'] * 4):
+        coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
+        raw = lg.RawReceipt(goods=goods, price=i, coins=(coin,))
+        assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw)))
+    expected = "".join(
+        f"{i}: goods={r.raw.goods!r} price={r.raw.price} "
+        f"coins={[c.metadata.coin_id for c in r.raw.coins]} verified=true\n"
+        for i, r in enumerate(state.approved)) + "total: 12\n"
+    audit = ["ledger", "audit-log", "--dir", str(led), "--scheme", "toy"]
+    # under the session's checkpoint, under the one the first call signs
+    # over the whole log, and under none
+    outputs = [run(audit, capsys), run(audit, capsys)]
+    os.remove(log + ".checkpoint")
+    outputs.append(run(audit, capsys))
+    assert outputs == [(0, expected, "")] * 3
+
+
 def test_unwritable_outputs_are_input_errors(cfg_file, tmp_path, capsys):
     missing_dir = tmp_path / "missing"
     alice = str(tmp_path / "alice.key")

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -638,6 +639,227 @@ def test_a_secret_key_that_cannot_sign_leaves_load_working(tmp_path):
     assert not os.path.exists(log + ".checkpoint")
 
 
+# -- the streamed read ---------------------------------------------------------
+
+
+def _whole_log(state, log):
+    """A reference load: read the whole log, then parse and verify every
+    record.  Its receipts and spent coins, or its error message."""
+    with open(log, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    receipts, spent = [], set()
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            receipt = lg._parse_record(line, lineno)
+            if receipt is None:
+                continue
+            problem = state._receipt_integrity_problem(receipt)
+            if problem:
+                raise InputError(f"log line {lineno} fails re-verification: {problem}")
+            for coin in receipt.raw.coins:
+                if coin.key in spent:
+                    raise InputError(f"log line {lineno} double-spends coin {coin.key}")
+                spent.add(coin.key)
+            receipts.append(receipt)
+    except InputError as exc:
+        return str(exc)
+    return receipts, spent
+
+
+def _listing(receipts):
+    """`ledger audit-log`'s lines for `receipts`, as the CLI printed them
+    from receipt objects."""
+    return [f"{i}: goods={r.raw.goods!r} price={r.raw.price} "
+            f"coins={[c.metadata.coin_id for c in r.raw.coins]} verified=true\n"
+            for i, r in enumerate(receipts)]
+
+
+def _sign_checkpoint(state, log, n_bytes):
+    """Sign the first `n_bytes` of the log and the coins of the records
+    that end within them, as the administrator, whatever those lines are."""
+    data = open(log, "rb").read()
+    spent = set()
+    for line in data[:data.rfind(b"\n", 0, n_bytes) + 1].split(b"\n"):
+        try:
+            spent.update(coin.key for coin in lg.Receipt.from_dict(json.loads(line)).raw.coins)
+        except (ValueError, KeyError, TypeError):
+            pass   # a blank line, or one that is not a record
+    spent, digest = lg._spent_map(spent), hashlib.sha256(data[:n_bytes]).hexdigest()
+    sig = state.scheme.sign(state._admin_sk, lg._checkpoint_message(n_bytes, digest, spent))
+    _write_checkpoint(log, {"bytes": n_bytes, "sha256": digest, "sig": sig.hex(), "spent": spent})
+
+
+@pytest.fixture
+def varied(scheme, tmp_path, user):
+    """A ledger of five receipts, one of two coins, with non-ASCII and
+    quoted goods, and the bytes of its log; no checkpoint."""
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    sk, pk = user
+    for i, goods in enumerate(["g0", "café ☕ 日本", "x" * 40, 'say "hi"\\', "g4"]):
+        coins = tuple(state.mint(pk, lg.CoinMetadata(coin_id=10 * i + j)) for j in range(1 + i % 2))
+        raw = lg.RawReceipt(goods=goods, price=i, coins=coins)
+        assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw)))
+    os.remove(log + ".checkpoint")
+    return state, log, open(log, "rb").read()
+
+
+def _ends(data):
+    return [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+
+
+def _float_prices(data):
+    # record 2 lies inside N, record 5 after it
+    data = data.replace(b'"price": 1,', b'"price": 1.0,').replace(b'"price": 4,', b'"price": 4.0,')
+    return data, _ends(data)[2]
+
+
+def _flip_user_sig(data, index):
+    lines = data.split(b"\n")
+    record = json.loads(lines[index])
+    record["user_sig"] = _flip_hex(record["user_sig"])
+    lines[index] = json.dumps(record, sort_keys=True).encode()
+    return b"\n".join(lines)
+
+
+# Each edit maps the log's bytes to (new bytes, N of the checkpoint to sign
+# over them, or None for none, or "stale" to keep one signed over the old).
+_EDITS = {
+    "checkpointed": lambda data: (data, len(data)),
+    "no-checkpoint": lambda data: (data, None),
+    "n-before-a-newline": lambda data: (data, _ends(data)[1] - 1),
+    "n-at-a-newline": lambda data: (data, _ends(data)[1]),
+    "n-after-a-newline": lambda data: (data, _ends(data)[1] + 1),
+    "n-mid-line": lambda data: (data, (_ends(data)[2] + _ends(data)[3]) // 2),
+    "tampered-prefix": lambda data: (_flip_user_sig(data, 1), "stale"),
+    "blank-lines": lambda data: (data[:_ends(data)[0]] + b"\n \t\n" + data[_ends(data)[0]:] + b"\n",
+                                 _ends(data)[2] + 4),
+    "unterminated": lambda data: (data[:-1], _ends(data)[2]),
+    "unterminated-under-n": lambda data: (data[:-1], len(data) - 1),
+    "price-float": _float_prices,
+    "double-spend-after-n": lambda data: (data + data[:_ends(data)[0]], len(data)),
+    "n-beyond-the-log": lambda data: (data[:_ends(data)[3]], "stale"),
+    # a checkpoint only the administrator could sign over a line that is not
+    # a record: a full verify, or `approved`, reports it
+    "not-a-record-under-n": lambda data: (data[:_ends(data)[0]] + b"[1, 2]\n"
+                                          + data[_ends(data)[0]:], len(data) + 7),
+}
+
+
+@pytest.mark.parametrize("block", ["7", "first-line"])
+@pytest.mark.parametrize("edit", list(_EDITS))
+def test_a_load_read_in_blocks_is_a_whole_log_load(varied, edit, block, monkeypatch):
+    # 7-byte blocks split every line; blocks one first line long end that
+    # line on a block boundary and split the 40-byte goods of another
+    state, log, data = varied
+    data, n_bytes = _EDITS[edit](data)
+    if n_bytes == "stale":
+        _sign_checkpoint(state, log, len(open(log, "rb").read()))
+    with open(log, "wb") as fh:
+        fh.write(data)
+    if n_bytes not in (None, "stale"):
+        _sign_checkpoint(state, log, n_bytes)
+    checkpoint = open(log + ".checkpoint", "rb").read() if n_bytes else None
+    expected = _whole_log(state, log)
+
+    def outcome(listing=None):
+        if checkpoint:
+            with open(log + ".checkpoint", "wb") as fh:
+                fh.write(checkpoint)
+        try:
+            loaded = lg.LedgerState.load(state.scheme, state._admin_sk, state.admin_pk, log,
+                                         listing=listing)
+            if listing is not None:
+                return listing   # what `ledger audit-log` prints, without `approved`
+            approved = loaded.approved   # parses the prefix from a new read, if any
+        except InputError as exc:
+            return str(exc), None
+        return ((approved, loaded._spent),
+                (loaded._issued, loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
+                 loaded._log_sha.copy().finalize(), open(log + ".checkpoint", "rb").read()))
+
+    whole = outcome()   # one block holds the whole log
+    monkeypatch.setattr(lg, "LOG_BLOCK", 7 if block == "7" else _ends(data)[0])
+    streamed = outcome()
+    assert streamed[0] == expected and streamed == whole
+    listed = outcome([])
+    if isinstance(expected, tuple):
+        assert listed == _listing(expected[0])
+    else:
+        assert listed == (expected, None)
+    errors = {"tampered-prefix": "log line 2 fails re-verification: bad-signature",
+              "double-spend-after-n": "log line 6 double-spends coin "
+                                      f"{state.approved[0].raw.coins[0].key}",
+              "not-a-record-under-n": "log line 2 is not a receipt record: "
+                                      "TypeError('list indices must be integers or slices, not str')"}
+    assert expected == errors.get(edit, expected)
+
+
+@pytest.mark.parametrize("change", ["same-length-edit", "truncated", "removed"])
+def test_approved_refuses_a_prefix_that_changed_after_the_load(ledger, change):
+    state, log = ledger
+    _load(state, log)   # signs a checkpoint over the three records
+    loaded = _load(state, log)
+    text = open(log).read()
+    if change == "same-length-edit":
+        with open(log, "w") as fh:
+            fh.write(text.replace('"goods": "g1"', '"goods": "G1"'))
+    elif change == "truncated":
+        with open(log, "w") as fh:
+            fh.write(text[:len(text) // 2])
+    else:
+        os.remove(log)
+    for _ in range(2):   # and it returns no receipts on a later read either
+        with pytest.raises(InputError, match="changed since it was loaded|cannot read"):
+            loaded.approved
+
+
+def test_approved_reads_the_prefix_after_records_were_appended(ledger, user):
+    state, log = ledger
+    _load(state, log)
+    loaded = _load(state, log)
+    _spend_new_coins(loaded, user, [10, 11])
+    with open(log, "a") as fh:
+        fh.write("\n")   # another writer's bytes after the prefix
+    assert [r.raw.goods for r in loaded.approved] == ["g0", "g1", "g2", "g10", "g11"]
+
+
+def _toy_ledger(tmp_path, records):
+    """A toy-scheme ledger of `records` receipts under a checkpoint over all."""
+    scheme = lg.DeterministicScheme(seed=3)
+    log = str(tmp_path / f"log{records}.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, lg.keygen(scheme), range(records))
+    _load(state, log)
+    return state, log
+
+
+def _load_peak(state, log, listing=None):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lg.LedgerState.load(state.scheme, state._admin_sk, state.admin_pk, log, listing=listing)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_holds_no_more_of_a_longer_prefix_than_its_spent_coins(tmp_path):
+    # A record adds about 390 bytes to the toy log, and its coin about 130
+    # to the spent and issued sets; a load that held the log, or the
+    # records in it, would grow by more than half the log's growth.
+    (small, small_log), (large, large_log) = _toy_ledger(tmp_path, 200), _toy_ledger(tmp_path, 2000)
+    grown = os.path.getsize(large_log) - os.path.getsize(small_log)
+    _load(small, small_log)   # imports and first-call allocations
+    assert _load_peak(large, large_log) - _load_peak(small, small_log) < grown / 2
+    # a listing load grows by its own lines on top of that
+    listings = [], []
+    peaks = [_load_peak(small, small_log, listings[0]), _load_peak(large, large_log, listings[1])]
+    lines = [sum(sys.getsizeof(line) + 8 for line in listing) for listing in listings]
+    assert len(listings[1]) == 2000
+    assert peaks[1] - peaks[0] < grown / 2 + lines[1] - lines[0]
+
+
 # -- checkpoints an approving session signs ---------------------------------
 
 
@@ -807,6 +1029,42 @@ def test_a_cached_key_signs_as_a_freshly_loaded_one():
         scheme.sign(other, b"m")
     assert len(scheme._keys) <= scheme.KEY_CACHE
     assert scheme.verify(pk, b"m", scheme.sign(sk, b"m"))
+
+
+def test_a_cached_public_key_verifies_as_a_freshly_loaded_one():
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    def fresh(pk, message, signature):
+        try:
+            ed25519.Ed25519PublicKey.from_public_bytes(pk).verify(signature, message)
+            return True
+        except Exception:
+            return False
+
+    def loads(pk):
+        try:
+            ed25519.Ed25519PublicKey.from_public_bytes(pk)
+            return True
+        except Exception:
+            return False
+
+    scheme = lg.Ed25519Scheme()
+    sk, pk = lg.keygen(scheme)
+    sig = scheme.sign(sk, b"m")
+    cases = [(pk, b"m", sig), (pk, b"m!", sig), (pk, b"m", bytes.fromhex(_flip_hex(sig.hex()))),
+             (pk, b"m", sig[:-1]), (pk, b"m", b""), (b"", b"m", sig), (b"short", b"m", sig),
+             (pk + b"\0", b"m", sig), (b"\xff" * 32, b"m", sig), (pk.hex(), b"m", sig),
+             (bytearray(pk), b"m", sig), (None, b"m", sig)]
+    for _ in range(2):   # loaded, then from the cache
+        assert [scheme.verify(*case) for case in cases] == [fresh(*case) for case in cases]
+    # a key that fails to load is never kept
+    assert all(loads(key) for key in scheme._public) and pk in scheme._public
+    # the cache is bounded: it starts again once it holds KEY_CACHE keys
+    for _ in range(scheme.KEY_CACHE + 1):
+        other_sk, other_pk = lg.keygen(scheme)
+        assert scheme.verify(other_pk, b"m", scheme.sign(other_sk, b"m"))
+        assert len(scheme._public) <= scheme.KEY_CACHE
+    assert scheme.verify(pk, b"m", sig) and not scheme.verify(pk, b"m!", sig)
 
 
 @pytest.mark.parametrize("goods, coins", [("bundle", 3), ("café \"\\\n\x01 ☃", 1)],
