@@ -353,7 +353,7 @@ def _cmd_cost(args) -> int:
         f"cost_audit: {sig15(report.cost_audit)}",
         f"budget_component: {sig15(report.budget_component)}",
         f"excess_component: {sig15(report.excess_component)}",
-        f"dominates: {'not-guaranteed' if report.dominates is None else str(report.dominates).lower()}",
+        f"dominates: {str(report.dominates).lower()}",
     ]
     if report.fine_threshold is not None:
         lines.append(f"fine_threshold: {sig15(report.fine_threshold)}")

@@ -6,7 +6,8 @@ audits every user claims the largest credit, so the status-quo cost is
 the full gap between the top credit and the truthful average.  The audit
 mechanism pins its budget to the smallest amount that sustains the
 equilibrium; with two types its total cost never exceeds the status quo,
-and with more types the same holds once the fine clears a threshold.
+and with more types it does so exactly when the fine reaches a threshold,
+where one exists.  `dominates` is the exact comparison of the two totals.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .record import Record
 
 
 class CostReport(Record):
-    """`dominates` is None when domination is not guaranteed."""
+    """`dominates` is `cost_audit <= cost_no_audit`.  `fine_threshold`, set
+    for a multi-type game with positive headroom, is the fine at which that
+    verdict flips."""
 
     _fields = ("cost_no_audit", "cost_audit", "budget_component", "excess_component",
                "regime_note", "fine_threshold", "dominates")
@@ -31,7 +34,7 @@ class CostReport(Record):
     def __init__(self, cost_no_audit: Fraction, cost_audit: Fraction,
                  budget_component: Fraction, excess_component: Fraction,
                  regime_note: str = "", fine_threshold: Optional[Fraction] = None,
-                 dominates: Optional[bool] = None):
+                 dominates: bool = False):
         self._set(cost_no_audit, cost_audit, budget_component, excess_component, regime_note,
                   fine_threshold, dominates)
 
@@ -78,9 +81,10 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
 
     Each user gets the general-threshold budget c*df/(k+df) and the
     equilibrium excess from the no-audit program; totals scale with the
-    population.  Cost dominance is only guaranteed when the fine reaches
-    the reported threshold.  The budget is pinned, so a configured budget
-    plays no part, as in the two-type cost.
+    population.  With positive headroom (the no-audit cost less the excess,
+    per user) the audit cost dominates exactly when the fine reaches the
+    reported threshold.  The budget is pinned, so a configured budget plays
+    no part, as in the two-type cost.
     """
     if cfg.n_types <= 2:
         raise InputError("multitype cost analysis needs more than two types")
@@ -94,27 +98,21 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
     # The top credit less the expected credit of an equilibrium signal.
     no_audit = cost_no_audit(cfg)
     headroom = no_audit / cfg.num_users - per_user_excess
-    note = ""
-    if headroom <= 0:
-        fine_threshold = None
-        note = "every claim already reaches the top credit; no fine guarantees dominance"
-        dominates = None
-    else:
+    fine_threshold, note = None, ""
+    if headroom > 0:
+        # budget + excess <= no_audit, solved for the fine.
         fine_threshold = df * (cfg.audit_cost / headroom - 1)
-        if cfg.fine >= fine_threshold:
-            dominates = True
-        else:
-            dominates = None
-            note = (f"fine {cfg.fine} is below the dominance threshold "
-                    f"{fine_threshold}; cost comparison not guaranteed")
+    else:
+        note = "every claim already reaches the top credit"
+    total = budget + excess
     return CostReport(
         cost_no_audit=no_audit,
-        cost_audit=budget + excess,
+        cost_audit=total,
         budget_component=budget,
         excess_component=excess,
         regime_note=note,
         fine_threshold=fine_threshold,
-        dominates=dominates,
+        dominates=total <= no_audit,
     )
 
 

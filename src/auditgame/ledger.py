@@ -6,7 +6,8 @@ signature, so counterfeits fail verification.  Spending is two-phase: the
 ledger issues a random challenge for a raw receipt, the owner signs the
 (receipt, challenge) pair, and approval requires the owner match, fresh
 coins, and a valid signature.  Approved receipts are persisted one record
-per line and replayed on load.
+per line and replayed on load.  A state mints no (recipient, coin id) it
+has minted or knows spent, from the log or from a spend it approved.
 
 Replay parses and re-verifies each record, except inside a prefix that
 the administrator has already verified and signed together with the coins
@@ -129,25 +130,24 @@ class Ed25519Scheme(SignatureScheme):
         private = self._ed25519.Ed25519PrivateKey.generate()
         return private.private_bytes_raw(), private.public_key().public_bytes_raw()
 
-    def sign(self, sk: bytes, message: bytes) -> bytes:
-        key = self._keys.get(sk)
+    def _key(self, cache: dict, raw: bytes, load):
+        """`load(raw)`, kept in `cache`; a key it cannot load raises ValueError."""
+        key = cache.get(raw)
         if key is None:
-            # Raises ValueError for a key it cannot load, which is not kept.
-            key = self._ed25519.Ed25519PrivateKey.from_private_bytes(sk)
-            if len(self._keys) >= self.KEY_CACHE:
-                self._keys.clear()
-            self._keys[sk] = key
-        return key.sign(message)
+            key = load(raw)
+            if len(cache) >= self.KEY_CACHE:
+                cache.clear()
+            cache[raw] = key
+        return key
+
+    def sign(self, sk: bytes, message: bytes) -> bytes:
+        return self._key(self._keys, sk,
+                         self._ed25519.Ed25519PrivateKey.from_private_bytes).sign(message)
 
     def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
         try:
-            key = self._public.get(pk)
-            if key is None:
-                key = self._ed25519.Ed25519PublicKey.from_public_bytes(pk)
-                if len(self._public) >= self.KEY_CACHE:
-                    self._public.clear()
-                self._public[pk] = key
-            key.verify(signature, message)
+            self._key(self._public, pk,
+                      self._ed25519.Ed25519PublicKey.from_public_bytes).verify(signature, message)
             return True
         except Exception:
             return False
@@ -456,9 +456,9 @@ class LedgerState:
         # to parse, or None.
         self._prefix = None
         self._spent: set = set()
-        self._issued: set = set()
-        # Coin key -> (signed payload, signature) of each coin `mint` signed,
-        # and the (scheme, admin_pk) under which one of them has verified.
+        # Coin key -> (signed payload, signature) of each coin `mint` signed
+        # (None while it signs), and the (scheme, admin_pk) under which one
+        # of them has verified.
         self._minted: dict = {}
         self._minted_verified_under = None
         self._pending: dict = {}   # r0 canonical bytes -> {challenge bytes: deadline}
@@ -494,12 +494,11 @@ class LedgerState:
         state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
         if not (log_path and os.path.exists(log_path)):
             return state
-        checkpoint = state._read_checkpoint()
         # Bytes, so that json.loads decodes each line and a line that is not
         # UTF-8 is reported like any other malformed record.
         try:
             with open(log_path, "rb") as fh:
-                if not state._replay(fh, checkpoint, listing):
+                if not state._replay(fh, state._read_checkpoint(), listing):
                     # The administrator did not vouch for this prefix: verify
                     # every record, reading the log again from its first byte.
                     state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
@@ -557,7 +556,7 @@ class LedgerState:
             if not honoured:
                 if not self._honour(checkpoint, n_digest):
                     return False
-                honoured = True
+                honoured, checkpoint = True, None   # M lives on only as the spent set
             grown = grown or complete
             receipt = _parse_record(line, lineno)
             if receipt is None:
@@ -569,7 +568,6 @@ class LedgerState:
                 if coin.key in self._spent:
                     raise InputError(f"log line {lineno} double-spends coin {coin.key}")
                 self._spent.add(coin.key)
-                self._issued.add(coin.key)
             self._approved.append(receipt)
             if listing is not None:
                 listing.append(audit_line(len(listing), receipt.raw.goods, receipt.raw.price,
@@ -579,7 +577,7 @@ class LedgerState:
         if not honoured and not self._honour(checkpoint, n_digest):
             return False
         if grown:
-            self._save_checkpoint(ends, ends_digest, self._spent - torn)
+            self._save_checkpoint(ends, ends_digest, self._spent - torn if torn else self._spent)
         self._checkpointed = ends
         self._unterminated = self._log_bytes > ends
         return True
@@ -639,7 +637,6 @@ class LedgerState:
             return False
         # Only the administrator signs M, and always as {owner hex: [coin ids]}.
         self._spent = {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids}
-        self._issued = set(self._spent)
         self._prefix = (n_bytes, sha256)
         return True
 
@@ -685,20 +682,21 @@ class LedgerState:
     # -- coins ---------------------------------------------------------
 
     def mint(self, recipient_pk: bytes, metadata: CoinMetadata) -> Coin:
-        """Sign a new coin; an id that fails to sign stays free to mint."""
+        """Sign a new coin, unless this state minted it or knows it spent;
+        an id that fails to sign stays free to mint."""
         key = (recipient_pk.hex(), metadata.coin_id)
         with self._lock:
-            if key in self._issued:
+            if key in self._spent or key in self._minted:
                 raise InputError(
                     f"coin id {metadata.coin_id} was already issued to this recipient"
                 )
-            self._issued.add(key)
+            self._minted[key] = None
         payload = Coin.signed_payload(recipient_pk, metadata)
         try:
             sig = self.scheme.sign(self._admin_sk, payload)
         except BaseException:
             with self._lock:
-                self._issued.discard(key)
+                del self._minted[key]
             raise
         self._minted[key] = (payload, sig)
         return Coin(owner_pk=recipient_pk, metadata=metadata, issuer_sig=sig)

@@ -85,15 +85,16 @@ def test_multitype_cost_large_fine(cfg_three):
     assert report.dominates
 
 
-def test_multitype_not_guaranteed_branch():
+def test_multitype_fine_below_threshold_does_not_dominate():
     # enough mass on the top type that the fine threshold exceeds the fine
     cfg = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 5), F(1, 5), F(3, 5)),
                         alloc=(0, 2, 4), audit_cost=1, fine=2)
     report = ag.cost_audit_multitype(cfg)
     assert report.fine_threshold == F(31, 11)
     assert cfg.fine < report.fine_threshold
-    assert report.dominates is None
-    assert "not guaranteed" in report.regime_note
+    assert report.cost_audit > report.cost_no_audit
+    assert report.dominates is False
+    assert report.regime_note == ""
 
 
 def test_multitype_degenerate_headroom():
@@ -102,8 +103,31 @@ def test_multitype_degenerate_headroom():
                         alloc=(0, 2, 4), audit_cost=1, fine=2)
     report = ag.cost_audit_multitype(cfg)
     assert report.fine_threshold is None
-    assert report.dominates is None
-    assert "top credit" in report.regime_note
+    assert report.cost_audit > report.cost_no_audit
+    assert report.dominates is False
+    assert report.regime_note == "every claim already reaches the top credit"
+
+
+def test_multitype_verdict_is_the_exact_comparison():
+    # the verdict is the comparison of the totals, and wherever a fine
+    # threshold is reported the fine reaching it decides the same verdict
+    import random
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(120):
+        n = rng.choice((3, 4))
+        weights = [rng.randint(1, 6) for _ in range(n)]
+        c = rng.randint(1, 30)
+        cfg = ag.GameConfig(types=tuple("abcd"[:n]),
+                            prior=tuple(F(w, sum(weights)) for w in weights),
+                            alloc=tuple(rng.sample(range(1, 60), n)),
+                            audit_cost=c, fine=rng.randint(c, c + 10))
+        report = ag.cost_audit_multitype(cfg)
+        assert report.dominates is (report.cost_audit <= report.cost_no_audit), cfg
+        if report.fine_threshold is not None:
+            assert report.dominates is (cfg.fine >= report.fine_threshold), cfg
+        verdicts.add(report.dominates)
+    assert verdicts == {True, False}
 
 
 def test_multitype_cost_ignores_the_configured_budget():

@@ -65,6 +65,21 @@ def test_mint_rejects_duplicate_id(state, user):
     state.mint(pk2, lg.CoinMetadata(coin_id=7))
 
 
+def test_a_session_mints_no_coin_whose_spend_it_approved(scheme, tmp_path, user):
+    # another session minted coin 7 and this one approved its spend: minting
+    # coin 7 again is a reissue, in this session as after a fresh load
+    sk, pk = user
+    log = str(tmp_path / "log.jsonl")
+    issuer = lg.LedgerState.create(scheme, log_path=log)
+    coin = issuer.mint(pk, lg.CoinMetadata(coin_id=7))
+    session = lg.LedgerState.load(scheme, issuer._admin_sk, issuer.admin_pk, log)
+    raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
+    assert session.finalize_spend(lg.sign_receipt(scheme, sk, raw, session.begin_spend(raw)))
+    for state in (session, lg.LedgerState.load(scheme, issuer._admin_sk, issuer.admin_pk, log)):
+        with pytest.raises(InputError, match="coin id 7 was already issued"):
+            state.mint(pk, lg.CoinMetadata(coin_id=7))
+
+
 def test_a_failed_mint_leaves_its_id_free(state, user, monkeypatch):
     _, pk = user
     sign = state.scheme.sign
@@ -775,7 +790,7 @@ def test_a_load_read_in_blocks_is_a_whole_log_load(varied, edit, block, monkeypa
         except InputError as exc:
             return str(exc), None
         return ((approved, loaded._spent),
-                (loaded._issued, loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
+                (loaded._minted, loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
                  loaded._log_sha.copy().finalize(), open(log + ".checkpoint", "rb").read()))
 
     whole = outcome()   # one block holds the whole log
@@ -846,7 +861,7 @@ def _load_peak(state, log, listing=None):
 
 def test_a_load_holds_no_more_of_a_longer_prefix_than_its_spent_coins(tmp_path):
     # A record adds about 390 bytes to the toy log, and its coin about 130
-    # to the spent and issued sets; a load that held the log, or the
+    # to the spent set; a load that held the log, or the
     # records in it, would grow by more than half the log's growth.
     (small, small_log), (large, large_log) = _toy_ledger(tmp_path, 200), _toy_ledger(tmp_path, 2000)
     grown = os.path.getsize(large_log) - os.path.getsize(small_log)
