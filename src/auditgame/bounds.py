@@ -2,7 +2,8 @@
 
 Every equilibrium of the audit game keeps each off-diagonal strategy entry
 below a per-pair cap and keeps total excess payments below an aggregate
-cap; both shrink as the fine grows or the audit cost falls.
+cap; both shrink as the fine grows or the audit cost falls.  The caps hold
+where the budget does not hold audits back (`BudgetAnalysis.budget_binds`).
 """
 
 from __future__ import annotations
@@ -62,14 +63,16 @@ class BoundReport(Record):
     `caps` maps (signal_label, truth_label) to a Fraction.
     `binding_pairs` lists the (signal, truth) pairs where a supplied
     equilibrium strategy attains its cap; `vacuous_pairs` lists pairs whose
-    cap degenerated to 1.
+    cap degenerated to 1.  When `budget_binds` the budget holds audits
+    back, the caps do not apply, and the report claims none: `caps` is
+    empty and `excess_cap` None.
     """
 
-    _fields = ("caps", "excess_cap", "binding_pairs", "vacuous_pairs")
+    _fields = ("caps", "excess_cap", "binding_pairs", "vacuous_pairs", "budget_binds")
 
-    def __init__(self, caps: dict, excess_cap: Fraction, binding_pairs: tuple,
-                 vacuous_pairs: tuple):
-        self._set(caps, excess_cap, binding_pairs, vacuous_pairs)
+    def __init__(self, caps: dict, excess_cap, binding_pairs: tuple, vacuous_pairs: tuple,
+                 budget_binds: bool):
+        self._set(caps, excess_cap, binding_pairs, vacuous_pairs, budget_binds)
 
     def rows(self):
         """CSV-ready (signal, truth, cap) rows in type order."""
@@ -78,6 +81,15 @@ class BoundReport(Record):
 
 
 def bound_report(cfg: GameConfig, strategy=None) -> BoundReport:
+    """The caps that hold on every equilibrium of `cfg`; none where its
+    budget binds (`equilibrium.budget_thresholds`)."""
+    # No budget never binds, so a game without one loads no equilibrium
+    # module or solver here.
+    if cfg.budget is not None:
+        from .equilibrium import budget_thresholds
+        if budget_thresholds(cfg).budget_binds:
+            return BoundReport(caps={}, excess_cap=None, binding_pairs=(), vacuous_pairs=(),
+                               budget_binds=True)
     caps = {}
     vacuous = []
     binding = []
@@ -96,4 +108,5 @@ def bound_report(cfg: GameConfig, strategy=None) -> BoundReport:
         excess_cap=excess_payments_bound(cfg),
         binding_pairs=tuple(binding),
         vacuous_pairs=tuple(vacuous),
+        budget_binds=False,
     )

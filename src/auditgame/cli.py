@@ -317,21 +317,20 @@ def _cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
     from .numeric import sig15
     cfg = _load_config(args.config)
-    if args.format == "csv":
-        report = bounds_mod.bound_report(cfg)
-        lines = ["signal,truth,cap"]
-        for s, m, cap in report.rows():
-            lines.append(f"{s},{m},{sig15(cap)}")
-        _write_out("\n".join(lines) + "\n", args.out)
-    else:
+    strategy = None
+    if args.format == "text":
         # Mark which caps the equilibrium attains, when one exists.
         from . import equilibrium
-        strategy = None
         try:
             strategy = equilibrium.signaling_equilibrium(cfg).strategy()
         except RegimeError:
             pass
-        report = bounds_mod.bound_report(cfg, strategy=strategy)
+    report = bounds_mod.bound_report(cfg, strategy=strategy)
+    if report.budget_binds:
+        lines = ["caps: do not apply at this budget, which holds audits back"]
+    elif args.format == "csv":
+        lines = ["signal,truth,cap"] + [f"{s},{m},{sig15(cap)}" for s, m, cap in report.rows()]
+    else:
         lines = [f"excess_cap: {sig15(report.excess_cap)}"]
         for s, m, cap in report.rows():
             lines.append(f"cap[{s}|{m}]: {sig15(cap)}")
@@ -339,7 +338,7 @@ def _cmd_bounds(args) -> int:
             lines.append("binding: " + ";".join(f"{s}|{m}" for s, m in report.binding_pairs))
         if report.vacuous_pairs:
             lines.append("vacuous: " + ";".join(f"{s}|{m}" for s, m in report.vacuous_pairs))
-        _write_out("\n".join(lines) + "\n", args.out)
+    _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -93,11 +93,16 @@ class EquilibriumResult(Record):
 
 
 class BudgetAnalysis(Record):
-    _fields = ("threshold_general", "threshold_two_type", "threshold_coalition", "regime")
+    """`budget_binds`: whether the budget holds audits back, so that the
+    caps of the `bounds` module do not apply (see `budget_thresholds`)."""
+
+    _fields = ("threshold_general", "threshold_two_type", "threshold_coalition", "regime",
+               "budget_binds")
 
     def __init__(self, threshold_general: Fraction, threshold_two_type: Optional[Fraction],
-                 threshold_coalition: Fraction, regime: Regime):
-        self._set(threshold_general, threshold_two_type, threshold_coalition, regime)
+                 threshold_coalition: Fraction, regime: Regime, budget_binds: bool):
+        self._set(threshold_general, threshold_two_type, threshold_coalition, regime,
+                  budget_binds)
 
 
 def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess: Fraction,
@@ -134,7 +139,16 @@ def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
 
 
 def budget_thresholds(cfg: GameConfig) -> BudgetAnalysis:
-    """Existence thresholds and the regime the configured budget falls in."""
+    """Existence thresholds, the regime the configured budget falls in, and
+    whether the budget binds.
+
+    No budget, or one at or above the coalition threshold, never binds.
+    Below it a two-type budget binds, with one user, at or below the
+    two-type threshold, where the budget-exhausting branch applies; with
+    several users the threshold itself is enough for the no-audit closed
+    form, so it binds strictly below.  Below it a larger game's budget
+    always binds.
+    """
     general = bounds.excess_payments_bound(cfg)
     two_type = None
     if cfg.is_two_type:
@@ -144,30 +158,31 @@ def budget_thresholds(cfg: GameConfig) -> BudgetAnalysis:
 
     budget = cfg.budget
     if budget is None:
-        regime = Regime.UNCONSTRAINED
+        regime, binds = Regime.UNCONSTRAINED, False
     elif budget >= coalition:
-        regime = Regime.SUFFICIENT
+        regime, binds = Regime.SUFFICIENT, False
     elif cfg.is_two_type and cfg.num_users == 1:
-        regime = Regime.TWO_TYPE_ANY_BUDGET_SINGLE_USER
+        regime, binds = Regime.TWO_TYPE_ANY_BUDGET_SINGLE_USER, budget <= two_type
     elif cfg.is_two_type and budget >= two_type:
-        regime = Regime.TWO_TYPE_SUFFICIENT
+        regime, binds = Regime.TWO_TYPE_SUFFICIENT, False
     else:
-        regime = Regime.NONEXISTENCE_POSSIBLE
+        regime, binds = Regime.NONEXISTENCE_POSSIBLE, True
     return BudgetAnalysis(
         threshold_general=general,
         threshold_two_type=two_type,
         threshold_coalition=coalition,
         regime=regime,
+        budget_binds=binds,
     )
 
 
 def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     """Two-type equilibrium under any finite budget.
 
-    At or below the two-type threshold the low type misreports always and
-    the administrator exhausts its budget on the high signal; above it the
-    closed form applies with no audits.  With more than one user the
-    below-threshold region (for positive budgets) admits no equilibrium.
+    Where the budget binds (`budget_thresholds`) the low type misreports
+    always and the administrator exhausts its budget on the high signal;
+    elsewhere the closed form applies with no audits.  With more than one
+    user a binding positive budget admits no equilibrium.
     """
     if not cfg.is_two_type:
         raise InputError("the budgeted construction applies to two-type games only")
@@ -175,11 +190,7 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
         raise InputError("budgeted construction needs a finite budget; use the closed form")
     analysis = budget_thresholds(cfg)
     threshold = analysis.threshold_two_type
-    # Single user: budgets up to and including the threshold take the
-    # budget-exhausting branch.  With several users the threshold itself
-    # is enough for the no-audit closed form, and anything strictly
-    # between zero and the threshold has no equilibrium at all.
-    if cfg.budget > threshold or (cfg.num_users > 1 and cfg.budget == threshold):
+    if not analysis.budget_binds:
         return two_type_closed_form(cfg)
 
     if cfg.num_users > 1 and cfg.budget > 0:

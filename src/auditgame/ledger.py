@@ -23,14 +23,14 @@ S verifies under the administrator's public key; otherwise it verifies
 every record.  A record counts as inside the prefix only when its line,
 newline included, is.  With a checkpoint, the spent set starts as M and
 only the records after the prefix are parsed, verified and checked for
-double-spends against it.  `load` reads the log once, in blocks of
-`LOG_BLOCK` bytes that feed the running SHA-256 and the line count, so it
-never holds the whole file: the prefix is hashed and its lines counted,
-not kept, and `approved` parses it on its first read, without signature
-checks, from a fresh read whose SHA-256 must still be H.  A listing load
-(`ledger audit-log`) turns each prefix record into its `audit_line`
-straight from its JSON in that same pass.  The file is only a cache:
-deleting it costs one full verification.
+double-spends against it.  `load` reads the log once, line by line, each
+line feeding the running SHA-256, so it holds one line and the reader's
+buffer at a time, never the whole file: the prefix is hashed and its lines
+counted, not kept, and `approved` parses it on its first read, without
+signature checks, from a fresh read whose SHA-256 must still be H.  A
+listing load (`ledger audit-log`) turns each prefix record into its
+`audit_line` straight from its JSON in that same pass.  The file is only a
+cache: deleting it costs one full verification.
 
 Two writers sign checkpoints.  After a load in which every record passed,
 `load` signs one for the newline-terminated part of the log, if that part
@@ -356,48 +356,6 @@ def sign_receipt(scheme: SignatureScheme, sk: bytes, raw: RawReceipt,
     return Receipt(raw=raw, challenge=challenge, user_sig=sig)
 
 
-# Bytes per read of the log: a load holds one block, and the line being
-# read, at a time.
-LOG_BLOCK = 1 << 16
-
-
-def _blocks(fh, size=None):
-    """The bytes of the file `fh` from its position on, in reads of
-    `LOG_BLOCK` bytes; only the first `size` of them when it is given."""
-    while size is None or size > 0:
-        block = fh.read(LOG_BLOCK if size is None else min(LOG_BLOCK, size))
-        if not block:
-            return
-        if size is not None:
-            size -= len(block)
-        yield block
-
-
-def _lines(blocks, skip=0):
-    """(line number, end offset, line) for each line of the bytes in
-    `blocks`, newline included; the last line may have none.  A line that
-    ends at or before offset `skip` is counted, not yielded."""
-    pos, lineno, head = 0, 1, []
-    for block in blocks:
-        start = 0
-        if pos < skip:
-            start = block.rfind(b"\n", 0, skip - pos) + 1
-            if start:
-                lineno += block.count(b"\n", 0, start)
-                head.clear()
-        while stop := block.find(b"\n", start) + 1:
-            head.append(block[start:stop])
-            yield lineno, pos + stop, b"".join(head)
-            head.clear()
-            lineno += 1
-            start = stop
-        if start < len(block):
-            head.append(block[start:])
-        pos += len(block)
-    if head:
-        yield lineno, pos, b"".join(head)
-
-
 def audit_line(index: int, goods, price: int, coin_ids: list) -> str:
     """The `ledger audit-log` line of the approved record at `index`."""
     return f"{index}: goods={goods!r} price={price} coins={coin_ids} verified=true\n"
@@ -480,7 +438,7 @@ class LedgerState:
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
              log_path, listing: Optional[list] = None, **kwargs) -> "LedgerState":
-        """Rebuild from the approved-receipt log, read once, block by block.
+        """Rebuild from the approved-receipt log, read once, line by line.
 
         With a valid checkpoint the spent set starts as the one it signs, and
         only the records after its prefix are parsed, re-verified and checked
@@ -521,26 +479,25 @@ class LedgerState:
         n_bytes = checkpoint[0] if checkpoint else 0
         honoured = checkpoint is None
         # The SHA-256 of the first N bytes, and the length and SHA-256 of
-        # the newline-terminated part of the log read so far.
-        n_digest, ends, ends_digest = None, 0, None
-
-        def hashed(blocks):
-            nonlocal n_digest, ends, ends_digest
-            for block in blocks:
-                pos = self._log_bytes
-                last = pos + block.rfind(b"\n") + 1
-                digests = self._hash_log(
-                    block, {n for n in (n_bytes, last) if pos < n <= pos + len(block)})
-                n_digest = digests.get(n_bytes, n_digest)
-                if last > pos:
-                    ends, ends_digest = last, digests[last]
-                yield block
-
+        # the newline-terminated part of the log, once an unterminated last
+        # line shows that it is not the whole log.
+        n_digest, ends, ends_digest = None, None, None
         torn, grown = set(), False   # torn: the coins of an unterminated last line
-        skip = n_bytes if listing is None else 0
-        for lineno, end, line in _lines(hashed(_blocks(fh)), skip):
+        for lineno, line in enumerate(fh, start=1):
+            start = self._log_bytes
+            end = self._log_bytes = start + len(line)
             complete = line.endswith(b"\n")
+            if not complete:   # only the last line can lack its newline
+                ends, ends_digest = start, self._log_sha.copy().finalize().hex()
+            if start < n_bytes <= end:   # the one line that holds byte N
+                self._log_sha.update(line[:n_bytes - start])
+                n_digest = self._log_sha.copy().finalize().hex()
+                self._log_sha.update(line[n_bytes - start:])
+            else:
+                self._log_sha.update(line)
             if complete and end <= n_bytes:
+                if listing is None:
+                    continue
                 # A listed prefix record.  A checkpoint vouches only for
                 # receipt records, so one that is not voids it.
                 text = line.strip()
@@ -576,6 +533,8 @@ class LedgerState:
                 torn = {coin.key for coin in receipt.raw.coins}
         if not honoured and not self._honour(checkpoint, n_digest):
             return False
+        if ends is None:
+            ends, ends_digest = self._log_bytes, self._log_sha.copy().finalize().hex()
         if grown:
             self._save_checkpoint(ends, ends_digest, self._spent - torn if torn else self._spent)
         self._checkpointed = ends
@@ -591,20 +550,23 @@ class LedgerState:
         with self._lock:
             if self._prefix:
                 n_bytes, digest = self._prefix
-                sha, receipts = _sha256(), []
+                sha, receipts, read = _sha256(), [], 0
                 try:
                     with open(self.log_path, "rb") as fh:
-                        for lineno, _, line in _lines(_blocks(fh, n_bytes)):
+                        for lineno, line in enumerate(fh, start=1):
+                            line = line[:n_bytes - read]   # a line cut at N has no newline
+                            read += len(line)
                             sha.update(line)
                             if line.endswith(b"\n"):
                                 receipt = _parse_record(line, lineno)
                                 if receipt is not None:
                                     receipts.append(receipt)
-                        complete = fh.tell() == n_bytes
+                            if read == n_bytes:
+                                break
                 except OSError as exc:
                     raise InputError(f"cannot read ledger log {self.log_path!r}: "
                                      f"{exc.strerror or exc}") from None
-                if not complete or sha.finalize().hex() != digest:
+                if read != n_bytes or sha.finalize().hex() != digest:
                     raise InputError(f"ledger log {self.log_path!r} changed since it was loaded")
                 self._approved[:0] = receipts
                 self._prefix = None
@@ -639,19 +601,6 @@ class LedgerState:
         self._spent = {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids}
         self._prefix = (n_bytes, sha256)
         return True
-
-    def _hash_log(self, block: bytes, ends) -> dict:
-        """Extend the running hash over `block`, the log bytes after the
-        `_log_bytes` hashed so far; returns {n: hex SHA-256 of the first n
-        log bytes} for each offset n in `ends`, all within the block."""
-        view, start, digests = memoryview(block), self._log_bytes, {}
-        for n in sorted(ends):
-            self._log_sha.update(view[self._log_bytes - start:n - start])
-            self._log_bytes = n
-            digests[n] = self._log_sha.copy().finalize().hex()
-        self._log_sha.update(view[self._log_bytes - start:])
-        self._log_bytes = start + len(block)
-        return digests
 
     def _save_checkpoint(self, n_bytes: int, digest: str, spent: set) -> None:
         """Sign the first `n_bytes` of the log, whose SHA-256 is `digest`,

@@ -1,11 +1,13 @@
 """Misreporting and excess caps, and the fine-for-tolerance inversion."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import auditgame as ag
-from auditgame import InputError
+from auditgame import InputError, NonexistenceError, Regime
 from auditgame.bounds import bound_report, is_vacuous_pair
 from auditgame.numeric import sig15
 
@@ -91,3 +93,68 @@ def test_equilibria_respect_bounds(cfg_a, cfg_three):
                 if s != m:
                     assert eq.strategy().rows[m][s] <= ag.misreport_prob_bound(cfg, sl, ml)
         assert eq.excess <= ag.excess_payments_bound(cfg)
+
+
+def _budgeted_game(rng):
+    """A random game of two or three types, one or several users, and a
+    budget of None, zero, a threshold or a multiple of one."""
+    n = rng.choice((2, 2, 3))
+    weights = [rng.randrange(1, 6), rng.randrange(1, 6)] + [rng.randrange(0, 6)] * (n - 2)
+    rng.shuffle(weights)   # at least two types of positive prior
+    users = rng.choice((1, 1, 2, 5))
+    c = F(rng.choice((0, rng.randrange(1, 40))))
+    cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(n)),
+                        prior=tuple(F(w, sum(weights)) for w in weights),
+                        alloc=tuple(F(rng.randrange(0, 80)) for _ in range(n)),
+                        audit_cost=c, fine=c + rng.randrange(0, 120), num_users=users,
+                        coalition_size=rng.randrange(1, users + 1))
+    analysis = ag.budget_thresholds(cfg)
+    thresholds = [analysis.threshold_general, analysis.threshold_coalition]
+    if n == 2:   # and the budgets between the two-type and the general threshold
+        thresholds += [analysis.threshold_two_type,
+                       (analysis.threshold_two_type + analysis.threshold_general) / 2]
+    threshold = rng.choice(thresholds)
+    budget = rng.choice((None, 0, threshold, threshold * F(rng.randrange(0, 30), 20)))
+    return cfg.replace(budget=budget)
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-probability types")
+def test_every_equilibrium_satisfies_the_caps_its_report_claims():
+    # where the budget binds the report claims no caps; everywhere else the
+    # equilibrium keeps every per-pair cap and the excess cap
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(400):
+        cfg = _budgeted_game(rng)
+        analysis = ag.budget_thresholds(cfg)
+        report = bound_report(cfg)
+        assert report.budget_binds == analysis.budget_binds
+        if report.budget_binds:
+            assert (report.caps, report.excess_cap) == ({}, None)
+        else:
+            assert len(report.caps) == cfg.n_types * (cfg.n_types - 1)
+        try:
+            eq = ag.signaling_equilibrium(cfg)
+        except NonexistenceError:
+            seen["no equilibrium"] += 1
+            continue
+        for (s, m), cap in report.caps.items():
+            assert eq.strategy().rows[cfg.index(m)][cfg.index(s)] <= cap, (cfg, s, m)
+        if report.excess_cap is not None:
+            assert eq.excess <= report.excess_cap, cfg
+        seen[analysis.regime, analysis.budget_binds] += 1
+    assert seen["no equilibrium"] > 0
+    for regime in Regime:
+        assert any(seen[regime, binds] for binds in (False, True)), (regime, seen)
+    # one user: both sides of the two-type threshold
+    assert min(seen[Regime.TWO_TYPE_ANY_BUDGET_SINGLE_USER, binds] for binds in (False, True)) >= 5
+
+
+def test_the_budget_one_example_has_no_caps(cfg_a):
+    # the budget-exhausting equilibrium misreports with probability 1 and
+    # pays excess 26.4, above the unbudgeted caps 5/26 and 1375/155
+    cfg = cfg_a.replace(budget=1)
+    eq = ag.signaling_equilibrium(cfg)
+    assert eq.strategy().rows[0][1] == 1 and eq.excess == F(132, 5)
+    assert bound_report(cfg) == bound_report(cfg, strategy=eq.strategy()) == ag.BoundReport(
+        caps={}, excess_cap=None, binding_pairs=(), vacuous_pairs=(), budget_binds=True)

@@ -125,6 +125,15 @@ def test_bounds_text_marks_binding_pairs(cfg_file, capsys):
     assert "binding: high|low" in out
 
 
+def test_bounds_prints_no_caps_where_the_budget_binds(tmp_path, capsys):
+    # one user and budget 1, below the two-type threshold 5775/806
+    path = tmp_path / "tight.cfg"
+    path.write_text(CFG_A + "budget = 1\n")
+    for fmt in ("csv", "text"):
+        assert run(["bounds", "--config", str(path), "--format", fmt], capsys) == (
+            0, "caps: do not apply at this budget, which holds audits back\n", "")
+
+
 def test_cost_output(cfg_file, capsys):
     code, out, _ = run(["cost", "--config", cfg_file], capsys)
     assert code == 0

@@ -116,6 +116,21 @@ def test_regime_classification(cfg_a):
     assert ag.budget_thresholds(broke).regime is Regime.NONEXISTENCE_POSSIBLE
 
 
+def test_the_budget_binds_below_its_threshold(cfg_a, cfg_three):
+    thr = ag.budget_thresholds(cfg_a).threshold_two_type
+    eps = F(1, 10**6)
+    binds = {budget: ag.budget_thresholds(with_budget(cfg_a, budget)).budget_binds
+             for budget in (0, thr, thr + eps, 9)}
+    assert binds == {0: True, thr: True, thr + eps: False, 9: False}   # one user: at or below
+    binds = {budget: ag.budget_thresholds(with_budget(cfg_a, budget, num_users=2)).budget_binds
+             for budget in (0, thr - eps, thr)}
+    assert binds == {0: True, thr - eps: True, thr: False}   # several users: strictly below
+    coalition = ag.budget_thresholds(cfg_three).threshold_coalition
+    binds = {budget: ag.budget_thresholds(with_budget(cfg_three, budget)).budget_binds
+             for budget in (None, 0, coalition - eps, coalition)}
+    assert binds == {None: False, 0: True, coalition - eps: True, coalition: False}
+
+
 def test_monotonicity_of_misreport_prob():
     from auditgame.equilibrium import two_type_misreport_prob
     base = [two_type_misreport_prob(make_two_type(F(1, 2), 25, k, 55))
@@ -279,11 +294,14 @@ def test_verify_lp_result(cfg_a):
 
 
 def test_verify_budgeted_results(cfg_a):
-    for budget in (0, 2, 10):
-        cfg = with_budget(cfg_a, budget)
+    # free audits: budget 0 reaches the coalition threshold 0, so the budget
+    # does not bind and the closed form applies
+    free = with_budget(cfg_a, 0, audit_cost=0)
+    for cfg in [with_budget(cfg_a, budget) for budget in (0, 2, 10)] + [free]:
         res = ag.budgeted_two_type_equilibrium(cfg)
         report = ag.verify_equilibrium(res, cfg, resolution=120)
-        assert report.passed, (budget, report.to_text())
+        assert report.passed, (cfg.budget, report.to_text())
+    assert ag.budgeted_two_type_equilibrium(free).provenance == "closed_form_two_type"
 
 
 def test_verify_two_type_sufficient_multiuser(cfg_a):

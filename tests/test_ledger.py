@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import io
 import json
 import os
 import sys
@@ -689,10 +690,10 @@ def _listing(receipts):
             for i, r in enumerate(receipts)]
 
 
-def _sign_checkpoint(state, log, n_bytes):
-    """Sign the first `n_bytes` of the log and the coins of the records
-    that end within them, as the administrator, whatever those lines are."""
-    data = open(log, "rb").read()
+def _checkpoint_over(state, data, n_bytes):
+    """The checkpoint over the first `n_bytes` of the log `data` and the
+    coins of the records that end within them, signed by the administrator
+    whatever those lines are."""
     spent = set()
     for line in data[:data.rfind(b"\n", 0, n_bytes) + 1].split(b"\n"):
         try:
@@ -701,22 +702,30 @@ def _sign_checkpoint(state, log, n_bytes):
             pass   # a blank line, or one that is not a record
     spent, digest = lg._spent_map(spent), hashlib.sha256(data[:n_bytes]).hexdigest()
     sig = state.scheme.sign(state._admin_sk, lg._checkpoint_message(n_bytes, digest, spent))
-    _write_checkpoint(log, {"bytes": n_bytes, "sha256": digest, "sig": sig.hex(), "spent": spent})
+    return {"bytes": n_bytes, "sha256": digest, "sig": sig.hex(), "spent": spent}
+
+
+def _sign_checkpoint(state, log, n_bytes):
+    _write_checkpoint(log, _checkpoint_over(state, open(log, "rb").read(), n_bytes))
 
 
 @pytest.fixture
 def varied(scheme, tmp_path, user):
     """A ledger of five receipts, one of two coins, with non-ASCII and
-    quoted goods, and the bytes of its log; no checkpoint."""
+    quoted goods, and the bytes of its log; no checkpoint.  The goods of
+    record 3 make its line longer than the reader's buffer, so that line is
+    split across reads."""
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
     sk, pk = user
-    for i, goods in enumerate(["g0", "café ☕ 日本", "x" * 40, 'say "hi"\\', "g4"]):
+    for i, goods in enumerate(["g0", "café ☕ 日本", "x" * 40, 'say "hi"\\' * 2000, "g4"]):
         coins = tuple(state.mint(pk, lg.CoinMetadata(coin_id=10 * i + j)) for j in range(1 + i % 2))
         raw = lg.RawReceipt(goods=goods, price=i, coins=coins)
         assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw)))
     os.remove(log + ".checkpoint")
-    return state, log, open(log, "rb").read()
+    data = open(log, "rb").read()
+    assert _ends(data)[3] - _ends(data)[2] > io.DEFAULT_BUFFER_SIZE
+    return state, log, data
 
 
 def _ends(data):
@@ -761,13 +770,43 @@ _EDITS = {
 }
 
 
+def _whole_log_state(state, data, checkpoint):
+    """The log state a load of `data` leaves, from the whole file: the
+    (N, H) it honours, whether its last line is unterminated, the length of
+    its newline-terminated part, its length and SHA-256, and the checkpoint
+    file.  A checkpoint is honoured when its prefix hashes to H, and stays
+    as written when it also covers that part; otherwise the load signs one
+    over that part."""
+    ends, honoured = data.rfind(b"\n") + 1, None
+    if checkpoint:
+        claim = json.loads(checkpoint)
+        if (claim["bytes"] <= len(data)
+                and hashlib.sha256(data[:claim["bytes"]]).hexdigest() == claim["sha256"]):
+            honoured = claim["bytes"], claim["sha256"]
+    if not (honoured and honoured[0] >= ends):
+        checkpoint = (json.dumps(_checkpoint_over(state, data, ends), sort_keys=True)
+                      + "\n").encode()
+    return (honoured, len(data) > ends, ends, len(data), hashlib.sha256(data).digest(),
+            checkpoint)
+
+
 @pytest.mark.parametrize("block", ["7", "first-line"])
 @pytest.mark.parametrize("edit", list(_EDITS))
 def test_a_load_read_in_blocks_is_a_whole_log_load(varied, edit, block, monkeypatch):
-    # 7-byte blocks split every line; blocks one first line long end that
-    # line on a block boundary and split the 40-byte goods of another
+    # The line reader's buffer holds `block` bytes: 7-byte buffers split
+    # every line; buffers one first line long end that line on a buffer
+    # boundary and split the others.  "n-mid-line" puts N inside the line
+    # longer than the default buffer.
     state, log, data = varied
     data, n_bytes = _EDITS[edit](data)
+    size = 7 if block == "7" else _ends(data)[0]
+
+    def buffered_open(path, mode="r", **kwargs):
+        if mode == "rb":
+            kwargs["buffering"] = size
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(lg, "open", buffered_open, raising=False)
     if n_bytes == "stale":
         _sign_checkpoint(state, log, len(open(log, "rb").read()))
     with open(log, "wb") as fh:
@@ -786,22 +825,19 @@ def test_a_load_read_in_blocks_is_a_whole_log_load(varied, edit, block, monkeypa
                                          listing=listing)
             if listing is not None:
                 return listing   # what `ledger audit-log` prints, without `approved`
+            honoured = loaded._prefix
             approved = loaded.approved   # parses the prefix from a new read, if any
         except InputError as exc:
             return str(exc), None
         return ((approved, loaded._spent),
-                (loaded._minted, loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
+                (honoured, loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
                  loaded._log_sha.copy().finalize(), open(log + ".checkpoint", "rb").read()))
 
-    whole = outcome()   # one block holds the whole log
-    monkeypatch.setattr(lg, "LOG_BLOCK", 7 if block == "7" else _ends(data)[0])
-    streamed = outcome()
-    assert streamed[0] == expected and streamed == whole
-    listed = outcome([])
     if isinstance(expected, tuple):
-        assert listed == _listing(expected[0])
+        assert outcome() == (expected, _whole_log_state(state, data, checkpoint))
+        assert outcome([]) == _listing(expected[0])
     else:
-        assert listed == (expected, None)
+        assert outcome() == outcome([]) == (expected, None)
     errors = {"tampered-prefix": "log line 2 fails re-verification: bad-signature",
               "double-spend-after-n": "log line 6 double-spends coin "
                                       f"{state.approved[0].raw.coins[0].key}",
