@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import errno
 import os
-import stat
 import sys
 
 from .errors import InputError, RegimeError
@@ -241,8 +240,15 @@ def _scheme_for(args):
 
 
 def _write_key_file(path, sk: bytes, pk: bytes) -> None:
-    _write_text(path, f"{sk.hex()}\n{pk.hex()}\n", "key file")
-    os.chmod(path, stat.S_IRUSR | stat.S_IWUSR)
+    """Write the key file `path`, mode 0600 before its first byte (an
+    existing file included)."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o600)
+            fh.write(f"{sk.hex()}\n{pk.hex()}\n")
+    except OSError as exc:
+        raise _io_error("write", "key file", path, exc) from None
 
 
 def _read_key_file(path):

@@ -366,23 +366,15 @@ def _check_dims(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> None:
 
 
 def admin_utility(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fraction:
-    """Administrator expected payoff under (pi, sigma)."""
+    """Administrator expected payoff under (pi, sigma): minus the expected
+    payout, plus sigma_s times the `audit_margins` of each signal s."""
     _check_dims(pi, sigma, cfg)
-    total = Fraction(0)
-    for m in range(cfg.n_types):
-        q_m = cfg.prior[m]
-        if q_m == 0:
-            continue
-        for s in range(cfg.n_types):
-            p = pi.rows[m][s]
-            if p == 0:
-                continue
-            term = -q_m * cfg.alloc[s]
-            audited = sigma.probs[s]
-            if audited:
-                term += audited * audit_margin_coef(cfg, s, m)
-            total += p * term
-    return total
+    payout = sum((q_m * p * f_s for q_m, row in zip(cfg.prior, pi.rows)
+                  for p, f_s in zip(row, cfg.alloc) if p), Fraction(0))
+    if sigma.is_zero():   # no audits: skip the n^2 margin terms, which add nothing
+        return -payout
+    margins = audit_margins(cfg.prior, cfg.alloc, cfg.audit_cost, cfg.fine, pi.rows)
+    return sum((a * g for a, g in zip(sigma.probs, margins) if a), -payout)
 
 
 def user_utility_type(pi: Strategy, sigma: AuditPolicy, truth, cfg: GameConfig) -> Fraction:
@@ -476,8 +468,7 @@ def audit_margin(q_m, f_s, f_m, c, k, truthful: bool):
     q_m * ((f_s - f_m)+ + k - c) off the diagonal: auditing a misreporter
     recovers the over-payment and the fine at cost c.  On the diagonal
     (`truthful`, s == m) it is -q_m * c, since a truthful user is never
-    fined.  The administrator audits signal s exactly when
-    sum_m pi(s|m) * margin(s, m) > 0.  Number-generic: on the
+    fined; `audit_margins` holds the audit rule.  Number-generic: on the
     `integer_game` numbers of a game it is the margin times
     prior_den * money_den.
     """
@@ -493,50 +484,36 @@ def audit_margin_coef(cfg: GameConfig, signal_idx: int, type_idx: int) -> Fracti
                         cfg.audit_cost, cfg.fine, signal_idx == type_idx)
 
 
-def audit_gain_terms(pi: Strategy, cfg: GameConfig, signal_idx: int) -> tuple:
-    """LHS and RHS of the per-signal audit-profitability comparison.
+def audit_margins(prior, alloc, c, k, rows) -> list:
+    """Per signal s, sum_m rows[m][s] * `audit_margin`(s, m), rows[m][s] being
+    pi(s|m): the administrator audits s exactly when it is positive.
 
-    Auditing `signal` is strictly profitable exactly when the expected
-    recovery (fines plus clawed-back over-payments) exceeds the expected
-    audit cost: LHS > RHS.
+    Number-generic: on a game's `integer_game` numbers, with `rows` a
+    strategy's numerators over d, it is the margins times prior_den*money_den*d.
     """
-    s = signal_idx
-    rhs = Fraction(0)
-    margin = Fraction(0)
-    for m in range(cfg.n_types):
-        p = pi.rows[m][s]
-        rhs += cfg.audit_cost * p * cfg.prior[m]
-        margin += p * audit_margin_coef(cfg, s, m)
-    return rhs + margin, rhs
+    n = len(prior)
+    return [sum(rows[m][s] * audit_margin(prior[m], alloc[s], alloc[m], c, k, s == m)
+                for m in range(n) if rows[m][s])
+            for s in range(n)]
 
 
-def audited_probability(cfg: GameConfig, budget_cap) -> Fraction:
-    """Probability the administrator gives each audited signal: min(1, cap/c),
-    or 1 without a cap or when auditing is free."""
-    if budget_cap is None or cfg.audit_cost == 0:
+def audited_probability(cfg: GameConfig) -> Fraction:
+    """Probability the administrator gives each audited signal: min(1, budget/c),
+    or 1 without a budget or when auditing is free."""
+    if cfg.budget is None or cfg.audit_cost == 0:
         return Fraction(1)
-    return min(Fraction(1), budget_cap / cfg.audit_cost)
+    return min(Fraction(1), cfg.budget / cfg.audit_cost)
 
 
-def best_response(pi: Strategy, cfg: GameConfig, budget_cap=None) -> AuditPolicy:
-    """Audit best response to a user strategy.
+def best_response(pi: Strategy, cfg: GameConfig) -> AuditPolicy:
+    """Audit best response to a user strategy, under the game's budget.
 
-    A signal is audited only when auditing it is strictly profitable; at
-    exact indifference the administrator does not audit, and a never-sent
-    signal is never audited.  Without a budget cap an audited signal gets
-    probability 1; with a cap it gets min(1, budget/cost).  When the audit
-    cost is zero every strictly profitable signal is still audited with
-    probability 1 (auditing is free).
+    Signal s is audited, with `audited_probability`, exactly when its
+    `audit_margins` entry is positive: at exact indifference the
+    administrator does not audit, and a never-sent signal is never audited.
     """
     if pi.n_types != cfg.n_types:
         raise InputError(f"strategy is {pi.n_types}x{pi.n_types} but the game has {cfg.n_types} types")
-    if budget_cap is not None:
-        budget_cap = as_fraction(budget_cap)
-        if budget_cap < 0:
-            raise InputError("budget cap must be non-negative")
-    audited_prob = audited_probability(cfg, budget_cap)
-    probs = []
-    for s in range(cfg.n_types):
-        lhs, rhs = audit_gain_terms(pi, cfg, s)
-        probs.append(audited_prob if lhs > rhs else Fraction(0))
-    return AuditPolicy(tuple(probs))
+    audited, zero = audited_probability(cfg), Fraction(0)
+    margins = audit_margins(cfg.prior, cfg.alloc, cfg.audit_cost, cfg.fine, pi.rows)
+    return AuditPolicy(tuple(audited if g > 0 else zero for g in margins))

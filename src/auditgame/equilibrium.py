@@ -206,7 +206,7 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     _, hi = cfg.low_high_indices()
     pi = two_type_strategy(cfg, 1)
     probs = [Fraction(0), Fraction(0)]
-    probs[hi] = core.audited_probability(cfg, cfg.budget)
+    probs[hi] = core.audited_probability(cfg)
     sigma = AuditPolicy(tuple(probs))
     return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
                               "budgeted_two_type",
@@ -307,9 +307,9 @@ def best_grid_deviation(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
     `verify_equilibrium` for why the greedy below is exact.
     """
     n = cfg.n_types
-    audited_prob = core.audited_probability(cfg, cfg.budget)
+    audited_prob = core.audited_probability(cfg)
     coef = [[core.audit_margin_coef(cfg, s, m) for m in range(n)] for s in range(n)]
-    margin = [sum((pi.rows[m][s] * coef[s][m] for m in range(n)), Fraction(0)) for s in range(n)]
+    margin = core.audit_margins(cfg.prior, cfg.alloc, cfg.audit_cost, cfg.fine, pi.rows)
     gains = {}
     for m in range(n):
         f_m = cfg.alloc[m]
@@ -375,7 +375,7 @@ def verify_equilibrium(result: EquilibriumResult, cfg: GameConfig,
         raise InputError("verification resolution must be at least 10")
     pi = result.strategy()
     sigma = result.audit()
-    expected = core.best_response(pi, cfg, budget_cap=cfg.budget)
+    expected = core.best_response(pi, cfg)
     br_matches = expected.probs == sigma.probs
     notes = []
     if not br_matches:

@@ -300,11 +300,8 @@ def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
         for s in range(n):
             if F[s] < F[m] and X[m][s] != 0:
                 raise RuntimeError("optimum places mass on an under-report")
-    # The administrator audits signal s when sum_m pi(s|m)*margin(s, m) > 0.
-    for s in range(n):
-        if sum(X[m][s] * core.audit_margin(P[m], F[s], F[m], C, K, s == m)
-               for m in range(n) if X[m][s]) > 0:
-            raise RuntimeError("audit best response to the optimum is not identically zero")
+    if any(g > 0 for g in core.audit_margins(P, F, C, K, X)):
+        raise RuntimeError("audit best response to the optimum is not identically zero")
     for m in range(n):
         for s in range(n):
             x = X[m][s]
@@ -323,9 +320,8 @@ def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
 def bp_equilibrium(cfg: GameConfig):
     """No-audit equilibrium via the program; audits never occur on path.
 
-    Requires either no budget or a budget at least the general existence
-    threshold; smaller budgets need the regime-aware constructions in the
-    `equilibrium` module.
+    Raises `RegimeError` where the budget binds (`BudgetAnalysis.budget_binds`);
+    `signaling_equilibrium` handles those budgets.
 
     The program is solved as in `solve_bp`: one run of the simplex loop
     from the truthful basis, over the columns that do not under-report,
@@ -337,14 +333,9 @@ def bp_equilibrium(cfg: GameConfig):
     from .equilibrium import budget_thresholds, equilibrium_result
 
     work = cfg.drop_zero_prior_types()
-    if cfg.budget is not None:
-        analysis = budget_thresholds(cfg)
-        if cfg.budget < analysis.threshold_general:
-            raise RegimeError(
-                f"budget {cfg.budget} is below the general equilibrium-existence "
-                f"threshold {analysis.threshold_general}; use the budget-aware "
-                "constructions in the equilibrium module"
-            )
+    if cfg.budget is not None and budget_thresholds(cfg).budget_binds:
+        raise RegimeError(f"budget {cfg.budget} holds audits back, so the no-audit program "
+                          "gives no equilibrium; use signaling_equilibrium")
 
     game = core.integer_game(work)
     X, d, multiple = _solve(game)

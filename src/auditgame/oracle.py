@@ -69,7 +69,7 @@ def _certificate(cfg: GameConfig, p_star: Fraction, p1: Fraction, p2: Fraction):
     elif p1 == p_star:
         # Tied exactly at indifference: jumping to certain misreporting
         # beats it whenever the budget is below the threshold.
-        audited = core.audited_probability(cfg, cfg.budget)
+        audited = core.audited_probability(cfg)
         case, factor = "tie-at-threshold-jump", 1 - audited * (cfg.fine + df) / df - p_star
     else:
         # Tied strictly above indifference, each audited with half the
@@ -112,7 +112,7 @@ def nonexistence_probe(cfg: GameConfig, resolution: int) -> ProbeReport:
         raise InputError("the probe needs a positive finite budget")
     analysis = budget_thresholds(cfg)
     threshold = analysis.threshold_two_type
-    if cfg.budget >= threshold:
+    if not analysis.budget_binds:
         raise InputError(
             f"budget {cfg.budget} is at or above the two-type existence "
             f"threshold {threshold}; equilibria exist there"
@@ -134,12 +134,13 @@ def nonexistence_probe(cfg: GameConfig, resolution: int) -> ProbeReport:
             if gain > 0:
                 cases[name] = size
 
-    lo, hi = cfg.low_high_indices()
+    _, hi = cfg.low_high_indices()
     traces = []
     for j in range(3):
         p1, p2 = Fraction(0), Fraction(j, resolution)
         name, gain = _certificate(cfg, p_star, p1, p2)
-        rho1 = p1 * core.audit_margin_coef(cfg, hi, lo) + core.audit_margin_coef(cfg, hi, hi)
+        rho1 = core.audit_margins(cfg.prior, cfg.alloc, cfg.audit_cost, cfg.fine,
+                                  core.two_type_strategy(cfg, p1).rows)[hi]
         traces.append(
             f"p=({sig15(p1)},{sig15(p2)}) case={name} gain={sig15(gain)} rho1={sig15(rho1)}"
         )

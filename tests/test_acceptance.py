@@ -16,7 +16,7 @@ import pytest
 import auditgame as ag
 from auditgame import ledger as lg
 from auditgame.casestudy import surface_csv
-from auditgame.core import audit_gain_terms
+from auditgame.core import audit_margins
 from auditgame.numeric import sig15
 from auditgame.equilibrium import grid_slack
 
@@ -268,15 +268,15 @@ def test_criterion_8_audit_rule_sign_oracle():
         else:
             cfg, pi = made
         br = ag.best_response(pi, cfg)
+        margins = audit_margins(cfg.prior, cfg.alloc, cfg.audit_cost, cfg.fine, pi.rows)
         for s in range(cfg.n_types):
-            lhs, rhs = audit_gain_terms(pi, cfg, s)
             # independent sign computation straight from the definition
             gain = sum(
                 pi.rows[m][s] * cfg.prior[m]
                 * (max(cfg.alloc[s] - cfg.alloc[m], F(0)) + cfg.fine)
                 for m in range(cfg.n_types) if m != s
             ) - cfg.audit_cost * sum(pi.rows[m][s] * cfg.prior[m] for m in range(cfg.n_types))
-            assert (gain > 0) == (lhs > rhs)
+            assert (gain > 0) == (margins[s] > 0)
             if gain > 0:
                 assert br.probs[s] == 1
             else:

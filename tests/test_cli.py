@@ -369,6 +369,59 @@ def test_ledger_cli_roundtrip(tmp_path, capsys):
     assert "verified=true" in out and "total: 1" in out
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_key_files_are_private_from_their_first_byte(tmp_path, capsys, monkeypatch, existing):
+    """Under umask 022 a key file is mode 0600 when the first byte of its
+    secret is written: from `keygen --out`, over an existing 0644 file
+    too, and a new ledger's admin.key from `mint`."""
+    from auditgame import cli
+    real_open = open
+    first_write = {}   # inode -> its mode when the first byte was written
+
+    class Recording:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+        def write(self, text):
+            if text:
+                st = os.fstat(self._fh.fileno())
+                first_write.setdefault(st.st_ino, st.st_mode & 0o777)
+            return self._fh.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    alice, led = tmp_path / "alice.key", tmp_path / "led"
+    if existing:
+        alice.write_text("old\n")
+        alice.chmod(0o644)
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: Recording(real_open(*a, **kw)),
+                        raising=False)
+    old_umask = os.umask(0o022)
+    try:
+        assert run(["ledger", "keygen", "--out", str(alice), "--scheme", "toy", "--seed", "42"],
+                   capsys)[0] == 0
+        assert run(["ledger", "mint", "--dir", str(led), "--scheme", "toy", "--seed", "1",
+                    "--recipient-key", str(alice), "--coin-id", "1",
+                    "--out", str(tmp_path / "coin.json")], capsys)[0] == 0
+    finally:
+        os.umask(old_umask)
+    for path in (alice, led / "admin.key"):
+        st = os.stat(path)
+        assert first_write[st.st_ino] == st.st_mode & 0o777 == 0o600, path
+        assert len(path.read_text().splitlines()) == 2
+
+
 def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
     def assert_input_error(args):
         code, _, err = run(args, capsys)

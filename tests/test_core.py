@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import auditgame as ag
 from auditgame import InputError
-from auditgame.core import audit_gain_terms
+from auditgame.core import audit_margins
 
 
 
@@ -247,15 +247,23 @@ def test_best_response_examples(cfg_a):
     # exact indifference resolves to no audit
     br = ag.best_response(ag.two_type_strategy(cfg_a, F(5, 26)), cfg_a)
     assert br.probs == (F(0), F(0))
-    br = ag.best_response(ag.two_type_strategy(cfg_a, 1), cfg_a, budget_cap=10)
+    br = ag.best_response(ag.two_type_strategy(cfg_a, 1), cfg_a.replace(budget=10))
     assert br.probs == (F(0), F(2, 5))
 
 
-def test_best_response_gain_terms_example(cfg_a):
+def test_best_response_reads_the_game_budget(cfg_a):
+    pi = ag.two_type_strategy(cfg_a, 1)
+    assert ag.best_response(pi, cfg_a).probs == (F(0), F(1))
+    assert ag.best_response(pi, cfg_a.replace(budget=10)).probs == (F(0), F(2, 5))
+    assert ag.best_response(pi, cfg_a.replace(budget=30)).probs == (F(0), F(1))
+
+
+def test_audit_margins_example(cfg_a):
     pi = ag.two_type_strategy(cfg_a, F(3, 10))
-    lhs, rhs = audit_gain_terms(pi, cfg_a, 1)
-    assert lhs == F(93, 4)     # 23.25
-    assert rhs == F(65, 4)     # 16.25
+    margins = audit_margins(cfg_a.prior, cfg_a.alloc, cfg_a.audit_cost, cfg_a.fine, pi.rows)
+    # recovery 93/4 (23.25) against the audit cost 65/4 (16.25)
+    assert margins[1] == F(93, 4) - F(65, 4) == 7
+    assert margins[0] == -F(1, 2) * F(7, 10) * 25
 
 
 def test_best_response_never_sent_signal(cfg_a):
@@ -269,7 +277,7 @@ def test_best_response_free_audits():
                         alloc=(50, 105), audit_cost=0, fine=100)
     br = ag.best_response(ag.two_type_strategy(cfg, F(1, 100)), cfg)
     assert br.probs == (F(0), F(1))
-    br = ag.best_response(ag.two_type_strategy(cfg, F(1, 100)), cfg, budget_cap=0)
+    br = ag.best_response(ag.two_type_strategy(cfg, F(1, 100)), cfg.replace(budget=0))
     assert br.probs == (F(0), F(1))
 
 
@@ -342,14 +350,19 @@ def test_replicated_profile_stores_one_copy():
         ag.StrategyProfile(pi, ag.AuditPolicy.zero(3))
 
 
-def test_audit_gain_terms_match_margin_coefficients(cfg_three):
-    """lhs - rhs of the audit test is the coefficient-weighted signal mass."""
-    from auditgame.core import audit_margin_coef
+def test_audit_margins_match_margin_coefficients(cfg_three):
+    """Each signal's margin is the coefficient-weighted signal mass, in
+    Fractions and on the game's integers alike."""
+    from auditgame.core import audit_margin_coef, integer_game
     rows = ((F(2, 3), F(1, 3), F(0)), (F(0), F(2, 3), F(1, 3)), (F(0), F(0), F(1)))
-    pi = ag.Strategy(rows)
+    c, k = cfg_three.audit_cost, cfg_three.fine
+    margins = audit_margins(cfg_three.prior, cfg_three.alloc, c, k, rows)
     for s in range(3):
-        lhs, rhs = audit_gain_terms(pi, cfg_three, s)
-        assert lhs - rhs == sum(rows[m][s] * audit_margin_coef(cfg_three, s, m) for m in range(3))
+        assert margins[s] == sum(rows[m][s] * audit_margin_coef(cfg_three, s, m) for m in range(3))
+    game = integer_game(cfg_three)
+    scaled = audit_margins(game.prior, game.alloc, game.cost, game.fine,
+                           [[int(p * 3) for p in row] for row in rows])
+    assert scaled == [g * game.prior_den * game.money_den * 3 for g in margins]
     # off the diagonal q_m((f_s - f_m)+ + k - c); on it -q_m c
     assert audit_margin_coef(cfg_three, 2, 0) == F(1, 3) * (4 + 2 - 1)
     assert audit_margin_coef(cfg_three, 0, 2) == F(1, 3) * (2 - 1)

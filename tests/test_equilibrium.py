@@ -341,9 +341,10 @@ def test_verify_three_type_fixture_reports_audit_mismatch(cfg_three):
     assert report.deviations_ok
     assert not report.br_matches
     assert report.expected_audit == (F(0), F(1), F(0))
-    from auditgame.core import audit_gain_terms
-    lhs, rhs = audit_gain_terms(profile.strategy, cfg_three, 1)
-    assert lhs - rhs == F(1, 9)
+    from auditgame.core import audit_margins
+    margins = audit_margins(cfg_three.prior, cfg_three.alloc, cfg_three.audit_cost,
+                            cfg_three.fine, rows)
+    assert margins[1] == F(1, 9)
 
 
 def test_verify_resolution_floor(cfg_a):
@@ -414,7 +415,7 @@ def _random_row(rng, n):
 def _non_best_responses(rng, pi, cfg):
     """The best response's complement (never the best response when a
     signal is sent) and a random policy."""
-    br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+    br = ag.best_response(pi, cfg)
     flipped = ag.AuditPolicy(tuple(F(0) if p else F(1) for p in br.probs))
     rand = ag.AuditPolicy(tuple(F(rng.randrange(0, 5), 4) for _ in range(cfg.n_types)))
     return flipped, rand
@@ -438,9 +439,9 @@ def test_best_grid_deviation_matches_oracle_on_random_strategies():
         for _ in range(cases):
             cfg = _agreement_game(rng, n)
             pi = ag.Strategy(tuple(_random_row(rng, n) for _ in range(n)))
-            br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+            br = ag.best_response(pi, cfg)
             sigma = rng.choice((br, br) + _non_best_responses(rng, pi, cfg))
-            seen["audit_prob_below_1"] += audited_probability(cfg, cfg.budget) < 1
+            seen["audit_prob_below_1"] += audited_probability(cfg) < 1
             seen["free_audits"] += cfg.audit_cost == 0
             seen["fine_equals_cost"] += cfg.fine == cfg.audit_cost
             seen["equal_credits"] += len(set(cfg.alloc)) < n
@@ -459,7 +460,7 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
             while sum(q > 0 for q in cfg.prior) < 2:
                 cfg = _agreement_game(rng, n)
             pi = ag.bp_equilibrium(cfg.replace(budget=None)).strategy()
-            br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+            br = ag.best_response(pi, cfg)
             for sigma in (br, rng.choice(_non_best_responses(rng, pi, cfg))):
                 _assert_grid_maximum_agrees(pi, sigma, cfg, resolution)
                 cases += 1
@@ -470,7 +471,7 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
             results.append(ag.budgeted_two_type_equilibrium(cfg))
         for res in results:
             pi = res.strategy()
-            br = ag.best_response(pi, cfg, budget_cap=cfg.budget)
+            br = ag.best_response(pi, cfg)
             for sigma in (res.audit(), br) + _non_best_responses(rng, pi, cfg):
                 _assert_grid_maximum_agrees(pi, sigma, cfg, rng.choice((13, 37, 60)))
                 cases += 1

@@ -278,6 +278,56 @@ def test_bp_equilibrium_budget_gate(cfg_a):
         ag.bp_equilibrium(with_budget(cfg_a, 5))
     eq = ag.bp_equilibrium(with_budget(cfg_a, 9))   # above 275/31
     assert eq.excess == F(275, 52)
+    # Between the two-type threshold 5775/806 and the general one 275/31
+    # a one-user budget does not bind: the closed form is the equilibrium.
+    cfg = with_budget(cfg_a, 8)
+    analysis = ag.budget_thresholds(cfg)
+    assert (analysis.threshold_two_type, analysis.threshold_general) == (F(5775, 806), F(275, 31))
+    eq = ag.bp_equilibrium(cfg)
+    assert eq.excess == ag.signaling_equilibrium(cfg).excess == F(275, 52)
+    assert ag.verify_equilibrium(eq, cfg, resolution=50).passed
+    # Above the general threshold 5/2 but below the coalition threshold 5
+    # a three-type budget binds, and no equilibrium is guaranteed.
+    cfg = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3),) * 3, alloc=(10, 20, 40),
+                        audit_cost=5, fine=30, budget=3, num_users=2, coalition_size=2)
+    analysis = ag.budget_thresholds(cfg)
+    assert (analysis.threshold_general, analysis.threshold_coalition) == (F(5, 2), 5)
+    with pytest.raises(RegimeError):
+        ag.bp_equilibrium(cfg)
+    with pytest.raises(ag.NonexistenceError):
+        ag.signaling_equilibrium(cfg)
+
+
+def test_bp_equilibrium_raises_exactly_where_the_budget_binds():
+    """On games of two to four types, one to three users and every
+    coalition size, `bp_equilibrium` raises `RegimeError` if and only if
+    `budget_binds`; where it returns, `signaling_equilibrium` gives the
+    same excess and `verify_equilibrium` passes the result."""
+    rng = random.Random(2807)
+    regimes = dict.fromkeys(ag.Regime, 0)
+    for _ in range(80):
+        game = _random_general(rng, rng.randrange(2, 5))
+        users = rng.randrange(1, 4)
+        for coalition in range(1, users + 1):
+            cfg = game.replace(num_users=users, coalition_size=coalition)
+            analysis = ag.budget_thresholds(cfg)
+            thresholds = [t for t in (analysis.threshold_general, analysis.threshold_two_type,
+                                      analysis.threshold_coalition) if t is not None]
+            budgets = [None, 0] + thresholds + [t * F(rng.randrange(1, 200), 100)
+                                                for t in thresholds]
+            for budget in budgets:
+                cfg = with_budget(cfg, budget)
+                analysis = ag.budget_thresholds(cfg)
+                regimes[analysis.regime] += 1
+                try:
+                    eq = ag.bp_equilibrium(cfg)
+                except RegimeError:
+                    assert analysis.budget_binds, cfg
+                    continue
+                assert not analysis.budget_binds, cfg
+                assert ag.signaling_equilibrium(cfg).excess == eq.excess, cfg
+                assert ag.verify_equilibrium(eq, cfg, resolution=50).passed, cfg
+    assert min(regimes.values()) >= 20, regimes
 
 
 def _random_general(rng, n):
