@@ -47,7 +47,7 @@ class SweepSpec(Record):
         q_min_grid = tuple(as_fraction(q) for q in q_min_grid)
         c_grid = tuple(as_fraction(c) for c in c_grid)
         k_grid = tuple(as_fraction(k) for k in k_grid)
-        coalition_grid = tuple(int(l) for l in coalition_grid)
+        coalition_grid = tuple(coalition_grid)
         reference_line = as_fraction(reference_line)
         if any(not 0 < q.numerator < q.denominator for q in q_min_grid):
             raise InputError("q_min grid values must lie strictly between 0 and 1")
@@ -56,7 +56,7 @@ class SweepSpec(Record):
         # A fine below the audit cost stays allowed: the closed forms cover it.
         if any(k < 0 for k in k_grid):
             raise InputError("fine must be non-negative")
-        if any(l < 1 for l in coalition_grid):
+        if any(type(l) is not int or l < 1 for l in coalition_grid):
             raise InputError("coalition sizes must be positive integers")
         self._set(base, q_min_grid, c_grid, k_grid, coalition_grid, reference_line)
 

@@ -75,9 +75,9 @@ class GameConfig(Record):
         budget = None if budget is None else as_fraction(budget)
         if budget is not None and budget < 0:
             raise InputError("budget must be non-negative")
-        if not isinstance(num_users, int) or num_users < 1:
+        if type(num_users) is not int or num_users < 1:
             raise InputError("num_users must be a positive integer")
-        if not isinstance(coalition_size, int) or coalition_size < 1:
+        if type(coalition_size) is not int or coalition_size < 1:
             raise InputError("coalition_size must be a positive integer")
         if coalition_size > num_users:
             raise InputError("coalition_size cannot exceed num_users")

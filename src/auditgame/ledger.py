@@ -1,13 +1,15 @@
 """Signature-backed program credits: coins, spend receipts, and an
-append-only approved-receipt store.
+append-only log of approved spends.
 
 A coin binds an owner's public key and metadata under the administrator's
 signature, so counterfeits fail verification.  Spending is two-phase: the
 ledger issues a random challenge for a raw receipt, the owner signs the
 (receipt, challenge) pair, and approval requires the owner match, fresh
-coins, and a valid signature.  Approved receipts are persisted one record
-per line and replayed on load.  A state mints no (recipient, coin id) it
-has minted or knows spent, from the log or from a spend it approved.
+coins, and a valid signature.  Each approved receipt is appended to the log
+as one record per line, and the log is replayed on load.  The log is the
+only copy of the receipts: a state keeps the coins they spend, never the
+receipts themselves.  A state mints no (recipient, coin id) it has minted
+or knows spent, from the log or from a spend it approved.
 
 Replay parses and re-verifies each record, except inside a prefix that
 the administrator has already verified and signed together with the coins
@@ -26,11 +28,10 @@ only the records after the prefix are parsed, verified and checked for
 double-spends against it.  `load` reads the log once, line by line, each
 line feeding the running SHA-256, so it holds one line and the reader's
 buffer at a time, never the whole file: the prefix is hashed and its lines
-counted, not kept, and `approved` parses it on its first read, without
-signature checks, from a fresh read whose SHA-256 must still be H.  A
-listing load (`ledger audit-log`) turns each prefix record into its
-`audit_line` straight from its JSON in that same pass.  The file is only a
-cache: deleting it costs one full verification.
+counted, not kept or parsed.  A listing load (`ledger audit-log`) turns
+each record, inside the prefix or after it, into its `audit_line` from the
+one JSON parse of its line in that same pass.  The file is only a cache:
+deleting it costs one full verification.
 
 Two writers sign checkpoints.  After a load in which every record passed,
 `load` signs one for the newline-terminated part of the log, if that part
@@ -356,20 +357,13 @@ def sign_receipt(scheme: SignatureScheme, sk: bytes, raw: RawReceipt,
     return Receipt(raw=raw, challenge=challenge, user_sig=sig)
 
 
-def audit_line(index: int, goods, price: int, coin_ids: list) -> str:
-    """The `ledger audit-log` line of the approved record at `index`."""
-    return f"{index}: goods={goods!r} price={price} coins={coin_ids} verified=true\n"
-
-
-def _parse_record(line: bytes, lineno: int):
-    """The receipt on one log line, or None for a blank line."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        return Receipt.from_dict(json.loads(line))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None
+def audit_line(index: int, record) -> str:
+    """The `ledger audit-log` line of the record at `index`, from the parsed
+    JSON of its log line; raises ValueError, KeyError or TypeError when that
+    lacks a field it lists."""
+    coin_ids = [int(coin["metadata"]["coin_id"]) for coin in record["coins"]]
+    return (f"{index}: goods={record['goods']!r} price={int(record['price'])} "
+            f"coins={coin_ids} verified=true\n")
 
 
 class SpendOutcome(Record):
@@ -389,8 +383,8 @@ class SpendOutcome(Record):
 
 
 class LedgerState:
-    """Administrator-side state: keys, approved receipts, spent coins,
-    pending challenges.
+    """Administrator-side state: keys, spent coins, pending challenges.
+    The receipts that spent the coins live only in the log.
 
     `finalize_spend` serializes its spent-set check, log append, spend
     marking and any checkpoint it signs through one lock; signature checks
@@ -409,10 +403,6 @@ class LedgerState:
         self._rng = rng
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
-        self._approved: list = []
-        # (N, H) of the loaded checkpoint whose records `approved` has yet
-        # to parse, or None.
-        self._prefix = None
         self._spent: set = set()
         # Coin key -> (signed payload, signature) of each coin `mint` signed
         # (None while it signs), and the (scheme, admin_pk) under which one
@@ -438,7 +428,7 @@ class LedgerState:
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
              log_path, listing: Optional[list] = None, **kwargs) -> "LedgerState":
-        """Rebuild from the approved-receipt log, read once, line by line.
+        """Rebuild the spent set from the log, read once, line by line.
 
         With a valid checkpoint the spent set starts as the one it signs, and
         only the records after its prefix are parsed, re-verified and checked
@@ -495,27 +485,27 @@ class LedgerState:
                 self._log_sha.update(line[n_bytes - start:])
             else:
                 self._log_sha.update(line)
-            if complete and end <= n_bytes:
-                if listing is None:
-                    continue
-                # A listed prefix record.  A checkpoint vouches only for
-                # receipt records, so one that is not voids it.
-                text = line.strip()
-                if text:
-                    try:
-                        record = json.loads(text)
-                        listing.append(audit_line(
-                            len(listing), record["goods"], int(record["price"]),
-                            [int(coin["metadata"]["coin_id"]) for coin in record["coins"]]))
-                    except (ValueError, KeyError, TypeError):
+            inside = complete and end <= n_bytes   # a line the checkpoint vouches for
+            if not inside:
+                if not honoured:
+                    if not self._honour(checkpoint, n_digest):
                         return False
+                    honoured, checkpoint = True, None   # M lives on only as the spent set
+                grown = grown or complete
+            elif listing is None:
                 continue
-            if not honoured:
-                if not self._honour(checkpoint, n_digest):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                record = json.loads(text)
+                receipt = None if inside else Receipt.from_dict(record)
+                if listing is not None:
+                    listing.append(audit_line(len(listing), record))
+            except (ValueError, KeyError, TypeError) as exc:
+                if inside:   # it vouches only for receipt records, so one that is not voids it
                     return False
-                honoured, checkpoint = True, None   # M lives on only as the spent set
-            grown = grown or complete
-            receipt = _parse_record(line, lineno)
+                raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None
             if receipt is None:
                 continue
             problem = self._receipt_integrity_problem(receipt)
@@ -525,10 +515,6 @@ class LedgerState:
                 if coin.key in self._spent:
                     raise InputError(f"log line {lineno} double-spends coin {coin.key}")
                 self._spent.add(coin.key)
-            self._approved.append(receipt)
-            if listing is not None:
-                listing.append(audit_line(len(listing), receipt.raw.goods, receipt.raw.price,
-                                          [coin.metadata.coin_id for coin in receipt.raw.coins]))
             if not complete:
                 torn = {coin.key for coin in receipt.raw.coins}
         if not honoured and not self._honour(checkpoint, n_digest):
@@ -540,37 +526,6 @@ class LedgerState:
         self._checkpointed = ends
         self._unterminated = self._log_bytes > ends
         return True
-
-    @property
-    def approved(self) -> list:
-        """Every approved receipt, in log order.  The first read parses the
-        records inside a loaded checkpoint, without signature checks, from a
-        new read of the log's first N bytes; if they no longer hash to H,
-        it raises `InputError` and returns nothing."""
-        with self._lock:
-            if self._prefix:
-                n_bytes, digest = self._prefix
-                sha, receipts, read = _sha256(), [], 0
-                try:
-                    with open(self.log_path, "rb") as fh:
-                        for lineno, line in enumerate(fh, start=1):
-                            line = line[:n_bytes - read]   # a line cut at N has no newline
-                            read += len(line)
-                            sha.update(line)
-                            if line.endswith(b"\n"):
-                                receipt = _parse_record(line, lineno)
-                                if receipt is not None:
-                                    receipts.append(receipt)
-                            if read == n_bytes:
-                                break
-                except OSError as exc:
-                    raise InputError(f"cannot read ledger log {self.log_path!r}: "
-                                     f"{exc.strerror or exc}") from None
-                if read != n_bytes or sha.finalize().hex() != digest:
-                    raise InputError(f"ledger log {self.log_path!r} changed since it was loaded")
-                self._approved[:0] = receipts
-                self._prefix = None
-            return self._approved
 
     def _checkpoint_path(self) -> str:
         return os.fspath(self.log_path) + ".checkpoint"
@@ -599,7 +554,6 @@ class LedgerState:
             return False
         # Only the administrator signs M, and always as {owner hex: [coin ids]}.
         self._spent = {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids}
-        self._prefix = (n_bytes, sha256)
         return True
 
     def _save_checkpoint(self, n_bytes: int, digest: str, spent: set) -> None:
@@ -752,7 +706,6 @@ class LedgerState:
             del challenges[receipt.challenge]
             if not challenges:
                 self._pending.pop(key, None)
-            self._approved.append(receipt)
             # The doubling schedule; a checkpoint that could not be signed
             # or written resets it too, so a failing disk costs no more.
             if self.log_path and self._log_bytes - self._checkpointed >= self._checkpointed:

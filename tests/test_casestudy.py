@@ -50,7 +50,7 @@ def test_spec_validation():
     assert spec.q_min_grid == (F(1, 1000), F(999, 1000), F(1, 2))
     with pytest.raises(InputError, match="audit cost must be non-negative"):
         ag.SweepSpec(base=base, q_min_grid=(F(1, 2),), c_grid=(1, -5), k_grid=(100,))
-    for sizes in ((0,), (1, -3)):
+    for sizes in ((0,), (1, -3), (F(3, 2),), (2.9,), (True,)):
         with pytest.raises(InputError, match="coalition sizes"):
             ag.SweepSpec(base=base, q_min_grid=(F(1, 2),), c_grid=(1,), k_grid=(100,),
                          coalition_grid=sizes)

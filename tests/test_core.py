@@ -327,6 +327,10 @@ def test_gameconfig_invariants():
     with pytest.raises(InputError):
         ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(-1, 2),
                       audit_cost=0, fine=0)
+    for key in ("num_users", "coalition_size"):
+        with pytest.raises(InputError, match=f"{key} must be a positive integer"):
+            ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(1, 2),
+                          audit_cost=0, fine=0, **{key: True})
 
 
 def test_strategy_and_policy_invariants():

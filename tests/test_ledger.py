@@ -32,6 +32,12 @@ def user(scheme):
     return lg.keygen(scheme)
 
 
+def _receipts(log):
+    """The receipts in the log file, parsed here, not by the ledger's reader."""
+    with open(log, "rb") as fh:
+        return [lg.Receipt.from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
 def test_keygen_distinct_and_correct(scheme):
     sk1, pk1 = lg.keygen(scheme)
     sk2, pk2 = lg.keygen(scheme)
@@ -219,11 +225,9 @@ def test_log_replay_reverifies(scheme, tmp_path, user):
         assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).approved
 
     reloaded = lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
-    assert len(reloaded.approved) == 5
-    for i in range(5):
-        assert (pk.hex(), i) in reloaded._spent
+    assert reloaded._spent == {(pk.hex(), i) for i in range(5)}
     # spent coins stay spent across the reload
-    coin0 = state.approved[0].raw.coins[0]
+    coin0 = _receipts(log)[0].raw.coins[0]
     raw = lg.RawReceipt(goods="replayed", price=1, coins=(coin0,))
     z = reloaded.begin_spend(raw)
     assert reloaded.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).reason == "double-spend"
@@ -292,7 +296,7 @@ def test_concurrent_spends_single_approval(state, user):
     rejections = [r for r in results if not r.approved]
     assert len(approvals) == 1
     assert all(r.reason == "double-spend" for r in rejections)
-    assert len(state.approved) == 1
+    assert len(_receipts(state.log_path)) == 1
 
 
 def test_ledger_api_never_accepts_foreign_secret_keys():
@@ -380,7 +384,7 @@ def test_checkpoint_limits_reverification_to_appended_records(ledger, user, veri
     assert verified == [lg._checkpoint_message(size, _checkpoint(log)["sha256"],
                                                _checkpoint(log)["spent"])]
     assert os.stat(log + ".checkpoint").st_ino == inode   # nothing new to sign
-    assert again.approved == first.approved and again._spent == first._spent
+    assert again._spent == first._spent
 
     for k in (1, 4):
         signed_by_load = _checkpoint(log)
@@ -392,8 +396,8 @@ def test_checkpoint_limits_reverification_to_appended_records(ledger, user, veri
         assert verified[0].startswith(lg.CHECKPOINT_TAG)
     os.remove(log + ".checkpoint")
     full = _load(state, log)
-    assert len(full.approved) == 3 + 1 + 4
-    assert full.approved == again.approved and full._spent == again._spent
+    assert len(full._spent) == 3 + 1 + 4
+    assert full._spent == again._spent
 
 
 def _flip_hex(text):
@@ -435,7 +439,7 @@ def test_every_changed_byte_of_the_prefix_loads_as_without_a_checkpoint(tmp_path
 
     def outcome():
         try:
-            return len(_load(state, log).approved)
+            return sorted(_load(state, log)._spent)
         except InputError as exc:
             return str(exc)
 
@@ -463,7 +467,7 @@ def _shorter_prefix(state, log, checkpoint):
 
 
 def _coin_sig(state, log, checkpoint):
-    return dict(checkpoint, sig=state.approved[0].raw.coins[0].issuer_sig.hex())
+    return dict(checkpoint, sig=_receipts(log)[0].raw.coins[0].issuer_sig.hex())
 
 
 def _v1_sig(state, log, checkpoint):
@@ -506,7 +510,7 @@ def test_an_invalid_checkpoint_falls_back_to_a_full_verify(ledger, verified, edi
     valid = _checkpoint(log)
     _write_checkpoint(log, edit(state, log, valid))
     verified.clear()
-    assert len(_load(state, log).approved) == 3
+    assert len(_load(state, log)._spent) == 3
     assert len(_record_checks(verified)) == 2 * 3
     assert _checkpoint(log) == valid   # the load signed a valid checkpoint again
     verified.clear()
@@ -530,7 +534,7 @@ def test_a_damaged_checkpoint_or_log_falls_back_to_a_full_verify(ledger, verifie
     else:
         os.remove(log + ".checkpoint")
     verified.clear()
-    assert len(_load(state, log).approved) == records
+    assert len(_load(state, log)._spent) == records
     assert len(_record_checks(verified)) == 2 * records
 
 
@@ -538,7 +542,7 @@ def test_a_double_spend_after_the_checkpoint_is_refused(ledger, user, verified):
     state, log = ledger
     _load(state, log)
     sk, _ = user
-    coin = state.approved[0].raw.coins[0]
+    coin = _receipts(log)[0].raw.coins[0]
     raw = lg.RawReceipt(goods="again", price=1, coins=(coin,))
     with open(log, "a") as fh:
         fh.write(json.dumps(lg.sign_receipt(state.scheme, sk, raw, b"\x01" * 16).to_dict(),
@@ -556,7 +560,7 @@ def test_a_torn_last_line_is_never_covered(ledger, user, verified):
     data = open(log, "rb").read()
     with open(log, "wb") as fh:
         fh.write(data[:-1])   # the last record loses its newline
-    assert len(_load(state, log).approved) == 3
+    assert len(_load(state, log)._spent) == 3
     assert _checkpoint(log)["bytes"] == data.rfind(b"\n", 0, -1) + 1
     assert _checkpoint(log)["spent"] == {user[1].hex(): [0, 1]}   # not coin 2
     verified.clear()
@@ -598,21 +602,20 @@ def test_a_checkpointed_ledger_parses_only_the_records_after_it(covered, tmp_pat
     signed_by_load = _checkpoint(log)
     _spend_new_coins(state, user, [covered])     # one record after the checkpoint
     _write_checkpoint(log, signed_by_load)       # not the session's own, if it signed one
+    coin = _receipts(log)[0].raw.coins[0]        # inside the checkpoint
     parsed.clear()
     again = _load(state, log)
     _spend_new_coins(again, user, [covered + 1])   # a mint and a spend
-    coin = state.approved[0].raw.coins[0]          # inside the checkpoint
     with pytest.raises(InputError, match="already issued"):
         again.mint(pk, coin.metadata)
     raw = lg.RawReceipt(goods="again", price=1, coins=(coin,))
     receipt = lg.sign_receipt(scheme, sk, raw, again.begin_spend(raw))
     assert again.finalize_spend(receipt).reason == "double-spend"
     assert len(parsed) == 1
-    # the first read of `approved` parses the prefix, in log order
     os.remove(log + ".checkpoint")
     full = _load(state, log)
-    assert len(full.approved) == covered + 2
-    assert again.approved == full.approved and again._spent == full._spent
+    assert len(full._spent) == covered + 2
+    assert again._spent == full._spent
 
 
 def test_a_failing_load_writes_no_checkpoint(ledger):
@@ -639,7 +642,7 @@ def test_a_failed_checkpoint_write_leaves_load_working(ledger, tmp_path, monkeyp
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(lg.os, "replace", failing)
-    assert len(_load(state, log).approved) == 3
+    assert len(_load(state, log)._spent) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
 
 
@@ -651,7 +654,7 @@ def test_a_secret_key_that_cannot_sign_leaves_load_working(tmp_path):
     state = lg.LedgerState.create(scheme, log_path=log)
     _spend_new_coins(state, lg.keygen(scheme), range(2))
     os.remove(log + ".checkpoint")   # the approving session signed one
-    assert len(lg.LedgerState.load(scheme, b"short", state.admin_pk, log).approved) == 2
+    assert len(lg.LedgerState.load(scheme, b"short", state.admin_pk, log)._spent) == 2
     assert not os.path.exists(log + ".checkpoint")
 
 
@@ -666,9 +669,13 @@ def _whole_log(state, log):
     receipts, spent = [], set()
     try:
         for lineno, line in enumerate(lines, start=1):
-            receipt = lg._parse_record(line, lineno)
-            if receipt is None:
+            line = line.strip()
+            if not line:
                 continue
+            try:
+                receipt = lg.Receipt.from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None
             problem = state._receipt_integrity_problem(receipt)
             if problem:
                 raise InputError(f"log line {lineno} fails re-verification: {problem}")
@@ -688,6 +695,23 @@ def _listing(receipts):
     return [f"{i}: goods={r.raw.goods!r} price={r.raw.price} "
             f"coins={[c.metadata.coin_id for c in r.raw.coins]} verified=true\n"
             for i, r in enumerate(receipts)]
+
+
+def _payloads_after(data, n_bytes):
+    """The signed payloads of the receipts in the log `data` whose lines,
+    newline included, do not end within its first `n_bytes`, in log order:
+    those a load that honours a checkpoint over `n_bytes` verifies."""
+    payloads, end = [], 0
+    for line in data.split(b"\n"):
+        end += len(line) + 1
+        if line.strip() and end > n_bytes:
+            receipt = lg.Receipt.from_dict(json.loads(line))
+            payloads.append(lg.Receipt.signed_payload(receipt.raw, receipt.challenge))
+    return payloads
+
+
+def _receipt_checks(messages):
+    return [m for m in messages if m.startswith(b'{"challenge"')]
 
 
 def _checkpoint_over(state, data, n_bytes):
@@ -764,7 +788,7 @@ _EDITS = {
     "double-spend-after-n": lambda data: (data + data[:_ends(data)[0]], len(data)),
     "n-beyond-the-log": lambda data: (data[:_ends(data)[3]], "stale"),
     # a checkpoint only the administrator could sign over a line that is not
-    # a record: a full verify, or `approved`, reports it
+    # a record: a full verify, or a listing, reports it
     "not-a-record-under-n": lambda data: (data[:_ends(data)[0]] + b"[1, 2]\n"
                                           + data[_ends(data)[0]:], len(data) + 7),
 }
@@ -792,7 +816,8 @@ def _whole_log_state(state, data, checkpoint):
 
 @pytest.mark.parametrize("block", ["7", "first-line"])
 @pytest.mark.parametrize("edit", list(_EDITS))
-def test_a_load_read_in_blocks_is_a_whole_log_load(varied, edit, block, monkeypatch):
+def test_a_load_read_in_blocks_is_a_whole_log_load(varied, user, verified, edit, block,
+                                                   monkeypatch):
     # The line reader's buffer holds `block` bytes: 7-byte buffers split
     # every line; buffers one first line long end that line on a buffer
     # boundary and split the others.  "n-mid-line" puts N inside the line
@@ -815,64 +840,43 @@ def test_a_load_read_in_blocks_is_a_whole_log_load(varied, edit, block, monkeypa
         _sign_checkpoint(state, log, n_bytes)
     checkpoint = open(log + ".checkpoint", "rb").read() if n_bytes else None
     expected = _whole_log(state, log)
+    honoured, *log_state = _whole_log_state(state, data, checkpoint)
 
     def outcome(listing=None):
         if checkpoint:
             with open(log + ".checkpoint", "wb") as fh:
                 fh.write(checkpoint)
+        verified.clear()
         try:
             loaded = lg.LedgerState.load(state.scheme, state._admin_sk, state.admin_pk, log,
                                          listing=listing)
-            if listing is not None:
-                return listing   # what `ledger audit-log` prints, without `approved`
-            honoured = loaded._prefix
-            approved = loaded.approved   # parses the prefix from a new read, if any
         except InputError as exc:
             return str(exc), None
-        return ((approved, loaded._spent),
-                (honoured, loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
+        if listing is not None:
+            return listing   # what `ledger audit-log` prints
+        return ((loaded._spent, _receipt_checks(verified)),
+                (loaded._unterminated, loaded._checkpointed, loaded._log_bytes,
                  loaded._log_sha.copy().finalize(), open(log + ".checkpoint", "rb").read()))
 
     if isinstance(expected, tuple):
-        assert outcome() == (expected, _whole_log_state(state, data, checkpoint))
-        assert outcome([]) == _listing(expected[0])
+        receipts, spent = expected
+        checked = _payloads_after(data, honoured[0] if honoured else 0)
+        assert outcome() == ((spent, checked), tuple(log_state))
+        assert outcome([]) == _listing(receipts)
+    elif edit == "not-a-record-under-n":
+        # the administrator signed the prefix and its coins, so a plain load
+        # reads none of its records; a listing load parses them and fails
+        signed = json.loads(checkpoint)["spent"]
+        spent = {(owner, coin_id) for owner, ids in signed.items() for coin_id in ids}
+        assert outcome() == ((spent, []), tuple(log_state))
+        assert outcome([]) == (expected, None)
     else:
         assert outcome() == outcome([]) == (expected, None)
     errors = {"tampered-prefix": "log line 2 fails re-verification: bad-signature",
-              "double-spend-after-n": "log line 6 double-spends coin "
-                                      f"{state.approved[0].raw.coins[0].key}",
+              "double-spend-after-n": f"log line 6 double-spends coin {(user[1].hex(), 0)}",
               "not-a-record-under-n": "log line 2 is not a receipt record: "
                                       "TypeError('list indices must be integers or slices, not str')"}
     assert expected == errors.get(edit, expected)
-
-
-@pytest.mark.parametrize("change", ["same-length-edit", "truncated", "removed"])
-def test_approved_refuses_a_prefix_that_changed_after_the_load(ledger, change):
-    state, log = ledger
-    _load(state, log)   # signs a checkpoint over the three records
-    loaded = _load(state, log)
-    text = open(log).read()
-    if change == "same-length-edit":
-        with open(log, "w") as fh:
-            fh.write(text.replace('"goods": "g1"', '"goods": "G1"'))
-    elif change == "truncated":
-        with open(log, "w") as fh:
-            fh.write(text[:len(text) // 2])
-    else:
-        os.remove(log)
-    for _ in range(2):   # and it returns no receipts on a later read either
-        with pytest.raises(InputError, match="changed since it was loaded|cannot read"):
-            loaded.approved
-
-
-def test_approved_reads_the_prefix_after_records_were_appended(ledger, user):
-    state, log = ledger
-    _load(state, log)
-    loaded = _load(state, log)
-    _spend_new_coins(loaded, user, [10, 11])
-    with open(log, "a") as fh:
-        fh.write("\n")   # another writer's bytes after the prefix
-    assert [r.raw.goods for r in loaded.approved] == ["g0", "g1", "g2", "g10", "g11"]
 
 
 def _toy_ledger(tmp_path, records):
@@ -909,6 +913,16 @@ def test_a_load_holds_no_more_of_a_longer_prefix_than_its_spent_coins(tmp_path):
     lines = [sum(sys.getsizeof(line) + 8 for line in listing) for listing in listings]
     assert len(listings[1]) == 2000
     assert peaks[1] - peaks[0] < grown / 2 + lines[1] - lines[0]
+    # without a checkpoint every record is parsed and verified, one line at a
+    # time; a load that kept its receipts, about 1.25 KiB each, would grow
+    # by more than twice the log's growth
+    def peak_without_checkpoint(state, log):
+        os.remove(log + ".checkpoint")   # the load signs a new one
+        return _load_peak(state, log)
+
+    peak_without_checkpoint(small, small_log)   # first-call allocations of a full verify
+    assert (peak_without_checkpoint(large, large_log)
+            - peak_without_checkpoint(small, small_log)) < 2 * grown
 
 
 # -- checkpoints an approving session signs ---------------------------------
@@ -936,7 +950,7 @@ def test_an_approving_session_signs_on_a_doubling_schedule(scheme, tmp_path, use
     loaded = _load(state, log)
     assert verified[0].startswith(lg.CHECKPOINT_TAG)
     assert len(_record_checks(verified)) == 2 * after == 2 * 8
-    assert loaded.approved == state.approved and loaded._spent == state._spent
+    assert loaded._spent == state._spent
 
 
 def test_concurrent_approvals_sign_checkpoints_a_load_honours(state, user, verified):
@@ -972,7 +986,7 @@ def test_concurrent_approvals_sign_checkpoints_a_load_honours(state, user, verif
     # the running hash lost no append: the session's checkpoint is honoured
     assert verified[0].startswith(lg.CHECKPOINT_TAG)
     assert len(_record_checks(verified)) == 2 * after
-    assert len(loaded.approved) == 48 and loaded._spent == state._spent
+    assert len(loaded._spent) == 48 and loaded._spent == state._spent
 
 
 def test_a_session_checkpoint_is_what_a_load_would_sign(ledger, user):
@@ -1001,7 +1015,7 @@ def test_a_foreign_append_voids_the_session_checkpoint(scheme, tmp_path, user, v
     verified.clear()
     loaded = _load(state, log)
     assert len(_record_checks(verified)) == 2 * 3   # every record
-    assert len(loaded.approved) == 3
+    assert len(loaded._spent) == 3
     assert _checkpoint(log)["bytes"] == len(data)   # the load signed the whole log
 
 
@@ -1020,7 +1034,7 @@ def test_a_session_on_an_unterminated_last_line(ledger, user, verified):
     verified.clear()
     loaded = _load(state, log)
     assert len(verified) == 1 and verified[0].startswith(lg.CHECKPOINT_TAG)
-    assert loaded.approved == session.approved and loaded._spent == session._spent
+    assert loaded._spent == session._spent
 
 
 def test_a_checkpoint_hashed_with_hashlib_is_honoured(ledger, verified):
@@ -1035,7 +1049,7 @@ def test_a_checkpoint_hashed_with_hashlib_is_honoured(ledger, verified):
     verified.clear()
     loaded = _load(state, log)
     assert verified == [lg._checkpoint_message(len(data), digest, spent_map)]
-    assert loaded._spent == spent and len(loaded.approved) == 3
+    assert loaded._spent == spent and len(spent) == 3
 
 
 def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
@@ -1048,14 +1062,13 @@ def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
     with pytest.raises(InputError, match="^cannot append to ledger log .*missing.*: "
                                          "No such file or directory$"):
         state.finalize_spend(receipt)
-    assert not state.is_spent(coin)
-    assert state.approved == []
+    assert not state.is_spent(coin) and not state._spent
     assert state.pending_challenges(raw) == (challenge,)
     # once the log can be written, the same receipt is approved
     state.log_path = str(tmp_path / "log.jsonl")
     assert state.finalize_spend(receipt).approved
     assert state.is_spent(coin)
-    assert len(_load(state, state.log_path).approved) == 1
+    assert len(_load(state, state.log_path)._spent) == 1
 
 
 # -- session caches -----------------------------------------------------------
@@ -1159,7 +1172,7 @@ def test_a_session_whose_secret_key_does_not_match_rejects_its_coins(scheme, tmp
         coin = state.mint(pk, lg.CoinMetadata(coin_id=i))
         assert not state.verify_coin(coin)
         assert _spend(state, sk, coin).reason == "invalid-coin"
-    assert state.approved == []
+    assert not os.path.exists(state.log_path)   # nothing was appended
 
 
 @pytest.mark.parametrize("edit", ["metadata", "signature", "owner"])
