@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 
 # The home submodule of each public name.
 _HOME = {
-    "AuditPolicy": "core", "BoundReport": "bounds", "BudgetAnalysis": "equilibrium",
+    "AuditPolicy": "core", "BoundReport": "bounds", "BudgetAnalysis": "bounds",
     "CostReport": "cost", "EquilibriumResult": "equilibrium", "GameConfig": "core",
     "InputError": "errors", "LPSolution": "lp",
-    "NonexistenceError": "errors", "Regime": "equilibrium", "RegimeError": "errors",
+    "NonexistenceError": "errors", "Regime": "bounds", "RegimeError": "errors",
     "Strategy": "core", "StrategyProfile": "core", "SweepSpec": "casestudy",
     "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
-    "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "lp",
-    "budget_thresholds": "equilibrium", "budgeted_two_type_equilibrium": "equilibrium",
+    "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "equilibrium",
+    "budget_thresholds": "bounds", "budgeted_two_type_equilibrium": "equilibrium",
     "compare": "cost", "cost_audit_multitype": "cost",
     "cost_audit_two_type": "cost", "cost_no_audit": "cost", "excess_payments": "core",
     "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",

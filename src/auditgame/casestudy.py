@@ -9,7 +9,7 @@ Sweeps emit deterministic CSV for downstream plotting.
 Each table has one kernel, which evaluates the closed forms on integers
 and gives every cell as an exact ratio n/d.  The numeric mode chooses only
 what the library rows hold, the `Fraction` n/d or the float `n / d`; the
-CSV text is the same in both modes.
+CSV text is the same in both modes, so the CSV functions take no mode.
 
 A kernel yields its rows one q_min value at a time, so the CSV can be
 written while it is computed (`costs_csv_chunks`, `surface_csv_chunks`):
@@ -117,21 +117,20 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
     return _rows(_costs, spec, _COST_ROWS[check_mode(mode)])
 
 
-def costs_csv_chunks(spec: SweepSpec, mode: str = RATIONAL):
-    """`costs_csv(spec, mode)` as an iterator of text chunks, one per q_min
+def costs_csv_chunks(spec: SweepSpec):
+    """`costs_csv(spec)` as an iterator of text chunks, one per q_min
     value, each made when it is asked for; every input error is raised by
     the first."""
-    check_mode(mode)
     return _csv_chunks(COSTS_HEADER, _costs, spec, _COST_TEXT)
 
 
-def costs_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
-    """`sweep_costs(spec, mode)` as UTF-8 CSV text under `COSTS_HEADER`.
+def costs_csv(spec: SweepSpec) -> str:
+    """`sweep_costs(spec)` as UTF-8 CSV text under `COSTS_HEADER`.
 
-    The text is printed from the exact values, so it is the same in both
-    modes.
+    The text is printed from the exact values, so it is that of either
+    numeric mode.
     """
-    return "".join(costs_csv_chunks(spec, mode))
+    return "".join(costs_csv_chunks(spec))
 
 
 def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
@@ -145,16 +144,15 @@ def sweep_misreport_surface(spec: SweepSpec, mode: str = RATIONAL) -> list:
     return _rows(_surface, spec, _SURFACE_ROWS[check_mode(mode)])
 
 
-def surface_csv_chunks(spec: SweepSpec, mode: str = RATIONAL):
-    """`surface_csv(spec, mode)` in chunks, as `costs_csv_chunks`."""
-    check_mode(mode)
+def surface_csv_chunks(spec: SweepSpec):
+    """`surface_csv(spec)` in chunks, as `costs_csv_chunks`."""
     return _csv_chunks(SURFACE_HEADER, _surface, spec, _SURFACE_TEXT)
 
 
-def surface_csv(spec: SweepSpec, mode: str = RATIONAL) -> str:
-    """`sweep_misreport_surface(spec, mode)` as UTF-8 CSV text under
-    `SURFACE_HEADER`, the same in both modes."""
-    return "".join(surface_csv_chunks(spec, mode))
+def surface_csv(spec: SweepSpec) -> str:
+    """`sweep_misreport_surface(spec)` as UTF-8 CSV text under
+    `SURFACE_HEADER`, that of either numeric mode."""
+    return "".join(surface_csv_chunks(spec))
 
 
 def _rows(kernel, spec: SweepSpec, sink: tuple) -> list:

@@ -125,8 +125,8 @@ def _flag(metavar, default=None, kind=str, required=False, choices=None):
 
 
 _GAME = {"--config": _flag("FILE", required=True), "--out": _flag("FILE")}
-# Grid values and the mode are checked by the library and parsed in
-# `_spec_with_overrides`, so a bad value is an input error.
+# Grid values are parsed in `_spec_with_overrides` and checked by the
+# library, and the mode by `_check_mode`, so a bad value is an input error.
 _GRIDS = {"--config": _flag("FILE"), "--out": _flag("FILE"), "--mode": _flag("rational|float"),
           "--qmin-grid": _flag("LIST"), "--c-grid": _flag("LIST"), "--k-grid": _flag("LIST"),
           "--coalition": _flag("LIST")}
@@ -384,22 +384,26 @@ def _spec_with_overrides(args, preset):
     return spec
 
 
-def _mode(args) -> str:
-    from .numeric import RATIONAL
-    return RATIONAL if args.mode is None else args.mode
+def _check_mode(args) -> None:
+    """Refuse an unknown `--mode`; the CSV text is the same in every mode."""
+    from .numeric import check_mode
+    if args.mode is not None:
+        check_mode(args.mode)
 
 
 def _cmd_sweep(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.ftbp_preset())
-    _write_out(casestudy.costs_csv_chunks(spec, _mode(args)), args.out)
+    _check_mode(args)
+    _write_out(casestudy.costs_csv_chunks(spec), args.out)
     return 0
 
 
 def _cmd_surface(args) -> int:
     from . import casestudy
     spec = _spec_with_overrides(args, casestudy.surface_preset())
-    _write_out(casestudy.surface_csv_chunks(spec, _mode(args)), args.out)
+    _check_mode(args)
+    _write_out(casestudy.surface_csv_chunks(spec), args.out)
     return 0
 
 

@@ -25,7 +25,8 @@ from .record import Record
 PRIOR_TOLERANCE = Fraction(1, 10**12)
 
 
-def _positive_part(x: Fraction) -> Fraction:
+def positive_part(x: Fraction) -> Fraction:
+    """(x)+, the over-payment term of the payoffs: x where positive, else 0."""
     return x if x > 0 else Fraction(0)
 
 
@@ -315,7 +316,7 @@ class StrategyProfile(Record):
     _fields = ("strategy", "audit", "n_users")
 
     def __init__(self, strategy: Strategy, audit: AuditPolicy, n_users: int = 1):
-        if not isinstance(n_users, int) or n_users < 1:
+        if type(n_users) is not int or n_users < 1:
             raise InputError("profile n_users must be a positive integer")
         if audit.n_signals != strategy.n_types:
             raise InputError("the audit policy must cover every signal")
@@ -390,7 +391,7 @@ def user_utility_type(pi: Strategy, sigma: AuditPolicy, truth, cfg: GameConfig) 
         credit = cfg.alloc[s]
         audited = sigma.probs[s]
         if audited and s != m:
-            credit -= audited * (_positive_part(credit - f_m) + cfg.fine)
+            credit -= audited * (positive_part(credit - f_m) + cfg.fine)
         total += p * credit
     return total
 

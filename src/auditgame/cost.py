@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from . import lp
-from .bounds import excess_payments_bound
+from .bounds import (budget_thresholds, excess_payments_bound, two_type_misreport_prob,
+                     two_type_params)
 from .core import GameConfig
-from .equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
+from .equilibrium import bp_equilibrium
 from .errors import InputError
 from .record import Record
 
@@ -55,7 +55,7 @@ def cost_audit_two_type(cfg: GameConfig) -> CostReport:
     """
     if not cfg.is_two_type:
         raise InputError("two-type cost analysis needs exactly two types")
-    _, _, q_lo, _, df = _two_type_params(cfg)
+    q_lo, _, df = two_type_params(cfg)
     p = two_type_misreport_prob(cfg)
     no_audit = cfg.num_users * q_lo * df
     budget = cfg.coalition_size * budget_thresholds(cfg).threshold_two_type
@@ -90,7 +90,7 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
         raise InputError("multitype cost analysis needs more than two types")
     df = cfg.delta_f_max
     per_user_budget = excess_payments_bound(cfg)
-    eq = lp.bp_equilibrium(cfg.replace(budget=None))
+    eq = bp_equilibrium(cfg.replace(budget=None))
     per_user_excess = eq.excess
     budget = cfg.num_users * per_user_budget
     excess = cfg.num_users * per_user_excess

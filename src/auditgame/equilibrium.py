@@ -1,12 +1,14 @@
-"""Equilibrium constructions, budget-regime analysis, and verification.
+"""Equilibrium constructions and their verification.
 
-The two-type game has a closed-form unique equilibrium; a budgeted
-two-type single-user game has an equilibrium for every budget, switching
-between a budget-exhausting branch and the closed form at a threshold.
-Games dispatch through a budget-regime classification: every budgeted
-two-type game below the coalition threshold goes to that construction,
-and a larger game below it gets a structured error rather than a bogus
-profile.
+Any game where the budget does not bind has the no-audit equilibrium of
+the program that `lp.solve_integer` solves (`bp_equilibrium`).  The
+two-type game has a closed-form unique equilibrium; a budgeted two-type
+single-user game has an equilibrium for every budget, switching between
+a budget-exhausting branch and the closed form at a threshold.  Games
+dispatch through the budget regime of `bounds.budget_thresholds`: every
+budgeted two-type game below the coalition threshold goes to that
+construction, and a larger game below it gets a structured error rather
+than a bogus profile.
 
 Equilibria here lean on the audit rule resolving exact indifference to
 no-audit.  If an administrator instead audited with positive probability
@@ -18,26 +20,15 @@ library models the no-audit tie-break only.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
-from typing import Optional
 
-from . import bounds, core, lp
-from .core import (AuditPolicy, GameConfig, Strategy, StrategyProfile, _positive_part,
-                   two_type_strategy)
-from .errors import InputError, NonexistenceError
+from . import core, lp
+from .bounds import Regime, budget_thresholds, excess_payments_bound, two_type_misreport_prob
+from .core import (AuditPolicy, GameConfig, IntegerGame, Strategy, StrategyProfile,
+                   positive_part, two_type_strategy)
+from .errors import InputError, NonexistenceError, RegimeError
 from .numeric import sig15
 from .record import Record
-
-
-class Regime(enum.Enum):
-    """NONEXISTENCE_POSSIBLE: below every threshold that guarantees existence."""
-
-    UNCONSTRAINED = "UNCONSTRAINED"
-    SUFFICIENT = "SUFFICIENT"
-    TWO_TYPE_SUFFICIENT = "TWO_TYPE_SUFFICIENT"
-    TWO_TYPE_ANY_BUDGET_SINGLE_USER = "TWO_TYPE_ANY_BUDGET_SINGLE_USER"
-    NONEXISTENCE_POSSIBLE = "NONEXISTENCE_POSSIBLE"
 
 
 class EquilibriumResult(Record):
@@ -92,19 +83,6 @@ class EquilibriumResult(Record):
         return "\n".join(lines) + "\n"
 
 
-class BudgetAnalysis(Record):
-    """`budget_binds`: whether the budget holds audits back, so that the
-    caps of the `bounds` module do not apply (see `budget_thresholds`)."""
-
-    _fields = ("threshold_general", "threshold_two_type", "threshold_coalition", "regime",
-               "budget_binds")
-
-    def __init__(self, threshold_general: Fraction, threshold_two_type: Optional[Fraction],
-                 threshold_coalition: Fraction, regime: Regime, budget_binds: bool):
-        self._set(threshold_general, threshold_two_type, threshold_coalition, regime,
-                  budget_binds)
-
-
 def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess: Fraction,
                        provenance: str, **flags) -> EquilibriumResult:
     """The result of profile (pi, sigma), with each type's and the
@@ -112,19 +90,6 @@ def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess
     user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
     return EquilibriumResult(StrategyProfile(pi, sigma, cfg.num_users), user_utils,
                              core.admin_utility(pi, sigma, cfg), excess, provenance, **flags)
-
-
-def _two_type_params(cfg: GameConfig):
-    lo, hi = cfg.low_high_indices()
-    q_lo, q_hi = cfg.prior[lo], cfg.prior[hi]
-    df = cfg.alloc[hi] - cfg.alloc[lo]
-    return lo, hi, q_lo, q_hi, df
-
-
-def two_type_misreport_prob(cfg: GameConfig) -> Fraction:
-    """Equilibrium probability that the low type claims the high credit."""
-    _, _, q_lo, q_hi, df = _two_type_params(cfg)
-    return core.raw_misreport_cap(q_hi, q_lo, cfg.audit_cost, cfg.fine, df)
 
 
 def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
@@ -136,44 +101,6 @@ def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
     sigma = AuditPolicy.zero(2)
     return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
                               "closed_form_two_type", unique=True)
-
-
-def budget_thresholds(cfg: GameConfig) -> BudgetAnalysis:
-    """Existence thresholds, the regime the configured budget falls in, and
-    whether the budget binds.
-
-    No budget, or one at or above the coalition threshold, never binds.
-    Below it a two-type budget binds, with one user, at or below the
-    two-type threshold, where the budget-exhausting branch applies; with
-    several users the threshold itself is enough for the no-audit closed
-    form, so it binds strictly below.  Below it a larger game's budget
-    always binds.
-    """
-    general = bounds.excess_payments_bound(cfg)
-    two_type = None
-    if cfg.is_two_type:
-        p = two_type_misreport_prob(cfg)
-        two_type = general * (1 - p)
-    coalition = cfg.coalition_size * general
-
-    budget = cfg.budget
-    if budget is None:
-        regime, binds = Regime.UNCONSTRAINED, False
-    elif budget >= coalition:
-        regime, binds = Regime.SUFFICIENT, False
-    elif cfg.is_two_type and cfg.num_users == 1:
-        regime, binds = Regime.TWO_TYPE_ANY_BUDGET_SINGLE_USER, budget <= two_type
-    elif cfg.is_two_type and budget >= two_type:
-        regime, binds = Regime.TWO_TYPE_SUFFICIENT, False
-    else:
-        regime, binds = Regime.NONEXISTENCE_POSSIBLE, True
-    return BudgetAnalysis(
-        threshold_general=general,
-        threshold_two_type=two_type,
-        threshold_coalition=coalition,
-        regime=regime,
-        budget_binds=binds,
-    )
 
 
 def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
@@ -213,6 +140,75 @@ def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
                               notes=(f"budget-exhausting branch; threshold {threshold}",))
 
 
+def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
+    """Check the optimum X/d of `cfg`'s program; return its excess payments.
+
+    The internal consistency of every solve, decided exactly on the
+    integers of `game`: no under-reporting mass, the audit best response
+    vanishes, and both equilibrium bounds hold.
+    """
+    n = cfg.n_types
+    P, F, C, K = game.prior, game.alloc, game.cost, game.fine
+    for m in range(n):
+        for s in range(n):
+            if F[s] < F[m] and X[m][s] != 0:
+                raise RuntimeError("optimum places mass on an under-report")
+    if any(g > 0 for g in core.audit_margins(P, F, C, K, X)):
+        raise RuntimeError("audit best response to the optimum is not identically zero")
+    for m in range(n):
+        for s in range(n):
+            x = X[m][s]
+            if s != m and x:
+                # x/d > min(1, num/den), or x/d > 1 when den <= 0
+                num, den = core.misreport_cap_ratio(P[s], P[m], C, K, F[s] - F[m])
+                if x > d or (den > 0 and x * den > d * num):
+                    raise RuntimeError("optimum exceeds a per-pair misreporting cap")
+    excess = Fraction(core.excess_sum(P, F, X, [1] * n),
+                      game.prior_den * game.money_den * d)
+    if excess > excess_payments_bound(cfg):
+        raise RuntimeError("optimum exceeds the aggregate excess-payments cap")
+    return excess
+
+
+def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
+    """No-audit equilibrium via the program; audits never occur on path.
+
+    Raises `RegimeError` where the budget binds (`BudgetAnalysis.budget_binds`);
+    `signaling_equilibrium` handles those budgets.
+
+    The program is solved by `lp.solve_integer`, as in `lp.solve_bp`: one
+    run of the simplex loop from the truthful basis, over the columns that
+    do not under-report, then the uniqueness test on the optimal face.
+    When the optimum is not unique the strategy is the lexicographically
+    greatest optimum and the result carries the "alternate optima
+    detected" note.  The optimum's invariants are checked on the solver's
+    integers.
+    """
+    work = cfg.drop_zero_prior_types()
+    if cfg.budget is not None and budget_thresholds(cfg).budget_binds:
+        raise RegimeError(f"budget {cfg.budget} holds audits back, so the no-audit program "
+                          "gives no equilibrium; use signaling_equilibrium")
+
+    game = core.integer_game(work)
+    X, d, multiple = lp.solve_integer(game)
+    # Dropped zero-probability types add nothing to the excess.
+    excess = _check_optimum(work, game, X, d)
+
+    # Re-embed rows for any dropped zero-probability types as truthful.
+    position = {label: i for i, label in enumerate(work.types)}
+    work_index = [position.get(label) for label in cfg.types]
+    rows = []
+    for m, wm in enumerate(work_index):
+        if wm is None:
+            rows.append([d if s == m else 0 for s in range(cfg.n_types)])
+        else:
+            rows.append([0 if ws is None else X[wm][ws] for ws in work_index])
+    pi = Strategy.from_integers(rows, d)
+    notes = ("alternate optima detected",) if multiple else ()
+    return equilibrium_result(cfg, pi, AuditPolicy.zero(cfg.n_types), excess, "lp",
+                              multiplicity=multiple, notes=notes)
+
+
 def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     """Administrator-least-favorable signaling equilibrium for the regime.
 
@@ -224,7 +220,7 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     analysis = budget_thresholds(cfg)
     regime = analysis.regime
     if regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
-        result = lp.bp_equilibrium(cfg)
+        result = bp_equilibrium(cfg)
     elif cfg.is_two_type:
         result = budgeted_two_type_equilibrium(cfg)
     else:
@@ -331,7 +327,7 @@ def best_grid_deviation(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
         for j in range(n):
             if caps[j] == resolution:
                 continue
-            over = _positive_part(cfg.alloc[j] - f_m)
+            over = positive_part(cfg.alloc[j] - f_m)
             audited = cfg.alloc[j] - audited_prob * (over + cfg.fine)
             forced = caps[j] + 1
             items = safe[:j] + [(audited, resolution)] + safe[j + 1:]

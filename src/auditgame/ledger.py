@@ -368,7 +368,7 @@ def audit_line(index: int, record) -> str:
 
 class SpendOutcome(Record):
     """`reason` is None on approval, else one of double-spend, bad-signature,
-    invalid-coin, owner-mismatch, unknown-challenge and expired-challenge."""
+    invalid-coin, unknown-challenge and expired-challenge."""
 
     _fields = ("approved", "reason")
 
@@ -650,11 +650,10 @@ class LedgerState:
             return tuple(live)
 
     def _receipt_integrity_problem(self, receipt: Receipt) -> Optional[str]:
-        """Signature and ownership checks; no spent-set or challenge state."""
+        """Signature checks; no spent-set or challenge state.  One owner
+        holds every coin, as `RawReceipt` requires, and signs the receipt."""
         signer_pk = receipt.raw.owner_pk
         for coin in receipt.raw.coins:
-            if coin.owner_pk != signer_pk:
-                return "owner-mismatch"
             if not self.verify_coin(coin):
                 return "invalid-coin"
         payload = Receipt.signed_payload(receipt.raw, receipt.challenge)

@@ -1,4 +1,4 @@
-"""The no-audit signaling program, its exact integer solver, and its equilibrium.
+"""The no-audit signaling program and its exact integer solver.
 
 The program maximizes the average credit payout over row-stochastic user
 strategies subject to one per-signal constraint stating that auditing that
@@ -18,7 +18,7 @@ rule.  The program is
 where margin(s, m) is `core.audit_margin` of signal s per unit of
 pi(s|m), and audit slack s is the gap left in the row of signal s.
 
-`solve_bp` solves it exactly on integers, with one simplex loop,
+`solve_integer` solves it exactly on integers, with one simplex loop,
 `_maximize`: Bland's anti-cycling rule on an integer tableau T with one
 divisor d, so that T/d is the canonical tableau, and a last row that
 holds the reduced costs times d, built by `_reduced_row`.  The tableau
@@ -33,8 +33,9 @@ pivot p.  The truthful strategy is always feasible, so the loop starts at
 the truthful basis, with d = 1, over the columns that do not under-report.
 The same loop, restricted to the optimal face, then decides whether the
 optimum is unique and, when it is not, returns the lexicographically
-greatest optimum, so the answer depends only on the game.  Values become
-`Fraction`s once, at the end.
+greatest optimum, so the answer depends only on the game.  `solve_bp`
+turns that answer into `Fraction`s once, at the end, and
+`equilibrium.bp_equilibrium` builds the no-audit equilibrium from it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core
-from .core import GameConfig, IntegerGame, Strategy
-from .errors import InputError, RegimeError
+from .core import GameConfig, IntegerGame
+from .errors import InputError
 from .record import Record
 
 
@@ -179,7 +180,7 @@ def _truthful_tableau(game: IntegerGame, kept: list):
     return tableau, basis
 
 
-def _solve(game: IntegerGame) -> tuple:
+def solve_integer(game: IntegerGame) -> tuple:
     """Solve the no-audit program of `game` on integers: (X, d, multiple).
 
     X[m][s] / d is the optimal pi(s|m), and `multiple` says whether the
@@ -269,7 +270,7 @@ def solve_bp(cfg: GameConfig) -> LPSolution:
     """
     _require_bp_game(cfg)
     game = core.integer_game(cfg)
-    X, d, multiple = _solve(game)
+    X, d, multiple = solve_integer(game)
     zero = Fraction(0)
     values = {}
     total = 0
@@ -280,78 +281,3 @@ def solve_bp(cfg: GameConfig) -> LPSolution:
             total += game.prior[m] * game.alloc[s] * x
     objective_value = Fraction(total, game.prior_den * game.money_den * d)
     return LPSolution(values, objective_value, multiple)
-
-
-# -- equilibrium through the program -------------------------------------
-
-
-def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
-    """Check the optimum X/d of `cfg`'s program; return its excess payments.
-
-    The internal consistency of every solve, decided exactly on the
-    integers of `game`: no under-reporting mass, the audit best response
-    vanishes, and both equilibrium bounds hold.
-    """
-    from . import bounds as _bounds
-
-    n = cfg.n_types
-    P, F, C, K = game.prior, game.alloc, game.cost, game.fine
-    for m in range(n):
-        for s in range(n):
-            if F[s] < F[m] and X[m][s] != 0:
-                raise RuntimeError("optimum places mass on an under-report")
-    if any(g > 0 for g in core.audit_margins(P, F, C, K, X)):
-        raise RuntimeError("audit best response to the optimum is not identically zero")
-    for m in range(n):
-        for s in range(n):
-            x = X[m][s]
-            if s != m and x:
-                # x/d > min(1, num/den), or x/d > 1 when den <= 0
-                num, den = core.misreport_cap_ratio(P[s], P[m], C, K, F[s] - F[m])
-                if x > d or (den > 0 and x * den > d * num):
-                    raise RuntimeError("optimum exceeds a per-pair misreporting cap")
-    excess = Fraction(core.excess_sum(P, F, X, [1] * n),
-                      game.prior_den * game.money_den * d)
-    if excess > _bounds.excess_payments_bound(cfg):
-        raise RuntimeError("optimum exceeds the aggregate excess-payments cap")
-    return excess
-
-
-def bp_equilibrium(cfg: GameConfig):
-    """No-audit equilibrium via the program; audits never occur on path.
-
-    Raises `RegimeError` where the budget binds (`BudgetAnalysis.budget_binds`);
-    `signaling_equilibrium` handles those budgets.
-
-    The program is solved as in `solve_bp`: one run of the simplex loop
-    from the truthful basis, over the columns that do not under-report,
-    then the uniqueness test on the optimal face.  When the optimum is
-    not unique the strategy is the lexicographically greatest optimum and
-    the result carries the "alternate optima detected" note.  The
-    optimum's invariants are checked on the solver's integers.
-    """
-    from .equilibrium import budget_thresholds, equilibrium_result
-
-    work = cfg.drop_zero_prior_types()
-    if cfg.budget is not None and budget_thresholds(cfg).budget_binds:
-        raise RegimeError(f"budget {cfg.budget} holds audits back, so the no-audit program "
-                          "gives no equilibrium; use signaling_equilibrium")
-
-    game = core.integer_game(work)
-    X, d, multiple = _solve(game)
-    # Dropped zero-probability types add nothing to the excess.
-    excess = _check_optimum(work, game, X, d)
-
-    # Re-embed rows for any dropped zero-probability types as truthful.
-    position = {label: i for i, label in enumerate(work.types)}
-    work_index = [position.get(label) for label in cfg.types]
-    rows = []
-    for m, wm in enumerate(work_index):
-        if wm is None:
-            rows.append([d if s == m else 0 for s in range(cfg.n_types)])
-        else:
-            rows.append([0 if ws is None else X[wm][ws] for ws in work_index])
-    pi = Strategy.from_integers(rows, d)
-    notes = ("alternate optima detected",) if multiple else ()
-    return equilibrium_result(cfg, pi, core.AuditPolicy.zero(cfg.n_types), excess, "lp",
-                              multiplicity=multiple, notes=notes)

@@ -13,9 +13,9 @@ import math
 from fractions import Fraction
 
 from . import core
-from .bounds import excess_payments_bound
+from .bounds import (budget_thresholds, excess_payments_bound, two_type_misreport_prob,
+                     two_type_params)
 from .core import GameConfig
-from .equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
 from .errors import InputError
 from .numeric import sig15
 from .record import Record
@@ -56,7 +56,7 @@ class ProbeReport(Record):
 def _certificate(cfg: GameConfig, p_star: Fraction, p1: Fraction, p2: Fraction):
     """(case, gain) of the probe's deviation at profile (p1, p2): the gain is
     q_lo * df times a factor whose sign `nonexistence_probe` argues."""
-    _, _, q_lo, _, df = _two_type_params(cfg)
+    q_lo, _, df = two_type_params(cfg)
     low, high = min(p1, p2), max(p1, p2)
     if low < p_star:
         # The under-shooting user rises to the audit-indifference point,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from auditgame import core
-from auditgame.core import GameConfig, Strategy, StrategyProfile, _positive_part
-from auditgame.equilibrium import _two_type_params, budget_thresholds, two_type_misreport_prob
+from auditgame.bounds import budget_thresholds, two_type_misreport_prob, two_type_params
+from auditgame.core import GameConfig, Strategy, StrategyProfile, positive_part
 from auditgame.errors import InputError
 from auditgame.numeric import sig15
 from auditgame.oracle import ProbeReport
@@ -129,7 +129,7 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
                 mass = row[s] * cfg.prior[m]
                 margin = cfg.audit_cost * mass
                 if m != s:
-                    margin -= mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
+                    margin -= mass * (cfg.fine + positive_part(cfg.alloc[s] - cfg.alloc[m]))
                 margins.append(margin)
                 obj += mass * cfg.alloc[s]
             entries.append((tuple(row), tuple(margins), obj))
@@ -197,7 +197,7 @@ def _feasible(cfg: GameConfig, rows) -> bool:
             mass = rows[m][s] * cfg.prior[m]
             rhs += cfg.audit_cost * mass
             if m != s:
-                lhs += mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
+                lhs += mass * (cfg.fine + positive_part(cfg.alloc[s] - cfg.alloc[m]))
         if lhs > rhs:
             return False
     return True
@@ -234,7 +234,7 @@ def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) 
                 mass = pi.rows[mm][s] * cfg.prior[mm]
                 rhs_other[s] += cfg.audit_cost * mass
                 if mm != s:
-                    lhs_other[s] += mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[mm]))
+                    lhs_other[s] += mass * (cfg.fine + positive_part(cfg.alloc[s] - cfg.alloc[mm]))
         if cfg.budget is None or cfg.audit_cost == 0:
             audited_prob = Fraction(1)
         else:
@@ -252,11 +252,11 @@ def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) 
                 lhs = lhs_other[s]
                 rhs = rhs_other[s] + cfg.audit_cost * mass
                 if s != m:
-                    lhs = lhs + mass * (cfg.fine + _positive_part(cfg.alloc[s] - f_m))
+                    lhs = lhs + mass * (cfg.fine + positive_part(cfg.alloc[s] - f_m))
                 audit = audited_prob if lhs > rhs else Fraction(0)
                 penalty = Fraction(0)
                 if s != m:
-                    penalty = audit * (_positive_part(cfg.alloc[s] - f_m) + cfg.fine)
+                    penalty = audit * (positive_part(cfg.alloc[s] - f_m) + cfg.fine)
                 util += p * (cfg.alloc[s] - penalty)
             if best is None or util > best:
                 best = util
@@ -357,7 +357,7 @@ def walk_nonexistence_probe(cfg: GameConfig, resolution: int) -> ProbeReport:
             f"threshold {threshold}; equilibria exist there"
         )
 
-    _, _, q_lo, q_hi, df = _two_type_params(cfg)
+    q_lo, q_hi, df = two_type_params(cfg)
     p_star = two_type_misreport_prob(cfg)
     c, k = cfg.audit_cost, cfg.fine
 

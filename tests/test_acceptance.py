@@ -52,7 +52,7 @@ def test_criterion_1_surface_reproduction():
         assert row_r["max_misreport_prob"] == exact
         # and the 15-digit rendering reproduces the reference digits
         assert sig15(row_r["max_misreport_prob"]) == digits
-    csv_lines = surface_csv(spec, "rational").splitlines()[1:]
+    csv_lines = surface_csv(spec).splitlines()[1:]
     assert len(csv_lines) == 180
     for row_r, line in zip(rational, csv_lines):
         assert line.rsplit(",", 1)[1] == ref[(row_r["q_min"], row_r["c"], row_r["k"])]

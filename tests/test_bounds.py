@@ -8,7 +8,7 @@ import pytest
 
 import auditgame as ag
 from auditgame import InputError, NonexistenceError, Regime
-from auditgame.bounds import bound_report, is_vacuous_pair
+from auditgame.bounds import bound_report
 from auditgame.numeric import sig15
 
 
@@ -37,8 +37,7 @@ def test_vacuous_underreport_pair():
     # under-report with k = c: denominator f(s) - f(m) + k - c < 0
     cfg = make(F(1, 2), 10, 10)
     assert ag.misreport_prob_bound(cfg, "low", "high") == 1
-    assert is_vacuous_pair(cfg, "low", "high")
-    assert not is_vacuous_pair(cfg, "high", "low")
+    assert bound_report(cfg).vacuous_pairs == (("low", "high"),)
 
 
 def test_excess_bound_values(cfg_a):

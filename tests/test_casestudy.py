@@ -87,9 +87,7 @@ def test_surface_values_and_modes():
     assert len(rational) == len(floats) == 180
     for r, f in zip(rational, floats):
         assert abs(float(r["max_misreport_prob"]) - f["max_misreport_prob"]) < 1e-12
-    text = surface_csv(spec, "rational")
-    assert text.splitlines()[0] == ",".join(SURFACE_HEADER)
-    assert surface_csv(spec, "float") == text    # both modes render identically here
+    assert surface_csv(spec).splitlines()[0] == ",".join(SURFACE_HEADER)
 
 
 def test_surface_monotonicity():
@@ -215,8 +213,7 @@ def test_cost_sweep_matches_row_by_row_reference(name, mode):
     spec = ODD_SPECS[name]
     rows = ag.sweep_costs(spec, mode=mode)
     _assert_same_rows(rows, reference_cost_rows(spec, mode))
-    assert costs_csv(spec, mode) == reference_csv(reference_cost_rows(spec, "rational"),
-                                                  COSTS_HEADER)
+    assert costs_csv(spec) == reference_csv(reference_cost_rows(spec, "rational"), COSTS_HEADER)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -225,8 +222,8 @@ def test_surface_matches_row_by_row_reference(name, mode):
     spec = ODD_SPECS[name]
     rows = ag.sweep_misreport_surface(spec, mode=mode)
     _assert_same_rows(rows, reference_surface_rows(spec, mode))
-    assert surface_csv(spec, mode) == reference_csv(reference_surface_rows(spec, "rational"),
-                                                    SURFACE_HEADER)
+    assert surface_csv(spec) == reference_csv(reference_surface_rows(spec, "rational"),
+                                              SURFACE_HEADER)
 
 
 def _assert_float_rows_are_the_floats_of_the_exact_rows(floats, exact):
@@ -243,8 +240,6 @@ def _assert_float_rows_are_the_floats_of_the_exact_rows(floats, exact):
 @pytest.mark.parametrize("name", ["ftbp_preset", "surface_preset", *sorted(ODD_SPECS)])
 def test_both_modes_print_the_same_csv_and_float_rows_round_the_exact_ones(name):
     spec = getattr(ag, name)() if name.endswith("_preset") else ODD_SPECS[name]
-    assert costs_csv(spec, "float") == costs_csv(spec, "rational")
-    assert surface_csv(spec, "float") == surface_csv(spec, "rational")
     _assert_float_rows_are_the_floats_of_the_exact_rows(
         ag.sweep_costs(spec, "float"), ag.sweep_costs(spec, "rational"))
     _assert_float_rows_are_the_floats_of_the_exact_rows(
@@ -265,8 +260,7 @@ def test_cells_below_the_smallest_normal_float_print_exactly_in_both_modes():
     spec = ag.ftbp_preset().replace(q_min_grid=(F(1, 2),), c_grid=(F("1e-320"),),
                                     k_grid=(100,), coalition_grid=(1,))
     (row,) = ag.sweep_costs(spec)
-    line = costs_csv(spec, "rational").splitlines()[1]
-    assert line == costs_csv(spec, "float").splitlines()[1]
+    line = costs_csv(spec).splitlines()[1]
     cells = line.split(",")
     for col in ("cost_audit", "budget", "excess"):
         exact = row[col]
@@ -293,12 +287,14 @@ def test_odd_specs_cover_every_branch():
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_preset_csvs_match_row_by_row_reference(mode):
+    # the CSV text is that of the exact rows; the library rows are checked in `mode`
     spec = ag.ftbp_preset()
-    assert costs_csv(spec, mode) == reference_csv(reference_cost_rows(spec, "rational"),
-                                                  COSTS_HEADER)
+    assert costs_csv(spec) == reference_csv(reference_cost_rows(spec, "rational"), COSTS_HEADER)
+    _assert_same_rows(ag.sweep_costs(spec, mode), reference_cost_rows(spec, mode))
     spec = ag.surface_preset()
-    assert surface_csv(spec, mode) == reference_csv(
-        reference_surface_rows(spec, "rational"), SURFACE_HEADER)
+    assert surface_csv(spec) == reference_csv(reference_surface_rows(spec, "rational"),
+                                              SURFACE_HEADER)
+    _assert_same_rows(ag.sweep_misreport_surface(spec, mode), reference_surface_rows(spec, mode))
 
 
 # Grid values for the property test: integers, small fractions and one value
@@ -334,16 +330,15 @@ def _sweep_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(spec=_sweep_specs())
 def test_rational_sweeps_match_row_by_row_reference_on_random_specs(spec):
-    # and the float sweeps too: each spec runs in both numeric modes, and
-    # both print the exact rows' text
-    cost_text = reference_csv(reference_cost_rows(spec, "rational"), COSTS_HEADER)
-    surface_text = reference_csv(reference_surface_rows(spec, "rational"), SURFACE_HEADER)
+    # and the float sweeps too: each spec's rows are checked in both
+    # numeric modes, and its CSV is the exact rows' text
+    assert costs_csv(spec) == reference_csv(reference_cost_rows(spec, "rational"), COSTS_HEADER)
+    assert surface_csv(spec) == reference_csv(reference_surface_rows(spec, "rational"),
+                                              SURFACE_HEADER)
     for mode in ("rational", "float"):
         _assert_same_rows(ag.sweep_costs(spec, mode), reference_cost_rows(spec, mode))
-        assert costs_csv(spec, mode) == cost_text
         _assert_same_rows(ag.sweep_misreport_surface(spec, mode),
                           reference_surface_rows(spec, mode))
-        assert surface_csv(spec, mode) == surface_text
     _assert_float_rows_are_the_floats_of_the_exact_rows(
         ag.sweep_costs(spec, "float"), ag.sweep_costs(spec, "rational"))
 
@@ -404,15 +399,13 @@ def _fractions_built_and_sig15_calls(monkeypatch, run):
 @pytest.mark.parametrize("text", [costs_csv, surface_csv])
 def test_rational_csv_work_does_not_grow_with_the_q_min_grid(text, monkeypatch):
     # The text turns each exact cell n/d into digits with no `Fraction` in
-    # between and no `sig15` call per cell, in float mode as in rational.
+    # between and no `sig15` call per cell.
     spec = ODD_SPECS["degenerate_pairs"]
-    for mode in ("rational", "float"):
-        counts = []
-        for size in (10, 1000):
-            grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
-            counts.append(_fractions_built_and_sig15_calls(monkeypatch,
-                                                           lambda: text(grid, mode)))
-        assert counts[0] == counts[1]
+    counts = []
+    for size in (10, 1000):
+        grid = spec.replace(q_min_grid=tuple(F(i, size + 1) for i in range(1, size + 1)))
+        counts.append(_fractions_built_and_sig15_calls(monkeypatch, lambda: text(grid)))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("spec", [ag.ftbp_preset().replace(q_min_grid=(F(1, 3), F(1, 2))),
@@ -438,8 +431,8 @@ _PERCENT_SURFACE = ag.surface_preset().replace(q_min_grid=tuple(F(i, 100) for i 
     (surface_csv_chunks, surface_csv, SURFACE_HEADER, _PERCENT_SURFACE),
 ], ids=["costs", "surface"])
 def test_csv_chunks_are_batches_of_whole_q_min_values(chunks, text, header, spec):
-    parts = list(chunks(spec, "float"))
-    assert "".join(parts) == text(spec, "rational")
+    parts = list(chunks(spec))
+    assert "".join(parts) == text(spec)
     assert len(parts) > 2 and parts[0].startswith(",".join(header) + "\n")
     seen = set()
     for part in parts:
@@ -455,9 +448,8 @@ def test_every_error_comes_with_the_first_chunk():
     # no-audit cost, which overflows only from q_min = 1/2 on, fails it
     base = ag.ftbp_preset().base.replace(num_users=66 * 10**305)
     spec = ag.ftbp_preset().replace(base=base)
-    for mode in ("rational", "float"):
-        with pytest.raises(InputError, match="beyond the float range"):
-            next(costs_csv_chunks(spec, mode))
+    with pytest.raises(InputError, match="beyond the float range"):
+        next(costs_csv_chunks(spec))
     with pytest.raises(InputError, match="beyond the float range"):
         ag.sweep_costs(spec, "float")
     below = spec.replace(q_min_grid=spec.q_min_grid[:49])
@@ -472,7 +464,7 @@ def test_every_error_comes_with_the_first_chunk():
     with pytest.raises(InputError, match="beyond the float range"):
         next(surface_csv_chunks(ag.surface_preset().replace(k_grid=(10**400,))))
     with pytest.raises(InputError, match="unknown numeric mode"):
-        costs_csv_chunks(ag.ftbp_preset(), "bogus")
+        ag.sweep_costs(ag.ftbp_preset(), "bogus")
 
 
 @pytest.mark.parametrize("chunks", [costs_csv_chunks, surface_csv_chunks])

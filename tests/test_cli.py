@@ -225,8 +225,8 @@ def test_streamed_output_and_out_file_are_the_library_csv(tmp_path, capsys):
             args = args + ["--config", str(config)]
         preset, text = tables[command]
         spec = _spec_with_overrides(parse_args([command] + args), preset())
+        expected = text(spec)
         for mode in ("rational", "float"):
-            expected = text(spec, mode)
             code, out, err = run([command, "--mode", mode] + args, capsys)
             assert (code, err) == (0, "") and out == expected
             code, out, err = run([command, "--mode", mode, "--out", str(target)] + args, capsys)

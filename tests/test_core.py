@@ -340,6 +340,8 @@ def test_strategy_and_policy_invariants():
         ag.AuditPolicy((F(3, 2),))
     sp = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
     assert sp.n_users == 1
+    with pytest.raises(InputError, match="n_users must be a positive integer"):
+        ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2), True)
 
 
 def test_replicated_profile_stores_one_copy():

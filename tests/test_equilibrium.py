@@ -132,7 +132,7 @@ def test_the_budget_binds_below_its_threshold(cfg_a, cfg_three):
 
 
 def test_monotonicity_of_misreport_prob():
-    from auditgame.equilibrium import two_type_misreport_prob
+    from auditgame.bounds import two_type_misreport_prob
     base = [two_type_misreport_prob(make_two_type(F(1, 2), 25, k, 55))
             for k in (100, 200, 400, 800)]
     assert all(a >= b for a, b in zip(base, base[1:]))

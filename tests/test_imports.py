@@ -6,10 +6,17 @@ start-up time than a small game call spends computing.  No call imports
 ledger call imports `auditgame.numeric` or the `fractions` and `decimal`
 it loads, and no Ed25519 ledger call imports `secrets`, `hmac` or
 `hashlib`.
+The game modules import one way, `core → bounds → lp → equilibrium →
+cost`, with `oracle` on `bounds` and `casestudy` on `core`, and each
+module's top-level imports are its whole dependency list: no module but
+`cli` imports a package module inside a function, and none imports
+another's underscore name.
 Every check runs in a fresh interpreter, since the test process has
 already imported the whole package.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -19,7 +26,8 @@ import pytest
 
 import auditgame
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(auditgame.__file__)))
+PACKAGE = os.path.dirname(os.path.abspath(auditgame.__file__))
+SRC = os.path.dirname(PACKAGE)
 
 BASE = {"auditgame", "auditgame.cli", "auditgame.errors"}
 VALUES = BASE | {"auditgame.record"}
@@ -96,12 +104,15 @@ def workdir(tmp_path):
     (["solve", "--config", "two.cfg"], SOLVE),
     (["verify", "--config", "two.cfg"], SOLVE),
     (["cost", "--config", "two.cfg"], SOLVE | {"auditgame.cost"}),
-    (["probe", "--config", "probe.cfg"], SOLVE | {"auditgame.oracle"}),
+    (["probe", "--config", "probe.cfg"], GAME | {"auditgame.bounds", "auditgame.oracle"}),
     (["sweep", "--qmin-grid", "1/4,1/2"], SWEEP),
     (["surface", "--mode", "float"], SWEEP),
     (["bounds", "--config", "two.cfg"], GAME | {"auditgame.bounds"}),
+    # the budget rule lives in `bounds`: no solver decides where it binds
+    (["bounds", "--config", "probe.cfg"], GAME | {"auditgame.bounds"}),
     (["bounds", "--config", "two.cfg", "--format", "text"], SOLVE),
-], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv", "bounds-text"])
+], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv",
+        "bounds-csv-budget", "bounds-text"])
 def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):
     code, ours, crypto, _, toy = _call(args, workdir)
     assert code == 0
@@ -166,3 +177,89 @@ else:
 """
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+# Each module's package imports (`cli` and the package aside), leaving out
+# those that another one listed already loads.
+IMPORTS = {
+    "errors": (), "record": (), "numeric": ("errors",), "ledger": ("errors", "record"),
+    "core": ("errors", "numeric", "record"), "casestudy": ("core",), "bounds": ("core",),
+    "lp": ("core",), "equilibrium": ("bounds", "lp"), "cost": ("equilibrium",),
+    "oracle": ("bounds",),
+}
+
+
+def _chain(name):
+    """`name` and every module it imports, directly or not."""
+    found = {name}
+    for dep in IMPORTS[name]:
+        found |= _chain(dep)
+    return found
+
+
+# Imports one module alone, then calls each of its public functions on a
+# two-user two-type game whose budget binds and on a three-type game without
+# a budget, whatever the call raises, and prints this package's modules
+# loaded after the import and after the calls.
+ALONE = """
+import importlib, inspect, json, sys
+from fractions import Fraction
+def ours():
+    return sorted(m[len("auditgame."):] for m in sys.modules if m.startswith("auditgame."))
+module = importlib.import_module("auditgame." + sys.argv[1])
+imported = ours()
+from auditgame.core import GameConfig
+games = (GameConfig(("low", "high"), (Fraction(1, 2), Fraction(1, 2)), (50, 105), 25, 100,
+                    budget=3, num_users=2),
+         GameConfig(("a", "b", "c"), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
+                    (3, 2, 2), 3, 3))
+for name, fn in vars(module).items():
+    if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__:
+        for game in games:
+            try:
+                fn(game)
+            except Exception:
+                pass
+print(json.dumps([imported, ours()]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(IMPORTS))
+def test_a_module_imported_alone_loads_exactly_its_chain(name):
+    proc = _python(ALONE, name)
+    assert proc.returncode == 0, proc.stderr
+    imported, called = json.loads(proc.stdout.splitlines()[-1])
+    assert imported == sorted(_chain(name))
+    # the calls load nothing beyond the import and the `core` that builds the games
+    assert called == sorted(_chain(name) | _chain("core"))
+
+
+def _package_imports(tree):
+    """(node, imported names) of each import of this package in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "auditgame"
+                                                 or node.module.startswith("auditgame.")):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "auditgame"]
+            if names:
+                yield node, names
+
+
+def test_package_imports_sit_at_module_level_and_name_no_private_names():
+    """`cli` loads each handler's modules on demand and the package's
+    `__getattr__` loads each submodule on first access; every other module
+    imports the package at its top, and only public names."""
+    problems = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.basename(path)
+        if module in ("cli.py", "__init__.py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node, names in _package_imports(tree):
+            if node not in tree.body:
+                problems.append(f"{module}:{node.lineno} imports inside a function")
+            problems += [f"{module}:{node.lineno} imports {name}" for name in names
+                         if name.startswith("_")]
+    assert problems == []

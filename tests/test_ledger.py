@@ -247,6 +247,13 @@ def test_log_replay_rejects_corruption(scheme, tmp_path, user):
         lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
 
 
+def _with_a_second_owner(line):
+    """The record of `line` with one more coin, held by another owner."""
+    record = json.loads(line)
+    record["coins"].append(dict(record["coins"][0], owner_pk="00" * 32))
+    return json.dumps(record, sort_keys=True)
+
+
 @pytest.mark.parametrize("damage, detail", [
     (lambda line: line[:len(line) // 2], "JSONDecodeError"),
     (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "price"}),
@@ -254,7 +261,8 @@ def test_log_replay_rejects_corruption(scheme, tmp_path, user):
     (lambda line: line.replace('"challenge": "', '"challenge": "zz'), "ValueError"),
     (lambda line: "[1, 2]", "TypeError"),
     (lambda line: line[:20] + "\udcff" + line[21:], "UnicodeDecodeError"),
-], ids=["torn-line", "no-price", "bad-hex", "not-an-object", "not-utf8"])
+    (_with_a_second_owner, "InputError('all coins in one receipt must share a single owner key')"),
+], ids=["torn-line", "no-price", "bad-hex", "not-an-object", "not-utf8", "two-owners"])
 def test_log_replay_rejects_malformed_records(scheme, tmp_path, user, damage, detail):
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)

@@ -675,7 +675,7 @@ def test_solve_bp_keeps_blands_pivot_path(monkeypatch, cfg, path):
 @pytest.mark.parametrize("cfg", [cfg for cfg, _ in PINNED_PATHS])
 def test_strategy_from_the_solver_integers_matches_the_validating_constructor(cfg):
     from auditgame import lp as lp_mod
-    X, d, _ = lp_mod._solve(integer_game(cfg))
+    X, d, _ = lp_mod.solve_integer(integer_game(cfg))
     exact = ag.Strategy.from_integers(X, d)
     validated = ag.Strategy(tuple(tuple(F(x, d) for x in row) for row in X))
     assert exact == validated
@@ -751,7 +751,7 @@ def test_bp_equilibrium_checks_catch_a_corrupted_optimum(monkeypatch, prior, all
     cfg = _game(prior, alloc, c, k)
     ag.bp_equilibrium(cfg)   # the true optimum passes
     # the solve returns `rows` over the divisor d = 1
-    monkeypatch.setattr(lp_mod, "_solve", lambda game: ([list(r) for r in rows], 1, False))
+    monkeypatch.setattr(lp_mod, "solve_integer", lambda game: ([list(r) for r in rows], 1, False))
     with pytest.raises(RuntimeError) as excinfo:
         ag.bp_equilibrium(cfg)
     assert str(excinfo.value) == message

@@ -185,7 +185,7 @@ def test_probe_tie_at_threshold_case():
     cfg = ag.GameConfig(types=("low", "high"), prior=(F(1, 2), F(1, 2)),
                         alloc=(50, 105), audit_cost=31, fine=100,
                         num_users=2, budget=F(1, 2))
-    from auditgame.equilibrium import two_type_misreport_prob
+    from auditgame.bounds import two_type_misreport_prob
     assert two_type_misreport_prob(cfg) == F(1, 4)
     report = nonexistence_probe(cfg, 40)
     assert report.complete
@@ -213,7 +213,7 @@ def _random_probe_game(rng):
 
 def test_probe_matches_the_walk_on_random_games():
     """Certifying each region once reports what walking every profile does."""
-    from auditgame.equilibrium import two_type_misreport_prob
+    from auditgame.bounds import two_type_misreport_prob
     rng = random.Random(7)
     seen = dict.fromkeys(("below-threshold-raise", "undercut-raise",
                           "tie-at-threshold-jump", "tie-undercut"), 0)
