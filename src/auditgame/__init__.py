@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _HOME = {
     "AuditPolicy": "core", "BoundReport": "bounds", "BudgetAnalysis": "bounds",
     "CostReport": "cost", "EquilibriumResult": "equilibrium", "GameConfig": "core",
-    "InputError": "errors", "LPSolution": "lp",
-    "NonexistenceError": "errors", "Regime": "bounds", "RegimeError": "errors",
+    "InputError": "errors", "NonexistenceError": "errors", "Regime": "bounds",
+    "RegimeError": "errors",
     "Strategy": "core", "StrategyProfile": "core", "SweepSpec": "casestudy",
     "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
     "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "equilibrium",
@@ -29,8 +29,8 @@ _HOME = {
     "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
     "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",
     "nonexistence_probe": "oracle", "signaling_equilibrium": "equilibrium",
-    "solve_bp": "lp", "surface_preset": "casestudy",
-    "sweep_costs": "casestudy", "sweep_misreport_surface": "casestudy",
+    "surface_preset": "casestudy", "sweep_costs": "casestudy",
+    "sweep_misreport_surface": "casestudy",
     "two_type_closed_form": "equilibrium", "two_type_strategy": "core",
     "user_payoff": "core", "user_utility_avg": "core", "user_utility_type": "core",
     "verify_equilibrium": "equilibrium",

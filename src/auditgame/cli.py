@@ -39,10 +39,7 @@ def _load_config(path):
     from .core import GameConfig
     if not os.path.exists(path):
         raise InputError(f"config file {path!r} does not exist")
-    try:
-        return GameConfig.from_file(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _io_error("read", "config file", path, exc) from None
+    return GameConfig.from_text(_read_text(path, "config file"))
 
 
 def _read_text(path, what) -> str:

@@ -13,7 +13,6 @@ immutable values and are safe to share across threads.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
@@ -116,12 +115,10 @@ class GameConfig(Record):
         return 1, 0
 
     def drop_zero_prior_types(self) -> "GameConfig":
-        """Remove types with zero prior probability, warning when any are dropped."""
+        """Remove types with zero prior probability."""
         if all(q > 0 for q in self.prior):
             return self
         keep = [i for i, q in enumerate(self.prior) if q > 0]
-        dropped = [self.types[i] for i in range(self.n_types) if i not in keep]
-        warnings.warn(f"dropping zero-probability types {dropped} before equilibrium construction")
         if len(keep) < 2:
             raise InputError("fewer than two types have positive probability")
         return self.replace(
@@ -130,7 +127,7 @@ class GameConfig(Record):
             alloc=tuple(self.alloc[i] for i in keep),
         )
 
-    # -- config file I/O ------------------------------------------------
+    # -- config document ------------------------------------------------
 
     _REQUIRED_KEYS = ("types", "prior", "alloc", "audit_cost", "fine")
     _OPTIONAL_KEYS = ("budget", "num_users", "coalition_size")
@@ -187,11 +184,6 @@ class GameConfig(Record):
             fine=as_fraction(entries["fine"]),
             **kwargs,
         )
-
-    @classmethod
-    def from_file(cls, path) -> "GameConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 class IntegerGame(Record):

@@ -117,7 +117,7 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
 
 
 def compare(cfg: GameConfig) -> CostReport:
-    """Dispatch on the number of types and fill the dominance verdict."""
+    """The cost report of `cfg`: the two-type or the multi-type one, by its number of types."""
     if cfg.is_two_type:
         return cost_audit_two_type(cfg)
     return cost_audit_multitype(cfg)

@@ -39,6 +39,11 @@ class EquilibriumResult(Record):
     and excess are per user; aggregate totals live in the cost module.
     `user_utilities` is aligned with cfg.types; `provenance` is one of
     lp, closed_form_two_type and budgeted_two_type.
+
+    `multiplicity` is set when the no-audit program has more than one
+    optimum.  `unique` is set when the construction proves this is the
+    game's only equilibrium, which only the two-type closed form does; a
+    unique program optimum leaves both clear.
     """
 
     _fields = ("profile", "user_utilities", "admin_utility", "excess", "provenance",
@@ -176,13 +181,15 @@ def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     Raises `RegimeError` where the budget binds (`BudgetAnalysis.budget_binds`);
     `signaling_equilibrium` handles those budgets.
 
-    The program is solved by `lp.solve_integer`, as in `lp.solve_bp`: one
-    run of the simplex loop from the truthful basis, over the columns that
-    do not under-report, then the uniqueness test on the optimal face.
-    When the optimum is not unique the strategy is the lexicographically
-    greatest optimum and the result carries the "alternate optima
-    detected" note.  The optimum's invariants are checked on the solver's
-    integers.
+    Types of zero prior probability are dropped before the solve (an
+    `InputError` if fewer than two types are left), and each is put back
+    as a truthful row, pi(m|m) = 1; they add nothing to the excess.  The
+    program is solved by `lp.solve_integer`: one run of the simplex loop
+    from the truthful basis, over the columns that do not under-report,
+    then the uniqueness test on the optimal face.  When the optimum is not
+    unique the strategy is the lexicographically greatest optimum and the
+    result carries the "alternate optima detected" note.  The optimum's
+    invariants are checked on the solver's integers.
     """
     work = cfg.drop_zero_prior_types()
     if cfg.budget is not None and budget_thresholds(cfg).budget_binds:

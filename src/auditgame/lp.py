@@ -33,40 +33,15 @@ pivot p.  The truthful strategy is always feasible, so the loop starts at
 the truthful basis, with d = 1, over the columns that do not under-report.
 The same loop, restricted to the optimal face, then decides whether the
 optimum is unique and, when it is not, returns the lexicographically
-greatest optimum, so the answer depends only on the game.  `solve_bp`
-turns that answer into `Fraction`s once, at the end, and
-`equilibrium.bp_equilibrium` builds the no-audit equilibrium from it.
+greatest optimum, so the answer depends only on the game.
+`equilibrium.bp_equilibrium` turns that answer into `Fraction`s once, at
+the end, and builds the no-audit equilibrium from it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import core
-from .core import GameConfig, IntegerGame
-from .errors import InputError
-from .record import Record
-
-
-class LPSolution(Record):
-    """`values` maps (signal_label, type_label) to a Fraction.
-
-    `multiplicity_flag` is set exactly when the optimum is not unique.
-    """
-
-    _fields = ("values", "objective_value", "multiplicity_flag")
-
-    def __init__(self, values: dict, objective_value: Fraction, multiplicity_flag: bool):
-        self._set(values, objective_value, multiplicity_flag)
-
-
-def _require_bp_game(cfg: GameConfig) -> None:
-    if cfg.n_types < 2:
-        raise InputError("need at least two types; a single type leaves no scope to misreport")
-    if any(q == 0 for q in cfg.prior):
-        raise InputError(
-            "prior must be strictly positive here; drop zero-probability types first"
-        )
+from .core import IntegerGame
 
 
 # -- one integer simplex loop with Bland's rule --------------------------
@@ -183,8 +158,24 @@ def _truthful_tableau(game: IntegerGame, kept: list):
 def solve_integer(game: IntegerGame) -> tuple:
     """Solve the no-audit program of `game` on integers: (X, d, multiple).
 
-    X[m][s] / d is the optimal pi(s|m), and `multiple` says whether the
-    optimum is not unique; see `solve_bp`.
+    X[m][s] / d is the optimal pi(s|m), and `multiple` is set exactly
+    when the optimum is not unique.
+
+    The truthful basis {pi(m|m)} + {slack_s} is feasible because audit
+    row s of `_truthful_tableau` has right-hand side c*q_s >= 0, and the
+    under-report columns are zero in every optimum: since k >= c, moving
+    mass from pi(s|m) to pi(m|m) keeps every row feasible and strictly
+    raises the objective.  The optimal face F is the final tableau with
+    entering columns restricted to those whose reduced cost is exactly 0.
+
+    * Uniqueness (Mangasarian, Linear Algebra Appl. 25, 1979): the optimum
+      x* is unique when every nonbasic column prices strictly negative,
+      and otherwise exactly when the sum of the columns that are 0 at x*
+      has maximum 0 over F.
+    * Tie rule: when it is not unique, the result is the lexicographically
+      greatest optimum in column order.  Each column of F in turn is
+      maximized over F, and F then keeps only the columns that still price
+      at 0.
     """
     n = len(game.prior)
     P, F = game.prior, game.alloc
@@ -232,52 +223,3 @@ def solve_integer(game: IntegerGame) -> tuple:
             m, s = kept[j]
             X[m][s] = tableau[r][-1]
     return X, d, multiple
-
-
-def solve_bp(cfg: GameConfig) -> LPSolution:
-    """Solve `cfg`'s no-audit program exactly; the optimum is unique or lex-greatest.
-
-    The program is the one written out in the module docstring: maximize
-    sum q_m*f_s*pi(s|m) subject to sum_s pi(s|m) = 1 for each type m and
-    sum_m pi(s|m)*margin(s, m) <= 0 for each signal s, over the columns
-    pi(s|m), by type m and then by signal s, then one audit slack per
-    signal.
-
-    One Bland phase over the columns pi(s|m) with f_s >= f_m, starting at
-    the truthful basis {pi(m|m)} + {slack_s}.  That basis is feasible
-    because the audit row of signal s minus a_ss times the stochasticity
-    row of type s has right-hand side c*q_s >= 0.  The under-report
-    columns are zero in every optimum: since k >= c, moving mass from
-    pi(s|m) to pi(m|m) keeps every row feasible and strictly raises the
-    objective.
-
-    The answer is then settled on the optimal face F: the current tableau
-    with entering columns restricted to those whose reduced cost is
-    exactly 0.
-
-    * Uniqueness (Mangasarian, Linear Algebra Appl. 25, 1979): the optimum
-      x* is unique when every nonbasic column prices strictly negative,
-      and otherwise exactly when the sum of the columns that are 0 at x*
-      has maximum 0 over F.  `multiplicity_flag` is set exactly when the
-      optimum is not unique.
-    * Tie rule: when it is not unique, the result is the lexicographically
-      greatest optimum in that column order.  Each column of F in turn is
-      maximized over F, and F then keeps only the columns that still price
-      at 0.
-
-    All of it runs on the integer tableau of `_truthful_tableau`; the
-    values become `Fraction`s at the end.
-    """
-    _require_bp_game(cfg)
-    game = core.integer_game(cfg)
-    X, d, multiple = solve_integer(game)
-    zero = Fraction(0)
-    values = {}
-    total = 0
-    for m, m_label in enumerate(cfg.types):
-        for s, s_label in enumerate(cfg.types):
-            x = X[m][s]
-            values[(s_label, m_label)] = Fraction(x, d) if x else zero
-            total += game.prior[m] * game.alloc[s] * x
-    objective_value = Fraction(total, game.prior_den * game.money_den * d)
-    return LPSolution(values, objective_value, multiple)

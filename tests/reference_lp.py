@@ -1,5 +1,5 @@
 """The no-audit program in `Fraction`s and a generic two-phase simplex:
-the test oracle for `auditgame.lp.solve_bp`.
+the test oracle for the exact solve behind `auditgame.bp_equilibrium`.
 
 `build_bp_lp` writes the program of the `auditgame.lp` module docstring
 out as a `LinearProgram`, with `Fraction` coefficients, columns pi(s|m)
@@ -9,8 +9,8 @@ exactly and reports infeasible and unbounded programs in its `Solution`'s
 costs at each basis; the library's loop instead carries them as a tableau
 row.  Phase 2 lets only the structural and slack columns enter, so no
 artificial can re-enter whatever the duals are.  The tests hold
-`solve_bp` to this solver's objective, to its values when the optimum is
-unique, and to a uniqueness test run on this solver.
+`bp_equilibrium`'s optimum to this solver's objective, to its values when
+the optimum is unique, and to a uniqueness test run on this solver.
 """
 
 from fractions import Fraction
@@ -19,7 +19,6 @@ from typing import Optional
 from auditgame import core
 from auditgame.core import GameConfig
 from auditgame.errors import InputError
-from auditgame.lp import _require_bp_game
 from auditgame.record import Record
 
 LESS_EQUAL = "<="
@@ -64,7 +63,12 @@ class Solution(Record):
 
 def build_bp_lp(cfg: GameConfig) -> LinearProgram:
     """Assemble the no-audit program for a game with strictly positive prior."""
-    _require_bp_game(cfg)
+    if cfg.n_types < 2:
+        raise InputError("need at least two types; a single type leaves no scope to misreport")
+    if any(q == 0 for q in cfg.prior):
+        raise InputError(
+            "prior must be strictly positive here; drop zero-probability types first"
+        )
     n = cfg.n_types
     col_labels = []
     index = {}

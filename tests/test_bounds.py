@@ -117,7 +117,6 @@ def _budgeted_game(rng):
     return cfg.replace(budget=budget)
 
 
-@pytest.mark.filterwarnings("ignore:dropping zero-probability types")
 def test_every_equilibrium_satisfies_the_caps_its_report_claims():
     # where the budget binds the report claims no caps; everywhere else the
     # equilibrium keeps every per-pair cap and the excess cap

@@ -90,6 +90,18 @@ def test_solve_and_verify_zero_budget_two_users(tmp_path, capsys):
     assert "passed: true" in lines and "max_gain[low]: 0" in lines
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_zero_prior_type_is_solved_quietly_and_printed_truthful(tmp_path, capsys):
+    path = tmp_path / "zero-prior.cfg"
+    path.write_text("types = a, b, c\nprior = 0, 1/2, 1/2\nalloc = a: 5, b: 10, c: 20\n"
+                    "audit_cost = 5\nfine = 30\n")
+    for command in ("solve", "verify", "cost"):
+        code, out, err = run([command, "--config", str(path)], capsys)
+        assert (code, err) == (0, ""), command
+        if command == "solve":
+            assert "strategy_exact[a]: 1,0,0" in out.splitlines()
+
+
 def test_solve_n_type_nonexistence_names_only_the_coalition_threshold(tmp_path, capsys):
     path = tmp_path / "three.cfg"
     path.write_text("types = a, b, c\nprior = 1/3, 1/3, 1/3\nalloc = a: 10, b: 20, c: 40\n"
@@ -103,7 +115,10 @@ def test_solve_n_type_nonexistence_names_only_the_coalition_threshold(tmp_path, 
 def test_input_error_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "none.cfg")
     code, _, err = run(["solve", "--config", missing], capsys)
-    assert code == 1 and "does not exist" in err
+    assert (code, err) == (1, f"input error: config file {missing!r} does not exist\n")
+    code, _, err = run(["solve", "--config", str(tmp_path)], capsys)   # a directory
+    assert (code, err) == (1, f"input error: cannot read config file {str(tmp_path)!r}: "
+                              "Is a directory\n")
     bad = tmp_path / "bad.cfg"
     bad.write_text(CFG_A.replace("fine = 100", "fine = 10"))
     code, _, err = run(["solve", "--config", str(bad)], capsys)

@@ -25,7 +25,7 @@ def test_parse_minimal():
     assert cfg.num_users == 1 and cfg.coalition_size == 1
 
 
-def test_parse_full_and_number_forms(tmp_path):
+def test_parse_full_and_number_forms():
     text = """\
 types = a, b
 prior = 0.25, 0.75   # decimals fine
@@ -36,9 +36,7 @@ budget = 0.5
 num_users = 40
 coalition_size = 3
 """
-    path = tmp_path / "g.cfg"
-    path.write_text(text)
-    cfg = GameConfig.from_file(path)
+    cfg = GameConfig.from_text(text)
     assert cfg.prior == (F(1, 4), F(3, 4))
     assert cfg.alloc == (F(7, 2), F(25, 2))
     assert cfg.audit_cost == F(1, 3)

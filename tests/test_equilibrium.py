@@ -450,7 +450,6 @@ def test_best_grid_deviation_matches_oracle_on_random_strategies():
     assert min(seen.values()) >= 20, seen
 
 
-@pytest.mark.filterwarnings("ignore:dropping zero-probability types")
 def test_best_grid_deviation_matches_oracle_on_equilibria():
     rng = random.Random(43)
     cases = 0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import auditgame as ag
 from auditgame import InputError, RegimeError
 from auditgame.core import integer_game
-from auditgame.lp import solve_bp
 
 import reference_lp
 from reference_lp import EQUAL, LESS_EQUAL, OPTIMAL, LinearProgram, build_bp_lp
@@ -63,29 +62,29 @@ def test_build_rejects_zero_prior(cfg_a):
 def test_the_program_and_its_statuses_are_not_library_names():
     """`auditgame.lp` holds the integer solver alone: the `Fraction`
     program, its record and its relation and status constants live in
-    `reference_lp`, and the solver's record has no status."""
+    `reference_lp`, and the library reaches the solver only through
+    `bp_equilibrium`."""
     from auditgame import lp as lp_mod
-    for name in ("build_bp_lp", "LinearProgram"):
-        assert name not in ag.__all__ and name not in dir(ag)
+    for name in ("build_bp_lp", "LinearProgram", "solve_bp", "LPSolution"):
+        assert name not in ag.__all__ and name not in dir(ag), name
         with pytest.raises(AttributeError):
             getattr(ag, name)
-    for name in ("build_bp_lp", "LinearProgram", "EQUAL", "LESS_EQUAL", "OPTIMAL"):
+    for name in ("build_bp_lp", "LinearProgram", "EQUAL", "LESS_EQUAL", "OPTIMAL", "solve_bp",
+                 "LPSolution", "_require_bp_game"):
         assert not hasattr(lp_mod, name), name
-    assert ag.LPSolution._fields == ("values", "objective_value", "multiplicity_flag")
 
 
-def test_solve_bp_rejects_zero_prior_and_one_type_games(cfg_a):
-    with pytest.raises(InputError) as excinfo:
-        solve_bp(cfg_a.replace(prior=(F(0), F(1))))
-    assert str(excinfo.value) == \
-        "prior must be strictly positive here; drop zero-probability types first"
-    # `GameConfig` itself refuses one type, so build the record directly.
-    one_type = object.__new__(ag.GameConfig)
-    one_type._set(("a",), (F(1),), (F(5),), F(1), F(2), None, 1, 1)
-    with pytest.raises(InputError) as excinfo:
-        solve_bp(one_type)
-    assert str(excinfo.value) == \
-        "need at least two types; a single type leaves no scope to misreport"
+def _optimum(cfg):
+    """The program's optimum as `bp_equilibrium` returns it, after its
+    invariant checks: the values pi(s|m) keyed by (signal, type) label, the
+    objective sum q_m*f_s*pi(s|m), which is minus the administrator's
+    utility at zero audit, and whether the optimum is not unique."""
+    eq = ag.bp_equilibrium(cfg)
+    assert eq.audit().is_zero()
+    rows = eq.strategy().rows
+    values = {(s, m): rows[i][j] for i, m in enumerate(cfg.types)
+              for j, s in enumerate(cfg.types)}
+    return values, -eq.admin_utility, eq.multiplicity
 
 
 def test_debug_text_golden(cfg_a):
@@ -109,34 +108,34 @@ def test_debug_text_golden(cfg_a):
 
 
 def test_solve_cfg_a_exact(cfg_a):
-    sol = solve_bp(cfg_a)
-    assert sol.values[("high", "low")] == F(5, 26)
-    assert sol.values[("high", "high")] == F(1)
-    assert sol.objective_value == F(155, 2) + F(1, 2) * F(5, 26) * 55
+    values, objective, _ = _optimum(cfg_a)
+    assert values[("high", "low")] == F(5, 26)
+    assert values[("high", "high")] == F(1)
+    assert objective == F(155, 2) + F(1, 2) * F(5, 26) * 55
 
 
 def test_solve_truthful_forced_at_free_audits():
     cfg = ag.GameConfig(types=("low", "high"), prior=(F(1, 2), F(1, 2)),
                         alloc=(50, 105), audit_cost=0, fine=100)
-    sol = solve_bp(cfg)
-    assert sol.values[("high", "low")] == 0
-    assert sol.objective_value == F(155, 2)
+    values, objective, _ = _optimum(cfg)
+    assert values[("high", "low")] == 0
+    assert objective == F(155, 2)
 
 
 def test_solve_three_type_fixture(cfg_three):
-    sol = solve_bp(cfg_three)
-    assert sol.values[("b", "a")] == F(1, 3)
-    assert sol.values[("c", "a")] == F(1, 5)
-    assert sol.values[("a", "a")] == F(7, 15)
+    values, objective, _ = _optimum(cfg_three)
+    assert values[("b", "a")] == F(1, 3)
+    assert values[("c", "a")] == F(1, 5)
+    assert values[("a", "a")] == F(7, 15)
     truthful_value = F(1, 3) * (0 + 2 + 4)
-    assert sol.objective_value - truthful_value == F(22, 45)
+    assert objective - truthful_value == F(22, 45)
 
 
 def test_solution_satisfies_every_constraint_exactly(cfg_a, cfg_three):
     for cfg in (cfg_a, cfg_three):
         lp = build_bp_lp(cfg)
-        sol = solve_bp(cfg)
-        x = [sol.values[key] for key in lp.column_labels]
+        values, _, _ = _optimum(cfg)
+        x = [values[key] for key in lp.column_labels]
         assert all(v >= 0 for v in x)
         for coeffs, rel, rhs in lp.rows:
             lhs = sum(c * v for c, v in zip(coeffs, x))
@@ -266,7 +265,8 @@ def test_bp_equilibrium_large_fine_limits(cfg_a):
 def test_bp_equilibrium_drops_and_reembeds_zero_prior_types():
     cfg = ag.GameConfig(types=("a", "b", "z"), prior=(F(1, 2), F(1, 2), 0),
                         alloc=(50, 105, 70), audit_cost=25, fine=100)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the caller wrote the zero prior: no warning
         eq = ag.bp_equilibrium(cfg)
     assert eq.strategy().rows[0] == (F(21, 26), F(5, 26), F(0))
     assert eq.strategy().rows[2] == (F(0), F(0), F(1))   # dropped type stays truthful
@@ -350,7 +350,7 @@ def test_solver_matches_independent_solver():
     for _ in range(40):
         cfg = _random_general(rng, rng.choice([2, 3, 4, 5]))
         lp = build_bp_lp(cfg)
-        mine = solve_bp(cfg)
+        _, objective, _ = _optimum(cfg)
         c = np.array([-float(v) for v in lp.objective])
         A_eq, b_eq, A_ub, b_ub = [], [], [], []
         for coeffs, rel, rhs in lp.rows:
@@ -364,8 +364,8 @@ def test_solver_matches_independent_solver():
         ref = so.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                          bounds=(0, None), method="highs")
         assert ref.status == 0
-        scale = max(1.0, abs(float(mine.objective_value)))
-        assert abs(-ref.fun - float(mine.objective_value)) < 1e-7 * scale
+        scale = max(1.0, abs(float(objective)))
+        assert abs(-ref.fun - float(objective)) < 1e-7 * scale
 
 
 def test_bp_equilibrium_invariants_hold_on_wider_games():
@@ -458,18 +458,19 @@ def _optimum_is_unique(program, opt):
 
 
 def _assert_same_solution(cfg):
-    """`solve_bp` against the reference: the same objective, the same values
-    when the optimum is unique, and the flag set exactly when it is not."""
-    mine = solve_bp(cfg)
+    """`bp_equilibrium`'s optimum against the reference: the same objective,
+    the same values when the optimum is unique, and the multiplicity flag
+    set exactly when it is not; returns that flag."""
+    values, objective, multiple = _optimum(cfg)
     program = build_bp_lp(cfg)
     ref = reference_lp.solve_lp(program)
     assert ref.status == OPTIMAL
-    assert mine.objective_value == ref.objective_value
+    assert objective == ref.objective_value
     unique = _optimum_is_unique(program, ref)
-    assert mine.multiplicity_flag == (not unique)
+    assert multiple == (not unique)
     if unique:
-        assert mine.values == ref.values
-    return mine
+        assert values == ref.values
+    return multiple
 
 
 def test_solve_bp_matches_generic_solver():
@@ -482,7 +483,7 @@ def test_solve_bp_matches_generic_solver():
 
 def test_solve_bp_matches_generic_solver_on_ties():
     rng = random.Random(13)
-    flags = [_assert_same_solution(_tie_heavy_game(rng, n)).multiplicity_flag
+    flags = [_assert_same_solution(_tie_heavy_game(rng, n))
              for n in range(2, 7) for _ in range(6)]
     assert any(flags) and not all(flags)   # both kinds of optimum occur
 
@@ -497,8 +498,7 @@ def test_solve_bp_degenerate_optima_are_unique(prior, alloc, c, k):
     flag stays clear."""
     cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(len(prior))), prior=prior,
                         alloc=alloc, audit_cost=c, fine=k)
-    _assert_same_solution(cfg)
-    assert not solve_bp(cfg).multiplicity_flag
+    assert not _assert_same_solution(cfg)
 
 
 def _solve_square(matrix, rhs):
@@ -548,11 +548,11 @@ def test_tie_rule_matches_vertex_enumeration():
             cfg = _tie_heavy_game(rng, n)
             program = build_bp_lp(cfg)
             optima = _optimal_vertices(program)
-            sol = solve_bp(cfg)
-            assert sol.multiplicity_flag == (len(optima) > 1)
-            assert tuple(sol.values[key] for key in program.column_labels) == \
+            values, _, multiple = _optimum(cfg)
+            assert multiple == (len(optima) > 1)
+            assert tuple(values[key] for key in program.column_labels) == \
                 max(optima)[:program.n_vars]
-            flags.append(sol.multiplicity_flag)
+            flags.append(multiple)
     assert any(flags) and not all(flags)
 
 
@@ -560,7 +560,7 @@ def test_tie_rule_matches_vertex_enumeration():
 
 
 def _record_phases(monkeypatch):
-    """Record each `_maximize` call of `solve_bp` as a phase: its
+    """Record each `_maximize` call of the solve as a phase: its
     (leaving row, entering column) pivots, its final reduced-cost row and
     its final divisor."""
     from auditgame import lp as lp_mod
@@ -583,8 +583,9 @@ def _record_phases(monkeypatch):
 
 
 def test_solvers_match_the_recomputing_reference():
-    """`solve_bp` agrees with the reference, which recomputes every reduced
-    cost at each basis, on all three game generators."""
+    """`bp_equilibrium`'s optimum agrees with the reference, which
+    recomputes every reduced cost at each basis, on all three game
+    generators."""
     rng = random.Random(17)
     for n in range(2, 10):
         for make in (_random_general, _spread_game, _tie_heavy_game):
@@ -593,7 +594,7 @@ def test_solvers_match_the_recomputing_reference():
 
 
 def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
-    """On this game `solve_bp`'s phase pivots an audit-row slack back into
+    """On this game the solve's phase pivots an audit-row slack back into
     the basis after kept columns.  Its Bland phase picks a slack only when no
     kept column prices positive, so a phase without slack columns would stop
     at a basis that still prices a slack positive (9/19 here)."""
@@ -601,7 +602,7 @@ def test_solve_bp_lets_an_audit_slack_reenter(monkeypatch):
                         alloc=(131, 140, 128), audit_cost=24, fine=40)
     phases = _record_phases(monkeypatch)
     _assert_same_solution(cfg)
-    phase = phases[0]   # the first call is `solve_bp`'s own phase
+    phase = phases[0]   # the first call is the solve's own phase
     reduced, d = phase["reduced"], phase["divisor"]
     slacks = range(len(reduced) - 1 - cfg.n_types, len(reduced) - 1)
     assert any(col in slacks for _, col in phase["pivots"])
@@ -618,7 +619,7 @@ def _game(prior, alloc, c, k):
 
 
 # (leaving row, entering column) of every pivot, one tuple per `_maximize`
-# call, recorded from the `Fraction` tableau that `solve_bp` used before it
+# call, recorded from the `Fraction` tableau that the solve used before it
 # pivoted on integers.  The phases are the Bland phase, then on a tied
 # optimum the uniqueness test and the tie rule's phases.
 PINNED_PATHS = [
@@ -668,7 +669,7 @@ PINNED_PATHS = [
 @pytest.mark.parametrize("cfg, path", PINNED_PATHS)
 def test_solve_bp_keeps_blands_pivot_path(monkeypatch, cfg, path):
     phases = _record_phases(monkeypatch)
-    solve_bp(cfg)
+    ag.bp_equilibrium(cfg)
     assert [tuple(phase["pivots"]) for phase in phases] == path
 
 
@@ -720,13 +721,11 @@ def _scaling_games(draw):
 @settings(max_examples=60, deadline=None)
 @given(cfg=_scaling_games())
 def test_solve_bp_matches_the_reference_on_awkward_numbers(cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # dropped zero-prior types
-        try:
-            work = cfg.drop_zero_prior_types()
-        except InputError:   # fewer than two types left
-            return
-        ag.bp_equilibrium(cfg)   # its invariant checks hold
+    try:
+        work = cfg.drop_zero_prior_types()
+    except InputError:   # fewer than two types left
+        return
+    ag.bp_equilibrium(cfg)   # its invariant checks hold
     _assert_same_solution(work)
 
 
