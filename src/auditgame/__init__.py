@@ -23,8 +23,7 @@ _HOME = {
     "Strategy": "core", "StrategyProfile": "core", "SweepSpec": "casestudy",
     "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
     "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "equilibrium",
-    "budget_thresholds": "bounds", "budgeted_two_type_equilibrium": "equilibrium",
-    "compare": "cost", "cost_audit_multitype": "cost",
+    "budget_thresholds": "bounds", "compare": "cost", "cost_audit_multitype": "cost",
     "cost_audit_two_type": "cost", "cost_no_audit": "cost", "excess_payments": "core",
     "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
     "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",

@@ -1,14 +1,14 @@
 """Equilibrium constructions and their verification.
 
-Any game where the budget does not bind has the no-audit equilibrium of
-the program that `lp.solve_integer` solves (`bp_equilibrium`).  The
-two-type game has a closed-form unique equilibrium; a budgeted two-type
-single-user game has an equilibrium for every budget, switching between
-a budget-exhausting branch and the closed form at a threshold.  Games
-dispatch through the budget regime of `bounds.budget_thresholds`: every
-budgeted two-type game below the coalition threshold goes to that
-construction, and a larger game below it gets a structured error rather
-than a bogus profile.
+`signaling_equilibrium` is the one dispatcher: it reads the budget
+regime of `bounds.budget_thresholds` once and hands that analysis to the
+construction it picks.  Unbudgeted games and budgets at or above the
+coalition threshold take the no-audit equilibrium of the program that
+`lp.solve_integer` solves (`bp_equilibrium`).  Below it, a two-type game
+takes the closed form where the budget does not bind, and the
+budget-exhausting profile where it binds with one user or a zero budget;
+several users with a positive binding budget, and any larger game, get a
+structured error rather than a bogus profile.
 
 Equilibria here lean on the audit rule resolving exact indifference to
 no-audit.  If an administrator instead audited with positive probability
@@ -23,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core, lp
-from .bounds import Regime, budget_thresholds, excess_payments_bound, two_type_misreport_prob
+from .bounds import (BudgetAnalysis, Regime, budget_thresholds, excess_payments_bound,
+                     two_type_misreport_prob)
 from .core import (AuditPolicy, GameConfig, IntegerGame, Strategy, StrategyProfile,
                    positive_part, two_type_strategy)
 from .errors import InputError, NonexistenceError, RegimeError
@@ -42,8 +43,8 @@ class EquilibriumResult(Record):
 
     `multiplicity` is set when the no-audit program has more than one
     optimum.  `unique` is set when the construction proves this is the
-    game's only equilibrium, which only the two-type closed form does; a
-    unique program optimum leaves both clear.
+    game's only equilibrium, which only the two-type closed form with
+    distinct credits does; a unique program optimum leaves both clear.
     """
 
     _fields = ("profile", "user_utilities", "admin_utility", "excess", "provenance",
@@ -98,59 +99,42 @@ def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess
 
 
 def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
-    """Unique no-audit equilibrium of the two-type game."""
+    """No-audit equilibrium of the two-type game: the low type claims the
+    high credit with `two_type_misreport_prob`.  It is the only one when
+    the credits differ; with equal credits every profile the caps allow is
+    one, and `multiplicity` is set as the program sets it."""
     if not cfg.is_two_type:
         raise InputError("the closed form applies to two-type games only")
     p = two_type_misreport_prob(cfg)
     pi = two_type_strategy(cfg, p)
     sigma = AuditPolicy.zero(2)
+    distinct = cfg.delta_f_max > 0
     return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
-                              "closed_form_two_type", unique=True)
+                              "closed_form_two_type", unique=distinct,
+                              multiplicity=not distinct and p > 0)
 
 
-def budgeted_two_type_equilibrium(cfg: GameConfig) -> EquilibriumResult:
-    """Two-type equilibrium under any finite budget.
-
-    Where the budget binds (`budget_thresholds`) the low type misreports
-    always and the administrator exhausts its budget on the high signal;
-    elsewhere the closed form applies with no audits.  With more than one
-    user a binding positive budget admits no equilibrium.
-    """
-    if not cfg.is_two_type:
-        raise InputError("the budgeted construction applies to two-type games only")
-    if cfg.budget is None:
-        raise InputError("budgeted construction needs a finite budget; use the closed form")
-    analysis = budget_thresholds(cfg)
-    threshold = analysis.threshold_two_type
-    if not analysis.budget_binds:
-        return two_type_closed_form(cfg)
-
-    if cfg.num_users > 1 and cfg.budget > 0:
-        raise NonexistenceError(
-            f"no signaling equilibrium: {cfg.num_users} users with budget "
-            f"{cfg.budget} strictly between 0 and the two-type existence "
-            f"threshold {threshold}",
-            budget=cfg.budget,
-            threshold_two_type=threshold,
-            threshold_general=analysis.threshold_general,
-        )
-
+def _budget_exhausting(cfg: GameConfig, analysis: BudgetAnalysis) -> EquilibriumResult:
+    """Two-type equilibrium where the budget binds, with one user or a zero
+    budget: the low type misreports always and the administrator exhausts
+    its budget on the high signal."""
     _, hi = cfg.low_high_indices()
     pi = two_type_strategy(cfg, 1)
     probs = [Fraction(0), Fraction(0)]
     probs[hi] = core.audited_probability(cfg)
     sigma = AuditPolicy(tuple(probs))
-    return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
-                              "budgeted_two_type",
-                              notes=(f"budget-exhausting branch; threshold {threshold}",))
+    return equilibrium_result(
+        cfg, pi, sigma, core.excess_payments(pi, sigma, cfg), "budgeted_two_type",
+        notes=(f"budget-exhausting branch; threshold {analysis.threshold_two_type}",))
 
 
-def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
+def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d, excess_cap: Fraction) -> Fraction:
     """Check the optimum X/d of `cfg`'s program; return its excess payments.
 
     The internal consistency of every solve, decided exactly on the
     integers of `game`: no under-reporting mass, the audit best response
-    vanishes, and both equilibrium bounds hold.
+    vanishes, every per-pair cap holds, and the excess stays within
+    `excess_cap`, the aggregate cap of `cfg`.
     """
     n = cfg.n_types
     P, F, C, K = game.prior, game.alloc, game.cost, game.fine
@@ -170,9 +154,35 @@ def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d) -> Fraction:
                     raise RuntimeError("optimum exceeds a per-pair misreporting cap")
     excess = Fraction(core.excess_sum(P, F, X, [1] * n),
                       game.prior_den * game.money_den * d)
-    if excess > excess_payments_bound(cfg):
+    if excess > excess_cap:
         raise RuntimeError("optimum exceeds the aggregate excess-payments cap")
     return excess
+
+
+def _program_equilibrium(cfg: GameConfig, analysis: BudgetAnalysis) -> EquilibriumResult:
+    """The program's equilibrium of `cfg`, whose budget does not bind
+    (`analysis`); see `bp_equilibrium`."""
+    work = cfg.drop_zero_prior_types()
+    game = core.integer_game(work)
+    X, d, multiple = lp.solve_integer(game)
+    # Dropped zero-probability types add nothing to the excess, but they can
+    # widen the credit gap of `analysis`' cap: check against the solved game's.
+    cap = analysis.threshold_general if work is cfg else excess_payments_bound(work)
+    excess = _check_optimum(work, game, X, d, cap)
+
+    # Re-embed rows for any dropped zero-probability types as truthful.
+    position = {label: i for i, label in enumerate(work.types)}
+    work_index = [position.get(label) for label in cfg.types]
+    rows = []
+    for m, wm in enumerate(work_index):
+        if wm is None:
+            rows.append([d if s == m else 0 for s in range(cfg.n_types)])
+        else:
+            rows.append([0 if ws is None else X[wm][ws] for ws in work_index])
+    pi = Strategy.from_integers(rows, d)
+    notes = ("alternate optima detected",) if multiple else ()
+    return equilibrium_result(cfg, pi, AuditPolicy.zero(cfg.n_types), excess, "lp",
+                              multiplicity=multiple, notes=notes)
 
 
 def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
@@ -191,52 +201,45 @@ def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     result carries the "alternate optima detected" note.  The optimum's
     invariants are checked on the solver's integers.
     """
-    work = cfg.drop_zero_prior_types()
-    if cfg.budget is not None and budget_thresholds(cfg).budget_binds:
+    analysis = budget_thresholds(cfg)
+    if analysis.budget_binds:
         raise RegimeError(f"budget {cfg.budget} holds audits back, so the no-audit program "
                           "gives no equilibrium; use signaling_equilibrium")
-
-    game = core.integer_game(work)
-    X, d, multiple = lp.solve_integer(game)
-    # Dropped zero-probability types add nothing to the excess.
-    excess = _check_optimum(work, game, X, d)
-
-    # Re-embed rows for any dropped zero-probability types as truthful.
-    position = {label: i for i, label in enumerate(work.types)}
-    work_index = [position.get(label) for label in cfg.types]
-    rows = []
-    for m, wm in enumerate(work_index):
-        if wm is None:
-            rows.append([d if s == m else 0 for s in range(cfg.n_types)])
-        else:
-            rows.append([0 if ws is None else X[wm][ws] for ws in work_index])
-    pi = Strategy.from_integers(rows, d)
-    notes = ("alternate optima detected",) if multiple else ()
-    return equilibrium_result(cfg, pi, AuditPolicy.zero(cfg.n_types), excess, "lp",
-                              multiplicity=multiple, notes=notes)
+    return _program_equilibrium(cfg, analysis)
 
 
 def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     """Administrator-least-favorable signaling equilibrium for the regime.
 
-    Unbudgeted games and budgets at or above the coalition threshold take
-    the LP; any other two-type game takes `budgeted_two_type_equilibrium`.
-    The returned excess is the tight upper bound on excess payments over
-    all signaling equilibria of the instance.
+    The library's one dispatcher (see the module docstring): it calls
+    `budget_thresholds` once and passes that analysis to the construction
+    it picks.  The returned excess is the tight upper bound on excess
+    payments over all signaling equilibria of the instance.
     """
     analysis = budget_thresholds(cfg)
     regime = analysis.regime
     if regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
-        result = bp_equilibrium(cfg)
-    elif cfg.is_two_type:
-        result = budgeted_two_type_equilibrium(cfg)
-    else:
+        result = _program_equilibrium(cfg, analysis)
+    elif not cfg.is_two_type:
         raise NonexistenceError(
             f"no signaling equilibrium: budget {cfg.budget} lies below the "
             f"coalition-scaled existence threshold {analysis.threshold_coalition}",
             budget=cfg.budget,
             threshold_general=analysis.threshold_general,
         )
+    elif not analysis.budget_binds:
+        result = two_type_closed_form(cfg)
+    elif cfg.num_users > 1 and cfg.budget > 0:
+        raise NonexistenceError(
+            f"no signaling equilibrium: {cfg.num_users} users with budget "
+            f"{cfg.budget} strictly between 0 and the two-type existence "
+            f"threshold {analysis.threshold_two_type}",
+            budget=cfg.budget,
+            threshold_two_type=analysis.threshold_two_type,
+            threshold_general=analysis.threshold_general,
+        )
+    else:
+        result = _budget_exhausting(cfg, analysis)
     return result.replace(notes=result.notes + (
         "excess is the tight upper bound over all signaling equilibria",
         f"regime {regime.value}"))

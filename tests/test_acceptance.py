@@ -208,13 +208,13 @@ def test_criterion_7_budgeted_two_type(cfg_a):
     threshold = ag.budget_thresholds(cfg_a).threshold_two_type
     for budget in (F(0), F(2), F(7165, 1000), F(10)):
         cfg = with_budget(cfg_a, budget)
-        res = ag.budgeted_two_type_equilibrium(cfg)
+        res = ag.signaling_equilibrium(cfg)
         report = ag.verify_equilibrium(res, cfg, resolution=200)
         assert report.passed, (budget, report.to_text())
 
     eps = F(1, 10**9)
-    below = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, threshold - eps))
-    above = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, threshold + eps))
+    below = ag.signaling_equilibrium(with_budget(cfg_a, threshold - eps))
+    above = ag.signaling_equilibrium(with_budget(cfg_a, threshold + eps))
     assert below.provenance == "budgeted_two_type"
     assert below.strategy().rows[0][1] == 1
     assert above.provenance == "closed_form_two_type"

@@ -149,6 +149,17 @@ def test_bounds_prints_no_caps_where_the_budget_binds(tmp_path, capsys):
             0, "caps: do not apply at this budget, which holds audits back\n", "")
 
 
+def test_bounds_refuses_a_game_with_one_type_of_positive_probability(tmp_path, capsys):
+    # the caps are refused in both formats, as solve refuses the game
+    path = tmp_path / "one.cfg"
+    path.write_text("types = a, b, z\nprior = 1, 0, 0\nalloc = a: 50, b: 105, z: 3\n"
+                    "audit_cost = 25\nfine = 100\n")
+    error = (1, "", "input error: fewer than two types have positive probability\n")
+    assert run(["solve", "--config", str(path)], capsys) == error
+    for fmt in ("csv", "text"):
+        assert run(["bounds", "--config", str(path), "--format", fmt], capsys) == error
+
+
 def test_cost_output(cfg_file, capsys):
     code, out, _ = run(["cost", "--config", cfg_file], capsys)
     assert code == 0

@@ -48,6 +48,32 @@ def test_closed_form_clamps_at_one():
     assert res.strategy().rows[0][1] == 1
 
 
+def test_closed_form_is_unique_only_with_distinct_credits():
+    # Equal credits: every user signalling b and the truthful profile are
+    # both equilibria, so the closed form claims no uniqueness and flags the
+    # multiplicity that the program flags on the same game.
+    tie = ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(50, 50),
+                        audit_cost=5, fine=10, budget=1)
+    res = ag.two_type_closed_form(tie)
+    assert res.strategy().rows == ((0, 1), (0, 1))
+    assert not res.unique and res.multiplicity
+    for state in (res.strategy(), ag.Strategy.truthful(2)):
+        profile = ag.StrategyProfile(state, ag.AuditPolicy.zero(2))
+        report = ag.verify_equilibrium(res.replace(profile=profile), tie, resolution=100)
+        assert report.passed and report.max_gain == 0, report.to_text()
+
+    rng = random.Random(32)
+    for _ in range(200):
+        q = F(rng.randrange(1, 20), 20)
+        c = F(rng.choice((0, rng.randrange(1, 50))))
+        k = c + rng.choice((0, rng.randrange(0, 100)))
+        cfg = make_two_type(q, c, k, rng.choice((0, rng.randrange(1, 90))))
+        res = ag.two_type_closed_form(cfg)
+        distinct = cfg.delta_f_max > 0
+        assert res.unique == distinct
+        assert res.multiplicity == (not distinct and ag.bp_equilibrium(cfg).multiplicity)
+
+
 def test_closed_form_rejects_other_sizes(cfg_three):
     with pytest.raises(InputError):
         ag.two_type_closed_form(cfg_three)
@@ -146,25 +172,29 @@ def test_monotonicity_of_misreport_prob():
 def test_budgeted_branches(cfg_a):
     thr = ag.budget_thresholds(cfg_a).threshold_two_type
 
-    res = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, 2))
+    res = ag.signaling_equilibrium(with_budget(cfg_a, 2))
+    assert res.provenance == "budgeted_two_type"
     assert res.strategy().rows[0][1] == 1
     assert res.audit().probs == (F(0), F(2, 25))
     assert res.user_utility_avg(with_budget(cfg_a, 2)) == F(155, 2) + F(1, 2) * (55 - F(2, 25) * 155)
     assert float(res.user_utility_avg(with_budget(cfg_a, 2))) == 98.8
 
-    res0 = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, 0))
+    res0 = ag.signaling_equilibrium(with_budget(cfg_a, 0))
+    assert res0.provenance == "budgeted_two_type"
     assert res0.strategy().rows[0][1] == 1
     assert res0.audit().is_zero()
 
-    res10 = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, 10))
-    assert res10.provenance == "closed_form_two_type"
+    # 10 is at or above the coalition threshold 275/31: the program applies
+    res10 = ag.signaling_equilibrium(with_budget(cfg_a, 10))
+    assert ag.budget_thresholds(with_budget(cfg_a, 10)).threshold_coalition == F(275, 31)
+    assert res10.provenance == "lp"
     assert res10.strategy().rows[0][1] == F(5, 26)
 
     # switch sits exactly at the threshold
     eps = F(1, 10**9)
-    below = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, thr - eps))
-    at = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, thr))
-    above = ag.budgeted_two_type_equilibrium(with_budget(cfg_a, thr + eps))
+    below = ag.signaling_equilibrium(with_budget(cfg_a, thr - eps))
+    at = ag.signaling_equilibrium(with_budget(cfg_a, thr))
+    above = ag.signaling_equilibrium(with_budget(cfg_a, thr + eps))
     assert below.provenance == at.provenance == "budgeted_two_type"
     assert above.provenance == "closed_form_two_type"
 
@@ -172,14 +202,9 @@ def test_budgeted_branches(cfg_a):
 def test_budgeted_multiuser_nonexistence(cfg_a):
     cfg = with_budget(cfg_a, 3, num_users=2)
     with pytest.raises(NonexistenceError) as err:
-        ag.budgeted_two_type_equilibrium(cfg)
+        ag.signaling_equilibrium(cfg)
     assert err.value.budget == 3
     assert err.value.threshold_two_type == ag.budget_thresholds(cfg).threshold_two_type
-
-
-def test_budgeted_requires_finite_budget(cfg_a):
-    with pytest.raises(InputError):
-        ag.budgeted_two_type_equilibrium(cfg_a)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -200,10 +225,36 @@ def test_signaling_equilibrium_dispatch(cfg_a):
     assert res.audit().is_zero()
 
 
-def _with_regime_notes(result, regime):
-    return result.replace(notes=result.notes + (
-        "excess is the tight upper bound over all signaling equilibria",
-        f"regime {regime.value}"))
+def _counting(monkeypatch, *names):
+    """Count the calls of each of `bounds`' functions `names`, wherever a
+    game module looks it up; returns the live {name: calls} map."""
+    from auditgame import bounds, equilibrium
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(bounds, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        for module in (bounds, equilibrium):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_signaling_equilibrium_reads_the_budget_once(cfg_a, monkeypatch):
+    three = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3),) * 3, alloc=(10, 20, 40),
+                          audit_cost=5, fine=30, budget=3)
+    games = [three, with_budget(three, None)] + [
+        with_budget(cfg_a, budget) for budget in (None, 0, 2, F(15, 2), 10)]
+    program = [cfg for cfg in games if ag.budget_thresholds(cfg).regime in
+               (Regime.UNCONSTRAINED, Regime.SUFFICIENT)]
+    assert len(program) == 4
+    calls = _counting(monkeypatch, "budget_thresholds", "excess_payments_bound")
+    for solve, cfgs in ((ag.signaling_equilibrium, games), (ag.bp_equilibrium, program)):
+        for cfg in cfgs:
+            calls.update(budget_thresholds=0, excess_payments_bound=0)
+            solve(cfg)
+            assert calls == {"budget_thresholds": 1, "excess_payments_bound": 1}, (
+                solve.__name__, cfg)
 
 
 @pytest.mark.parametrize("num_users", [2, 3, 4000])
@@ -213,10 +264,12 @@ def test_zero_budget_multiuser_is_the_budgeted_zero_audit_profile(cfg_a, num_use
     cfg = with_budget(cfg_a, 0, num_users=num_users)
     assert ag.budget_thresholds(cfg).regime is Regime.NONEXISTENCE_POSSIBLE
     res = ag.signaling_equilibrium(cfg)
-    assert res == _with_regime_notes(ag.budgeted_two_type_equilibrium(cfg),
-                                     Regime.NONEXISTENCE_POSSIBLE)
     assert res.provenance == "budgeted_two_type"
+    assert res.profile.n_users == num_users
     assert res.strategy().rows[0][1] == 1 and res.audit().is_zero()
+    assert res.notes == (f"budget-exhausting branch; threshold {F(5775, 806)}",
+                         "excess is the tight upper bound over all signaling equilibria",
+                         "regime NONEXISTENCE_POSSIBLE")
     report = ag.verify_equilibrium(res, cfg, resolution=200)
     assert report.passed and report.max_gain == 0, report.to_text()
 
@@ -232,12 +285,13 @@ def test_positive_budget_below_two_type_threshold_has_no_equilibrium(cfg_a, num_
     assert err.value.threshold_general == analysis.threshold_general
 
 
-def test_signaling_equilibrium_is_the_budgeted_construction_below_coalition():
+def test_signaling_equilibrium_below_coalition_verifies_or_is_proved_absent():
     """Below the coalition threshold every two-type game, any population,
-    gets what `budgeted_two_type_equilibrium` gives: the same profile with
-    the regime notes, or the same `NonexistenceError`."""
+    gets a profile that verifies, or a `NonexistenceError` exactly where
+    several users meet a positive budget that binds, which the probe
+    certifies for two users."""
     rng = random.Random(31)
-    checked = nonexistent = 0
+    checked = nonexistent = probed = 0
     while checked < 300:
         n = rng.randrange(1, 6)
         cfg = make_two_type(F(rng.randrange(1, 20), 20), F(rng.randrange(1, 50)),
@@ -251,16 +305,18 @@ def test_signaling_equilibrium_is_the_budgeted_construction_below_coalition():
         if analysis.regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
             continue
         checked += 1
-        try:
-            expected = ag.budgeted_two_type_equilibrium(cfg)
-        except NonexistenceError as exc:
-            with pytest.raises(NonexistenceError) as err:
+        if n > 1 and budget > 0 and analysis.budget_binds:
+            with pytest.raises(NonexistenceError):
                 ag.signaling_equilibrium(cfg)
-            assert str(err.value) == str(exc)
             nonexistent += 1
+            if n == 2:
+                assert ag.nonexistence_probe(cfg, 100).complete, cfg
+                probed += 1
             continue
-        assert ag.signaling_equilibrium(cfg) == _with_regime_notes(expected, analysis.regime)
-    assert 0 < nonexistent < checked
+        res = ag.signaling_equilibrium(cfg)
+        report = ag.verify_equilibrium(res, cfg, resolution=100)
+        assert report.passed, (cfg, report.to_text())
+    assert 0 < probed < nonexistent < checked
 
 
 def test_n_type_nonexistence_carries_the_general_threshold():
@@ -295,13 +351,15 @@ def test_verify_lp_result(cfg_a):
 
 def test_verify_budgeted_results(cfg_a):
     # free audits: budget 0 reaches the coalition threshold 0, so the budget
-    # does not bind and the closed form applies
+    # does not bind and the program gives the closed form's strategy
     free = with_budget(cfg_a, 0, audit_cost=0)
     for cfg in [with_budget(cfg_a, budget) for budget in (0, 2, 10)] + [free]:
-        res = ag.budgeted_two_type_equilibrium(cfg)
+        res = ag.signaling_equilibrium(cfg)
         report = ag.verify_equilibrium(res, cfg, resolution=120)
         assert report.passed, (cfg.budget, report.to_text())
-    assert ag.budgeted_two_type_equilibrium(free).provenance == "closed_form_two_type"
+    res = ag.signaling_equilibrium(free)
+    assert res.provenance == "lp"
+    assert res.strategy() == ag.two_type_closed_form(free).strategy()
 
 
 def test_verify_two_type_sufficient_multiuser(cfg_a):
@@ -467,7 +525,7 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
         cfg = _agreement_game(rng, 2)
         results = [ag.two_type_closed_form(cfg)]
         if cfg.budget is not None:
-            results.append(ag.budgeted_two_type_equilibrium(cfg))
+            results.append(ag.signaling_equilibrium(cfg))
         for res in results:
             pi = res.strategy()
             br = ag.best_response(pi, cfg)

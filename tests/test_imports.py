@@ -168,12 +168,15 @@ assert set(auditgame.__all__) | set(submodules) <= set(dir(auditgame))
 namespace = {}
 exec("from auditgame import *", namespace)
 assert set(namespace) - {"__builtins__"} == set(auditgame.__all__)
-try:
-    auditgame.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("auditgame.no_such_name resolved")
+# signaling_equilibrium is the one dispatcher; the second one is gone
+for name in ("no_such_name", "budgeted_two_type_equilibrium"):
+    assert name not in auditgame.__all__ and name not in dir(auditgame), name
+    try:
+        getattr(auditgame, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(f"auditgame.{name} resolved")
 """
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
