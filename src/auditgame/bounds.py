@@ -154,13 +154,10 @@ class BoundReport(Record):
 
 def bound_report(cfg: GameConfig, strategy=None) -> BoundReport:
     """The caps that hold on every equilibrium of `cfg`; none where its
-    budget binds (`budget_thresholds`).  Where it would claim caps, a game
-    with fewer than two types of positive probability is refused, as the
-    no-audit program refuses it."""
+    budget binds (`budget_thresholds`)."""
     if budget_thresholds(cfg).budget_binds:
         return BoundReport(caps={}, excess_cap=None, binding_pairs=(), vacuous_pairs=(),
                            budget_binds=True)
-    cfg.drop_zero_prior_types()
     caps = {}
     vacuous = []
     binding = []

@@ -114,19 +114,6 @@ class GameConfig(Record):
             return 0, 1
         return 1, 0
 
-    def drop_zero_prior_types(self) -> "GameConfig":
-        """Remove types with zero prior probability."""
-        if all(q > 0 for q in self.prior):
-            return self
-        keep = [i for i, q in enumerate(self.prior) if q > 0]
-        if len(keep) < 2:
-            raise InputError("fewer than two types have positive probability")
-        return self.replace(
-            types=tuple(self.types[i] for i in keep),
-            prior=tuple(self.prior[i] for i in keep),
-            alloc=tuple(self.alloc[i] for i in keep),
-        )
-
     # -- config document ------------------------------------------------
 
     _REQUIRED_KEYS = ("types", "prior", "alloc", "audit_cost", "fine")
@@ -166,7 +153,10 @@ class GameConfig(Record):
             if ":" not in item:
                 raise InputError(f"alloc entries must look like 'label: amount', got {item!r}")
             label, _, amount = item.partition(":")
-            alloc[label.strip()] = as_fraction(amount)
+            label = label.strip()
+            if label in alloc:
+                raise InputError(f"alloc has a repeated label {label!r}")
+            alloc[label] = as_fraction(amount)
         kwargs = {}
         if "budget" in entries:
             kwargs["budget"] = as_fraction(entries["budget"])

@@ -23,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core, lp
-from .bounds import (BudgetAnalysis, Regime, budget_thresholds, excess_payments_bound,
-                     two_type_misreport_prob)
+from .bounds import BudgetAnalysis, Regime, budget_thresholds, two_type_misreport_prob
 from .core import (AuditPolicy, GameConfig, IntegerGame, Strategy, StrategyProfile,
                    positive_part, two_type_strategy)
 from .errors import InputError, NonexistenceError, RegimeError
@@ -134,7 +133,9 @@ def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d, excess_cap: Fractio
     The internal consistency of every solve, decided exactly on the
     integers of `game`: no under-reporting mass, the audit best response
     vanishes, every per-pair cap holds, and the excess stays within
-    `excess_cap`, the aggregate cap of `cfg`.
+    `excess_cap`, the aggregate cap of `cfg` over all its types
+    (`BudgetAnalysis.threshold_general`).  A zero-prior type's caps are
+    vacuous, so its best-reply row passes them.
     """
     n = cfg.n_types
     P, F, C, K = game.prior, game.alloc, game.cost, game.fine
@@ -161,28 +162,14 @@ def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d, excess_cap: Fractio
 
 def _program_equilibrium(cfg: GameConfig, analysis: BudgetAnalysis) -> EquilibriumResult:
     """The program's equilibrium of `cfg`, whose budget does not bind
-    (`analysis`); see `bp_equilibrium`."""
-    work = cfg.drop_zero_prior_types()
-    game = core.integer_game(work)
+    (`analysis`), with every type, zero-prior ones too, in the one solve;
+    see `bp_equilibrium`."""
+    game = core.integer_game(cfg)
     X, d, multiple = lp.solve_integer(game)
-    # Dropped zero-probability types add nothing to the excess, but they can
-    # widen the credit gap of `analysis`' cap: check against the solved game's.
-    cap = analysis.threshold_general if work is cfg else excess_payments_bound(work)
-    excess = _check_optimum(work, game, X, d, cap)
-
-    # Re-embed rows for any dropped zero-probability types as truthful.
-    position = {label: i for i, label in enumerate(work.types)}
-    work_index = [position.get(label) for label in cfg.types]
-    rows = []
-    for m, wm in enumerate(work_index):
-        if wm is None:
-            rows.append([d if s == m else 0 for s in range(cfg.n_types)])
-        else:
-            rows.append([0 if ws is None else X[wm][ws] for ws in work_index])
-    pi = Strategy.from_integers(rows, d)
+    excess = _check_optimum(cfg, game, X, d, analysis.threshold_general)
     notes = ("alternate optima detected",) if multiple else ()
-    return equilibrium_result(cfg, pi, AuditPolicy.zero(cfg.n_types), excess, "lp",
-                              multiplicity=multiple, notes=notes)
+    return equilibrium_result(cfg, Strategy.from_integers(X, d), AuditPolicy.zero(cfg.n_types),
+                              excess, "lp", multiplicity=multiple, notes=notes)
 
 
 def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
@@ -191,12 +178,12 @@ def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     Raises `RegimeError` where the budget binds (`BudgetAnalysis.budget_binds`);
     `signaling_equilibrium` handles those budgets.
 
-    Types of zero prior probability are dropped before the solve (an
-    `InputError` if fewer than two types are left), and each is put back
-    as a truthful row, pi(m|m) = 1; they add nothing to the excess.  The
-    program is solved by `lp.solve_integer`: one run of the simplex loop
-    from the truthful basis, over the columns that do not under-report,
-    then the uniqueness test on the optimal face.  When the optimum is not
+    The program is solved by `lp.solve_integer`: one run of the simplex
+    loop from the truthful basis, over the columns that do not under-report,
+    then the uniqueness test on the optimal face.  A type of zero prior
+    gets its best reply to the zero audit, the first signal with the
+    largest credit, and adds nothing to the excess; the other types' rows
+    are those of the game without it.  When the optimum is not
     unique the strategy is the lexicographically greatest optimum and the
     result carries the "alternate optima detected" note.  The optimum's
     invariants are checked on the solver's integers.

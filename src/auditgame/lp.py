@@ -31,6 +31,8 @@ a' = (p*a - a_ic*a_rj) / d, whose division is exact (Edmonds, J. Res.
 NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968); the new divisor is the
 pivot p.  The truthful strategy is always feasible, so the loop starts at
 the truthful basis, with d = 1, over the columns that do not under-report.
+A type of zero prior keeps only its best-reply column, basic from the
+start, and no other type keeps a column into its signal (`solve_integer`).
 The same loop, restricted to the optimal face, then decides whether the
 optimum is unique and, when it is not, returns the lexicographically
 greatest optimum, so the answer depends only on the game.
@@ -131,7 +133,9 @@ def _truthful_tableau(game: IntegerGame, kept: list):
     slack per audit row, then the right-hand side.  Audit row s is the
     no-audit row of signal s minus a_ss times the stochasticity row of
     type s, times prior_den*money_den, and its slack is that multiple of
-    the row's slack, so the truthful basis is the identity and d = 1.
+    the row's slack, so the truthful basis is the identity and d = 1.  A
+    zero-prior type's one kept column is its basic column: it is 1 in the
+    type's stochasticity row and 0 in every audit row.
     """
     n = len(game.prior)
     P, F, C, K = game.prior, game.alloc, game.cost, game.fine
@@ -142,7 +146,7 @@ def _truthful_tableau(game: IntegerGame, kept: list):
     basis = [0] * (2 * n)
     for j, (m, s) in enumerate(kept):
         tableau[m][j] = 1
-        if s == m:
+        if s == m or not P[m]:   # a zero-prior type's one column is basic
             basis[m] = j
         else:
             tableau[n + s][j] = margin(P[m], F[s], F[m], C, K, False)
@@ -168,6 +172,16 @@ def solve_integer(game: IntegerGame) -> tuple:
     raises the objective.  The optimal face F is the final tableau with
     entering columns restricted to those whose reduced cost is exactly 0.
 
+    A type of zero prior keeps exactly one column: all mass on the first
+    signal, in type order, with the largest credit.  That is its best
+    reply to the zero audit, and the lexicographically greatest one, as
+    the tie rule picks it; its objective and audit-row entries are all 0,
+    so the program alone would leave its row free.  No type of positive
+    prior keeps a column into a zero-prior signal: such a claim is audited,
+    or sits at margin 0 in a column that the game without the zero-prior
+    types does not have.  So the positive types' pivots, optimum and
+    `multiple` are those of that smaller game.
+
     * Uniqueness (Mangasarian, Linear Algebra Appl. 25, 1979): the optimum
       x* is unique when every nonbasic column prices strictly negative,
       and otherwise exactly when the sum of the columns that are 0 at x*
@@ -179,7 +193,9 @@ def solve_integer(game: IntegerGame) -> tuple:
     """
     n = len(game.prior)
     P, F = game.prior, game.alloc
-    kept = [(m, s) for m in range(n) for s in range(n) if F[s] >= F[m]]
+    top = F.index(max(F))   # the first signal with the largest credit
+    kept = [(m, s) for m in range(n) for s in range(n)
+            if (P[s] > 0 and F[s] >= F[m] if P[m] else s == top)]
     tableau, basis = _truthful_tableau(game, kept)
     n_kept = len(kept)
     width = n_kept + n   # kept columns, then one slack per audit row

@@ -31,3 +31,12 @@ def cfg_three() -> GameConfig:
 
 def with_budget(cfg, budget, **kwargs):
     return cfg.replace(budget=budget, **kwargs)
+
+
+def without_zero_prior_types(cfg):
+    """`cfg` less its types of zero prior; an `InputError` if fewer than
+    two types are left."""
+    keep = [m for m, q in enumerate(cfg.prior) if q > 0]
+    return cfg.replace(types=tuple(cfg.types[m] for m in keep),
+                       prior=tuple(cfg.prior[m] for m in keep),
+                       alloc=tuple(cfg.alloc[m] for m in keep))

@@ -91,15 +91,17 @@ def test_solve_and_verify_zero_budget_two_users(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_zero_prior_type_is_solved_quietly_and_printed_truthful(tmp_path, capsys):
+def test_a_zero_prior_type_is_solved_quietly_and_printed_as_its_best_reply(tmp_path, capsys):
     path = tmp_path / "zero-prior.cfg"
     path.write_text("types = a, b, c\nprior = 0, 1/2, 1/2\nalloc = a: 5, b: 10, c: 20\n"
                     "audit_cost = 5\nfine = 30\n")
     for command in ("solve", "verify", "cost"):
         code, out, err = run([command, "--config", str(path)], capsys)
         assert (code, err) == (0, ""), command
-        if command == "solve":
-            assert "strategy_exact[a]: 1,0,0" in out.splitlines()
+        if command == "solve":   # a claims the top credit, c's
+            assert "strategy_exact[a]: 0,0,1" in out.splitlines()
+        if command == "verify":
+            assert "passed: true" in out.splitlines()
 
 
 def test_solve_n_type_nonexistence_names_only_the_coalition_threshold(tmp_path, capsys):
@@ -149,15 +151,26 @@ def test_bounds_prints_no_caps_where_the_budget_binds(tmp_path, capsys):
             0, "caps: do not apply at this budget, which holds audits back\n", "")
 
 
-def test_bounds_refuses_a_game_with_one_type_of_positive_probability(tmp_path, capsys):
-    # the caps are refused in both formats, as solve refuses the game
+def test_a_game_with_one_type_of_positive_probability_is_solved_and_bounded(tmp_path, capsys):
+    # a stays truthful and b and z claim the top credit; both formats give
+    # the same caps, and the solve verifies
     path = tmp_path / "one.cfg"
     path.write_text("types = a, b, z\nprior = 1, 0, 0\nalloc = a: 50, b: 105, z: 3\n"
                     "audit_cost = 25\nfine = 100\n")
-    error = (1, "", "input error: fewer than two types have positive probability\n")
-    assert run(["solve", "--config", str(path)], capsys) == error
+    code, out, err = run(["solve", "--config", str(path)], capsys)
+    assert (code, err) == (0, "")
+    for row in ("strategy_exact[a]: 1,0,0", "strategy_exact[b]: 0,1,0",
+                "strategy_exact[z]: 0,1,0", "excess_exact: 0"):
+        assert row in out.splitlines()
+    code, out, err = run(["verify", "--config", str(path)], capsys)
+    assert (code, err) == (0, "") and "passed: true" in out.splitlines()
+    caps = {}
     for fmt in ("csv", "text"):
-        assert run(["bounds", "--config", str(path), "--format", fmt], capsys) == error
+        code, out, err = run(["bounds", "--config", str(path), "--format", fmt], capsys)
+        assert (code, err) == (0, ""), fmt
+        caps[fmt] = out.splitlines()
+    assert [f"cap[{s}|{m}]: {cap}" for s, m, cap in (row.split(",") for row in caps["csv"][1:])] \
+        == [line for line in caps["text"] if line.startswith("cap[")]
 
 
 def test_cost_output(cfg_file, capsys):

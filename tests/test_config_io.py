@@ -68,5 +68,9 @@ def test_parse_rejects_missing_required():
 def test_parse_rejects_duplicates_and_junk():
     with pytest.raises(InputError, match="duplicate"):
         GameConfig.from_text(CFG_A_TEXT + "fine = 100\n")
+    # a repeated alloc label is refused too, not overwritten by its last amount
+    repeated = CFG_A_TEXT.replace("alloc = low: 50, high: 105", "alloc = low: 50, low: 80, high: 105")
+    with pytest.raises(InputError, match="^alloc has a repeated label 'low'$"):
+        GameConfig.from_text(repeated)
     with pytest.raises(InputError, match="expected"):
         GameConfig.from_text("types low high\n")

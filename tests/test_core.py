@@ -1,7 +1,6 @@
 """Payoffs, utilities, excess payments, and the audit best response."""
 
 import random
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -375,11 +374,3 @@ def test_audit_margins_match_margin_coefficients(cfg_three):
     assert audit_margin_coef(cfg_three, 0, 2) == F(1, 3) * (2 - 1)
     assert audit_margin_coef(cfg_three, 1, 1) == -F(1, 3)
 
-
-def test_zero_prior_types_are_dropped_without_warning():
-    cfg = ag.GameConfig(types=("a", "b", "z"), prior=(F(1, 2), F(1, 2), 0),
-                        alloc=(1, 2, 3), audit_cost=1, fine=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # the caller wrote the zero prior: no warning
-        small = cfg.drop_zero_prior_types()
-    assert small.types == ("a", "b")

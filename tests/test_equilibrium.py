@@ -8,7 +8,7 @@ import pytest
 import auditgame as ag
 from auditgame import InputError, NonexistenceError, Regime
 
-from conftest import with_budget
+from conftest import with_budget, without_zero_prior_types
 
 
 def make_two_type(q_lo, c, k, df, lo=50, **kwargs):
@@ -338,6 +338,101 @@ def test_lp_agrees_with_closed_form_random():
         df = F(rng.randrange(1, 90))
         cfg = make_two_type(q, c, k, df)
         assert ag.bp_equilibrium(cfg).strategy() == ag.two_type_closed_form(cfg).strategy()
+
+
+# -- zero-prior types ----------------------------------------------------------
+
+def _best_reply_row(cfg):
+    """The row of a zero-prior type: all mass on the first top credit."""
+    top = cfg.alloc.index(max(cfg.alloc))
+    return tuple(F(int(s == top)) for s in range(cfg.n_types))
+
+
+def _zero_prior_game(rng):
+    """3 to 6 types, at least one of zero prior and two of positive prior,
+    with repeated credits, c == 0 and k == c at times, up to three users,
+    and no budget or a budget of 0, or of 1/2, 1 or 3 times the coalition
+    threshold."""
+    n = rng.randint(3, 6)
+    zero = rng.sample(range(n), rng.randint(1, n - 2))
+    weights = [0 if m in zero else rng.randint(1, 9) for m in range(n)]
+    users = rng.randint(1, 3)
+    c = rng.randint(0, 10)
+    cfg = ag.GameConfig(types=tuple(f"t{m}" for m in range(n)),
+                        prior=tuple(F(w, sum(weights)) for w in weights),
+                        alloc=tuple(rng.choice((0, 5, 10, 10, 20, 33, 50)) for _ in range(n)),
+                        audit_cost=c, fine=c + rng.randint(0, 20), num_users=users,
+                        coalition_size=rng.randint(1, users))
+    coalition = ag.budget_thresholds(cfg).threshold_coalition
+    return with_budget(cfg, rng.choice((None, 0, coalition / 2, coalition, 3 * coalition)))
+
+
+def test_zero_prior_games_give_verified_equilibria():
+    """Each zero-prior type claims its best reply, and the positive types'
+    rows, the excess, the audit and `multiplicity` are those of the game
+    without the zero-prior types; every result verifies.  Below the
+    coalition threshold a game of three or more types has none."""
+    rng = random.Random(33)
+    solved = refused = 0
+    for _ in range(500):
+        cfg = _zero_prior_game(rng)
+        if ag.budget_thresholds(cfg).budget_binds:
+            with pytest.raises(NonexistenceError):
+                ag.signaling_equilibrium(cfg)
+            refused += 1
+            continue
+        res = ag.signaling_equilibrium(cfg)
+        report = ag.verify_equilibrium(res, cfg)
+        assert report.passed, (cfg, report.to_text())
+        small = without_zero_prior_types(cfg)
+        ref = ag.bp_equilibrium(small.replace(budget=None))
+        positive = [m for m, q in enumerate(cfg.prior) if q > 0]
+        rows, ref_rows = res.strategy().rows, iter(ref.strategy().rows)
+        for m, row in enumerate(rows):
+            if m in positive:
+                ref_row = iter(next(ref_rows))
+                assert row == tuple(next(ref_row) if s in positive else 0
+                                    for s in range(cfg.n_types)), cfg
+            else:
+                assert row == _best_reply_row(cfg), cfg
+        assert res.excess == ref.excess and res.multiplicity == ref.multiplicity, cfg
+        assert res.audit().is_zero() and ref.audit().is_zero()
+        solved += 1
+    assert solved >= 300 and refused >= 100, (solved, refused)
+
+
+def test_a_zero_prior_type_claims_the_first_of_two_top_credits():
+    cfg = ag.GameConfig(types=("a", "b", "c", "z"), prior=(F(1, 2), F(1, 4), F(1, 4), 0),
+                        alloc=(50, 105, 105, 70), audit_cost=25, fine=100)
+    res = ag.signaling_equilibrium(cfg)
+    assert res.strategy().rows[3] == (0, 1, 0, 0)
+    assert ag.verify_equilibrium(res, cfg).passed
+
+
+@pytest.mark.parametrize("prior", [(1, 0), (0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_a_game_with_one_positive_prior_type_is_answered_across_budgets(prior):
+    """One user or two, and budgets from none to above every threshold: a
+    result that verifies, with each zero-prior type on the top credit, or
+    a `NonexistenceError` only where the budget rule of a game with two
+    positive types gives one."""
+    n = len(prior)
+    answered = 0
+    for users in (1, 2):
+        for budget in (None, 0, 1, 5, 10, 13, 100):
+            cfg = ag.GameConfig(types=("a", "b", "z")[:n], prior=prior, alloc=(50, 105, 3)[:n],
+                                audit_cost=25, fine=100, budget=budget, num_users=users)
+            if ag.budget_thresholds(cfg).budget_binds and (
+                    n > 2 or (users > 1 and budget > 0)):
+                with pytest.raises(NonexistenceError):
+                    ag.signaling_equilibrium(cfg)
+                continue
+            res = ag.signaling_equilibrium(cfg)
+            assert ag.verify_equilibrium(res, cfg).passed, cfg
+            for m, q in enumerate(prior):
+                if q == 0:
+                    assert res.strategy().rows[m] == _best_reply_row(cfg), cfg
+            answered += 1
+    assert answered >= 6
 
 
 # -- verification -------------------------------------------------------------

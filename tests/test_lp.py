@@ -15,7 +15,7 @@ from auditgame.core import integer_game
 
 import reference_lp
 from reference_lp import EQUAL, LESS_EQUAL, OPTIMAL, LinearProgram, build_bp_lp
-from conftest import with_budget
+from conftest import with_budget, without_zero_prior_types
 from reference_oracle import GridSpec, grid_best_strategy
 
 
@@ -262,15 +262,16 @@ def test_bp_equilibrium_large_fine_limits(cfg_a):
     assert eq.strategy().rows[0][1] == F(1, 2) * 25 / (F(1, 2) * (10**9 - 25 + 55))
 
 
-def test_bp_equilibrium_drops_and_reembeds_zero_prior_types():
+def test_bp_equilibrium_gives_a_zero_prior_type_its_best_reply():
     cfg = ag.GameConfig(types=("a", "b", "z"), prior=(F(1, 2), F(1, 2), 0),
                         alloc=(50, 105, 70), audit_cost=25, fine=100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the caller wrote the zero prior: no warning
         eq = ag.bp_equilibrium(cfg)
     assert eq.strategy().rows[0] == (F(21, 26), F(5, 26), F(0))
-    assert eq.strategy().rows[2] == (F(0), F(0), F(1))   # dropped type stays truthful
+    assert eq.strategy().rows[2] == (F(0), F(1), F(0))   # z claims the top credit
     assert eq.excess == F(275, 52)
+    assert ag.verify_equilibrium(eq, cfg).passed
 
 
 def test_bp_equilibrium_budget_gate(cfg_a):
@@ -722,11 +723,19 @@ def _scaling_games(draw):
 @given(cfg=_scaling_games())
 def test_solve_bp_matches_the_reference_on_awkward_numbers(cfg):
     try:
-        work = cfg.drop_zero_prior_types()
+        work = without_zero_prior_types(cfg)   # the reference needs a positive prior
     except InputError:   # fewer than two types left
         return
-    ag.bp_equilibrium(cfg)   # its invariant checks hold
-    _assert_same_solution(work)
+    multiple = _assert_same_solution(work)
+    # The full game's positive types solve the same program: the same
+    # objective and flag, and, when the optimum is unique, the same rows,
+    # with nothing on a zero-prior signal.
+    values, objective, full_multiple = _optimum(cfg)   # its invariant checks hold
+    ref = reference_lp.solve_lp(build_bp_lp(work))
+    assert (objective, full_multiple) == (ref.objective_value, multiple)
+    if not multiple:
+        assert {(s, m): v for (s, m), v in values.items() if m in work.types} == {
+            (s, m): ref.values.get((s, m), F(0)) for m in work.types for s in cfg.types}
 
 
 @pytest.mark.parametrize("prior, alloc, c, k, rows, message", [
