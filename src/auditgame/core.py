@@ -24,11 +24,6 @@ from .record import Record
 PRIOR_TOLERANCE = Fraction(1, 10**12)
 
 
-def positive_part(x: Fraction) -> Fraction:
-    """(x)+, the over-payment term of the payoffs: x where positive, else 0."""
-    return x if x > 0 else Fraction(0)
-
-
 class GameConfig(Record):
     """One audit-game instance.
 
@@ -338,13 +333,23 @@ def user_payoff(audit_flag, signal, truth, cfg: GameConfig) -> Fraction:
     return min(f_m, f_s) - cfg.fine
 
 
+def signal_payoff(f_s, f_m, k, audited, truthful: bool):
+    """Expected payoff of a type of credit f_m from a signal of credit f_s audited
+    with probability `audited`: f_s, less audited*((f_s - f_m)+ + k) unless
+    `truthful`.  The one home of this rule; number-generic, like `audit_margin`."""
+    if truthful or not audited:
+        return f_s
+    over = f_s - f_m
+    return f_s - audited * ((over if over > 0 else 0) + k)
+
+
 # -- expected utilities ------------------------------------------------
 
 
-def _check_dims(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> None:
+def _check_dims(pi: Strategy, sigma: Optional[AuditPolicy], cfg: GameConfig) -> None:
     if pi.n_types != cfg.n_types:
         raise InputError(f"strategy is {pi.n_types}x{pi.n_types} but the game has {cfg.n_types} types")
-    if sigma.n_signals != cfg.n_types:
+    if sigma is not None and sigma.n_signals != cfg.n_types:
         raise InputError(f"audit policy covers {sigma.n_signals} signals but the game has {cfg.n_types} types")
 
 
@@ -364,18 +369,9 @@ def user_utility_type(pi: Strategy, sigma: AuditPolicy, truth, cfg: GameConfig) 
     """Expected payoff of a user whose true type is `truth`."""
     _check_dims(pi, sigma, cfg)
     m = cfg.index(truth)
-    f_m = cfg.alloc[m]
-    total = Fraction(0)
-    for s in range(cfg.n_types):
-        p = pi.rows[m][s]
-        if p == 0:
-            continue
-        credit = cfg.alloc[s]
-        audited = sigma.probs[s]
-        if audited and s != m:
-            credit -= audited * (positive_part(credit - f_m) + cfg.fine)
-        total += p * credit
-    return total
+    return sum((p * signal_payoff(f_s, cfg.alloc[m], cfg.fine, a, s == m)
+                for s, (p, f_s, a) in enumerate(zip(pi.rows[m], cfg.alloc, sigma.probs)) if p),
+               Fraction(0))
 
 
 def user_utility_avg(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig) -> Fraction:
@@ -495,8 +491,7 @@ def best_response(pi: Strategy, cfg: GameConfig) -> AuditPolicy:
     `audit_margins` entry is positive: at exact indifference the
     administrator does not audit, and a never-sent signal is never audited.
     """
-    if pi.n_types != cfg.n_types:
-        raise InputError(f"strategy is {pi.n_types}x{pi.n_types} but the game has {cfg.n_types} types")
+    _check_dims(pi, None, cfg)
     audited, zero = audited_probability(cfg), Fraction(0)
     margins = audit_margins(cfg.prior, cfg.alloc, cfg.audit_cost, cfg.fine, pi.rows)
     return AuditPolicy(tuple(audited if g > 0 else zero for g in margins))

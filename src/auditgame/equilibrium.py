@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import core, lp
 from .bounds import BudgetAnalysis, Regime, budget_thresholds, two_type_misreport_prob
 from .core import (AuditPolicy, GameConfig, IntegerGame, Strategy, StrategyProfile,
-                   positive_part, two_type_strategy)
+                   two_type_strategy)
 from .errors import InputError, NonexistenceError, RegimeError
 from .numeric import sig15
 from .record import Record
@@ -324,8 +324,7 @@ def best_grid_deviation(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
         for j in range(n):
             if caps[j] == resolution:
                 continue
-            over = positive_part(cfg.alloc[j] - f_m)
-            audited = cfg.alloc[j] - audited_prob * (over + cfg.fine)
+            audited = core.signal_payoff(cfg.alloc[j], f_m, cfg.fine, audited_prob, False)
             forced = caps[j] + 1
             items = safe[:j] + [(audited, resolution)] + safe[j + 1:]
             best = max(best, forced * audited + _fill(items, resolution - forced))

@@ -69,8 +69,9 @@ def _certificate(cfg: GameConfig, p_star: Fraction, p1: Fraction, p2: Fraction):
     elif p1 == p_star:
         # Tied exactly at indifference: jumping to certain misreporting
         # beats it whenever the budget is below the threshold.
-        audited = core.audited_probability(cfg)
-        case, factor = "tie-at-threshold-jump", 1 - audited * (cfg.fine + df) / df - p_star
+        f_lo, f_hi = sorted(cfg.alloc)
+        jump = core.signal_payoff(f_hi, f_lo, cfg.fine, core.audited_probability(cfg), False)
+        case, factor = "tie-at-threshold-jump", (jump - f_lo) / df - p_star
     else:
         # Tied strictly above indifference, each audited with half the
         # budget: undercutting halfway to the tie's own floor p1 * alpha

@@ -17,12 +17,12 @@ be checked against a path that shares none of their shortcuts:
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from auditgame import core
 from auditgame.bounds import budget_thresholds, two_type_misreport_prob, two_type_params
-from auditgame.core import GameConfig, Strategy, StrategyProfile, positive_part
+from auditgame.core import GameConfig, Strategy, StrategyProfile
 from auditgame.errors import InputError
 from auditgame.numeric import sig15
 from auditgame.oracle import ProbeReport
@@ -45,6 +45,17 @@ class GridSpec:
             raise InputError("grid resolution must be at least 10")
         if self.max_enumeration < 1000:
             raise InputError("enumeration cap is too small to be useful")
+
+
+def _positive_part(x):
+    """(x)+: x where positive, else 0."""
+    return x if x > 0 else 0
+
+
+def _over_common_denominator(values):
+    """(numerators, d): Fractions `values` as integers over their least common d."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _compositions(total: int, parts: int):
@@ -129,7 +140,7 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
                 mass = row[s] * cfg.prior[m]
                 margin = cfg.audit_cost * mass
                 if m != s:
-                    margin -= mass * (cfg.fine + positive_part(cfg.alloc[s] - cfg.alloc[m]))
+                    margin -= mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
                 margins.append(margin)
                 obj += mass * cfg.alloc[s]
             entries.append((tuple(row), tuple(margins), obj))
@@ -197,7 +208,7 @@ def _feasible(cfg: GameConfig, rows) -> bool:
             mass = rows[m][s] * cfg.prior[m]
             rhs += cfg.audit_cost * mass
             if m != s:
-                lhs += mass * (cfg.fine + positive_part(cfg.alloc[s] - cfg.alloc[m]))
+                lhs += mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
         if lhs > rhs:
             return False
     return True
@@ -214,6 +225,14 @@ def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) 
     against the administrator's recomputed best response, budget-capped
     when the game has a budget.  Returns {type label: best gain found}.
 
+    The scan runs on integers.  The prior, the money amounts and the
+    profile's rows each go over their own least common denominator here,
+    so every audit test compares integers and every candidate's utility is
+    an integer over res * money_den * audit_den, audit_den being the
+    audited probability's denominator.  Signal s's audit test involves only
+    the mass on s, so each (signal, steps) pair is scored once and each
+    row's utility is the sum of its signals' scores.
+
     The profile is symmetric, so the scan covers one user (the
     budget-coupled asymmetric case is the non-existence probe's job).
     """
@@ -221,46 +240,46 @@ def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) 
     sigma = profile.audit
     n = cfg.n_types
     res = grid.resolution
+    q, _ = _over_common_denominator(cfg.prior)
+    money, money_den = _over_common_denominator(cfg.alloc + (cfg.audit_cost, cfg.fine))
+    f, c, k = money[:n], money[n], money[n + 1]
+    cells, rows_den = _over_common_denominator([p for row in pi.rows for p in row])
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if cfg.budget is None or cfg.audit_cost == 0:
+        audited_prob = Fraction(1)
+    else:
+        audited_prob = min(Fraction(1), cfg.budget / cfg.audit_cost)
+    a_num, a_den = audited_prob.numerator, audited_prob.denominator
     gains = {}
     for m in range(n):
-        baseline = core.user_utility_type(pi, sigma, cfg.types[m], cfg)
-        # Contributions of the unchanged rows to each signal's audit test.
-        lhs_other = [Fraction(0)] * n
-        rhs_other = [Fraction(0)] * n
-        for mm in range(n):
-            if mm == m:
-                continue
-            for s in range(n):
-                mass = pi.rows[mm][s] * cfg.prior[mm]
-                rhs_other[s] += cfg.audit_cost * mass
-                if mm != s:
-                    lhs_other[s] += mass * (cfg.fine + positive_part(cfg.alloc[s] - cfg.alloc[mm]))
-        if cfg.budget is None or cfg.audit_cost == 0:
-            audited_prob = Fraction(1)
-        else:
-            audited_prob = min(Fraction(1), cfg.budget / cfg.audit_cost)
-        best = None
-        q_m = cfg.prior[m]
-        f_m = cfg.alloc[m]
-        for steps in _compositions(res, n):
-            util = Fraction(0)
-            for s in range(n):
-                if steps[s] == 0:
-                    continue
-                p = Fraction(steps[s], res)
-                mass = p * q_m
-                lhs = lhs_other[s]
-                rhs = rhs_other[s] + cfg.audit_cost * mass
-                if s != m:
-                    lhs = lhs + mass * (cfg.fine + positive_part(cfg.alloc[s] - f_m))
-                audit = audited_prob if lhs > rhs else Fraction(0)
-                penalty = Fraction(0)
-                if s != m:
-                    penalty = audit * (positive_part(cfg.alloc[s] - f_m) + cfg.fine)
-                util += p * (cfg.alloc[s] - penalty)
-            if best is None or util > best:
-                best = util
-        gains[cfg.types[m]] = best - baseline
+        baseline = Fraction(0)
+        for s in range(n):
+            credit = cfg.alloc[s]
+            if s != m:
+                credit -= sigma.probs[s] * (_positive_part(credit - cfg.alloc[m]) + cfg.fine)
+            baseline += pi.rows[m][s] * credit
+        # score[s][st]: the utility of st steps on signal s, in units of
+        # 1/(res * money_den * audit_den).  The audit test lhs > rhs is scaled
+        # by rows_den * res * prior_den * money_den: lhs sums
+        # mass * (k + (f_s - f_mm)+) over the types mm != s, rhs sums c * mass
+        # over every type, and type m's mass on s is st * step.
+        step = q[m] * rows_den
+        score = []
+        for s in range(n):
+            lhs = rhs = 0
+            for mm in range(n):
+                if mm != m:
+                    mass = rows[mm][s] * q[mm] * res
+                    rhs += c * mass
+                    if mm != s:
+                        lhs += mass * (k + _positive_part(f[s] - f[mm]))
+            loss = 0 if s == m else k + _positive_part(f[s] - f[m])
+            free, audited = f[s] * a_den, f[s] * a_den - a_num * loss
+            score.append([st * (audited if lhs + st * step * loss > rhs + st * step * c else free)
+                          for st in range(res + 1)])
+        best = max(sum(score[s][st] for s, st in enumerate(steps))
+                   for steps in _compositions(res, n))
+        gains[cfg.types[m]] = Fraction(best, res * money_den * a_den) - baseline
     return gains
 
 

@@ -374,3 +374,31 @@ def test_audit_margins_match_margin_coefficients(cfg_three):
     assert audit_margin_coef(cfg_three, 0, 2) == F(1, 3) * (2 - 1)
     assert audit_margin_coef(cfg_three, 1, 1) == -F(1, 3)
 
+
+def test_signal_payoff_mixes_the_audited_and_unaudited_stage_payoffs():
+    """On random games, every (signal, type) pair and Fraction audit
+    probabilities a in [0, 1], `signal_payoff` is a * user_payoff(1, s, m)
+    + (1 - a) * user_payoff(0, s, m); on the game's integers it is that
+    value times money_den."""
+    from auditgame.core import integer_game, signal_payoff
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.choice([2, 3, 4])
+        alloc = [F(rng.randrange(0, 200), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+        alloc[rng.randrange(n)] = alloc[0]   # some games repeat a credit
+        c = F(rng.randrange(0, 50), rng.choice([1, 4]))
+        k = c + F(rng.choice([0, rng.randrange(0, 150)]), rng.choice([1, 3]))
+        cfg = ag.GameConfig(types=tuple(f"t{i}" for i in range(n)), prior=(F(1, n),) * n,
+                            alloc=tuple(alloc), audit_cost=c, fine=k)
+        game = integer_game(cfg)
+        for s, s_label in enumerate(cfg.types):
+            for m, m_label in enumerate(cfg.types):
+                den = rng.randrange(1, 13)
+                a = F(rng.randrange(0, den + 1), den)
+                want = (a * ag.user_payoff(1, s_label, m_label, cfg)
+                        + (1 - a) * ag.user_payoff(0, s_label, m_label, cfg))
+                got = signal_payoff(cfg.alloc[s], cfg.alloc[m], cfg.fine, a, s == m)
+                assert got == want, (cfg, s, m, a)
+                scaled = signal_payoff(game.alloc[s], game.alloc[m], game.fine, a, s == m)
+                assert scaled == want * game.money_den, (cfg, s, m, a)
+

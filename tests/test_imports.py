@@ -266,3 +266,26 @@ def test_package_imports_sit_at_module_level_and_name_no_private_names():
             problems += [f"{module}:{node.lineno} imports {name}" for name in names
                          if name.startswith("_")]
     assert problems == []
+
+
+# The library's homes of the payoff rules, which the grid oracle must not
+# use: it checks them.
+PAYOFF_HOMES = {"signal_payoff", "audit_margin", "audit_margins", "audit_margin_coef",
+                "user_utility_type", "best_response", "integer_game"}
+
+
+def test_the_grid_oracle_names_none_of_the_library_payoff_homes():
+    """`tests/reference_oracle.py` recomputes every payoff itself, so that
+    it stays an independent check of the library's."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference_oracle.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name.split(".")[-1], node.asname}
+    assert names & PAYOFF_HOMES == set()
