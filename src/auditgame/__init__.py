@@ -35,7 +35,7 @@ _HOME = {
     "verify_equilibrium": "equilibrium",
 }
 _SUBMODULES = frozenset(("bounds", "casestudy", "cli", "core", "cost", "equilibrium", "errors",
-                         "ledger", "lp", "numeric", "oracle"))
+                         "ledger", "lp", "numeric", "oracle", "record"))
 
 __all__ = list(_HOME)
 

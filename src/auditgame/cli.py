@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, bounds, cost, sweep, surface, verify, probe, ledger;
-`_COMMANDS` lists each with its flags, and `--help` prints them.  A flag
-takes `--flag value` or `--flag=value` under its exact name (no
-abbreviations), and its value may start with `-`.  Exit status 0 on
+`_COMMANDS` lists each with its handler and flags, and `--help` prints
+them.  A flag takes `--flag value` or `--flag=value` under its exact name
+(no abbreviations), and its value may start with `-`.  Exit status 0 on
 success, 2 when the budget regime rules the request out (equilibrium
 non-existence), 1 on input errors, usage errors among them; each error
 prints one line on stderr.  Game outputs are deterministic given the
@@ -31,8 +31,9 @@ import sys
 
 from .errors import InputError, RegimeError
 
-# Each handler imports the modules it runs, so that a call loads only those:
-# a ledger call loads neither `numeric` nor the `fractions` it imports.
+# Each handler, or a game command's text function, imports the modules it
+# runs, so that a call loads only those: a ledger call loads neither
+# `numeric` nor the `fractions` it imports.
 
 
 def _load_config(path):
@@ -131,32 +132,7 @@ _SCHEME = {"--scheme": _flag("ed25519|toy", "ed25519", choices=("ed25519", "toy"
            "--seed": _flag("N", 0, int)}
 _LEDGER = {"--dir": _flag("DIR", required=True), **_SCHEME}
 
-# Each subcommand, and each ledger subcommand, with its flags in the order
-# that `--help` lists them.
-_COMMANDS = {
-    "solve": _GAME,
-    "bounds": {**_GAME, "--format": _flag("csv|text", "csv", choices=("csv", "text"))},
-    "cost": _GAME,
-    "sweep": _GRIDS,
-    "surface": _GRIDS,
-    "verify": {**_GAME, "--resolution": _flag("N", 200, int)},
-    "probe": {**_GAME, "--resolution": _flag("N", 100, int)},
-    "ledger": {
-        "keygen": {"--out": _flag("FILE", required=True), **_SCHEME},
-        "mint": {**_LEDGER, "--recipient-key": _flag("FILE", required=True),
-                 "--coin-id": _flag("N", kind=int, required=True), "--note": _flag("TEXT", ""),
-                 "--out": _flag("FILE", required=True)},
-        "spend": {**_LEDGER, "--coin": _flag("FILE", kind=list, required=True),
-                  "--goods": _flag("TEXT", "goods"), "--price": _flag("N", 1, int),
-                  "--signer-key": _flag("FILE", required=True)},
-        "audit-log": _LEDGER,
-    },
-}
 _HELP = ("-h", "--help")
-
-
-def _is_group(table) -> bool:
-    return isinstance(next(iter(table.values())), dict)
 
 
 class _Args:
@@ -165,31 +141,33 @@ class _Args:
 
 
 def parse_args(argv):
-    """The subcommands and flag values of `argv` as attributes (`command`,
-    `ledger_command`, and each flag with its dashes as underscores), or
-    None when it asks for help.  A usage error raises `InputError`."""
-    words, table, i = [], _COMMANDS, 0
-    while _is_group(table):
+    """The subcommands, handler and flag values of `argv` as attributes
+    (`command`, `ledger_command`, `handler`, and each flag with its dashes
+    as underscores), or None when it asks for help.  A usage error raises
+    `InputError`."""
+    words, row, i = [], _COMMANDS, 0
+    while isinstance(row, dict):
         token = argv[i] if i < len(argv) else None
         if token in _HELP:
             return None
-        if token not in table:
+        if token not in row:
             got = "none given" if token is None else f"got {token!r}"
             what = " ".join(words + ["command"])
-            raise InputError(f"expected a {what}, one of {', '.join(table)}; {got}")
+            raise InputError(f"expected a {what}, one of {', '.join(row)}; {got}")
         words.append(token)
-        table, i = table[token], i + 1
+        row, i = row[token], i + 1
+    handler, flags = row
     where = " ".join(words)
-    values = {name: spec[1] for name, spec in table.items()}
+    values = {name: spec[1] for name, spec in flags.items()}
     given = set()
     while i < len(argv):
         token, i = argv[i], i + 1
         if token in _HELP:
             return None
         name, eq, value = token.partition("=")
-        if name not in table:
+        if name not in flags:
             raise InputError(f"{where}: unknown flag {name!r}")
-        kind, _, _, choices, _ = table[name]
+        kind, _, _, choices, _ = flags[name]
         if not eq:
             if i == len(argv):
                 raise InputError(f"{where}: {name} needs a value")
@@ -205,22 +183,23 @@ def parse_args(argv):
             value = values[name] + [value] if name in given else [value]
         values[name] = value
         given.add(name)
-    for name, (_, _, required, _, _) in table.items():
+    for name, (_, _, required, _, _) in flags.items():
         if required and name not in given:
             raise InputError(f"{where}: {name} is required")
-    attributes = dict(zip(("command", "ledger_command"), words))
+    attributes = dict(zip(("command", "ledger_command"), words), handler=handler)
     attributes.update((name[2:].replace("-", "_"), value) for name, value in values.items())
     return _Args(attributes)
 
 
-def _usage(head="auditgame", table=_COMMANDS) -> str:
-    """The `--help` text: one usage line per subcommand, rendered from
-    `_COMMANDS` and wrapped at 79 columns."""
-    if _is_group(table):
-        width = max(map(len, table))
-        return "".join(_usage(f"{head} {word:{width}}", sub) for word, sub in table.items())
+def _usage(head, row) -> str:
+    """The `--help` text of the `_COMMANDS` row `row`: one usage line per
+    subcommand, wrapped at 79 columns."""
+    if isinstance(row, dict):
+        width = max(map(len, row))
+        return "".join(_usage(f"{head} {word:{width}}", sub) for word, sub in row.items())
+    _, flags = row
     lines = [head]
-    for name, (kind, _, required, _, metavar) in table.items():
+    for name, (kind, _, required, _, metavar) in flags.items():
         part = f"{name} {metavar}" + (" ..." if kind is list else "")
         part = part if required else f"[{part}]"
         if len(lines[-1]) + 1 + len(part) > 79:
@@ -308,26 +287,29 @@ def _open_ledger(args, create=False, listing=None):
     return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, listing=listing, rng=rng)
 
 
-def _cmd_solve(args) -> int:
+def _game(text):
+    """The handler of a game command: it loads the game of `--config` and
+    writes `text(cfg, args)` to `--out`."""
+    def handler(args) -> int:
+        _write_out(text(_load_config(args.config), args), args.out)
+        return 0
+    return handler
+
+
+def _solve(cfg, args) -> str:
     from . import equilibrium
-    cfg = _load_config(args.config)
-    result = equilibrium.signaling_equilibrium(cfg)
-    _write_out(result.to_text(cfg), args.out)
-    return 0
+    return equilibrium.signaling_equilibrium(cfg).to_text(cfg)
 
 
-def _cmd_bounds(args) -> int:
+def _bounds(cfg, args) -> str:
     from . import bounds as bounds_mod
     from .numeric import sig15
-    cfg = _load_config(args.config)
     strategy = None
-    if args.format == "text":
-        # Mark which caps the equilibrium attains, when one exists.
+    if args.format == "text" and not bounds_mod.budget_thresholds(cfg).budget_binds:
+        # Mark which caps the equilibrium attains; one exists wherever the
+        # budget does not bind.
         from . import equilibrium
-        try:
-            strategy = equilibrium.signaling_equilibrium(cfg).strategy()
-        except RegimeError:
-            pass
+        strategy = equilibrium.signaling_equilibrium(cfg).strategy()
     report = bounds_mod.bound_report(cfg, strategy=strategy)
     if report.budget_binds:
         lines = ["caps: do not apply at this budget, which holds audits back"]
@@ -341,14 +323,12 @@ def _cmd_bounds(args) -> int:
             lines.append("binding: " + ";".join(f"{s}|{m}" for s, m in report.binding_pairs))
         if report.vacuous_pairs:
             lines.append("vacuous: " + ";".join(f"{s}|{m}" for s, m in report.vacuous_pairs))
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_cost(args) -> int:
+def _cost(cfg, args) -> str:
     from . import cost as cost_mod
     from .numeric import sig15
-    cfg = _load_config(args.config)
     report = cost_mod.compare(cfg)
     lines = [
         f"cost_no_audit: {sig15(report.cost_no_audit)}",
@@ -361,8 +341,18 @@ def _cmd_cost(args) -> int:
         lines.append(f"fine_threshold: {sig15(report.fine_threshold)}")
     if report.regime_note:
         lines.append(f"note: {report.regime_note}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
+
+
+def _verify(cfg, args) -> str:
+    from . import equilibrium
+    result = equilibrium.signaling_equilibrium(cfg)
+    return equilibrium.verify_equilibrium(result, cfg, resolution=args.resolution).to_text()
+
+
+def _probe(cfg, args) -> str:
+    from . import oracle
+    return oracle.nonexistence_probe(cfg, args.resolution).to_text()
 
 
 def _spec_with_overrides(args, preset):
@@ -404,90 +394,92 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    from . import equilibrium
-    cfg = _load_config(args.config)
-    result = equilibrium.signaling_equilibrium(cfg)
-    report = equilibrium.verify_equilibrium(result, cfg, resolution=args.resolution)
-    _write_out(report.to_text(), args.out)
+def _cmd_keygen(args) -> int:
+    from . import ledger as ledger_mod
+    scheme = _scheme_for(args)
+    sk, pk = ledger_mod.keygen(scheme)
+    _write_key_file(args.out, sk, pk)
+    _write_out(f"public_key: {pk.hex()}\n")
     return 0
 
 
-def _cmd_probe(args) -> int:
-    from . import oracle
-    cfg = _load_config(args.config)
-    report = oracle.nonexistence_probe(cfg, args.resolution)
-    _write_out(report.to_text(), args.out)
-    return 0
-
-
-def _cmd_ledger(args) -> int:
+def _cmd_mint(args) -> int:
+    """Only mint creates a ledger, and it reads its input files first, so a
+    bad input leaves none."""
     import json
     from . import ledger as ledger_mod
-    if args.ledger_command == "keygen":
-        scheme = _scheme_for(args)
-        sk, pk = ledger_mod.keygen(scheme)
-        _write_key_file(args.out, sk, pk)
-        _write_out(f"public_key: {pk.hex()}\n")
-        return 0
-    # Only mint creates a ledger, and it reads its input files first, so a bad
-    # input leaves none.
-    if args.ledger_command == "mint":
-        _, recipient_pk = _read_key_file(args.recipient_key)
-        # A new ledger's admin key is written only after the coin file, and
-        # a directory made for it goes again if that write fails.
-        new_dir = not os.path.exists(args.dir)
-        state = _open_ledger(args, create=True)
-        admin_path = os.path.join(args.dir, "admin.key")
-        coin = _signing(admin_path, state.mint, recipient_pk,
-                        ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
-        try:
-            _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
-        except InputError:
-            if new_dir:
-                os.rmdir(args.dir)
-            raise
-        if not os.path.exists(admin_path):
-            _write_key_file(admin_path, state._admin_sk, state.admin_pk)
-        _write_out(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
-        return 0
-    if args.ledger_command == "spend":
-        coins = [_read_coin_file(path) for path in args.coin]
-        sk, _ = _read_key_file(args.signer_key)
-        state = _open_ledger(args)
-        raw = ledger_mod.RawReceipt(goods=args.goods, price=args.price, coins=tuple(coins))
-        challenge = state.begin_spend(raw)
-        receipt = _signing(args.signer_key, ledger_mod.sign_receipt, state.scheme, sk, raw,
-                           challenge)
-        outcome = state.finalize_spend(receipt)
-        if outcome.approved:
-            _write_out("approved\n")
-            return 0
-        _write_out(f"rejected: {outcome.reason}\n")
-        return 1
-    if args.ledger_command == "audit-log":
-        # Loading re-verifies every record after the administrator's signed
-        # checkpoint and raises on the first that fails; the records inside
-        # it passed when it was signed, and are listed from their JSON in the
-        # same read of the log.  So each record listed here has passed, and
-        # nothing is written unless the whole log has.
-        listing = []
-        _open_ledger(args, listing=listing)
-        listing.append(f"total: {len(listing)}\n")
-        _write_out(listing)
-        return 0
-    raise InputError(f"unknown ledger command {args.ledger_command!r}")
+    _, recipient_pk = _read_key_file(args.recipient_key)
+    # A new ledger's admin key is written only after the coin file, and
+    # a directory made for it goes again if that write fails.
+    new_dir = not os.path.exists(args.dir)
+    state = _open_ledger(args, create=True)
+    admin_path = os.path.join(args.dir, "admin.key")
+    coin = _signing(admin_path, state.mint, recipient_pk,
+                    ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
+    try:
+        _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
+    except InputError:
+        if new_dir:
+            os.rmdir(args.dir)
+        raise
+    if not os.path.exists(admin_path):
+        _write_key_file(admin_path, state._admin_sk, state.admin_pk)
+    _write_out(f"minted coin {coin.metadata.coin_id} for {recipient_pk.hex()[:16]}...\n")
+    return 0
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "bounds": _cmd_bounds,
-    "cost": _cmd_cost,
-    "sweep": _cmd_sweep,
-    "surface": _cmd_surface,
-    "verify": _cmd_verify,
-    "probe": _cmd_probe,
-    "ledger": _cmd_ledger,
+def _cmd_spend(args) -> int:
+    from . import ledger as ledger_mod
+    coins = [_read_coin_file(path) for path in args.coin]
+    sk, _ = _read_key_file(args.signer_key)
+    state = _open_ledger(args)
+    raw = ledger_mod.RawReceipt(goods=args.goods, price=args.price, coins=tuple(coins))
+    challenge = state.begin_spend(raw)
+    receipt = _signing(args.signer_key, ledger_mod.sign_receipt, state.scheme, sk, raw,
+                       challenge)
+    outcome = state.finalize_spend(receipt)
+    if outcome.approved:
+        _write_out("approved\n")
+        return 0
+    _write_out(f"rejected: {outcome.reason}\n")
+    return 1
+
+
+def _cmd_audit_log(args) -> int:
+    # Loading re-verifies every record after the administrator's signed
+    # checkpoint and raises on the first that fails; the records inside
+    # it passed when it was signed, and are listed from their JSON in the
+    # same read of the log.  So each record listed here has passed, and
+    # nothing is written unless the whole log has.
+    listing = []
+    _open_ledger(args, listing=listing)
+    listing.append(f"total: {len(listing)}\n")
+    _write_out(listing)
+    return 0
+
+
+# Each subcommand, and each ledger subcommand, as (handler, flags) with its
+# flags in the order that `--help` lists them; a group of subcommands is a
+# dict of them.
+_COMMANDS = {
+    "solve": (_game(_solve), _GAME),
+    "bounds": (_game(_bounds),
+               {**_GAME, "--format": _flag("csv|text", "csv", choices=("csv", "text"))}),
+    "cost": (_game(_cost), _GAME),
+    "sweep": (_cmd_sweep, _GRIDS),
+    "surface": (_cmd_surface, _GRIDS),
+    "verify": (_game(_verify), {**_GAME, "--resolution": _flag("N", 200, int)}),
+    "probe": (_game(_probe), {**_GAME, "--resolution": _flag("N", 100, int)}),
+    "ledger": {
+        "keygen": (_cmd_keygen, {"--out": _flag("FILE", required=True), **_SCHEME}),
+        "mint": (_cmd_mint, {**_LEDGER, "--recipient-key": _flag("FILE", required=True),
+                             "--coin-id": _flag("N", kind=int, required=True),
+                             "--note": _flag("TEXT", ""), "--out": _flag("FILE", required=True)}),
+        "spend": (_cmd_spend, {**_LEDGER, "--coin": _flag("FILE", kind=list, required=True),
+                               "--goods": _flag("TEXT", "goods"), "--price": _flag("N", 1, int),
+                               "--signer-key": _flag("FILE", required=True)}),
+        "audit-log": (_cmd_audit_log, _LEDGER),
+    },
 }
 
 
@@ -495,9 +487,9 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
-            _write_out(_usage())
+            _write_out(_usage("auditgame", _COMMANDS))
             return 0
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1

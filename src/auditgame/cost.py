@@ -40,24 +40,26 @@ class CostReport(Record):
 
 
 def cost_no_audit(cfg: GameConfig) -> Fraction:
-    """Status-quo cost: everyone claims the top credit."""
-    truthful_avg = sum((q * f for q, f in zip(cfg.prior, cfg.alloc)), Fraction(0))
-    return cfg.num_users * (max(cfg.alloc) - truthful_avg)
+    """Status-quo cost: the excess payments n * sum of q_m * (f_max - f_m)
+    when every type claims the top credit."""
+    top = max(cfg.alloc)
+    return cfg.num_users * sum((q * (top - f) for q, f in zip(cfg.prior, cfg.alloc)), Fraction(0))
 
 
 def cost_audit_two_type(cfg: GameConfig) -> CostReport:
     """Audit-mechanism cost at the pinned two-type budget.
 
     The budget is the two-type existence threshold times the coalition
-    size; the no-audit cost n*q_lo*df and the excess n*q_lo*p*df scale
-    with the population.  Below the prior threshold c/(k + df) the
-    mechanism sets no budget aside and collapses to the status quo exactly.
+    size; the no-audit cost, n*q_lo*df with two types, and the excess
+    n*q_lo*p*df scale with the population.  Below the prior threshold
+    c/(k + df) the mechanism sets no budget aside and collapses to the
+    status quo exactly.
     """
     if not cfg.is_two_type:
         raise InputError("two-type cost analysis needs exactly two types")
     q_lo, _, df = two_type_params(cfg)
     p = two_type_misreport_prob(cfg)
-    no_audit = cfg.num_users * q_lo * df
+    no_audit = cost_no_audit(cfg)
     budget = cfg.coalition_size * budget_thresholds(cfg).threshold_two_type
     excess = no_audit * p
     note = ""

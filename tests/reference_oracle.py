@@ -58,6 +58,16 @@ def _over_common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _game_integers(cfg: GameConfig):
+    """(q, prior_den, f, c, k, money_den): the prior as integers over its
+    least common denominator, and the credits, the audit cost and the fine
+    over theirs."""
+    q, prior_den = _over_common_denominator(cfg.prior)
+    money, money_den = _over_common_denominator(cfg.alloc + (cfg.audit_cost, cfg.fine))
+    n = cfg.n_types
+    return q, prior_den, money[:n], money[n], money[n + 1], money_den
+
+
 def _compositions(total: int, parts: int):
     """All tuples of `parts` non-negative ints summing to `total`."""
     if parts == 1:
@@ -71,18 +81,20 @@ def _compositions(total: int, parts: int):
 def _pair_caps(cfg: GameConfig, resolution: int):
     """Per-coordinate step caps for over-report entries, from the per-signal
     constraints with everything else dropped (a necessary condition, so the
-    capped box contains every feasible point)."""
+    capped box contains every feasible point).
+
+    The cap on pi(s|m) is min(1, q_s*c / (q_m*(k - c + f_s - f_m))), or 1
+    when that denominator is not positive, and its step cap the floor of
+    cap * resolution; both sides of the ratio are integers here."""
+    q, _, f, c, k, _ = _game_integers(cfg)
     caps = {}
     for m in range(cfg.n_types):
         for s in range(cfg.n_types):
-            if s == m or cfg.alloc[s] < cfg.alloc[m]:
+            if s == m or f[s] < f[m]:
                 continue
-            denom = cfg.prior[m] * (cfg.fine - cfg.audit_cost + cfg.alloc[s] - cfg.alloc[m])
-            if denom <= 0:
-                cap = Fraction(1)
-            else:
-                cap = min(Fraction(1), cfg.prior[s] * cfg.audit_cost / denom)
-            caps[(s, m)] = int(cap * resolution)  # floor
+            denom = q[m] * (k - c + f[s] - f[m])
+            caps[(s, m)] = (resolution if denom <= 0
+                            else min(resolution, resolution * q[s] * c // denom))
     return caps
 
 
@@ -103,6 +115,11 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
     covers the audit cost, so the restricted search still finds the
     global grid optimum.  When the capped joint grid would exceed the
     enumeration cap the resolution is halved until it fits (coarse mode).
+
+    The scan runs on integers: a row's steps, its objective and its audit
+    margins are integers over resolution * prior_den * money_den, one
+    positive scale for every row, so the comparisons are those of the
+    exact values.
     """
     n = cfg.n_types
     resolution = grid.resolution
@@ -119,6 +136,7 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
         coarse = True
 
     caps = _pair_caps(cfg, resolution)
+    q, prior_den, f, c, k, money_den = _game_integers(cfg)
     # Precompute, per candidate row, its objective contribution and its
     # additive contribution to each signal's audit-profitability margin
     # (rhs - lhs), so the joint scan below is pure addition.
@@ -128,21 +146,19 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
         limits = [caps[(s, m)] for s in coords]
         entries = []
         for steps in _bounded_tuples(limits, resolution):
-            row = [Fraction(0)] * n
-            used = 0
+            row = [0] * n
             for s, st in zip(coords, steps):
-                row[s] = Fraction(st, resolution)
-                used += st
-            row[m] = Fraction(resolution - used, resolution)
+                row[s] = st
+            row[m] = resolution - sum(steps)
             margins = []
-            obj = Fraction(0)
+            obj = 0
             for s in range(n):
-                mass = row[s] * cfg.prior[m]
-                margin = cfg.audit_cost * mass
+                mass = row[s] * q[m]
+                margin = c * mass
                 if m != s:
-                    margin -= mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
+                    margin -= mass * (k + _positive_part(f[s] - f[m]))
                 margins.append(margin)
-                obj += mass * cfg.alloc[s]
+                obj += mass * f[s]
             entries.append((tuple(row), tuple(margins), obj))
         per_type.append(entries)
 
@@ -151,8 +167,8 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
     evaluated = 0
     for combo in itertools.product(*per_type):
         evaluated += 1
-        obj = Fraction(0)
-        margins = [Fraction(0)] * n
+        obj = 0
+        margins = [0] * n
         for _, row_margins, row_obj in combo:
             obj += row_obj
             for s in range(n):
@@ -162,10 +178,10 @@ def grid_best_strategy(cfg: GameConfig, grid: GridSpec) -> GridSearchResult:
         if best is None or obj > best:
             best = obj
             best_rows = tuple(entry[0] for entry in combo)
-    strategy = Strategy(tuple(best_rows))
+    strategy = Strategy(tuple(tuple(Fraction(st, resolution) for st in row) for row in best_rows))
     return GridSearchResult(
         strategy=strategy,
-        objective=best,
+        objective=Fraction(best, resolution * prior_den * money_den),
         resolution_used=resolution,
         coarse=coarse,
         points_evaluated=evaluated,
@@ -199,16 +215,19 @@ def _bounded_tuples(limits, total_cap):
 
 
 def _feasible(cfg: GameConfig, rows) -> bool:
-    """Per-signal no-audit feasibility for a full strategy matrix."""
+    """Per-signal no-audit feasibility for a full strategy matrix, compared
+    on integers: the rows over their least common denominator, and the
+    game's numbers as `_game_integers` gives them."""
     n = cfg.n_types
+    q, _, f, c, k, _ = _game_integers(cfg)
+    cells, _ = _over_common_denominator([p for row in rows for p in row])
     for s in range(n):
-        lhs = Fraction(0)
-        rhs = Fraction(0)
+        lhs = rhs = 0
         for m in range(n):
-            mass = rows[m][s] * cfg.prior[m]
-            rhs += cfg.audit_cost * mass
+            mass = cells[m * n + s] * q[m]
+            rhs += c * mass
             if m != s:
-                lhs += mass * (cfg.fine + _positive_part(cfg.alloc[s] - cfg.alloc[m]))
+                lhs += mass * (k + _positive_part(f[s] - f[m]))
         if lhs > rhs:
             return False
     return True
@@ -240,9 +259,7 @@ def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) 
     sigma = profile.audit
     n = cfg.n_types
     res = grid.resolution
-    q, _ = _over_common_denominator(cfg.prior)
-    money, money_den = _over_common_denominator(cfg.alloc + (cfg.audit_cost, cfg.fine))
-    f, c, k = money[:n], money[n], money[n + 1]
+    q, _, f, c, k, money_den = _game_integers(cfg)
     cells, rows_den = _over_common_denominator([p for row in pi.rows for p in row])
     rows = [cells[i * n:(i + 1) * n] for i in range(n)]
     if cfg.budget is None or cfg.audit_cost == 0:

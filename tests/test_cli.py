@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from auditgame import casestudy
+from auditgame import casestudy, equilibrium
 from auditgame.cli import _grid, _spec_with_overrides, main, parse_args
 
 CFG_A = """\
@@ -142,13 +142,21 @@ def test_bounds_text_marks_binding_pairs(cfg_file, capsys):
     assert "binding: high|low" in out
 
 
-def test_bounds_prints_no_caps_where_the_budget_binds(tmp_path, capsys):
-    # one user and budget 1, below the two-type threshold 5775/806
+def test_bounds_prints_no_caps_where_the_budget_binds(tmp_path, capsys, monkeypatch):
+    # no caps apply, so no equilibrium is solved for to mark them
+    def solve(cfg):
+        raise AssertionError("bounds solved a game whose budget binds")
+    monkeypatch.setattr(equilibrium, "signaling_equilibrium", solve)
     path = tmp_path / "tight.cfg"
-    path.write_text(CFG_A + "budget = 1\n")
-    for fmt in ("csv", "text"):
-        assert run(["bounds", "--config", str(path), "--format", fmt], capsys) == (
-            0, "caps: do not apply at this budget, which holds audits back\n", "")
+    # one user and budget 1, below the two-type threshold 5775/806; and
+    # budget 1, below the three-type coalition threshold 5/2
+    for game in (CFG_A + "budget = 1\n",
+                 "types = a, b, c\nprior = 1/3, 1/3, 1/3\nalloc = a: 10, b: 20, c: 40\n"
+                 "audit_cost = 5\nfine = 30\nbudget = 1\n"):
+        path.write_text(game)
+        for fmt in ("csv", "text"):
+            assert run(["bounds", "--config", str(path), "--format", fmt], capsys) == (
+                0, "caps: do not apply at this budget, which holds audits back\n", ""), game
 
 
 def test_a_game_with_one_type_of_positive_probability_is_solved_and_bounded(tmp_path, capsys):

@@ -51,6 +51,8 @@ coalition_size = 3
     ("alloc = low: 50", "missing entries"),
     ("bogus_key = 1", "unknown config keys"),
     ("audit_cost = ten", "cannot parse"),
+    ("alloc = low 50, high: 105", "^alloc entries must look like 'label: amount', got 'low 50'$"),
+    ("num_users = many", "^num_users must be an integer, got 'many'$"),
 ])
 def test_parse_rejects_bad_documents(mutation, fragment):
     key = mutation.split("=")[0].strip()

@@ -1,6 +1,7 @@
 """Payoffs, utilities, excess payments, and the audit best response."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -331,11 +332,35 @@ def test_gameconfig_invariants():
         with pytest.raises(InputError, match=f"{key} must be a positive integer"):
             ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(1, 2),
                           audit_cost=0, fine=0, **{key: True})
+    game = dict(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(1, 2), audit_cost=1, fine=1)
+    for change, message in (
+            ({"alloc": {"a": 1, "b": 2, "z": 3}}, "alloc has entries for unknown types ['z']"),
+            ({"prior": (F(1, 2), F(1, 4), F(1, 4))},
+             "prior and alloc must match the number of types"),
+            ({"alloc": (1, 2, 3)}, "prior and alloc must match the number of types"),
+            ({"prior": (F(3, 2), F(-1, 2))}, "prior entries must be non-negative"),
+            ({"audit_cost": -1}, "audit cost must be non-negative"),
+            ({"budget": -1}, "budget must be non-negative")):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ag.GameConfig(**{**game, **change})
+
+
+def test_low_high_split_needs_two_types(cfg_three):
+    with pytest.raises(InputError, match="^low/high split is defined for two-type games only$"):
+        cfg_three.low_high_indices()
 
 
 def test_strategy_and_policy_invariants():
     with pytest.raises(InputError):
         ag.Strategy(((F(1, 2), F(1, 3)), (0, 1)))
+    for rows, message in (
+            ((), "strategy needs at least one row"),
+            (((1, 0), (1,)), "strategy rows must all have the same length"),
+            (((F(3, 2), F(-1, 2)), (0, 1)), "strategy row 0 has entries outside [0, 1]"),
+            (((1, 0, 0), (0, 1, 0)),
+             "strategy matrix must be square (one row per type, one column per signal)")):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ag.Strategy(rows)
     with pytest.raises(InputError):
         ag.AuditPolicy((F(3, 2),))
     sp = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))

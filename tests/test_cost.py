@@ -26,6 +26,17 @@ def test_cost_no_audit_three_type(cfg_three):
     assert ag.cost_no_audit(cfg_three) == 4 - 2
 
 
+@pytest.mark.parametrize("prior, alloc", [
+    ((F(1, 2), F(1, 2)), (50, 105)),
+    ((F(3, 10), F(7, 10)), (105, 50)),
+    # sums to 1 only within the prior tolerance
+    ((F(1, 4), F("0.7500000000001")), (50, 105)),
+], ids=["even", "high-first", "prior-within-tolerance"])
+def test_cost_no_audit_is_the_two_type_report_cost(prior, alloc):
+    cfg = ag.GameConfig(("low", "high"), prior, alloc, 25, 100, num_users=3)
+    assert ag.cost_no_audit(cfg) == ag.compare(cfg).cost_no_audit
+
+
 def test_two_type_cost_example():
     cfg = make(F(1, 2), 75, 300, n=4000, l=1)
     report = ag.cost_audit_two_type(cfg)

@@ -494,6 +494,8 @@ def test_verify_three_type_fixture_reports_audit_mismatch(cfg_three):
     assert report.deviations_ok
     assert not report.br_matches
     assert report.expected_audit == (F(0), F(1), F(0))
+    assert report.to_text().splitlines()[-1] == (
+        "note: profile audit policy is not the best response to its strategy")
     from auditgame.core import audit_margins
     margins = audit_margins(cfg_three.prior, cfg_three.alloc, cfg_three.audit_cost,
                             cfg_three.fine, rows)

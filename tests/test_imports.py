@@ -19,6 +19,7 @@ import ast
 import glob
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -179,6 +180,15 @@ for name in ("no_such_name", "budgeted_two_type_equilibrium"):
         raise AssertionError(f"auditgame.{name} resolved")
 """
     proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(auditgame.__path__)))
+def test_each_submodule_resolves_as_a_package_attribute(name):
+    # alone in a fresh interpreter, where no other import has set the attribute
+    code = ("import sys, auditgame\n"
+            "assert getattr(auditgame, sys.argv[1]) is sys.modules['auditgame.' + sys.argv[1]]\n")
+    proc = _python(code, name)
     assert proc.returncode == 0, proc.stderr
 
 

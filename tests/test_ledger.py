@@ -154,6 +154,17 @@ def test_raw_receipt_validation(state, user):
         lg.RawReceipt(goods="x", price=1, coins=())
     with pytest.raises(InputError):
         lg.RawReceipt(goods="x", price=1, coins=(c1, c1))   # duplicate coin
+    with pytest.raises(InputError, match="^price cannot be negative$"):
+        lg.RawReceipt(goods="x", price=-1, coins=(c1,))
+
+
+def test_spend_calls_refuse_the_wrong_type(state, user):
+    _, pk = user
+    raw = lg.RawReceipt(goods="x", price=1, coins=(state.mint(pk, lg.CoinMetadata(coin_id=1)),))
+    with pytest.raises(InputError, match="^begin_spend expects a RawReceipt$"):
+        state.begin_spend(raw.to_dict())
+    with pytest.raises(InputError, match="^finalize_spend expects a Receipt$"):
+        state.finalize_spend(raw)
 
 
 def test_spend_happy_path_and_double_spend(state, user):
@@ -200,6 +211,24 @@ def test_unknown_and_expired_challenges(scheme, tmp_path):
     z2 = state.begin_spend(raw)
     assert state.pending_challenges(raw) == (z2,)
     assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z2)).approved
+
+
+def test_pending_challenges_drop_the_expired_ones(scheme, tmp_path):
+    now = [0.0]
+    state = lg.LedgerState.create(scheme, log_path=str(tmp_path / "log.jsonl"),
+                                  challenge_ttl=10.0, clock=lambda: now[0])
+    _, pk = lg.keygen(scheme)
+    raw = lg.RawReceipt(goods="meal", price=1, coins=(state.mint(pk, lg.CoinMetadata(coin_id=1)),))
+    z1 = state.begin_spend(raw)
+    now[0] = 5.0
+    z2 = state.begin_spend(raw)
+    now[0] = 12.0     # z1 expired at 10, z2 expires at 15
+    assert state.pending_challenges(raw) == (z2,)
+    assert list(state._pending[raw.canonical_bytes()]) == [z2]
+    assert z1 != z2
+    now[0] = 16.0     # the receipt has no live challenge left, and its entry goes
+    assert state.pending_challenges(raw) == ()
+    assert raw.canonical_bytes() not in state._pending
 
 
 def test_multi_coin_receipt(state, user):
