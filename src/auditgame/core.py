@@ -343,6 +343,13 @@ def signal_payoff(f_s, f_m, k, audited, truthful: bool):
     return f_s - audited * ((over if over > 0 else 0) + k)
 
 
+def top_signal(alloc) -> int:
+    """The first signal, in type order, with the largest credit in `alloc`:
+    every type's best reply to the zero audit, and the lexicographically
+    greatest one.  Number-generic."""
+    return alloc.index(max(alloc))
+
+
 # -- expected utilities ------------------------------------------------
 
 

@@ -5,10 +5,12 @@ regime of `bounds.budget_thresholds` once and hands that analysis to the
 construction it picks.  Unbudgeted games and budgets at or above the
 coalition threshold take the no-audit equilibrium of the program that
 `lp.solve_integer` solves (`bp_equilibrium`).  Below it, a two-type game
-takes the closed form where the budget does not bind, and the
-budget-exhausting profile where it binds with one user or a zero budget;
-several users with a positive binding budget, and any larger game, get a
-structured error rather than a bogus profile.
+takes the closed form where the budget does not bind.  Where it binds,
+with one user in a two-type game or a zero budget in a game of any size,
+every type claims the first top credit and the administrator exhausts its
+budget on it, which at budget 0 means no audit.  Several users with a
+positive binding budget, and a larger game with a positive budget below
+the threshold, get a structured error rather than a bogus profile.
 
 Equilibria here lean on the audit rule resolving exact indifference to
 no-audit.  If an administrator instead audited with positive probability
@@ -38,7 +40,8 @@ class EquilibriumResult(Record):
     budget decompose into identical single-user games), so the utilities
     and excess are per user; aggregate totals live in the cost module.
     `user_utilities` is aligned with cfg.types; `provenance` is one of
-    lp, closed_form_two_type and budgeted_two_type.
+    lp, closed_form_two_type, budgeted_two_type and zero_budget (a game
+    of three or more types at budget 0).
 
     `multiplicity` is set when the no-audit program has more than one
     optimum.  `unique` is set when the construction proves this is the
@@ -114,17 +117,20 @@ def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
 
 
 def _budget_exhausting(cfg: GameConfig, analysis: BudgetAnalysis) -> EquilibriumResult:
-    """Two-type equilibrium where the budget binds, with one user or a zero
-    budget: the low type misreports always and the administrator exhausts
-    its budget on the high signal."""
-    _, hi = cfg.low_high_indices()
-    pi = two_type_strategy(cfg, 1)
-    probs = [Fraction(0), Fraction(0)]
-    probs[hi] = core.audited_probability(cfg)
-    sigma = AuditPolicy(tuple(probs))
-    return equilibrium_result(
-        cfg, pi, sigma, core.excess_payments(pi, sigma, cfg), "budgeted_two_type",
-        notes=(f"budget-exhausting branch; threshold {analysis.threshold_two_type}",))
+    """Equilibrium where the budget binds, with one user in a two-type game
+    or a zero budget in any game: every type claims the first top credit
+    (`core.top_signal`) and the administrator best-responds, exhausting
+    its budget on that signal; at budget 0 it audits nothing."""
+    n, top = cfg.n_types, core.top_signal(cfg.alloc)
+    pi = Strategy.from_integers([[int(s == top) for s in range(n)] for _ in range(n)], 1)
+    sigma = core.best_response(pi, cfg)
+    if cfg.is_two_type:
+        provenance = "budgeted_two_type"
+        notes = (f"budget-exhausting branch; threshold {analysis.threshold_two_type}",)
+    else:
+        provenance, notes = "zero_budget", ()
+    return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg), provenance,
+                              notes=notes)
 
 
 def _check_optimum(cfg: GameConfig, game: IntegerGame, X, d, excess_cap: Fraction) -> Fraction:
@@ -207,6 +213,10 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     regime = analysis.regime
     if regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
         result = _program_equilibrium(cfg, analysis)
+    elif cfg.is_two_type and not analysis.budget_binds:
+        result = two_type_closed_form(cfg)
+    elif cfg.budget == 0 or (cfg.is_two_type and cfg.num_users == 1):
+        result = _budget_exhausting(cfg, analysis)
     elif not cfg.is_two_type:
         raise NonexistenceError(
             f"no signaling equilibrium: budget {cfg.budget} lies below the "
@@ -214,9 +224,7 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
             budget=cfg.budget,
             threshold_general=analysis.threshold_general,
         )
-    elif not analysis.budget_binds:
-        result = two_type_closed_form(cfg)
-    elif cfg.num_users > 1 and cfg.budget > 0:
+    else:
         raise NonexistenceError(
             f"no signaling equilibrium: {cfg.num_users} users with budget "
             f"{cfg.budget} strictly between 0 and the two-type existence "
@@ -225,8 +233,6 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
             threshold_two_type=analysis.threshold_two_type,
             threshold_general=analysis.threshold_general,
         )
-    else:
-        result = _budget_exhausting(cfg, analysis)
     return result.replace(notes=result.notes + (
         "excess is the tight upper bound over all signaling equilibria",
         f"regime {regime.value}"))

@@ -5,9 +5,13 @@ A coin binds an owner's public key and metadata under the administrator's
 signature, so counterfeits fail verification.  Spending is two-phase: the
 ledger issues a random challenge for a raw receipt, the owner signs the
 (receipt, challenge) pair, and approval requires the owner match, fresh
-coins, and a valid signature.  Each approved receipt is appended to the log
-as one record per line, and the log is replayed on load.  The log is the
-only copy of the receipts: a state keeps the coins they spend, never the
+coins, a valid signature and a challenge issued no more than
+`LedgerState.CHALLENGE_TTL` (ten minutes) before.  `begin_spend` is the one
+place that drops expired challenges: an expired one is refused as
+`expired-challenge`, or as `unknown-challenge` once a later `begin_spend`
+has dropped it.  Each approved receipt is appended to the log as one
+record per line, and the log is replayed on load.  The log is the only
+copy of the receipts: a state keeps the coins they spend, never the
 receipts themselves.  A state mints no (recipient, coin id) it has minted
 or knows spent, from the log or from a spend it approved.
 
@@ -83,6 +87,7 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from typing import Optional
 
 from .errors import InputError
@@ -392,14 +397,14 @@ class LedgerState:
     """
 
     CHALLENGE_BYTES = 16
+    CHALLENGE_TTL = 600.0   # seconds a challenge stays usable
 
     def __init__(self, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
-                 log_path=None, challenge_ttl: float = 600.0, rng=None, clock=None):
+                 log_path=None, rng=None, clock=None):
         self.scheme = scheme
         self._admin_sk = admin_sk
         self.admin_pk = admin_pk
         self.log_path = log_path
-        self.challenge_ttl = challenge_ttl
         self._rng = rng
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
@@ -409,7 +414,10 @@ class LedgerState:
         # of them has verified.
         self._minted: dict = {}
         self._minted_verified_under = None
-        self._pending: dict = {}   # r0 canonical bytes -> {challenge bytes: deadline}
+        # (raw receipt's canonical bytes, challenge) -> deadline, in issue
+        # order.  An OrderedDict drops its oldest entry in O(1); a dict's
+        # first entry is found past every hole that deletions left.
+        self._pending = OrderedDict()
         # True when the loaded log's last line has no newline; the next
         # append writes one first, so that its record gets a line of its own.
         self._unterminated = False
@@ -623,7 +631,9 @@ class LedgerState:
     # -- two-phase spending ---------------------------------------------
 
     def begin_spend(self, raw: RawReceipt) -> bytes:
-        """Issue a fresh 128-bit challenge for the raw receipt."""
+        """Issue a fresh 128-bit challenge for the raw receipt, usable for
+        `CHALLENGE_TTL` seconds.  Pending challenges that expired before now
+        are dropped first, from the oldest on, up to the first live one."""
         if not isinstance(raw, RawReceipt):
             raise InputError("begin_spend expects a RawReceipt")
         if self._rng is not None:
@@ -631,23 +641,12 @@ class LedgerState:
                 self.CHALLENGE_BYTES, "big")
         else:
             challenge = os.urandom(self.CHALLENGE_BYTES)
-        deadline = self._clock() + self.challenge_ttl
+        now = self._clock()
         with self._lock:
-            self._pending.setdefault(raw.canonical_bytes(), {})[challenge] = deadline
+            while self._pending and next(iter(self._pending.values())) < now:
+                self._pending.popitem(last=False)
+            self._pending[raw.canonical_bytes(), challenge] = now + self.CHALLENGE_TTL
         return challenge
-
-    def pending_challenges(self, raw: RawReceipt) -> tuple:
-        """Challenges still usable for this raw receipt (expired ones drop out)."""
-        now, key = self._clock(), raw.canonical_bytes()
-        with self._lock:
-            challenges = self._pending.get(key, {})
-            live = {z: d for z, d in challenges.items() if d >= now}
-            if len(live) != len(challenges):
-                if live:
-                    self._pending[key] = live
-                else:
-                    self._pending.pop(key, None)
-            return tuple(live)
 
     def _receipt_integrity_problem(self, receipt: Receipt) -> Optional[str]:
         """Signature checks; no spent-set or challenge state.  One owner
@@ -674,15 +673,14 @@ class LedgerState:
         if problem:
             return SpendOutcome(False, problem)
 
-        key = receipt.raw.canonical_bytes()
+        key = (receipt.raw.canonical_bytes(), receipt.challenge)
         now = self._clock()
         with self._lock:
-            challenges = self._pending.get(key, {})
-            deadline = challenges.get(receipt.challenge)
+            deadline = self._pending.get(key)
             if deadline is None:
                 return SpendOutcome(False, "unknown-challenge")
-            if now > deadline:
-                del challenges[receipt.challenge]
+            if deadline < now:
+                del self._pending[key]
                 return SpendOutcome(False, "expired-challenge")
             for coin in receipt.raw.coins:
                 if coin.key in self._spent:
@@ -702,9 +700,7 @@ class LedgerState:
                 self._log_bytes += len(line)
             for coin in receipt.raw.coins:
                 self._spent.add(coin.key)
-            del challenges[receipt.challenge]
-            if not challenges:
-                self._pending.pop(key, None)
+            del self._pending[key]
             # The doubling schedule; a checkpoint that could not be signed
             # or written resets it too, so a failing disk costs no more.
             if self.log_path and self._log_bytes - self._checkpointed >= self._checkpointed:
@@ -712,13 +708,3 @@ class LedgerState:
                 self._save_checkpoint(self._log_bytes, self._log_sha.copy().finalize().hex(),
                                       self._spent)
         return SpendOutcome(True)
-
-    def is_spent(self, coin: Coin) -> bool:
-        with self._lock:
-            return coin.key in self._spent
-
-
-def verify_coin(scheme: SignatureScheme, admin_pk: bytes, coin: Coin) -> bool:
-    """True exactly when the administrator's signature on the coin verifies."""
-    payload = Coin.signed_payload(coin.owner_pk, coin.metadata)
-    return scheme.verify(admin_pk, payload, coin.issuer_sig)

@@ -193,7 +193,7 @@ def solve_integer(game: IntegerGame) -> tuple:
     """
     n = len(game.prior)
     P, F = game.prior, game.alloc
-    top = F.index(max(F))   # the first signal with the largest credit
+    top = core.top_signal(F)
     kept = [(m, s) for m in range(n) for s in range(n)
             if (P[s] > 0 and F[s] >= F[m] if P[m] else s == top)]
     tableau, basis = _truthful_tableau(game, kept)

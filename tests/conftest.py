@@ -1,8 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from auditgame import GameConfig
+
+# `pytest --hypothesis-profile=ci`: more examples, the same ones on every run.
+settings.register_profile("ci", max_examples=2000, derandomize=True)
 
 
 @pytest.fixture

@@ -371,15 +371,28 @@ def test_zero_prior_games_give_verified_equilibria():
     """Each zero-prior type claims its best reply, and the positive types'
     rows, the excess, the audit and `multiplicity` are those of the game
     without the zero-prior types; every result verifies.  Below the
-    coalition threshold a game of three or more types has none."""
+    coalition threshold a game of three or more types has none at a
+    positive budget; at budget 0 every type claims the first top credit,
+    nothing is audited, and that verifies."""
     rng = random.Random(33)
-    solved = refused = 0
+    solved = refused = zero_budget = 0
     for _ in range(500):
         cfg = _zero_prior_game(rng)
         if ag.budget_thresholds(cfg).budget_binds:
-            with pytest.raises(NonexistenceError):
-                ag.signaling_equilibrium(cfg)
-            refused += 1
+            if cfg.budget > 0:
+                with pytest.raises(NonexistenceError):
+                    ag.signaling_equilibrium(cfg)
+                refused += 1
+                continue
+            res = ag.signaling_equilibrium(cfg)
+            assert res.provenance == "zero_budget", cfg
+            assert res.strategy().rows == (_best_reply_row(cfg),) * cfg.n_types, cfg
+            assert res.audit().is_zero(), cfg
+            top = max(cfg.alloc)
+            assert res.excess == sum(q * (top - f) for q, f in zip(cfg.prior, cfg.alloc)), cfg
+            report = ag.verify_equilibrium(res, cfg)
+            assert report.passed and report.max_gain == 0, (cfg, report.to_text())
+            zero_budget += 1
             continue
         res = ag.signaling_equilibrium(cfg)
         report = ag.verify_equilibrium(res, cfg)
@@ -398,7 +411,7 @@ def test_zero_prior_games_give_verified_equilibria():
         assert res.excess == ref.excess and res.multiplicity == ref.multiplicity, cfg
         assert res.audit().is_zero() and ref.audit().is_zero()
         solved += 1
-    assert solved >= 300 and refused >= 100, (solved, refused)
+    assert solved >= 300 and refused >= 100 and zero_budget >= 50, (solved, refused, zero_budget)
 
 
 def test_a_zero_prior_type_claims_the_first_of_two_top_credits():
@@ -414,20 +427,24 @@ def test_a_game_with_one_positive_prior_type_is_answered_across_budgets(prior):
     """One user or two, and budgets from none to above every threshold: a
     result that verifies, with each zero-prior type on the top credit, or
     a `NonexistenceError` only where the budget rule of a game with two
-    positive types gives one."""
+    positive types gives one at a positive budget.  Where a budget of 0
+    binds, every type claims the top credit and nothing is audited."""
     n = len(prior)
     answered = 0
     for users in (1, 2):
         for budget in (None, 0, 1, 5, 10, 13, 100):
             cfg = ag.GameConfig(types=("a", "b", "z")[:n], prior=prior, alloc=(50, 105, 3)[:n],
                                 audit_cost=25, fine=100, budget=budget, num_users=users)
-            if ag.budget_thresholds(cfg).budget_binds and (
-                    n > 2 or (users > 1 and budget > 0)):
+            binds = ag.budget_thresholds(cfg).budget_binds
+            if binds and budget and (n > 2 or users > 1):
                 with pytest.raises(NonexistenceError):
                     ag.signaling_equilibrium(cfg)
                 continue
             res = ag.signaling_equilibrium(cfg)
             assert ag.verify_equilibrium(res, cfg).passed, cfg
+            if binds and budget == 0:
+                assert res.strategy().rows == (_best_reply_row(cfg),) * n, cfg
+                assert res.audit().is_zero(), cfg
             for m, q in enumerate(prior):
                 if q == 0:
                     assert res.strategy().rows[m] == _best_reply_row(cfg), cfg
