@@ -20,7 +20,7 @@ _HOME = {
     "CostReport": "cost", "EquilibriumResult": "equilibrium", "GameConfig": "core",
     "InputError": "errors", "NonexistenceError": "errors", "Regime": "bounds",
     "RegimeError": "errors",
-    "Strategy": "core", "StrategyProfile": "core", "SweepSpec": "casestudy",
+    "Strategy": "core", "SweepSpec": "casestudy",
     "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
     "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "equilibrium",
     "budget_thresholds": "bounds", "compare": "cost", "cost_audit_multitype": "cost",

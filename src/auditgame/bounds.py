@@ -146,11 +146,6 @@ class BoundReport(Record):
                  budget_binds: bool):
         self._set(caps, excess_cap, binding_pairs, vacuous_pairs, budget_binds)
 
-    def rows(self):
-        """CSV-ready (signal, truth, cap) rows in type order."""
-        for (s, m), cap in self.caps.items():
-            yield s, m, cap
-
 
 def bound_report(cfg: GameConfig, strategy=None) -> BoundReport:
     """The caps that hold on every equilibrium of `cfg`; none where its

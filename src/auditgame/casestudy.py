@@ -27,7 +27,7 @@ from operator import truediv
 from .core import GameConfig
 from .errors import InputError
 from .numeric import (BEYOND_FLOAT_RANGE, FLOAT, RATIONAL, SMALLEST_NORMAL, as_fraction, check_mode,
-                      sig15_ratio)
+                      sig15, sig15_ratio)
 from .record import Record
 
 COSTS_HEADER = ("q_min", "c", "k", "l", "cost_no_audit", "cost_audit",
@@ -192,10 +192,6 @@ def _same(value):
     return value
 
 
-def _fraction_text(value: Fraction) -> str:
-    return sig15_ratio(value.numerator, value.denominator)
-
-
 _COST_LINE = "%s,%s,%s,%s,%s,%.15g,%.15g,%.15g,%s,%s\n"
 _COST_CELLS = _COST_LINE.replace("%.15g", "%s")
 
@@ -255,10 +251,10 @@ def _surface_dict(q, c, k, cap):
     return {"q_min": q, "c": c, "k": k, "max_misreport_prob": cap}
 
 
-_COST_TEXT = (_fraction_text, sig15_ratio, _cost_line, _cost_text)
+_COST_TEXT = (sig15, sig15_ratio, _cost_line, _cost_text)
 _COST_ROWS = {RATIONAL: (_same, Fraction, _cost_row(Fraction), _cost_dict),
               FLOAT: (float, truediv, _cost_row(truediv), _cost_dict)}
-_SURFACE_TEXT = (_fraction_text, sig15_ratio, _surface_line, _surface_text)
+_SURFACE_TEXT = (sig15, sig15_ratio, _surface_line, _surface_text)
 _SURFACE_ROWS = {RATIONAL: (_same, Fraction, _surface_row(Fraction), _surface_dict),
                  FLOAT: (float, truediv, _surface_row(truediv), _surface_dict)}
 

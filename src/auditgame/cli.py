@@ -309,15 +309,16 @@ def _bounds(cfg, args) -> str:
         # Mark which caps the equilibrium attains; one exists wherever the
         # budget does not bind.
         from . import equilibrium
-        strategy = equilibrium.signaling_equilibrium(cfg).strategy()
+        strategy = equilibrium.signaling_equilibrium(cfg).strategy
     report = bounds_mod.bound_report(cfg, strategy=strategy)
     if report.budget_binds:
         lines = ["caps: do not apply at this budget, which holds audits back"]
     elif args.format == "csv":
-        lines = ["signal,truth,cap"] + [f"{s},{m},{sig15(cap)}" for s, m, cap in report.rows()]
+        lines = ["signal,truth,cap"] + [f"{s},{m},{sig15(cap)}"
+                                        for (s, m), cap in report.caps.items()]
     else:
         lines = [f"excess_cap: {sig15(report.excess_cap)}"]
-        for s, m, cap in report.rows():
+        for (s, m), cap in report.caps.items():
             lines.append(f"cap[{s}|{m}]: {sig15(cap)}")
         if report.binding_pairs:
             lines.append("binding: " + ";".join(f"{s}|{m}" for s, m in report.binding_pairs))
@@ -347,7 +348,8 @@ def _cost(cfg, args) -> str:
 def _verify(cfg, args) -> str:
     from . import equilibrium
     result = equilibrium.signaling_equilibrium(cfg)
-    return equilibrium.verify_equilibrium(result, cfg, resolution=args.resolution).to_text()
+    return equilibrium.verify_equilibrium(result.strategy, result.audit, cfg,
+                                          resolution=args.resolution).to_text()
 
 
 def _probe(cfg, args) -> str:
@@ -378,20 +380,17 @@ def _check_mode(args) -> None:
         check_mode(args.mode)
 
 
-def _cmd_sweep(args) -> int:
-    from . import casestudy
-    spec = _spec_with_overrides(args, casestudy.ftbp_preset())
-    _check_mode(args)
-    _write_out(casestudy.costs_csv_chunks(spec), args.out)
-    return 0
-
-
-def _cmd_surface(args) -> int:
-    from . import casestudy
-    spec = _spec_with_overrides(args, casestudy.surface_preset())
-    _check_mode(args)
-    _write_out(casestudy.surface_csv_chunks(spec), args.out)
-    return 0
+def _table(preset, chunks):
+    """The handler of a case-study table: it writes the CSV chunks that
+    `casestudy.<chunks>` gives for `casestudy.<preset>()` with the flags'
+    overrides to `--out`."""
+    def handler(args) -> int:
+        from . import casestudy
+        spec = _spec_with_overrides(args, getattr(casestudy, preset)())
+        _check_mode(args)
+        _write_out(getattr(casestudy, chunks)(spec), args.out)
+        return 0
+    return handler
 
 
 def _cmd_keygen(args) -> int:
@@ -466,8 +465,8 @@ _COMMANDS = {
     "bounds": (_game(_bounds),
                {**_GAME, "--format": _flag("csv|text", "csv", choices=("csv", "text"))}),
     "cost": (_game(_cost), _GAME),
-    "sweep": (_cmd_sweep, _GRIDS),
-    "surface": (_cmd_surface, _GRIDS),
+    "sweep": (_table("ftbp_preset", "costs_csv_chunks"), _GRIDS),
+    "surface": (_table("surface_preset", "surface_csv_chunks"), _GRIDS),
     "verify": (_game(_verify), {**_GAME, "--resolution": _flag("N", 200, int)}),
     "probe": (_game(_probe), {**_GAME, "--resolution": _flag("N", 100, int)}),
     "ledger": {

@@ -283,23 +283,6 @@ class AuditPolicy(Record):
         return all(p == 0 for p in self.probs)
 
 
-class StrategyProfile(Record):
-    """A symmetric profile: each of `n_users` users plays `strategy`, and
-    the administrator audits every user's signals with `audit`.
-
-    Nothing here grows with the number of users.
-    """
-
-    _fields = ("strategy", "audit", "n_users")
-
-    def __init__(self, strategy: Strategy, audit: AuditPolicy, n_users: int = 1):
-        if type(n_users) is not int or n_users < 1:
-            raise InputError("profile n_users must be a positive integer")
-        if audit.n_signals != strategy.n_types:
-            raise InputError("the audit policy must cover every signal")
-        self._set(strategy, audit, n_users)
-
-
 # -- stage payoffs -----------------------------------------------------
 
 

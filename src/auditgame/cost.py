@@ -29,14 +29,17 @@ class CostReport(Record):
     verdict flips."""
 
     _fields = ("cost_no_audit", "cost_audit", "budget_component", "excess_component",
-               "regime_note", "fine_threshold", "dominates")
+               "regime_note", "fine_threshold")
 
     def __init__(self, cost_no_audit: Fraction, cost_audit: Fraction,
                  budget_component: Fraction, excess_component: Fraction,
-                 regime_note: str = "", fine_threshold: Optional[Fraction] = None,
-                 dominates: bool = False):
+                 regime_note: str = "", fine_threshold: Optional[Fraction] = None):
         self._set(cost_no_audit, cost_audit, budget_component, excess_component, regime_note,
-                  fine_threshold, dominates)
+                  fine_threshold)
+
+    @property
+    def dominates(self) -> bool:
+        return self.cost_audit <= self.cost_no_audit
 
 
 def cost_no_audit(cfg: GameConfig) -> Fraction:
@@ -67,14 +70,12 @@ def cost_audit_two_type(cfg: GameConfig) -> CostReport:
     if p == 1 and df > 0:
         note = (f"prior {q_lo} at or below {cfg.audit_cost}/({cfg.fine}+{df}): "
                 "no audit budget is set aside and the mechanism reduces to no-audit")
-    total = budget + excess
     return CostReport(
         cost_no_audit=no_audit,
-        cost_audit=total,
+        cost_audit=budget + excess,
         budget_component=budget,
         excess_component=excess,
         regime_note=note,
-        dominates=total <= no_audit,
     )
 
 
@@ -106,15 +107,13 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
         fine_threshold = df * (cfg.audit_cost / headroom - 1)
     else:
         note = "every claim already reaches the top credit"
-    total = budget + excess
     return CostReport(
         cost_no_audit=no_audit,
-        cost_audit=total,
+        cost_audit=budget + excess,
         budget_component=budget,
         excess_component=excess,
         regime_note=note,
         fine_threshold=fine_threshold,
-        dominates=total <= no_audit,
     )
 
 

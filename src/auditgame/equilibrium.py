@@ -26,15 +26,15 @@ from fractions import Fraction
 
 from . import core, lp
 from .bounds import BudgetAnalysis, Regime, budget_thresholds, two_type_misreport_prob
-from .core import (AuditPolicy, GameConfig, IntegerGame, Strategy, StrategyProfile,
-                   two_type_strategy)
+from .core import AuditPolicy, GameConfig, IntegerGame, Strategy, two_type_strategy
 from .errors import InputError, NonexistenceError, RegimeError
 from .numeric import sig15
 from .record import Record
 
 
 class EquilibriumResult(Record):
-    """A per-user equilibrium together with its headline quantities.
+    """A per-user equilibrium, the users' `strategy` and the administrator's
+    `audit` policy, together with its headline quantities.
 
     All users play the same strategy (multi-user games with a sufficient
     budget decompose into identical single-user games), so the utilities
@@ -49,20 +49,16 @@ class EquilibriumResult(Record):
     distinct credits does; a unique program optimum leaves both clear.
     """
 
-    _fields = ("profile", "user_utilities", "admin_utility", "excess", "provenance",
+    _fields = ("strategy", "audit", "user_utilities", "admin_utility", "excess", "provenance",
                "multiplicity", "unique", "notes")
 
-    def __init__(self, profile: StrategyProfile, user_utilities: tuple,
+    def __init__(self, strategy: Strategy, audit: AuditPolicy, user_utilities: tuple,
                  admin_utility: Fraction, excess: Fraction, provenance: str,
                  multiplicity: bool = False, unique: bool = False, notes: tuple = ()):
-        self._set(profile, user_utilities, admin_utility, excess, provenance, multiplicity,
-                  unique, notes)
-
-    def strategy(self) -> Strategy:
-        return self.profile.strategy
-
-    def audit(self) -> AuditPolicy:
-        return self.profile.audit
+        if audit.n_signals != strategy.n_types:
+            raise InputError("the audit policy must cover every signal")
+        self._set(strategy, audit, user_utilities, admin_utility, excess, provenance,
+                  multiplicity, unique, notes)
 
     def user_utility_avg(self, cfg: GameConfig) -> Fraction:
         return sum((q * u for q, u in zip(cfg.prior, self.user_utilities)), Fraction(0))
@@ -73,11 +69,11 @@ class EquilibriumResult(Record):
             f"types: {','.join(cfg.types)}",
         ]
         for m, label in enumerate(cfg.types):
-            row = ",".join(sig15(p) for p in self.strategy().rows[m])
+            row = ",".join(sig15(p) for p in self.strategy.rows[m])
             lines.append(f"strategy[{label}]: {row}")
-            exact = ",".join(str(p) for p in self.strategy().rows[m])
+            exact = ",".join(str(p) for p in self.strategy.rows[m])
             lines.append(f"strategy_exact[{label}]: {exact}")
-        lines.append("audit: " + ",".join(sig15(p) for p in self.audit().probs))
+        lines.append("audit: " + ",".join(sig15(p) for p in self.audit.probs))
         for label, u in zip(cfg.types, self.user_utilities):
             lines.append(f"user_utility[{label}]: {sig15(u)}")
         lines.append(f"user_utility_avg: {sig15(self.user_utility_avg(cfg))}")
@@ -96,8 +92,8 @@ def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess
     """The result of profile (pi, sigma), with each type's and the
     administrator's utility; `flags` are the remaining result fields."""
     user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
-    return EquilibriumResult(StrategyProfile(pi, sigma, cfg.num_users), user_utils,
-                             core.admin_utility(pi, sigma, cfg), excess, provenance, **flags)
+    return EquilibriumResult(pi, sigma, user_utils, core.admin_utility(pi, sigma, cfg), excess,
+                             provenance, **flags)
 
 
 def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
@@ -339,9 +335,10 @@ def best_grid_deviation(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
     return gains
 
 
-def verify_equilibrium(result: EquilibriumResult, cfg: GameConfig,
+def verify_equilibrium(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig,
                        resolution: int = 200) -> VerificationReport:
-    """Check the audit best response and find each type's best deviation.
+    """Check that `sigma` is the audit best response to `pi`, and find each
+    type's best deviation from the profile (pi, sigma).
 
     A deviation replaces one type's row by a row on the 1/resolution grid,
     scored against the administrator's recomputed best response; the
@@ -371,8 +368,6 @@ def verify_equilibrium(result: EquilibriumResult, cfg: GameConfig,
     """
     if resolution < 10:
         raise InputError("verification resolution must be at least 10")
-    pi = result.strategy()
-    sigma = result.audit()
     expected = core.best_response(pi, cfg)
     br_matches = expected.probs == sigma.probs
     notes = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from auditgame.bounds import budget_thresholds, two_type_misreport_prob, two_type_params
-from auditgame.core import GameConfig, Strategy, StrategyProfile
+from auditgame.core import AuditPolicy, GameConfig, Strategy
 from auditgame.errors import InputError
 from auditgame.numeric import sig15
 from auditgame.oracle import ProbeReport
@@ -236,11 +236,11 @@ def _feasible(cfg: GameConfig, rows) -> bool:
 # -- unilateral deviation search -----------------------------------------
 
 
-def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) -> dict:
+def deviation_search(pi: Strategy, sigma: AuditPolicy, cfg: GameConfig, grid: GridSpec) -> dict:
     """Best per-type utility improvement over quantized row replacements.
 
-    The baseline for each type is its utility under the profile as given
-    (its declared audit policy); every candidate replacement row is scored
+    The baseline for each type is its utility under the profile (pi, sigma)
+    as given, with the declared audit policy `sigma`; every candidate replacement row is scored
     against the administrator's recomputed best response, budget-capped
     when the game has a budget.  Returns {type label: best gain found}.
 
@@ -252,11 +252,10 @@ def deviation_search(profile: StrategyProfile, cfg: GameConfig, grid: GridSpec) 
     the mass on s, so each (signal, steps) pair is scored once and each
     row's utility is the sum of its signals' scores.
 
-    The profile is symmetric, so the scan covers one user (the
-    budget-coupled asymmetric case is the non-existence probe's job).
+    Every user plays `pi` and is audited by `sigma`, so the scan covers
+    one user (the budget-coupled asymmetric case is the non-existence
+    probe's job).
     """
-    pi = profile.strategy
-    sigma = profile.audit
     n = cfg.n_types
     res = grid.resolution
     q, _, f, c, k, money_den = _game_integers(cfg)

@@ -91,7 +91,7 @@ def test_criterion_2_lp_equals_closed_form(grid_equilibria):
     solved, elapsed = grid_equilibria
     for cfg, via_lp in solved:
         closed = ag.two_type_closed_form(cfg)
-        assert via_lp.strategy() == closed.strategy()
+        assert via_lp.strategy == closed.strategy
         assert via_lp.excess == closed.excess
         assert via_lp.user_utilities == closed.user_utilities
         assert via_lp.admin_utility == closed.admin_utility
@@ -103,7 +103,7 @@ def test_criterion_3_bound_invariants(grid_equilibria, cfg_a):
     """Caps hold on every equilibrium from criteria 1-2; benchmark values pinned."""
     solved, _ = grid_equilibria
     for cfg, eq in solved:
-        pi = eq.strategy()
+        pi = eq.strategy
         for m, ml in enumerate(cfg.types):
             for s, sl in enumerate(cfg.types):
                 if s != m:
@@ -119,7 +119,7 @@ def test_criterion_3_bound_invariants(grid_equilibria, cfg_a):
                 cfg = ag.GameConfig(types=("low", "high"), prior=(q, 1 - q),
                                     alloc=(50, 105), audit_cost=c, fine=k)
                 eq = ag.two_type_closed_form(cfg)
-                assert eq.strategy().rows[0][1] <= ag.misreport_prob_bound(cfg, "high", "low")
+                assert eq.strategy.rows[0][1] <= ag.misreport_prob_bound(cfg, "high", "low")
                 assert eq.excess <= ag.excess_payments_bound(cfg)
 
     # pinned benchmark values: excess 275/52 = 5.2885..., cap 1375/155 = 8.8710...
@@ -175,12 +175,12 @@ def test_criterion_5_three_type_fixture(cfg_three):
         (F(0), F(2, 3), F(1, 3)),
         (F(0), F(0), F(1)),
     )
-    profile = ag.StrategyProfile(ag.Strategy(rows), ag.AuditPolicy.zero(3))
-    ex = ag.excess_payments(profile.strategy, profile.audit, cfg_three)
+    pi, sigma = ag.Strategy(rows), ag.AuditPolicy.zero(3)
+    ex = ag.excess_payments(pi, sigma, cfg_three)
     assert ex == F(4, 9)
     assert ex < eq.excess    # strictly below the program optimum
 
-    gains = deviation_search(profile, cfg_three, GridSpec(resolution=200))
+    gains = deviation_search(pi, sigma, cfg_three, GridSpec(resolution=200))
     slack = grid_slack(cfg_three, 200)
     assert all(g <= slack for g in gains.values()), gains
     elapsed = time.perf_counter() - t0
@@ -209,16 +209,16 @@ def test_criterion_7_budgeted_two_type(cfg_a):
     for budget in (F(0), F(2), F(7165, 1000), F(10)):
         cfg = with_budget(cfg_a, budget)
         res = ag.signaling_equilibrium(cfg)
-        report = ag.verify_equilibrium(res, cfg, resolution=200)
+        report = ag.verify_equilibrium(res.strategy, res.audit, cfg, resolution=200)
         assert report.passed, (budget, report.to_text())
 
     eps = F(1, 10**9)
     below = ag.signaling_equilibrium(with_budget(cfg_a, threshold - eps))
     above = ag.signaling_equilibrium(with_budget(cfg_a, threshold + eps))
     assert below.provenance == "budgeted_two_type"
-    assert below.strategy().rows[0][1] == 1
+    assert below.strategy.rows[0][1] == 1
     assert above.provenance == "closed_form_two_type"
-    assert above.strategy().rows[0][1] == F(5, 26)
+    assert above.strategy.rows[0][1] == F(5, 26)
     elapsed = time.perf_counter() - t0
     _report(7, "budgeted equilibria verify for budgets 0, 2, 7.165, 10; "
                "branch switch at the threshold within 1e-9", elapsed)

@@ -98,9 +98,9 @@ def test_every_command_agrees_on_every_game(cfg):
         if cfg.is_two_type and cfg.num_users == 2:
             assert ag.nonexistence_probe(cfg, 20).complete, cfg
     else:
-        verdict = ag.verify_equilibrium(eq, cfg, resolution=30)
+        verdict = ag.verify_equilibrium(eq.strategy, eq.audit, cfg, resolution=30)
         assert verdict.passed, (cfg, verdict.to_text())
-        rows = eq.strategy().rows
+        rows = eq.strategy.rows
         for (s, m), cap in report.caps.items():
             assert rows[cfg.index(m)][cfg.index(s)] <= cap, (cfg, s, m)
         if report.excess_cap is not None:

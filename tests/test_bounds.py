@@ -76,12 +76,12 @@ def test_bounds_monotone_in_parameters():
 
 def test_bound_report_binding_pairs(cfg_a):
     eq = ag.two_type_closed_form(cfg_a)
-    report = bound_report(cfg_a, strategy=eq.strategy())
+    report = bound_report(cfg_a, strategy=eq.strategy)
     assert report.caps[("high", "low")] == F(5, 26)
     assert ("high", "low") in report.binding_pairs
     assert report.excess_cap == F(1375, 155)
-    rows = list(report.rows())
-    assert ("high", "low", F(5, 26)) in rows
+    # caps in type order: the CSV rows of `bounds`
+    assert list(report.caps.items())[0] == (("high", "low"), F(5, 26))
 
 
 def test_equilibria_respect_bounds(cfg_a, cfg_three):
@@ -90,7 +90,7 @@ def test_equilibria_respect_bounds(cfg_a, cfg_three):
         for m, ml in enumerate(cfg.types):
             for s, sl in enumerate(cfg.types):
                 if s != m:
-                    assert eq.strategy().rows[m][s] <= ag.misreport_prob_bound(cfg, sl, ml)
+                    assert eq.strategy.rows[m][s] <= ag.misreport_prob_bound(cfg, sl, ml)
         assert eq.excess <= ag.excess_payments_bound(cfg)
 
 
@@ -137,7 +137,7 @@ def test_every_equilibrium_satisfies_the_caps_its_report_claims():
             seen["no equilibrium"] += 1
             continue
         for (s, m), cap in report.caps.items():
-            assert eq.strategy().rows[cfg.index(m)][cfg.index(s)] <= cap, (cfg, s, m)
+            assert eq.strategy.rows[cfg.index(m)][cfg.index(s)] <= cap, (cfg, s, m)
         if report.excess_cap is not None:
             assert eq.excess <= report.excess_cap, cfg
         seen[analysis.regime, analysis.budget_binds] += 1
@@ -153,6 +153,6 @@ def test_the_budget_one_example_has_no_caps(cfg_a):
     # pays excess 26.4, above the unbudgeted caps 5/26 and 1375/155
     cfg = cfg_a.replace(budget=1)
     eq = ag.signaling_equilibrium(cfg)
-    assert eq.strategy().rows[0][1] == 1 and eq.excess == F(132, 5)
-    assert bound_report(cfg) == bound_report(cfg, strategy=eq.strategy()) == ag.BoundReport(
+    assert eq.strategy.rows[0][1] == 1 and eq.excess == F(132, 5)
+    assert bound_report(cfg) == bound_report(cfg, strategy=eq.strategy) == ag.BoundReport(
         caps={}, excess_cap=None, binding_pairs=(), vacuous_pairs=(), budget_binds=True)

@@ -363,22 +363,6 @@ def test_strategy_and_policy_invariants():
             ag.Strategy(rows)
     with pytest.raises(InputError):
         ag.AuditPolicy((F(3, 2),))
-    sp = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
-    assert sp.n_users == 1
-    with pytest.raises(InputError, match="n_users must be a positive integer"):
-        ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2), True)
-
-
-def test_replicated_profile_stores_one_copy():
-    pi, sigma = ag.Strategy.truthful(2), ag.AuditPolicy((0, F(1, 3)))
-    profile = ag.StrategyProfile(pi, sigma, 10**6)
-    assert profile.n_users == 10**6
-    assert profile.strategy == pi and profile.audit == sigma
-    assert ag.StrategyProfile(pi, sigma) == ag.StrategyProfile(pi, sigma, 1)
-    with pytest.raises(InputError):
-        ag.StrategyProfile(pi, sigma, 0)
-    with pytest.raises(InputError):
-        ag.StrategyProfile(pi, ag.AuditPolicy.zero(3))
 
 
 def test_audit_margins_match_margin_coefficients(cfg_three):

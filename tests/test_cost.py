@@ -22,6 +22,16 @@ def test_cost_no_audit_values():
     assert ag.cost_no_audit(nearly_zero) == 0
 
 
+def test_dominates_compares_the_two_totals():
+    report = ag.CostReport(cost_no_audit=10, cost_audit=5, budget_component=5,
+                           excess_component=0)
+    assert report.dominates is True
+    assert report.replace(cost_audit=10).dominates is True
+    assert report.replace(cost_audit=F(21, 2)).dominates is False
+    with pytest.raises(TypeError):
+        report.replace(dominates=False)
+
+
 def test_cost_no_audit_three_type(cfg_three):
     assert ag.cost_no_audit(cfg_three) == 4 - 2
 

@@ -23,8 +23,8 @@ def make_two_type(q_lo, c, k, df, lo=50, **kwargs):
 
 def test_closed_form_cfg_a(cfg_a):
     res = ag.two_type_closed_form(cfg_a)
-    assert res.strategy().rows[0][1] == F(25, 130) == F(5, 26)
-    assert res.audit().is_zero()
+    assert res.strategy.rows[0][1] == F(25, 130) == F(5, 26)
+    assert res.audit.is_zero()
     assert res.unique
     expected_avg = F(1, 2) * 50 + F(1, 2) * 105 + F(1, 2) * F(5, 26) * 55
     assert res.user_utility_avg(cfg_a) == expected_avg
@@ -39,13 +39,13 @@ def test_closed_form_reference_rows():
     for q, c, k, digits in cases:
         cfg = make_two_type(q, c, k, 55)
         res = ag.two_type_closed_form(cfg)
-        assert sig15(res.strategy().rows[0][1]) == digits
+        assert sig15(res.strategy.rows[0][1]) == digits
 
 
 def test_closed_form_clamps_at_one():
     cfg = make_two_type(F(1, 10), 25, 100, 55)
     res = ag.two_type_closed_form(cfg)
-    assert res.strategy().rows[0][1] == 1
+    assert res.strategy.rows[0][1] == 1
 
 
 def test_closed_form_is_unique_only_with_distinct_credits():
@@ -55,11 +55,10 @@ def test_closed_form_is_unique_only_with_distinct_credits():
     tie = ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(50, 50),
                         audit_cost=5, fine=10, budget=1)
     res = ag.two_type_closed_form(tie)
-    assert res.strategy().rows == ((0, 1), (0, 1))
+    assert res.strategy.rows == ((0, 1), (0, 1))
     assert not res.unique and res.multiplicity
-    for state in (res.strategy(), ag.Strategy.truthful(2)):
-        profile = ag.StrategyProfile(state, ag.AuditPolicy.zero(2))
-        report = ag.verify_equilibrium(res.replace(profile=profile), tie, resolution=100)
+    for state in (res.strategy, ag.Strategy.truthful(2)):
+        report = ag.verify_equilibrium(state, ag.AuditPolicy.zero(2), tie, resolution=100)
         assert report.passed and report.max_gain == 0, report.to_text()
 
     rng = random.Random(32)
@@ -174,21 +173,21 @@ def test_budgeted_branches(cfg_a):
 
     res = ag.signaling_equilibrium(with_budget(cfg_a, 2))
     assert res.provenance == "budgeted_two_type"
-    assert res.strategy().rows[0][1] == 1
-    assert res.audit().probs == (F(0), F(2, 25))
+    assert res.strategy.rows[0][1] == 1
+    assert res.audit.probs == (F(0), F(2, 25))
     assert res.user_utility_avg(with_budget(cfg_a, 2)) == F(155, 2) + F(1, 2) * (55 - F(2, 25) * 155)
     assert float(res.user_utility_avg(with_budget(cfg_a, 2))) == 98.8
 
     res0 = ag.signaling_equilibrium(with_budget(cfg_a, 0))
     assert res0.provenance == "budgeted_two_type"
-    assert res0.strategy().rows[0][1] == 1
-    assert res0.audit().is_zero()
+    assert res0.strategy.rows[0][1] == 1
+    assert res0.audit.is_zero()
 
     # 10 is at or above the coalition threshold 275/31: the program applies
     res10 = ag.signaling_equilibrium(with_budget(cfg_a, 10))
     assert ag.budget_thresholds(with_budget(cfg_a, 10)).threshold_coalition == F(275, 31)
     assert res10.provenance == "lp"
-    assert res10.strategy().rows[0][1] == F(5, 26)
+    assert res10.strategy.rows[0][1] == F(5, 26)
 
     # switch sits exactly at the threshold
     eps = F(1, 10**9)
@@ -212,7 +211,7 @@ def test_budgeted_multiuser_nonexistence(cfg_a):
 def test_signaling_equilibrium_dispatch(cfg_a):
     unb = ag.signaling_equilibrium(cfg_a)
     closed = ag.two_type_closed_form(cfg_a)
-    assert unb.strategy() == closed.strategy()
+    assert unb.strategy == closed.strategy
     assert unb.excess == closed.excess == F(275, 52)
 
     with pytest.raises(NonexistenceError):
@@ -221,8 +220,7 @@ def test_signaling_equilibrium_dispatch(cfg_a):
     multi = with_budget(cfg_a, 20, num_users=2, coalition_size=2)
     res = ag.signaling_equilibrium(multi)
     assert res.provenance == "lp"
-    assert res.profile.n_users == 2
-    assert res.audit().is_zero()
+    assert res.audit.is_zero()
 
 
 def _counting(monkeypatch, *names):
@@ -265,12 +263,11 @@ def test_zero_budget_multiuser_is_the_budgeted_zero_audit_profile(cfg_a, num_use
     assert ag.budget_thresholds(cfg).regime is Regime.NONEXISTENCE_POSSIBLE
     res = ag.signaling_equilibrium(cfg)
     assert res.provenance == "budgeted_two_type"
-    assert res.profile.n_users == num_users
-    assert res.strategy().rows[0][1] == 1 and res.audit().is_zero()
+    assert res.strategy.rows[0][1] == 1 and res.audit.is_zero()
     assert res.notes == (f"budget-exhausting branch; threshold {F(5775, 806)}",
                          "excess is the tight upper bound over all signaling equilibria",
                          "regime NONEXISTENCE_POSSIBLE")
-    report = ag.verify_equilibrium(res, cfg, resolution=200)
+    report = ag.verify_equilibrium(res.strategy, res.audit, cfg, resolution=200)
     assert report.passed and report.max_gain == 0, report.to_text()
 
 
@@ -314,7 +311,7 @@ def test_signaling_equilibrium_below_coalition_verifies_or_is_proved_absent():
                 probed += 1
             continue
         res = ag.signaling_equilibrium(cfg)
-        report = ag.verify_equilibrium(res, cfg, resolution=100)
+        report = ag.verify_equilibrium(res.strategy, res.audit, cfg, resolution=100)
         assert report.passed, (cfg, report.to_text())
     assert 0 < probed < nonexistent < checked
 
@@ -337,7 +334,7 @@ def test_lp_agrees_with_closed_form_random():
         k = c + F(rng.randrange(0, 100))
         df = F(rng.randrange(1, 90))
         cfg = make_two_type(q, c, k, df)
-        assert ag.bp_equilibrium(cfg).strategy() == ag.two_type_closed_form(cfg).strategy()
+        assert ag.bp_equilibrium(cfg).strategy == ag.two_type_closed_form(cfg).strategy
 
 
 # -- zero-prior types ----------------------------------------------------------
@@ -386,21 +383,21 @@ def test_zero_prior_games_give_verified_equilibria():
                 continue
             res = ag.signaling_equilibrium(cfg)
             assert res.provenance == "zero_budget", cfg
-            assert res.strategy().rows == (_best_reply_row(cfg),) * cfg.n_types, cfg
-            assert res.audit().is_zero(), cfg
+            assert res.strategy.rows == (_best_reply_row(cfg),) * cfg.n_types, cfg
+            assert res.audit.is_zero(), cfg
             top = max(cfg.alloc)
             assert res.excess == sum(q * (top - f) for q, f in zip(cfg.prior, cfg.alloc)), cfg
-            report = ag.verify_equilibrium(res, cfg)
+            report = ag.verify_equilibrium(res.strategy, res.audit, cfg)
             assert report.passed and report.max_gain == 0, (cfg, report.to_text())
             zero_budget += 1
             continue
         res = ag.signaling_equilibrium(cfg)
-        report = ag.verify_equilibrium(res, cfg)
+        report = ag.verify_equilibrium(res.strategy, res.audit, cfg)
         assert report.passed, (cfg, report.to_text())
         small = without_zero_prior_types(cfg)
         ref = ag.bp_equilibrium(small.replace(budget=None))
         positive = [m for m, q in enumerate(cfg.prior) if q > 0]
-        rows, ref_rows = res.strategy().rows, iter(ref.strategy().rows)
+        rows, ref_rows = res.strategy.rows, iter(ref.strategy.rows)
         for m, row in enumerate(rows):
             if m in positive:
                 ref_row = iter(next(ref_rows))
@@ -409,7 +406,7 @@ def test_zero_prior_games_give_verified_equilibria():
             else:
                 assert row == _best_reply_row(cfg), cfg
         assert res.excess == ref.excess and res.multiplicity == ref.multiplicity, cfg
-        assert res.audit().is_zero() and ref.audit().is_zero()
+        assert res.audit.is_zero() and ref.audit.is_zero()
         solved += 1
     assert solved >= 300 and refused >= 100 and zero_budget >= 50, (solved, refused, zero_budget)
 
@@ -418,8 +415,8 @@ def test_a_zero_prior_type_claims_the_first_of_two_top_credits():
     cfg = ag.GameConfig(types=("a", "b", "c", "z"), prior=(F(1, 2), F(1, 4), F(1, 4), 0),
                         alloc=(50, 105, 105, 70), audit_cost=25, fine=100)
     res = ag.signaling_equilibrium(cfg)
-    assert res.strategy().rows[3] == (0, 1, 0, 0)
-    assert ag.verify_equilibrium(res, cfg).passed
+    assert res.strategy.rows[3] == (0, 1, 0, 0)
+    assert ag.verify_equilibrium(res.strategy, res.audit, cfg).passed
 
 
 @pytest.mark.parametrize("prior", [(1, 0), (0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -441,13 +438,13 @@ def test_a_game_with_one_positive_prior_type_is_answered_across_budgets(prior):
                     ag.signaling_equilibrium(cfg)
                 continue
             res = ag.signaling_equilibrium(cfg)
-            assert ag.verify_equilibrium(res, cfg).passed, cfg
+            assert ag.verify_equilibrium(res.strategy, res.audit, cfg).passed, cfg
             if binds and budget == 0:
-                assert res.strategy().rows == (_best_reply_row(cfg),) * n, cfg
-                assert res.audit().is_zero(), cfg
+                assert res.strategy.rows == (_best_reply_row(cfg),) * n, cfg
+                assert res.audit.is_zero(), cfg
             for m, q in enumerate(prior):
                 if q == 0:
-                    assert res.strategy().rows[m] == _best_reply_row(cfg), cfg
+                    assert res.strategy.rows[m] == _best_reply_row(cfg), cfg
             answered += 1
     assert answered >= 6
 
@@ -456,7 +453,7 @@ def test_a_game_with_one_positive_prior_type_is_answered_across_budgets(prior):
 
 def test_verify_lp_result(cfg_a):
     res = ag.signaling_equilibrium(cfg_a)
-    report = ag.verify_equilibrium(res, cfg_a, resolution=200)
+    report = ag.verify_equilibrium(res.strategy, res.audit, cfg_a, resolution=200)
     assert report.passed
     assert report.max_gain <= report.grid_slack
 
@@ -467,11 +464,11 @@ def test_verify_budgeted_results(cfg_a):
     free = with_budget(cfg_a, 0, audit_cost=0)
     for cfg in [with_budget(cfg_a, budget) for budget in (0, 2, 10)] + [free]:
         res = ag.signaling_equilibrium(cfg)
-        report = ag.verify_equilibrium(res, cfg, resolution=120)
+        report = ag.verify_equilibrium(res.strategy, res.audit, cfg, resolution=120)
         assert report.passed, (cfg.budget, report.to_text())
     res = ag.signaling_equilibrium(free)
     assert res.provenance == "lp"
-    assert res.strategy() == ag.two_type_closed_form(free).strategy()
+    assert res.strategy == ag.two_type_closed_form(free).strategy
 
 
 def test_verify_two_type_sufficient_multiuser(cfg_a):
@@ -479,17 +476,14 @@ def test_verify_two_type_sufficient_multiuser(cfg_a):
     cfg = with_budget(cfg_a, F(72, 10), num_users=2)
     assert ag.budget_thresholds(cfg).regime is Regime.TWO_TYPE_SUFFICIENT
     res = ag.signaling_equilibrium(cfg)
-    assert res.profile.n_users == 2
-    assert res.audit().is_zero()
-    report = ag.verify_equilibrium(res, cfg, resolution=150)
+    assert res.audit.is_zero()
+    report = ag.verify_equilibrium(res.strategy, res.audit, cfg, resolution=150)
     assert report.passed, report.to_text()
 
 
 def test_verify_rejects_truthful_profile(cfg_a):
-    profile = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
-    res = ag.EquilibriumResult(profile=profile, user_utilities=(F(50), F(105)),
-                               admin_utility=F(-155, 2), excess=F(0), provenance="lp")
-    report = ag.verify_equilibrium(res, cfg_a, resolution=200)
+    report = ag.verify_equilibrium(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2), cfg_a,
+                                   resolution=200)
     assert not report.passed
     gain = report.per_type_gain["low"]
     assert abs(gain - F(5, 26) * 55) <= report.grid_slack
@@ -504,10 +498,8 @@ def test_verify_three_type_fixture_reports_audit_mismatch(cfg_three):
         (F(0), F(2, 3), F(1, 3)),
         (F(0), F(0), F(1)),
     )
-    profile = ag.StrategyProfile(ag.Strategy(rows), ag.AuditPolicy.zero(3))
-    res = ag.EquilibriumResult(profile=profile, user_utilities=(F(2, 3), F(8, 3), F(4)),
-                               admin_utility=F(0), excess=F(4, 9), provenance="lp")
-    report = ag.verify_equilibrium(res, cfg_three, resolution=120)
+    report = ag.verify_equilibrium(ag.Strategy(rows), ag.AuditPolicy.zero(3), cfg_three,
+                                   resolution=120)
     assert report.deviations_ok
     assert not report.br_matches
     assert report.expected_audit == (F(0), F(1), F(0))
@@ -522,7 +514,7 @@ def test_verify_three_type_fixture_reports_audit_mismatch(cfg_three):
 def test_verify_resolution_floor(cfg_a):
     res = ag.signaling_equilibrium(cfg_a)
     with pytest.raises(InputError):
-        ag.verify_equilibrium(res, cfg_a, resolution=5)
+        ag.verify_equilibrium(res.strategy, res.audit, cfg_a, resolution=5)
 
 
 def test_result_serialization_roundtrip_fields(cfg_a):
@@ -535,17 +527,47 @@ def test_result_serialization_roundtrip_fields(cfg_a):
 
 
 def test_verify_replicated_profile_matches_single_user(cfg_a):
-    """A 10^6-user symmetric profile verifies exactly like its one-user form."""
+    """A profile of a 10^6-user game verifies exactly as it does in the
+    one-user game."""
     cfg = with_budget(cfg_a, F(72, 10), num_users=10**6)
     res = ag.signaling_equilibrium(cfg)
-    assert res.profile.n_users == 10**6
-    single = ag.EquilibriumResult(
-        profile=ag.StrategyProfile(res.strategy(), res.audit()),
-        user_utilities=res.user_utilities, admin_utility=res.admin_utility,
-        excess=res.excess, provenance=res.provenance)
-    report = ag.verify_equilibrium(res, cfg, resolution=200)
+    report = ag.verify_equilibrium(res.strategy, res.audit, cfg, resolution=200)
     assert report.passed
-    assert report == ag.verify_equilibrium(single, cfg, resolution=200)
+    assert report == ag.verify_equilibrium(res.strategy, res.audit, cfg.replace(num_users=1),
+                                           resolution=200)
+
+
+# Each commented line of README's Python example: the expression, its
+# comment, and the value the comment stands for.
+README_VALUES = [
+    ("eq.strategy.rows", "((21/26, 5/26), (0, 1))", ((F(21, 26), F(5, 26)), (0, 1))),
+    ("eq.excess", "Fraction(275, 52)", F(275, 52)),
+    ("ag.excess_payments_bound(cfg)", "Fraction(275, 31)", F(275, 31)),
+    ("report.passed", "True", True),
+]
+
+
+def test_readme_python_example_gives_its_commented_values():
+    import os
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    readme = open(path, encoding="utf-8").read()
+    block = readme.split("```python\n", 1)[1].split("```\n", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    commented = [tuple(part.strip() for part in line.split("#", 1))
+                 for line in block.splitlines() if "#" in line]
+    assert commented == [(expr, comment) for expr, comment, _ in README_VALUES]
+    for expr, _, value in README_VALUES:
+        assert eval(expr, namespace) == value, expr
+
+
+def test_result_audit_must_cover_every_signal(cfg_a):
+    res = ag.signaling_equilibrium(cfg_a)
+    assert res.replace(audit=ag.AuditPolicy((0, F(1, 3)))).audit.probs == (0, F(1, 3))
+    with pytest.raises(InputError, match="^the audit policy must cover every signal$"):
+        res.replace(audit=ag.AuditPolicy.zero(3))
+    with pytest.raises(InputError, match="audit policy covers 3 signals but the game has 2"):
+        ag.verify_equilibrium(res.strategy, ag.AuditPolicy.zero(3), cfg_a)
 
 
 # -- exact grid maximum against the enumerating oracle -----------------------
@@ -596,8 +618,7 @@ def _non_best_responses(rng, pi, cfg):
 def _assert_grid_maximum_agrees(pi, sigma, cfg, resolution):
     from auditgame.equilibrium import best_grid_deviation
     from reference_oracle import GridSpec, deviation_search
-    profile = ag.StrategyProfile(pi, sigma)
-    want = deviation_search(profile, cfg, GridSpec(resolution=resolution))
+    want = deviation_search(pi, sigma, cfg, GridSpec(resolution=resolution))
     got = best_grid_deviation(pi, sigma, cfg, resolution)
     assert got == want, (cfg, pi.rows, sigma.probs, resolution)
 
@@ -630,7 +651,7 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
             cfg = _agreement_game(rng, n)
             while sum(q > 0 for q in cfg.prior) < 2:
                 cfg = _agreement_game(rng, n)
-            pi = ag.bp_equilibrium(cfg.replace(budget=None)).strategy()
+            pi = ag.bp_equilibrium(cfg.replace(budget=None)).strategy
             br = ag.best_response(pi, cfg)
             for sigma in (br, rng.choice(_non_best_responses(rng, pi, cfg))):
                 _assert_grid_maximum_agrees(pi, sigma, cfg, resolution)
@@ -641,9 +662,9 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
         if cfg.budget is not None:
             results.append(ag.signaling_equilibrium(cfg))
         for res in results:
-            pi = res.strategy()
+            pi = res.strategy
             br = ag.best_response(pi, cfg)
-            for sigma in (res.audit(), br) + _non_best_responses(rng, pi, cfg):
+            for sigma in (res.audit, br) + _non_best_responses(rng, pi, cfg):
                 _assert_grid_maximum_agrees(pi, sigma, cfg, rng.choice((13, 37, 60)))
                 cases += 1
     assert cases >= 100

@@ -80,8 +80,8 @@ def _optimum(cfg):
     objective sum q_m*f_s*pi(s|m), which is minus the administrator's
     utility at zero audit, and whether the optimum is not unique."""
     eq = ag.bp_equilibrium(cfg)
-    assert eq.audit().is_zero()
-    rows = eq.strategy().rows
+    assert eq.audit.is_zero()
+    rows = eq.strategy.rows
     values = {(s, m): rows[i][j] for i, m in enumerate(cfg.types)
               for j, s in enumerate(cfg.types)}
     return values, -eq.admin_utility, eq.multiplicity
@@ -236,7 +236,7 @@ def test_bp_equilibrium_invariants_random():
     for _ in range(60):
         cfg = _random_two_type(rng)
         eq = ag.bp_equilibrium(cfg)
-        pi = eq.strategy()
+        pi = eq.strategy
         # truthful is always feasible, so the optimum weakly beats it
         truthful_value = sum(q * f for q, f in zip(cfg.prior, cfg.alloc))
         assert eq.user_utility_avg(cfg) >= truthful_value
@@ -259,7 +259,7 @@ def test_bp_equilibrium_large_fine_limits(cfg_a):
     cfg = cfg_a.replace(fine=10**9)
     eq = ag.bp_equilibrium(cfg)
     assert eq.excess < F(1, 100)
-    assert eq.strategy().rows[0][1] == F(1, 2) * 25 / (F(1, 2) * (10**9 - 25 + 55))
+    assert eq.strategy.rows[0][1] == F(1, 2) * 25 / (F(1, 2) * (10**9 - 25 + 55))
 
 
 def test_bp_equilibrium_gives_a_zero_prior_type_its_best_reply():
@@ -268,10 +268,10 @@ def test_bp_equilibrium_gives_a_zero_prior_type_its_best_reply():
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the caller wrote the zero prior: no warning
         eq = ag.bp_equilibrium(cfg)
-    assert eq.strategy().rows[0] == (F(21, 26), F(5, 26), F(0))
-    assert eq.strategy().rows[2] == (F(0), F(1), F(0))   # z claims the top credit
+    assert eq.strategy.rows[0] == (F(21, 26), F(5, 26), F(0))
+    assert eq.strategy.rows[2] == (F(0), F(1), F(0))   # z claims the top credit
     assert eq.excess == F(275, 52)
-    assert ag.verify_equilibrium(eq, cfg).passed
+    assert ag.verify_equilibrium(eq.strategy, eq.audit, cfg).passed
 
 
 def test_bp_equilibrium_budget_gate(cfg_a):
@@ -286,7 +286,7 @@ def test_bp_equilibrium_budget_gate(cfg_a):
     assert (analysis.threshold_two_type, analysis.threshold_general) == (F(5775, 806), F(275, 31))
     eq = ag.bp_equilibrium(cfg)
     assert eq.excess == ag.signaling_equilibrium(cfg).excess == F(275, 52)
-    assert ag.verify_equilibrium(eq, cfg, resolution=50).passed
+    assert ag.verify_equilibrium(eq.strategy, eq.audit, cfg, resolution=50).passed
     # Above the general threshold 5/2 but below the coalition threshold 5
     # a three-type budget binds, and no equilibrium is guaranteed.
     cfg = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3),) * 3, alloc=(10, 20, 40),
@@ -327,7 +327,7 @@ def test_bp_equilibrium_raises_exactly_where_the_budget_binds():
                     continue
                 assert not analysis.budget_binds, cfg
                 assert ag.signaling_equilibrium(cfg).excess == eq.excess, cfg
-                assert ag.verify_equilibrium(eq, cfg, resolution=50).passed, cfg
+                assert ag.verify_equilibrium(eq.strategy, eq.audit, cfg, resolution=50).passed, cfg
     assert min(regimes.values()) >= 20, regimes
 
 
@@ -374,7 +374,7 @@ def test_bp_equilibrium_invariants_hold_on_wider_games():
     for _ in range(25):
         cfg = _random_general(rng, rng.choice([3, 4, 5]))
         eq = ag.bp_equilibrium(cfg)
-        pi = eq.strategy()
+        pi = eq.strategy
         assert ag.best_response(pi, cfg).is_zero()
         for m in range(cfg.n_types):
             for s in range(cfg.n_types):
@@ -682,7 +682,7 @@ def test_strategy_from_the_solver_integers_matches_the_validating_constructor(cf
     validated = ag.Strategy(tuple(tuple(F(x, d) for x in row) for row in X))
     assert exact == validated
     assert all(type(p) is F for row in exact.rows for p in row)
-    assert ag.bp_equilibrium(cfg).strategy() == validated
+    assert ag.bp_equilibrium(cfg).strategy == validated
 
 
 def test_strategy_from_integers_checks_its_rows():

@@ -85,13 +85,13 @@ def test_grid_search_never_beats_program_random():
 
 def test_deviation_search_lp_equilibrium(cfg_a):
     eq = ag.bp_equilibrium(cfg_a)
-    gains = deviation_search(eq.profile, cfg_a, GridSpec(resolution=200))
+    gains = deviation_search(eq.strategy, eq.audit, cfg_a, GridSpec(resolution=200))
     assert all(g <= grid_slack(cfg_a, 200) for g in gains.values())
 
 
 def test_deviation_search_truthful_gain(cfg_a):
-    profile = ag.StrategyProfile(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2))
-    gains = deviation_search(profile, cfg_a, GridSpec(resolution=200))
+    gains = deviation_search(ag.Strategy.truthful(2), ag.AuditPolicy.zero(2), cfg_a,
+                             GridSpec(resolution=200))
     assert abs(gains["low"] - F(5, 26) * 55) <= grid_slack(cfg_a, 200)
     assert gains["high"] == 0
 
@@ -104,8 +104,8 @@ def test_deviation_search_three_type_fixture(cfg_three):
         (F(0), F(2, 3), F(1, 3)),
         (F(0), F(0), F(1)),
     )
-    profile = ag.StrategyProfile(ag.Strategy(rows), ag.AuditPolicy.zero(3))
-    gains = deviation_search(profile, cfg_three, GridSpec(resolution=200))
+    gains = deviation_search(ag.Strategy(rows), ag.AuditPolicy.zero(3), cfg_three,
+                             GridSpec(resolution=200))
     assert all(g <= grid_slack(cfg_three, 200) for g in gains.values())
     # its excess stays strictly below the program optimum's 22/45
     ex = ag.excess_payments(ag.Strategy(rows), ag.AuditPolicy.zero(3), cfg_three)

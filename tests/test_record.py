@@ -9,7 +9,8 @@ import pytest
 from auditgame import InputError
 from auditgame.bounds import bound_report
 from auditgame.casestudy import ftbp_preset
-from auditgame.core import AuditPolicy, GameConfig, Strategy, StrategyProfile
+from auditgame.core import AuditPolicy, GameConfig, Strategy
+from auditgame.equilibrium import signaling_equilibrium
 from auditgame.ledger import Coin, CoinMetadata
 
 
@@ -90,8 +91,8 @@ def test_replace_validates_again():
 
 @pytest.mark.parametrize("make", [
     _config, _coin, ftbp_preset,
-    lambda: StrategyProfile(Strategy(((1, 0), (F(1, 3), F(2, 3)))), AuditPolicy.zero(2), 5),
-], ids=["GameConfig", "Coin", "SweepSpec", "StrategyProfile"])
+    lambda: signaling_equilibrium(_config(budget=None)),
+], ids=["GameConfig", "Coin", "SweepSpec", "EquilibriumResult"])
 def test_copy_and_pickle_round_trip(make):
     record = make()
     for clone in (copy.copy(record), copy.deepcopy(record),
