@@ -23,8 +23,8 @@ _HOME = {
     "Strategy": "core", "SweepSpec": "casestudy",
     "VerificationReport": "equilibrium", "admin_payoff": "core", "admin_utility": "core",
     "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "equilibrium",
-    "budget_thresholds": "bounds", "compare": "cost", "cost_audit_multitype": "cost",
-    "cost_audit_two_type": "cost", "cost_no_audit": "cost", "excess_payments": "core",
+    "budget_thresholds": "bounds", "cost_audit": "cost", "cost_no_audit": "cost",
+    "excess_payments": "core",
     "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
     "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",
     "nonexistence_probe": "oracle", "signaling_equilibrium": "equilibrium",

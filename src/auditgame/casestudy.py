@@ -104,9 +104,10 @@ def sweep_costs(spec: SweepSpec, mode: str = RATIONAL) -> list:
 
     Grid crossings are evaluated through the closed forms behind
     `core.raw_misreport_cap`, `budget_thresholds`' two-type threshold and
-    `cost.cost_audit_two_type`, which stay well defined where an instance
-    validator would balk (a fine below the audit cost); rows where the
-    formulas truly degenerate (k - c + df <= 0) are annotated rather than
+    the two-type `cost.cost_audit`, whose program excess is n*q*p*df;
+    they stay well defined where an instance validator would balk (a fine
+    below the audit cost); rows where the formulas truly degenerate
+    (k - c + df <= 0) are annotated rather than
     aborting the sweep.  The kernel `_costs` evaluates those forms on
     integer numerators and denominators.  A rational row holds each number
     as a `Fraction`; a float row holds the correctly rounded float of it,
@@ -282,9 +283,9 @@ def _costs(spec: SweepSpec, axis, ratio, row, cells):
 
     `core.raw_misreport_cap` is then p = min(1, (1 - q)*c / (q*(k - c + df)))
     = min(1, P/(e_d*a)) with P = e_n*u.  Let D = e_d*a - P, so that
-    1 - p = D/(e_d*a) when D > 0.  `cost.cost_audit_two_type`, whose
+    1 - p = D/(e_d*a) when D > 0.  `cost.cost_audit`, whose two-type
     budget is l times `budget_thresholds`' two-type threshold
-    c*df*(1 - p)/(k + df), gives
+    c*df*(1 - p)/(k + df) and whose program excess is n*q*p*df, gives
 
         no_audit = n*q*df = n*df_n*a / (df_d*b),   once per (q, n);
         D <= 0 (p = 1): budget = 0, excess = total = no_audit, dominates;

@@ -330,7 +330,7 @@ def _bounds(cfg, args) -> str:
 def _cost(cfg, args) -> str:
     from . import cost as cost_mod
     from .numeric import sig15
-    report = cost_mod.compare(cfg)
+    report = cost_mod.cost_audit(cfg)
     lines = [
         f"cost_no_audit: {sig15(report.cost_no_audit)}",
         f"cost_audit: {sig15(report.cost_audit)}",

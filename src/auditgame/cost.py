@@ -4,10 +4,11 @@ A mechanism's total cost is the budget set aside for audits plus the
 excess payments made relative to fully truthful reporting.  Without
 audits every user claims the largest credit, so the status-quo cost is
 the full gap between the top credit and the truthful average.  The audit
-mechanism pins its budget to the smallest amount that sustains the
-equilibrium; with two types its total cost never exceeds the status quo,
-and with more types it does so exactly when the fine reaches a threshold,
-where one exists.  `dominates` is the exact comparison of the two totals.
+mechanism pins its budget to the threshold that the equilibrium
+dispatcher obeys (`cost_audit`); with two types its total cost never
+exceeds the status quo, and with more types it does so exactly when the
+fine reaches a threshold, where one exists.  `dominates` is the exact
+comparison of the two totals.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import (budget_thresholds, excess_payments_bound, two_type_misreport_prob,
-                     two_type_params)
+from .bounds import budget_thresholds, two_type_params
 from .core import GameConfig
 from .equilibrium import bp_equilibrium
-from .errors import InputError
 from .record import Record
 
 
@@ -49,64 +48,42 @@ def cost_no_audit(cfg: GameConfig) -> Fraction:
     return cfg.num_users * sum((q * (top - f) for q, f in zip(cfg.prior, cfg.alloc)), Fraction(0))
 
 
-def cost_audit_two_type(cfg: GameConfig) -> CostReport:
-    """Audit-mechanism cost at the pinned two-type budget.
+def cost_audit(cfg: GameConfig) -> CostReport:
+    """Audit-mechanism cost of `cfg`, for any number of types.
 
-    The budget is the two-type existence threshold times the coalition
-    size; the no-audit cost, n*q_lo*df with two types, and the excess
-    n*q_lo*p*df scale with the population.  Below the prior threshold
-    c/(k + df) the mechanism sets no budget aside and collapses to the
-    status quo exactly.
+    The budget is the one `budget_thresholds` sets for the dispatcher, at
+    which `signaling_equilibrium` answers: the coalition size times the
+    per-user threshold, which is the two-type existence threshold with two
+    types and the aggregate excess cap c*df/(k + df) with more.  A
+    configured budget plays no part.  The excess is the no-audit program's
+    (`bp_equilibrium`) per user, times the n users; on a single-user
+    two-type game that is the excess just above the threshold, since
+    exactly at it the dispatcher returns the budget-exhausting equilibrium,
+    which pays more.  With two types and a low-type prior at or below
+    c/(k + df) the mechanism sets no budget aside and reduces to the status
+    quo exactly.  With more types and positive headroom (the no-audit cost
+    less the excess), the audit cost dominates exactly when the fine
+    reaches the reported threshold.
     """
-    if not cfg.is_two_type:
-        raise InputError("two-type cost analysis needs exactly two types")
-    q_lo, _, df = two_type_params(cfg)
-    p = two_type_misreport_prob(cfg)
+    analysis = budget_thresholds(cfg)
+    excess = cfg.num_users * bp_equilibrium(cfg.replace(budget=None)).excess
     no_audit = cost_no_audit(cfg)
-    budget = cfg.coalition_size * budget_thresholds(cfg).threshold_two_type
-    excess = no_audit * p
-    note = ""
-    # Equal credits leave nothing to misreport for, whatever p is.
-    if p == 1 and df > 0:
-        note = (f"prior {q_lo} at or below {cfg.audit_cost}/({cfg.fine}+{df}): "
-                "no audit budget is set aside and the mechanism reduces to no-audit")
-    return CostReport(
-        cost_no_audit=no_audit,
-        cost_audit=budget + excess,
-        budget_component=budget,
-        excess_component=excess,
-        regime_note=note,
-    )
-
-
-def cost_audit_multitype(cfg: GameConfig) -> CostReport:
-    """Audit-mechanism cost with more than two types.
-
-    Each user gets the general-threshold budget c*df/(k+df) and the
-    equilibrium excess from the no-audit program; totals scale with the
-    population.  With positive headroom (the no-audit cost less the excess,
-    per user) the audit cost dominates exactly when the fine reaches the
-    reported threshold.  The budget is pinned, so a configured budget plays
-    no part, as in the two-type cost.
-    """
-    if cfg.n_types <= 2:
-        raise InputError("multitype cost analysis needs more than two types")
-    df = cfg.delta_f_max
-    per_user_budget = excess_payments_bound(cfg)
-    eq = bp_equilibrium(cfg.replace(budget=None))
-    per_user_excess = eq.excess
-    budget = cfg.num_users * per_user_budget
-    excess = cfg.num_users * per_user_excess
-
-    # The top credit less the expected credit of an equilibrium signal.
-    no_audit = cost_no_audit(cfg)
-    headroom = no_audit / cfg.num_users - per_user_excess
+    headroom = no_audit - excess
     fine_threshold, note = None, ""
-    if headroom > 0:
-        # budget + excess <= no_audit, solved for the fine.
-        fine_threshold = df * (cfg.audit_cost / headroom - 1)
+    if cfg.is_two_type:
+        budget = cfg.coalition_size * analysis.threshold_two_type
+        q_lo, _, df = two_type_params(cfg)
+        # Every low type claims the high credit; equal credits leave nothing to misreport for.
+        if headroom == 0 and df > 0:
+            note = (f"prior {q_lo} at or below {cfg.audit_cost}/({cfg.fine}+{df}): "
+                    "no audit budget is set aside and the mechanism reduces to no-audit")
     else:
-        note = "every claim already reaches the top credit"
+        budget = analysis.threshold_coalition
+        if headroom > 0:
+            # budget + excess <= no_audit, solved for the fine.
+            fine_threshold = cfg.delta_f_max * (cfg.coalition_size * cfg.audit_cost / headroom - 1)
+        else:
+            note = "every claim already reaches the top credit"
     return CostReport(
         cost_no_audit=no_audit,
         cost_audit=budget + excess,
@@ -115,10 +92,3 @@ def cost_audit_multitype(cfg: GameConfig) -> CostReport:
         regime_note=note,
         fine_threshold=fine_threshold,
     )
-
-
-def compare(cfg: GameConfig) -> CostReport:
-    """The cost report of `cfg`: the two-type or the multi-type one, by its number of types."""
-    if cfg.is_two_type:
-        return cost_audit_two_type(cfg)
-    return cost_audit_multitype(cfg)

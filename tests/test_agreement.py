@@ -13,7 +13,10 @@ disagreed.  For each game:
   within them;
 - `bounds` prints caps in CSV exactly when it prints them in text;
 - a `NonexistenceError` on a game in the probe's domain (two types, two
-  users) comes with a probe that certifies every profile.
+  users) comes with a probe that certifies every profile;
+- `cost` budgets the threshold that the dispatcher obeys, the coalition
+  size times the two-type threshold with two types and the coalition
+  threshold with more, and `signaling_equilibrium` answers at it.
 
 Tier-1 runs the default number of examples; `--hypothesis-profile=ci`
 (see `conftest.py`) runs more.
@@ -105,6 +108,12 @@ def test_every_command_agrees_on_every_game(cfg):
             assert rows[cfg.index(m)][cfg.index(s)] <= cap, (cfg, s, m)
         if report.excess_cap is not None:
             assert eq.excess <= report.excess_cap, cfg
+
+    analysis = ag.budget_thresholds(cfg)
+    threshold = (cfg.coalition_size * analysis.threshold_two_type if cfg.is_two_type
+                 else analysis.threshold_coalition)
+    assert ag.cost_audit(cfg).budget_component == threshold, cfg
+    ag.signaling_equilibrium(cfg.replace(budget=threshold))
 
     with tempfile.TemporaryDirectory() as directory:
         with open(os.path.join(directory, "game.cfg"), "w", encoding="utf-8") as fh:

@@ -117,6 +117,40 @@ def test_cost_sweep_spot_row():
     assert row["reference_line"] == 83_333
 
 
+def test_default_sweep_is_the_cost_report_and_holds_the_papers_headline():
+    # every row whose fine reaches the audit cost, built as a game, is the
+    # equilibrium path's cost report cell for cell; the headline: the audit
+    # mechanism never costs more than the status quo, and up to about 2,050
+    # times less
+    spec = ag.ftbp_preset()
+    rows = ag.sweep_costs(spec)
+    checked = 0
+    for row in rows:
+        if row["k"] < row["c"]:
+            continue
+        q, l = row["q_min"], row["l"]
+        cfg = spec.base.replace(prior=(q, 1 - q), audit_cost=row["c"], fine=row["k"],
+                                num_users=max(spec.base.num_users, l), coalition_size=l)
+        report = ag.cost_audit(cfg)
+        assert (row["cost_no_audit"], row["cost_audit"], row["budget"], row["excess"],
+                row["dominates"]) == (report.cost_no_audit, report.cost_audit,
+                                      report.budget_component, report.excess_component,
+                                      str(report.dominates).lower()), row
+        checked += 1
+    assert checked == 1584
+
+    assert len(rows) == 1782 and all(r["dominates"] == "true" for r in rows)
+    ratios = [r["cost_no_audit"] / r["cost_audit"] for r in rows]
+    best = rows[ratios.index(max(ratios))]
+    assert max(ratios) == 217_800 / F(11_251_225, 105_894)
+    assert round(float(max(ratios)), 1) == 2049.9
+    assert (best["q_min"], best["c"], best["k"], best["l"]) == (F(99, 100), 25, 500, 1)
+    assert sum(x >= 100 for x in ratios) == 70
+    assert sum(x >= 10 for x in ratios) == 534
+    assert min(ratios) == 1
+    assert all(x == 1 for r, x in zip(rows, ratios) if r["q_min"] == F(1, 100))
+
+
 def test_cost_curves_monotone_in_audit_parameters():
     spec = ag.ftbp_preset()
     rows = ag.sweep_costs(spec)
