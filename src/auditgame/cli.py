@@ -7,10 +7,9 @@ them.  A flag takes `--flag value` or `--flag=value` under its exact name
 success, 2 when the budget regime rules the request out (equilibrium
 non-existence), 1 on input errors, usage errors among them; each error
 prints one line on stderr.  Game outputs are deterministic given the
-config (sweep and surface print the same bytes in either numeric mode);
-the toy ledger scheme is deterministic given its seed.  A standard
-output that is closed or cannot be written (a full disk, a closed pipe)
-is an input error.
+config (sweep and surface print the same bytes in either numeric mode).
+A standard output that is closed or cannot be written (a full disk, a
+closed pipe) is an input error.
 
 `run` is the process entry point, for `python -m auditgame.cli` and the
 `auditgame` console script.  After `main` returns it runs the atexit
@@ -128,9 +127,7 @@ _GAME = {"--config": _flag("FILE", required=True), "--out": _flag("FILE")}
 _GRIDS = {"--config": _flag("FILE"), "--out": _flag("FILE"), "--mode": _flag("rational|float"),
           "--qmin-grid": _flag("LIST"), "--c-grid": _flag("LIST"), "--k-grid": _flag("LIST"),
           "--coalition": _flag("LIST")}
-_SCHEME = {"--scheme": _flag("ed25519|toy", "ed25519", choices=("ed25519", "toy")),
-           "--seed": _flag("N", 0, int)}
-_LEDGER = {"--dir": _flag("DIR", required=True), **_SCHEME}
+_LEDGER = {"--dir": _flag("DIR", required=True)}
 
 _HELP = ("-h", "--help")
 
@@ -208,13 +205,6 @@ def _usage(head, row) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scheme_for(args):
-    from . import ledger as ledger_mod
-    if args.scheme == "toy":
-        return ledger_mod.DeterministicScheme(seed=args.seed)
-    return ledger_mod.Ed25519Scheme()
-
-
 def _write_key_file(path, sk: bytes, pk: bytes) -> None:
     """Write the key file `path`, mode 0600 before its first byte (an
     existing file included)."""
@@ -266,15 +256,9 @@ def _open_ledger(args, create=False, listing=None):
     A new ledger's admin key is left for the caller to write.
     """
     from . import ledger as ledger_mod
-    scheme = _scheme_for(args)
+    scheme = ledger_mod.Ed25519Scheme()
     admin_path = os.path.join(args.dir, "admin.key")
     log_path = os.path.join(args.dir, "log.jsonl")
-    # Challenges come from the seeded generator under the test double so
-    # that runs are reproducible; the production scheme uses OS entropy.
-    rng = None
-    if args.scheme == "toy":
-        import random
-        rng = random.Random(args.seed + 1)
     if not os.path.exists(admin_path):
         if not create:
             raise InputError(f"no ledger in {args.dir!r}")
@@ -282,9 +266,9 @@ def _open_ledger(args, create=False, listing=None):
             os.makedirs(args.dir, exist_ok=True)
         except OSError as exc:
             raise _io_error("create", "ledger directory", args.dir, exc) from None
-        return ledger_mod.LedgerState.create(scheme, log_path=log_path, rng=rng)
+        return ledger_mod.LedgerState.create(scheme, log_path=log_path)
     sk, pk = _read_key_file(admin_path)
-    return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, listing=listing, rng=rng)
+    return ledger_mod.LedgerState.load(scheme, sk, pk, log_path, listing=listing)
 
 
 def _game(text):
@@ -395,11 +379,19 @@ def _table(preset, chunks):
 
 def _cmd_keygen(args) -> int:
     from . import ledger as ledger_mod
-    scheme = _scheme_for(args)
-    sk, pk = ledger_mod.keygen(scheme)
+    sk, pk = ledger_mod.keygen(ledger_mod.Ed25519Scheme())
     _write_key_file(args.out, sk, pk)
     _write_out(f"public_key: {pk.hex()}\n")
     return 0
+
+
+def _missing_dirs(path) -> list:
+    """The directories that `os.makedirs(path)` would make, leaf first."""
+    missing = []
+    while path and not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path.rstrip(os.sep))
+    return missing
 
 
 def _cmd_mint(args) -> int:
@@ -408,18 +400,22 @@ def _cmd_mint(args) -> int:
     import json
     from . import ledger as ledger_mod
     _, recipient_pk = _read_key_file(args.recipient_key)
-    # A new ledger's admin key is written only after the coin file, and
-    # a directory made for it goes again if that write fails.
-    new_dir = not os.path.exists(args.dir)
-    state = _open_ledger(args, create=True)
+    # A new ledger's admin key is written only after the coin file; if
+    # making the ledger or writing the coin file fails, the directories
+    # this call made go again, leaf first.
+    made = _missing_dirs(args.dir)
     admin_path = os.path.join(args.dir, "admin.key")
-    coin = _signing(admin_path, state.mint, recipient_pk,
-                    ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
     try:
+        state = _open_ledger(args, create=True)
+        coin = _signing(admin_path, state.mint, recipient_pk,
+                        ledger_mod.CoinMetadata(coin_id=args.coin_id, issuer_note=args.note))
         _write_text(args.out, json.dumps(coin.to_dict(), sort_keys=True) + "\n", "coin file")
     except InputError:
-        if new_dir:
-            os.rmdir(args.dir)
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:   # not empty, or not made after all
+                pass
         raise
     if not os.path.exists(admin_path):
         _write_key_file(admin_path, state._admin_sk, state.admin_pk)
@@ -470,7 +466,7 @@ _COMMANDS = {
     "verify": (_game(_verify), {**_GAME, "--resolution": _flag("N", 200, int)}),
     "probe": (_game(_probe), {**_GAME, "--resolution": _flag("N", 100, int)}),
     "ledger": {
-        "keygen": (_cmd_keygen, {"--out": _flag("FILE", required=True), **_SCHEME}),
+        "keygen": (_cmd_keygen, {"--out": _flag("FILE", required=True)}),
         "mint": (_cmd_mint, {**_LEDGER, "--recipient-key": _flag("FILE", required=True),
                              "--coin-id": _flag("N", kind=int, required=True),
                              "--note": _flag("TEXT", ""), "--out": _flag("FILE", required=True)}),

@@ -74,7 +74,7 @@ verifies every record it reads.
 
 Every SHA-256 the ledger takes (H) comes from `cryptography`, whose
 Ed25519 code links its own OpenSSL; `hashlib` would load the system's
-`libcrypto` a second time.  Only the toy scheme imports `hashlib`.
+`libcrypto` a second time.
 
 Secret keys never pass through ledger operations; signing happens on the
 owner's side via `sign_receipt`.
@@ -157,42 +157,6 @@ class Ed25519Scheme(SignatureScheme):
             return True
         except Exception:
             return False
-
-
-class DeterministicScheme(SignatureScheme):
-    """Seeded test double: MAC-style signatures keyed off the public key.
-
-    Reproducible given the seed and self-contained across processes, so
-    tampered messages and mismatched keys are rejected honestly.  Anyone
-    who knows the construction can forge, so it carries no real security;
-    it exists for reproducible unit tests only.  Distinct parties should
-    use distinct seeds, otherwise they share a key sequence.
-    """
-
-    def __init__(self, seed: int = 0):
-        import hashlib
-        import hmac
-        import random
-        self._sha256 = hashlib.sha256
-        self._hmac = hmac
-        self._rng = random.Random(seed)
-
-    def _pk_for(self, sk: bytes) -> bytes:
-        return b"td:" + self._sha256(b"pk" + sk).digest()[:16]
-
-    def _mac_key(self, pk: bytes) -> bytes:
-        return self._sha256(b"mac" + pk).digest()
-
-    def gen(self) -> tuple:
-        sk = self._rng.getrandbits(256).to_bytes(32, "big")
-        return sk, self._pk_for(sk)
-
-    def sign(self, sk: bytes, message: bytes) -> bytes:
-        return self._hmac.new(self._mac_key(self._pk_for(sk)), message, self._sha256).digest()
-
-    def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
-        expected = self._hmac.new(self._mac_key(pk), message, self._sha256).digest()
-        return self._hmac.compare_digest(expected, signature)
 
 
 def keygen(scheme: SignatureScheme) -> tuple:

@@ -23,6 +23,7 @@ from auditgame.equilibrium import grid_slack
 from conftest import with_budget
 from reference_oracle import GridSpec, deviation_search
 from reference_surface import REFERENCE_SURFACE
+from toy_scheme import DeterministicScheme
 
 
 def _report(number, description, elapsed=None):
@@ -357,7 +358,7 @@ def test_criterion_9_ledger_adversarial(tmp_path):
     """1000 roundtrips, double-spend, tamper, wrong key, race, replay;
     < 10 s with the test double, < 60 s with the production scheme."""
     t0 = time.perf_counter()
-    _ledger_roundtrips(lg.DeterministicScheme(seed=3), tmp_path, "toy")
+    _ledger_roundtrips(DeterministicScheme(seed=3), tmp_path, "toy")
     toy_elapsed = time.perf_counter() - t0
     assert toy_elapsed < 10.0, f"test double took {toy_elapsed:.2f}s"
 

@@ -392,26 +392,24 @@ def test_ledger_cli_roundtrip(tmp_path, capsys):
     led = str(tmp_path / "led")
     alice = str(tmp_path / "alice.key")
     coin = str(tmp_path / "coin.json")
-    code, out, _ = run(["ledger", "keygen", "--out", alice, "--scheme", "toy",
-                        "--seed", "42"], capsys)
+    code, out, _ = run(["ledger", "keygen", "--out", alice], capsys)
     assert code == 0 and "public_key:" in out
     assert (os.stat(alice).st_mode & 0o777) == 0o600
 
-    code, _, _ = run(["ledger", "mint", "--dir", led, "--scheme", "toy", "--seed", "1",
-                      "--recipient-key", alice, "--coin-id", "1", "--out", coin], capsys)
+    code, _, _ = run(["ledger", "mint", "--dir", led, "--recipient-key", alice, "--coin-id", "1",
+                      "--out", coin], capsys)
     assert code == 0
     assert json.load(open(coin))["metadata"]["coin_id"] == 1
 
-    code, out, _ = run(["ledger", "spend", "--dir", led, "--scheme", "toy", "--seed", "1",
-                        "--coin", coin, "--signer-key", alice], capsys)
+    code, out, _ = run(["ledger", "spend", "--dir", led, "--coin", coin, "--signer-key", alice],
+                       capsys)
     assert code == 0 and "approved" in out
 
-    code, out, _ = run(["ledger", "spend", "--dir", led, "--scheme", "toy", "--seed", "2",
-                        "--coin", coin, "--signer-key", alice], capsys)
+    code, out, _ = run(["ledger", "spend", "--dir", led, "--coin", coin, "--signer-key", alice],
+                       capsys)
     assert code == 1 and "double-spend" in out
 
-    code, out, _ = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy",
-                        "--seed", "1"], capsys)
+    code, out, _ = run(["ledger", "audit-log", "--dir", led], capsys)
     assert code == 0
     assert "verified=true" in out and "total: 1" in out
 
@@ -456,11 +454,9 @@ def test_key_files_are_private_from_their_first_byte(tmp_path, capsys, monkeypat
                         raising=False)
     old_umask = os.umask(0o022)
     try:
-        assert run(["ledger", "keygen", "--out", str(alice), "--scheme", "toy", "--seed", "42"],
-                   capsys)[0] == 0
-        assert run(["ledger", "mint", "--dir", str(led), "--scheme", "toy", "--seed", "1",
-                    "--recipient-key", str(alice), "--coin-id", "1",
-                    "--out", str(tmp_path / "coin.json")], capsys)[0] == 0
+        assert run(["ledger", "keygen", "--out", str(alice)], capsys)[0] == 0
+        assert run(["ledger", "mint", "--dir", str(led), "--recipient-key", str(alice),
+                    "--coin-id", "1", "--out", str(tmp_path / "coin.json")], capsys)[0] == 0
     finally:
         os.umask(old_umask)
     for path in (alice, led / "admin.key"):
@@ -479,20 +475,19 @@ def test_unreadable_inputs_are_input_errors(tmp_path, capsys):
 
     led = str(tmp_path / "led")
     alice = str(tmp_path / "alice.key")
-    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
-    assert_input_error(["ledger", "spend", "--dir", led, "--scheme", "toy",
-                        "--coin", str(tmp_path / "missing.json"), "--signer-key", alice])
+    run(["ledger", "keygen", "--out", alice], capsys)
+    assert_input_error(["ledger", "spend", "--dir", led, "--coin", str(tmp_path / "missing.json"),
+                        "--signer-key", alice])
     assert not (tmp_path / "led").exists()   # a rejected input creates no ledger
     not_a_coin = tmp_path / "coin.json"
     not_a_coin.write_text('{"owner_pk": "zz"}\n')
-    assert_input_error(["ledger", "spend", "--dir", led, "--scheme", "toy",
-                        "--coin", str(not_a_coin), "--signer-key", alice])
+    assert_input_error(["ledger", "spend", "--dir", led, "--coin", str(not_a_coin),
+                        "--signer-key", alice])
 
     bad_hex = tmp_path / "bad.key"
     bad_hex.write_text("not hex\nalso not hex\n")
-    assert_input_error(["ledger", "mint", "--dir", led, "--scheme", "toy",
-                        "--recipient-key", str(bad_hex), "--coin-id", "1",
-                        "--out", str(tmp_path / "c.json")])
+    assert_input_error(["ledger", "mint", "--dir", led, "--recipient-key", str(bad_hex),
+                        "--coin-id", "1", "--out", str(tmp_path / "c.json")])
 
 
 def test_a_secret_key_that_cannot_sign_is_an_input_error(tmp_path, capsys):
@@ -562,24 +557,22 @@ def test_an_unknown_mode_is_an_input_error(command, tmp_path, capsys):
 def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
     led = str(tmp_path / "led")
     alice = str(tmp_path / "alice.key")
-    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    run(["ledger", "keygen", "--out", alice], capsys)
     for coin_id in (1, 2):
         coin = str(tmp_path / f"coin{coin_id}.json")
-        code, _, _ = run(["ledger", "mint", "--dir", led, "--scheme", "toy", "--seed", "1",
-                          "--recipient-key", alice, "--coin-id", str(coin_id), "--out", coin],
-                         capsys)
+        code, _, _ = run(["ledger", "mint", "--dir", led, "--recipient-key", alice,
+                          "--coin-id", str(coin_id), "--out", coin], capsys)
         assert code == 0
-        code, out, _ = run(["ledger", "spend", "--dir", led, "--scheme", "toy",
-                            "--seed", str(coin_id), "--coin", coin, "--signer-key", alice],
-                           capsys)
+        code, out, _ = run(["ledger", "spend", "--dir", led, "--coin", coin,
+                            "--signer-key", alice], capsys)
         assert code == 0 and out == "approved\n"
-    code, out, _ = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy"], capsys)
+    code, out, _ = run(["ledger", "audit-log", "--dir", led], capsys)
     assert code == 0 and out.count("verified=true") == 2 and out.endswith("total: 2\n")
 
     log = tmp_path / "led" / "log.jsonl"
     lines = log.read_text().splitlines()
     log.write_text(lines[0] + "\n" + lines[1][:len(lines[1]) // 2])   # a torn last line
-    code, out, err = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy"], capsys)
+    code, out, err = run(["ledger", "audit-log", "--dir", led], capsys)
     assert code == 1 and out == ""
     assert err.startswith("input error: log line 2 is not a receipt record: JSONDecodeError")
     assert err.count("\n") == 1
@@ -588,7 +581,7 @@ def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
     record["price"] += 1
     lines[1] = json.dumps(record)
     log.write_text("\n".join(lines) + "\n")
-    code, out, err = run(["ledger", "audit-log", "--dir", led, "--scheme", "toy"], capsys)
+    code, out, err = run(["ledger", "audit-log", "--dir", led], capsys)
     assert code == 1 and out == ""
     assert err.startswith("input error: log line 2 fails re-verification")
     assert err.count("\n") == 1
@@ -596,7 +589,7 @@ def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
 
 def test_audit_log_lists_a_checkpointed_prefix_as_a_full_verify_does(tmp_path, capsys):
     from auditgame import ledger as lg
-    scheme = lg.DeterministicScheme(seed=4)
+    scheme = lg.Ed25519Scheme()
     led = tmp_path / "led"
     led.mkdir()
     log = str(led / "log.jsonl")
@@ -609,7 +602,7 @@ def test_audit_log_lists_a_checkpointed_prefix_as_a_full_verify_does(tmp_path, c
         assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw)))
     expected = "".join(f"{i}: goods={goods!r} price={i} coins=[{i}] verified=true\n"
                        for i, goods in enumerate(["g0", "café ☕", 'say "hi"'] * 4)) + "total: 12\n"
-    audit = ["ledger", "audit-log", "--dir", str(led), "--scheme", "toy"]
+    audit = ["ledger", "audit-log", "--dir", str(led)]
     # under the session's checkpoint, under the one the first call signs
     # over the whole log, and under none
     outputs = [run(audit, capsys), run(audit, capsys)]
@@ -621,12 +614,12 @@ def test_audit_log_lists_a_checkpointed_prefix_as_a_full_verify_does(tmp_path, c
 def test_unwritable_outputs_are_input_errors(cfg_file, tmp_path, capsys):
     missing_dir = tmp_path / "missing"
     alice = str(tmp_path / "alice.key")
-    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    run(["ledger", "keygen", "--out", alice], capsys)
     for what, args in (
         ("output file", ["solve", "--config", cfg_file]),
-        ("key file", ["ledger", "keygen", "--scheme", "toy"]),
-        ("coin file", ["ledger", "mint", "--dir", str(tmp_path / "led"), "--scheme", "toy",
-                       "--recipient-key", alice, "--coin-id", "1"]),
+        ("key file", ["ledger", "keygen"]),
+        ("coin file", ["ledger", "mint", "--dir", str(tmp_path / "led"), "--recipient-key",
+                       alice, "--coin-id", "1"]),
     ):
         target = str(missing_dir / "x.txt")
         code, out, err = run(args + ["--out", target], capsys)
@@ -635,7 +628,7 @@ def test_unwritable_outputs_are_input_errors(cfg_file, tmp_path, capsys):
         assert "public_key" not in out and "minted" not in out
     assert not missing_dir.exists()
     led = str(tmp_path / "alice.key" / "led")   # under a regular file
-    code, _, err = run(["ledger", "mint", "--dir", led, "--scheme", "toy", "--recipient-key",
+    code, _, err = run(["ledger", "mint", "--dir", led, "--recipient-key",
                         alice, "--coin-id", "1", "--out", str(tmp_path / "c.json")], capsys)
     assert code == 1
     assert err == f"input error: cannot create ledger directory {led!r}: Not a directory\n"
@@ -643,10 +636,10 @@ def test_unwritable_outputs_are_input_errors(cfg_file, tmp_path, capsys):
 
 def test_failed_mint_leaves_no_ledger(tmp_path, capsys):
     alice = str(tmp_path / "alice.key")
-    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    run(["ledger", "keygen", "--out", alice], capsys)
     led = tmp_path / "led"
-    mint = ["ledger", "mint", "--dir", str(led), "--scheme", "toy", "--recipient-key", alice,
-            "--coin-id", "1", "--out"]
+    mint = ["ledger", "mint", "--dir", str(led), "--recipient-key", alice, "--coin-id", "1",
+            "--out"]
     code, out, err = run(mint + [str(tmp_path / "missing" / "c.json")], capsys)
     assert code == 1 and out == ""
     assert err.startswith("input error: cannot write coin file ")
@@ -660,6 +653,35 @@ def test_failed_mint_leaves_no_ledger(tmp_path, capsys):
     code, _, err = run(mint[:2] + bad_dir + mint[4:] + [str(tmp_path / "d.json")], capsys)
     assert code == 1 and "cannot create ledger directory" in err
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("existing", [[], ["new"]], ids=["none", "empty-parent"])
+def test_a_failed_mint_removes_exactly_the_directories_it_made(existing, tmp_path, capsys):
+    alice = str(tmp_path / "alice.key")
+    run(["ledger", "keygen", "--out", alice], capsys)
+    for name in existing:
+        (tmp_path / name).mkdir()
+    code, out, err = run(["ledger", "mint", "--dir", str(tmp_path / "new" / "x" / "y"),
+                          "--recipient-key", alice, "--coin-id", "1",
+                          "--out", str(tmp_path / "missing" / "c.json")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: cannot write coin file ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["alice.key"] + existing)
+    for name in existing:
+        assert list((tmp_path / name).iterdir()) == []
+
+
+@pytest.mark.parametrize("args, flag, made", [
+    (["keygen", "--out", "k.key", "--scheme", "toy"], "--scheme", "k.key"),
+    (["audit-log", "--dir", "d", "--seed", "1"], "--seed", "d"),
+], ids=["keygen-scheme", "audit-log-seed"])
+def test_the_scheme_and_seed_flags_are_usage_errors(args, flag, made, tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["ledger"] + args, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"input error: ledger {args[0]}: unknown flag {flag!r}\n"
+    assert not (tmp_path / made).exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -684,13 +706,12 @@ def test_values_beyond_the_float_range_are_input_errors(args, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["audit-log", "spend"])
 def test_read_only_ledger_commands_create_no_ledger(command, tmp_path, capsys):
     alice = str(tmp_path / "alice.key")
-    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
-    args = ["ledger", command, "--scheme", "toy"]
+    run(["ledger", "keygen", "--out", alice], capsys)
+    args = ["ledger", command]
     if command == "spend":
         coin = str(tmp_path / "coin.json")
-        code, _, _ = run(["ledger", "mint", "--dir", str(tmp_path / "elsewhere"), "--scheme",
-                          "toy", "--recipient-key", alice, "--coin-id", "1", "--out", coin],
-                         capsys)
+        code, _, _ = run(["ledger", "mint", "--dir", str(tmp_path / "elsewhere"),
+                          "--recipient-key", alice, "--coin-id", "1", "--out", coin], capsys)
         assert code == 0
         args += ["--coin", coin, "--signer-key", alice]
     fresh = tmp_path / "fresh"
@@ -752,47 +773,44 @@ def test_sweep_prints_costs_below_the_float_range_exactly_in_both_modes(capsys):
                                        "3.54838709677419e-321,7.09677419354839e-318,true,83333")
 
 
-def _toy_ledger(tmp_path, capsys, coins):
-    """A toy-scheme ledger in tmp_path/led, with `coins` minted to alice and
-    the first one spent; returns the key file."""
+def _small_ledger(tmp_path, capsys, coins):
+    """A ledger in tmp_path/led, with `coins` minted to alice and the first
+    one spent; returns the key file."""
     alice = str(tmp_path / "alice.key")
-    run(["ledger", "keygen", "--out", alice, "--scheme", "toy", "--seed", "42"], capsys)
+    run(["ledger", "keygen", "--out", alice], capsys)
     for coin_id in range(1, coins + 1):
-        code, _, _ = run(["ledger", "mint", "--dir", str(tmp_path / "led"), "--scheme", "toy",
-                          "--seed", "1", "--recipient-key", alice, "--coin-id", str(coin_id),
+        code, _, _ = run(["ledger", "mint", "--dir", str(tmp_path / "led"), "--recipient-key",
+                          alice, "--coin-id", str(coin_id),
                           "--out", str(tmp_path / f"coin{coin_id}.json")], capsys)
         assert code == 0
-    code, out, _ = run(["ledger", "spend", "--dir", str(tmp_path / "led"), "--scheme", "toy",
-                        "--seed", "1", "--coin", str(tmp_path / "coin1.json"),
-                        "--signer-key", alice], capsys)
+    code, out, _ = run(["ledger", "spend", "--dir", str(tmp_path / "led"),
+                        "--coin", str(tmp_path / "coin1.json"), "--signer-key", alice], capsys)
     assert out == "approved\n"
     return alice
 
 
 def test_a_spend_after_an_unterminated_last_record_keeps_the_log_readable(tmp_path, capsys):
-    alice = _toy_ledger(tmp_path, capsys, coins=2)
+    alice = _small_ledger(tmp_path, capsys, coins=2)
     log = tmp_path / "led" / "log.jsonl"
     log.write_bytes(log.read_bytes().rstrip(b"\n"))
-    code, out, _ = run(["ledger", "spend", "--dir", str(tmp_path / "led"), "--scheme", "toy",
-                        "--seed", "2", "--coin", str(tmp_path / "coin2.json"),
-                        "--signer-key", alice], capsys)
+    code, out, _ = run(["ledger", "spend", "--dir", str(tmp_path / "led"),
+                        "--coin", str(tmp_path / "coin2.json"), "--signer-key", alice], capsys)
     assert code == 0 and out == "approved\n"
     assert log.read_bytes().count(b"\n") == 2 and log.read_bytes().endswith(b"\n")
-    code, out, err = run(["ledger", "audit-log", "--dir", str(tmp_path / "led"), "--scheme",
-                          "toy"], capsys)
+    code, out, err = run(["ledger", "audit-log", "--dir", str(tmp_path / "led")], capsys)
     assert code == 0 and err == ""
     assert out.count("verified=true") == 2 and out.endswith("total: 2\n")
 
 
 def test_an_unreadable_log_is_an_input_error(tmp_path, capsys):
-    _toy_ledger(tmp_path, capsys, coins=1)
+    _small_ledger(tmp_path, capsys, coins=1)
     log = tmp_path / "led" / "log.jsonl"
     log.unlink()
     log.mkdir()
     for args in (["audit-log"], ["spend", "--coin", str(tmp_path / "coin1.json"),
                                  "--signer-key", str(tmp_path / "alice.key")]):
-        code, out, err = run(["ledger", args[0], "--dir", str(tmp_path / "led"), "--scheme",
-                              "toy"] + args[1:], capsys)
+        code, out, err = run(["ledger", args[0], "--dir", str(tmp_path / "led")] + args[1:],
+                             capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"input error: cannot read ledger log {str(log)!r}: ")
         assert err.count("\n") == 1
@@ -820,30 +838,30 @@ LOG_DAMAGE = {
 
 
 @pytest.mark.parametrize("damage", sorted(LOG_DAMAGE))
-def test_ledger_calls_print_the_same_with_or_without_a_checkpoint(damage, tmp_path, capsys):
+def test_ledger_calls_print_the_same_with_or_without_a_checkpoint(damage, tmp_path, capsys,
+                                                                  monkeypatch):
     alice = str(tmp_path / "alice.key")
     led = tmp_path / "led"
-    toy = ["--scheme", "toy", "--seed"]
-    run(["ledger", "keygen", "--out", alice] + toy + ["42"], capsys)
+    run(["ledger", "keygen", "--out", alice], capsys)
     for coin_id in (1, 2, 3):
         coin = str(tmp_path / f"{coin_id}.json")
-        code, _, _ = run(["ledger", "mint", "--dir", str(led)] + toy + ["1", "--recipient-key",
-                          alice, "--coin-id", str(coin_id), "--out", coin], capsys)
+        code, _, _ = run(["ledger", "mint", "--dir", str(led), "--recipient-key", alice,
+                          "--coin-id", str(coin_id), "--out", coin], capsys)
         assert code == 0
     for coin_id in (1, 2):
-        code, out, _ = run(["ledger", "spend", "--dir", str(led)] + toy + [str(coin_id), "--coin",
+        code, out, _ = run(["ledger", "spend", "--dir", str(led), "--coin",
                             str(tmp_path / f"{coin_id}.json"), "--signer-key", alice], capsys)
         assert out == "approved\n"
-    assert run(["ledger", "audit-log", "--dir", str(led)] + toy + ["1"], capsys)[0] == 0
+    assert run(["ledger", "audit-log", "--dir", str(led)], capsys)[0] == 0
     assert (led / "log.jsonl.checkpoint").exists()
     log = led / "log.jsonl"
     log.write_text(LOG_DAMAGE[damage](log.read_text().splitlines()))
 
     calls = [
-        ["audit-log"] + toy + ["1"],
-        ["spend"] + toy + ["3", "--coin", str(tmp_path / "3.json"), "--signer-key", alice],
-        ["spend"] + toy + ["4", "--coin", str(tmp_path / "1.json"), "--signer-key", alice],
-        ["mint"] + toy + ["1", "--recipient-key", alice, "--coin-id", "4", "--out", "coin.json"],
+        ["audit-log"],
+        ["spend", "--coin", str(tmp_path / "3.json"), "--signer-key", alice],
+        ["spend", "--coin", str(tmp_path / "1.json"), "--signer-key", alice],
+        ["mint", "--recipient-key", alice, "--coin-id", "4", "--out", "coin.json"],
     ]
     failure = {
         "tampered-prefix": "input error: log line 1 fails re-verification: bad-signature\n",
@@ -859,6 +877,9 @@ def test_ledger_calls_print_the_same_with_or_without_a_checkpoint(damage, tmp_pa
             if not keep:
                 (copy / "log.jsonl.checkpoint").unlink()
             args = [str(copy / a) if a == "coin.json" else a for a in call]
+            # Ed25519 signs deterministically, so the same challenges make
+            # the same log bytes
+            monkeypatch.setattr(os, "urandom", random.Random(0).randbytes)
             coin = copy / "coin.json"
             results.append((run(["ledger", args[0], "--dir", str(copy)] + args[1:], capsys),
                             (copy / "log.jsonl").read_bytes(),

@@ -4,8 +4,7 @@ No call imports `dataclasses` or `inspect`: together they cost more
 start-up time than a small game call spends computing.  No call imports
 `argparse`: the CLI parses its arguments from its own flag table.  No
 ledger call imports `auditgame.numeric` or the `fractions` and `decimal`
-it loads, and no Ed25519 ledger call imports `secrets`, `hmac` or
-`hashlib`.
+it loads, and no call imports `secrets`, `hmac` or `hashlib`.
 The game modules import one way, `core → bounds → lp → equilibrium →
 cost`, with `oracle` on `bounds` and `casestudy` on `core`, and each
 module's top-level imports are its whole dependency list: no module but
@@ -41,21 +40,20 @@ LEDGER = VALUES | {"auditgame.ledger"}
 SLOW = ("dataclasses", "inspect", "argparse")
 # Standard-library modules that only the game calls need.
 EXACT = ("fractions", "decimal")
-# Standard-library modules that no game or Ed25519 ledger call loads: only
-# the toy ledger scheme signs with `hmac`, which `secrets` imports too, and
-# hashes with `hashlib`, whose `_hashlib` loads the system's OpenSSL next to
+# Standard-library modules that no call loads: `hashlib`, which `hmac` and
+# `secrets` import, loads the system's OpenSSL through `_hashlib`, next to
 # the one `cryptography` links.
-TOY = ("secrets", "hmac", "hashlib", "_hashlib")
+HASHLIB = ("secrets", "hmac", "hashlib", "_hashlib")
 
 # Runs `cli.main` on its arguments, then prints the exit status and the
 # loaded modules of this package, of `cryptography`, of SLOW, of EXACT and
-# of TOY as the last line.
+# of HASHLIB as the last line.
 CALL = f"""
 import json, sys
 from auditgame import cli
 code = cli.main(sys.argv[1:])
 names = sorted(m for m in sys.modules
-               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW + EXACT + TOY!r})
+               if m.split(".")[0] in ("auditgame", "cryptography") + {SLOW + EXACT + HASHLIB!r})
 print(json.dumps([code, names]))
 """
 
@@ -76,15 +74,16 @@ def _python(code, *args, cwd=None):
 
 def _call(args, cwd):
     """(exit status, auditgame modules, cryptography modules, EXACT modules,
-    TOY modules) of one CLI call, after checking that it loaded none of SLOW."""
+    HASHLIB modules) of one CLI call, after checking that it loaded none of
+    SLOW."""
     proc = _python(CALL, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     code, names = json.loads(proc.stdout.splitlines()[-1])
     assert not set(SLOW) & set(names), args
     ours = {n for n in names if n.split(".")[0] == "auditgame"}
     exact = set(EXACT) & set(names)
-    toy = set(TOY) & set(names)
-    return code, ours, set(names) - ours - exact - toy, exact, toy
+    hashing = set(HASHLIB) & set(names)
+    return code, ours, set(names) - ours - exact - hashing, exact, hashing
 
 
 def test_importing_the_cli_loads_no_game_or_ledger_module():
@@ -115,16 +114,15 @@ def workdir(tmp_path):
 ], ids=["solve", "verify", "cost", "probe", "sweep", "surface", "bounds-csv",
         "bounds-csv-budget", "bounds-text"])
 def test_a_game_subcommand_loads_only_its_modules(args, expected, workdir):
-    code, ours, crypto, _, toy = _call(args, workdir)
+    code, ours, crypto, _, hashing = _call(args, workdir)
     assert code == 0
     assert ours == expected
-    assert crypto == set() and toy == set()
+    assert crypto == set() and hashing == set()
 
 
-def _ledger_session(workdir, *scheme):
-    """Yields (arguments, cryptography modules, TOY modules) of each call of
-    a ledger session, after checking that it succeeded and loaded no game
-    module and none of EXACT."""
+def test_ledger_subcommands_load_no_game_module(workdir):
+    """Each call of a ledger session succeeds on Ed25519 and loads no game
+    module, none of EXACT and none of HASHLIB."""
     session = [
         ["keygen", "--out", "alice.key"],
         ["mint", "--dir", "led", "--recipient-key", "alice.key", "--coin-id", "1",
@@ -134,23 +132,12 @@ def _ledger_session(workdir, *scheme):
         ["audit-log", "--dir", "led"],
     ]
     for args in session:
-        code, ours, crypto, exact, toy = _call(["ledger", *args, *scheme], workdir)
+        code, ours, crypto, exact, hashing = _call(["ledger", *args], workdir)
         assert code == 0, args
         assert ours == LEDGER, args
-        assert exact == set(), args
-        yield args, crypto, toy
+        assert crypto, args
+        assert exact == set() and hashing == set(), args
     assert (workdir / "led" / "log.jsonl.checkpoint").exists()
-
-
-def test_ledger_subcommands_load_no_game_module(workdir):
-    for args, crypto, toy in _ledger_session(workdir):
-        assert crypto, args   # Ed25519 is the default scheme
-        assert toy == set(), args
-
-
-def test_only_the_toy_ledger_scheme_loads_hmac_and_hashlib(workdir):
-    for args, _, toy in _ledger_session(workdir, "--scheme", "toy"):
-        assert {"hmac", "hashlib"} <= toy and "secrets" not in toy, args
 
 
 def test_package_names_resolve_on_first_access():

@@ -14,11 +14,13 @@ import pytest
 from auditgame import InputError
 from auditgame import ledger as lg
 
+from toy_scheme import DeterministicScheme
+
 
 @pytest.fixture(params=["toy", "ed25519"])
 def scheme(request):
     if request.param == "toy":
-        return lg.DeterministicScheme(seed=99)
+        return DeterministicScheme(seed=99)
     return lg.Ed25519Scheme()
 
 
@@ -49,10 +51,10 @@ def test_keygen_distinct_and_correct(scheme):
 
 
 def test_toy_scheme_is_deterministic():
-    a = lg.DeterministicScheme(seed=4)
-    b = lg.DeterministicScheme(seed=4)
+    a = DeterministicScheme(seed=4)
+    b = DeterministicScheme(seed=4)
     assert a.gen() == b.gen()
-    assert lg.DeterministicScheme(seed=5).gen() != lg.DeterministicScheme(seed=4).gen()
+    assert DeterministicScheme(seed=5).gen() != DeterministicScheme(seed=4).gen()
 
 
 def test_mint_and_verify(state, user):
@@ -492,7 +494,7 @@ def test_a_tampered_checkpointed_record_fails_as_without_a_checkpoint(ledger, fi
 
 
 def test_every_changed_byte_of_the_prefix_loads_as_without_a_checkpoint(tmp_path):
-    scheme = lg.DeterministicScheme(seed=7)
+    scheme = DeterministicScheme(seed=7)
     user = lg.keygen(scheme)
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
@@ -656,7 +658,7 @@ def parsed(monkeypatch):
 
 @pytest.mark.parametrize("covered", [3, 300])
 def test_a_checkpointed_ledger_parses_only_the_records_after_it(covered, tmp_path, parsed):
-    scheme = lg.DeterministicScheme(seed=5)
+    scheme = DeterministicScheme(seed=5)
     sk, pk = user = lg.keygen(scheme)
     log = str(tmp_path / "log.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
@@ -944,7 +946,7 @@ def test_a_load_read_in_blocks_is_a_whole_log_load(varied, user, verified, edit,
 
 def _toy_ledger(tmp_path, records):
     """A toy-scheme ledger of `records` receipts under a checkpoint over all."""
-    scheme = lg.DeterministicScheme(seed=3)
+    scheme = DeterministicScheme(seed=3)
     log = str(tmp_path / f"log{records}.jsonl")
     state = lg.LedgerState.create(scheme, log_path=log)
     _spend_new_coins(state, lg.keygen(scheme), range(records))
