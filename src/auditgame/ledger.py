@@ -69,8 +69,18 @@ one of them has verified, `verify_coin` passes a coin whose payload and
 signature are byte-for-byte those of a coin the state minted without asking
 the scheme again, and skips no check: any other coin, including an edited
 copy of a minted one, and every coin of a state whose secret key does not
-match `admin_pk`, is verified in full.  `load` mints nothing, so replay
-verifies every record it reads.
+match `admin_pk`, is verified in full.  `Ed25519Scheme` also answers
+`verify` for the last message each key signed through it, with that
+signature, without asking OpenSSL: Ed25519 signing is deterministic and a
+signature verifies under the public key of the private key that made it
+(RFC 8032), and that public key is derived from the secret key, never
+taken from a caller, so a state whose `admin_pk` does not match its secret
+key still gets OpenSSL's False.  A receipt that a user signs through the
+state's scheme just before `finalize_spend` is thus verified from memory.
+Only a signature made through the same scheme object can be: a `load` on a
+new scheme object, as in every CLI call, has OpenSSL verify every record
+it reads, and so is every signature made by another scheme object or
+process, and every call whose arguments are not all `bytes`.
 
 Every SHA-256 the ledger takes (H) comes from `cryptography`, whose
 Ed25519 code links its own OpenSSL; `hashlib` would load the system's
@@ -119,9 +129,26 @@ class Ed25519Scheme(SignatureScheme):
     """Production scheme backed by Ed25519 (128-bit security level).
 
     Loading a key costs about as much as a signature, so each instance
-    keeps the private keys it has loaded, by their secret bytes, and the
-    public keys, by their public bytes; each map forgets all its keys once
-    it holds `KEY_CACHE` of them.  A key that fails to load is not kept.
+    keeps the private keys it has loaded, by their secret bytes, each with
+    its public bytes, derived once by `cryptography`, and the public keys,
+    by their public bytes.  A key that fails to load is not kept.
+
+    Each instance also remembers, under each signing key's public bytes,
+    the last `bytes` message that key signed here and its signature, and
+    `verify` answers True for exactly that (public key, message, signature)
+    triple, all three `bytes`, without asking OpenSSL.  That skips no
+    check: Ed25519 signing is deterministic, and a signature verifies under
+    the public key of the private key that made it (RFC 8032, 5.1.6-5.1.7),
+    so OpenSSL would answer True too; and the public key is the one derived
+    from the secret key, never one a caller supplied.  Every other call
+    goes to OpenSSL: an earlier signature of a key that has signed again,
+    a signature made by another scheme object or process (every record a
+    new scheme object reads from a log), and arguments that are not
+    `bytes`.  A `sign` that raises records nothing.
+
+    Each of the three maps forgets all its entries once it holds
+    `KEY_CACHE` keys; a race between threads can only lose a pair, which
+    then costs one OpenSSL call.
     """
 
     KEY_CACHE = 64
@@ -129,28 +156,42 @@ class Ed25519Scheme(SignatureScheme):
     def __init__(self):
         from cryptography.hazmat.primitives.asymmetric import ed25519
         self._ed25519 = ed25519
-        self._keys: dict = {}
-        self._public: dict = {}
+        self._keys: dict = {}     # secret bytes -> (private key, public bytes)
+        self._public: dict = {}   # public bytes -> public key
+        self._signed: dict = {}   # public bytes -> (last message, its signature)
 
     def gen(self) -> tuple:
         private = self._ed25519.Ed25519PrivateKey.generate()
         return private.private_bytes_raw(), private.public_key().public_bytes_raw()
+
+    def _keep(self, cache: dict, raw: bytes, value) -> None:
+        if len(cache) >= self.KEY_CACHE and raw not in cache:
+            cache.clear()
+        cache[raw] = value
 
     def _key(self, cache: dict, raw: bytes, load):
         """`load(raw)`, kept in `cache`; a key it cannot load raises ValueError."""
         key = cache.get(raw)
         if key is None:
             key = load(raw)
-            if len(cache) >= self.KEY_CACHE:
-                cache.clear()
-            cache[raw] = key
+            self._keep(cache, raw, key)
         return key
 
+    def _load_private(self, sk: bytes) -> tuple:
+        private = self._ed25519.Ed25519PrivateKey.from_private_bytes(sk)
+        return private, private.public_key().public_bytes_raw()
+
     def sign(self, sk: bytes, message: bytes) -> bytes:
-        return self._key(self._keys, sk,
-                         self._ed25519.Ed25519PrivateKey.from_private_bytes).sign(message)
+        private, pk = self._key(self._keys, sk, self._load_private)
+        signature = private.sign(message)
+        if type(message) is bytes:
+            self._keep(self._signed, pk, (message, signature))
+        return signature
 
     def verify(self, pk: bytes, message: bytes, signature: bytes) -> bool:
+        if (type(pk) is bytes and type(message) is bytes and type(signature) is bytes
+                and self._signed.get(pk) == (message, signature)):
+            return True
         try:
             self._key(self._public, pk,
                       self._ed25519.Ed25519PublicKey.from_public_bytes).verify(signature, message)

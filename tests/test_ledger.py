@@ -1152,6 +1152,7 @@ def test_a_cached_key_signs_as_a_freshly_loaded_one():
         with pytest.raises(ValueError):
             scheme.sign(b"short", b"m")
     assert list(scheme._keys) == [sk]
+    assert scheme._signed == {pk: (b"two" * 100, expected)}   # a failed sign records nothing
     # the cache is bounded: it starts again once it holds KEY_CACHE keys
     others = [lg.keygen(scheme)[0] for _ in range(scheme.KEY_CACHE)]
     for other in others:
@@ -1177,13 +1178,27 @@ def test_a_cached_public_key_verifies_as_a_freshly_loaded_one():
         except Exception:
             return False
 
+    class Equal(bytes):   # bytes that claim to equal anything
+        __hash__ = bytes.__hash__
+
+        def __eq__(self, other):
+            return True
+
     scheme = lg.Ed25519Scheme()
     sk, pk = lg.keygen(scheme)
-    sig = scheme.sign(sk, b"m")
+    _, other_pk = lg.keygen(scheme)
+    earlier = scheme.sign(sk, b"m0")
+    sig = scheme.sign(sk, b"m")   # the pair the scheme remembers for pk
     cases = [(pk, b"m", sig), (pk, b"m!", sig), (pk, b"m", bytes.fromhex(_flip_hex(sig.hex()))),
              (pk, b"m", sig[:-1]), (pk, b"m", b""), (b"", b"m", sig), (b"short", b"m", sig),
              (pk + b"\0", b"m", sig), (b"\xff" * 32, b"m", sig), (pk.hex(), b"m", sig),
-             (bytearray(pk), b"m", sig), (None, b"m", sig)]
+             (bytearray(pk), b"m", sig), (None, b"m", sig),
+             # the remembered pair under another key, an earlier signature of
+             # pk, and the remembered pair with an argument that is not bytes
+             (other_pk, b"m", sig), (pk, b"m0", earlier), (pk, b"m", earlier),
+             (pk, bytearray(b"m"), sig), (pk, memoryview(b"m"), sig),
+             (pk, b"m", bytearray(sig)), (pk, b"m", memoryview(sig)),
+             (pk, Equal(b"m!"), sig), (pk, b"m", Equal(earlier))]
     for _ in range(2):   # loaded, then from the cache
         assert [scheme.verify(*case) for case in cases] == [fresh(*case) for case in cases]
     # a key that fails to load is never kept
@@ -1193,6 +1208,9 @@ def test_a_cached_public_key_verifies_as_a_freshly_loaded_one():
         other_sk, other_pk = lg.keygen(scheme)
         assert scheme.verify(other_pk, b"m", scheme.sign(other_sk, b"m"))
         assert len(scheme._public) <= scheme.KEY_CACHE
+        assert len(scheme._signed) <= scheme.KEY_CACHE and len(scheme._keys) <= scheme.KEY_CACHE
+    assert pk not in scheme._signed   # forgotten with the others
+    assert [scheme.verify(*case) for case in cases] == [fresh(*case) for case in cases]
     assert scheme.verify(pk, b"m", sig) and not scheme.verify(pk, b"m!", sig)
 
 
@@ -1226,6 +1244,72 @@ def test_a_session_verifies_one_coin_it_minted(state, user, verified):
     receipt_checks = [m for m in verified if m.startswith(b'{"challenge"')]
     assert len(coin_checks) == 1 and len(receipt_checks) == 8
     assert len(verified) == 8 + 1
+
+
+@pytest.fixture
+def openssl_verified(monkeypatch):
+    """Every message that OpenSSL verifies for any `Ed25519Scheme`, in order,
+    through a shim on the `cryptography` module that the scheme calls."""
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+    messages = []
+    load = ed25519.Ed25519PublicKey.from_public_bytes
+
+    class Counted:
+        def __init__(self, key):
+            self._key = key
+
+        def verify(self, signature, message):
+            messages.append(message)
+            return self._key.verify(signature, message)
+
+    class PublicKey:
+        @staticmethod
+        def from_public_bytes(data):
+            return Counted(load(data))
+
+    monkeypatch.setattr(ed25519, "Ed25519PublicKey", PublicKey)
+    return messages
+
+
+@pytest.mark.parametrize("own_scheme", [False, True], ids=["ledger-scheme", "own-scheme"])
+def test_openssl_verifies_only_what_another_scheme_object_signed(tmp_path, openssl_verified,
+                                                                 own_scheme):
+    # the first coin's check and each receipt's are answered from memory when
+    # the ledger's scheme made the signature; a user with a scheme object of
+    # their own costs one OpenSSL call per receipt
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(lg.Ed25519Scheme(), log_path=log)
+    sk, pk = lg.keygen(state.scheme)
+    signer = lg.Ed25519Scheme() if own_scheme else state.scheme
+    for i in range(8):
+        raw = lg.RawReceipt(goods=f"g{i}", price=1,
+                            coins=(state.mint(pk, lg.CoinMetadata(coin_id=i)),))
+        assert state.finalize_spend(lg.sign_receipt(signer, sk, raw, state.begin_spend(raw)))
+    assert len(openssl_verified) == (8 if own_scheme else 0)
+    # a fresh scheme replays the log without its checkpoint: every coin and
+    # every receipt goes to OpenSSL
+    os.remove(log + ".checkpoint")
+    del openssl_verified[:]
+    loaded = lg.LedgerState.load(lg.Ed25519Scheme(), state._admin_sk, state.admin_pk, log)
+    assert len(loaded._spent) == 8 and len(openssl_verified) == 16
+
+
+def test_a_cli_spend_verifies_its_own_receipt_from_memory(tmp_path, openssl_verified, capsys):
+    from auditgame.cli import main
+    led, alice = str(tmp_path / "led"), str(tmp_path / "alice.key")
+    assert main(["ledger", "keygen", "--out", alice]) == 0
+    for i in (1, 2):
+        assert main(["ledger", "mint", "--dir", led, "--recipient-key", alice,
+                     "--coin-id", str(i), "--out", str(tmp_path / f"c{i}.json")]) == 0
+    assert main(["ledger", "spend", "--dir", led, "--coin", str(tmp_path / "c1.json"),
+                 "--signer-key", alice]) == 0
+    del openssl_verified[:]
+    assert main(["ledger", "spend", "--dir", led, "--coin", str(tmp_path / "c2.json"),
+                 "--signer-key", alice]) == 0
+    # the checkpoint over the first record and the coin read from its file;
+    # the receipt, signed through the call's own scheme, is answered from memory
+    assert [m.startswith(lg.CHECKPOINT_TAG) for m in openssl_verified] == [True, False]
+    assert capsys.readouterr().out.endswith("approved\n")
 
 
 def test_a_session_whose_secret_key_does_not_match_rejects_its_coins(scheme, tmp_path, user):
