@@ -1158,7 +1158,8 @@ def test_a_cached_key_signs_as_a_freshly_loaded_one():
     for other in others:
         scheme.sign(other, b"m")
     assert len(scheme._keys) <= scheme.KEY_CACHE
-    assert scheme.verify(pk, b"m", scheme.sign(sk, b"m"))
+    # a second scheme remembers nothing, so OpenSSL checks the reloaded key's signature
+    assert lg.Ed25519Scheme().verify(pk, b"m", scheme.sign(sk, b"m"))
 
 
 def test_a_cached_public_key_verifies_as_a_freshly_loaded_one():
@@ -1203,11 +1204,17 @@ def test_a_cached_public_key_verifies_as_a_freshly_loaded_one():
         assert [scheme.verify(*case) for case in cases] == [fresh(*case) for case in cases]
     # a key that fails to load is never kept
     assert all(loads(key) for key in scheme._public) and pk in scheme._public
-    # the cache is bounded: it starts again once it holds KEY_CACHE keys
+    # the cache is bounded: it starts again once it holds KEY_CACHE keys;
+    # the signatures come from a second scheme, so each key loads into _public
+    signer = lg.Ed25519Scheme()
+    for _ in range(scheme.KEY_CACHE + 1):
+        other_sk, other_pk = lg.keygen(scheme)
+        assert scheme.verify(other_pk, b"m", signer.sign(other_sk, b"m"))
+        assert other_pk in scheme._public and len(scheme._public) <= scheme.KEY_CACHE
+    assert pk not in scheme._public   # forgotten with the others, then loaded again
     for _ in range(scheme.KEY_CACHE + 1):
         other_sk, other_pk = lg.keygen(scheme)
         assert scheme.verify(other_pk, b"m", scheme.sign(other_sk, b"m"))
-        assert len(scheme._public) <= scheme.KEY_CACHE
         assert len(scheme._signed) <= scheme.KEY_CACHE and len(scheme._keys) <= scheme.KEY_CACHE
     assert pk not in scheme._signed   # forgotten with the others
     assert [scheme.verify(*case) for case in cases] == [fresh(*case) for case in cases]
