@@ -25,8 +25,7 @@ _HOME = {
     "best_response": "core", "bound_report": "bounds", "bp_equilibrium": "equilibrium",
     "budget_thresholds": "bounds", "cost_audit": "cost", "cost_no_audit": "cost",
     "excess_payments": "core",
-    "excess_payments_bound": "bounds", "fine_for_tolerance": "bounds",
-    "ftbp_preset": "casestudy", "misreport_prob_bound": "bounds",
+    "excess_payments_bound": "bounds", "ftbp_preset": "casestudy",
     "nonexistence_probe": "oracle", "signaling_equilibrium": "equilibrium",
     "surface_preset": "casestudy", "sweep_costs": "casestudy",
     "sweep_misreport_surface": "casestudy",

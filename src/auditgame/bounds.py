@@ -1,5 +1,5 @@
-"""Caps and thresholds: the misreporting and excess-payment caps, their
-inversion, and the budget thresholds that decide where they hold.
+"""Caps and thresholds: the misreporting and excess-payment caps and the
+budget thresholds that decide where they hold.
 
 Every equilibrium of the audit game keeps each off-diagonal strategy entry
 below a per-pair cap and keeps total excess payments below an aggregate
@@ -17,18 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import GameConfig, misreport_cap_ratio, raw_misreport_cap
-from .errors import InputError
-from .numeric import as_fraction
 from .record import Record
-
-
-def misreport_prob_bound(cfg: GameConfig, signal, truth) -> Fraction:
-    """Equilibrium cap on the probability that type `truth` signals `signal`."""
-    s, m = cfg.index(signal), cfg.index(truth)
-    if s == m:
-        raise InputError("the misreporting cap is defined for signal != truth")
-    return raw_misreport_cap(cfg.prior[s], cfg.prior[m], cfg.audit_cost, cfg.fine,
-                             cfg.alloc[s] - cfg.alloc[m])
 
 
 def excess_payments_bound(cfg: GameConfig) -> Fraction:
@@ -37,22 +26,6 @@ def excess_payments_bound(cfg: GameConfig) -> Fraction:
     if df == 0:
         return Fraction(0)
     return cfg.audit_cost * df / (cfg.fine + df)
-
-
-def fine_for_tolerance(cfg: GameConfig, max_excess) -> Fraction:
-    """Smallest fine keeping the aggregate excess cap at or below `max_excess`.
-
-    For tolerances at or above the audit cost the minimum legal fine
-    (equal to the cost) already suffices.
-    """
-    max_excess = as_fraction(max_excess)
-    if max_excess <= 0:
-        raise InputError("excess tolerance must be positive")
-    df = cfg.delta_f_max
-    c = cfg.audit_cost
-    if max_excess >= c or df == 0:
-        return c
-    return max(c, df * (c / max_excess - 1))
 
 
 def two_type_params(cfg: GameConfig) -> tuple:

@@ -10,7 +10,11 @@ coins, a valid signature and a challenge issued no more than
 place that drops expired challenges: an expired one is refused as
 `expired-challenge`, or as `unknown-challenge` once a later `begin_spend`
 has dropped it.  Each approved receipt is appended to the log as one
-record per line, and the log is replayed on load.  The log is the only
+record per line, and the log is replayed on load.  A line is the receipt's
+canonical JSON, `_canonical(receipt.to_dict())`: sorted keys, no spaces,
+ASCII only.  `load` parses each line with `json.loads`, so lines written
+in the older spaced form (`json.dumps(record, sort_keys=True)`) load as
+before, and a log may mix the two.  The log is the only
 copy of the receipts: a state keeps the coins they spend, never the
 receipts themselves.  A state mints no (recipient, coin id) it has minted
 or knows spent, from the log or from a spend it approved.
@@ -59,12 +63,11 @@ not re-checked against the users' keys or against each other; the holder
 of that key can already mint any coin.
 
 Session caches: a state does each signature operation once.  `Ed25519Scheme`
-keeps the private and public keys it has loaded, a raw receipt encodes its
-canonical JSON once, and a state remembers the payload and signature of
-each coin its `mint` signed.  Such a coin verifies exactly when the state's
-secret key matches `admin_pk`: a signature made with the matching key
-always verifies, and one made with another key verifies only if it is a
-forgery.  So once
+keeps the private and public keys it has loaded, and a state remembers the
+payload and signature of each coin its `mint` signed.  Such a coin
+verifies exactly when the state's secret key matches `admin_pk`: a
+signature made with the matching key always verifies, and one made with
+another key verifies only if it is a forgery.  So once
 one of them has verified, `verify_coin` passes a coin whose payload and
 signature are byte-for-byte those of a coin the state minted without asking
 the scheme again, and skips no check: any other coin, including an edited
@@ -81,6 +84,15 @@ Only a signature made through the same scheme object can be: a `load` on a
 new scheme object, as in every CLI call, has OpenSSL verify every record
 it reads, and so is every signature made by another scheme object or
 process, and every call whose arguments are not all `bytes`.
+
+A session also encodes each coin and receipt once.  A coin keeps its
+signed payload: the bytes `mint` signed, or one encoding of a coin read
+from a file or a log.  Every byte string that is signed or logged is
+joined from its parts' canonical bytes: a coin's canonical JSON from its
+payload, a raw receipt's from its coins', and the receipt payload and the
+log line from the raw receipt's.  Each is byte-for-byte the canonical JSON
+of what it encodes, so coins, receipts and checkpoints signed before
+still verify.
 
 Every SHA-256 the ledger takes (H) comes from `cryptography`, whose
 Ed25519 code links its own OpenSSL; `hashlib` would load the system's
@@ -232,8 +244,15 @@ class CoinMetadata(Record):
                    valid_to=d.get("valid_to", ""), issuer_note=d.get("issuer_note", ""))
 
 
+# One encoder for every call: `json.dumps` with arguments builds a new one
+# each time, and `encode` keeps no state between calls.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Compact JSON with sorted keys, ASCII only: the bytes that are signed
+    and logged."""
+    return _encode(obj).encode("utf-8")
 
 
 def _sha256():
@@ -270,6 +289,21 @@ class Coin(Record):
     @staticmethod
     def signed_payload(owner_pk: bytes, metadata: CoinMetadata) -> bytes:
         return _canonical({"owner_pk": owner_pk.hex(), "metadata": metadata.to_dict()})
+
+    def payload(self) -> bytes:
+        """`signed_payload` of this coin, encoded once per coin (or handed
+        over by `mint`, which signed it) and kept outside `_fields`, so
+        equality, hashing and `replace` ignore it."""
+        data = self.__dict__.get("_payload")
+        if data is None:
+            data = self.__dict__["_payload"] = Coin.signed_payload(self.owner_pk, self.metadata)
+        return data
+
+    def canonical_bytes(self) -> bytes:
+        """`_canonical(self.to_dict())`, built around the payload: the key
+        "issuer_sig" sorts before both of the payload's keys."""
+        return (b'{"issuer_sig":"' + self.issuer_sig.hex().encode("ascii") + b'",'
+                + self.payload()[1:])
 
     @property
     def key(self) -> tuple:
@@ -327,11 +361,16 @@ class RawReceipt(Record):
                    coins=tuple(Coin.from_dict(c) for c in d["coins"]))
 
     def canonical_bytes(self) -> bytes:
-        """The canonical JSON of `to_dict()`, encoded once per receipt and
-        kept outside `_fields`, so equality, hashing and `replace` ignore it."""
+        """`_canonical(self.to_dict())`, joined from its coins' canonical
+        bytes (the keys sort as coins < goods < price), built once per
+        receipt and kept outside `_fields`, so equality, hashing and
+        `replace` ignore it."""
         data = self.__dict__.get("_canonical_bytes")
         if data is None:
-            data = self.__dict__["_canonical_bytes"] = _canonical(self.to_dict())
+            data = self.__dict__["_canonical_bytes"] = (
+                b'{"coins":[' + b",".join(c.canonical_bytes() for c in self.coins)
+                + b'],"goods":' + _canonical(self.goods)
+                + b',"price":' + _canonical(self.price) + b"}")
         return data
 
 
@@ -353,6 +392,14 @@ class Receipt(Record):
     def to_dict(self) -> dict:
         return {**self.raw.to_dict(), "challenge": self.challenge.hex(),
                 "user_sig": self.user_sig.hex()}
+
+    def canonical_bytes(self) -> bytes:
+        """`_canonical(self.to_dict())`, the receipt's log line without its
+        newline, built around the raw receipt's canonical bytes: the keys
+        sort as challenge < coins < goods < price < user_sig."""
+        return (b'{"challenge":"' + self.challenge.hex().encode("ascii") + b'",'
+                + self.raw.canonical_bytes()[1:-1]
+                + b',"user_sig":"' + self.user_sig.hex().encode("ascii") + b'"}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "Receipt":
@@ -615,7 +662,9 @@ class LedgerState:
                 del self._minted[key]
             raise
         self._minted[key] = (payload, sig)
-        return Coin(owner_pk=recipient_pk, metadata=metadata, issuer_sig=sig)
+        coin = Coin(owner_pk=recipient_pk, metadata=metadata, issuer_sig=sig)
+        coin.__dict__["_payload"] = payload   # the bytes just signed, see `Coin.payload`
+        return coin
 
     def verify_coin(self, coin: Coin) -> bool:
         """True exactly when the administrator's signature on the coin
@@ -623,7 +672,7 @@ class LedgerState:
         coin this state minted passes unchecked once one such coin has
         verified under the same scheme and `admin_pk` (see the module
         docstring)."""
-        payload = Coin.signed_payload(coin.owner_pk, coin.metadata)
+        payload = coin.payload()
         own = self._minted.get(coin.key) == (payload, coin.issuer_sig)
         under = (self.scheme, self.admin_pk)
         if own and self._minted_verified_under == under:
@@ -693,7 +742,7 @@ class LedgerState:
             # All checks passed: append, then commit in memory.
             if self.log_path:
                 line = ((b"\n" if self._unterminated else b"")
-                        + json.dumps(receipt.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
+                        + receipt.canonical_bytes() + b"\n")
                 try:
                     with open(self.log_path, "ab") as fh:
                         fh.write(line)

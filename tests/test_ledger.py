@@ -5,11 +5,15 @@ import inspect
 import io
 import json
 import os
+import random
 import sys
+import tempfile
 import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auditgame import InputError
 from auditgame import ledger as lg
@@ -38,6 +42,12 @@ def _receipts(log):
     """The receipts in the log file, parsed here, not by the ledger's reader."""
     with open(log, "rb") as fh:
         return [lg.Receipt.from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
+def _encoded(record) -> str:
+    """The parsed log record `record` encoded as the ledger writes a log
+    line, without its newline."""
+    return lg._canonical(record).decode("ascii")
 
 
 def test_keygen_distinct_and_correct(scheme):
@@ -300,7 +310,7 @@ def test_log_replay_rejects_corruption(scheme, tmp_path, user):
     raw = lg.RawReceipt(goods="g", price=1, coins=(coin,))
     z = state.begin_spend(raw)
     assert state.finalize_spend(lg.sign_receipt(scheme, sk, raw, z)).approved
-    text = open(log).read().replace('"goods": "g"', '"goods": "forged"')
+    text = _encoded(dict(json.loads(open(log).read()), goods="forged")) + "\n"
     open(log, "w").write(text)
     with pytest.raises(InputError, match="re-verification"):
         lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
@@ -313,11 +323,16 @@ def _with_a_second_owner(line):
     return json.dumps(record, sort_keys=True)
 
 
+def _bad_hex(line):
+    record = json.loads(line)
+    return _encoded(dict(record, challenge="zz" + record["challenge"]))
+
+
 @pytest.mark.parametrize("damage, detail", [
     (lambda line: line[:len(line) // 2], "JSONDecodeError"),
     (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "price"}),
      "KeyError('price')"),
-    (lambda line: line.replace('"challenge": "', '"challenge": "zz'), "ValueError"),
+    (_bad_hex, "ValueError"),
     (lambda line: "[1, 2]", "TypeError"),
     (lambda line: line[:20] + "\udcff" + line[21:], "UnicodeDecodeError"),
     (_with_a_second_owner, "InputError('all coins in one receipt must share a single owner key')"),
@@ -483,7 +498,7 @@ def test_a_tampered_checkpointed_record_fails_as_without_a_checkpoint(ledger, fi
         record["user_sig"] = _flip_hex(record["user_sig"])
     else:
         record["coins"][0]["issuer_sig"] = _flip_hex(record["coins"][0]["issuer_sig"])
-    lines[1] = json.dumps(record, sort_keys=True)
+    lines[1] = _encoded(record)
     with open(log, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert _checkpoint(log)["bytes"] == len(open(log, "rb").read())
@@ -686,8 +701,10 @@ def test_a_checkpointed_ledger_parses_only_the_records_after_it(covered, tmp_pat
 def test_a_failing_load_writes_no_checkpoint(ledger):
     state, log = ledger
     text = open(log).read()
+    lines = text.splitlines()
     with open(log, "w") as fh:
-        fh.write(text.replace('"goods": "g2"', '"goods": "forged"'))
+        fh.write("\n".join(lines[:2] + [_encoded(dict(json.loads(lines[2]), goods="forged"))])
+                 + "\n")
     _load_error(state, log)
     assert not os.path.exists(log + ".checkpoint")
     with open(log, "w") as fh:
@@ -823,7 +840,10 @@ def _ends(data):
 
 def _float_prices(data):
     # record 2 lies inside N, record 5 after it
-    data = data.replace(b'"price": 1,', b'"price": 1.0,').replace(b'"price": 4,', b'"price": 4.0,')
+    lines = data.split(b"\n")
+    for i in (1, 4):
+        lines[i] = _encoded(dict(json.loads(lines[i]), price=float(i))).encode()
+    data = b"\n".join(lines)
     return data, _ends(data)[2]
 
 
@@ -1239,6 +1259,41 @@ def test_a_receipt_payload_is_the_canonical_json_of_its_parts(state, user, goods
     assert cheaper.canonical_bytes() == lg._canonical(cheaper.to_dict())
 
 
+# Characters that JSON escapes, that `ensure_ascii` writes as \u escapes
+# (surrogate pairs above the BMP, lone surrogates), or that pass unchanged.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x01\x1f\x7f é☃\U0001f600\ud800\udfff'),
+                          st.characters()), max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(coins=st.lists(st.tuples(st.integers(-2**70, 2**70), _TEXT, _TEXT), min_size=1,
+                      max_size=3, unique_by=lambda coin: coin[0]),
+       goods=st.one_of(_TEXT, st.integers(-2**70, 2**70), st.none()),
+       price=st.integers(0, 2**70))
+def test_every_signed_or_logged_encoding_is_the_canonical_json_of_its_dict(coins, goods, price):
+    # a coin, a raw receipt and a log line are each built from their parts'
+    # canonical bytes; each must be what encoding the whole `to_dict` gives
+    scheme = DeterministicScheme(seed=5)
+    sk, pk = lg.keygen(scheme)
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "log.jsonl")
+        state = lg.LedgerState.create(scheme, log_path=log, rng=random.Random(0))
+        minted = tuple(state.mint(pk, lg.CoinMetadata(coin_id=coin_id, valid_to=valid_to,
+                                                      issuer_note=note))
+                       for coin_id, valid_to, note in coins)
+        raw = lg.RawReceipt(goods=goods, price=price, coins=minted)
+        receipt = lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw))
+        assert state.finalize_spend(receipt).approved
+        with open(log, "rb") as fh:
+            line = fh.read()
+    for coin in minted:
+        assert coin.canonical_bytes() == lg._canonical(coin.to_dict())
+        assert lg.Coin.from_dict(coin.to_dict()).canonical_bytes() == coin.canonical_bytes()
+    assert raw.canonical_bytes() == lg._canonical(raw.to_dict())
+    assert line == lg._canonical(receipt.to_dict()) + b"\n"
+    assert lg.Receipt.from_dict(json.loads(line)) == receipt
+
+
 def _spend(state, signer_sk, coin):
     raw = lg.RawReceipt(goods="g", price=1, coins=(coin,))
     receipt = lg.sign_receipt(state.scheme, signer_sk, raw, state.begin_spend(raw))
@@ -1317,6 +1372,60 @@ def test_a_cli_spend_verifies_its_own_receipt_from_memory(tmp_path, openssl_veri
     # the receipt, signed through the call's own scheme, is answered from memory
     assert [m.startswith(lg.CHECKPOINT_TAG) for m in openssl_verified] == [True, False]
     assert capsys.readouterr().out.endswith("approved\n")
+
+
+def test_a_log_in_the_old_spaced_form_still_loads(tmp_path, capsys):
+    # logs written before the records were compact have a space after each
+    # ":" and ","; every ledger call still reads them, and appends compact lines
+    from auditgame.cli import main
+    led, alice = str(tmp_path / "led"), str(tmp_path / "alice.key")
+    log = os.path.join(led, "log.jsonl")
+
+    def spend(i):
+        assert main(["ledger", "spend", "--dir", led, "--coin", str(tmp_path / f"c{i}.json"),
+                     "--signer-key", alice, "--goods", f"g{i}"]) == 0
+        assert capsys.readouterr() == ("approved\n", "")
+
+    def audit_log():
+        code = main(["ledger", "audit-log", "--dir", led])
+        return (code,) + capsys.readouterr()
+
+    def rewrite(lines):
+        with open(log, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    assert main(["ledger", "keygen", "--out", alice]) == 0
+    for i in range(1, 5):
+        assert main(["ledger", "mint", "--dir", led, "--recipient-key", alice,
+                     "--coin-id", str(i), "--out", str(tmp_path / f"c{i}.json")]) == 0
+    capsys.readouterr()
+    for i in range(1, 4):
+        spend(i)
+    compact = open(log).read().splitlines()
+    assert all(line == _encoded(json.loads(line)) for line in compact)
+    listing = audit_log()
+    assert listing[0] == 0 and listing[1].endswith("total: 3\n")
+    spaced = [json.dumps(json.loads(line), sort_keys=True) for line in compact]
+    assert all(len(old) > len(new) for old, new in zip(spaced, compact))
+    rewrite(spaced)
+    os.remove(log + ".checkpoint")
+    assert audit_log() == listing   # every record verified, then a checkpoint signed
+    assert audit_log() == listing   # from that checkpoint over the spaced lines
+    spend(4)
+    lines = open(log).read().splitlines()
+    assert lines[:3] == spaced and lines[3] == _encoded(json.loads(lines[3]))
+    listing = audit_log()
+    assert listing[0] == 0 and listing[1].endswith("total: 4\n")
+    os.remove(log + ".checkpoint")
+    assert audit_log() == listing
+    # a tampered spaced line is refused, inside the checkpoint and without it
+    assert os.path.exists(log + ".checkpoint")
+    lines[1] = lines[1].replace('"goods": "g2"', '"goods": "G2"')   # same length
+    rewrite(lines)
+    refused = audit_log()
+    assert refused == (1, "", "input error: log line 2 fails re-verification: bad-signature\n")
+    os.remove(log + ".checkpoint")
+    assert audit_log() == refused
 
 
 def test_a_session_whose_secret_key_does_not_match_rejects_its_coins(scheme, tmp_path, user):

@@ -15,7 +15,7 @@ from auditgame.core import integer_game
 
 import reference_lp
 from reference_lp import EQUAL, LESS_EQUAL, OPTIMAL, LinearProgram, build_bp_lp
-from conftest import with_budget, without_zero_prior_types
+from conftest import misreport_prob_bound, with_budget, without_zero_prior_types
 from reference_oracle import GridSpec, grid_best_strategy
 
 
@@ -251,7 +251,7 @@ def test_bp_equilibrium_invariants_random():
         for m, ml in enumerate(cfg.types):
             for s, sl in enumerate(cfg.types):
                 if s != m:
-                    assert pi.rows[m][s] <= ag.misreport_prob_bound(cfg, sl, ml)
+                    assert pi.rows[m][s] <= misreport_prob_bound(cfg, sl, ml)
         assert eq.excess <= ag.excess_payments_bound(cfg)
 
 
