@@ -133,13 +133,10 @@ def bound_report(cfg: GameConfig, strategy=None) -> BoundReport:
         for s, s_label in enumerate(cfg.types):
             if s == m:
                 continue
-            # The cap of `raw_misreport_cap`, from the ratio that also says
-            # whether it is vacuous.
-            num, den = misreport_cap_ratio(cfg.prior[s], cfg.prior[m], cfg.audit_cost, cfg.fine,
-                                           cfg.alloc[s] - cfg.alloc[m])
-            cap = min(Fraction(1), num / den) if den > 0 else Fraction(1)
-            caps[(s_label, m_label)] = cap
-            if den <= 0:
+            args = (cfg.prior[s], cfg.prior[m], cfg.audit_cost, cfg.fine,
+                    cfg.alloc[s] - cfg.alloc[m])
+            cap = caps[(s_label, m_label)] = raw_misreport_cap(*args)
+            if misreport_cap_ratio(*args)[1] <= 0:
                 vacuous.append((s_label, m_label))
             if strategy is not None and strategy.rows[m][s] == cap:
                 binding.append((s_label, m_label))

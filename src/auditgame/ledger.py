@@ -33,13 +33,16 @@ S verifies under the administrator's public key; otherwise it verifies
 every record.  A record counts as inside the prefix only when its line,
 newline included, is.  With a checkpoint, the spent set starts as M and
 only the records after the prefix are parsed, verified and checked for
-double-spends against it.  `load` reads the log once, line by line, each
-line feeding the running SHA-256, so it holds one line and the reader's
-buffer at a time, never the whole file: the prefix is hashed and its lines
-counted, not kept or parsed.  A listing load (`ledger audit-log`) turns
-each record, inside the prefix or after it, into its `audit_line` from the
-one JSON parse of its line in that same pass.  The file is only a cache:
-deleting it costs one full verification.
+double-spends against it.  `load` reads the log line by line, each line
+feeding the running SHA-256, so it holds one line and the reader's buffer
+at a time, never the whole file: the prefix is hashed and its lines
+counted, not kept or parsed.  It reads the log once when there is no
+checkpoint or the checkpoint holds; when it does not hold, `load` reads the
+log a second time from its first byte and verifies every record.  A
+listing load (`ledger audit-log`) turns each record, inside the prefix or
+after it, into its `audit_line` from the one JSON parse of its line in the
+pass that keeps it.  The file is only a cache: deleting it costs one full
+verification.
 
 Two writers sign checkpoints.  After a load in which every record passed,
 `load` signs one for the newline-terminated part of the log, if that part
@@ -62,28 +65,21 @@ coins inside a checkpoint are trusted on the administrator's signature,
 not re-checked against the users' keys or against each other; the holder
 of that key can already mint any coin.
 
-Session caches: a state does each signature operation once.  `Ed25519Scheme`
-keeps the private and public keys it has loaded, and a state remembers the
-payload and signature of each coin its `mint` signed.  Such a coin
-verifies exactly when the state's secret key matches `admin_pk`: a
-signature made with the matching key always verifies, and one made with
-another key verifies only if it is a forgery.  So once
-one of them has verified, `verify_coin` passes a coin whose payload and
-signature are byte-for-byte those of a coin the state minted without asking
-the scheme again, and skips no check: any other coin, including an edited
-copy of a minted one, and every coin of a state whose secret key does not
-match `admin_pk`, is verified in full.  `Ed25519Scheme` also answers
-`verify` for the last message each key signed through it, with that
-signature, without asking OpenSSL: Ed25519 signing is deterministic and a
-signature verifies under the public key of the private key that made it
-(RFC 8032), and that public key is derived from the secret key, never
-taken from a caller, so a state whose `admin_pk` does not match its secret
-key still gets OpenSSL's False.  A receipt that a user signs through the
-state's scheme just before `finalize_spend` is thus verified from memory.
-Only a signature made through the same scheme object can be: a `load` on a
-new scheme object, as in every CLI call, has OpenSSL verify every record
-it reads, and so is every signature made by another scheme object or
-process, and every call whose arguments are not all `bytes`.
+Session caches: `Ed25519Scheme` keeps the private and public keys it has
+loaded, and answers `verify` for the last message each key signed through
+it, with that signature, without asking OpenSSL: Ed25519 signing is
+deterministic and a signature verifies under the public key of the private
+key that made it (RFC 8032), and that public key is derived from the
+secret key, never taken from a caller, so a state whose `admin_pk` does not
+match its secret key still gets OpenSSL's False.  A coin that `mint` signs
+just before the spend that checks it, and a receipt that a user signs
+through the state's scheme just before `finalize_spend`, are thus verified
+from memory.  Only each key's last signature through the same scheme
+object can be: a coin minted before the administrator's key signed again
+(a later coin or a checkpoint), every record that a `load` on a new scheme
+object reads, as in every CLI call, and every signature made by another
+scheme object or process go to OpenSSL, as does every call whose arguments
+are not all `bytes`.
 
 A session also encodes each coin and receipt once.  A coin keeps its
 signed payload: the bytes `mint` signed, or one encoding of a coin read
@@ -228,6 +224,8 @@ class CoinMetadata(Record):
 
     def __init__(self, coin_id: int, valid_from: str = "", valid_to: str = "",
                  issuer_note: str = ""):
+        if type(coin_id) is not int:
+            raise InputError("a coin id must be an integer")
         self._set(coin_id, valid_from, valid_to, issuer_note)
 
     def to_dict(self) -> dict:
@@ -340,6 +338,8 @@ class RawReceipt(Record):
             raise InputError("all coins in one receipt must share a single owner key")
         if len({c.key for c in coins}) != len(coins):
             raise InputError("a receipt lists each coin at most once")
+        if type(price) is not int:
+            raise InputError("a price must be an integer")
         if price < 0:
             raise InputError("price cannot be negative")
         self._set(goods, price, coins)
@@ -461,11 +461,8 @@ class LedgerState:
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
         self._spent: set = set()
-        # Coin key -> (signed payload, signature) of each coin `mint` signed
-        # (None while it signs), and the (scheme, admin_pk) under which one
-        # of them has verified.
-        self._minted: dict = {}
-        self._minted_verified_under = None
+        # The key of each coin `mint` signed or is signing.
+        self._minted: set = set()
         # (raw receipt's canonical bytes, challenge) -> deadline, in issue
         # order.  An OrderedDict drops its oldest entry in O(1); a dict's
         # first entry is found past every hole that deletions left.
@@ -488,7 +485,8 @@ class LedgerState:
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
              log_path, listing: Optional[list] = None, **kwargs) -> "LedgerState":
-        """Rebuild the spent set from the log, read once, line by line.
+        """Rebuild the spent set from the log, read line by line: once, or
+        twice when its checkpoint does not hold.
 
         With a valid checkpoint the spent set starts as the one it signs, and
         only the records after its prefix are parsed, re-verified and checked
@@ -653,34 +651,22 @@ class LedgerState:
                 raise InputError(
                     f"coin id {metadata.coin_id} was already issued to this recipient"
                 )
-            self._minted[key] = None
+            self._minted.add(key)
         payload = Coin.signed_payload(recipient_pk, metadata)
         try:
             sig = self.scheme.sign(self._admin_sk, payload)
         except BaseException:
             with self._lock:
-                del self._minted[key]
+                self._minted.discard(key)
             raise
-        self._minted[key] = (payload, sig)
         coin = Coin(owner_pk=recipient_pk, metadata=metadata, issuer_sig=sig)
         coin.__dict__["_payload"] = payload   # the bytes just signed, see `Coin.payload`
         return coin
 
     def verify_coin(self, coin: Coin) -> bool:
         """True exactly when the administrator's signature on the coin
-        verifies.  A coin whose signed payload and signature are those of a
-        coin this state minted passes unchecked once one such coin has
-        verified under the same scheme and `admin_pk` (see the module
-        docstring)."""
-        payload = coin.payload()
-        own = self._minted.get(coin.key) == (payload, coin.issuer_sig)
-        under = (self.scheme, self.admin_pk)
-        if own and self._minted_verified_under == under:
-            return True
-        valid = self.scheme.verify(self.admin_pk, payload, coin.issuer_sig)
-        if own and valid:
-            self._minted_verified_under = under
-        return valid
+        verifies."""
+        return self.scheme.verify(self.admin_pk, coin.payload(), coin.issuer_sig)
 
     # -- two-phase spending ---------------------------------------------
 
