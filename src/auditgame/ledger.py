@@ -65,9 +65,9 @@ coins inside a checkpoint are trusted on the administrator's signature,
 not re-checked against the users' keys or against each other; the holder
 of that key can already mint any coin.
 
-Session caches: `Ed25519Scheme` keeps the private and public keys it has
-loaded, and answers `verify` for the last message each key signed through
-it, with that signature, without asking OpenSSL: Ed25519 signing is
+Session caches: `Ed25519Scheme` keeps the private keys it has loaded,
+and answers `verify` for the last message each key signed through it,
+with that signature, without asking OpenSSL: Ed25519 signing is
 deterministic and a signature verifies under the public key of the private
 key that made it (RFC 8032), and that public key is derived from the
 secret key, never taken from a caller, so a state whose `admin_pk` does not
@@ -136,10 +136,11 @@ class SignatureScheme(ABC):
 class Ed25519Scheme(SignatureScheme):
     """Production scheme backed by Ed25519 (128-bit security level).
 
-    Loading a key costs about as much as a signature, so each instance
-    keeps the private keys it has loaded, by their secret bytes, each with
-    its public bytes, derived once by `cryptography`, and the public keys,
-    by their public bytes.  A key that fails to load is not kept.
+    Loading a private key costs about as much as a signature, so each
+    instance keeps the private keys it has loaded, by their secret bytes,
+    each with its public bytes, derived once by `cryptography`.  A key that
+    fails to load is not kept.  A public key is loaded afresh for each
+    OpenSSL verify, at about 1 % of the verify's cost.
 
     Each instance also remembers, under each signing key's public bytes,
     the last `bytes` message that key signed here and its signature, and
@@ -154,7 +155,7 @@ class Ed25519Scheme(SignatureScheme):
     new scheme object reads from a log), and arguments that are not
     `bytes`.  A `sign` that raises records nothing.
 
-    Each of the three maps forgets all its entries once it holds
+    Each of the two maps forgets all its entries once it holds
     `KEY_CACHE` keys; a race between threads can only lose a pair, which
     then costs one OpenSSL call.
     """
@@ -165,7 +166,6 @@ class Ed25519Scheme(SignatureScheme):
         from cryptography.hazmat.primitives.asymmetric import ed25519
         self._ed25519 = ed25519
         self._keys: dict = {}     # secret bytes -> (private key, public bytes)
-        self._public: dict = {}   # public bytes -> public key
         self._signed: dict = {}   # public bytes -> (last message, its signature)
 
     def gen(self) -> tuple:
@@ -177,20 +177,13 @@ class Ed25519Scheme(SignatureScheme):
             cache.clear()
         cache[raw] = value
 
-    def _key(self, cache: dict, raw: bytes, load):
-        """`load(raw)`, kept in `cache`; a key it cannot load raises ValueError."""
-        key = cache.get(raw)
-        if key is None:
-            key = load(raw)
-            self._keep(cache, raw, key)
-        return key
-
-    def _load_private(self, sk: bytes) -> tuple:
-        private = self._ed25519.Ed25519PrivateKey.from_private_bytes(sk)
-        return private, private.public_key().public_bytes_raw()
-
     def sign(self, sk: bytes, message: bytes) -> bytes:
-        private, pk = self._key(self._keys, sk, self._load_private)
+        kept = self._keys.get(sk)
+        if kept is None:   # a key that cannot load raises ValueError and is not kept
+            private = self._ed25519.Ed25519PrivateKey.from_private_bytes(sk)
+            kept = private, private.public_key().public_bytes_raw()
+            self._keep(self._keys, sk, kept)
+        private, pk = kept
         signature = private.sign(message)
         if type(message) is bytes:
             self._keep(self._signed, pk, (message, signature))
@@ -201,8 +194,7 @@ class Ed25519Scheme(SignatureScheme):
                 and self._signed.get(pk) == (message, signature)):
             return True
         try:
-            self._key(self._public, pk,
-                      self._ed25519.Ed25519PublicKey.from_public_bytes).verify(signature, message)
+            self._ed25519.Ed25519PublicKey.from_public_bytes(pk).verify(signature, message)
             return True
         except Exception:
             return False
@@ -560,7 +552,7 @@ class LedgerState:
                 receipt = None if inside else Receipt.from_dict(record)
                 if listing is not None:
                     listing.append(audit_line(len(listing), record))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 if inside:   # it vouches only for receipt records, so one that is not voids it
                     return False
                 raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None

@@ -587,6 +587,39 @@ def test_audit_log_rejects_a_tampered_record(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_a_coin_id_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which no int holds
+    alice = _small_ledger(tmp_path, capsys, coins=2)
+    coin = tmp_path / "inf.json"
+    text = (tmp_path / "coin2.json").read_text()
+    assert '"coin_id": 2,' in text
+    coin.write_text(text.replace('"coin_id": 2,', '"coin_id": 1e400,'))
+    code, out, err = run(["ledger", "spend", "--dir", str(tmp_path / "led"), "--coin", str(coin),
+                          "--signer-key", alice], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"input error: coin file {str(coin)!r} does not hold a coin: "
+                          "OverflowError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["audit-log", "spend"])
+def test_a_logged_price_beyond_the_float_range_is_an_input_error(command, tmp_path, capsys):
+    alice = _small_ledger(tmp_path, capsys, coins=2)
+    led = tmp_path / "led"
+    assert (led / "log.jsonl.checkpoint").exists()
+    log = led / "log.jsonl"
+    line = log.read_text().splitlines()[0]
+    assert '"price":1,' in line
+    with open(log, "a") as fh:   # a line after the checkpoint's prefix
+        fh.write(line.replace('"price":1,', '"price":1e400,') + "\n")
+    args = {"audit-log": [],
+            "spend": ["--coin", str(tmp_path / "coin2.json"), "--signer-key", alice]}[command]
+    code, out, err = run(["ledger", command, "--dir", str(led)] + args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: log line 2 is not a receipt record: OverflowError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_audit_log_lists_a_checkpointed_prefix_as_a_full_verify_does(tmp_path, capsys):
     from auditgame import ledger as lg
     scheme = lg.Ed25519Scheme()
