@@ -12,7 +12,12 @@ place that drops expired challenges: an expired one is refused as
 has dropped it.  Each approved receipt is appended to the log as one
 record per line, and the log is replayed on load.  A line is the receipt's
 canonical JSON, `_canonical(receipt.to_dict())`: sorted keys, no spaces,
-ASCII only.  `load` parses each line with `json.loads`, so lines written
+ASCII only.  An append opens the log by path with `O_APPEND`, writes the
+whole record to its end with `os.write` (again for whatever a short write
+left), and closes it: no buffered file object, and no fsync.  A last
+line without its newline that is no receipt record is refused with a
+message that says the line has no newline, which is what an append cut
+short leaves.  `load` parses each line with `json.loads`, so lines written
 in the older spaced form (`json.dumps(record, sort_keys=True)`) load as
 before, and a log may mix the two.  The log is the only
 copy of the receipts: a state keeps the coins they spend, never the
@@ -83,12 +88,13 @@ are not all `bytes`.
 
 A session also encodes each coin and receipt once.  A coin keeps its
 signed payload: the bytes `mint` signed, or one encoding of a coin read
-from a file or a log.  Every byte string that is signed or logged is
-joined from its parts' canonical bytes: a coin's canonical JSON from its
-payload, a raw receipt's from its coins', and the receipt payload and the
-log line from the raw receipt's.  Each is byte-for-byte the canonical JSON
-of what it encodes, so coins, receipts and checkpoints signed before
-still verify.
+from a file or a log; and its `key`, (owner hex, coin id).  Every byte
+string that is signed or logged is joined from its parts' canonical
+bytes: a coin's payload from its metadata's fields and owner, its
+canonical JSON from its payload, a raw receipt's from its coins', its
+goods and its price, and the receipt payload and the log line from the
+raw receipt's.  Each is byte-for-byte the canonical JSON of what it
+encodes, so coins, receipts and checkpoints signed before still verify.
 
 Every SHA-256 the ledger takes (H) comes from `cryptography`, whose
 Ed25519 code links its own OpenSSL; `hashlib` would load the system's
@@ -257,6 +263,10 @@ def _sha256():
 # checkpoint, which signed no spent coins, fails to verify under it.
 CHECKPOINT_TAG = b"auditgame log checkpoint v2\n"
 
+# Ends the message for a last line that has no newline and is no receipt
+# record: what an append cut short leaves.
+TORN_LINE = "; the line has no newline, as an append cut short leaves it"
+
 
 def _checkpoint_message(n_bytes: int, sha256: str, spent: dict) -> bytes:
     return CHECKPOINT_TAG + _canonical({"bytes": n_bytes, "sha256": sha256, "spent": spent})
@@ -275,10 +285,21 @@ class Coin(Record):
 
     def __init__(self, owner_pk: bytes, metadata: CoinMetadata, issuer_sig: bytes):
         self._set(owner_pk, metadata, issuer_sig)
+        # The ledger identity of the coin, unique per (owner, coin_id), kept
+        # outside `_fields` like the payload: a spend reads it three times.
+        self.__dict__["key"] = (owner_pk.hex(), metadata.coin_id)
 
     @staticmethod
     def signed_payload(owner_pk: bytes, metadata: CoinMetadata) -> bytes:
-        return _canonical({"owner_pk": owner_pk.hex(), "metadata": metadata.to_dict()})
+        """`_canonical({"owner_pk": owner_pk.hex(), "metadata": metadata.to_dict()})`,
+        joined from its parts: the keys sort as metadata < owner_pk and
+        coin_id < issuer_note < valid_from < valid_to, and a coin id is an
+        `int`."""
+        return (b'{"metadata":{"coin_id":%d,"issuer_note":%b,"valid_from":%b,"valid_to":%b},'
+                b'"owner_pk":"%b"}' % (metadata.coin_id, _canonical(metadata.issuer_note),
+                                       _canonical(metadata.valid_from),
+                                       _canonical(metadata.valid_to),
+                                       owner_pk.hex().encode("ascii")))
 
     def payload(self) -> bytes:
         """`signed_payload` of this coin, encoded once per coin (or handed
@@ -294,11 +315,6 @@ class Coin(Record):
         "issuer_sig" sorts before both of the payload's keys."""
         return (b'{"issuer_sig":"' + self.issuer_sig.hex().encode("ascii") + b'",'
                 + self.payload()[1:])
-
-    @property
-    def key(self) -> tuple:
-        """Ledger identity of the coin: unique per (owner, coin_id)."""
-        return (self.owner_pk.hex(), self.metadata.coin_id)
 
     def to_dict(self) -> dict:
         return {
@@ -354,15 +370,15 @@ class RawReceipt(Record):
 
     def canonical_bytes(self) -> bytes:
         """`_canonical(self.to_dict())`, joined from its coins' canonical
-        bytes (the keys sort as coins < goods < price), built once per
-        receipt and kept outside `_fields`, so equality, hashing and
-        `replace` ignore it."""
+        bytes (the keys sort as coins < goods < price, and a price is an
+        `int`), built once per receipt and kept outside `_fields`, so
+        equality, hashing and `replace` ignore it."""
         data = self.__dict__.get("_canonical_bytes")
         if data is None:
             data = self.__dict__["_canonical_bytes"] = (
                 b'{"coins":[' + b",".join(c.canonical_bytes() for c in self.coins)
                 + b'],"goods":' + _canonical(self.goods)
-                + b',"price":' + _canonical(self.price) + b"}")
+                + b',"price":%d}' % self.price)
         return data
 
 
@@ -426,6 +442,10 @@ class SpendOutcome(Record):
 
     def __bool__(self):
         return self.approved
+
+
+# Every approval returns this one outcome; a record cannot be assigned to.
+_APPROVED = SpendOutcome(True)
 
 
 # -- the ledger ----------------------------------------------------------
@@ -555,7 +575,8 @@ class LedgerState:
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 if inside:   # it vouches only for receipt records, so one that is not voids it
                     return False
-                raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None
+                raise InputError(f"log line {lineno} is not a receipt record: {exc!r}"
+                                 + ("" if complete else TORN_LINE)) from None
             if receipt is None:
                 continue
             problem = self._receipt_integrity_problem(receipt)
@@ -722,8 +743,7 @@ class LedgerState:
                 line = ((b"\n" if self._unterminated else b"")
                         + receipt.canonical_bytes() + b"\n")
                 try:
-                    with open(self.log_path, "ab") as fh:
-                        fh.write(line)
+                    _append(self.log_path, line)
                 except OSError as exc:
                     raise InputError(f"cannot append to ledger log {self.log_path!r}: "
                                      f"{exc.strerror or exc}") from None
@@ -739,4 +759,17 @@ class LedgerState:
                 self._checkpointed = self._log_bytes
                 self._save_checkpoint(self._log_bytes, self._log_sha.copy().finalize().hex(),
                                       self._spent)
-        return SpendOutcome(True)
+        return _APPROVED
+
+
+def _append(path, data: bytes) -> None:
+    """Write all of `data` at the end of the file at `path`, created if
+    missing: opened by path for this one record, with no buffered file
+    object, and closed again."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)

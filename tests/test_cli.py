@@ -899,8 +899,10 @@ def test_ledger_calls_print_the_same_with_or_without_a_checkpoint(damage, tmp_pa
     failure = {
         "tampered-prefix": "input error: log line 1 fails re-verification: bad-signature\n",
         "tampered-tail": "input error: log line 3 fails re-verification: bad-signature\n",
-        "torn-tail": "input error: log line 2 is not a receipt record: JSONDecodeError",
+        "torn-tail": "input error: log line 2 is not a receipt record: JSONDecodeError(",
     }.get(damage)
+    # only the torn tail's message says that its line has no newline
+    torn = "; the line has no newline, as an append cut short leaves it\n"
     for call, status in zip(calls, (1, 1, 1, 1) if failure else (0, 0, 1, 0)):
         results = []
         for name, keep in (("with", True), ("without", False)):
@@ -922,3 +924,4 @@ def test_ledger_calls_print_the_same_with_or_without_a_checkpoint(damage, tmp_pa
         assert code == status, call
         if failure:
             assert out == "" and err.startswith(failure) and err.count("\n") == 1
+            assert err.endswith(torn) == (damage == "torn-tail")

@@ -1,5 +1,6 @@
 """Currency ledger: minting, two-phase spending, persistence, concurrency."""
 
+import errno
 import hashlib
 import inspect
 import io
@@ -363,6 +364,29 @@ def test_log_replay_rejects_malformed_records(scheme, tmp_path, user, damage, de
     with pytest.raises(InputError, match="log line 2 is not a receipt record: ") as info:
         lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log)
     assert detail in str(info.value)
+
+
+@pytest.mark.parametrize("damage", [lambda line: line[:len(line) // 2],
+                                    lambda line: json.dumps({k: v for k, v in
+                                                             json.loads(line).items()
+                                                             if k != "price"})],
+                         ids=["cut", "no-price"])
+def test_only_an_unterminated_last_line_is_called_torn(scheme, tmp_path, user, damage):
+    # the same bad line, with and without its newline: only the one without
+    # says so, after the message a complete line gets
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, user, range(2))
+    os.remove(log + ".checkpoint")
+    lines = open(log).read().splitlines()
+    messages = []
+    for end in ("\n", ""):
+        open(log, "w").write(lines[0] + "\n" + damage(lines[1]) + end)
+        messages.append(_load_error(state, log))
+    complete, torn = messages
+    assert complete.startswith("log line 2 is not a receipt record: ")
+    assert torn == complete + lg.TORN_LINE
+    assert "has no newline" in lg.TORN_LINE
 
 
 def test_concurrent_spends_single_approval(state, user):
@@ -1160,7 +1184,7 @@ def test_a_checkpoint_hashed_with_hashlib_is_honoured(ledger, verified):
     assert loaded._spent == spent and len(spent) == 3
 
 
-def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
+def test_a_failed_append_commits_nothing(scheme, tmp_path, user, monkeypatch):
     sk, pk = user
     state = lg.LedgerState.create(scheme, log_path=str(tmp_path / "missing" / "log.jsonl"))
     coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
@@ -1172,11 +1196,51 @@ def test_a_failed_append_commits_nothing(scheme, tmp_path, user):
         state.finalize_spend(receipt)
     assert not state._spent
     assert list(state._pending) == [(raw.canonical_bytes(), challenge)]
-    # once the log can be written, the same receipt is approved
+    # a full disk: the log opens, but no byte can be written
     state.log_path = str(tmp_path / "log.jsonl")
+    write = lg.os.write
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(lg.os, "write", full)
+    with pytest.raises(InputError, match="^cannot append to ledger log .*log.jsonl.*: "
+                                         "No space left on device$"):
+        state.finalize_spend(receipt)
+    assert not state._spent
+    assert list(state._pending) == [(raw.canonical_bytes(), challenge)]
+    # once the log can be written, the same receipt is approved
+    monkeypatch.setattr(lg.os, "write", write)
     assert state.finalize_spend(receipt).approved
     assert state._spent == {coin.key}
     assert len(_load(state, state.log_path)._spent) == 1
+    assert _receipts(state.log_path) == [receipt]
+
+
+def test_an_append_of_short_writes_is_one_whole_line(scheme, tmp_path, user, monkeypatch):
+    # a write that takes at most 7 bytes at a time still appends the whole record
+    sk, pk = user
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log)
+    _spend_new_coins(state, user, [0])
+    before = open(log, "rb").read()
+    write, sizes = lg.os.write, []
+
+    def short(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(lg.os, "write", short)
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
+    raw = lg.RawReceipt(goods="a longer line than seven bytes", price=3, coins=(coin,))
+    receipt = lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw))
+    assert state.finalize_spend(receipt).approved
+    monkeypatch.setattr(lg.os, "write", write)
+    line = lg._canonical(receipt.to_dict()) + b"\n"
+    assert open(log, "rb").read() == before + line
+    assert len(sizes) == -(-len(line) // 7) and sum(sizes) == len(line)
+    os.remove(log + ".checkpoint")
+    assert _load(state, log)._spent == state._spent and len(state._spent) == 2
 
 
 # -- session caches -----------------------------------------------------------
@@ -1309,6 +1373,75 @@ def test_every_signed_or_logged_encoding_is_the_canonical_json_of_its_dict(coins
     assert raw.canonical_bytes() == lg._canonical(raw.to_dict())
     assert line == lg._canonical(receipt.to_dict()) + b"\n"
     assert lg.Receipt.from_dict(json.loads(line)) == receipt
+
+
+def _seeded_session(log):
+    """A library session run as the benchmark's ledger set-up runs one: keys
+    from a seeded generator, seeded challenges and one Ed25519 scheme
+    object.  It mints 44 coins, with metadata and goods that JSON escapes,
+    and spends 42 of them in 41 receipts; returns their outcomes."""
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    def public(sk):
+        return ed25519.Ed25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
+
+    rng = random.Random("ledger bytes")
+    admin_sk = rng.randbytes(32)
+    user_sks = [rng.randbytes(32) for _ in range(4)]
+    scheme = lg.Ed25519Scheme()
+    state = lg.LedgerState.load(scheme, admin_sk, public(admin_sk), log,
+                                rng=random.Random("ledger bytes: challenges"))
+    coins, outcomes = [], []
+    for j in range(44):
+        owner = (j // 2) % 4
+        note = ("", "caf\u00e9 \"\\\n\x01 \u2603", "\U0001f600 \ud800")[j % 3]
+        coins.append(state.mint(public(user_sks[owner]),
+                                lg.CoinMetadata(coin_id=j, valid_from=f"2024-{j % 12 + 1:02d}-01",
+                                                valid_to="2025-01-01" if j % 2 else "",
+                                                issuer_note=note)))
+        if j < 40 or j == 41:
+            raw = lg.RawReceipt(goods=f"item-{j} {note}", price=rng.randint(0, 2**j),
+                                coins=tuple(coins[40:]) if j == 41 else (coins[j],))
+            receipt = lg.sign_receipt(scheme, user_sks[owner], raw, state.begin_spend(raw))
+            outcomes.append(state.finalize_spend(receipt))
+    return outcomes
+
+
+# The SHA-256 of the log (24,035 bytes) and of the checkpoint (603 bytes)
+# that `_seeded_session` leaves.
+LOG_SHA256 = "82a6c1192f3b33569b45e5e21ca7547be8085fa787f1e94bfb830d0fa18f6828"
+CHECKPOINT_SHA256 = "c779b62ed198f46078c84f85970f8393ca95a44541c7ff4948b84c55be8f1aab"
+
+
+def test_a_seeded_session_writes_the_pinned_bytes(tmp_path):
+    # the bytes that a seeded session logs and checkpoints, pinned from the
+    # code that encoded every coin and receipt with `_canonical` and
+    # appended through a buffered file object
+    log = str(tmp_path / "log.jsonl")
+    outcomes = _seeded_session(log)
+    digests = [hashlib.sha256(open(path, "rb").read()).hexdigest()
+               for path in (log, log + ".checkpoint")]
+    assert digests == [LOG_SHA256, CHECKPOINT_SHA256]
+    # every approval is one shared outcome, which cannot be changed
+    assert len(outcomes) == 41 and all(o is outcomes[0] for o in outcomes)
+    assert outcomes[0].approved and outcomes[0].reason is None
+    with pytest.raises(AttributeError):
+        outcomes[0].approved = False
+
+
+_VALUE = st.one_of(_TEXT, st.integers(-2**70, 2**70), st.floats(allow_nan=False),
+                   st.booleans(), st.none(), st.lists(_TEXT, max_size=2))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(coin_id=st.integers(-2**70, 2**70), valid_from=_VALUE, valid_to=_VALUE, note=_VALUE)
+def test_a_coin_payload_is_the_canonical_json_of_its_dict(coin_id, valid_from, valid_to, note):
+    # the payload is joined from the metadata's fields, whatever their type
+    pk = bytes(range(32))
+    metadata = lg.CoinMetadata(coin_id=coin_id, valid_from=valid_from, valid_to=valid_to,
+                               issuer_note=note)
+    assert lg.Coin.signed_payload(pk, metadata) == lg._canonical(
+        {"owner_pk": pk.hex(), "metadata": metadata.to_dict()})
 
 
 def _spend(state, signer_sk, coin):
