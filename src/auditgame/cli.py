@@ -245,7 +245,7 @@ def _read_coin_file(path):
     text = _read_text(path, "coin file")
     try:
         return ledger_mod.Coin.from_dict(json.loads(text))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except ledger_mod.MALFORMED as exc:
         raise InputError(f"coin file {path!r} does not hold a coin: {exc!r}") from None
 
 

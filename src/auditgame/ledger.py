@@ -9,20 +9,20 @@ coins, a valid signature and a challenge issued no more than
 `LedgerState.CHALLENGE_TTL` (ten minutes) before.  `begin_spend` is the one
 place that drops expired challenges: an expired one is refused as
 `expired-challenge`, or as `unknown-challenge` once a later `begin_spend`
-has dropped it.  Each approved receipt is appended to the log as one
-record per line, and the log is replayed on load.  A line is the receipt's
-canonical JSON, `_canonical(receipt.to_dict())`: sorted keys, no spaces,
-ASCII only.  An append opens the log by path with `O_APPEND`, writes the
-whole record to its end with `os.write` (again for whatever a short write
-left), and closes it: no buffered file object, and no fsync.  A last
-line without its newline that is no receipt record is refused with a
-message that says the line has no newline, which is what an append cut
-short leaves.  `load` parses each line with `json.loads`, so lines written
-in the older spaced form (`json.dumps(record, sort_keys=True)`) load as
-before, and a log may mix the two.  The log is the only
-copy of the receipts: a state keeps the coins they spend, never the
-receipts themselves.  A state mints no (recipient, coin id) it has minted
-or knows spent, from the log or from a spend it approved.
+has dropped it.  A ledger is its log: every state, `create`'s included,
+has replayed the log it appends to, one approved receipt per line.  A
+line is the receipt's canonical JSON, `_canonical(receipt.to_dict())`:
+sorted keys, no spaces, ASCII only, appended by path with `O_APPEND` and
+`os.write` (again for whatever a short write left), with no buffered file
+object and no fsync, and cut back to the log's old length when a write
+fails part-way (see `_append`).  `load` parses lines with `json.loads`,
+so the older spaced form (`json.dumps(record, sort_keys=True)`) loads
+too.  A line whose parse raises one of `MALFORMED` is no receipt record;
+a last one without its newline is refused saying so, as an append cut
+short leaves it.  The log is the only copy of the receipts: a state keeps
+the coins they spend, never the receipts themselves.  A state mints no
+(recipient, coin id) it has minted or knows spent, from the log or from a
+spend it approved.
 
 Replay parses and re-verifies each record, except inside a prefix that
 the administrator has already verified and signed together with the coins
@@ -263,6 +263,9 @@ def _sha256():
 # checkpoint, which signed no spent coins, fails to verify under it.
 CHECKPOINT_TAG = b"auditgame log checkpoint v2\n"
 
+# What reading a coin, receipt or checkpoint from malformed JSON raises.
+MALFORMED = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
 # Ends the message for a last line that has no newline and is no receipt
 # record: what an append cut short leaves.
 TORN_LINE = "; the line has no newline, as an append cut short leaves it"
@@ -424,8 +427,7 @@ def sign_receipt(scheme: SignatureScheme, sk: bytes, raw: RawReceipt,
 
 def audit_line(index: int, record) -> str:
     """The `ledger audit-log` line of the record at `index`, from the parsed
-    JSON of its log line; raises ValueError, KeyError or TypeError when that
-    lacks a field it lists."""
+    JSON of its log line; raises one of `MALFORMED` when it lacks a field."""
     coin_ids = [int(coin["metadata"]["coin_id"]) for coin in record["coins"]]
     return (f"{index}: goods={record['goods']!r} price={int(record['price'])} "
             f"coins={coin_ids} verified=true\n")
@@ -453,7 +455,7 @@ _APPROVED = SpendOutcome(True)
 
 class LedgerState:
     """Administrator-side state: keys, spent coins, pending challenges.
-    The receipts that spent the coins live only in the log.
+    The receipts that spent the coins live only in the log `load` read.
 
     `finalize_spend` serializes its spent-set check, log append, spend
     marking and any checkpoint it signs through one lock; signature checks
@@ -464,7 +466,7 @@ class LedgerState:
     CHALLENGE_TTL = 600.0   # seconds a challenge stays usable
 
     def __init__(self, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
-                 log_path=None, rng=None, clock=None):
+                 log_path, rng=None, clock=None):
         self.scheme = scheme
         self._admin_sk = admin_sk
         self.admin_pk = admin_pk
@@ -490,15 +492,17 @@ class LedgerState:
         self._checkpointed = 0
 
     @classmethod
-    def create(cls, scheme: SignatureScheme, log_path=None, **kwargs) -> "LedgerState":
+    def create(cls, scheme: SignatureScheme, log_path, **kwargs) -> "LedgerState":
+        """`load` under fresh keys, so a log holding a record fails it."""
         sk, pk = keygen(scheme)
-        return cls(scheme, sk, pk, log_path=log_path, **kwargs)
+        return cls.load(scheme, sk, pk, log_path, **kwargs)
 
     @classmethod
     def load(cls, scheme: SignatureScheme, admin_sk: bytes, admin_pk: bytes,
              log_path, listing: Optional[list] = None, **kwargs) -> "LedgerState":
-        """Rebuild the spent set from the log, read line by line: once, or
-        twice when its checkpoint does not hold.
+        """Rebuild the spent set from the log at `log_path`, read line by
+        line: once, or twice when its checkpoint does not hold.  A log that
+        does not exist yet is an empty one, which the first append creates.
 
         With a valid checkpoint the spent set starts as the one it signs, and
         only the records after its prefix are parsed, re-verified and checked
@@ -510,7 +514,7 @@ class LedgerState:
         `load` returns.
         """
         state = cls(scheme, admin_sk, admin_pk, log_path=log_path, **kwargs)
-        if not (log_path and os.path.exists(log_path)):
+        if not os.path.exists(log_path):
             return state
         # Bytes, so that json.loads decodes each line and a line that is not
         # UTF-8 is reported like any other malformed record.
@@ -572,7 +576,7 @@ class LedgerState:
                 receipt = None if inside else Receipt.from_dict(record)
                 if listing is not None:
                     listing.append(audit_line(len(listing), record))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            except MALFORMED as exc:
                 if inside:   # it vouches only for receipt records, so one that is not voids it
                     return False
                 raise InputError(f"log line {lineno} is not a receipt record: {exc!r}"
@@ -610,7 +614,7 @@ class LedgerState:
                 checkpoint = json.loads(fh.read())
             claim = (checkpoint["bytes"], checkpoint["sha256"], checkpoint["spent"],
                      bytes.fromhex(checkpoint["sig"]))
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, *MALFORMED):
             return None
         return claim if type(claim[0]) is int and claim[0] > 0 else None
 
@@ -739,23 +743,21 @@ class LedgerState:
                 if coin.key in self._spent:
                     return SpendOutcome(False, "double-spend")
             # All checks passed: append, then commit in memory.
-            if self.log_path:
-                line = ((b"\n" if self._unterminated else b"")
-                        + receipt.canonical_bytes() + b"\n")
-                try:
-                    _append(self.log_path, line)
-                except OSError as exc:
-                    raise InputError(f"cannot append to ledger log {self.log_path!r}: "
-                                     f"{exc.strerror or exc}") from None
-                self._unterminated = False
-                self._log_sha.update(line)
-                self._log_bytes += len(line)
+            line = (b"\n" if self._unterminated else b"") + receipt.canonical_bytes() + b"\n"
+            try:
+                _append(self.log_path, line)
+            except OSError as exc:
+                raise InputError(f"cannot append to ledger log {self.log_path!r}: "
+                                 f"{exc.strerror or exc}") from None
+            self._unterminated = False
+            self._log_sha.update(line)
+            self._log_bytes += len(line)
             for coin in receipt.raw.coins:
                 self._spent.add(coin.key)
             del self._pending[key]
             # The doubling schedule; a checkpoint that could not be signed
             # or written resets it too, so a failing disk costs no more.
-            if self.log_path and self._log_bytes - self._checkpointed >= self._checkpointed:
+            if self._log_bytes - self._checkpointed >= self._checkpointed:
                 self._checkpointed = self._log_bytes
                 self._save_checkpoint(self._log_bytes, self._log_sha.copy().finalize().hex(),
                                       self._spent)
@@ -765,11 +767,25 @@ class LedgerState:
 def _append(path, data: bytes) -> None:
     """Write all of `data` at the end of the file at `path`, created if
     missing: opened by path for this one record, with no buffered file
-    object, and closed again."""
+    object, and closed again.
+
+    A write that fails after part of `data` was written cuts the file back
+    to the length it had before, if it still ends where that part left it:
+    a refused append leaves the log as it was.  Another process that
+    appends between the length check and the cut is not excluded: that
+    takes a cross-process lock (`flock`), which the ledger does not hold.
+    """
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
+        start = os.lseek(fd, 0, os.SEEK_END)
         view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        try:
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            written = len(data) - len(view)
+            if written and os.lseek(fd, 0, os.SEEK_END) == start + written:
+                os.ftruncate(fd, start)
+            raise
     finally:
         os.close(fd)

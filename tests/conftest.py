@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from auditgame import GameConfig, InputError, excess_payments_bound
 from auditgame.core import raw_misreport_cap
@@ -9,6 +10,14 @@ from auditgame.numeric import as_fraction
 
 # `pytest --hypothesis-profile=ci`: more examples, the same ones on every run.
 settings.register_profile("ci", max_examples=2000, derandomize=True)
+
+
+def pytest_sessionstart(session):
+    """Hypothesis keeps its caches and example database in this session's
+    temporary directory, not in a `.hypothesis/` of the working directory.
+    It resolves that directory on first use, when its plugin collects the
+    tests, after this hook."""
+    set_hypothesis_home_dir(session.config._tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture

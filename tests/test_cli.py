@@ -620,6 +620,84 @@ def test_a_logged_price_beyond_the_float_range_is_an_input_error(command, tmp_pa
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+NESTED = "[" * 100_000   # nested deeper than any JSON parse can go
+
+
+def test_a_nested_coin_file_is_an_input_error(tmp_path, capsys):
+    alice = _small_ledger(tmp_path, capsys, coins=1)
+    coin = tmp_path / "nested.json"
+    coin.write_text(NESTED)
+    code, out, err = run(["ledger", "spend", "--dir", str(tmp_path / "led"), "--coin", str(coin),
+                          "--signer-key", alice], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"input error: coin file {str(coin)!r} does not hold a coin: "
+                          "RecursionError(")
+    assert err.count("\n") == 1
+
+
+def _sign_whole_log(led):
+    """Sign a checkpoint over the whole log of `led` with its admin key,
+    keeping the spent map of the one there."""
+    import hashlib
+    from auditgame import ledger as lg
+    sk = bytes.fromhex((led / "admin.key").read_text().split()[0])
+    data = (led / "log.jsonl").read_bytes()
+    spent = json.loads((led / "log.jsonl.checkpoint").read_text())["spent"]
+    digest = hashlib.sha256(data).hexdigest()
+    sig = lg.Ed25519Scheme().sign(sk, lg._checkpoint_message(len(data), digest, spent))
+    (led / "log.jsonl.checkpoint").write_text(json.dumps(
+        {"bytes": len(data), "sha256": digest, "sig": sig.hex(), "spent": spent}))
+
+
+@pytest.mark.parametrize("command, where", [
+    ("audit-log", "after-checkpoint"), ("spend", "after-checkpoint"),
+    ("audit-log", "inside-checkpoint"), ("spend", "inside-checkpoint"),
+])
+def test_a_nested_log_line_is_an_input_error(command, where, tmp_path, capsys):
+    # inside a checkpoint only a listing parses it: `spend` honours the
+    # checkpoint, `audit-log` voids it and reports the line as after one
+    alice = _small_ledger(tmp_path, capsys, coins=2)
+    led = tmp_path / "led"
+    assert (led / "log.jsonl.checkpoint").exists()
+    with open(led / "log.jsonl", "a") as fh:
+        fh.write(NESTED + "\n")
+    if where == "inside-checkpoint":
+        _sign_whole_log(led)
+    args = {"audit-log": [],
+            "spend": ["--coin", str(tmp_path / "coin2.json"), "--signer-key", alice]}[command]
+    code, out, err = run(["ledger", command, "--dir", str(led)] + args, capsys)
+    if (command, where) == ("spend", "inside-checkpoint"):
+        assert (code, out, err) == (0, "approved\n", "")
+        return
+    assert code == 1 and out == ""
+    assert err.startswith("input error: log line 2 is not a receipt record: RecursionError(")
+    assert err.count("\n") == 1
+
+
+def test_a_nested_checkpoint_is_ignored(tmp_path, capsys):
+    _small_ledger(tmp_path, capsys, coins=1)
+    led = tmp_path / "led"
+    (led / "log.jsonl.checkpoint").write_text(NESTED)
+    code, out, err = run(["ledger", "audit-log", "--dir", str(led)], capsys)
+    assert (code, err) == (0, "") and out.endswith("\ntotal: 1\n")
+
+
+def test_mint_refuses_a_log_without_its_admin_key(tmp_path, capsys):
+    # a new admin key would verify no coin of the log, and every later call
+    # would fail: the mint is refused and writes nothing
+    alice = _small_ledger(tmp_path, capsys, coins=1)
+    led = tmp_path / "led"
+    (led / "admin.key").unlink()
+    files = {path.name: path.read_bytes() for path in led.iterdir()}
+    coin = tmp_path / "new.json"
+    code, out, err = run(["ledger", "mint", "--dir", str(led), "--recipient-key", alice,
+                          "--coin-id", "9", "--out", str(coin)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "input error: log line 1 fails re-verification: invalid-coin\n"
+    assert not coin.exists()
+    assert {path.name: path.read_bytes() for path in led.iterdir()} == files
+
+
 def test_audit_log_lists_a_checkpointed_prefix_as_a_full_verify_does(tmp_path, capsys):
     from auditgame import ledger as lg
     scheme = lg.Ed25519Scheme()

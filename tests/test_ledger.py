@@ -68,12 +68,13 @@ def test_toy_scheme_is_deterministic():
     assert DeterministicScheme(seed=5).gen() != DeterministicScheme(seed=4).gen()
 
 
-def test_mint_and_verify(state, user):
+def test_mint_and_verify(state, user, tmp_path):
     _, pk = user
     coin = state.mint(pk, lg.CoinMetadata(coin_id=1, issuer_note="groceries"))
     assert state.verify_coin(coin)
     # a state that minted nothing checks the administrator's signature in full
-    assert lg.LedgerState(state.scheme, b"", state.admin_pk).verify_coin(coin)
+    other = str(tmp_path / "other.jsonl")
+    assert lg.LedgerState(state.scheme, b"", state.admin_pk, other).verify_coin(coin)
 
 
 def test_mint_rejects_duplicate_id(state, user):
@@ -119,10 +120,10 @@ def test_a_failed_mint_leaves_its_id_free(state, user, monkeypatch):
         state.mint(pk, lg.CoinMetadata(coin_id=5))
 
 
-def test_a_secret_key_that_cannot_sign_mints_nothing():
+def test_a_secret_key_that_cannot_sign_mints_nothing(tmp_path):
     scheme = lg.Ed25519Scheme()
     _, admin_pk = lg.keygen(scheme)
-    state = lg.LedgerState(scheme, b"\x00\x01", admin_pk)
+    state = lg.LedgerState(scheme, b"\x00\x01", admin_pk, str(tmp_path / "log.jsonl"))
     _, pk = lg.keygen(scheme)
     for _ in range(2):   # never "already issued": no coin was
         with pytest.raises(ValueError) as info:
@@ -389,6 +390,50 @@ def test_only_an_unterminated_last_line_is_called_torn(scheme, tmp_path, user, d
     assert "has no newline" in lg.TORN_LINE
 
 
+NESTED = b"[" * 100_000   # nested deeper than any JSON parse can go
+
+
+@pytest.mark.parametrize("where", ["after-checkpoint", "inside-checkpoint"])
+def test_a_nested_line_is_no_receipt_record(ledger, where):
+    # reported like any other line that is not a record; a checkpoint over
+    # it holds for a plain load, which parses nothing inside it, and a
+    # listing load voids it and reports the line as a full verify does
+    state, log = ledger
+    data = open(log, "rb").read()
+    first = data.index(b"\n") + 1
+    data = data[:first] + NESTED + b"\n" + data[first:]
+    with open(log, "wb") as fh:
+        fh.write(data)
+    message = "log line 2 is not a receipt record: RecursionError("
+    assert _load_error(state, log).startswith(message)
+    if where == "inside-checkpoint":
+        _sign_checkpoint(state, log, len(data))
+        assert len(_load(state, log)._spent) == 3
+    else:
+        _sign_checkpoint(state, log, first)
+        assert _load_error(state, log).startswith(message)
+    with pytest.raises(InputError) as info:
+        lg.LedgerState.load(state.scheme, state._admin_sk, state.admin_pk, log, listing=[])
+    assert str(info.value).startswith(message)
+
+
+def test_create_reads_the_log_it_is_given(scheme, tmp_path, user):
+    log = str(tmp_path / "log.jsonl")
+    with open(log, "wb") as fh:
+        fh.write(b"\n")   # a blank line: a log that holds no record
+    state = lg.LedgerState.create(scheme, log_path=log)
+    assert state._log_bytes == 1
+    _spend_new_coins(state, user, range(2))
+    os.remove(log + ".checkpoint")
+    assert _load(state, log)._spent == state._spent   # signs a checkpoint
+    # no coin of a log that holds a record verifies under fresh keys: the
+    # state is refused, and the log and its checkpoint stay as they were
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(InputError, match="^log line 2 fails re-verification: invalid-coin$"):
+        lg.LedgerState.create(scheme, log_path=log)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 def test_concurrent_spends_single_approval(state, user):
     sk, pk = user
     coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
@@ -633,7 +678,7 @@ def test_an_invalid_checkpoint_falls_back_to_a_full_verify(ledger, verified, edi
     assert _record_checks(verified) == []
 
 
-@pytest.mark.parametrize("damage", ["malformed-json", "truncated-log", "missing"])
+@pytest.mark.parametrize("damage", ["malformed-json", "nested-json", "truncated-log", "missing"])
 def test_a_damaged_checkpoint_or_log_falls_back_to_a_full_verify(ledger, verified, damage):
     state, log = ledger
     _load(state, log)
@@ -641,6 +686,9 @@ def test_a_damaged_checkpoint_or_log_falls_back_to_a_full_verify(ledger, verifie
     if damage == "malformed-json":
         with open(log + ".checkpoint", "w") as fh:
             fh.write('{"bytes": 12, "sha256"')
+    elif damage == "nested-json":
+        with open(log + ".checkpoint", "wb") as fh:
+            fh.write(NESTED)
     elif damage == "truncated-log":
         lines = open(log, "rb").read().splitlines(keepends=True)
         with open(log, "wb") as fh:
@@ -791,7 +839,7 @@ def _whole_log(state, log):
                 continue
             try:
                 receipt = lg.Receipt.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            except lg.MALFORMED as exc:
                 raise InputError(f"log line {lineno} is not a receipt record: {exc!r}") from None
             problem = state._receipt_integrity_problem(receipt)
             if problem:
@@ -839,7 +887,7 @@ def _checkpoint_over(state, data, n_bytes):
     for line in data[:data.rfind(b"\n", 0, n_bytes) + 1].split(b"\n"):
         try:
             spent.update(coin.key for coin in lg.Receipt.from_dict(json.loads(line)).raw.coins)
-        except (ValueError, KeyError, TypeError, OverflowError):
+        except lg.MALFORMED:
             pass   # a blank line, or one that is not a record
     spent, digest = lg._spent_map(spent), hashlib.sha256(data[:n_bytes]).hexdigest()
     sig = state.scheme.sign(state._admin_sk, lg._checkpoint_message(n_bytes, digest, spent))
@@ -1215,6 +1263,28 @@ def test_a_failed_append_commits_nothing(scheme, tmp_path, user, monkeypatch):
     assert state._spent == {coin.key}
     assert len(_load(state, state.log_path)._spent) == 1
     assert _receipts(state.log_path) == [receipt]
+    # a disk that fills after 7 bytes of the record: the log is cut back to
+    # what it was, so the retry's record gets a line of its own
+    before = open(state.log_path, "rb").read()
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=2))
+    raw = lg.RawReceipt(goods="meal", price=1, coins=(coin,))
+    receipt = lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw))
+    sizes = []
+
+    def filling(fd, data):
+        if sizes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(lg.os, "write", filling)
+    with pytest.raises(InputError, match="No space left on device$"):
+        state.finalize_spend(receipt)
+    assert sizes == [7] and open(state.log_path, "rb").read() == before
+    monkeypatch.setattr(lg.os, "write", write)
+    assert state.finalize_spend(receipt).approved
+    os.remove(state.log_path + ".checkpoint")
+    assert _load(state, state.log_path)._spent == state._spent and len(state._spent) == 2
 
 
 def test_an_append_of_short_writes_is_one_whole_line(scheme, tmp_path, user, monkeypatch):
