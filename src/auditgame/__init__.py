@@ -29,7 +29,7 @@ _HOME = {
     "nonexistence_probe": "oracle", "signaling_equilibrium": "equilibrium",
     "surface_preset": "casestudy", "sweep_costs": "casestudy",
     "sweep_misreport_surface": "casestudy",
-    "two_type_closed_form": "equilibrium", "two_type_strategy": "core",
+    "two_type_strategy": "core",
     "user_payoff": "core", "user_utility_avg": "core", "user_utility_type": "core",
     "verify_equilibrium": "equilibrium",
 }

@@ -42,7 +42,8 @@ def two_type_misreport_prob(cfg: GameConfig) -> Fraction:
 
 
 class Regime(enum.Enum):
-    """NONEXISTENCE_POSSIBLE: below every threshold that guarantees existence."""
+    """Where a budget lies, a label for `solve` only: `BudgetAnalysis.budget_binds`
+    decides.  NONEXISTENCE_POSSIBLE: below every threshold that guarantees existence."""
 
     UNCONSTRAINED = "UNCONSTRAINED"
     SUFFICIENT = "SUFFICIENT"
@@ -53,7 +54,8 @@ class Regime(enum.Enum):
 
 class BudgetAnalysis(Record):
     """`budget_binds`: whether the budget holds audits back, so that the
-    caps of this module do not apply (see `budget_thresholds`)."""
+    caps of this module do not apply (see `budget_thresholds`); the one
+    decision, where `regime` is only the label that `solve` prints."""
 
     _fields = ("threshold_general", "threshold_two_type", "threshold_coalition", "regime",
                "budget_binds")
@@ -71,8 +73,8 @@ def budget_thresholds(cfg: GameConfig) -> BudgetAnalysis:
     No budget, or one at or above the coalition threshold, never binds.
     Below it a two-type budget binds, with one user, at or below the
     two-type threshold, where the budget-exhausting branch applies; with
-    several users the threshold itself is enough for the no-audit closed
-    form, so it binds strictly below.  Below it a larger game's budget
+    several users the threshold itself is enough for the no-audit
+    equilibrium, so it binds strictly below.  Below it a larger game's budget
     always binds.
     """
     general = excess_payments_bound(cfg)

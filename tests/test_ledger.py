@@ -1410,8 +1410,14 @@ def test_a_receipt_payload_is_the_canonical_json_of_its_parts(state, user, goods
     assert cheaper.canonical_bytes() == lg._canonical(cheaper.to_dict())
 
 
+def _holds_surrogate_pair(text):
+    return isinstance(text, str) and any(
+        "\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff" for a, b in zip(text, text[1:]))
+
+
 # Characters that JSON escapes, that `ensure_ascii` writes as \u escapes
 # (surrogate pairs above the BMP, lone surrogates), or that pass unchanged.
+# Text holding a high surrogate directly followed by a low one is refused.
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x01\x1f\x7f é☃\U0001f600\ud800\udfff'),
                           st.characters()), max_size=12)
 
@@ -1429,10 +1435,16 @@ def test_every_signed_or_logged_encoding_is_the_canonical_json_of_its_dict(coins
     with tempfile.TemporaryDirectory() as tmp:
         log = os.path.join(tmp, "log.jsonl")
         state = lg.LedgerState.create(scheme, log_path=log, rng=random.Random(0))
-        minted = tuple(state.mint(pk, lg.CoinMetadata(coin_id=coin_id, valid_to=valid_to,
-                                                      issuer_note=note))
-                       for coin_id, valid_to, note in coins)
-        raw = lg.RawReceipt(goods=goods, price=price, coins=minted)
+        texts = [goods] + [text for _, valid_to, note in coins for text in (valid_to, note)]
+        try:
+            minted = tuple(state.mint(pk, lg.CoinMetadata(coin_id=coin_id, valid_to=valid_to,
+                                                          issuer_note=note))
+                           for coin_id, valid_to, note in coins)
+            raw = lg.RawReceipt(goods=goods, price=price, coins=minted)
+        except InputError as exc:
+            assert "surrogate pair" in str(exc) and any(map(_holds_surrogate_pair, texts))
+            return
+        assert not any(map(_holds_surrogate_pair, texts))
         receipt = lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw))
         assert state.finalize_spend(receipt).approved
         with open(log, "rb") as fh:
@@ -1443,6 +1455,32 @@ def test_every_signed_or_logged_encoding_is_the_canonical_json_of_its_dict(coins
     assert raw.canonical_bytes() == lg._canonical(raw.to_dict())
     assert line == lg._canonical(receipt.to_dict()) + b"\n"
     assert lg.Receipt.from_dict(json.loads(line)) == receipt
+
+
+def test_text_holding_a_surrogate_pair_is_refused(tmp_path):
+    # canonical JSON writes a high surrogate and the low one after it as two
+    # escapes that `json.loads` reads back as the one character they encode:
+    # a receipt with such goods, once logged, would read back as another one
+    pair = "\ud800\udfff"
+    assert json.loads(lg._canonical(pair)) == "\U000103ff" != pair
+    scheme = DeterministicScheme(seed=5)
+    sk, pk = lg.keygen(scheme)
+    log = str(tmp_path / "log.jsonl")
+    state = lg.LedgerState.create(scheme, log_path=log, rng=random.Random(0))
+    coin = state.mint(pk, lg.CoinMetadata(coin_id=1))
+    with pytest.raises(InputError, match="^a surrogate pair in a receipt's goods,"):
+        lg.RawReceipt(goods=pair, price=1, coins=(coin,))
+    for field in ("valid_from", "valid_to", "issuer_note"):
+        with pytest.raises(InputError, match="^a surrogate pair in a coin's metadata,"):
+            lg.CoinMetadata(coin_id=2, **{field: "x" + pair + "y"})
+    # lone surrogates, a low one before a high one, and the character the
+    # pair encodes all read back as themselves, and stay accepted
+    goods = "\ud800 \udfff\ud800 \U000103ff"
+    raw = lg.RawReceipt(goods=goods, price=1, coins=(coin,))
+    receipt = lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw))
+    assert state.finalize_spend(receipt).approved
+    with open(log, "rb") as fh:
+        assert lg.Receipt.from_dict(json.loads(fh.read())) == receipt
 
 
 def _seeded_session(log):
@@ -1508,8 +1546,14 @@ _VALUE = st.one_of(_TEXT, st.integers(-2**70, 2**70), st.floats(allow_nan=False)
 def test_a_coin_payload_is_the_canonical_json_of_its_dict(coin_id, valid_from, valid_to, note):
     # the payload is joined from the metadata's fields, whatever their type
     pk = bytes(range(32))
-    metadata = lg.CoinMetadata(coin_id=coin_id, valid_from=valid_from, valid_to=valid_to,
-                               issuer_note=note)
+    try:
+        metadata = lg.CoinMetadata(coin_id=coin_id, valid_from=valid_from, valid_to=valid_to,
+                                   issuer_note=note)
+    except InputError as exc:
+        assert "surrogate pair" in str(exc)
+        assert any(map(_holds_surrogate_pair, (valid_from, valid_to, note)))
+        return
+    assert not any(map(_holds_surrogate_pair, (valid_from, valid_to, note)))
     assert lg.Coin.signed_payload(pk, metadata) == lg._canonical(
         {"owner_pk": pk.hex(), "metadata": metadata.to_dict()})
 
