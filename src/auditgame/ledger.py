@@ -32,35 +32,40 @@ where M maps each owner's public key (hex) to the ascending ids of that
 owner's coins spent by the records inside the first N bytes, and S is the
 administrator's signature on `CHECKPOINT_TAG` followed by the canonical
 JSON of N, H and M.  The tag keeps checkpoint and coin signatures apart:
-neither can pass as the other.  `load` honours a checkpoint only when
-0 < N <= the log's length, the SHA-256 of the log's first N bytes is H and
-S verifies under the administrator's public key; otherwise it verifies
-every record.  A record counts as inside the prefix only when its line,
-newline included, is.  With a checkpoint, the spent set starts as M and
-only the records after the prefix are parsed, verified and checked for
-double-spends against it.  `load` reads the log line by line, each line
-feeding the running SHA-256, so it holds one line and the reader's buffer
-at a time, never the whole file: the prefix is hashed and its lines
-counted, not kept or parsed.  It reads the log once when there is no
-checkpoint or the checkpoint holds; when it does not hold, `load` reads the
-log a second time from its first byte and verifies every record.  A
+neither can pass as the other.  A record counts as inside the prefix
+only when its line, newline included, is.  `load` honours a checkpoint
+only at a line end: when N is where the first line past the prefix
+starts, or the log's end after a newline, the SHA-256 of the log's first N
+bytes is H and S verifies under the administrator's public key; otherwise
+it verifies every record.  With a checkpoint, the spent set starts as M
+and only the records after the prefix are parsed, verified and checked
+for double-spends against it.  `load` reads the log line by line, each
+line feeding the running SHA-256, so it holds one line and the reader's
+buffer at a time, never the whole file: the prefix is hashed and its
+lines counted, not kept or parsed.  It reads the log once when there is
+no checkpoint or the checkpoint holds; when it does not hold, `load` reads
+the log a second time from its first byte and verifies every record.  A
 listing load (`ledger audit-log`) turns each record, inside the prefix or
 after it, into its `audit_line` from the one JSON parse of its line in the
 pass that keeps it.  The file is only a cache: deleting it costs one full
 verification.
 
-Two writers sign checkpoints.  After a load in which every record passed,
-`load` signs one for the newline-terminated part of the log, if that part
-grew.  A state that approves spends keeps a running SHA-256 over the log
-bytes it has itself read (and checked, or honoured under a checkpoint) or
-appended, and after an approval it signs those bytes and its spent set
-once the bytes appended since the last checkpoint it signed or honoured
-are at least as many as that checkpoint covers.  That doubling schedule
-re-signs the spent set at amortised O(1) cost per record.  The digest is
-of the bytes this state knows, never a re-read of the file: if any other
+One writer signs checkpoints, on two schedules.  A state keeps a running
+SHA-256 over the log bytes it has itself read (and checked, or honoured
+under a checkpoint) or appended, and `_save_checkpoint` signs all of those
+bytes and its spent set.  `load` calls it after a load in which every
+record passed, if the log ends in a newline and grew past the checkpoint
+it honoured; a log whose last line lacks its newline gets no new
+checkpoint until an append ends that line.  A state that approves spends
+calls it after an approval once the bytes appended since the last
+checkpoint it signed or honoured are at least as many as that checkpoint
+covers.  That doubling schedule re-signs the spent set at amortised O(1)
+cost per record.  Either way the bytes signed end in a newline, so N is a
+line end, the only place a load honours a checkpoint.  The digest is of
+the bytes this state knows, never a re-read of the file: if any other
 writer touched the log in between, the file's prefix no longer hashes to
-H, and the next load verifies every record.  A checkpoint can cost a cache
-miss, never a skipped record.
+H, and the next load verifies every record.  A checkpoint can cost a
+cache miss, never a skipped record.
 
 Trust: anyone without the administrator's secret key can neither make
 `load` skip a record, nor change the spent set it starts from, nor make it
@@ -501,7 +506,7 @@ class LedgerState:
         self._unterminated = False
         # The running SHA-256 of the log bytes this state has read or
         # appended, their count, and the count that the last checkpoint it
-        # signed or honoured covers (see the module docstring).
+        # signed or honoured covers, 0 for none (see the module docstring).
         self._log_sha = _sha256()
         self._log_bytes = 0
         self._checkpointed = 0
@@ -552,36 +557,22 @@ class LedgerState:
         """Read the log `fh` into this new state; see `load`.
 
         With `checkpoint`, (N, H, M, S) from `_read_checkpoint`, the lines
-        that end within the first N bytes are only hashed and counted, or
-        listed, and the checkpoint is checked before any later line is
+        that end, newline included, within the first N bytes are only hashed
+        and counted, or listed.  The checkpoint is checked where the first
+        line past them starts, or at the log's end, before any later line is
         parsed.  False, with this state half-read, when it does not hold."""
         n_bytes = checkpoint[0] if checkpoint else 0
-        honoured = checkpoint is None
-        # The SHA-256 of the first N bytes, and the length and SHA-256 of
-        # the newline-terminated part of the log, once an unterminated last
-        # line shows that it is not the whole log.
-        n_digest, ends, ends_digest = None, None, None
-        torn, grown = set(), False   # torn: the coins of an unterminated last line
+        complete = True   # whether the last line read ends in a newline
         for lineno, line in enumerate(fh, start=1):
-            start = self._log_bytes
-            end = self._log_bytes = start + len(line)
-            complete = line.endswith(b"\n")
-            if not complete:   # only the last line can lack its newline
-                ends, ends_digest = start, self._log_sha.copy().finalize().hex()
-            if start < n_bytes <= end:   # the one line that holds byte N
-                self._log_sha.update(line[:n_bytes - start])
-                n_digest = self._log_sha.copy().finalize().hex()
-                self._log_sha.update(line[n_bytes - start:])
-            else:
-                self._log_sha.update(line)
-            inside = complete and end <= n_bytes   # a line the checkpoint vouches for
-            if not inside:
-                if not honoured:
-                    if not self._honour(checkpoint, n_digest):
-                        return False
-                    honoured, checkpoint = True, None   # M lives on only as the spent set
-                grown = grown or complete
-            elif listing is None:
+            complete = line.endswith(b"\n")   # only the last line can lack it
+            inside = complete and self._log_bytes + len(line) <= n_bytes
+            if not inside and checkpoint:
+                if not self._honour(checkpoint):
+                    return False
+                checkpoint = None   # M lives on only as the spent set
+            self._log_sha.update(line)
+            self._log_bytes += len(line)
+            if inside and listing is None:
                 continue
             text = line.strip()
             if not text:
@@ -605,16 +596,11 @@ class LedgerState:
                 if coin.key in self._spent:
                     raise InputError(f"log line {lineno} double-spends coin {coin.key}")
                 self._spent.add(coin.key)
-            if not complete:
-                torn = {coin.key for coin in receipt.raw.coins}
-        if not honoured and not self._honour(checkpoint, n_digest):
+        if checkpoint and not self._honour(checkpoint):
             return False
-        if ends is None:
-            ends, ends_digest = self._log_bytes, self._log_sha.copy().finalize().hex()
-        if grown:
-            self._save_checkpoint(ends, ends_digest, self._spent - torn if torn else self._spent)
-        self._checkpointed = ends
-        self._unterminated = self._log_bytes > ends
+        self._unterminated = not complete
+        if complete and self._log_bytes > self._checkpointed:
+            self._save_checkpoint()
         return True
 
     def _checkpoint_path(self) -> str:
@@ -633,28 +619,33 @@ class LedgerState:
             return None
         return claim if type(claim[0]) is int and claim[0] > 0 else None
 
-    def _honour(self, checkpoint, digest) -> bool:
-        """Whether the checkpoint (N, H, M, S) holds, given `digest`, the hex
-        SHA-256 of the log's first N bytes (None for a log shorter than N);
-        if it does, the spent set starts as M."""
+    def _honour(self, checkpoint) -> bool:
+        """Whether the checkpoint (N, H, M, S) holds over the log bytes this
+        state has hashed: N is their count, their SHA-256 is H and S
+        verifies.  If it does, the spent set starts as M, and N is the
+        length checkpointed."""
         n_bytes, sha256, spent, sig = checkpoint
-        if (digest is None or digest != sha256
+        if (self._log_bytes != n_bytes or self._log_sha.copy().finalize().hex() != sha256
                 or not self.scheme.verify(self.admin_pk,
                                           _checkpoint_message(n_bytes, sha256, spent), sig)):
             return False
         # Only the administrator signs M, and always as {owner hex: [coin ids]}.
         self._spent = {(owner, coin_id) for owner, ids in spent.items() for coin_id in ids}
+        self._checkpointed = n_bytes
         return True
 
-    def _save_checkpoint(self, n_bytes: int, digest: str, spent: set) -> None:
-        """Sign the first `n_bytes` of the log, whose SHA-256 is `digest`,
-        and `spent`, the coins their records spend.
+    def _save_checkpoint(self) -> None:
+        """Sign the `_log_bytes` bytes of the log this state has read or
+        appended, their SHA-256 and the spent set, and count them as
+        checkpointed, signed or not.
 
         The file is replaced atomically.  It is only a cache, so a failed
         write is ignored, as is a secret key the scheme cannot sign with
-        (reading the log needs only the public key).
+        (reading the log needs only the public key): a failing disk costs
+        the doubling schedule no more than a working one.
         """
-        spent = _spent_map(spent)
+        self._checkpointed = n_bytes = self._log_bytes
+        digest, spent = self._log_sha.copy().finalize().hex(), _spent_map(self._spent)
         try:
             sig = self.scheme.sign(self._admin_sk, _checkpoint_message(n_bytes, digest, spent))
         except ValueError:
@@ -770,12 +761,8 @@ class LedgerState:
             for coin in receipt.raw.coins:
                 self._spent.add(coin.key)
             del self._pending[key]
-            # The doubling schedule; a checkpoint that could not be signed
-            # or written resets it too, so a failing disk costs no more.
-            if self._log_bytes - self._checkpointed >= self._checkpointed:
-                self._checkpointed = self._log_bytes
-                self._save_checkpoint(self._log_bytes, self._log_sha.copy().finalize().hex(),
-                                      self._spent)
+            if self._log_bytes - self._checkpointed >= self._checkpointed:   # doubling
+                self._save_checkpoint()
         return _APPROVED
 
 

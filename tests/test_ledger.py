@@ -724,20 +724,20 @@ def test_a_torn_last_line_is_never_covered(ledger, user, verified):
     with open(log, "wb") as fh:
         fh.write(data[:-1])   # the last record loses its newline
     assert len(_load(state, log)._spent) == 3
-    assert _checkpoint(log)["bytes"] == data.rfind(b"\n", 0, -1) + 1
-    assert _checkpoint(log)["spent"] == {user[1].hex(): [0, 1]}   # not coin 2
+    assert not os.path.exists(log + ".checkpoint")   # none until a newline ends the log
+    # a checkpoint over the newline-terminated part holds, and the torn record is verified
+    _sign_checkpoint(state, log, data.rfind(b"\n", 0, -1) + 1)
+    signed = _checkpoint(log)
+    assert signed["spent"] == {user[1].hex(): [0, 1]}   # not coin 2
     verified.clear()
-    _load(state, log)
+    assert len(_load(state, log)._spent) == 3
     assert len(_record_checks(verified)) == 2
-    # even a checkpoint the administrator signed over the torn line skips it
-    digest, spent = hashlib.sha256(data[:-1]).hexdigest(), _checkpoint(log)["spent"]
-    sig = state.scheme.sign(state._admin_sk,
-                            lg._checkpoint_message(len(data) - 1, digest, spent))
-    _write_checkpoint(log, {"bytes": len(data) - 1, "sha256": digest, "sig": sig.hex(),
-                            "spent": spent})
+    assert _checkpoint(log) == signed
+    # a checkpoint the administrator signed over the torn line does not hold
+    _sign_checkpoint(state, log, len(data) - 1)
     verified.clear()
-    _load(state, log)
-    assert len(_record_checks(verified)) == 2
+    assert len(_load(state, log)._spent) == 3
+    assert len(_record_checks(verified)) == 2 * 3
 
 
 @pytest.fixture
@@ -974,21 +974,24 @@ _EDITS = {
 
 def _whole_log_state(state, data, checkpoint):
     """The log state a load of `data` leaves, from the whole file: the
-    (N, H) it honours, whether its last line is unterminated, the length of
-    its newline-terminated part, its length and SHA-256, and the checkpoint
-    file.  A checkpoint is honoured when its prefix hashes to H, and stays
-    as written when it also covers that part; otherwise the load signs one
-    over that part."""
-    ends, honoured = data.rfind(b"\n") + 1, None
+    (N, H) it honours, whether its last line is unterminated, the length
+    checkpointed, its length and SHA-256, and the checkpoint file.  A
+    checkpoint is honoured when N is the end of a complete line and the
+    prefix hashes to H.  A load of a log that ends in a newline and is
+    longer than the N it honoured, or than 0, signs one over the whole log;
+    otherwise the file stays as written."""
+    honoured, checkpointed = None, 0
     if checkpoint:
         claim = json.loads(checkpoint)
-        if (claim["bytes"] <= len(data)
+        if (claim["bytes"] in _ends(data)
                 and hashlib.sha256(data[:claim["bytes"]]).hexdigest() == claim["sha256"]):
-            honoured = claim["bytes"], claim["sha256"]
-    if not (honoured and honoured[0] >= ends):
-        checkpoint = (json.dumps(_checkpoint_over(state, data, ends), sort_keys=True)
+            honoured, checkpointed = (claim["bytes"], claim["sha256"]), claim["bytes"]
+    unterminated = len(data) > data.rfind(b"\n") + 1
+    if not unterminated and len(data) > checkpointed:
+        checkpointed = len(data)
+        checkpoint = (json.dumps(_checkpoint_over(state, data, len(data)), sort_keys=True)
                       + "\n").encode()
-    return (honoured, len(data) > ends, ends, len(data), hashlib.sha256(data).digest(),
+    return (honoured, unterminated, checkpointed, len(data), hashlib.sha256(data).digest(),
             checkpoint)
 
 
@@ -1205,7 +1208,7 @@ def test_a_session_on_an_unterminated_last_line(ledger, user, verified):
     with open(log, "wb") as fh:
         fh.write(data[:-1])   # the last record loses its newline
     session = _load(state, log)
-    assert _checkpoint(log)["bytes"] == data.rfind(b"\n", 0, -1) + 1
+    assert not os.path.exists(log + ".checkpoint")
     _spend_new_coins(session, user, [3])
     # the append ended the torn line, and the session signed the whole log
     assert open(log, "rb").read().count(b"\n") == 4
@@ -1215,6 +1218,62 @@ def test_a_session_on_an_unterminated_last_line(ledger, user, verified):
     loaded = _load(state, log)
     assert len(verified) == 1 and verified[0].startswith(lg.CHECKPOINT_TAG)
     assert loaded._spent == session._spent
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(steps=st.lists(st.sampled_from(["mint", "spend", "spend-two", "double-spend", "reload"]),
+                      max_size=12))
+def test_library_traffic_is_checkpointed_where_a_reload_honours_it(steps):
+    # with no writer but the library, every checkpoint ends at a line end,
+    # so honouring N only there costs no reload a record check
+    scheme, verified = DeterministicScheme(seed=11), []
+    verify = scheme.verify
+
+    def recording(pk, message, signature):
+        verified.append(message)
+        return verify(pk, message, signature)
+
+    scheme.verify = recording
+    sk, pk = lg.keygen(scheme)
+    rng = random.Random(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "log.jsonl")
+        state = lg.LedgerState.create(scheme, log_path=log, rng=rng)
+        fresh, spent = [], []   # coins minted and not spent, and spent ones
+
+        def mint():
+            fresh.append(state.mint(pk, lg.CoinMetadata(coin_id=len(fresh) + len(spent))))
+
+        def spend(coins):
+            raw = lg.RawReceipt(goods="g", price=len(coins), coins=tuple(coins))
+            return state.finalize_spend(lg.sign_receipt(scheme, sk, raw, state.begin_spend(raw)))
+
+        for step in steps:
+            if step == "reload":
+                n_bytes = _checkpoint(log)["bytes"] if os.path.exists(log) else None
+                verified.clear()
+                state = lg.LedgerState.load(scheme, state._admin_sk, state.admin_pk, log, rng=rng)
+                if n_bytes is not None:
+                    data = open(log, "rb").read()
+                    assert verified[0].startswith(lg.CHECKPOINT_TAG)
+                    assert _receipt_checks(verified) == _payloads_after(data, n_bytes)
+                    assert _checkpoint(log)["bytes"] == len(data)
+            elif step == "mint":
+                mint()
+            elif step == "double-spend":
+                if spent:
+                    assert spend(spent[:1]).reason == "double-spend"
+            else:
+                wanted = 2 if step == "spend-two" else 1
+                while len(fresh) < wanted:
+                    mint()
+                coins, fresh[:] = fresh[:wanted], fresh[wanted:]
+                assert spend(coins).approved
+                spent.extend(coins)
+            if os.path.exists(log + ".checkpoint"):
+                data, checkpoint = open(log, "rb").read(), _checkpoint(log)
+                assert data[checkpoint["bytes"] - 1:checkpoint["bytes"]] == b"\n"
+                assert checkpoint == _checkpoint_over(state, data, checkpoint["bytes"])
 
 
 def test_a_checkpoint_hashed_with_hashlib_is_honoured(ledger, verified):

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import auditgame as ag
-from auditgame import NonexistenceError, cli
+from auditgame import NonexistenceError, cli, core
 from auditgame import ledger as lg
 
 THREE_TYPE = ag.GameConfig(types=("a", "b", "c"), prior=(F(1, 3),) * 3, alloc=(10, 20, 40),
@@ -28,6 +28,15 @@ def test_a_three_type_game_at_budget_1_has_an_equilibrium():
     cfg = THREE_TYPE.replace(budget=1)
     eq = ag.signaling_equilibrium(cfg)
     assert ag.verify_equilibrium(eq.strategy, eq.audit, cfg, resolution=1000).passed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_a_grid_verdict_fails_a_profile_that_gains_on_the_continuum():
+    # on the 1/1000 grid type a gains 939/96250, under the grid slack 3/50;
+    # on the 1/10^6 grid it gains 2999813/192500000 and the profile fails
+    cfg = THREE_TYPE.replace(budget=F(67, 30))
+    pi = ag.bp_equilibrium(THREE_TYPE).strategy
+    assert not ag.verify_equilibrium(pi, core.best_response(pi, cfg), cfg, resolution=1000).passed
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
